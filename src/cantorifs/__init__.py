@@ -64,7 +64,6 @@ from .construct import (
     AppendixParams,
     ClassCBuilder,
     ConstructionParams,
-    alpha_sequence,
     appendix_pair,
     base_pair,
     build_class_c_example,
@@ -73,7 +72,6 @@ from .construct import (
     castrate,
     check_measure_bound,
     epsilon_family,
-    find_c_parameter,
     h_prime,
     lambda_sets,
     phi_rescale,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -33,7 +34,9 @@ from .errors import (
     NoContractionError,
 )
 from .intervals import Interval, IntervalSet, contained_in_interior
-from .ifs import IFSPair, fundamental_domain
+# Unused here, but perfbench's tracer test expects `axioms.fundamental_domain`
+# to be a binding site it can patch.
+from .ifs import IFSPair, fundamental_domain  # noqa: F401
 from .maps import MapSpec
 
 
@@ -66,9 +69,7 @@ def check_so(p: IFSPair) -> SoReport:
 
 def check_so_containment_form(p: IFSPair) -> bool:
     """The equivalent containment form: W inside int(F1 ∪ G1)."""
-    f1 = fundamental_domain(p, "f", 1)
-    g1 = fundamental_domain(p, "g", 1)
-    dom = IntervalSet([f1, g1])
+    dom = IntervalSet([p.f1, p.g1])
     return contained_in_interior(IntervalSet([p.overlap]), dom, p.tol)
 
 
@@ -119,11 +120,9 @@ def find_hole(p: IFSPair, seed: Interval, max_n: int = 200) -> HolePair:
     back = p.f.image_of(h_g)
     residual = max(abs(back.lo - h_f.lo), abs(back.hi - h_f.hi))
 
-    f1 = fundamental_domain(p, "f", 1)
-    g1 = fundamental_domain(p, "g", 1)
     w = p.overlap
-    f1_minus_w = Interval(f1.lo, w.lo)
-    g1_minus_w = Interval(w.hi, g1.hi)
+    f1_minus_w = Interval(p.f1.lo, w.lo)
+    g1_minus_w = Interval(w.hi, p.g1.hi)
     for name, h, region in (("h_f", h_f, f1_minus_w), ("h_g", h_g, g1_minus_w)):
         if not region.contains_interval(h, margin=tol.eps_geom):
             raise DegenerateHoleError(
@@ -138,12 +137,10 @@ def find_hole(p: IFSPair, seed: Interval, max_n: int = 200) -> HolePair:
 
 def _oriented(p: IFSPair, which: Literal["F", "G"]) -> tuple[MapSpec, MapSpec, Interval, Interval]:
     """(first map, return map, domain, codomain) for the induced map."""
-    f1 = fundamental_domain(p, "f", 1)
-    g1 = fundamental_domain(p, "g", 1)
     if which == "F":
-        return p.f, p.g, f1, g1
+        return p.f, p.g, p.f1, p.g1
     if which == "G":
-        return p.g, p.f, g1, f1
+        return p.g, p.f, p.g1, p.f1
     raise DomainError(f"which must be 'F' or 'G', got {which!r}")
 
 
@@ -185,26 +182,16 @@ def induced_deriv(p: IFSPair, which: Literal["F", "G"], x: float) -> float:
     return d
 
 
-def induced_discontinuities(
-    p: IFSPair, which: Literal["F", "G"], region: Interval, max_sites: int = 200
-) -> list[float]:
-    """Sites inside `region` where n(x) jumps: x = first(return^j(fixed-side
-    endpoint of the codomain chain)).  For F these are f(g^j(0)), j >= 2,
-    accumulating at f(1); symmetric for G."""
-    a, b, dom, codom = _oriented(p, which)
-    seed = 0.0 if which == "F" else 1.0
-    y = b.eval(b.eval(seed))  # j = 2
-    sites: list[float] = []
-    prev = None
-    for _ in range(max_sites):
-        x = a.eval(y)
-        if region.lo < x < region.hi:
-            sites.append(x)
-        if prev is not None and abs(x - prev) < p.tol.eps_newton:
-            break
-        prev = x
-        y = b.eval(y)
-    return sorted(sites)
+def induced_discontinuities(p: IFSPair, which: Literal["F", "G"], region: Interval) -> list[float]:
+    """Sites strictly inside `region` where n(x) jumps, sorted: the pair's
+    `jumps_F` (f(g^j(0)), j >= 2, accumulating at f(1)) or `jumps_G`."""
+    if which == "F":
+        sites = p.jumps_F
+    elif which == "G":
+        sites = p.jumps_G
+    else:
+        raise DomainError(f"which must be 'F' or 'G', got {which!r}")
+    return [x for x in sites if region.lo < x < region.hi]
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +301,12 @@ class RuinationRegions:
     dropped_f: int
     dropped_g: int
 
+    @cached_property
+    def rfrg(self) -> IntervalSet:
+        """r_f ∩ r_g, the ruination overlap; no orbit point lies in its
+        interior."""
+        return self.r_f.intersect(self.r_g)
+
 
 def ruination_parts(
     p: IFSPair,
@@ -372,12 +365,10 @@ def ruination_gridscan(
 ) -> IntervalSet:
     """Brute-force oracle: scan a uniform grid of the domain (F1 or G1) for
     membership x ∈ (induced map)^{-1}(hole), via vectorized inverse steps."""
-    f1 = fundamental_domain(p, "f", 1)
-    g1 = fundamental_domain(p, "g", 1)
     if which == "f":
-        first, ret, dom, codom, hole = p.f, p.g, f1, g1, h.h_g
+        first, ret, dom, codom, hole = p.f, p.g, p.f1, p.g1, h.h_g
     else:
-        first, ret, dom, codom, hole = p.g, p.f, g1, f1, h.h_f
+        first, ret, dom, codom, hole = p.g, p.f, p.g1, p.f1, h.h_f
     xs = np.linspace(dom.lo, dom.hi, grid_n, endpoint=False) + dom.length / (2 * grid_n)
     ys = first.inverse_array(xs)
     member = np.zeros(xs.shape, dtype=bool)
@@ -488,7 +479,9 @@ class BoundarySets:
     b_f: tuple[float, ...]
     b_g: tuple[float, ...]
 
-    def all_points(self) -> tuple[float, ...]:
+    @cached_property
+    def points(self) -> tuple[float, ...]:
+        """b_f ∪ b_g, sorted."""
         return tuple(sorted(set(self.b_f) | set(self.b_g)))
 
 
@@ -498,16 +491,12 @@ def boundary_sets(p: IFSPair, h: HolePair, r: RuinationRegions) -> BoundarySets:
     Assembled from normalized part endpoints of the truncated sets; every
     reported point is an endpoint of a part of the operand sets.
     """
-    rfrg = r.r_f.intersect(r.r_g)
-
     def bdry(base: Interval, extra: IntervalSet) -> list[float]:
         s = IntervalSet([base]).union(extra)
         return [float(v) for v in np.concatenate([s.los, s.his])]
 
-    f1 = fundamental_domain(p, "f", 1)
-    g1 = fundamental_domain(p, "g", 1)
-    b_f = sorted(set(bdry(h.h_f, rfrg) + [f1.lo, f1.hi]))
-    b_g = sorted(set(bdry(h.h_g, rfrg) + [g1.lo, g1.hi]))
+    b_f = sorted(set(bdry(h.h_f, r.rfrg) + [p.f1.lo, p.f1.hi]))
+    b_g = sorted(set(bdry(h.h_g, r.rfrg) + [p.g1.lo, p.g1.hi]))
     return BoundarySets(tuple(b_f), tuple(b_g))
 
 

@@ -16,7 +16,7 @@ from .errors import CantorIFSError
 from .intervals import Interval, Tolerance, from_csv, to_csv
 from .maps import pair_from_json, pair_to_json
 from .ifs import IFSPair, minimal_set_cover, orbit, validate_class_a
-from .axioms import find_hole, ruination_regions, run_axiom_checks
+from .axioms import boundary_sets, check_ee, find_hole, ruination_regions, run_axiom_checks
 from .gapfinder import certify_cantor, find_gap
 from .construct import (
     AppendixParams,
@@ -25,7 +25,6 @@ from .construct import (
     build_class_c_example,
     check_measure_bound,
     lambda_sets,
-    save_pair,
 )
 from .plot import plot_pair, plot_strip
 
@@ -110,26 +109,31 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
 
 
 def cmd_gaps(args: argparse.Namespace) -> int:
+    if not args.certify:
+        if args.lo is None or args.hi is None:
+            print("gaps: need --lo and --hi (or --certify)", file=sys.stderr)
+            return 2
+        if not args.lo < args.hi:
+            print(f"gaps: need --lo < --hi, got {args.lo} >= {args.hi}", file=sys.stderr)
+            return 2
     tol = Tolerance()
     pair = _load_pair(args.pair_file, tol)
     seed = Interval(args.seed_lo, args.seed_hi)
     hole = find_hole(pair, seed)
     ruin = ruination_regions(pair, hole)
-    from .axioms import boundary_sets, check_ee
-
-    bsets = boundary_sets(pair, hole, ruin)
     ee = check_ee(pair, hole, args.mu_target)
-    mu = max(ee.mu, 1.0 + 1e-6) if ee.mu > 1 else 1.2
+    if ee.mu <= 1.0:
+        # The gap walk needs mu > 1: a pair without expansion is a verdict.
+        _emit(args, "ee_report.txt", _config_echo(args) + ee.to_text())
+        return 1
+    bsets = boundary_sets(pair, hole, ruin)
     if args.certify:
         report = certify_cantor(pair, hole, ruin, bsets, args.resolution, args.depth,
-                                mu=mu, verification_depth=args.verification_depth)
+                                mu=ee.mu, verification_depth=args.verification_depth)
         _emit(args, "certify_report.txt", _config_echo(args) + report.to_text())
         _emit(args, "certify_report.csv", report.to_csv())
         return 0 if report.all_certified else 1
-    if args.lo is None or args.hi is None:
-        print("gaps: need --lo and --hi (or --certify)", file=sys.stderr)
-        return 2
-    cert = find_gap(Interval(args.lo, args.hi), pair, hole, ruin, bsets, mu=mu)
+    cert = find_gap(Interval(args.lo, args.hi), pair, hole, ruin, bsets, mu=ee.mu)
     lines = [_config_echo(args),
              f"input: [{cert.input.lo:.17g}, {cert.input.hi:.17g}]",
              f"output: [{cert.output.lo:.17g}, {cert.output.hi:.17g}]",

@@ -43,8 +43,6 @@ from .maps import (
     conjugate_segment,
     hermite_linear_deriv,
     iterate_interval,
-    pair_from_json,
-    pair_to_json,
     symmetry_conjugate,
     symmetry_residual,
 )
@@ -267,13 +265,6 @@ def h_prime(p: IFSPair, h_p: Interval, n_max: int | None = None) -> IntervalSet:
     return IntervalSet(parts)
 
 
-def h_prime_parts(g: MapSpec, h_p: Interval, n_max: int) -> list[Interval]:
-    out = [h_p]
-    for _ in range(n_max):
-        out.append(g.image_of(out[-1]))
-    return out
-
-
 def phi_rescale(w_from: Interval, w_to: Interval, x: float) -> float:
     """The unique orientation-preserving affine map between two overlap
     regions, applied to a point."""
@@ -426,14 +417,6 @@ class ClassCBuilder:
             if not b < a:
                 raise ConstructionError(f"alpha sequence not strictly decreasing: {out}")
         return out
-
-
-def find_c_parameter(builder: ClassCBuilder, n: int) -> float:
-    return builder.find_c_parameter(n)
-
-
-def alpha_sequence(builder: ClassCBuilder, alpha0: float, count: int) -> list[float]:
-    return builder.alpha_sequence(alpha0, count)
 
 
 # ---------------------------------------------------------------------------
@@ -857,18 +840,3 @@ def certify_cantor_by_complement(
                 certified += 1
                 break
     return ComplementCertifyReport(resolution, depth, meeting, certified, skipped)
-
-
-# ---------------------------------------------------------------------------
-# Serialization helpers shared with the CLI
-# ---------------------------------------------------------------------------
-
-
-def save_pair(pair: IFSPair, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(pair_to_json(pair.f, pair.g))
-
-
-def load_pair(path: str, tol: Tolerance = DEFAULT_TOL) -> tuple[MapSpec, MapSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return pair_from_json(fh.read())

@@ -31,7 +31,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import CertificateError, ClassificationError, DomainError, IterationCapError
+from .errors import CantorIFSError, CertificateError, ClassificationError, DomainError, IterationCapError
 from .intervals import Interval, IntervalSet
 from .ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
 from .axioms import (
@@ -41,7 +41,7 @@ from .axioms import (
     induced_discontinuities,
     induced_n,
 )
-from .maps import MapSpec
+from .maps import iterate_interval
 
 
 class CaseTag(str, Enum):
@@ -96,35 +96,8 @@ class GapCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Geometry context
+# Case classification
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Regions:
-    f1: Interval
-    g1: Interval
-    w: Interval
-    h_f: Interval
-    h_g: Interval
-    b_points: tuple[float, ...]
-    r_f: IntervalSet
-    r_g: IntervalSet
-    rfrg: IntervalSet
-
-
-def _regions(p: IFSPair, h: HolePair, r: RuinationRegions, b: BoundarySets) -> _Regions:
-    return _Regions(
-        f1=fundamental_domain(p, "f", 1),
-        g1=fundamental_domain(p, "g", 1),
-        w=p.overlap,
-        h_f=h.h_f,
-        h_g=h.h_g,
-        b_points=b.all_points(),
-        r_f=r.r_f,
-        r_g=r.r_g,
-        rfrg=r.r_f.intersect(r.r_g),
-    )
 
 
 def _inside(j: Interval, region: Interval, slack: float) -> bool:
@@ -147,28 +120,28 @@ def classify(
     """
     if J.length <= 0:
         raise DomainError("classify needs positive length")
-    reg = _regions(p, h, r, b)
     eps = p.tol.eps_geom
-    if any(J.lo + eps < pt < J.hi - eps for pt in reg.b_points):
+    w = p.overlap
+    if any(J.lo + eps < pt < J.hi - eps for pt in b.points):
         return CaseTag.BOUNDARY_HIT
-    if J.hi <= reg.f1.lo + eps or J.lo >= reg.g1.hi - eps:
+    if J.hi <= p.f1.lo + eps or J.lo >= p.g1.hi - eps:
         return CaseTag.PULLBACK_FN
-    if _inside(J, reg.h_f, eps):
+    if _inside(J, h.h_f, eps):
         return CaseTag.IN_HF
-    if _inside(J, reg.h_g, eps):
+    if _inside(J, h.h_g, eps):
         return CaseTag.IN_HG
-    if _inside(J, reg.w, eps):
-        if _strict_inside_set(J, reg.rfrg, eps):
+    if _inside(J, w, eps):
+        if _strict_inside_set(J, r.rfrg, eps):
             return CaseTag.IN_W_OVERLAP
-        if _strict_inside_set(J, reg.r_f, eps):
+        if _strict_inside_set(J, r.r_f, eps):
             return CaseTag.IN_W_RF
-        if _strict_inside_set(J, reg.r_g, eps):
+        if _strict_inside_set(J, r.r_g, eps):
             return CaseTag.IN_W_RG
         raise ClassificationError(
             f"{J} in W fits no ruination case (truncation too shallow?)")
-    if _inside(J, Interval(reg.f1.lo, reg.w.lo), eps):
+    if _inside(J, Interval(p.f1.lo, w.lo), eps):
         return CaseTag.IN_F1_FREE
-    if _inside(J, Interval(reg.w.hi, reg.g1.hi), eps):
+    if _inside(J, Interval(w.hi, p.g1.hi), eps):
         return CaseTag.IN_G1_FREE
     raise ClassificationError(f"{J} fits no case region")
 
@@ -212,22 +185,16 @@ def _apply_step_forward(p: IFSPair, s: TraceStep, iv: Interval) -> Interval:
 def _apply_step_backward(p: IFSPair, s: TraceStep, iv: Interval) -> Interval:
     """Inverse of one step: pulls a set in post-step space back to pre-step."""
     if s.op == "F":   # inverse of x -> g^{-n}(f^{-1}(x)) is y -> f(g^n(y))
-        return p.f.image_of(_power(p.g, s.n, iv))
+        return p.f.image_of(iterate_interval(p.g, s.n, iv))
     if s.op == "G":
-        return p.g.image_of(_power(p.f, s.n, iv))
+        return p.g.image_of(iterate_interval(p.f, s.n, iv))
     if s.op == "invpow_f":
-        return _power(p.f, s.n, iv)
+        return iterate_interval(p.f, s.n, iv)
     if s.op == "invpow_g":
-        return _power(p.g, s.n, iv)
+        return iterate_interval(p.g, s.n, iv)
     if s.op == "shrink":
         return iv
     raise CertificateError(f"unknown op {s.op!r}")
-
-
-def _power(m: MapSpec, n: int, iv: Interval) -> Interval:
-    for _ in range(n):
-        iv = m.image_of(iv)
-    return iv
 
 
 def pull_back(p: IFSPair, steps: Sequence[TraceStep], iv: Interval) -> Interval:
@@ -272,15 +239,16 @@ def _middle_third_in(j: Interval, s: IntervalSet, floor: float) -> Interval | No
 
 
 def _deepen_overlap_near(
-    p: IFSPair, h: HolePair, reg: _Regions, j: Interval, endpoint: float, extra: int = 80
+    p: IFSPair, h: HolePair, r: RuinationRegions, j: Interval, endpoint: float, extra: int = 80
 ) -> Interval | None:
     """Find a ruination-overlap piece inside j near an accumulation endpoint
     (f(1) for the Q-family, g(0) for the P-family), extending the truncated
     families on demand."""
-    if endpoint == reg.w.hi:
-        outer, inner, hole, host = p.f, p.g, h.h_g, reg.r_g.part_containing(reg.w.hi)
+    w = p.overlap
+    if endpoint == w.hi:
+        outer, inner, hole, host = p.f, p.g, h.h_g, r.r_g.part_containing(w.hi)
     else:
-        outer, inner, hole, host = p.g, p.f, h.h_f, reg.r_f.part_containing(reg.w.lo)
+        outer, inner, hole, host = p.g, p.f, h.h_f, r.r_f.part_containing(w.lo)
     if host is None:
         return None
     cur = hole
@@ -298,30 +266,31 @@ def _deepen_overlap_near(
 
 
 def _boundary_lemma(
-    p: IFSPair, h: HolePair, reg: _Regions, cur: Interval, floor: float
+    p: IFSPair, h: HolePair, r: RuinationRegions, cur: Interval, floor: float
 ) -> tuple[list[TraceStep], Interval, TerminalReason] | None:
     """The four sub-cases: meets a hole; meets the ruination overlap; contains
     an accumulation endpoint f(1)/g(0); contains f^2(1)/g^2(0) (pulled back
     once onto the previous case).  Returns (extra steps, U, reason) with U in
     the space after the extra steps, or None if no usable open piece exists
     (the caller then splits and walks on)."""
-    for hole in (reg.h_f, reg.h_g):
+    w = p.overlap
+    for hole in (h.h_f, h.h_g):
         u = _middle_third_in(cur, IntervalSet([hole]), floor)
         if u is not None:
             return [], u, TerminalReason.HOLE
-    u = _middle_third_in(cur, reg.rfrg, floor)
+    u = _middle_third_in(cur, r.rfrg, floor)
     if u is not None:
         return [], u, TerminalReason.RUINATION_OVERLAP
-    for endpoint in (reg.w.hi, reg.w.lo):
+    for endpoint in (w.hi, w.lo):
         if cur.lo < endpoint < cur.hi:
-            u = _deepen_overlap_near(p, h, reg, cur, endpoint)
+            u = _deepen_overlap_near(p, h, r, cur, endpoint)
             if u is not None:
                 return [], u, TerminalReason.RUINATION_OVERLAP
     # f^2(1) (resp. g^2(0)) inside: pull back once by f (resp. g); the image
     # then contains f(1) (resp. g(0)) and the previous case applies
     for corner, m, op, endpoint in (
-        (reg.f1.lo, p.f, "invpow_f", reg.w.hi),
-        (reg.g1.hi, p.g, "invpow_g", reg.w.lo),
+        (p.f1.lo, p.f, "invpow_f", w.hi),
+        (p.g1.hi, p.g, "invpow_g", w.lo),
     ):
         if cur.lo < corner < cur.hi:
             clipped = cur.intersection(Interval(m.y0, m.y1))
@@ -329,10 +298,10 @@ def _boundary_lemma(
                 continue
             pulled = m.preimage_of(clipped, p.tol)
             step = TraceStep(CaseTag.BOUNDARY_HIT, op, 1, pulled)
-            u = _middle_third_in(pulled, reg.rfrg, floor)
+            u = _middle_third_in(pulled, r.rfrg, floor)
             if u is not None:
                 return [step], u, TerminalReason.RUINATION_OVERLAP
-            u = _deepen_overlap_near(p, h, reg, pulled, endpoint)
+            u = _deepen_overlap_near(p, h, r, pulled, endpoint)
             if u is not None:
                 return [step], u, TerminalReason.RUINATION_OVERLAP
     return None
@@ -357,13 +326,12 @@ def find_gap_core(
     tol = p.tol
     if J.length < 10.0 * tol.eps_geom:
         raise DomainError(f"input {J} shorter than 10*eps_geom")
-    reg = _regions(p, h, r, b)
-    span = Interval(reg.f1.lo, reg.g1.hi)
+    span = Interval(p.f1.lo, p.g1.hi)
     if J.hi <= span.lo or J.lo >= span.hi:
         raise DomainError(f"{J} does not meet F1 ∪ G1; use find_gap")
     if mu <= 1.0:
         raise DomainError("find_gap_core needs mu > 1")
-    bound = math.ceil(math.log(max(reg.f1.length / J.length, 1.0)) / math.log(mu)) + 50
+    bound = math.ceil(math.log(max(p.f1.length / J.length, 1.0)) / math.log(mu)) + 50
 
     steps: list[TraceStep] = []
     cur = J
@@ -395,9 +363,9 @@ def find_gap_core(
     for _ in range(bound):
         if cur.length < 3.0 * tol.eps_newton:
             raise ClassificationError(f"interval collapsed to {cur} during walk")
-        hits = [pt for pt in reg.b_points if cur.lo + tol.eps_geom < pt < cur.hi - tol.eps_geom]
+        hits = [pt for pt in b.points if cur.lo + tol.eps_geom < pt < cur.hi - tol.eps_geom]
         if hits:
-            got = _boundary_lemma(p, h, reg, cur, floor=tol.eps_newton)
+            got = _boundary_lemma(p, h, r, cur, floor=tol.eps_newton)
             if got is not None:
                 extra, u, reason = got
                 n_before = len(steps)
@@ -425,7 +393,7 @@ def find_gap_core(
             raise ClassificationError(f"{cur} left F1 ∪ G1 mid-walk")
 
         which: Literal["F", "G"] = "G" if tag in (CaseTag.IN_W_RF, CaseTag.IN_G1_FREE) else "F"
-        dom = reg.f1 if which == "F" else reg.g1
+        dom = p.f1 if which == "F" else p.g1
         sites = [s for s in induced_discontinuities(p, which, dom)
                  if cur.lo + tol.eps_newton < s < cur.hi - tol.eps_newton]
         if sites:
@@ -470,12 +438,10 @@ def find_gap(
     pullback: an interval outside F1 ∪ G1 lies (after shrinking away from the
     fixed points) inside a single F_N or G_N and is pulled back into F1."""
     tol = p.tol
-    reg_f1 = fundamental_domain(p, "f", 1)
-    reg_g1 = fundamental_domain(p, "g", 1)
-    if J.hi > reg_f1.lo and J.lo < reg_g1.hi:
+    if J.hi > p.f1.lo and J.lo < p.g1.hi:
         return find_gap_core(J, p, h, r, b, mu=mu, cloud=cloud)
 
-    if J.hi <= reg_f1.lo:  # left side: inside some F_N, N >= 2
+    if J.hi <= p.f1.lo:  # left side: inside some F_N, N >= 2
         m, fixed, op = p.f, 0.0, "invpow_f"
     else:                   # right side: inside some G_N
         m, fixed, op = p.g, 1.0, "invpow_g"
@@ -508,11 +474,11 @@ def find_gap(
         pulled = p.f.preimage_of(pulled, tol) if fixed == 0.0 else p.g.preimage_of(pulled, tol)
 
     inner = find_gap_core(pulled, p, h, r, b, mu=mu, cloud=cloud)
-    out = _power(p.f if fixed == 0.0 else p.g, n - 1, inner.output)
+    out = iterate_interval(p.f if fixed == 0.0 else p.g, n - 1, inner.output)
     out_clip = out.intersection(J)
     if out_clip is None or out_clip.length <= 0:
         raise CertificateError("pullback output escaped the original interval")
-    shrunk = _power(p.f if fixed == 0.0 else p.g, n - 1, inner.shrunk_input)
+    shrunk = iterate_interval(p.f if fixed == 0.0 else p.g, n - 1, inner.shrunk_input)
     cert = GapCertificate(
         input=J,
         output=out_clip,
@@ -653,7 +619,7 @@ def certify_cantor(
         n_meeting += 1
         try:
             cert = find_gap(J, p, h, r, b, mu=mu, cloud=cloud)
-        except Exception as e:  # aggregate; the report is the product
+        except CantorIFSError as e:  # aggregate verdicts; faults propagate
             failures.append((J.lo, J.hi, f"{type(e).__name__}: {e}"))
             continue
         n_cert += 1

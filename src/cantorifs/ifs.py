@@ -14,6 +14,7 @@ practice, but it is sampling, not a proof; reports say so.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -33,6 +34,10 @@ class IFSPair:
     Construction does not re-run class-A validation; `validate_class_a` is
     the checked entry point and fills `overlap` consistently.  Direct
     construction is allowed for toys and negative controls.
+
+    The geometry fixed by the pair (F1, G1 and the jump sites of the induced
+    maps) is computed on first use and cached on the instance; it stays lazy
+    because parameter searches build many throwaway pairs that never read it.
     """
 
     f: MapSpec
@@ -43,6 +48,41 @@ class IFSPair:
     @staticmethod
     def of(f: MapSpec, g: MapSpec, tol: Tolerance = DEFAULT_TOL) -> "IFSPair":
         return IFSPair(f, g, Interval(g.eval(0.0), f.eval(1.0)), tol)
+
+    @cached_property
+    def f1(self) -> Interval:
+        """F1 = [f^2(1), f(1)]."""
+        return Interval(iterate(self.f, 2, 1.0), iterate(self.f, 1, 1.0))
+
+    @cached_property
+    def g1(self) -> Interval:
+        """G1 = [g(0), g^2(0)]."""
+        return Interval(iterate(self.g, 1, 0.0), iterate(self.g, 2, 0.0))
+
+    @cached_property
+    def jumps_F(self) -> tuple[float, ...]:
+        """Sorted sites f(g^j(0)), j >= 2, where the induced map F's return
+        count n(x) jumps; they accumulate at f(1)."""
+        return self._jump_sites(self.f, self.g, 0.0)
+
+    @cached_property
+    def jumps_G(self) -> tuple[float, ...]:
+        """Sorted sites g(f^j(1)), j >= 2, the jumps of the induced map G;
+        they accumulate at g(0)."""
+        return self._jump_sites(self.g, self.f, 1.0)
+
+    def _jump_sites(self, first: MapSpec, ret: MapSpec, seed: float) -> tuple[float, ...]:
+        # The sites accumulate at the image under `first` of ret's fixed
+        # point; stop once consecutive ones agree to eps_newton, or after 200.
+        y = ret.eval(ret.eval(seed))  # j = 2
+        sites: list[float] = []
+        for _ in range(200):
+            x = first.eval(y)
+            sites.append(x)
+            if len(sites) > 1 and abs(x - sites[-2]) < self.tol.eps_newton:
+                break
+            y = ret.eval(y)
+        return tuple(sorted(sites))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Everything downstream (fundamental domains, holes, ruination regions, the
 appendix Λ recursion, orbit covers) is carried by these two types.  Sets are
 normalized eagerly: parts sorted, touching/overlapping parts merged, so the
-invariants hold everywhere and measure/distance can be computed exactly from
-the representation rather than by sampling.
+invariants hold everywhere.  Normalization never changes the set itself (parts
+separated by a positive gap stay apart, however small the gap), so
+measure/distance are computed exactly from the representation rather than by
+sampling.
 """
 
 from __future__ import annotations
@@ -16,12 +18,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import SpecError
-
-#: Endpoints closer than this are treated as equal and parts merged.  All
-#: downstream sets come from floating-point map evaluation, so exact endpoint
-#: comparisons would be meaningless.
-MERGE_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -95,16 +91,16 @@ class Interval:
         return f"[{self.lo:.12g}, {self.hi:.12g}]"
 
 
-def _normalize(los: np.ndarray, his: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _normalize(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if los.size == 0:
         return los, his
     order = np.argsort(los, kind="stable")
     los, his = los[order], his[order]
-    # Sweep-merge: a new run starts where lo exceeds the running max hi + eps.
+    # Sweep-merge: a new run starts where lo exceeds the running max hi.
     run_hi = np.maximum.accumulate(his)
     new_run = np.empty(los.size, dtype=bool)
     new_run[0] = True
-    new_run[1:] = los[1:] > run_hi[:-1] + eps
+    new_run[1:] = los[1:] > run_hi[:-1]
     idx = np.flatnonzero(new_run)
     out_lo = los[idx]
     out_hi = np.maximum.reduceat(his, idx)
@@ -114,12 +110,12 @@ def _normalize(los: np.ndarray, his: np.ndarray, eps: float) -> tuple[np.ndarray
 class IntervalSet:
     """Finite union of disjoint closed intervals, sorted by lo ascending.
 
-    Parts separated by less than `merge_eps` are merged on construction, so
-    consecutive parts always have strictly positive gaps.  Instances are
-    immutable (backing arrays are non-writeable) and safe to share.
+    Touching or overlapping parts are merged on construction, so consecutive
+    parts always have strictly positive gaps.  Instances are immutable
+    (backing arrays are non-writeable) and safe to share.
     """
 
-    __slots__ = ("los", "his", "merge_eps")
+    __slots__ = ("los", "his")
 
     def __init__(
         self,
@@ -127,7 +123,6 @@ class IntervalSet:
         *,
         los: np.ndarray | None = None,
         his: np.ndarray | None = None,
-        merge_eps: float = MERGE_EPS,
     ) -> None:
         if los is None:
             pl: list[float] = []
@@ -144,12 +139,11 @@ class IntervalSet:
                     ph.append(float(hi))
             los = np.asarray(pl, dtype=float)
             his = np.asarray(ph, dtype=float)
-        los, his = _normalize(np.asarray(los, dtype=float), np.asarray(his, dtype=float), merge_eps)
+        los, his = _normalize(np.asarray(los, dtype=float), np.asarray(his, dtype=float))
         los.setflags(write=False)
         his.setflags(write=False)
         self.los = los
         self.his = his
-        self.merge_eps = merge_eps
 
     # -- basic queries ----------------------------------------------------
 
@@ -222,12 +216,11 @@ class IntervalSet:
         return IntervalSet(
             los=np.concatenate([self.los, other.los]),
             his=np.concatenate([self.his, other.his]),
-            merge_eps=min(self.merge_eps, other.merge_eps),
         )
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         if self.is_empty() or other.is_empty():
-            return IntervalSet([], merge_eps=min(self.merge_eps, other.merge_eps))
+            return IntervalSet([])
         # Two-pointer sweep over sorted disjoint parts.
         out_lo, out_hi = [], []
         i = j = 0
@@ -241,10 +234,7 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(
-            los=np.asarray(out_lo), his=np.asarray(out_hi),
-            merge_eps=min(self.merge_eps, other.merge_eps),
-        )
+        return IntervalSet(los=np.asarray(out_lo), his=np.asarray(out_hi))
 
     def complement(self, within: Interval = Interval(0.0, 1.0)) -> "IntervalSet":
         """Closure of `within` minus this set."""
@@ -258,7 +248,7 @@ class IntervalSet:
             cursor = max(cursor, hi)
         if cursor < within.hi:
             out.append((cursor, within.hi))
-        return IntervalSet(out, merge_eps=self.merge_eps)
+        return IntervalSet(out)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         if self.is_empty():
@@ -271,7 +261,6 @@ class IntervalSet:
         return IntervalSet(
             los=np.maximum(self.los - r, clip.lo),
             his=np.minimum(self.his + r, clip.hi),
-            merge_eps=self.merge_eps,
         )
 
     def contract(self, r: float) -> "IntervalSet":
@@ -280,7 +269,7 @@ class IntervalSet:
             raise SpecError("contract needs r >= 0")
         los, his = self.los + r, self.his - r
         keep = los <= his
-        return IntervalSet(los=los[keep], his=his[keep], merge_eps=self.merge_eps)
+        return IntervalSet(los=los[keep], his=his[keep])
 
 
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -350,7 +339,7 @@ def to_csv(s: IntervalSet) -> str:
     return "".join(f"{lo:.17g},{hi:.17g}\n" for lo, hi in zip(s.los, s.his))
 
 
-def from_csv(text: str, merge_eps: float = MERGE_EPS) -> IntervalSet:
+def from_csv(text: str) -> IntervalSet:
     parts = []
     for line in text.splitlines():
         line = line.strip()
@@ -358,4 +347,4 @@ def from_csv(text: str, merge_eps: float = MERGE_EPS) -> IntervalSet:
             continue
         lo_s, hi_s = line.split(",")
         parts.append((float(lo_s), float(hi_s)))
-    return IntervalSet(parts, merge_eps=merge_eps)
+    return IntervalSet(parts)

@@ -281,9 +281,7 @@ class MapSpec:
         return Interval(self.eval(iv.lo), self.eval(iv.hi))
 
     def image_of_set(self, s: IntervalSet) -> IntervalSet:
-        return IntervalSet(
-            los=self.eval_array(s.los), his=self.eval_array(s.his), merge_eps=s.merge_eps
-        )
+        return IntervalSet(los=self.eval_array(s.los), his=self.eval_array(s.his))
 
     def preimage_of(self, iv: Interval, tol: Tolerance = DEFAULT_TOL) -> Interval:
         return Interval(self.inverse_eval(iv.lo, tol), self.inverse_eval(iv.hi, tol))
@@ -383,18 +381,6 @@ def conjugate_segment(s: Segment, a1: float, b1: float, a2: float, b2: float) ->
         x_hi,
         CubicHermite(a2 * k.y_lo + b2, a2 * k.y_hi + b2, a1 * a2 * k.d_lo, a1 * a2 * k.d_hi),
     )
-
-
-# -- validation report (structural; class-A validation lives in ifs) ------------
-
-
-def check_c1(m: MapSpec) -> dict:
-    """Breakpoint continuity summary: max value jump and derivative jump."""
-    vjump = djump = 0.0
-    for a, b in zip(m.segments, m.segments[1:]):
-        vjump = max(vjump, abs(a.y_hi - b.y_lo))
-        djump = max(djump, abs(a.deriv_at(a.x_hi) - b.deriv_at(b.x_lo)))
-    return {"max_value_jump": vjump, "max_deriv_jump": djump}
 
 
 # -- serialization ------------------------------------------------------------

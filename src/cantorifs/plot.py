@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .intervals import Interval, IntervalSet
-from .ifs import IFSPair, fundamental_domain
+from .ifs import IFSPair
 from .axioms import HolePair, RuinationRegions
 
 SIZE = 800
@@ -88,10 +88,8 @@ def plot_pair(
     if blocks is not None:
         for b in blocks:
             out.append(_square(b, _COLORS["block"]))
-    f1 = fundamental_domain(p, "f", 1)
-    g1 = fundamental_domain(p, "g", 1)
-    out.append(_vband(f1, _COLORS["domain"], 0.3))
-    out.append(_vband(g1, _COLORS["domain"], 0.3))
+    out.append(_vband(p.f1, _COLORS["domain"], 0.3))
+    out.append(_vband(p.g1, _COLORS["domain"], 0.3))
     out.append(_vband(p.overlap, _COLORS["w"], 0.45))
     if h is not None:
         out.append(_vband(h.h_f, _COLORS["hole"], 0.55))

@@ -3,7 +3,7 @@ import pytest
 
 from cantorifs.errors import DegenerateHoleError, DomainError, NoContractionError
 from cantorifs.intervals import Interval, IntervalSet
-from cantorifs.maps import MapSpec, Segment, Affine, affine_spec, apply_word
+from cantorifs.maps import MapSpec, Segment, Affine, affine_spec, apply_word, iterate
 from cantorifs.ifs import IFSPair, fundamental_domain, validate_class_a
 from cantorifs.axioms import (
     HolePair,
@@ -163,6 +163,24 @@ def test_induced_n_matches_domain_oracle(built_ctx):
     xs = RNG.uniform(f1.lo, f1.hi - 1e-6, 1000)
     for x in xs:
         assert induced_n(pair, float(x), "F") == _induced_n_domain_oracle(pair, float(x))
+
+    # n jumps at first(return^j(seed)), j >= 2: recompute those sites
+    # directly, walking until consecutive sites agree to eps_newton
+    sub = Interval(f1.mid, f1.hi - 1e-3 * f1.length)
+    for which, first, ret, seed, regions in (
+        ("F", pair.f, pair.g, 0.0, (pair.f1, sub)),
+        ("G", pair.g, pair.f, 1.0, (pair.g1,)),
+    ):
+        direct = [first.eval(iterate(ret, 2, seed))]
+        for j in range(3, 202):
+            direct.append(first.eval(iterate(ret, j, seed)))
+            if abs(direct[-1] - direct[-2]) < pair.tol.eps_newton:
+                break
+        for region in regions:
+            expect = sorted(x for x in direct if region.lo < x < region.hi)
+            assert expect
+            assert induced_discontinuities(pair, which, region) == expect
+    assert len(induced_discontinuities(pair, "F", sub)) < len(induced_discontinuities(pair, "F", f1))
 
 
 def test_induced_map_codomain(built_ctx):
@@ -378,7 +396,8 @@ def test_boundary_points_are_part_endpoints(built_ctx):
 
 def test_rfrg_parts_sit_inside_w(built_ctx):
     pair, ruin = built_ctx["pair"], built_ctx["ruin"]
-    rfrg = ruin.r_f.intersect(ruin.r_g)
+    rfrg = ruin.rfrg
+    assert rfrg == ruin.r_f.intersect(ruin.r_g)
     assert not rfrg.is_empty()
     w = pair.overlap
     for part in rfrg.parts:

@@ -288,6 +288,20 @@ def test_certify_cantor_small_sweep(built_ctx):
     assert rep.bound_respected
 
 
+def test_certify_cantor_propagates_faults(built_ctx, monkeypatch):
+    # a fault in the walk is a crash, not a certify_failure row
+    import cantorifs.gapfinder as gapfinder
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken walk")
+
+    monkeypatch.setattr(gapfinder, "find_gap", broken)
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    with pytest.raises(TypeError, match="broken walk"):
+        certify_cantor(pair, hole, ruin, bsets, resolution=0.1, depth=8,
+                       mu=mu, verification_depth=10)
+
+
 def test_certify_skips_cells_off_the_cover(built_ctx):
     # at fine resolution the hole itself leaves grid cells off the cover
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)

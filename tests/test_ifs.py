@@ -68,6 +68,8 @@ def test_f1_right_endpoint_for_epsilon_family():
     f1 = fundamental_domain(pair, "f", 1)
     assert f1.hi == pytest.approx(0.50005, abs=1e-12)
     assert f1.lo == pytest.approx(pair.f.eval(0.50005), abs=1e-12)
+    assert pair.f1 == f1
+    assert pair.g1 == fundamental_domain(pair, "g", 1)
 
 
 def test_domains_telescope(valid_affine):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantorifs.errors import SpecError
 from cantorifs.intervals import (
@@ -197,6 +197,7 @@ def test_union_intersect_idempotent(a):
 
 @settings(max_examples=60, deadline=None)
 @given(interval_sets(), interval_sets())
+@example(S((0.0, 6e-293)), S((1e-12, 0.25), (0.328, 0.5)))
 def test_inclusion_exclusion(a, b):
     lhs = measure(union(a, b)) + measure(intersect(a, b))
     assert lhs == pytest.approx(measure(a) + measure(b), abs=1e-12)

@@ -124,6 +124,31 @@ def test_cli_gaps_usage_error(pair_file, tmp_path):
     assert code == 2  # neither --certify nor an explicit interval
 
 
+def test_cli_gaps_rejects_bad_interval_before_work(pair_file, tmp_path, monkeypatch):
+    import cantorifs.cli as cli
+
+    def expensive(*args, **kwargs):
+        raise AssertionError("find_hole ran before argument checks")
+
+    monkeypatch.setattr(cli, "find_hole", expensive)
+    assert main(["gaps", pair_file, "--lo", "0.3", "--output-dir", str(tmp_path)]) == 2
+    assert main(["gaps", pair_file, "--lo", "0.31", "--hi", "0.30",
+                 "--output-dir", str(tmp_path)]) == 2
+
+
+def test_cli_gaps_without_expansion_is_a_verdict(pair_file, tmp_path, monkeypatch):
+    import cantorifs.cli as cli
+    from cantorifs.axioms import ExpansionReport
+
+    monkeypatch.setattr(cli, "check_ee", lambda *a, **k: ExpansionReport(
+        False, 0.9, 1.01, 10, 0.5, "F", 0.0))
+    code = main(["gaps", pair_file, "--lo", "0.30", "--hi", "0.31",
+                 "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert not (tmp_path / "gap_certificate.txt").exists()
+    assert "ee: violated" in (tmp_path / "ee_report.txt").read_text()
+
+
 def test_cli_appendix(tmp_path):
     code = main(["appendix", "--n-max", "12", "--output-dir", str(tmp_path)])
     assert code == 0
