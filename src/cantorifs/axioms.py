@@ -33,7 +33,7 @@ from .errors import (
     IterationCapError,
     NoContractionError,
 )
-from .intervals import Interval, IntervalSet, contained_in_interior
+from .intervals import TOL, Interval, IntervalSet, contained_in_interior
 # Unused here, but perfbench's tracer test expects `axioms.fundamental_domain`
 # to be a binding site it can patch.
 from .ifs import IFSPair, fundamental_domain  # noqa: F401
@@ -63,14 +63,14 @@ def check_so(p: IFSPair) -> SoReport:
     g2 = p.g.eval(p.g.eval(0.0))
     ml = p.overlap.lo - f2
     mr = g2 - p.overlap.hi
-    eps = p.tol.eps_geom
+    eps = TOL.eps_geom
     return SoReport(ml >= eps and mr >= eps, ml, mr)
 
 
 def check_so_containment_form(p: IFSPair) -> bool:
     """The equivalent containment form: W inside int(F1 ∪ G1)."""
     dom = IntervalSet([p.f1, p.g1])
-    return contained_in_interior(IntervalSet([p.overlap]), dom, p.tol)
+    return contained_in_interior(IntervalSet([p.overlap]), dom)
 
 
 # ---------------------------------------------------------------------------
@@ -86,34 +86,35 @@ class HolePair:
     swap_residual: float  # max endpoint mismatch of g(h_f) vs h_g, f(h_g) vs h_f
 
 
-def find_hole(p: IFSPair, seed: Interval, max_n: int = 200) -> HolePair:
+def find_hole(p: IFSPair, seed: Interval) -> HolePair:
     """Nested-image limit H = lim (f∘g)^n(seed), then h_g := g(H).
 
     Requires the contraction hypothesis f(g(seed)) inside int(seed); the
-    limit must keep non-empty interior (an affine contraction would collapse
-    to its fixed point, which is exactly why the construction needs the
-    expanding inner bump).  Validates the hole-pair containments before
-    returning.
+    limit must converge within 200 steps and keep non-empty interior (an
+    affine contraction would collapse to its fixed point, which is exactly
+    why the construction needs the expanding inner bump).  Validates the
+    hole-pair containments before returning.
     """
-    tol = p.tol
     t_of = lambda iv: Interval(p.f.eval(p.g.eval(iv.lo)), p.f.eval(p.g.eval(iv.hi)))
     first = t_of(seed)
-    if not seed.contains_interval(first, margin=tol.eps_geom):
+    if not seed.contains_interval(first, margin=TOL.eps_geom):
         raise NoContractionError(
             f"f(g(seed)) = {first} is not inside int({seed})")
 
     cur = seed
-    its = 0
-    for its in range(1, max_n + 1):
+    for its in range(1, 201):
         nxt = t_of(cur)
-        if abs(nxt.lo - cur.lo) < tol.eps_newton and abs(nxt.hi - cur.hi) < tol.eps_newton:
+        if abs(nxt.lo - cur.lo) < TOL.eps_newton and abs(nxt.hi - cur.hi) < TOL.eps_newton:
             cur = nxt
             break
         cur = nxt
+    else:
+        raise IterationCapError(
+            f"hole limit from {seed} did not converge in 200 steps; last {cur}")
 
-    if cur.length < 10.0 * tol.eps_geom:
+    if cur.length < 10.0 * TOL.eps_geom:
         raise DegenerateHoleError(
-            f"hole limit {cur} has length {cur.length:.3g} < {10 * tol.eps_geom:.3g}")
+            f"hole limit {cur} has length {cur.length:.3g} < {10 * TOL.eps_geom:.3g}")
 
     h_f = cur
     h_g = p.g.image_of(h_f)
@@ -124,9 +125,9 @@ def find_hole(p: IFSPair, seed: Interval, max_n: int = 200) -> HolePair:
     f1_minus_w = Interval(p.f1.lo, w.lo)
     g1_minus_w = Interval(w.hi, p.g1.hi)
     for name, h, region in (("h_f", h_f, f1_minus_w), ("h_g", h_g, g1_minus_w)):
-        if not region.contains_interval(h, margin=tol.eps_geom):
+        if not region.contains_interval(h, margin=TOL.eps_geom):
             raise DegenerateHoleError(
-                f"{name} = {h} not inside int({region}) with margin {tol.eps_geom:.1g}")
+                f"{name} = {h} not inside int({region}) with margin {TOL.eps_geom:.1g}")
     return HolePair(h_f, h_g, its, residual)
 
 
@@ -144,40 +145,39 @@ def _oriented(p: IFSPair, which: Literal["F", "G"]) -> tuple[MapSpec, MapSpec, I
     raise DomainError(f"which must be 'F' or 'G', got {which!r}")
 
 
-def induced_n(p: IFSPair, x: float, which: Literal["F", "G"] = "F") -> int:
-    """Least n >= 0 with (return map)^{-n}(first^{-1}(x)) in the codomain,
-    found by iterating the inverse.  Domain excludes the fixed-side endpoint
-    (f(1) for F, g(0) for G), where the backward orbit parks at a fixed point."""
+def _inverse_orbit(p: IFSPair, which: Literal["F", "G"], x: float) -> list[float]:
+    """The inverse chain first^{-1}(x), then return^{-1} of each point, up to
+    and including the first point in the codomain.  Domain excludes the
+    fixed-side endpoint (f(1) for F, g(0) for G), where the backward orbit
+    parks at a fixed point."""
     a, b, dom, codom = _oriented(p, which)
     bad = dom.hi if which == "F" else dom.lo
-    if not dom.contains(x, slack=p.tol.eps_geom) or x == bad:
+    if not dom.contains(x, slack=TOL.eps_geom) or x == bad:
         raise DomainError(f"x={x} outside the induced map's domain {dom} minus endpoint")
-    y = a.inverse_eval(x, p.tol)
-    for n in range(p.tol.max_iter):
-        if codom.contains(y):
-            return n
-        y = b.inverse_eval(y, p.tol)
-    raise IterationCapError(f"induced_n did not land in {codom} from x={x}")
+    ys = [a.inverse_eval(x)]
+    for _ in range(TOL.max_iter):
+        if codom.contains(ys[-1]):
+            return ys
+        ys.append(b.inverse_eval(ys[-1]))
+    raise IterationCapError(f"inverse orbit did not land in {codom} from x={x}")
+
+
+def induced_n(p: IFSPair, x: float, which: Literal["F", "G"] = "F") -> int:
+    """Least n >= 0 with (return map)^{-n}(first^{-1}(x)) in the codomain."""
+    return len(_inverse_orbit(p, which, x)) - 1
 
 
 def induced_map(p: IFSPair, which: Literal["F", "G"], x: float) -> float:
-    a, b, dom, codom = _oriented(p, which)
-    n = induced_n(p, x, which)
-    y = a.inverse_eval(x, p.tol)
-    for _ in range(n):
-        y = b.inverse_eval(y, p.tol)
-    return y
+    return _inverse_orbit(p, which, x)[-1]
 
 
 def induced_deriv(p: IFSPair, which: Literal["F", "G"], x: float) -> float:
     """Chain rule along the realized inverse word:
     (1/first'(first^{-1} x)) * prod over the backward orbit of 1/return'."""
-    a, b, dom, codom = _oriented(p, which)
-    n = induced_n(p, x, which)
-    y = a.inverse_eval(x, p.tol)
-    d = 1.0 / a.deriv(y)
-    for _ in range(n):
-        y = b.inverse_eval(y, p.tol)
+    a, b, _, _ = _oriented(p, which)
+    ys = _inverse_orbit(p, which, x)
+    d = 1.0 / a.deriv(ys[0])
+    for y in ys[1:]:
         d /= b.deriv(y)
     return d
 
@@ -228,21 +228,21 @@ def _ee_sample_points(
     fraction of the domain but is exactly where castration distorts the
     induced derivative, so a uniform grid alone would certify blind."""
     _, _, dom, _ = _oriented(p, which)
-    eps = 64.0 * p.tol.eps_geom
+    eps = 64.0 * TOL.eps_geom
     pieces = [Interval(dom.lo, h.lo), Interval(h.hi, dom.hi)]
     grids = [
         np.linspace(piece.lo + eps, piece.hi - eps, max(grid_n // 2, 8))
         for piece in pieces if piece.length > 4 * eps
     ]
     w = p.overlap
-    if w.lo >= dom.lo and w.hi <= dom.hi and w.length > 8 * p.tol.eps_geom:
-        pad = 2.0 * p.tol.eps_geom
+    if w.lo >= dom.lo and w.hi <= dom.hi and w.length > 8 * TOL.eps_geom:
+        pad = 2.0 * TOL.eps_geom
         grids.append(np.linspace(w.lo + pad, w.hi - pad, max(grid_n // 2, 64)))
     xs = np.unique(np.concatenate(grids))
     sites = induced_discontinuities(p, which, dom)
     if sites:
         d = np.min(np.abs(xs[:, None] - np.asarray(sites)[None, :]), axis=1)
-        guard = max(4.0 * p.tol.eps_geom, dom.length * 1e-7)
+        guard = max(4.0 * TOL.eps_geom, dom.length * 1e-7)
         xs = xs[d > guard]
     bad = dom.hi if which == "F" else dom.lo
     return xs[np.abs(xs - bad) > eps]
@@ -312,42 +312,36 @@ def ruination_parts(
     p: IFSPair,
     h: HolePair,
     which: Literal["f", "g"],
-    n_max: int | None = None,
     min_len: float | None = None,
 ) -> tuple[list[tuple[int, Interval]], int]:
     """Closed-form push-forward parts of one ruination family.
 
     Q_n = f(g^n(h_g)) for the f-family; P_n = g(f^n(h_f)) for the g-family.
     Monotone maps send intervals to intervals, so each part is exact up to
-    evaluation rounding.  Truncates at n_max or when parts fall below
-    min_len (default eps_geom); the truncation is reported, and castration
+    evaluation rounding.  Truncates at the first part below min_len (default
+    eps_geom), or after n = 10,000; the truncation is reported, and castration
     only ever needs finitely many parts.
     """
-    floor = p.tol.eps_geom if min_len is None else min_len
+    floor = TOL.eps_geom if min_len is None else min_len
     outer, inner, hole = (p.f, p.g, h.h_g) if which == "f" else (p.g, p.f, h.h_f)
     parts: list[tuple[int, Interval]] = []
     dropped = 0
     cur = hole
-    n = 0
-    cap = n_max if n_max is not None else 10_000
-    while n <= cap:
+    for n in range(10_001):
         part = outer.image_of(cur)
-        if part.length >= floor:
-            parts.append((n, part))
-        else:
-            dropped += 1
-            if n_max is None:
-                break
+        if part.length < floor:
+            dropped = 1
+            break
+        parts.append((n, part))
         cur = inner.image_of(cur)
-        n += 1
     return parts, dropped
 
 
 def ruination_regions(
-    p: IFSPair, h: HolePair, n_max: int | None = None, min_len: float | None = None
+    p: IFSPair, h: HolePair, min_len: float | None = None
 ) -> RuinationRegions:
-    pf, dropf = ruination_parts(p, h, "f", n_max, min_len)
-    pg, dropg = ruination_parts(p, h, "g", n_max, min_len)
+    pf, dropf = ruination_parts(p, h, "f", min_len)
+    pg, dropg = ruination_parts(p, h, "g", min_len)
     eff_max = max([n for n, _ in pf + pg], default=0)
     return RuinationRegions(
         r_f=IntervalSet([iv for _, iv in pf]),
@@ -373,7 +367,7 @@ def ruination_gridscan(
     ys = first.inverse_array(xs)
     member = np.zeros(xs.shape, dtype=bool)
     active = np.ones(xs.shape, dtype=bool)
-    for _ in range(p.tol.max_iter):
+    for _ in range(TOL.max_iter):
         landed = active & (ys >= codom.lo) & (ys <= codom.hi)
         member |= landed & (ys >= hole.lo) & (ys <= hole.hi)
         active &= ~landed
@@ -426,7 +420,7 @@ def check_ca(p: IFSPair, h: HolePair, r: RuinationRegions) -> CaReport:
     endpoint.  Checks the necessary endpoint memberships first (g(0) in
     int(r_f) and f(1) in int(r_g)); on failure reports an uncovered witness.
     """
-    eps = p.tol.eps_geom
+    eps = TOL.eps_geom
     w = p.overlap
     g0_in = _strictly_inside(r.r_f, w.lo, eps)
     f1_in = _strictly_inside(r.r_g, w.hi, eps)
@@ -530,7 +524,6 @@ def run_axiom_checks(
     p: IFSPair,
     hole_seed: Interval,
     mu_target: float = 1.01,
-    ee_grid_n: int = 2000,
 ) -> AxiomReport:
     """Class-A is assumed already validated for `p`; runs So, Ho, Ee, Ca in
     order, short-circuiting on failure."""
@@ -539,9 +532,9 @@ def run_axiom_checks(
         return AxiomReport(True, so, None, None, None, None, None)
     try:
         hole = find_hole(p, hole_seed)
-    except (NoContractionError, DegenerateHoleError) as e:
+    except (NoContractionError, DegenerateHoleError, IterationCapError) as e:
         return AxiomReport(True, so, None, str(e), None, None, None)
-    ee = check_ee(p, hole, mu_target, ee_grid_n)
+    ee = check_ee(p, hole, mu_target)
     ruin = ruination_regions(p, hole)
     ca = check_ca(p, hole, ruin)
     advisory = p.f.deriv(0.0) < 1.0 and p.g.deriv(1.0) < 1.0

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import CantorIFSError
-from .intervals import Interval, Tolerance, from_csv, to_csv
+from .intervals import Interval, from_csv, to_csv
 from .maps import pair_from_json, pair_to_json
 from .ifs import IFSPair, minimal_set_cover, orbit, validate_class_a
 from .axioms import boundary_sets, check_ee, find_hole, ruination_regions, run_axiom_checks
@@ -32,10 +32,10 @@ from .plot import plot_pair, plot_strip
 DEFAULT_SEED = Interval(1.0 / 3.0 - 0.005, 1.0 / 3.0 + 0.005)
 
 
-def _load_pair(path: str, tol: Tolerance) -> IFSPair:
+def _load_pair(path: str) -> IFSPair:
     text = Path(path).read_text(encoding="utf-8")
     f, g = pair_from_json(text)
-    return validate_class_a(f, g, tol=tol).as_pair()
+    return validate_class_a(f, g).as_pair()
 
 
 def _write(path: Path, text: str) -> None:
@@ -49,10 +49,9 @@ def _config_echo(args: argparse.Namespace) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    tol = Tolerance()
     text = Path(args.pair_file).read_text(encoding="utf-8")
     f, g = pair_from_json(text)
-    result = validate_class_a(f, g, tol=tol)
+    result = validate_class_a(f, g)
     out = _config_echo(args) + result.to_text()
     if not result.ok:
         _emit(args, "validate_report.txt", out)
@@ -92,7 +91,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    pair = _load_pair(args.pair_file, Tolerance())
+    pair = _load_pair(args.pair_file)
     cloud = orbit(pair, args.seed, args.depth)
     csv = "x\n" + "".join(f"{x:.17g}\n" for x in cloud.points)
     _emit(args, "orbit.csv", csv)
@@ -101,7 +100,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_minimal_set(args: argparse.Namespace) -> int:
-    pair = _load_pair(args.pair_file, Tolerance())
+    pair = _load_pair(args.pair_file)
     cover = minimal_set_cover(pair, args.depth, args.resolution, seed=args.seed)
     _emit(args, "minimal_set.csv", to_csv(cover))
     print(f"cover: {cover.n_parts} parts, measure {cover.measure():.6g}")
@@ -116,8 +115,7 @@ def cmd_gaps(args: argparse.Namespace) -> int:
         if not args.lo < args.hi:
             print(f"gaps: need --lo < --hi, got {args.lo} >= {args.hi}", file=sys.stderr)
             return 2
-    tol = Tolerance()
-    pair = _load_pair(args.pair_file, tol)
+    pair = _load_pair(args.pair_file)
     seed = Interval(args.seed_lo, args.seed_hi)
     hole = find_hole(pair, seed)
     ruin = ruination_regions(pair, hole)
@@ -160,8 +158,7 @@ def cmd_appendix(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    tol = Tolerance()
-    pair = _load_pair(args.pair_file, tol)
+    pair = _load_pair(args.pair_file)
     hole = ruin = None
     try:
         hole = find_hole(pair, Interval(args.seed_lo, args.seed_hi))

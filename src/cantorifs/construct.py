@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BracketError, ConstructionError, DomainError, SpecError
-from .intervals import DEFAULT_TOL, Interval, IntervalSet, Tolerance
+from .intervals import TOL, Interval, IntervalSet
 from .maps import (
     Affine,
     CubicHermite,
@@ -82,7 +82,7 @@ class ConstructionParams:
         if not (2.0 < self.bump_strength < 14.0 / 3.0):
             # sigma = strength/2 per map; the edge-slope budget dies at 7/3
             raise SpecError("bump_strength must be in (2, 14/3)")
-        if abs(self.p + self.q - 1.0) > 1e-12:
+        if abs(self.p + self.q - 1.0) > TOL.eps_newton:
             raise SpecError("p and q must be symmetric about 1/2")
         if self.n_target < 3:
             raise SpecError("n_target must be >= 3")
@@ -94,11 +94,6 @@ class ConstructionParams:
     @property
     def j_q(self) -> Interval:
         return Interval(self.q - self.jp_width / 2, self.q + self.jp_width / 2)
-
-    @property
-    def bridge(self) -> float:
-        """Width of the C1 bridge inside the corner window."""
-        return self.k / 50.0
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +185,18 @@ def bump_modify(params: ConstructionParams) -> tuple[MapSpec, MapSpec, Interval,
 # ---------------------------------------------------------------------------
 
 
-def epsilon_family_specs(
-    f0: MapSpec, k: float, eps: float, bridge: float | None = None
-) -> tuple[MapSpec, MapSpec]:
+def epsilon_family_specs(f0: MapSpec, k: float, eps: float) -> tuple[MapSpec, MapSpec]:
     """(f_eps, g_eps) as MapSpecs, without class-A validation.
 
     f_eps equals f0 on [0, 1-k], is affine with slope 1/2 + eps on
-    [1-k+bridge, 1] with f_eps(1) = 1/2 + eps*k exactly, and C1-bridges the
-    slopes in between; the bridge's rise equals what the affine slope would
-    produce, so the corner value identity is exact.  g_eps is the diagonal
-    conjugate.
+    [1-k+eta, 1] with f_eps(1) = 1/2 + eps*k exactly, and C1-bridges the
+    slopes over the bridge of width eta = k/50 in between; the bridge's rise
+    equals what the affine slope would produce, so the corner value identity
+    is exact.  g_eps is the diagonal conjugate.
     """
     if eps <= 0:
         raise DomainError("epsilon_family needs eps > 0")
-    eta = k / 50.0 if bridge is None else bridge
+    eta = k / 50.0
     corner = 1.0 - k
     if 4.0 * eps * k / (1.0 + 2.0 * eps) >= k - eta:
         raise ConstructionError(
@@ -228,12 +221,10 @@ def epsilon_family_specs(
     return f_eps, g_eps
 
 
-def epsilon_family(
-    f0: MapSpec, g0: MapSpec, k: float, eps: float, tol: Tolerance = DEFAULT_TOL
-) -> IFSPair:
+def epsilon_family(f0: MapSpec, g0: MapSpec, k: float, eps: float) -> IFSPair:
     """Validated epsilon-family pair; raises if class-A or So fails."""
     f_eps, g_eps = epsilon_family_specs(f0, k, eps)
-    pair = validate_class_a(f_eps, g_eps, tol=tol).as_pair()
+    pair = validate_class_a(f_eps, g_eps).as_pair()
     so = check_so(pair)
     if not so.ok:
         raise ConstructionError(f"single overlapping fails at eps={eps}: {so}")
@@ -257,7 +248,7 @@ def h_prime(p: IFSPair, h_p: Interval, n_max: int | None = None) -> IntervalSet:
     while n <= cap:
         parts.append(cur)
         nxt = p.g.image_of(cur)
-        if n_max is None and nxt.length < p.tol.eps_geom:
+        if n_max is None and nxt.length < TOL.eps_geom:
             parts.append(nxt)
             break
         cur = nxt
@@ -270,7 +261,7 @@ def phi_rescale(w_from: Interval, w_to: Interval, x: float) -> float:
     regions, applied to a point."""
     if w_from.length <= 0 or w_to.length <= 0:
         raise DomainError("phi_rescale needs non-degenerate intervals")
-    if not w_from.contains(x, slack=1e-12):
+    if not w_from.contains(x, slack=TOL.eps_newton):
         raise DomainError(f"{x} outside {w_from}")
     t = (x - w_from.lo) / w_from.length
     return w_to.lo + t * w_to.length
@@ -280,23 +271,21 @@ def phi_rescale_interval(w_from: Interval, w_to: Interval, iv: Interval) -> Inte
     return Interval(phi_rescale(w_from, w_to, iv.lo), phi_rescale(w_from, w_to, iv.hi))
 
 
-def _bisect_increasing(
-    fn: Callable[[float], float], target: float, lo: float, hi: float,
-    xtol: float = 1e-14, max_iter: int = 200,
-) -> float:
-    """Bisection for fn increasing in x; robust against kinks, no Newton."""
+def _bisect_increasing(fn: Callable[[float], float], target: float, lo: float, hi: float) -> float:
+    """Bisection for fn increasing in x to a bracket below 1e-14 (at most 200
+    steps); robust against kinks, no Newton."""
     flo, fhi = fn(lo) - target, fn(hi) - target
     if flo > 0 or fhi < 0:
         raise BracketError(
             f"bracket [{lo}, {hi}] does not straddle target {target}: "
             f"f(lo)-t={flo:.3g}, f(hi)-t={fhi:.3g}")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if fn(mid) < target:
             lo = mid
         else:
             hi = mid
-        if hi - lo < xtol:
+        if hi - lo < 1e-14:
             break
     return 0.5 * (lo + hi)
 
@@ -313,9 +302,8 @@ class ClassCBuilder:
 
     EPS_FLOOR = 1e-9
 
-    def __init__(self, params: ConstructionParams | None = None, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, params: ConstructionParams | None = None):
         self.params = params or ConstructionParams()
-        self.tol = tol
         self.f_star, self.g_star = base_pair()
         self.f0, self.g0, self.jp_inner, self.jq_inner = bump_modify(self.params)
         self.delta = self._admissible_delta()
@@ -325,26 +313,25 @@ class ClassCBuilder:
     # -- primitives --------------------------------------------------------
 
     def pair_specs_at(self, eps: float) -> tuple[MapSpec, MapSpec]:
-        return epsilon_family_specs(self.f0, self.params.k, eps,
-                                    bridge=self.params.bridge)
+        return epsilon_family_specs(self.f0, self.params.k, eps)
 
     def pair_at(self, eps: float, validate: bool = False) -> IFSPair:
         f_eps, g_eps = self.pair_specs_at(eps)
         if validate:
-            return validate_class_a(f_eps, g_eps, tol=self.tol).as_pair()
-        return IFSPair.of(f_eps, g_eps, self.tol)
+            return validate_class_a(f_eps, g_eps).as_pair()
+        return IFSPair.of(f_eps, g_eps)
 
     def x_of(self, eps: float) -> float:
         """f_eps^{-1}(g_eps(0)), the left overlap endpoint pulled to the corner."""
         p = self.pair_at(eps)
-        return p.f.inverse_eval(p.g.eval(0.0), self.tol)
+        return p.f.inverse_eval(p.g.eval(0.0))
 
     def _admissible_delta(self) -> float:
         """Largest dyadic eps <= epsilon_range.hi at which class-A + So hold
         at both window ends (Ho is eps-independent and checked on the
         reference pair).  The small-end probe sits where the overlap width
         2*eps*k still clears the geometric tolerance."""
-        small = max(1e-5, 2.0 * self.tol.eps_geom / self.params.k)
+        small = max(1e-5, 2.0 * TOL.eps_geom / self.params.k)
         delta = self.params.epsilon_range.hi
         for _ in range(20):
             if delta <= small:
@@ -424,7 +411,7 @@ class ClassCBuilder:
 # ---------------------------------------------------------------------------
 
 
-def build_gamma(ruin: RuinationRegions, w: Interval, tol: Tolerance = DEFAULT_TOL) -> MapSpec:
+def build_gamma(ruin: RuinationRegions, w: Interval) -> MapSpec:
     """A C1 diffeomorphism of [0, 1] (normalized overlap coordinates) making
     the castration covering hold: it stretches the r_g part containing the
     right overlap endpoint until its image overlaps the r_f part containing
@@ -476,7 +463,7 @@ def build_gamma(ruin: RuinationRegions, w: Interval, tol: Tolerance = DEFAULT_TO
     # the rise bookkeeping, up to rounding absorbed by the C0 tolerance
     segs.append(Segment(1.0 - xi, 1.0, Affine(1.0, 0.0)))
     gamma = MapSpec(tuple(segs), label="gamma")
-    if abs(end.y_hi - (1.0 - xi)) > 1e-9:
+    if abs(end.y_hi - (1.0 - xi)) > TOL.eps_geom:
         raise ConstructionError(f"gamma rise bookkeeping off by {end.y_hi - (1 - xi):.3g}")
     return gamma
 
@@ -486,7 +473,6 @@ def castrate(
     gamma: MapSpec,
     w_n: Interval,
     w_0: Interval,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> MapSpec:
     """Modify g so that on the overlap its inverse is conjugated through
     gamma: (g.)^{-1} = g^{-1} ∘ phi^{-1} ∘ gamma^{-1} ∘ phi, intact outside.
@@ -498,7 +484,7 @@ def castrate(
     segment-by-segment because the support g^{-1}(w_n) falls inside a single
     affine run of g near 0.
     """
-    s_hi = g_alpha_n.inverse_eval(w_n.hi, tol)
+    s_hi = g_alpha_n.inverse_eval(w_n.hi)
     first = g_alpha_n.segments[0]
     if not isinstance(first.kind, Affine) or first.x_hi < s_hi - 1e-15:
         raise ConstructionError(
@@ -576,31 +562,30 @@ class PipelineReport:
 
 def build_class_c_example(
     params: ConstructionParams | None = None,
-    tol: Tolerance = DEFAULT_TOL,
     mu_target: float = 1.01,
-    n_search_max: int = 12,
 ) -> tuple[IFSPair, PipelineReport, ClassCBuilder]:
-    """Run the whole pipeline, increasing the castration index until the
-    induced maps are uniformly expanding and the covering margins hold.
+    """Run the whole pipeline, increasing the castration index n = 0..12
+    until the induced maps are uniformly expanding and the covering margins
+    hold.
 
     Returns the certified pair, the stage report, and the builder (which
     keeps the alpha family available for the rescaling experiments).
     """
-    builder = ClassCBuilder(params, tol)
+    builder = ClassCBuilder(params)
     pr = builder.params
     alpha0 = builder.find_c_parameter(pr.n_target)
     pair0 = builder.pair_at(alpha0, validate=True)
     hole0 = find_hole(pair0, pr.j_p)
     ruin0 = ruination_regions(pair0, hole0)
-    gamma = build_gamma(ruin0, pair0.overlap, tol)
-    alphas = builder.alpha_sequence(alpha0, max(n_search_max + 1, 6))
+    gamma = build_gamma(ruin0, pair0.overlap)
+    alphas = builder.alpha_sequence(alpha0, 13)
 
     attempts: list[tuple[int, float, float, bool, bool]] = []
-    for n in range(n_search_max + 1):
+    for n in range(13):
         alpha_n = alphas[n]
         pair_n = builder.pair_at(alpha_n, validate=True)
-        g_dot = castrate(pair_n.g, gamma, pair_n.overlap, pair0.overlap, tol)
-        cand = validate_class_a(pair_n.f, g_dot, tol=tol)
+        g_dot = castrate(pair_n.g, gamma, pair_n.overlap, pair0.overlap)
+        cand = validate_class_a(pair_n.f, g_dot)
         if not cand.ok:
             attempts.append((n, alpha_n, math.nan, False, False))
             continue
@@ -610,7 +595,7 @@ def build_class_c_example(
         ee = check_ee(pair, hole, mu_target)
         ruin = ruination_regions(pair, hole)
         ca = check_ca(pair, hole, ruin)
-        margins_ok = ca.ok and ca.min_margin >= tol.eps_geom
+        margins_ok = ca.ok and ca.min_margin >= TOL.eps_geom
         attempts.append((n, alpha_n, ee.mu, ee.ok, margins_ok))
         if so.ok and ee.ok and margins_ok:
             sym = symmetry_residual(pair_n.f, pair_n.g)
@@ -658,7 +643,7 @@ class AppendixParams:
         return IntervalSet(self.blocks)
 
 
-def appendix_pair(params: AppendixParams | None = None, tol: Tolerance = DEFAULT_TOL) -> IFSPair:
+def appendix_pair(params: AppendixParams | None = None) -> IFSPair:
     """A diagonal-symmetric pair with the inclusion property
     f(I_-1) ⊂ I_-1, f(I_0) ⊂ int(I_-1), f(I_1) ⊂ int(I_0) (g mirrored) and
     derivative < lam on the three blocks.
@@ -692,7 +677,7 @@ def appendix_pair(params: AppendixParams | None = None, tol: Tolerance = DEFAULT
     )
     f = MapSpec(segs, label="f_appendix")
     g = MapSpec(symmetry_conjugate(f).segments, label="g_appendix")
-    pair = validate_class_a(f, g, tol=tol).as_pair()
+    pair = validate_class_a(f, g).as_pair()
 
     for m, name in ((f, "f"), (g, "g")):
         images = [m.image_of(b) for b in pr.blocks]
@@ -719,7 +704,7 @@ def lambda_sequence(pair: IFSPair, params: AppendixParams, n: int) -> list[Inter
     for k in range(n):
         cur = seq[-1]
         nxt = pair.f.image_of_set(cur).union(pair.g.image_of_set(cur))
-        if not _subset(nxt, cur, 1e-12):
+        if not _subset(nxt, cur, TOL.eps_newton):
             raise ConstructionError(f"Lambda_{k+1} not nested in Lambda_{k}")
         seq.append(nxt)
     return seq
@@ -836,7 +821,7 @@ def certify_cantor_by_complement(
         jset = IntervalSet([J])
         for s in seq:
             gap = jset.difference(s)
-            if not gap.is_empty() and float(np.max(gap.his - gap.los)) > 10 * pair.tol.eps_geom:
+            if not gap.is_empty() and float(np.max(gap.his - gap.los)) > 10 * TOL.eps_geom:
                 certified += 1
                 break
     return ComplementCertifyReport(resolution, depth, meeting, certified, skipped)

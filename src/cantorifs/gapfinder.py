@@ -32,7 +32,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import CantorIFSError, CertificateError, ClassificationError, DomainError, IterationCapError
-from .intervals import Interval, IntervalSet
+from .intervals import TOL, Interval, IntervalSet
 from .ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
 from .axioms import (
     BoundarySets,
@@ -120,7 +120,7 @@ def classify(
     """
     if J.length <= 0:
         raise DomainError("classify needs positive length")
-    eps = p.tol.eps_geom
+    eps = TOL.eps_geom
     w = p.overlap
     if any(J.lo + eps < pt < J.hi - eps for pt in b.points):
         return CaseTag.BOUNDARY_HIT
@@ -153,9 +153,9 @@ def classify(
 
 def _apply_induced(p: IFSPair, which: Literal["F", "G"], n: int, iv: Interval) -> Interval:
     first, ret = (p.f, p.g) if which == "F" else (p.g, p.f)
-    lo, hi = first.inverse_eval(iv.lo, p.tol), first.inverse_eval(iv.hi, p.tol)
+    lo, hi = first.inverse_eval(iv.lo), first.inverse_eval(iv.hi)
     for _ in range(n):
-        lo, hi = ret.inverse_eval(lo, p.tol), ret.inverse_eval(hi, p.tol)
+        lo, hi = ret.inverse_eval(lo), ret.inverse_eval(hi)
     return Interval(lo, hi)
 
 
@@ -164,16 +164,11 @@ def _apply_step_forward(p: IFSPair, s: TraceStep, iv: Interval) -> Interval:
         return _apply_induced(p, "F", s.n, iv)
     if s.op == "G":
         return _apply_induced(p, "G", s.n, iv)
-    if s.op == "invpow_f":
-        lo, hi = iv.lo, iv.hi
+    if s.op in ("invpow_f", "invpow_g"):
+        m = p.f if s.op == "invpow_f" else p.g
         for _ in range(s.n):
-            lo, hi = p.f.inverse_eval(lo, p.tol), p.f.inverse_eval(hi, p.tol)
-        return Interval(lo, hi)
-    if s.op == "invpow_g":
-        lo, hi = iv.lo, iv.hi
-        for _ in range(s.n):
-            lo, hi = p.g.inverse_eval(lo, p.tol), p.g.inverse_eval(hi, p.tol)
-        return Interval(lo, hi)
+            iv = m.preimage_of(iv)
+        return iv
     if s.op == "shrink":
         inter = iv.intersection(s.interval)
         if inter is None:
@@ -239,7 +234,7 @@ def _middle_third_in(j: Interval, s: IntervalSet, floor: float) -> Interval | No
 
 
 def _deepen_overlap_near(
-    p: IFSPair, h: HolePair, r: RuinationRegions, j: Interval, endpoint: float, extra: int = 80
+    p: IFSPair, h: HolePair, r: RuinationRegions, j: Interval, endpoint: float
 ) -> Interval | None:
     """Find a ruination-overlap piece inside j near an accumulation endpoint
     (f(1) for the Q-family, g(0) for the P-family), extending the truncated
@@ -252,13 +247,13 @@ def _deepen_overlap_near(
     if host is None:
         return None
     cur = hole
-    for _ in range(extra + 200):
+    for _ in range(280):
         part = outer.image_of(cur)
         if part.length <= 0:
             return None
         if (j.lo < part.lo and part.hi < j.hi
                 and host.lo < part.lo and part.hi < host.hi):
-            return part.middle_third() if part.length > 0 else None
+            return part.middle_third()
         cur = inner.image_of(cur)
         if cur.length <= 0:
             return None
@@ -296,7 +291,7 @@ def _boundary_lemma(
             clipped = cur.intersection(Interval(m.y0, m.y1))
             if clipped is None or clipped.length <= 0:
                 continue
-            pulled = m.preimage_of(clipped, p.tol)
+            pulled = m.preimage_of(clipped)
             step = TraceStep(CaseTag.BOUNDARY_HIT, op, 1, pulled)
             u = _middle_third_in(pulled, r.rfrg, floor)
             if u is not None:
@@ -323,8 +318,7 @@ def find_gap_core(
     non-termination into a diagnosable error.  When `cloud` is given, the
     output is checked against it before returning.
     """
-    tol = p.tol
-    if J.length < 10.0 * tol.eps_geom:
+    if J.length < 10.0 * TOL.eps_geom:
         raise DomainError(f"input {J} shorter than 10*eps_geom")
     span = Interval(p.f1.lo, p.g1.hi)
     if J.hi <= span.lo or J.lo >= span.hi:
@@ -349,7 +343,7 @@ def find_gap_core(
             verified_depth=None if cloud is None else cloud.depth,
         )
         if cloud is not None:
-            bad = _orbit_points_inside(cloud, cert.output, tol.eps_geom)
+            bad = _orbit_points_inside(cloud, cert.output, TOL.eps_geom)
             if bad:
                 raise CertificateError(
                     f"{bad} orbit points inside certified output {cert.output}")
@@ -361,11 +355,11 @@ def find_gap_core(
         cur = piece
 
     for _ in range(bound):
-        if cur.length < 3.0 * tol.eps_newton:
+        if cur.length < 3.0 * TOL.eps_newton:
             raise ClassificationError(f"interval collapsed to {cur} during walk")
-        hits = [pt for pt in b.points if cur.lo + tol.eps_geom < pt < cur.hi - tol.eps_geom]
+        hits = [pt for pt in b.points if cur.lo + TOL.eps_geom < pt < cur.hi - TOL.eps_geom]
         if hits:
-            got = _boundary_lemma(p, h, r, cur, floor=tol.eps_newton)
+            got = _boundary_lemma(p, h, r, cur, floor=TOL.eps_newton)
             if got is not None:
                 extra, u, reason = got
                 n_before = len(steps)
@@ -395,7 +389,7 @@ def find_gap_core(
         which: Literal["F", "G"] = "G" if tag in (CaseTag.IN_W_RF, CaseTag.IN_G1_FREE) else "F"
         dom = p.f1 if which == "F" else p.g1
         sites = [s for s in induced_discontinuities(p, which, dom)
-                 if cur.lo + tol.eps_newton < s < cur.hi - tol.eps_newton]
+                 if cur.lo + TOL.eps_newton < s < cur.hi - TOL.eps_newton]
         if sites:
             shrink_to(_split_at(cur, sites), tag)
         n = induced_n(p, cur.mid, which)
@@ -437,7 +431,6 @@ def find_gap(
     """find_gap_core, preceded when necessary by the fundamental-domain
     pullback: an interval outside F1 ∪ G1 lies (after shrinking away from the
     fixed points) inside a single F_N or G_N and is pulled back into F1."""
-    tol = p.tol
     if J.hi > p.f1.lo and J.lo < p.g1.hi:
         return find_gap_core(J, p, h, r, b, mu=mu, cloud=cloud)
 
@@ -447,7 +440,7 @@ def find_gap(
         m, fixed, op = p.g, 1.0, "invpow_g"
 
     work = J
-    if abs(work.lo - fixed) < tol.eps_geom or abs(work.hi - fixed) < tol.eps_geom:
+    if abs(work.lo - fixed) < TOL.eps_geom or abs(work.hi - fixed) < TOL.eps_geom:
         # shrink away from the fixed point, keeping half the interval
         if fixed == 0.0:
             work = Interval(work.mid, work.hi)
@@ -471,14 +464,14 @@ def find_gap(
     steps = [TraceStep(CaseTag.PULLBACK_FN, op, n - 1, work)]
     pulled = work
     for _ in range(n - 1):
-        pulled = p.f.preimage_of(pulled, tol) if fixed == 0.0 else p.g.preimage_of(pulled, tol)
+        pulled = m.preimage_of(pulled)
 
     inner = find_gap_core(pulled, p, h, r, b, mu=mu, cloud=cloud)
-    out = iterate_interval(p.f if fixed == 0.0 else p.g, n - 1, inner.output)
+    out = iterate_interval(m, n - 1, inner.output)
     out_clip = out.intersection(J)
     if out_clip is None or out_clip.length <= 0:
         raise CertificateError("pullback output escaped the original interval")
-    shrunk = iterate_interval(p.f if fixed == 0.0 else p.g, n - 1, inner.shrunk_input)
+    shrunk = iterate_interval(m, n - 1, inner.shrunk_input)
     cert = GapCertificate(
         input=J,
         output=out_clip,
@@ -489,7 +482,7 @@ def find_gap(
         verified_depth=inner.verified_depth,
     )
     if cloud is not None:
-        bad = _orbit_points_inside(cloud, cert.output, tol.eps_geom)
+        bad = _orbit_points_inside(cloud, cert.output, TOL.eps_geom)
         if bad:
             raise CertificateError(f"{bad} orbit points inside pulled-back output")
     return cert
@@ -499,12 +492,8 @@ def _locate_power_domain(p: IFSPair, j: Interval, which: Literal["f", "g"]) -> t
     """Smallest N with j meeting F_N (resp. G_N); returns (N, that domain)."""
     for n in range(2, 5000):
         dom = fundamental_domain(p, which, n)
-        if which == "f":
-            if dom.lo <= j.mid <= dom.hi:
-                return n, dom
-        else:
-            if dom.lo <= j.mid <= dom.hi:
-                return n, dom
+        if dom.lo <= j.mid <= dom.hi:
+            return n, dom
     raise ClassificationError(f"could not locate a fundamental domain for {j}")
 
 
@@ -536,7 +525,7 @@ def verify_hole_disjoint(p: IFSPair, h: HolePair, depth: int) -> HoleDisjointRep
     cloud = orbit(p, 0.0, depth)
     bad = 0
     for hole in (h.h_f, h.h_g):
-        bad += _orbit_points_inside(cloud, hole, p.tol.eps_geom)
+        bad += _orbit_points_inside(cloud, hole, TOL.eps_geom)
     return HoleDisjointReport(depth, cloud.size, bad)
 
 

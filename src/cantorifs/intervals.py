@@ -21,10 +21,11 @@ from .errors import SpecError
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric slack knobs shared across the library.
+    """The library's one set of tolerances; `TOL` is its only instance;
+    nothing takes a tolerance argument.
 
     eps_geom   -- point/endpoint comparison slack.
-    eps_newton -- inverse-evaluation convergence target.
+    eps_newton -- inverse-evaluation convergence target and float-noise slack.
     max_iter   -- guard on iterative loops.
     """
 
@@ -42,7 +43,7 @@ class Tolerance:
             raise SpecError("max_iter must be positive")
 
 
-DEFAULT_TOL = Tolerance()
+TOL = Tolerance()
 
 
 @dataclass(frozen=True, order=True)
@@ -69,9 +70,6 @@ class Interval:
 
     def contains_interval(self, other: "Interval", margin: float = 0.0) -> bool:
         return self.lo + margin <= other.lo and other.hi <= self.hi - margin
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def intersection(self, other: "Interval") -> "Interval | None":
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
@@ -166,14 +164,6 @@ class IntervalSet:
         if self.is_empty():
             raise SpecError("span of empty set")
         return Interval(float(self.los[0]), float(self.his[-1]))
-
-    def contains_point(self, x: float, slack: float = 0.0) -> bool:
-        i = int(np.searchsorted(self.los, x, side="right")) - 1
-        if i < 0:
-            return self.los.size > 0 and x >= self.los[0] - slack
-        if x <= self.his[i] + slack:
-            return True
-        return i + 1 < self.los.size and x >= self.los[i + 1] - slack
 
     def contains_points(self, xs: np.ndarray, slack: float = 0.0) -> np.ndarray:
         """Vectorized membership for an array of points."""
@@ -284,7 +274,7 @@ def measure(a: IntervalSet) -> float:
     return a.measure()
 
 
-def contained_in_interior(a: IntervalSet, b: IntervalSet, tol: Tolerance = DEFAULT_TOL) -> bool:
+def contained_in_interior(a: IntervalSet, b: IntervalSet) -> bool:
     """True iff every part of `a` sits inside int(b) with margin >= eps_geom.
 
     `b` is normalized, so its parts are maximal covering runs; interiority
@@ -292,7 +282,7 @@ def contained_in_interior(a: IntervalSet, b: IntervalSet, tol: Tolerance = DEFAU
     """
     if a.is_empty():
         return True
-    core = b.contract(tol.eps_geom)
+    core = b.contract(TOL.eps_geom)
     if core.is_empty():
         return False
     i = np.searchsorted(core.los, a.los, side="right") - 1

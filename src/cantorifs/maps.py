@@ -21,14 +21,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, IterationCapError, RangeError, SpecError
-from .intervals import DEFAULT_TOL, Interval, IntervalSet, Tolerance
+from .intervals import TOL, Interval, IntervalSet
 
 #: Accepted derivative mismatch at internal breakpoints ("C1 within
 #: tolerance"): constructed joins are exact in exact arithmetic, this absorbs
 #: rounding.
 C1_DERIV_TOL = 1e-6
-#: Accepted value mismatch at internal breakpoints.
-C0_VALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -140,12 +138,12 @@ class MapSpec:
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise SpecError("MapSpec needs at least one segment")
-        if abs(segs[0].x_lo) > 1e-12 or abs(segs[-1].x_hi - 1.0) > 1e-12:
+        if abs(segs[0].x_lo) > TOL.eps_newton or abs(segs[-1].x_hi - 1.0) > TOL.eps_newton:
             raise SpecError("segments must cover [0, 1]")
         for a, b in zip(segs, segs[1:]):
-            if abs(a.x_hi - b.x_lo) > 1e-12:
+            if abs(a.x_hi - b.x_lo) > TOL.eps_newton:
                 raise SpecError(f"segments must abut: {a.x_hi} vs {b.x_lo}")
-            if abs(a.y_hi - b.y_lo) > C0_VALUE_TOL:
+            if abs(a.y_hi - b.y_lo) > TOL.eps_geom:
                 raise SpecError(f"value jump {a.y_hi - b.y_lo:.3g} at x={b.x_lo}")
             dl, dr = a.deriv_at(a.x_hi), b.deriv_at(b.x_lo)
             if abs(dl - dr) > C1_DERIV_TOL * max(1.0, abs(dl), abs(dr)):
@@ -179,7 +177,7 @@ class MapSpec:
     # -- scalar evaluation ---------------------------------------------------
 
     def _check_domain(self, x: float) -> float:
-        if x < -1e-12 or x > 1.0 + 1e-12:
+        if x < -TOL.eps_newton or x > 1.0 + TOL.eps_newton:
             raise DomainError(f"x={x} outside [0, 1]")
         return min(max(x, 0.0), 1.0)
 
@@ -196,7 +194,7 @@ class MapSpec:
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if xs.size and (xs.min() < -1e-12 or xs.max() > 1.0 + 1e-12):
+        if xs.size and (xs.min() < -TOL.eps_newton or xs.max() > 1.0 + TOL.eps_newton):
             raise DomainError("array evaluation outside [0, 1]")
         xc = np.clip(xs, 0.0, 1.0)
         i = np.clip(np.searchsorted(self._bps, xc, side="left") - 1, 0, len(self.segments) - 1)
@@ -214,12 +212,12 @@ class MapSpec:
     def y1(self) -> float:
         return self.segments[-1].y_hi
 
-    def inverse_eval(self, y: float, tol: Tolerance = DEFAULT_TOL) -> float:
+    def inverse_eval(self, y: float) -> float:
         """The unique x with eval(x) = y, by segment bracketing plus Newton
         with bisection safeguard.  Iterates past eps_newton down to machine
         precision when cheap, so inverse errors do not accumulate along long
         inverse-word compositions."""
-        if y < self.y0 - 1e-12 or y > self.y1 + 1e-12:
+        if y < self.y0 - TOL.eps_newton or y > self.y1 + TOL.eps_newton:
             raise RangeError(f"y={y} outside image [{self.y0}, {self.y1}]")
         y = min(max(y, self.y0), self.y1)
         j = int(np.searchsorted(self._break_ys, y, side="left")) - 1
@@ -229,7 +227,7 @@ class MapSpec:
             return (y - seg.kind.intercept) / seg.kind.slope
         a, b = seg.x_lo, seg.x_hi
         x = 0.5 * (a + b)
-        for _ in range(tol.max_iter):
+        for _ in range(TOL.max_iter):
             fx = seg.value_at(x) - y
             if fx == 0.0:
                 return x
@@ -241,7 +239,7 @@ class MapSpec:
             step = fx / dfx if dfx > 0 else math.inf
             # converged: residual within target and the Newton correction is
             # at rounding scale; returning *this* x, never a fallback point
-            if abs(fx) <= tol.eps_newton and abs(step) <= 4.0 * math.ulp(x):
+            if abs(fx) <= TOL.eps_newton and abs(step) <= 4.0 * math.ulp(x):
                 return x
             x_new = x - step
             if not (a < x_new < b):
@@ -249,21 +247,21 @@ class MapSpec:
             if x_new == x:
                 return x
             x = x_new
-        if abs(seg.value_at(x) - y) > tol.eps_newton:
+        if abs(seg.value_at(x) - y) > TOL.eps_newton:
             raise IterationCapError(f"inverse_eval stalled at y={y}")
         return x
 
-    def inverse_array(self, ys: np.ndarray, iters: int = 60) -> np.ndarray:
-        """Vectorized inversion by bisection inside located segments."""
+    def inverse_array(self, ys: np.ndarray) -> np.ndarray:
+        """Vectorized inversion by 60 bisection steps inside located segments."""
         ys = np.asarray(ys, dtype=float)
-        if ys.size and (ys.min() < self.y0 - 1e-12 or ys.max() > self.y1 + 1e-12):
+        if ys.size and (ys.min() < self.y0 - TOL.eps_newton or ys.max() > self.y1 + TOL.eps_newton):
             raise RangeError("array inversion outside image")
         yc = np.clip(ys, self.y0, self.y1)
         j = np.clip(np.searchsorted(self._break_ys, yc, side="left") - 1, 0, len(self.segments) - 1)
         lo = self._bps[j]
         hi = np.append(self._bps[1:], 1.0)[j]
         c = self._coeffs[j]
-        for _ in range(iters):
+        for _ in range(60):
             mid = 0.5 * (lo + hi)
             t = mid - self._bps[j]
             val = ((c[..., 3] * t + c[..., 2]) * t + c[..., 1]) * t + c[..., 0]
@@ -283,8 +281,8 @@ class MapSpec:
     def image_of_set(self, s: IntervalSet) -> IntervalSet:
         return IntervalSet(los=self.eval_array(s.los), his=self.eval_array(s.his))
 
-    def preimage_of(self, iv: Interval, tol: Tolerance = DEFAULT_TOL) -> Interval:
-        return Interval(self.inverse_eval(iv.lo, tol), self.inverse_eval(iv.hi, tol))
+    def preimage_of(self, iv: Interval) -> Interval:
+        return Interval(self.inverse_eval(iv.lo), self.inverse_eval(iv.hi))
 
 
 def identity_spec() -> MapSpec:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cantorifs.errors import DegenerateHoleError, DomainError, NoContractionError
+from cantorifs import axioms
+from cantorifs.errors import DegenerateHoleError, DomainError, IterationCapError, NoContractionError
 from cantorifs.intervals import Interval, IntervalSet
 from cantorifs.maps import MapSpec, Segment, Affine, affine_spec, apply_word, iterate
 from cantorifs.ifs import IFSPair, fundamental_domain, validate_class_a
@@ -18,6 +19,7 @@ from cantorifs.axioms import (
     induced_map,
     induced_n,
     ruination_gridscan,
+    run_axiom_checks,
     ruination_parts,
     ruination_regions,
 )
@@ -115,6 +117,22 @@ def test_hole_requires_contraction(valid_affine):
     # f∘g([0.5, 0.6]) = [0.399, 0.429] lands off the seed entirely
     with pytest.raises(NoContractionError):
         find_hole(valid_affine, Interval(0.5, 0.6))
+
+
+def test_hole_limit_must_converge(built_ctx, monkeypatch):
+    # f∘g(x) = 0.9025x + 0.0475 contracts too slowly: after 200 steps the
+    # nested images still move by ~1e-11 per step, so no limit is certified
+    pair = IFSPair.of(affine_spec(0.95, 0.0), affine_spec(0.95, 0.05))
+    with pytest.raises(IterationCapError):
+        find_hole(pair, Interval(0.4, 0.6))
+
+    # run_axiom_checks reports it as a verdict, like the other hole failures
+    def stalled(p, seed):
+        raise IterationCapError("stalled")
+
+    monkeypatch.setattr(axioms, "find_hole", stalled)
+    rep = run_axiom_checks(built_ctx["pair"], Interval(0.33, 0.34))
+    assert rep.hole_error == "stalled" and not rep.ok
 
 
 # -- induced maps --------------------------------------------------------------------
@@ -248,6 +266,27 @@ def test_induced_deriv_affine_factor_value(eps_pair):
     g1 = fundamental_domain(eps_pair, "g", 1)
     x = eps_pair.f.eval(g1.mid)
     assert induced_deriv(eps_pair, "F", x) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_induced_deriv_walks_inverse_chain_once(built_ctx, monkeypatch):
+    pair = built_ctx["pair"]
+    calls = []
+    inverse_eval = MapSpec.inverse_eval
+
+    def counting(self, *args):
+        calls.append(args)
+        return inverse_eval(self, *args)
+
+    ns = set()
+    for x in RNG.uniform(pair.f1.lo, pair.f1.hi - 1e-6, 50):
+        n = induced_n(pair, float(x), "F")
+        ns.add(n)
+        monkeypatch.setattr(MapSpec, "inverse_eval", counting)
+        calls.clear()
+        induced_deriv(pair, "F", float(x))
+        monkeypatch.setattr(MapSpec, "inverse_eval", inverse_eval)
+        assert len(calls) == n + 1
+    assert max(ns) >= 2
 
 
 def test_induced_map_domain_error(built_ctx):

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from cantorifs.errors import SpecError
 from cantorifs.intervals import (
-    DEFAULT_TOL,
     Interval,
     IntervalSet,
     Tolerance,
