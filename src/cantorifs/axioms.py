@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -255,17 +255,15 @@ def check_ee(
 
     Dense sampling plus breakpoint/discontinuity exclusion, not rigorous
     interval arithmetic; the refinement slack (coarse-grid min vs a 2x finer
-    grid) quantifies how much a dip could have been missed.
+    grid) quantifies how much a dip could have been missed.  A sample that
+    faults raises: a skipped point would leave its dip unchecked.
     """
     def scan(n_pts: int) -> tuple[float, float, str, int]:
         mn, mn_x, mn_b, cnt = math.inf, math.nan, "F", 0
         for which, hole in (("F", h.h_f), ("G", h.h_g)):
             xs = _ee_sample_points(p, which, hole, n_pts)
             for x in xs:
-                try:
-                    d = induced_deriv(p, which, float(x))
-                except (DomainError, IterationCapError):
-                    continue
+                d = induced_deriv(p, which, float(x))
                 cnt += 1
                 if d < mn:
                     mn, mn_x, mn_b = d, float(x), which
@@ -288,18 +286,14 @@ def check_ee(
 class RuinationRegions:
     """Truncated families Q_n (parts of r_f) and P_n (parts of r_g).
 
-    indices_* record the n of each retained part, parts in position order are
-    available via the IntervalSets; dropped_* counts parts discarded below
-    the length floor.
+    parts_* pair each retained part with its n; the IntervalSets hold the
+    same parts in position order.
     """
 
     r_f: IntervalSet
     r_g: IntervalSet
     parts_f: tuple[tuple[int, Interval], ...]
     parts_g: tuple[tuple[int, Interval], ...]
-    n_max: int
-    dropped_f: int
-    dropped_g: int
 
     @cached_property
     def rfrg(self) -> IntervalSet:
@@ -308,49 +302,48 @@ class RuinationRegions:
         return self.r_f.intersect(self.r_g)
 
 
+def ruination_family(p: IFSPair, h: HolePair, which: Literal["f", "g"]) -> Iterator[Interval]:
+    """The parts of one ruination family in order n = 0, 1, 2, ...:
+    Q_n = f(g^n(h_g)) for the f-family, P_n = g(f^n(h_f)) for the g-family.
+    Endless; each part is computed only when asked for."""
+    outer, inner, cur = (p.f, p.g, h.h_g) if which == "f" else (p.g, p.f, h.h_f)
+    while True:
+        yield outer.image_of(cur)
+        cur = inner.image_of(cur)
+
+
 def ruination_parts(
     p: IFSPair,
     h: HolePair,
     which: Literal["f", "g"],
     min_len: float | None = None,
-) -> tuple[list[tuple[int, Interval]], int]:
+) -> list[tuple[int, Interval]]:
     """Closed-form push-forward parts of one ruination family.
 
-    Q_n = f(g^n(h_g)) for the f-family; P_n = g(f^n(h_f)) for the g-family.
     Monotone maps send intervals to intervals, so each part is exact up to
     evaluation rounding.  Truncates at the first part below min_len (default
-    eps_geom), or after n = 10,000; the truncation is reported, and castration
-    only ever needs finitely many parts.
+    eps_geom), or after n = 10,000; castration only ever needs finitely many
+    parts.
     """
     floor = TOL.eps_geom if min_len is None else min_len
-    outer, inner, hole = (p.f, p.g, h.h_g) if which == "f" else (p.g, p.f, h.h_f)
     parts: list[tuple[int, Interval]] = []
-    dropped = 0
-    cur = hole
-    for n in range(10_001):
-        part = outer.image_of(cur)
+    for n, part in zip(range(10_001), ruination_family(p, h, which)):
         if part.length < floor:
-            dropped = 1
             break
         parts.append((n, part))
-        cur = inner.image_of(cur)
-    return parts, dropped
+    return parts
 
 
 def ruination_regions(
     p: IFSPair, h: HolePair, min_len: float | None = None
 ) -> RuinationRegions:
-    pf, dropf = ruination_parts(p, h, "f", min_len)
-    pg, dropg = ruination_parts(p, h, "g", min_len)
-    eff_max = max([n for n, _ in pf + pg], default=0)
+    pf = ruination_parts(p, h, "f", min_len)
+    pg = ruination_parts(p, h, "g", min_len)
     return RuinationRegions(
         r_f=IntervalSet([iv for _, iv in pf]),
         r_g=IntervalSet([iv for _, iv in pg]),
         parts_f=tuple(pf),
         parts_g=tuple(pg),
-        n_max=eff_max,
-        dropped_f=dropf,
-        dropped_g=dropg,
     )
 
 
@@ -411,7 +404,7 @@ class CaReport:
         return "\n".join(lines) + "\n"
 
 
-def check_ca(p: IFSPair, h: HolePair, r: RuinationRegions) -> CaReport:
+def check_ca(p: IFSPair, r: RuinationRegions) -> CaReport:
     """W inside int(r_f) ∪ int(r_g), with margin eps_geom at every junction.
 
     The interior of a union is larger than the union of interiors, so each
@@ -536,6 +529,6 @@ def run_axiom_checks(
         return AxiomReport(True, so, None, str(e), None, None, None)
     ee = check_ee(p, hole, mu_target)
     ruin = ruination_regions(p, hole)
-    ca = check_ca(p, hole, ruin)
+    ca = check_ca(p, ruin)
     advisory = p.f.deriv(0.0) < 1.0 and p.g.deriv(1.0) < 1.0
     return AxiomReport(True, so, hole, None, ee, ca, advisory)

@@ -221,7 +221,7 @@ def epsilon_family_specs(f0: MapSpec, k: float, eps: float) -> tuple[MapSpec, Ma
     return f_eps, g_eps
 
 
-def epsilon_family(f0: MapSpec, g0: MapSpec, k: float, eps: float) -> IFSPair:
+def epsilon_family(f0: MapSpec, k: float, eps: float) -> IFSPair:
     """Validated epsilon-family pair; raises if class-A or So fails."""
     f_eps, g_eps = epsilon_family_specs(f0, k, eps)
     pair = validate_class_a(f_eps, g_eps).as_pair()
@@ -374,11 +374,12 @@ class ClassCBuilder:
                 f"C-parameter verification failed: x({eps}) = {x} vs {target}")
         return eps
 
-    def in_h_prime(self, eps: float, n_max: int = 200) -> bool:
-        """Membership of x(eps) in the union of forward g-images of H_p."""
+    def in_h_prime(self, eps: float) -> bool:
+        """Membership of x(eps) in the union of the first 200 forward
+        g-images of H_p."""
         x = self.x_of(eps)
         cur = self.hole_ref.h_f
-        for _ in range(n_max):
+        for _ in range(200):
             if cur.contains(x):
                 return True
             if cur.lo > x:
@@ -468,21 +469,16 @@ def build_gamma(ruin: RuinationRegions, w: Interval) -> MapSpec:
     return gamma
 
 
-def castrate(
-    g_alpha_n: MapSpec,
-    gamma: MapSpec,
-    w_n: Interval,
-    w_0: Interval,
-) -> MapSpec:
+def castrate(g_alpha_n: MapSpec, gamma: MapSpec, w_n: Interval) -> MapSpec:
     """Modify g so that on the overlap its inverse is conjugated through
     gamma: (g.)^{-1} = g^{-1} ∘ phi^{-1} ∘ gamma^{-1} ∘ phi, intact outside.
 
     Since gamma is built in normalized overlap coordinates and the phi maps
     are affine and orientation-preserving, the phi conjugation collapses to
-    rescaling gamma onto w_n; w_0 only enters through gamma having been
-    built there.  The forward form g. = (rescaled gamma) ∘ g composes
-    segment-by-segment because the support g^{-1}(w_n) falls inside a single
-    affine run of g near 0.
+    rescaling gamma onto w_n; the original overlap only enters through
+    gamma having been built there.  The forward form g. = (rescaled gamma) ∘
+    g composes segment-by-segment because the support g^{-1}(w_n) falls
+    inside a single affine run of g near 0.
     """
     s_hi = g_alpha_n.inverse_eval(w_n.hi)
     first = g_alpha_n.segments[0]
@@ -584,7 +580,7 @@ def build_class_c_example(
     for n in range(13):
         alpha_n = alphas[n]
         pair_n = builder.pair_at(alpha_n, validate=True)
-        g_dot = castrate(pair_n.g, gamma, pair_n.overlap, pair0.overlap)
+        g_dot = castrate(pair_n.g, gamma, pair_n.overlap)
         cand = validate_class_a(pair_n.f, g_dot)
         if not cand.ok:
             attempts.append((n, alpha_n, math.nan, False, False))
@@ -594,7 +590,7 @@ def build_class_c_example(
         hole = find_hole(pair, pr.j_p)
         ee = check_ee(pair, hole, mu_target)
         ruin = ruination_regions(pair, hole)
-        ca = check_ca(pair, hole, ruin)
+        ca = check_ca(pair, ruin)
         margins_ok = ca.ok and ca.min_margin >= TOL.eps_geom
         attempts.append((n, alpha_n, ee.mu, ee.ok, margins_ok))
         if so.ok and ee.ok and margins_ok:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Literal, Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ from .axioms import (
     RuinationRegions,
     induced_discontinuities,
     induced_n,
+    ruination_family,
 )
 from .maps import iterate_interval
 
@@ -71,7 +73,9 @@ class TraceStep:
     op encodes the applied forward map: "F"/"G" are the induced maps with the
     realized inverse count n; "invpow_f"/"invpow_g" are n-fold inverse
     applications (used by pullbacks); "shrink" restricts the interval and
-    applies no map.  `interval` is the current interval after the step.
+    applies no map.  `interval` is the current interval after the step,
+    except for the PULLBACK_FN step, which records the window before it is
+    pulled back: the piece of the input that the walk starts from.
     """
 
     tag: CaseTag
@@ -86,9 +90,7 @@ class GapCertificate:
     output: Interval
     trace: tuple[TraceStep, ...]
     terminal_reason: TerminalReason
-    shrunk_input: Interval          # input after any recorded restrictions
     iteration_bound: int
-    verified_depth: int | None      # orbit depth used for verification, if any
 
     @property
     def n_steps(self) -> int:
@@ -241,22 +243,17 @@ def _deepen_overlap_near(
     families on demand."""
     w = p.overlap
     if endpoint == w.hi:
-        outer, inner, hole, host = p.f, p.g, h.h_g, r.r_g.part_containing(w.hi)
+        family, host = "f", r.r_g.part_containing(w.hi)
     else:
-        outer, inner, hole, host = p.g, p.f, h.h_f, r.r_f.part_containing(w.lo)
+        family, host = "g", r.r_f.part_containing(w.lo)
     if host is None:
         return None
-    cur = hole
-    for _ in range(280):
-        part = outer.image_of(cur)
+    for part in islice(ruination_family(p, h, family), 280):
         if part.length <= 0:
             return None
         if (j.lo < part.lo and part.hi < j.hi
                 and host.lo < part.lo and part.hi < host.hi):
             return part.middle_third()
-        cur = inner.image_of(cur)
-        if cur.length <= 0:
-            return None
     return None
 
 
@@ -308,7 +305,7 @@ def find_gap_core(
     h: HolePair,
     r: RuinationRegions,
     b: BoundarySets,
-    mu: float = 1.2,
+    mu: float,
     cloud: OrbitCloud | None = None,
 ) -> GapCertificate:
     """Run the case-driven induction for J meeting F1 ∪ G1.
@@ -318,36 +315,44 @@ def find_gap_core(
     non-termination into a diagnosable error.  When `cloud` is given, the
     output is checked against it before returning.
     """
-    if J.length < 10.0 * TOL.eps_geom:
-        raise DomainError(f"input {J} shorter than 10*eps_geom")
+    return _walk(J, (), J, p, h, r, b, mu, cloud)
+
+
+def _walk(
+    J: Interval, prefix: tuple[TraceStep, ...], start: Interval, p: IFSPair, h: HolePair,
+    r: RuinationRegions, b: BoundarySets, mu: float, cloud: OrbitCloud | None,
+) -> GapCertificate:
+    """The induction from `start`, the window that the `prefix` steps carry
+    the input J to (no steps: start is J).  The terminal piece is pulled
+    back through the walk's steps and clipped to `start`, then through the
+    prefix and clipped to J; with a cloud, each stage is checked against it
+    (the walk-space check tests the deeper orbit points)."""
+    if start.length < 10.0 * TOL.eps_geom:
+        raise DomainError(f"input {start} shorter than 10*eps_geom")
     span = Interval(p.f1.lo, p.g1.hi)
-    if J.hi <= span.lo or J.lo >= span.hi:
-        raise DomainError(f"{J} does not meet F1 ∪ G1; use find_gap")
+    if start.hi <= span.lo or start.lo >= span.hi:
+        raise DomainError(f"{start} does not meet F1 ∪ G1; use find_gap")
     if mu <= 1.0:
         raise DomainError("find_gap_core needs mu > 1")
-    bound = math.ceil(math.log(max(p.f1.length / J.length, 1.0)) / math.log(mu)) + 50
+    bound = math.ceil(math.log(max(p.f1.length / start.length, 1.0)) / math.log(mu)) + 50
 
     steps: list[TraceStep] = []
-    cur = J
+    cur = start
 
-    def finish(u: Interval, reason: TerminalReason, base_steps: int | None = None) -> GapCertificate:
+    def finish(u: Interval, reason: TerminalReason) -> GapCertificate:
         out = pull_back(p, steps, u)
-        clipped = out.intersection(J)
+        clipped = out.intersection(start)
         if clipped is None or clipped.length <= 0:
-            raise CertificateError(f"pullback {out} escaped the input {J}")
-        shrunk = pull_back(p, steps[: len(steps) if base_steps is None else base_steps], cur)
-        cert = GapCertificate(
-            input=J, output=clipped, trace=tuple(steps), terminal_reason=reason,
-            shrunk_input=shrunk.intersection(J) or J,
+            raise CertificateError(f"pullback {out} escaped the input {start}")
+        _reject_orbit_points(cloud, clipped, f"certified output {clipped}")
+        out = pull_back(p, prefix, clipped).intersection(J)
+        if out is None or out.length <= 0:
+            raise CertificateError("pullback output escaped the original interval")
+        _reject_orbit_points(cloud, out, "pulled-back output")
+        return GapCertificate(
+            input=J, output=out, trace=prefix + tuple(steps), terminal_reason=reason,
             iteration_bound=bound,
-            verified_depth=None if cloud is None else cloud.depth,
         )
-        if cloud is not None:
-            bad = _orbit_points_inside(cloud, cert.output, TOL.eps_geom)
-            if bad:
-                raise CertificateError(
-                    f"{bad} orbit points inside certified output {cert.output}")
-        return cert
 
     def shrink_to(piece: Interval, tag: CaseTag) -> None:
         nonlocal cur
@@ -357,39 +362,32 @@ def find_gap_core(
     for _ in range(bound):
         if cur.length < 3.0 * TOL.eps_newton:
             raise ClassificationError(f"interval collapsed to {cur} during walk")
-        hits = [pt for pt in b.points if cur.lo + TOL.eps_geom < pt < cur.hi - TOL.eps_geom]
-        if hits:
+        tag = classify(cur, p, h, r, b)
+        if tag is CaseTag.BOUNDARY_HIT:
             got = _boundary_lemma(p, h, r, cur, floor=TOL.eps_newton)
             if got is not None:
                 extra, u, reason = got
-                n_before = len(steps)
                 steps.extend(extra)
-                return finish(u, reason, base_steps=n_before)
+                return finish(u, reason)
             # No usable open piece: split at the hits, walk on with the
             # largest clean side.
-            pieces = _split_at(cur, hits)
-            shrink_to(pieces, CaseTag.BOUNDARY_HIT)
+            hits = [pt for pt in b.points if cur.lo + TOL.eps_geom < pt < cur.hi - TOL.eps_geom]
+            shrink_to(_split_at(cur, hits), tag)
             continue
-
-        tag = classify(cur, p, h, r, b)
-        if tag is CaseTag.IN_HF:
-            img = _apply_induced(p, "F", 0, cur)
-            steps.append(TraceStep(tag, "F", 0, img))
-            return finish(img, TerminalReason.HOLE)
-        if tag is CaseTag.IN_HG:
-            img = _apply_induced(p, "G", 0, cur)
-            steps.append(TraceStep(tag, "G", 0, img))
-            return finish(img, TerminalReason.HOLE)
         if tag is CaseTag.IN_W_OVERLAP:
             steps.append(TraceStep(tag, "shrink", 0, cur))
             return finish(cur, TerminalReason.RUINATION_OVERLAP)
         if tag is CaseTag.PULLBACK_FN:
             raise ClassificationError(f"{cur} left F1 ∪ G1 mid-walk")
 
-        which: Literal["F", "G"] = "G" if tag in (CaseTag.IN_W_RF, CaseTag.IN_G1_FREE) else "F"
-        dom = p.f1 if which == "F" else p.g1
-        sites = [s for s in induced_discontinuities(p, which, dom)
-                 if cur.lo + TOL.eps_newton < s < cur.hi - TOL.eps_newton]
+        which: Literal["F", "G"] = (
+            "G" if tag in (CaseTag.IN_HG, CaseTag.IN_W_RF, CaseTag.IN_G1_FREE) else "F")
+        if tag in (CaseTag.IN_HF, CaseTag.IN_HG):
+            img = _apply_induced(p, which, 0, cur)
+            steps.append(TraceStep(tag, which, 0, img))
+            return finish(img, TerminalReason.HOLE)
+        window = Interval(cur.lo + TOL.eps_newton, cur.hi - TOL.eps_newton)
+        sites = induced_discontinuities(p, which, window)
         if sites:
             shrink_to(_split_at(cur, sites), tag)
         n = induced_n(p, cur.mid, which)
@@ -406,6 +404,12 @@ def _split_at(cur: Interval, pts: Sequence[float]) -> Interval:
     cuts = sorted([cur.lo] + [float(x) for x in pts] + [cur.hi])
     pieces = [Interval(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
     return max(pieces, key=lambda iv: iv.length)
+
+
+def _reject_orbit_points(cloud: OrbitCloud | None, iv: Interval, where: str) -> None:
+    bad = 0 if cloud is None else _orbit_points_inside(cloud, iv, TOL.eps_geom)
+    if bad:
+        raise CertificateError(f"{bad} orbit points inside {where}")
 
 
 def _orbit_points_inside(cloud: OrbitCloud, iv: Interval, margin: float) -> int:
@@ -425,7 +429,7 @@ def find_gap(
     h: HolePair,
     r: RuinationRegions,
     b: BoundarySets,
-    mu: float = 1.2,
+    mu: float,
     cloud: OrbitCloud | None = None,
 ) -> GapCertificate:
     """find_gap_core, preceded when necessary by the fundamental-domain
@@ -434,23 +438,18 @@ def find_gap(
     if J.hi > p.f1.lo and J.lo < p.g1.hi:
         return find_gap_core(J, p, h, r, b, mu=mu, cloud=cloud)
 
+    # The side fixes the map, its fixed point, and the half kept when the
+    # input touches that fixed point.
     if J.hi <= p.f1.lo:  # left side: inside some F_N, N >= 2
-        m, fixed, op = p.f, 0.0, "invpow_f"
+        which, op, fixed, away = "f", "invpow_f", 0.0, Interval(J.mid, J.hi)
     else:                   # right side: inside some G_N
-        m, fixed, op = p.g, 1.0, "invpow_g"
-
-    work = J
-    if abs(work.lo - fixed) < TOL.eps_geom or abs(work.hi - fixed) < TOL.eps_geom:
-        # shrink away from the fixed point, keeping half the interval
-        if fixed == 0.0:
-            work = Interval(work.mid, work.hi)
-        else:
-            work = Interval(work.lo, work.mid)
+        which, op, fixed, away = "g", "invpow_g", 1.0, Interval(J.lo, J.mid)
+    near_fixed = abs(J.lo - fixed) < TOL.eps_geom or abs(J.hi - fixed) < TOL.eps_geom
+    work = away if near_fixed else J
 
     # Shrink (largest piece each time) until work sits inside a single F_N /
     # G_N; domains shrink geometrically toward the fixed point, so this
     # terminates quickly.
-    which: Literal["f", "g"] = "f" if fixed == 0.0 else "g"
     n, domain = _locate_power_domain(p, work, which)
     for _ in range(200):
         cuts = [c for c in (domain.lo, domain.hi) if work.lo < c < work.hi]
@@ -461,31 +460,9 @@ def find_gap(
     else:
         raise ClassificationError(f"could not fit {J} inside one fundamental domain")
 
-    steps = [TraceStep(CaseTag.PULLBACK_FN, op, n - 1, work)]
-    pulled = work
-    for _ in range(n - 1):
-        pulled = m.preimage_of(pulled)
-
-    inner = find_gap_core(pulled, p, h, r, b, mu=mu, cloud=cloud)
-    out = iterate_interval(m, n - 1, inner.output)
-    out_clip = out.intersection(J)
-    if out_clip is None or out_clip.length <= 0:
-        raise CertificateError("pullback output escaped the original interval")
-    shrunk = iterate_interval(m, n - 1, inner.shrunk_input)
-    cert = GapCertificate(
-        input=J,
-        output=out_clip,
-        trace=tuple(steps) + inner.trace,
-        terminal_reason=inner.terminal_reason,
-        shrunk_input=shrunk.intersection(J) or J,
-        iteration_bound=inner.iteration_bound,
-        verified_depth=inner.verified_depth,
-    )
-    if cloud is not None:
-        bad = _orbit_points_inside(cloud, cert.output, TOL.eps_geom)
-        if bad:
-            raise CertificateError(f"{bad} orbit points inside pulled-back output")
-    return cert
+    pullback = TraceStep(CaseTag.PULLBACK_FN, op, n - 1, work)
+    start = _apply_step_forward(p, pullback, work)
+    return _walk(J, (pullback,), start, p, h, r, b, mu, cloud)
 
 
 def _locate_power_domain(p: IFSPair, j: Interval, which: Literal["f", "g"]) -> tuple[int, Interval]:
@@ -582,7 +559,7 @@ def certify_cantor(
     b: BoundarySets,
     resolution: float,
     depth: int,
-    mu: float = 1.2,
+    mu: float,
     verification_depth: int = 18,
 ) -> CertifyReport:
     """Sweep a resolution grid over [0, 1]; for every grid interval meeting

@@ -1,10 +1,16 @@
 """The public API takes no tolerance arguments: the library reads its one
-fixed `intervals.TOL`."""
+fixed `intervals.TOL`.  No function takes a parameter it never reads, and
+the gap walk has no fallback expansion factor."""
 
+import ast
 import dataclasses
+import importlib
 import inspect
+import pkgutil
+import textwrap
 
 import cantorifs
+from cantorifs.gapfinder import certify_cantor, find_gap, find_gap_core
 from cantorifs.ifs import IFSPair
 
 
@@ -22,6 +28,40 @@ def _public_callables():
                     yield f"{name}.{attr}", member
 
 
+def _package_functions():
+    """Every function and method written in a cantorifs module (generated
+    dataclass methods have no source and are left out)."""
+    seen = {}
+    for info in pkgutil.iter_modules(cantorifs.__path__):
+        module = importlib.import_module(f"cantorifs.{info.name}")
+        for obj in vars(module).values():
+            members = [obj]
+            if inspect.isclass(obj):
+                members = list(vars(obj).values())
+            for member in members:
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                member = getattr(member, "func", member)  # cached_property
+                if (inspect.isfunction(member)
+                        and member.__module__.startswith("cantorifs.")
+                        and member.__code__.co_filename == inspect.getfile(
+                            importlib.import_module(member.__module__))):
+                    seen[f"{member.__module__}.{member.__qualname__}"] = member
+    return seen
+
+
+def _unread_parameters(fn) -> list[str]:
+    node = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+    args = node.args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    read = {n.id for stmt in node.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [a for a in names if a not in ("self", "cls") and a not in read]
+
+
 def test_no_tol_parameters():
     checked = dict(_public_callables())
     assert {"validate_class_a", "IFSPair.of", "MapSpec.inverse_eval"} <= checked.keys()
@@ -32,3 +72,19 @@ def test_no_tol_parameters():
 
 def test_tol_is_not_a_pair_field():
     assert "tol" not in {f.name for f in dataclasses.fields(IFSPair)}
+
+
+def test_no_unread_parameters():
+    functions = _package_functions()
+    assert {"cantorifs.axioms.check_ca", "cantorifs.construct.castrate",
+            "cantorifs.maps.MapSpec.inverse_eval"} <= functions.keys()
+    offenders = {name: unread for name, fn in functions.items()
+                 if (unread := _unread_parameters(fn))}
+    assert offenders == {}
+
+
+def test_gap_walk_has_no_default_mu():
+    for fn in (find_gap_core, find_gap, certify_cantor):
+        mu = inspect.signature(fn).parameters["mu"]
+        assert mu.default is inspect.Parameter.empty, fn.__name__
+        assert mu.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, fn.__name__

@@ -31,8 +31,8 @@ RNG = np.random.default_rng(4321)
 @pytest.fixture(scope="module")
 def eps_pair():
     params = ConstructionParams()
-    f0, g0, _, _ = bump_modify(params)
-    return epsilon_family(f0, g0, k=0.005, eps=0.01)
+    f0, _, _, _ = bump_modify(params)
+    return epsilon_family(f0, k=0.005, eps=0.01)
 
 
 # -- single overlapping ----------------------------------------------------------
@@ -317,6 +317,17 @@ def test_ee_fail_reports_min_site(built_ctx):
             or hole.h_g.contains(rep.min_site, 1e-9))
 
 
+def test_ee_sample_fault_propagates(built_ctx, monkeypatch):
+    # a sample that faults is not skipped: with every sample faulting the
+    # report would otherwise read ok with mu = inf over zero samples
+    def broken(p, which, x):
+        raise IterationCapError("inverse orbit did not land")
+
+    monkeypatch.setattr(axioms, "induced_deriv", broken)
+    with pytest.raises(IterationCapError):
+        check_ee(built_ctx["pair"], built_ctx["hole"], mu_target=1.01, grid_n=50)
+
+
 def test_ee_refinement_consistency(built_ctx):
     rep = check_ee(built_ctx["pair"], built_ctx["hole"], mu_target=1.01, grid_n=600)
     # the coarse minimum never exceeds the fine minimum by more than the slack
@@ -368,7 +379,7 @@ def test_ruination_index_bookkeeping(built_ctx):
 
 
 def test_ca_passes_on_castrated(built_ctx):
-    rep = check_ca(built_ctx["pair"], built_ctx["hole"], built_ctx["ruin"])
+    rep = check_ca(built_ctx["pair"], built_ctx["ruin"])
     assert rep.ok and rep.g0_in_rf and rep.f1_in_rg
     assert rep.min_margin >= 1e-9
 
@@ -378,7 +389,7 @@ def test_ca_fails_before_castration(builder, built_report):
     pair0 = builder.pair_at(alpha, validate=True)
     hole0 = find_hole(pair0, builder.params.j_p)
     ruin0 = ruination_regions(pair0, hole0)
-    rep = check_ca(pair0, hole0, ruin0)
+    rep = check_ca(pair0, ruin0)
     assert not rep.ok
     assert rep.witness is not None
     w = pair0.overlap
@@ -392,9 +403,8 @@ def test_ca_endpoint_membership_necessary(built_ctx):
     kept = IntervalSet([p for p in ruin.r_f.parts if not p.contains(w.lo)])
     from cantorifs.axioms import RuinationRegions
 
-    broken = RuinationRegions(kept, ruin.r_g, ruin.parts_f, ruin.parts_g,
-                              ruin.n_max, ruin.dropped_f, ruin.dropped_g)
-    rep = check_ca(pair, hole, broken)
+    broken = RuinationRegions(kept, ruin.r_g, ruin.parts_f, ruin.parts_g)
+    rep = check_ca(pair, broken)
     assert not rep.ok and not rep.g0_in_rf
 
 

@@ -91,8 +91,8 @@ def test_bump_symmetry():
 
 def test_epsilon_family_exact_overlap():
     params = ConstructionParams()
-    f0, g0, _, _ = bump_modify(params)
-    pair = epsilon_family(f0, g0, k=0.005, eps=0.01)
+    f0, _, _, _ = bump_modify(params)
+    pair = epsilon_family(f0, k=0.005, eps=0.01)
     assert pair.f.eval(1.0) == pytest.approx(0.50005, abs=1e-15)
     assert pair.g.eval(0.0) == pytest.approx(0.49995, abs=1e-15)
     assert check_so(pair).ok
@@ -109,9 +109,9 @@ def test_reachable_corner_monotone_to_one():
 
 def test_epsilon_rejects_window_escape():
     params = ConstructionParams()
-    f0, g0, _, _ = bump_modify(params)
+    f0, _, _, _ = bump_modify(params)
     with pytest.raises(ConstructionError):
-        epsilon_family(f0, g0, k=0.005, eps=0.49)
+        epsilon_family(f0, k=0.005, eps=0.49)
 
 
 # -- H'_p --------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_identity_gamma_fails_covering(builder, built_report):
     pair_n = builder.pair_at(alpha, validate=True)
     hole = find_hole(pair_n, builder.params.j_p)
     ruin = ruination_regions(pair_n, hole)
-    assert not check_ca(pair_n, hole, ruin).ok
+    assert not check_ca(pair_n, ruin).ok
 
 
 def test_castrate_inverse_formula_roundtrip(built_pair):
@@ -273,7 +273,7 @@ def test_castrate_intact_outside_window(builder, built_report, built_pair):
 
 
 def test_castrated_pair_passes_ca(built_ctx):
-    rep = check_ca(built_ctx["pair"], built_ctx["hole"], built_ctx["ruin"])
+    rep = check_ca(built_ctx["pair"], built_ctx["ruin"])
     assert rep.ok
 
 
@@ -298,7 +298,7 @@ def test_pipeline_serialization_roundtrip(built_pair, built_report):
     hole2 = find_hole(pair2, ConstructionParams().j_p)
     assert hole2.h_f.lo == pytest.approx(built_report.hole.h_f.lo, abs=1e-12)
     ruin2 = ruination_regions(pair2, hole2)
-    assert check_ca(pair2, hole2, ruin2).ok
+    assert check_ca(pair2, ruin2).ok
 
 
 def test_pipeline_symmetry_of_precastration_stages(built_report, builder):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cantorifs.errors import DomainError
-from cantorifs.intervals import Interval, IntervalSet
-from cantorifs.ifs import fundamental_domain
+from cantorifs.errors import CertificateError, DomainError
+from cantorifs.intervals import TOL, Interval, IntervalSet
+from cantorifs.ifs import OrbitCloud, fundamental_domain
 from cantorifs.gapfinder import (
     CaseTag,
     TerminalReason,
@@ -225,6 +225,27 @@ def test_pullback_right_side_g_domains(built_ctx):
     cert = find_gap(J, pair, hole, ruin, bsets, mu=mu)
     assert cert.trace[0].op == "invpow_g"
     assert J.contains_interval(cert.output)
+
+
+def test_pullback_checks_cloud_in_walk_space(built_ctx):
+    # A point just inside the walk-space output of an F_3 input maps under
+    # f^2 to within eps_geom of the final output's edge: only the check in
+    # walk space sees it, and it must still reject the certificate.
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    f3 = fundamental_domain(pair, "f", 3)
+    J = Interval(f3.mid - 1e-5, f3.mid + 1e-5)
+    cert = find_gap(J, pair, hole, ruin, bsets, mu=mu)
+    pullback = cert.trace[0]
+    start = pair.f.preimage_of(pair.f.preimage_of(pullback.interval))
+    walk_out = find_gap_core(start, pair, hole, ruin, bsets, mu=mu).output
+    eps = TOL.eps_geom
+    x = walk_out.lo + 1.5 * eps
+    y = pair.f.eval(pair.f.eval(x))
+    assert walk_out.lo + eps < x < walk_out.hi - eps
+    assert not cert.output.lo + eps < y < cert.output.hi - eps
+    cloud = OrbitCloud(np.array([x]), depth=0, seed=x, dedup_eps=0.0)
+    with pytest.raises(CertificateError, match="certified output"):
+        find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=cloud)
 
 
 def test_gap_near_fixed_point_zero(built_ctx, cloud18):

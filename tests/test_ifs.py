@@ -28,8 +28,8 @@ def test_base_pair_degenerate_overlap_rejected():
 
 def test_epsilon_family_is_valid():
     params = ConstructionParams()
-    f0, g0, _, _ = bump_modify(params)
-    pair = epsilon_family(f0, g0, k=0.005, eps=0.01)
+    f0, _, _, _ = bump_modify(params)
+    pair = epsilon_family(f0, k=0.005, eps=0.01)
     assert pair.overlap.lo == pytest.approx(0.49995, abs=1e-12)
     assert pair.overlap.hi == pytest.approx(0.50005, abs=1e-12)
 
@@ -63,8 +63,8 @@ def test_f0_is_right_edge(valid_affine):
 
 def test_f1_right_endpoint_for_epsilon_family():
     params = ConstructionParams()
-    f0, g0, _, _ = bump_modify(params)
-    pair = epsilon_family(f0, g0, k=0.005, eps=0.01)
+    f0, _, _, _ = bump_modify(params)
+    pair = epsilon_family(f0, k=0.005, eps=0.01)
     f1 = fundamental_domain(pair, "f", 1)
     assert f1.hi == pytest.approx(0.50005, abs=1e-12)
     assert f1.lo == pytest.approx(pair.f.eval(0.50005), abs=1e-12)
