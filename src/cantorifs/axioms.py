@@ -82,7 +82,6 @@ def check_so_containment_form(p: IFSPair) -> bool:
 class HolePair:
     h_f: Interval
     h_g: Interval
-    iterations: int
     swap_residual: float  # max endpoint mismatch of g(h_f) vs h_g, f(h_g) vs h_f
 
 
@@ -95,14 +94,14 @@ def find_hole(p: IFSPair, seed: Interval) -> HolePair:
     why the construction needs the expanding inner bump).  Validates the
     hole-pair containments before returning.
     """
-    t_of = lambda iv: Interval(p.f.eval(p.g.eval(iv.lo)), p.f.eval(p.g.eval(iv.hi)))
+    t_of = lambda iv: p.f.image_of(p.g.image_of(iv))
     first = t_of(seed)
     if not seed.contains_interval(first, margin=TOL.eps_geom):
         raise NoContractionError(
             f"f(g(seed)) = {first} is not inside int({seed})")
 
     cur = seed
-    for its in range(1, 201):
+    for _ in range(200):
         nxt = t_of(cur)
         if abs(nxt.lo - cur.lo) < TOL.eps_newton and abs(nxt.hi - cur.hi) < TOL.eps_newton:
             cur = nxt
@@ -128,7 +127,7 @@ def find_hole(p: IFSPair, seed: Interval) -> HolePair:
         if not region.contains_interval(h, margin=TOL.eps_geom):
             raise DegenerateHoleError(
                 f"{name} = {h} not inside int({region}) with margin {TOL.eps_geom:.1g}")
-    return HolePair(h_f, h_g, its, residual)
+    return HolePair(h_f, h_g, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +201,7 @@ def induced_discontinuities(p: IFSPair, which: Literal["F", "G"], region: Interv
 @dataclass(frozen=True)
 class ExpansionReport:
     ok: bool
-    mu: float          # certified lower bound: min sampled induced derivative
+    mu: float          # smallest sampled induced derivative, not a proven bound
     mu_target: float
     samples: int
     min_site: float
@@ -313,32 +312,26 @@ def ruination_family(p: IFSPair, h: HolePair, which: Literal["f", "g"]) -> Itera
 
 
 def ruination_parts(
-    p: IFSPair,
-    h: HolePair,
-    which: Literal["f", "g"],
-    min_len: float | None = None,
+    p: IFSPair, h: HolePair, which: Literal["f", "g"]
 ) -> list[tuple[int, Interval]]:
-    """Closed-form push-forward parts of one ruination family.
+    """The parts (n, part) of one ruination family, in order of n.
 
     Monotone maps send intervals to intervals, so each part is exact up to
-    evaluation rounding.  Truncates at the first part below min_len (default
-    eps_geom), or after n = 10,000; castration only ever needs finitely many
-    parts.
+    evaluation rounding.  Keeps parts n = 0..10,000 and stops before the
+    first one shorter than eps_geom; castration only ever needs finitely
+    many parts.
     """
-    floor = TOL.eps_geom if min_len is None else min_len
     parts: list[tuple[int, Interval]] = []
     for n, part in zip(range(10_001), ruination_family(p, h, which)):
-        if part.length < floor:
+        if part.length < TOL.eps_geom:
             break
         parts.append((n, part))
     return parts
 
 
-def ruination_regions(
-    p: IFSPair, h: HolePair, min_len: float | None = None
-) -> RuinationRegions:
-    pf = ruination_parts(p, h, "f", min_len)
-    pg = ruination_parts(p, h, "g", min_len)
+def ruination_regions(p: IFSPair, h: HolePair) -> RuinationRegions:
+    pf = ruination_parts(p, h, "f")
+    pg = ruination_parts(p, h, "g")
     return RuinationRegions(
         r_f=IntervalSet([iv for _, iv in pf]),
         r_g=IntervalSet([iv for _, iv in pg]),
@@ -415,8 +408,8 @@ def check_ca(p: IFSPair, r: RuinationRegions) -> CaReport:
     """
     eps = TOL.eps_geom
     w = p.overlap
-    g0_in = _strictly_inside(r.r_f, w.lo, eps)
-    f1_in = _strictly_inside(r.r_g, w.hi, eps)
+    g0_in = _strictly_inside(r.r_f, w.lo)
+    f1_in = _strictly_inside(r.r_g, w.hi)
     core = r.r_f.contract(eps).union(r.r_g.contract(eps))
     uncovered = IntervalSet([w]).difference(core)
     ok = g0_in and f1_in and uncovered.is_empty()
@@ -451,9 +444,10 @@ def check_ca(p: IFSPair, r: RuinationRegions) -> CaReport:
     return CaReport(bool(ok), bool(g0_in), bool(f1_in), witness, float(min_margin))
 
 
-def _strictly_inside(s: IntervalSet, x: float, eps: float) -> bool:
+def _strictly_inside(s: IntervalSet, x: float) -> bool:
+    """x lies in one part of s, at least eps_geom from both its ends."""
     part = s.part_containing(x)
-    return part is not None and part.lo + eps <= x <= part.hi - eps
+    return part is not None and part.contains(x, -TOL.eps_geom)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +488,6 @@ def boundary_sets(p: IFSPair, h: HolePair, r: RuinationRegions) -> BoundarySets:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    class_a_ok: bool
     so: SoReport | None
     hole: HolePair | None
     hole_error: str | None
@@ -505,8 +498,7 @@ class AxiomReport:
     @property
     def ok(self) -> bool:
         return bool(
-            self.class_a_ok
-            and self.so is not None and self.so.ok
+            self.so is not None and self.so.ok
             and self.hole is not None
             and self.ee is not None and self.ee.ok
             and self.ca is not None and self.ca.ok
@@ -522,13 +514,13 @@ def run_axiom_checks(
     order, short-circuiting on failure."""
     so = check_so(p)
     if not so.ok:
-        return AxiomReport(True, so, None, None, None, None, None)
+        return AxiomReport(so, None, None, None, None, None)
     try:
         hole = find_hole(p, hole_seed)
     except (NoContractionError, DegenerateHoleError, IterationCapError) as e:
-        return AxiomReport(True, so, None, str(e), None, None, None)
+        return AxiomReport(so, None, str(e), None, None, None)
     ee = check_ee(p, hole, mu_target)
     ruin = ruination_regions(p, hole)
     ca = check_ca(p, ruin)
     advisory = p.f.deriv(0.0) < 1.0 and p.g.deriv(1.0) < 1.0
-    return AxiomReport(True, so, hole, None, ee, ca, advisory)
+    return AxiomReport(so, hole, None, ee, ca, advisory)

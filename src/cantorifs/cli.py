@@ -163,8 +163,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
     try:
         hole = find_hole(pair, Interval(args.seed_lo, args.seed_hi))
         ruin = ruination_regions(pair, hole)
-    except CantorIFSError:
-        pass
+    except CantorIFSError as e:  # the figure is still drawn, without those layers
+        print(f"plot: no hole/ruination layers: {type(e).__name__}: {e}", file=sys.stderr)
     cover = None
     if args.cover_depth > 0:
         cover = minimal_set_cover(pair, args.cover_depth, args.resolution)

@@ -51,11 +51,10 @@ from .axioms import (
     AxiomReport,
     HolePair,
     RuinationRegions,
-    check_ca,
-    check_ee,
     check_so,
     find_hole,
     ruination_regions,
+    run_axiom_checks,
 )
 
 
@@ -236,23 +235,17 @@ def epsilon_family(f0: MapSpec, k: float, eps: float) -> IFSPair:
 # ---------------------------------------------------------------------------
 
 
-def h_prime(p: IFSPair, h_p: Interval, n_max: int | None = None) -> IntervalSet:
-    """Union of forward g-images of H_p: disjoint parts marching to 1.
+def h_prime(g: MapSpec, h_p: Interval) -> IntervalSet:
+    """H'_p, the union of the forward images g^n(H_p): disjoint parts
+    marching to 1, part 0 being H_p itself.
 
-    Truncated at n_max or at part length < eps_geom; part 0 is H_p itself.
+    Ends with the first part shorter than eps_geom (kept), or at n = 10,000.
     """
-    parts: list[Interval] = []
-    cur = h_p
-    n = 0
-    cap = 10_000 if n_max is None else n_max
-    while n <= cap:
-        parts.append(cur)
-        nxt = p.g.image_of(cur)
-        if n_max is None and nxt.length < TOL.eps_geom:
-            parts.append(nxt)
+    parts = [h_p]
+    for _ in range(10_000):
+        parts.append(g.image_of(parts[-1]))
+        if parts[-1].length < TOL.eps_geom:
             break
-        cur = nxt
-        n += 1
     return IntervalSet(parts)
 
 
@@ -304,19 +297,15 @@ class ClassCBuilder:
 
     def __init__(self, params: ConstructionParams | None = None):
         self.params = params or ConstructionParams()
-        self.f_star, self.g_star = base_pair()
-        self.f0, self.g0, self.jp_inner, self.jq_inner = bump_modify(self.params)
+        self.f0, self.g0, _, _ = bump_modify(self.params)
         self.delta = self._admissible_delta()
         ref = self.pair_at(self.delta / 2.0)
         self.hole_ref = find_hole(ref, self.params.j_p)
 
     # -- primitives --------------------------------------------------------
 
-    def pair_specs_at(self, eps: float) -> tuple[MapSpec, MapSpec]:
-        return epsilon_family_specs(self.f0, self.params.k, eps)
-
     def pair_at(self, eps: float, validate: bool = False) -> IFSPair:
-        f_eps, g_eps = self.pair_specs_at(eps)
+        f_eps, g_eps = epsilon_family_specs(self.f0, self.params.k, eps)
         if validate:
             return validate_class_a(f_eps, g_eps).as_pair()
         return IFSPair.of(f_eps, g_eps)
@@ -375,17 +364,9 @@ class ClassCBuilder:
         return eps
 
     def in_h_prime(self, eps: float) -> bool:
-        """Membership of x(eps) in the union of the first 200 forward
-        g-images of H_p."""
-        x = self.x_of(eps)
-        cur = self.hole_ref.h_f
-        for _ in range(200):
-            if cur.contains(x):
-                return True
-            if cur.lo > x:
-                return False
-            cur = self.g0.image_of(cur)
-        return False
+        """Membership of x(eps) in H'_p (see `h_prime`), the defining
+        condition of the parameter set C."""
+        return h_prime(self.g0, self.hole_ref.h_f).part_containing(self.x_of(eps)) is not None
 
     def alpha_sequence(self, alpha0: float, count: int) -> list[float]:
         """alpha_n solving x(alpha_n) = g^n_{alpha_0}(x(alpha_0)); strictly
@@ -582,25 +563,18 @@ def build_class_c_example(
         pair_n = builder.pair_at(alpha_n, validate=True)
         g_dot = castrate(pair_n.g, gamma, pair_n.overlap)
         cand = validate_class_a(pair_n.f, g_dot)
-        if not cand.ok:
+        pair = cand.as_pair() if cand.ok else None
+        ax = None if pair is None else run_axiom_checks(pair, pr.j_p, mu_target)
+        if ax is None or ax.ee is None:  # class A, So or the hole search failed
             attempts.append((n, alpha_n, math.nan, False, False))
             continue
-        pair = cand.as_pair()
-        so = check_so(pair)
-        hole = find_hole(pair, pr.j_p)
-        ee = check_ee(pair, hole, mu_target)
-        ruin = ruination_regions(pair, hole)
-        ca = check_ca(pair, ruin)
-        margins_ok = ca.ok and ca.min_margin >= TOL.eps_geom
-        attempts.append((n, alpha_n, ee.mu, ee.ok, margins_ok))
-        if so.ok and ee.ok and margins_ok:
-            sym = symmetry_residual(pair_n.f, pair_n.g)
-            advisory = pair.f.deriv(0.0) < 1.0 and pair.g.deriv(1.0) < 1.0
+        margins_ok = ax.ca.ok and ax.ca.min_margin >= TOL.eps_geom
+        attempts.append((n, alpha_n, ax.ee.mu, ax.ee.ok, margins_ok))
+        if ax.ok and margins_ok:
             report = PipelineReport(
                 params=pr, delta=builder.delta, alpha0=alpha0, alphas=tuple(alphas),
-                n_final=n, hole=hole,
-                axioms=AxiomReport(True, so, hole, None, ee, ca, advisory),
-                symmetry_residual_precastration=sym,
+                n_final=n, hole=ax.hole, axioms=ax,
+                symmetry_residual_precastration=symmetry_residual(pair_n.f, pair_n.g),
                 attempts=tuple(attempts),
             )
             return pair, report, builder
@@ -740,12 +714,9 @@ class MeasureBoundReport:
     ratio_ok: bool
 
     def to_text(self) -> str:
-        lines = [f"measure_bound_lambda: {self.lam:.17g}",
-                 f"measure_bound_ok: {self.ok}",
-                 f"measure_ratio_ok: {self.ratio_ok}",
-                 "n,measure,bound"]
-        lines += [f"{n},{m:.17g},{b:.17g}" for n, m, b in self.rows]
-        return "\n".join(lines) + "\n"
+        return (f"measure_bound_lambda: {self.lam:.17g}\n"
+                f"measure_bound_ok: {self.ok}\n"
+                f"measure_ratio_ok: {self.ratio_ok}\n" + self.to_csv())
 
     def to_csv(self) -> str:
         out = "n,measure,bound\n"

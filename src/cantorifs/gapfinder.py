@@ -102,13 +102,10 @@ class GapCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _inside(j: Interval, region: Interval, slack: float) -> bool:
-    return region.lo - slack <= j.lo and j.hi <= region.hi + slack
-
-
-def _strict_inside_set(j: Interval, s: IntervalSet, slack: float) -> bool:
+def _in_part(j: Interval, s: IntervalSet) -> bool:
+    """j lies in the part of s containing its midpoint, widened by eps_geom."""
     part = s.part_containing(j.mid)
-    return part is not None and part.lo - slack <= j.lo and j.hi <= part.hi + slack
+    return part is not None and part.contains_interval(j, -TOL.eps_geom)
 
 
 def classify(
@@ -128,22 +125,22 @@ def classify(
         return CaseTag.BOUNDARY_HIT
     if J.hi <= p.f1.lo + eps or J.lo >= p.g1.hi - eps:
         return CaseTag.PULLBACK_FN
-    if _inside(J, h.h_f, eps):
+    if h.h_f.contains_interval(J, -eps):
         return CaseTag.IN_HF
-    if _inside(J, h.h_g, eps):
+    if h.h_g.contains_interval(J, -eps):
         return CaseTag.IN_HG
-    if _inside(J, w, eps):
-        if _strict_inside_set(J, r.rfrg, eps):
+    if w.contains_interval(J, -eps):
+        if _in_part(J, r.rfrg):
             return CaseTag.IN_W_OVERLAP
-        if _strict_inside_set(J, r.r_f, eps):
+        if _in_part(J, r.r_f):
             return CaseTag.IN_W_RF
-        if _strict_inside_set(J, r.r_g, eps):
+        if _in_part(J, r.r_g):
             return CaseTag.IN_W_RG
         raise ClassificationError(
             f"{J} in W fits no ruination case (truncation too shallow?)")
-    if _inside(J, Interval(p.f1.lo, w.lo), eps):
+    if Interval(p.f1.lo, w.lo).contains_interval(J, -eps):
         return CaseTag.IN_F1_FREE
-    if _inside(J, Interval(w.hi, p.g1.hi), eps):
+    if Interval(w.hi, p.g1.hi).contains_interval(J, -eps):
         return CaseTag.IN_G1_FREE
     raise ClassificationError(f"{J} fits no case region")
 

@@ -180,7 +180,6 @@ class OrbitCloud:
     points: np.ndarray
     depth: int
     seed: float
-    dedup_eps: float
 
     def __post_init__(self) -> None:
         self.points.setflags(write=False)
@@ -239,7 +238,7 @@ def orbit(
         level = _dedup_sorted(np.sort(level), eps)
         if all_pts.size > cap:
             raise ResourceCapError(f"orbit exceeds cap of {cap} points")
-    return OrbitCloud(all_pts, depth, seed, eps)
+    return OrbitCloud(all_pts, depth, seed)
 
 
 def orbit_bruteforce(p: IFSPair, seed: float, depth: int) -> np.ndarray:

@@ -75,12 +75,6 @@ class Interval:
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
         return Interval(lo, hi) if lo <= hi else None
 
-    def shrink(self, margin: float) -> "Interval":
-        """The interval with `margin` trimmed off both ends."""
-        if 2.0 * margin > self.length:
-            raise SpecError(f"cannot shrink {self} by {margin}")
-        return Interval(self.lo + margin, self.hi - margin)
-
     def middle_third(self) -> "Interval":
         third = self.length / 3.0
         return Interval(self.lo + third, self.hi - third)

@@ -2,6 +2,7 @@
 with the measured quantities once its assertions hold."""
 
 import time
+from itertools import islice, takewhile
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ def test_acceptance_3_hole_invariance_and_avoidance(built_ctx, cloud18):
 
     shifted = HolePair(
         Interval(hole.h_f.lo + 0.01, hole.h_f.hi + 0.01),
-        Interval(hole.h_g.lo + 0.01, hole.h_g.hi + 0.01), 0, 0.0)
+        Interval(hole.h_g.lo + 0.01, hole.h_g.hi + 0.01), 0.0)
     bad = verify_hole_disjoint(pair, shifted, depth=18)
     assert bad.violations > 0
     _report("3 hole invariance and avoidance",
@@ -204,15 +205,17 @@ def test_acceptance_6_numerical_consistency(built, built_report):
 
 
 def test_acceptance_7_phi_equivariance(builder, built_report):
-    from cantorifs.axioms import find_hole, ruination_regions
+    from cantorifs.axioms import find_hole, ruination_family
 
     alphas = built_report.alphas
 
     def in_w_parts(alpha, fam):
         p = builder.pair_at(alpha, validate=True)
         h = find_hole(p, builder.params.j_p)
-        r = ruination_regions(p, h, min_len=1e-13)
-        s = (r.r_f if fam == "f" else r.r_g).intersect(IntervalSet([p.overlap]))
+        # the family's parts down to a 1e-13 floor, finer than eps_geom
+        kept = takewhile(lambda iv: iv.length >= 1e-13,
+                         islice(ruination_family(p, h, fam), 10_001))
+        s = IntervalSet(list(kept)).intersect(IntervalSet([p.overlap]))
         parts = s.parts
         return p.overlap, (parts[:5] if fam == "f" else parts[::-1][:5])
 

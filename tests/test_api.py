@@ -1,6 +1,7 @@
 """The public API takes no tolerance arguments: the library reads its one
-fixed `intervals.TOL`.  No function takes a parameter it never reads, and
-the gap walk has no fallback expansion factor."""
+fixed `intervals.TOL`.  No function takes a parameter it never reads, no
+object keeps a field nothing reads, and the gap walk has no fallback
+expansion factor."""
 
 import ast
 import dataclasses
@@ -8,10 +9,13 @@ import importlib
 import inspect
 import pkgutil
 import textwrap
+from pathlib import Path
 
 import cantorifs
 from cantorifs.gapfinder import certify_cantor, find_gap, find_gap_core
 from cantorifs.ifs import IFSPair
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _public_callables():
@@ -62,6 +66,39 @@ def _unread_parameters(fn) -> list[str]:
     return [a for a in names if a not in ("self", "cls") and a not in read]
 
 
+def _declared_fields() -> set[str]:
+    """`Class.name` for every dataclass field and every `self.name` that
+    `__init__` assigns, over the classes written in a cantorifs module."""
+    out = set()
+    for info in pkgutil.iter_modules(cantorifs.__path__):
+        module = importlib.import_module(f"cantorifs.{info.name}")
+        for cls in vars(module).values():
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__:
+                continue
+            names = ({f.name for f in dataclasses.fields(cls)}
+                     if dataclasses.is_dataclass(cls) else set())
+            init = vars(cls).get("__init__")  # dataclass-made ones have no source
+            if (inspect.isfunction(init)
+                    and init.__code__.co_filename == inspect.getfile(module)):
+                tree = ast.parse(textwrap.dedent(inspect.getsource(init)))
+                names |= {n.attr for n in ast.walk(tree)
+                          if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                          and isinstance(n.value, ast.Name) and n.value.id == "self"}
+            out |= {f"{cls.__name__}.{name}" for name in names}
+    return out
+
+
+def _attributes_read() -> set[str]:
+    """Every attribute name loaded anywhere in src/, tests/ or perfbench/."""
+    read = set()
+    for root in ("src", "tests", "perfbench"):
+        for path in (REPO / root).rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read |= {n.attr for n in ast.walk(tree)
+                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return read
+
+
 def test_no_tol_parameters():
     checked = dict(_public_callables())
     assert {"validate_class_a", "IFSPair.of", "MapSpec.inverse_eval"} <= checked.keys()
@@ -81,6 +118,14 @@ def test_no_unread_parameters():
     offenders = {name: unread for name, fn in functions.items()
                  if (unread := _unread_parameters(fn))}
     assert offenders == {}
+
+
+def test_no_unread_fields():
+    fields = _declared_fields()
+    assert {"HolePair.h_f", "OrbitCloud.points", "ClassCBuilder.hole_ref",
+            "IntervalSet.los"} <= fields
+    read = _attributes_read()
+    assert sorted(f for f in fields if f.rpartition(".")[2] not in read) == []
 
 
 def test_gap_walk_has_no_default_mu():

@@ -308,7 +308,7 @@ def test_ee_fail_reports_min_site(built_ctx):
     # shrink the hole: the exposed bump region has contracting derivative
     pair, hole = built_ctx["pair"], built_ctx["hole"]
     small = HolePair(hole.h_f.middle_third().middle_third(),
-                     hole.h_g.middle_third().middle_third(), 0, 0.0)
+                     hole.h_g.middle_third().middle_third(), 0.0)
     rep = check_ee(pair, small, mu_target=1.0, grid_n=400)
     assert not rep.ok
     assert rep.mu < 1.0

@@ -1,17 +1,21 @@
+from itertools import islice, takewhile
+
 import numpy as np
 import pytest
 
-from cantorifs.errors import BracketError, ConstructionError, DomainError, SpecError
+from cantorifs.errors import (
+    BracketError, ConstructionError, DegenerateHoleError, DomainError, SpecError)
 from cantorifs.intervals import Interval, IntervalSet
 from cantorifs.maps import pair_from_json, pair_to_json, symmetry_residual
 from cantorifs.ifs import validate_class_a
-from cantorifs.axioms import check_ca, check_so, find_hole, ruination_regions
+from cantorifs.axioms import check_ca, check_so, find_hole, ruination_family, ruination_regions
 from cantorifs.construct import (
     AppendixParams,
     ClassCBuilder,
     ConstructionParams,
     appendix_pair,
     base_pair,
+    build_class_c_example,
     build_gamma,
     bump_modify,
     castrate,
@@ -120,14 +124,14 @@ def test_epsilon_rejects_window_escape():
 def test_h_prime_part_zero_is_the_hole(builder):
     pair = builder.pair_at(0.01, validate=True)
     hp = builder.hole_ref.h_f
-    parts = h_prime(pair, hp).parts
+    parts = h_prime(pair.g, hp).parts
     assert parts[0].lo == pytest.approx(hp.lo, abs=1e-12)
     assert parts[0].hi == pytest.approx(hp.hi, abs=1e-12)
 
 
 def test_h_prime_accumulates_to_one(builder):
     pair = builder.pair_at(0.01, validate=True)
-    parts = h_prime(pair, builder.hole_ref.h_f).parts
+    parts = h_prime(pair.g, builder.hole_ref.h_f).parts
     mids = [p.mid for p in parts]
     assert all(a < b for a, b in zip(mids, mids[1:]))
     assert mids[-1] > 0.999
@@ -136,16 +140,16 @@ def test_h_prime_accumulates_to_one(builder):
 def test_h_prime_eps_independent(builder):
     p1 = builder.pair_at(0.01, validate=True)
     p2 = builder.pair_at(0.02, validate=True)
-    s1 = h_prime(p1, builder.hole_ref.h_f, n_max=12)
-    s2 = h_prime(p2, builder.hole_ref.h_f, n_max=12)
-    for a, b in zip(s1.parts, s2.parts):
+    s1 = h_prime(p1.g, builder.hole_ref.h_f).parts[:13]
+    s2 = h_prime(p2.g, builder.hole_ref.h_f).parts[:13]
+    for a, b in zip(s1, s2):
         assert abs(a.lo - b.lo) <= 1e-9 and abs(a.hi - b.hi) <= 1e-9
 
 
 def test_h_prime_self_similarity(builder):
     # g(H'_p) = H'_p ∩ g(I): forward image of part j is part j+1
     pair = builder.pair_at(0.01, validate=True)
-    parts = h_prime(pair, builder.hole_ref.h_f, n_max=10).parts
+    parts = h_prime(pair.g, builder.hole_ref.h_f).parts[:11]
     for a, b in zip(parts, parts[1:]):
         img = pair.g.image_of(a)
         assert img.lo == pytest.approx(b.lo, abs=1e-12)
@@ -215,8 +219,10 @@ def test_phi_equivariance_of_ruination_regions(builder, built_report):
     def in_w_parts(alpha, fam):
         p = builder.pair_at(alpha, validate=True)
         h = find_hole(p, builder.params.j_p)
-        r = ruination_regions(p, h, min_len=1e-13)
-        s = (r.r_f if fam == "f" else r.r_g).intersect(IntervalSet([p.overlap]))
+        # the family's parts down to a 1e-13 floor, finer than eps_geom
+        kept = takewhile(lambda iv: iv.length >= 1e-13,
+                         islice(ruination_family(p, h, fam), 10_001))
+        s = IntervalSet(list(kept)).intersect(IntervalSet([p.overlap]))
         parts = s.parts
         # enumerate from each family's accumulation start: r_f parts from
         # g(0) upward, r_g parts from f(1) downward
@@ -287,6 +293,32 @@ def test_pipeline_all_axioms(built_report):
     assert ax.ee.mu > 1.0
     assert ax.ca.min_margin >= 1e-9
     assert ax.corner_derivs_below_one
+
+
+def test_castration_hole_fault_is_a_failed_attempt(built_report, monkeypatch):
+    """A castrated candidate whose hole search faults is recorded as a failed
+    attempt, and the loop goes on to the next index."""
+    import cantorifs.axioms as axioms
+    import cantorifs.construct as construct
+
+    real = axioms.find_hole
+    faulted = []
+
+    def find_hole_faulting_once(p, seed):
+        if p.g.label.endswith(".castrated") and not faulted:
+            faulted.append(p.g.label)
+            raise DegenerateHoleError("injected hole fault")
+        return real(p, seed)
+
+    # both binding sites, so the fault is hit whichever one the loop calls
+    monkeypatch.setattr(axioms, "find_hole", find_hole_faulting_once)
+    monkeypatch.setattr(construct, "find_hole", find_hole_faulting_once)
+    _, report, _ = build_class_c_example()
+    assert len(faulted) == 1
+    n, alpha, mu, ee_ok, ca_ok = report.attempts[0]
+    assert (n, alpha) == (0, built_report.alphas[0])
+    assert np.isnan(mu) and not ee_ok and not ca_ok
+    assert report.n_final >= 1 and report.axioms.ok
 
 
 def test_pipeline_serialization_roundtrip(built_pair, built_report):

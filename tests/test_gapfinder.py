@@ -243,7 +243,7 @@ def test_pullback_checks_cloud_in_walk_space(built_ctx):
     y = pair.f.eval(pair.f.eval(x))
     assert walk_out.lo + eps < x < walk_out.hi - eps
     assert not cert.output.lo + eps < y < cert.output.hi - eps
-    cloud = OrbitCloud(np.array([x]), depth=0, seed=x, dedup_eps=0.0)
+    cloud = OrbitCloud(np.array([x]), depth=0, seed=x)
     with pytest.raises(CertificateError, match="certified output"):
         find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=cloud)
 
@@ -292,7 +292,7 @@ def test_shifted_hole_negative_control(built_ctx):
     fake = HolePair(
         Interval(hole.h_f.lo + shift, hole.h_f.hi + shift),
         Interval(hole.h_g.lo + shift, hole.h_g.hi + shift),
-        0, 0.0)
+        0.0)
     rep = verify_hole_disjoint(pair, fake, depth=14)
     assert rep.violations > 0
 

@@ -165,6 +165,20 @@ def test_cli_plot(pair_file, tmp_path):
     assert svg.startswith("<svg")
 
 
+def test_cli_plot_reports_missing_layers(pair_file, appendix, tmp_path, capsys):
+    """A pair without a hole at the seed still gets its figure; the reason
+    the hole and ruination layers are missing goes to stderr."""
+    pair, _ = appendix
+    app_file = tmp_path / "appendix_pair.json"
+    app_file.write_text(pair_to_json(pair.f, pair.g))
+    assert main(["plot", str(app_file), "--output-dir", str(tmp_path / "app")]) == 0
+    assert (tmp_path / "app" / "pair.svg").read_text().startswith("<svg")
+    err = capsys.readouterr().err
+    assert err.startswith("plot: no hole/ruination layers: NoContractionError: ")
+    assert main(["plot", pair_file, "--output-dir", str(tmp_path / "built")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_strip(tmp_path, appendix):
     pair, params = appendix
     csv_path = tmp_path / "lam.csv"
