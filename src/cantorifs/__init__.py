@@ -10,9 +10,6 @@ from .intervals import (
     Tolerance,
     contained_in_interior,
     hausdorff_distance,
-    intersect,
-    measure,
-    union,
 )
 from .maps import (
     Affine,

@@ -492,6 +492,7 @@ class AxiomReport:
     hole: HolePair | None
     hole_error: str | None
     ee: ExpansionReport | None
+    ruin: RuinationRegions | None
     ca: CaReport | None
     corner_derivs_below_one: bool | None  # advisory: f'(0) < 1 and g'(1) < 1
 
@@ -514,13 +515,13 @@ def run_axiom_checks(
     order, short-circuiting on failure."""
     so = check_so(p)
     if not so.ok:
-        return AxiomReport(so, None, None, None, None, None)
+        return AxiomReport(so, None, None, None, None, None, None)
     try:
         hole = find_hole(p, hole_seed)
     except (NoContractionError, DegenerateHoleError, IterationCapError) as e:
-        return AxiomReport(so, None, str(e), None, None, None)
+        return AxiomReport(so, None, str(e), None, None, None, None)
     ee = check_ee(p, hole, mu_target)
     ruin = ruination_regions(p, hole)
     ca = check_ca(p, ruin)
     advisory = p.f.deriv(0.0) < 1.0 and p.g.deriv(1.0) < 1.0
-    return AxiomReport(so, hole, None, ee, ca, advisory)
+    return AxiomReport(so, hole, None, ee, ruin, ca, advisory)

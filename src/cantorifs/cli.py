@@ -16,7 +16,7 @@ from .errors import CantorIFSError
 from .intervals import Interval, from_csv, to_csv
 from .maps import pair_from_json, pair_to_json
 from .ifs import IFSPair, minimal_set_cover, orbit, validate_class_a
-from .axioms import boundary_sets, check_ee, find_hole, ruination_regions, run_axiom_checks
+from .axioms import AxiomReport, boundary_sets, find_hole, ruination_regions, run_axiom_checks
 from .gapfinder import certify_cantor, find_gap
 from .construct import (
     AppendixParams,
@@ -48,14 +48,15 @@ def _config_echo(args: argparse.Namespace) -> str:
     return "".join(f"config_{k}: {getattr(args, k)}\n" for k in keys)
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def _validate(args: argparse.Namespace) -> tuple[str, IFSPair | None, AxiomReport | None]:
+    """Class membership, then So/Ho/Ee/Ca: the `validate_report.txt` text,
+    the pair, and the axiom report (both None when class A fails)."""
     text = Path(args.pair_file).read_text(encoding="utf-8")
     f, g = pair_from_json(text)
     result = validate_class_a(f, g)
     out = _config_echo(args) + result.to_text()
     if not result.ok:
-        _emit(args, "validate_report.txt", out)
-        return 1
+        return out, None, None
     pair = result.as_pair()
     seed = Interval(args.seed_lo, args.seed_hi)
     report = run_axiom_checks(pair, seed, mu_target=args.mu_target)
@@ -72,8 +73,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
         out += report.ca.to_text()
     out += f"corner_derivs_below_one: {report.corner_derivs_below_one}\n"
     out += f"all_axioms: {'ok' if report.ok else 'FAILED'}\n"
+    return out, pair, report
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    out, _, report = _validate(args)
     _emit(args, "validate_report.txt", out)
-    return 0 if report.ok else 1
+    return 0 if report is not None and report.ok else 1
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -108,6 +114,11 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
 
 
 def cmd_gaps(args: argparse.Namespace) -> int:
+    if args.certify and not (args.resolution > 0 and args.depth >= 1
+                             and args.verification_depth >= 0):
+        print("gaps: need --resolution > 0, --depth >= 1 and --verification-depth >= 0",
+              file=sys.stderr)
+        return 2
     if not args.certify:
         if args.lo is None or args.hi is None:
             print("gaps: need --lo and --hi (or --certify)", file=sys.stderr)
@@ -115,23 +126,20 @@ def cmd_gaps(args: argparse.Namespace) -> int:
         if not args.lo < args.hi:
             print(f"gaps: need --lo < --hi, got {args.lo} >= {args.hi}", file=sys.stderr)
             return 2
-    pair = _load_pair(args.pair_file)
-    seed = Interval(args.seed_lo, args.seed_hi)
-    hole = find_hole(pair, seed)
-    ruin = ruination_regions(pair, hole)
-    ee = check_ee(pair, hole, args.mu_target)
-    if ee.mu <= 1.0:
-        # The gap walk needs mu > 1: a pair without expansion is a verdict.
-        _emit(args, "ee_report.txt", _config_echo(args) + ee.to_text())
+    # Certificates hold only for pairs with all four properties.
+    out, pair, ax = _validate(args)
+    if ax is None or not ax.ok:
+        _emit(args, "validate_report.txt", out)
         return 1
+    hole, ruin, mu = ax.hole, ax.ruin, ax.ee.mu
     bsets = boundary_sets(pair, hole, ruin)
     if args.certify:
         report = certify_cantor(pair, hole, ruin, bsets, args.resolution, args.depth,
-                                mu=ee.mu, verification_depth=args.verification_depth)
+                                mu=mu, verification_depth=args.verification_depth)
         _emit(args, "certify_report.txt", _config_echo(args) + report.to_text())
         _emit(args, "certify_report.csv", report.to_csv())
         return 0 if report.all_certified else 1
-    cert = find_gap(Interval(args.lo, args.hi), pair, hole, ruin, bsets, mu=ee.mu)
+    cert = find_gap(Interval(args.lo, args.hi), pair, hole, ruin, bsets, mu=mu)
     lines = [_config_echo(args),
              f"input: [{cert.input.lo:.17g}, {cert.input.hi:.17g}]",
              f"output: [{cert.output.lo:.17g}, {cert.output.hi:.17g}]",

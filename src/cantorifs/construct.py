@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BracketError, ConstructionError, DomainError, SpecError
-from .intervals import TOL, Interval, IntervalSet
+from .intervals import TOL, Interval, IntervalSet, grid_cells_meeting
 from .maps import (
     Affine,
     CubicHermite,
@@ -46,7 +46,7 @@ from .maps import (
     symmetry_conjugate,
     symmetry_residual,
 )
-from .ifs import IFSPair, validate_class_a
+from .ifs import IFSPair, minimal_set_cover, validate_class_a
 from .axioms import (
     AxiomReport,
     HolePair,
@@ -529,9 +529,7 @@ class PipelineReport:
         ]
         for n, alpha, mu, ee_ok, ca_ok in self.attempts:
             lines.append(f"attempt: n={n} alpha={alpha:.12g} mu={mu:.6g} ee={ee_ok} ca={ca_ok}")
-        lines.append(self.axioms.so.to_text().rstrip() if self.axioms.so else "so: skipped")
-        lines.append(self.axioms.ee.to_text().rstrip() if self.axioms.ee else "ee: skipped")
-        lines.append(self.axioms.ca.to_text().rstrip() if self.axioms.ca else "ca: skipped")
+        lines += [r.to_text().rstrip() for r in (self.axioms.so, self.axioms.ee, self.axioms.ca)]
         lines.append(f"corner_derivs_below_one: {self.axioms.corner_derivs_below_one}")
         lines.append(f"all_axioms: {'ok' if self.axioms.ok else 'FAILED'}")
         return "\n".join(lines) + "\n"
@@ -773,22 +771,15 @@ def certify_cantor_by_complement(
     meeting the orbit cover contains a sub-interval in the complement of
     some Lambda_d, d <= depth, which is disjoint from the minimal set
     because K ⊂ Lambda_d for every d."""
-    from .ifs import minimal_set_cover
-
     cover = minimal_set_cover(pair, depth, resolution)
     seq = lambda_sequence(pair, params, depth)
-    n_grid = int(math.ceil(1.0 / resolution))
-    meeting = certified = skipped = 0
-    for i in range(n_grid):
-        J = Interval(i * resolution, min((i + 1) * resolution, 1.0))
-        if not cover.intersect(IntervalSet([J])).measure() > 0:
-            skipped += 1
-            continue
-        meeting += 1
+    n_grid, cells = grid_cells_meeting(cover, resolution)
+    certified = 0
+    for J in cells:
         jset = IntervalSet([J])
         for s in seq:
             gap = jset.difference(s)
             if not gap.is_empty() and float(np.max(gap.his - gap.los)) > 10 * TOL.eps_geom:
                 certified += 1
                 break
-    return ComplementCertifyReport(resolution, depth, meeting, certified, skipped)
+    return ComplementCertifyReport(resolution, depth, len(cells), certified, n_grid - len(cells))

@@ -33,7 +33,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import CantorIFSError, CertificateError, ClassificationError, DomainError, IterationCapError
-from .intervals import TOL, Interval, IntervalSet
+from .intervals import TOL, Interval, IntervalSet, grid_cells_meeting
 from .ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
 from .axioms import (
     BoundarySets,
@@ -569,23 +569,16 @@ def certify_cantor(
     """
     cover = minimal_set_cover(p, depth, resolution)
     cloud = orbit(p, 0.0, verification_depth)
-    n_grid = int(math.ceil(1.0 / resolution))
-    n_meeting = n_cert = n_skip = 0
+    n_grid, cells = grid_cells_meeting(cover, resolution)
     failures: list[tuple[float, float, str]] = []
     min_gap, max_gap, max_steps = math.inf, 0.0, 0
     bound_ok = True
-    for i in range(n_grid):
-        J = Interval(i * resolution, min((i + 1) * resolution, 1.0))
-        if not cover.intersect(IntervalSet([J])).measure() > 0:
-            n_skip += 1
-            continue
-        n_meeting += 1
+    for J in cells:
         try:
             cert = find_gap(J, p, h, r, b, mu=mu, cloud=cloud)
         except CantorIFSError as e:  # aggregate verdicts; faults propagate
             failures.append((J.lo, J.hi, f"{type(e).__name__}: {e}"))
             continue
-        n_cert += 1
         min_gap = min(min_gap, cert.output.length)
         max_gap = max(max_gap, cert.output.length)
         max_steps = max(max_steps, cert.n_steps)
@@ -593,8 +586,8 @@ def certify_cantor(
             bound_ok = False
     return CertifyReport(
         resolution=resolution, depth=depth, verification_depth=verification_depth,
-        n_grid=n_grid, n_meeting=n_meeting, n_certified=n_cert,
-        n_failed=len(failures), n_skipped=n_skip, failures=tuple(failures),
+        n_grid=n_grid, n_meeting=len(cells), n_certified=len(cells) - len(failures),
+        n_failed=len(failures), n_skipped=n_grid - len(cells), failures=tuple(failures),
         min_gap_length=0.0 if math.isinf(min_gap) else min_gap,
         max_gap_length=max_gap, max_trace_steps=max_steps,
         bound_respected=bound_ok,

@@ -1,7 +1,7 @@
 """The public API takes no tolerance arguments: the library reads its one
 fixed `intervals.TOL`.  No function takes a parameter it never reads, no
-object keeps a field nothing reads, and the gap walk has no fallback
-expansion factor."""
+object keeps a field nothing reads, the gap walk has no fallback
+expansion factor, and only the axiom front end runs the expansion check."""
 
 import ast
 import dataclasses
@@ -133,3 +133,16 @@ def test_gap_walk_has_no_default_mu():
         mu = inspect.signature(fn).parameters["mu"]
         assert mu.default is inspect.Parameter.empty, fn.__name__
         assert mu.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, fn.__name__
+
+
+def test_one_expansion_front_end():
+    """Only `run_axiom_checks` calls `check_ee`: every other caller reads
+    the expansion verdict from the axiom report."""
+    def calls_check_ee(fn) -> bool:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        return any(isinstance(n, ast.Call)
+                   and "check_ee" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                   for n in ast.walk(tree))
+
+    callers = sorted(name for name, fn in _package_functions().items() if calls_check_ee(fn))
+    assert callers == ["cantorifs.axioms.run_axiom_checks"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,11 +11,9 @@ from cantorifs.intervals import (
     Tolerance,
     contained_in_interior,
     from_csv,
+    grid_cells_meeting,
     hausdorff_distance,
-    intersect,
-    measure,
     to_csv,
-    union,
 )
 
 GRID = np.linspace(0.0, 1.0, 10_001)
@@ -56,17 +56,17 @@ def test_tolerance_invariant():
 
 
 def test_union_identity_element():
-    assert union(S((0.0, 1.0)), S()) == S((0.0, 1.0))
+    assert S((0.0, 1.0)).union(S()) == S((0.0, 1.0))
 
 
 def test_union_touching_parts_merge():
-    assert union(S((0.0, 0.2)), S((0.2, 0.5))) == S((0.0, 0.5))
+    assert S((0.0, 0.2)).union(S((0.2, 0.5))) == S((0.0, 0.5))
 
 
 def test_union_grid_oracle():
     a = S((0.0, 0.1), (0.3, 0.4))
     b = S((0.05, 0.35))
-    got = union(a, b)
+    got = a.union(b)
     assert got == S((0.0, 0.4))
     np.testing.assert_array_equal(
         grid_membership(got), grid_membership(a) | grid_membership(b))
@@ -76,17 +76,17 @@ def test_union_grid_oracle():
 
 
 def test_intersect_absorbing():
-    assert intersect(S((0.0, 1.0)), S((0.3, 0.4))) == S((0.3, 0.4))
+    assert S((0.0, 1.0)).intersect(S((0.3, 0.4))) == S((0.3, 0.4))
 
 
 def test_intersect_disjoint():
-    assert intersect(S((0.0, 0.2)), S((0.5, 1.0))).is_empty()
+    assert S((0.0, 0.2)).intersect(S((0.5, 1.0))).is_empty()
 
 
 def test_intersect_grid_oracle():
     a = S((0.0, 0.3), (0.6, 1.0))
     b = S((0.2, 0.7))
-    got = intersect(a, b)
+    got = a.intersect(b)
     assert got == S((0.2, 0.3), (0.6, 0.7))
     np.testing.assert_array_equal(
         grid_membership(got), grid_membership(a) & grid_membership(b))
@@ -96,17 +96,17 @@ def test_intersect_grid_oracle():
 
 
 def test_measure_empty():
-    assert measure(S()) == 0.0
+    assert S().measure() == 0.0
 
 
 def test_measure_appendix_partition():
     e = 1.0 / 100.0
     s = S((0.0, 1 / 3 - e), (1 / 3 + e, 2 / 3 - e), (2 / 3 + e, 1.0))
-    assert measure(s) == pytest.approx(0.96, abs=1e-15)
+    assert s.measure() == pytest.approx(0.96, abs=1e-15)
 
 
 def test_measure_two_parts():
-    assert measure(S((0.1, 0.2), (0.4, 0.7))) == pytest.approx(0.4, abs=1e-15)
+    assert S((0.1, 0.2), (0.4, 0.7)).measure() == pytest.approx(0.4, abs=1e-15)
 
 
 # -- interiority -----------------------------------------------------------------
@@ -172,34 +172,34 @@ def interval_sets(draw, max_parts=6):
 @settings(max_examples=60, deadline=None)
 @given(interval_sets(), interval_sets())
 def test_union_intersect_commutative(a, b):
-    np.testing.assert_array_equal(grid_membership(union(a, b)), grid_membership(union(b, a)))
+    np.testing.assert_array_equal(grid_membership(a.union(b)), grid_membership(b.union(a)))
     np.testing.assert_array_equal(
-        grid_membership(intersect(a, b)), grid_membership(intersect(b, a)))
+        grid_membership(a.intersect(b)), grid_membership(b.intersect(a)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(interval_sets(), interval_sets(), interval_sets())
 def test_union_intersect_associative(a, b, c):
     np.testing.assert_array_equal(
-        grid_membership(union(union(a, b), c)), grid_membership(union(a, union(b, c))))
+        grid_membership(a.union(b).union(c)), grid_membership(a.union(b.union(c))))
     np.testing.assert_array_equal(
-        grid_membership(intersect(intersect(a, b), c)),
-        grid_membership(intersect(a, intersect(b, c))))
+        grid_membership(a.intersect(b).intersect(c)),
+        grid_membership(a.intersect(b.intersect(c))))
 
 
 @settings(max_examples=60, deadline=None)
 @given(interval_sets())
 def test_union_intersect_idempotent(a):
-    np.testing.assert_array_equal(grid_membership(union(a, a)), grid_membership(a))
-    np.testing.assert_array_equal(grid_membership(intersect(a, a)), grid_membership(a))
+    np.testing.assert_array_equal(grid_membership(a.union(a)), grid_membership(a))
+    np.testing.assert_array_equal(grid_membership(a.intersect(a)), grid_membership(a))
 
 
 @settings(max_examples=60, deadline=None)
 @given(interval_sets(), interval_sets())
 @example(S((0.0, 6e-293)), S((1e-12, 0.25), (0.328, 0.5)))
 def test_inclusion_exclusion(a, b):
-    lhs = measure(union(a, b)) + measure(intersect(a, b))
-    assert lhs == pytest.approx(measure(a) + measure(b), abs=1e-12)
+    lhs = a.union(b).measure() + a.intersect(b).measure()
+    assert lhs == pytest.approx(a.measure() + b.measure(), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,6 +218,41 @@ def test_hausdorff_symmetry_triangle(a, b, c):
     dab = hausdorff_distance(a, b)
     assert dab == hausdorff_distance(b, a)
     assert dab <= hausdorff_distance(a, c) + hausdorff_distance(c, b) + 1e-12
+
+
+# -- grid sweep -----------------------------------------------------------------
+
+
+def _meeting_oracle(cover, resolution):
+    """The cells whose intersection with `cover` has positive measure."""
+    n_grid = int(math.ceil(1.0 / resolution))
+    cells = [Interval(i * resolution, min((i + 1) * resolution, 1.0)) for i in range(n_grid)]
+    return n_grid, [J for J in cells if cover.intersect(IntervalSet([J])).measure() > 0]
+
+
+@pytest.mark.parametrize("cover, resolution", [
+    (S((0.25, 0.5)), 0.125),                    # touches two cells at their endpoints
+    (S((0.1, 0.2), (0.3, 0.3), (0.655, 0.655)), 0.01),  # degenerate parts on and off an edge
+    (S((0.05, 0.93)), 0.01),                     # spans many cells
+    (S(), 0.01),                                 # empty cover
+    (S((0.0, 0.05), (0.61, 0.62), (0.95, 1.0)), 0.3),  # 0.3 does not divide 1
+    (S((0.0, 0.001), (0.4, 0.400001), (0.999, 1.0)), 1 / 997),
+    (S((0.0, 1.0)), 1 / 1050),
+])
+def test_grid_cells_meeting_matches_oracle(cover, resolution):
+    assert grid_cells_meeting(cover, resolution) == _meeting_oracle(cover, resolution)
+
+
+def test_grid_cells_meeting_skips_touching_cells():
+    n_grid, cells = grid_cells_meeting(S((0.25, 0.5), (0.75, 0.75), (0.8, 0.8)), 0.125)
+    assert n_grid == 8
+    assert cells == [Interval(0.25, 0.375), Interval(0.375, 0.5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_sets(), st.sampled_from([0.3, 0.1, 1 / 7, 0.01, 1 / 997]))
+def test_grid_cells_meeting_random(cover, resolution):
+    assert grid_cells_meeting(cover, resolution) == _meeting_oracle(cover, resolution)
 
 
 # -- CSV --------------------------------------------------------------------------

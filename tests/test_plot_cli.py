@@ -124,29 +124,89 @@ def test_cli_gaps_usage_error(pair_file, tmp_path):
     assert code == 2  # neither --certify nor an explicit interval
 
 
-def test_cli_gaps_rejects_bad_interval_before_work(pair_file, tmp_path, monkeypatch):
+def _no_validation(monkeypatch):
     import cantorifs.cli as cli
 
     def expensive(*args, **kwargs):
-        raise AssertionError("find_hole ran before argument checks")
+        raise AssertionError("the pair was validated before argument checks")
 
-    monkeypatch.setattr(cli, "find_hole", expensive)
+    monkeypatch.setattr(cli, "_validate", expensive)
+
+
+def test_cli_gaps_rejects_bad_interval_before_work(pair_file, tmp_path, monkeypatch):
+    _no_validation(monkeypatch)
     assert main(["gaps", pair_file, "--lo", "0.3", "--output-dir", str(tmp_path)]) == 2
     assert main(["gaps", pair_file, "--lo", "0.31", "--hi", "0.30",
                  "--output-dir", str(tmp_path)]) == 2
 
 
-def test_cli_gaps_without_expansion_is_a_verdict(pair_file, tmp_path, monkeypatch):
-    import cantorifs.cli as cli
-    from cantorifs.axioms import ExpansionReport
+@pytest.mark.parametrize("bad", [["--resolution", "0"], ["--resolution", "-0.01"],
+                                 ["--resolution", "nan"], ["--depth", "0"],
+                                 ["--verification-depth", "-1"]])
+def test_cli_gaps_certify_rejects_bad_arguments_before_work(pair_file, tmp_path, monkeypatch,
+                                                            bad):
+    _no_validation(monkeypatch)
+    assert main(["gaps", pair_file, "--certify", *bad, "--output-dir", str(tmp_path)]) == 2
 
-    monkeypatch.setattr(cli, "check_ee", lambda *a, **k: ExpansionReport(
-        False, 0.9, 1.01, 10, 0.5, "F", 0.0))
-    code = main(["gaps", pair_file, "--lo", "0.30", "--hi", "0.31",
+
+def _gaps_verdict(pair_file, tmp_path, *extra):
+    """Run `gaps` on one interval; it must end in a verdict with the
+    validate report and no certificate."""
+    code = main(["gaps", pair_file, "--lo", "0.30", "--hi", "0.31", *extra,
                  "--output-dir", str(tmp_path)])
     assert code == 1
     assert not (tmp_path / "gap_certificate.txt").exists()
-    assert "ee: violated" in (tmp_path / "ee_report.txt").read_text()
+    text = (tmp_path / "validate_report.txt").read_text()
+    assert "all_axioms: ok" not in text
+    return text
+
+
+def test_cli_gaps_without_expansion_is_a_verdict(pair_file, tmp_path, monkeypatch):
+    import cantorifs.axioms as axioms
+    from cantorifs.axioms import ExpansionReport
+
+    monkeypatch.setattr(axioms, "check_ee", lambda *a, **k: ExpansionReport(
+        False, 0.9, 1.01, 10, 0.5, "F", 0.0))
+    assert "ee: violated" in _gaps_verdict(pair_file, tmp_path)
+
+
+def test_cli_gaps_needs_mu_above_target(pair_file, tmp_path):
+    text = _gaps_verdict(pair_file, tmp_path, "--mu-target", "2.5")
+    assert "ee: violated" in text
+    mu = float(text.split("ee_mu: ", 1)[1].split()[0])
+    assert 1.0 < mu <= 2.5
+
+
+def test_cli_gaps_needs_castration(pair_file, tmp_path, monkeypatch):
+    import cantorifs.axioms as axioms
+    from cantorifs.axioms import CaReport
+
+    monkeypatch.setattr(axioms, "check_ca", lambda *a, **k: CaReport(
+        False, False, True, 0.5, 0.0))
+    assert "ca: violated" in _gaps_verdict(pair_file, tmp_path)
+
+
+def test_cli_gaps_class_a_failure_is_a_verdict(bad_pair_file, tmp_path):
+    text = _gaps_verdict(bad_pair_file, tmp_path)
+    assert "violation: 0 < g(0) < f(1) < 1" in text
+
+
+def test_cli_gaps_without_hole_matches_validate(appendix, tmp_path):
+    """A pair whose hole search fails gets the verdict `validate` gives."""
+    pair, _ = appendix
+    app_file = tmp_path / "appendix_pair.json"
+    app_file.write_text(pair_to_json(pair.f, pair.g))
+    assert main(["validate", str(app_file), "--output-dir", str(tmp_path / "v")]) == 1
+    assert main(["gaps", str(app_file), "--lo", "0.1", "--hi", "0.11",
+                 "--output-dir", str(tmp_path / "g")]) == 1
+    assert not (tmp_path / "g" / "gap_certificate.txt").exists()
+
+    def hole_error(d):
+        lines = (tmp_path / d / "validate_report.txt").read_text().splitlines()
+        return [line for line in lines if line.startswith("hole_error: ")]
+
+    assert len(hole_error("g")) == 1
+    assert hole_error("g") == hole_error("v")
 
 
 def test_cli_appendix(tmp_path):
