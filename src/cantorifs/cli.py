@@ -32,10 +32,15 @@ from .plot import plot_pair, plot_strip
 DEFAULT_SEED = Interval(1.0 / 3.0 - 0.005, 1.0 / 3.0 + 0.005)
 
 
-def _load_pair(path: str) -> IFSPair:
+def _load_pair(path: str) -> IFSPair | None:
+    """The class-A pair in `path`; None, after writing the violations to
+    stderr, when class A fails (a verdict: the command exits 1)."""
     text = Path(path).read_text(encoding="utf-8")
-    f, g = pair_from_json(text)
-    return validate_class_a(f, g).as_pair()
+    result = validate_class_a(*pair_from_json(text))
+    if not result.ok:
+        sys.stderr.write(result.to_text())
+        return None
+    return result.as_pair()
 
 
 def _write(path: Path, text: str) -> None:
@@ -98,6 +103,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_orbit(args: argparse.Namespace) -> int:
     pair = _load_pair(args.pair_file)
+    if pair is None:
+        return 1
     cloud = orbit(pair, args.seed, args.depth)
     csv = "x\n" + "".join(f"{x:.17g}\n" for x in cloud.points)
     _emit(args, "orbit.csv", csv)
@@ -107,6 +114,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 def cmd_minimal_set(args: argparse.Namespace) -> int:
     pair = _load_pair(args.pair_file)
+    if pair is None:
+        return 1
     cover = minimal_set_cover(pair, args.depth, args.resolution, seed=args.seed)
     _emit(args, "minimal_set.csv", to_csv(cover))
     print(f"cover: {cover.n_parts} parts, measure {cover.measure():.6g}")
@@ -167,6 +176,8 @@ def cmd_appendix(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     pair = _load_pair(args.pair_file)
+    if pair is None:
+        return 1
     hole = ruin = None
     try:
         hole = find_hole(pair, Interval(args.seed_lo, args.seed_hi))

@@ -40,10 +40,10 @@ from .maps import (
     CubicHermite,
     MapSpec,
     Segment,
+    _reflected_segments,
     conjugate_segment,
     hermite_linear_deriv,
     iterate_interval,
-    symmetry_conjugate,
     symmetry_residual,
 )
 from .ifs import IFSPair, minimal_set_cover, validate_class_a
@@ -159,8 +159,7 @@ def bump_modify(params: ConstructionParams) -> tuple[MapSpec, MapSpec, Interval,
         Segment(q + w / 2.0, 1.0, Affine(0.5, 0.0))
     ]
     f0 = MapSpec(tuple(segs), label="f0")
-    g0 = symmetry_conjugate(f0)
-    g0 = MapSpec(g0.segments, label="g0")
+    g0 = MapSpec(_reflected_segments(f0), label="g0")
 
     jp_in = Interval(params.p - w / 20.0, params.p + w / 20.0)
     jq_in = Interval(q - w / 20.0, q + w / 20.0)
@@ -216,7 +215,7 @@ def epsilon_family_specs(f0: MapSpec, k: float, eps: float) -> tuple[MapSpec, Ma
                         CubicHermite(y_corner, y_bridge, 0.5, slope)))
     segs.append(Segment(corner + eta, 1.0, Affine(slope, f1 - slope)))
     f_eps = MapSpec(tuple(segs), label=f"f_eps[{eps:.12g}]")
-    g_eps = MapSpec(symmetry_conjugate(f_eps).segments, label=f"g_eps[{eps:.12g}]")
+    g_eps = MapSpec(_reflected_segments(f_eps), label=f"g_eps[{eps:.12g}]")
     return f_eps, g_eps
 
 
@@ -644,7 +643,7 @@ def appendix_pair(params: AppendixParams | None = None) -> IFSPair:
         Segment(i_1.lo, 1.0, Affine(s, c1 - s * i_1.lo)),
     )
     f = MapSpec(segs, label="f_appendix")
-    g = MapSpec(symmetry_conjugate(f).segments, label="g_appendix")
+    g = MapSpec(_reflected_segments(f), label="g_appendix")
     pair = validate_class_a(f, g).as_pair()
 
     for m, name in ((f, "f"), (g, "g")):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,6 +72,7 @@ class Segment:
     def width(self) -> float:
         return self.x_hi - self.x_lo
 
+    @cached_property
     def coeffs(self) -> tuple[float, float, float, float]:
         """Cubic coefficients c0..c3 in t = x - x_lo (affine has c2 = c3 = 0)."""
         k = self.kind
@@ -83,20 +85,54 @@ class Segment:
         return (k.y_lo, k.d_lo, c2, c3)
 
     def value_at(self, x: float) -> float:
-        c0, c1, c2, c3 = self.coeffs()
+        c0, c1, c2, c3 = self.coeffs
         t = x - self.x_lo
         return ((c3 * t + c2) * t + c1) * t + c0
 
     def deriv_at(self, x: float) -> float:
-        c0, c1, c2, c3 = self.coeffs()
+        c0, c1, c2, c3 = self.coeffs
         t = x - self.x_lo
         return (3.0 * c3 * t + 2.0 * c2) * t + c1
 
-    @property
+    def inverse_at(self, y: float) -> float:
+        """The x with value_at(x) = y: exact for an affine piece, Newton with
+        a bisection safeguard for a Hermite one.  Iterates past eps_newton
+        down to machine precision when cheap, so inverse errors do not
+        accumulate along long inverse-word compositions."""
+        k = self.kind
+        if isinstance(k, Affine):
+            return (y - k.intercept) / k.slope
+        a, b = self.x_lo, self.x_hi
+        x = 0.5 * (a + b)
+        for _ in range(TOL.max_iter):
+            fx = self.value_at(x) - y
+            if fx == 0.0:
+                return x
+            if fx > 0:
+                b = x
+            else:
+                a = x
+            dfx = self.deriv_at(x)
+            step = fx / dfx if dfx > 0 else math.inf
+            # converged: residual within target and the Newton correction is
+            # at rounding scale; returning *this* x, never a fallback point
+            if abs(fx) <= TOL.eps_newton and abs(step) <= 4.0 * math.ulp(x):
+                return x
+            x_new = x - step
+            if not (a < x_new < b):
+                x_new = 0.5 * (a + b)
+            if x_new == x:
+                return x
+            x = x_new
+        if abs(self.value_at(x) - y) > TOL.eps_newton:
+            raise IterationCapError(f"inverse_eval stalled at y={y}")
+        return x
+
+    @cached_property
     def y_lo(self) -> float:
         return self.value_at(self.x_lo)
 
-    @property
+    @cached_property
     def y_hi(self) -> float:
         k = self.kind
         return k.y_hi if isinstance(k, CubicHermite) else k.value(self.x_hi)
@@ -104,7 +140,7 @@ class Segment:
 
 def _hermite_min_deriv(seg: Segment) -> float:
     """Minimum of the (quadratic) derivative of a Hermite segment over it."""
-    c0, c1, c2, c3 = seg.coeffs()
+    c0, c1, c2, c3 = seg.coeffs
     h = seg.width
     ends = min(c1, (3.0 * c3 * h + 2.0 * c2) * h + c1)
     if c3 == 0.0:
@@ -149,35 +185,46 @@ class MapSpec:
             if abs(dl - dr) > C1_DERIV_TOL * max(1.0, abs(dl), abs(dr)):
                 raise SpecError(f"derivative jump {dl:.6g} vs {dr:.6g} at x={b.x_lo}")
 
-    # -- cached vectorized form -------------------------------------------
+    # -- cached lookup tables ----------------------------------------------
+    # The scalar path bisects the tuples, the vectorized path searches the
+    # arrays built from them; both hold the same floats.
+
+    @cached_property
+    def _bp_tuple(self) -> tuple[float, ...]:
+        return tuple(s.x_lo for s in self.segments)
+
+    @cached_property
+    def _break_y_tuple(self) -> tuple[float, ...]:
+        return tuple(s.y_lo for s in self.segments) + (self.segments[-1].y_hi,)
 
     @cached_property
     def _bps(self) -> np.ndarray:
-        a = np.array([s.x_lo for s in self.segments])
+        a = np.array(self._bp_tuple)
         a.setflags(write=False)
         return a
 
     @cached_property
     def _coeffs(self) -> np.ndarray:
-        a = np.array([s.coeffs() for s in self.segments])  # (n, 4)
+        a = np.array([s.coeffs for s in self.segments])  # (n, 4)
         a.setflags(write=False)
         return a
 
     @cached_property
     def _break_ys(self) -> np.ndarray:
-        a = np.array([s.y_lo for s in self.segments] + [self.segments[-1].y_hi])
+        a = np.array(self._break_y_tuple)
         a.setflags(write=False)
         return a
 
     def _seg_index(self, x: float) -> int:
-        # side="left" returns the LEFT segment at an internal breakpoint.
-        i = int(np.searchsorted(self._bps, x, side="left")) - 1
-        return min(max(i, 0), len(self.segments) - 1)
+        # bisect_left is searchsorted(side="left"): the LEFT segment at an
+        # internal breakpoint.  It returns at most len(segments), so only the
+        # lower clamp is needed.
+        return max(bisect_left(self._bp_tuple, x) - 1, 0)
 
     # -- scalar evaluation ---------------------------------------------------
 
     def _check_domain(self, x: float) -> float:
-        if x < -TOL.eps_newton or x > 1.0 + TOL.eps_newton:
+        if not (-TOL.eps_newton <= x <= 1.0 + TOL.eps_newton):  # NaN fails too
             raise DomainError(f"x={x} outside [0, 1]")
         return min(max(x, 0.0), 1.0)
 
@@ -194,7 +241,7 @@ class MapSpec:
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if xs.size and (xs.min() < -TOL.eps_newton or xs.max() > 1.0 + TOL.eps_newton):
+        if xs.size and not (-TOL.eps_newton <= xs.min() and xs.max() <= 1.0 + TOL.eps_newton):
             raise DomainError("array evaluation outside [0, 1]")
         xc = np.clip(xs, 0.0, 1.0)
         i = np.clip(np.searchsorted(self._bps, xc, side="left") - 1, 0, len(self.segments) - 1)
@@ -204,57 +251,27 @@ class MapSpec:
 
     # -- inversion -----------------------------------------------------------
 
-    @property
+    @cached_property
     def y0(self) -> float:
         return self.segments[0].y_lo
 
-    @property
+    @cached_property
     def y1(self) -> float:
         return self.segments[-1].y_hi
 
     def inverse_eval(self, y: float) -> float:
-        """The unique x with eval(x) = y, by segment bracketing plus Newton
-        with bisection safeguard.  Iterates past eps_newton down to machine
-        precision when cheap, so inverse errors do not accumulate along long
-        inverse-word compositions."""
-        if y < self.y0 - TOL.eps_newton or y > self.y1 + TOL.eps_newton:
+        """The unique x with eval(x) = y: the segment whose image holds y
+        (the left one at a break value) solves it with `Segment.inverse_at`."""
+        if not (self.y0 - TOL.eps_newton <= y <= self.y1 + TOL.eps_newton):
             raise RangeError(f"y={y} outside image [{self.y0}, {self.y1}]")
         y = min(max(y, self.y0), self.y1)
-        j = int(np.searchsorted(self._break_ys, y, side="left")) - 1
-        j = min(max(j, 0), len(self.segments) - 1)
-        seg = self.segments[j]
-        if isinstance(seg.kind, Affine):
-            return (y - seg.kind.intercept) / seg.kind.slope
-        a, b = seg.x_lo, seg.x_hi
-        x = 0.5 * (a + b)
-        for _ in range(TOL.max_iter):
-            fx = seg.value_at(x) - y
-            if fx == 0.0:
-                return x
-            if fx > 0:
-                b = x
-            else:
-                a = x
-            dfx = seg.deriv_at(x)
-            step = fx / dfx if dfx > 0 else math.inf
-            # converged: residual within target and the Newton correction is
-            # at rounding scale; returning *this* x, never a fallback point
-            if abs(fx) <= TOL.eps_newton and abs(step) <= 4.0 * math.ulp(x):
-                return x
-            x_new = x - step
-            if not (a < x_new < b):
-                x_new = 0.5 * (a + b)
-            if x_new == x:
-                return x
-            x = x_new
-        if abs(seg.value_at(x) - y) > TOL.eps_newton:
-            raise IterationCapError(f"inverse_eval stalled at y={y}")
-        return x
+        j = min(max(bisect_left(self._break_y_tuple, y) - 1, 0), len(self.segments) - 1)
+        return self.segments[j].inverse_at(y)
 
     def inverse_array(self, ys: np.ndarray) -> np.ndarray:
         """Vectorized inversion by 60 bisection steps inside located segments."""
         ys = np.asarray(ys, dtype=float)
-        if ys.size and (ys.min() < self.y0 - TOL.eps_newton or ys.max() > self.y1 + TOL.eps_newton):
+        if ys.size and not (self.y0 - TOL.eps_newton <= ys.min() and ys.max() <= self.y1 + TOL.eps_newton):
             raise RangeError("array inversion outside image")
         yc = np.clip(ys, self.y0, self.y1)
         j = np.clip(np.searchsorted(self._break_ys, yc, side="left") - 1, 0, len(self.segments) - 1)
@@ -337,8 +354,8 @@ def apply_word(f: MapSpec, g: MapSpec, w: Word | str, x: float) -> float:
 # -- diagonal symmetry ---------------------------------------------------------
 
 
-def symmetry_conjugate(m: MapSpec) -> MapSpec:
-    """The map x -> 1 - m(1 - x), segments reflected about the diagonal."""
+def _reflected_segments(m: MapSpec) -> tuple[Segment, ...]:
+    """The segments of x -> 1 - m(1 - x), reflected about the diagonal."""
     out: list[Segment] = []
     for s in reversed(m.segments):
         x_lo, x_hi = 1.0 - s.x_hi, 1.0 - s.x_lo
@@ -347,8 +364,12 @@ def symmetry_conjugate(m: MapSpec) -> MapSpec:
             out.append(Segment(x_lo, x_hi, Affine(k.slope, 1.0 - k.slope - k.intercept)))
         else:
             out.append(Segment(x_lo, x_hi, CubicHermite(1.0 - k.y_hi, 1.0 - k.y_lo, k.d_hi, k.d_lo)))
-    label = m.label and f"conj({m.label})"
-    return MapSpec(tuple(out), label=label)
+    return tuple(out)
+
+
+def symmetry_conjugate(m: MapSpec) -> MapSpec:
+    """The map x -> 1 - m(1 - x), segments reflected about the diagonal."""
+    return MapSpec(_reflected_segments(m), label=m.label and f"conj({m.label})")
 
 
 def symmetry_residual(f: MapSpec, g: MapSpec, n: int = 1001) -> float:

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from cantorifs import maps
 from cantorifs.errors import DomainError, RangeError, SpecError
 from cantorifs.maps import (
     Affine,
@@ -118,6 +120,79 @@ def test_inverse_array_matches_scalar(bumpy):
     xs = bumpy.inverse_array(ys)
     for x, y in zip(xs, ys):
         assert bumpy.eval(float(x)) == pytest.approx(float(y), abs=1e-12)
+
+
+# -- cached lookups ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def real_maps(built_pair, appendix):
+    """f and g of the built pair and of the appendix pair."""
+    app, _ = appendix
+    return [built_pair.f, built_pair.g, app.f, app.g]
+
+
+def _bits(xs) -> list[str]:
+    return [float(x).hex() for x in xs]
+
+
+def _with_neighbours(points) -> list[float]:
+    return sorted({q for p in points for q in (p, math.nextafter(p, -math.inf),
+                                               math.nextafter(p, math.inf))})
+
+
+def test_scalar_eval_deriv_match_array_path_bitwise(real_maps):
+    for m in real_maps:
+        xs = [x for x in _with_neighbours([0.0, 1.0, *m.breakpoints()]) if 0.0 <= x <= 1.0]
+        assert _bits(m.eval(x) for x in xs) == _bits(m.eval_array(np.array(xs)))
+        # deriv has no array form: take the segment the array path picks
+        i = np.clip(np.searchsorted(m._bps, xs, side="left") - 1, 0, len(m.segments) - 1)
+        assert _bits(m.deriv(x) for x in xs) == _bits(
+            m.segments[k].deriv_at(x) for k, x in zip(i, xs))
+
+
+def test_scalar_lookup_takes_left_segment_at_breakpoint(real_maps):
+    for m in real_maps:
+        for k in range(1, len(m.segments)):
+            b = m.segments[k].x_lo
+            assert m._seg_index(b) == k - 1
+            assert m.deriv(b) == m.segments[k - 1].deriv_at(b)
+
+
+def test_inverse_lookup_matches_searchsorted_rule(real_maps):
+    for m in real_maps:
+        ys = [y for y in _with_neighbours(m._break_ys) if m.y0 <= y <= m.y1]
+        # the numpy lookup the scalar path used before `bisect`
+        j = np.clip(np.searchsorted(m._break_ys, ys, side="left") - 1, 0, len(m.segments) - 1)
+        assert _bits(m.inverse_eval(y) for y in ys) == _bits(
+            m.segments[k].inverse_at(y) for k, y in zip(j, ys))
+
+
+def test_segment_constants_are_computed_once(real_maps):
+    for m in real_maps:
+        for s in m.segments:
+            assert s.coeffs is s.coeffs
+            assert s.y_lo is s.y_lo and s.y_hi is s.y_hi
+
+
+def test_scalar_path_makes_no_numpy_call(built_pair, monkeypatch):
+    f = MapSpec(built_pair.f.segments)  # fresh lookup tables
+    monkeypatch.setattr(maps, "np", None)
+    for x in (0.0, 0.3, 1.0, *f.breakpoints()):
+        f.deriv(x)
+        assert f.inverse_eval(f.eval(x)) == pytest.approx(x, abs=1e-9)
+
+
+@pytest.mark.parametrize("method, arg, err", [
+    ("eval", math.nan, DomainError),
+    ("deriv", math.nan, DomainError),
+    ("inverse_eval", math.nan, RangeError),
+    ("eval_array", np.array([0.5, math.nan]), DomainError),
+    ("inverse_array", np.array([0.5, math.nan]), RangeError),
+])
+def test_nan_is_rejected(bumpy, method, arg, err):
+    with pytest.raises(err):
+        getattr(bumpy, method)(arg)
 
 
 # -- words ----------------------------------------------------------------------

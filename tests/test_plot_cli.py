@@ -94,6 +94,16 @@ def test_cli_orbit(pair_file, tmp_path):
     assert len(lines) > 50
 
 
+@pytest.mark.parametrize("command, artifact", [
+    ("orbit", "orbit.csv"), ("minimal-set", "minimal_set.csv"), ("plot", "pair.svg")])
+def test_cli_class_a_failure_is_a_verdict(bad_pair_file, tmp_path, capsys, command, artifact):
+    assert main([command, bad_pair_file, "--output-dir", str(tmp_path)]) == 1
+    assert not (tmp_path / artifact).exists()
+    err = capsys.readouterr().err
+    assert err.startswith("class_a: violated\n")
+    assert "violation: 0 < g(0) < f(1) < 1" in err
+
+
 def test_cli_minimal_set(pair_file, tmp_path):
     code = main(["minimal-set", pair_file, "--depth", "8",
                  "--resolution", "1e-3", "--output-dir", str(tmp_path)])
