@@ -12,7 +12,8 @@ Notation used throughout (all intervals live in [0, 1]):
 * Induced maps: for x in F1, n(x) is the least n >= 0 with
   g^{-n}(f^{-1}(x)) in G1 and F(x) := g^{-n(x)}(f^{-1}(x)); G symmetric.
 * Eventual expansion: the induced maps have derivative > mu > 1 outside the
-  holes.
+  holes.  `check_ee` bounds the derivative from below on cells between
+  consecutive jump sites (`expansion_cells`), not at sample points.
 * Ruination regions: r_f = F^{-1}(h_g) (parts Q_n = f(g^n(h_g)) accumulating
   at f(1)), r_g = G^{-1}(h_f) (parts P_n = g(f^n(h_f)) accumulating at g(0)).
 * Castration: W inside int(r_f) ∪ int(r_g).
@@ -200,80 +201,175 @@ def induced_discontinuities(p: IFSPair, which: Literal["F", "G"], region: Interv
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    ok: bool
-    mu: float          # smallest sampled induced derivative, not a proven bound
+    ok: bool           # mu > mu_target > 1 and both accumulation cells enclosed
+    mu: float          # lower bound of F' and G' over every enclosed cell
     mu_target: float
-    samples: int
-    min_site: float
+    samples: int       # enclosed cells, each bisected sub-cell and tail counted once
+    min_site: float    # midpoint of the cell with the lowest bound
     min_branch: str    # "F" or "G"
-    refine_slack: float  # coarse min minus 2x-finer min (Lipschitz slack)
+    tails_enclosed: bool
 
     def to_text(self) -> str:
         return (f"ee: {'ok' if self.ok else 'violated'}\n"
                 f"ee_mu: {self.mu:.17g}\n"
                 f"ee_mu_target: {self.mu_target:.17g}\n"
-                f"ee_samples: {self.samples}\n"
+                f"ee_cells: {self.samples}\n"
                 f"ee_min_site: {self.min_site:.17g} ({self.min_branch})\n"
-                f"ee_refine_slack: {self.refine_slack:.3g}\n")
+                f"ee_tails_enclosed: {self.tails_enclosed}\n")
 
 
-def _ee_sample_points(
-    p: IFSPair, which: Literal["F", "G"], h: Interval, grid_n: int
-) -> np.ndarray:
-    """Sample points of (domain minus hole), excluding neighborhoods of the
-    induced map's discontinuity sites and of the removed endpoint.
+@dataclass(frozen=True)
+class EeCell:
+    """A closed piece [lo, hi] of an induced map's domain on which n(x) = n,
+    with `bound` <= the induced derivative at every point of it.  `chain`
+    bounds the return-map factors of the derivative from below, so a
+    sub-cell's bound needs only the first map's pulled-back interval."""
 
-    The overlap region gets its own sub-grid: it occupies a vanishing
-    fraction of the domain but is exactly where castration distorts the
-    induced derivative, so a uniform grid alone would certify blind."""
-    _, _, dom, _ = _oriented(p, which)
-    eps = 64.0 * TOL.eps_geom
-    pieces = [Interval(dom.lo, h.lo), Interval(h.hi, dom.hi)]
-    grids = [
-        np.linspace(piece.lo + eps, piece.hi - eps, max(grid_n // 2, 8))
-        for piece in pieces if piece.length > 4 * eps
-    ]
-    w = p.overlap
-    if w.lo >= dom.lo and w.hi <= dom.hi and w.length > 8 * TOL.eps_geom:
-        pad = 2.0 * TOL.eps_geom
-        grids.append(np.linspace(w.lo + pad, w.hi - pad, max(grid_n // 2, 64)))
-    xs = np.unique(np.concatenate(grids))
-    sites = induced_discontinuities(p, which, dom)
-    if sites:
-        d = np.min(np.abs(xs[:, None] - np.asarray(sites)[None, :]), axis=1)
-        guard = max(4.0 * TOL.eps_geom, dom.length * 1e-7)
-        xs = xs[d > guard]
-    bad = dom.hi if which == "F" else dom.lo
-    return xs[np.abs(xs - bad) > eps]
+    lo: float
+    hi: float
+    n: int             # the least n on an accumulation cell
+    chain: float
+    bound: float
+
+    @property
+    def mid(self) -> float:
+        return 0.5 * (self.lo + self.hi)
 
 
-def check_ee(
-    p: IFSPair, h: HolePair, mu_target: float = 1.01, grid_n: int = 2000
-) -> ExpansionReport:
-    """Sample induced derivatives on both branches outside the holes.
+def _down(x: float) -> float:
+    return math.nextafter(x, 0.0)
 
-    Dense sampling plus breakpoint/discontinuity exclusion, not rigorous
-    interval arithmetic; the refinement slack (coarse-grid min vs a 2x finer
-    grid) quantifies how much a dip could have been missed.  A sample that
-    faults raises: a skipped point would leave its dip unchecked.
+
+def _padded(a: float, b: float) -> tuple[float, float]:
+    return min(a, b) - TOL.eps_newton, max(a, b) + TOL.eps_newton
+
+
+def _first_bound(first: MapSpec, chain: float, lo: float, hi: float) -> float:
+    """The bound of a cell [lo, hi] from its first map's pulled-back interval."""
+    ya, yb = first.inverse_eval(lo), first.inverse_eval(hi)
+    return _down(chain / first.max_deriv(*_padded(ya, yb)))
+
+
+def expansion_cells(
+    p: IFSPair, which: Literal["F", "G"], hole: Interval
+) -> tuple[list[EeCell], EeCell | None]:
+    """The cells of one induced map's domain minus the hole's interior, and
+    its accumulation cell (None when that is not enclosed).
+
+    With q_k = ret^k(base) (ret = g, base 0 for F; ret = f, base 1 for G),
+    the site s_j = first(q_j) and the domains D_k = [q_k, q_{k+1}]: the cell
+    between s_j and s_{j+1} pulls back under first^{-1} onto exactly D_j,
+    each ret^{-1} step maps D_k onto D_{k-1}, and n = j - 1 on it.  Its
+    bound is 1/max first'(D_j) times the prefix product of 1/max ret'(D_k)
+    over 1 <= k < j.  The first cell (from the far end of the domain to s_2) and
+    the pieces the hole cuts pull back through `inverse_eval` of their ends.
+    Every interval is padded outward by eps_newton and every quotient is
+    rounded down: float arithmetic, not interval arithmetic.
+
+    The accumulation cell runs from the last site to f(1) (g(0) for G) and
+    holds every cell j >= J.  From k = J on, the first k with max ret' <= 1
+    on [q_k, fixed point] ends it: no later factor can lower the prefix
+    product.  If no such k comes within max_iter steps the cell is not
+    enclosed.
     """
-    def scan(n_pts: int) -> tuple[float, float, str, int]:
-        mn, mn_x, mn_b, cnt = math.inf, math.nan, "F", 0
-        for which, hole in (("F", h.h_f), ("G", h.h_g)):
-            xs = _ee_sample_points(p, which, hole, n_pts)
-            for x in xs:
-                d = induced_deriv(p, which, float(x))
-                cnt += 1
-                if d < mn:
-                    mn, mn_x, mn_b = d, float(x), which
-        return mn, mn_x, mn_b, cnt
+    first, ret, dom, _ = _oriented(p, which)
+    sites = induced_discontinuities(p, which, dom)
+    if which == "F":
+        fixed, acc_end, edges = 1.0, dom.hi, [dom.lo, *sites]
+    else:
+        fixed, acc_end, edges = 0.0, dom.lo, [dom.hi, *sites[::-1]]
+    # edges[0] is the domain's far end and edges[j] = s_{j+1}, so cell j lies
+    # between edges[j-1] and edges[j].  Under So every site is strictly
+    # inside the domain, so none is missing from the front of the list.
+    qs = [1.0 - fixed]
 
-    best, best_x, best_branch, total = scan(grid_n)
-    fine_min, _, _, fine_cnt = scan(2 * grid_n)
-    total += fine_cnt
-    slack = best - fine_min
-    mu = min(best, fine_min)
-    return ExpansionReport(mu > mu_target > 1.0, mu, mu_target, total, best_x, best_branch, slack)
+    def domain(k: int) -> tuple[float, float]:
+        """D_k, padded."""
+        while len(qs) <= k + 1:
+            qs.append(ret.eval(qs[-1]))
+        return _padded(qs[k], qs[k + 1])
+
+    cells: list[EeCell] = []
+    chain = 1.0  # prefix product of 1/max ret'(D_k) over 1 <= k < j
+    for j in range(1, len(edges)):
+        lo, hi = sorted((edges[j - 1], edges[j]))
+        if hi <= hole.lo or lo >= hole.hi:
+            bound = (_first_bound(first, chain, lo, hi) if j == 1
+                     else _down(chain / first.max_deriv(*domain(j))))
+            cells.append(EeCell(lo, hi, j - 1, chain, bound))
+        else:
+            for a, b in ((lo, hole.lo), (hole.hi, hi)):
+                if a < b:
+                    cells.append(EeCell(a, b, j - 1, chain, _first_bound(first, chain, a, b)))
+        chain = _down(chain / ret.max_deriv(*domain(j)))
+
+    big_j = len(edges)
+    lo, hi = sorted((edges[-1], acc_end))
+    bound, low = math.inf, chain
+    for k in range(big_j, big_j + TOL.max_iter):
+        d_k = domain(k)
+        rest = _padded(qs[k], fixed)
+        if ret.max_deriv(*rest) <= 1.0:
+            bound = min(bound, _down(chain / first.max_deriv(*rest)))
+            return cells, EeCell(lo, hi, big_j - 1, low, bound)
+        bound = min(bound, _down(chain / first.max_deriv(*d_k)))
+        chain = _down(chain / ret.max_deriv(*d_k))
+        low = min(low, chain)
+    return cells, None
+
+
+def _bisect(first: MapSpec, cell: EeCell, mu_target: float) -> tuple[list[EeCell], bool]:
+    """Bisect a cell whose bound is <= mu_target, lowest-bound half first,
+    until every piece clears mu_target or one piece of width <= eps_geom
+    does not.  Returns the pieces covering the cell (the ones left unsplit
+    after a failure keep their bounds) and whether such a piece was found."""
+    stack, done = [cell], []
+    while stack:
+        c = stack.pop()
+        if c.bound > mu_target:
+            done.append(c)
+        elif c.hi - c.lo <= TOL.eps_geom:
+            return done + stack + [c], True
+        else:
+            m = c.mid
+            halves = [EeCell(a, b, c.n, c.chain, _first_bound(first, c.chain, a, b))
+                      for a, b in ((c.lo, m), (m, c.hi))]
+            stack.extend(sorted(halves, key=lambda h: h.bound, reverse=True))
+    return done, False
+
+
+def check_ee(p: IFSPair, h: HolePair, mu_target: float = 1.01) -> ExpansionReport:
+    """Enclose the induced derivatives of both branches outside the holes.
+
+    Each branch's domain is cut into the cells of `expansion_cells`; a cell
+    whose bound is <= mu_target is bisected (`_bisect`), lowest bound first
+    across both branches, until one piece fails, which settles the verdict.
+    `mu` is the least bound over the resulting cover, so it is a lower bound
+    of F' and G' at every point outside the holes whenever `tails_enclosed`.
+    A map evaluation that faults raises: a skipped cell would go unchecked.
+    """
+    pieces: list[tuple[EeCell, str]] = []
+    tails: list[tuple[EeCell, str]] = []
+    for which, hole in (("F", h.h_f), ("G", h.h_g)):
+        cells, tail = expansion_cells(p, which, hole)
+        pieces += [(c, which) for c in cells]
+        if tail is not None:
+            tails.append((tail, which))
+
+    cover: list[tuple[EeCell, str]] = []
+    failed = False
+    for cell, which in sorted(pieces, key=lambda cw: cw[0].bound):
+        if failed or cell.bound > mu_target:
+            cover.append((cell, which))
+            continue
+        subs, failed = _bisect(_oriented(p, which)[0], cell, mu_target)
+        cover += [(c, which) for c in subs]
+    cover += tails
+
+    worst, branch = min(cover, key=lambda cw: cw[0].bound)
+    enclosed = len(tails) == 2
+    return ExpansionReport(worst.bound > mu_target > 1.0 and enclosed, worst.bound, mu_target,
+                           len(cover), worst.mid, branch, enclosed)
 
 
 # ---------------------------------------------------------------------------

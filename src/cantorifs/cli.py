@@ -9,6 +9,7 @@ figures are SVG.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -208,6 +209,26 @@ def _emit(args: argparse.Namespace, default_name: str, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: NaN and infinities are usage
+    errors, caught before any work starts."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def _mu_target(text: str) -> float:
+    """argparse type of --mu-target: Ee can never pass at or below 1."""
+    x = _finite_float(text)
+    if not x > 1.0:
+        raise argparse.ArgumentTypeError(f"must be > 1, got {text!r}")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cantorifs",
@@ -221,64 +242,64 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="class membership + the four properties")
     p.add_argument("pair_file")
-    p.add_argument("--seed-lo", type=float, default=DEFAULT_SEED.lo)
-    p.add_argument("--seed-hi", type=float, default=DEFAULT_SEED.hi)
-    p.add_argument("--mu-target", type=float, default=1.01)
+    p.add_argument("--seed-lo", type=_finite_float, default=DEFAULT_SEED.lo)
+    p.add_argument("--seed-hi", type=_finite_float, default=DEFAULT_SEED.hi)
+    p.add_argument("--mu-target", type=_mu_target, default=1.01)
     common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("construct", help="build a certified pair")
-    p.add_argument("--jp-width", type=float, default=0.01)
-    p.add_argument("--bump-strength", type=float, default=4.0)
-    p.add_argument("--k", type=float, default=0.005)
-    p.add_argument("--delta-max", type=float, default=0.125)
+    p.add_argument("--jp-width", type=_finite_float, default=0.01)
+    p.add_argument("--bump-strength", type=_finite_float, default=4.0)
+    p.add_argument("--k", type=_finite_float, default=0.005)
+    p.add_argument("--delta-max", type=_finite_float, default=0.125)
     p.add_argument("--n-target", type=int, default=10)
-    p.add_argument("--mu-target", type=float, default=1.01)
+    p.add_argument("--mu-target", type=_mu_target, default=1.01)
     common(p)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("orbit", help="semigroup orbit export")
     p.add_argument("pair_file")
-    p.add_argument("--seed", type=float, default=0.0, choices=[0.0, 1.0])
+    p.add_argument("--seed", type=_finite_float, default=0.0, choices=[0.0, 1.0])
     p.add_argument("--depth", type=int, default=12)
     common(p)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("minimal-set", help="orbit cover export")
     p.add_argument("pair_file")
-    p.add_argument("--seed", type=float, default=0.0, choices=[0.0, 1.0])
+    p.add_argument("--seed", type=_finite_float, default=0.0, choices=[0.0, 1.0])
     p.add_argument("--depth", type=int, default=14)
-    p.add_argument("--resolution", type=float, default=1e-3)
+    p.add_argument("--resolution", type=_finite_float, default=1e-3)
     common(p)
     p.set_defaults(func=cmd_minimal_set)
 
     p = sub.add_parser("gaps", help="gap certificates")
     p.add_argument("pair_file")
-    p.add_argument("--lo", type=float, default=None)
-    p.add_argument("--hi", type=float, default=None)
+    p.add_argument("--lo", type=_finite_float, default=None)
+    p.add_argument("--hi", type=_finite_float, default=None)
     p.add_argument("--certify", action="store_true")
-    p.add_argument("--resolution", type=float, default=1e-2)
+    p.add_argument("--resolution", type=_finite_float, default=1e-2)
     p.add_argument("--depth", type=int, default=14)
     p.add_argument("--verification-depth", type=int, default=18)
-    p.add_argument("--seed-lo", type=float, default=DEFAULT_SEED.lo)
-    p.add_argument("--seed-hi", type=float, default=DEFAULT_SEED.hi)
-    p.add_argument("--mu-target", type=float, default=1.01)
+    p.add_argument("--seed-lo", type=_finite_float, default=DEFAULT_SEED.lo)
+    p.add_argument("--seed-hi", type=_finite_float, default=DEFAULT_SEED.hi)
+    p.add_argument("--mu-target", type=_mu_target, default=1.01)
     common(p)
     p.set_defaults(func=cmd_gaps)
 
     p = sub.add_parser("appendix", help="the measure-bound example")
-    p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--lam", type=float, default=0.45)
+    p.add_argument("--eps", type=_finite_float, default=0.01)
+    p.add_argument("--lam", type=_finite_float, default=0.45)
     p.add_argument("--n-max", type=int, default=20)
     common(p)
     p.set_defaults(func=cmd_appendix)
 
     p = sub.add_parser("plot", help="SVG figure of a pair")
     p.add_argument("pair_file")
-    p.add_argument("--seed-lo", type=float, default=DEFAULT_SEED.lo)
-    p.add_argument("--seed-hi", type=float, default=DEFAULT_SEED.hi)
+    p.add_argument("--seed-lo", type=_finite_float, default=DEFAULT_SEED.lo)
+    p.add_argument("--seed-hi", type=_finite_float, default=DEFAULT_SEED.hi)
     p.add_argument("--cover-depth", type=int, default=0)
-    p.add_argument("--resolution", type=float, default=1e-3)
+    p.add_argument("--resolution", type=_finite_float, default=1e-3)
     p.add_argument("--blocks", default=None, help="CSV of block intervals to shade")
     common(p)
     p.set_defaults(func=cmd_plot)

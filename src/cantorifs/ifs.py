@@ -264,8 +264,8 @@ def minimal_set_cover(
     of K itself; downstream claims are phrased against the sample."""
     if depth < 1:
         raise DomainError("minimal_set_cover needs depth >= 1")
-    if resolution <= 0:
-        raise DomainError("resolution must be positive")
+    if not (resolution > 0):  # NaN fails too
+        raise DomainError(f"resolution must be positive, got {resolution}")
     cloud = orbit(p, seed, depth)
     return IntervalSet(
         los=np.maximum(cloud.points - resolution, 0.0),

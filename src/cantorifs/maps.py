@@ -59,13 +59,14 @@ class Segment:
         if not (self.x_lo < self.x_hi):
             raise SpecError(f"segment needs x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
         k = self.kind
+        # Written as `not (... > 0)` so that NaN fails too.
         if isinstance(k, Affine):
-            if k.slope <= 0:
+            if not (k.slope > 0):
                 raise SpecError(f"affine segment needs positive slope, got {k.slope}")
         else:
-            if k.d_lo <= 0 or k.d_hi <= 0 or not (k.y_lo < k.y_hi):
+            if not (k.d_lo > 0 and k.d_hi > 0) or not (k.y_lo < k.y_hi):
                 raise SpecError("hermite segment needs d_lo, d_hi > 0 and y_lo < y_hi")
-            if _hermite_min_deriv(self) <= 0:
+            if not (_deriv_extremes(self, 0.0, self.width)[0] > 0):
                 raise SpecError("hermite segment is not strictly increasing")
 
     @property
@@ -138,17 +139,18 @@ class Segment:
         return k.y_hi if isinstance(k, CubicHermite) else k.value(self.x_hi)
 
 
-def _hermite_min_deriv(seg: Segment) -> float:
-    """Minimum of the (quadratic) derivative of a Hermite segment over it."""
-    c0, c1, c2, c3 = seg.coeffs
-    h = seg.width
-    ends = min(c1, (3.0 * c3 * h + 2.0 * c2) * h + c1)
-    if c3 == 0.0:
-        return ends
-    t_star = -c2 / (3.0 * c3)
-    if 0.0 < t_star < h:
-        return min(ends, (3.0 * c3 * t_star + 2.0 * c2) * t_star + c1)
-    return ends
+def _deriv_extremes(seg: Segment, t_a: float, t_b: float) -> tuple[float, float]:
+    """(min, max) of the segment's derivative over t = x - x_lo in [t_a, t_b].
+
+    The derivative is a quadratic in t, so its extremes sit at the two ends
+    or at the critical point -c2/(3 c3) when that falls strictly inside."""
+    _, c1, c2, c3 = seg.coeffs
+    vals = [(3.0 * c3 * t + 2.0 * c2) * t + c1 for t in (t_a, t_b)]
+    if c3 != 0.0:
+        t_star = -c2 / (3.0 * c3)
+        if t_a < t_star < t_b:
+            vals.append((3.0 * c3 * t_star + 2.0 * c2) * t_star + c1)
+    return min(vals), max(vals)
 
 
 def hermite_linear_deriv(x_lo: float, x_hi: float, y_lo: float, d_lo: float, d_hi: float) -> Segment:
@@ -286,6 +288,23 @@ class MapSpec:
             hi = np.where(too_big, mid, hi)
             lo = np.where(too_big, lo, mid)
         return 0.5 * (lo + hi)
+
+    def max_deriv(self, lo: float, hi: float) -> float:
+        """The maximum of m' over [lo, hi], exact up to the rounding of the
+        quadratic's evaluation.  Each point is charged to the segment that
+        `deriv` uses there, (x_lo of its own, x_lo of the next]; the first
+        and last segments' polynomials extend past 0 and 1, so an interval
+        padded outward there is covered rather than clamped."""
+        segs, bps = self.segments, self._bp_tuple
+        j = self._seg_index(lo)
+        a, best = lo, -math.inf
+        while True:
+            s = segs[j]
+            if j == len(segs) - 1 or hi <= bps[j + 1]:
+                return max(best, _deriv_extremes(s, a - s.x_lo, hi - s.x_lo)[1])
+            best = max(best, _deriv_extremes(s, a - s.x_lo, bps[j + 1] - s.x_lo)[1])
+            j += 1
+            a = bps[j]
 
     # -- structure helpers -----------------------------------------------------
 

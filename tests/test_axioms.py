@@ -4,7 +4,16 @@ import pytest
 from cantorifs import axioms
 from cantorifs.errors import DegenerateHoleError, DomainError, IterationCapError, NoContractionError
 from cantorifs.intervals import Interval, IntervalSet
-from cantorifs.maps import MapSpec, Segment, Affine, affine_spec, apply_word, iterate
+from cantorifs.maps import (
+    Affine,
+    CubicHermite,
+    MapSpec,
+    Segment,
+    affine_spec,
+    apply_word,
+    iterate,
+    symmetry_conjugate,
+)
 from cantorifs.ifs import IFSPair, fundamental_domain, validate_class_a
 from cantorifs.axioms import (
     HolePair,
@@ -300,8 +309,8 @@ def test_induced_map_domain_error(built_ctx):
 
 
 def test_ee_passes_on_constructed(built_ctx):
-    rep = check_ee(built_ctx["pair"], built_ctx["hole"], mu_target=1.01, grid_n=800)
-    assert rep.ok and rep.mu > 1.0
+    rep = check_ee(built_ctx["pair"], built_ctx["hole"], mu_target=1.01)
+    assert rep.ok and rep.mu > 1.0 and rep.tails_enclosed
 
 
 def test_ee_fail_reports_min_site(built_ctx):
@@ -309,7 +318,7 @@ def test_ee_fail_reports_min_site(built_ctx):
     pair, hole = built_ctx["pair"], built_ctx["hole"]
     small = HolePair(hole.h_f.middle_third().middle_third(),
                      hole.h_g.middle_third().middle_third(), 0.0)
-    rep = check_ee(pair, small, mu_target=1.0, grid_n=400)
+    rep = check_ee(pair, small, mu_target=1.0)
     assert not rep.ok
     assert rep.mu < 1.0
     # the offending site sits inside the true hole (the excluded-bump zone)
@@ -317,21 +326,59 @@ def test_ee_fail_reports_min_site(built_ctx):
             or hole.h_g.contains(rep.min_site, 1e-9))
 
 
-def test_ee_sample_fault_propagates(built_ctx, monkeypatch):
-    # a sample that faults is not skipped: with every sample faulting the
-    # report would otherwise read ok with mu = inf over zero samples
-    def broken(p, which, x):
-        raise IterationCapError("inverse orbit did not land")
+def test_ee_fault_propagates(built_ctx, monkeypatch):
+    # an evaluation that faults is not skipped: a cell left out would leave
+    # its part of the domain unchecked
+    def broken(self, y):
+        raise IterationCapError("inverse_eval stalled")
 
-    monkeypatch.setattr(axioms, "induced_deriv", broken)
+    monkeypatch.setattr(MapSpec, "inverse_eval", broken)
     with pytest.raises(IterationCapError):
-        check_ee(built_ctx["pair"], built_ctx["hole"], mu_target=1.01, grid_n=50)
+        check_ee(built_ctx["pair"], built_ctx["hole"], mu_target=1.01)
 
 
-def test_ee_refinement_consistency(built_ctx):
-    rep = check_ee(built_ctx["pair"], built_ctx["hole"], mu_target=1.01, grid_n=600)
-    # the coarse minimum never exceeds the fine minimum by more than the slack
-    assert rep.refine_slack <= 0.05 * max(rep.mu, 1.0)
+def _interior_grid(c, n=41):
+    return np.linspace(c.lo, c.hi, n + 2)[1:-1]
+
+
+@pytest.mark.parametrize("which", ["F", "G"])
+def test_ee_cell_bounds_below_induced_deriv(built_ctx, which):
+    # every cell's bound is a lower bound of the induced derivative on it,
+    # n(x) is the cell's n inside it, and the cells with the hole removed
+    # and the accumulation cell cover the whole domain
+    pair, hole = built_ctx["pair"], built_ctx["hole"]
+    h = hole.h_f if which == "F" else hole.h_g
+    dom = pair.f1 if which == "F" else pair.g1
+    cells, tail = axioms.expansion_cells(pair, which, h)
+    assert tail is not None
+    assert sum(c.lo == h.hi or c.hi == h.lo for c in cells) == 2  # next to the hole
+    assert any(pair.overlap.contains_interval(Interval(c.lo, c.hi)) for c in cells)  # in W
+    for c in cells:
+        for x in _interior_grid(c):
+            assert induced_n(pair, float(x), which) == c.n
+            assert c.bound <= induced_deriv(pair, which, float(x))
+    assert tail.hi == dom.hi if which == "F" else tail.lo == dom.lo  # f(1) / g(0)
+    for x in _interior_grid(tail, 9):
+        assert induced_n(pair, float(x), which) >= tail.n
+        assert tail.bound <= induced_deriv(pair, which, float(x))
+    parts = sorted([(c.lo, c.hi) for c in cells] + [(tail.lo, tail.hi), (h.lo, h.hi)])
+    assert parts[0][0] == dom.lo and parts[-1][1] == dom.hi
+    assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+
+
+@pytest.mark.parametrize("d_fixed, enclosed", [(0.9, True), (1.0, False)])
+def test_ee_tail_needs_return_map_below_one(d_fixed, enclosed):
+    # g's last segment ends at its fixed point 1 with derivative d_fixed, and
+    # f is its mirror image: at d_fixed = 1 no k has max g' <= 1 on the
+    # padded [g^k(0), 1], so neither accumulation cell is enclosed
+    g = MapSpec((Segment(0.0, 0.5, Affine(0.5, 0.45)),
+                 Segment(0.5, 1.0, CubicHermite(0.7, 1.0, 0.5, d_fixed))))
+    pair = validate_class_a(symmetry_conjugate(g), g).as_pair()
+    h_f = Interval(0.38, 0.39)
+    rep = check_ee(pair, HolePair(h_f, pair.g.image_of(h_f), 0.0), mu_target=1.01)
+    assert rep.tails_enclosed is enclosed
+    assert rep.ok is enclosed
+    assert rep.mu > 1.01
 
 
 # -- ruination regions ---------------------------------------------------------------

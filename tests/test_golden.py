@@ -1,0 +1,36 @@
+"""Byte-identity of the CLI's deterministic artifacts.
+
+The SHA-256 digests below pin `pair.json` from `construct`, two gap
+certificates and the `gaps --certify` report and CSV on the default pair,
+with the `config_*` echo lines (which hold output paths) left out.  A change
+that moves any of them must update the digest on purpose and say why.
+"""
+
+import hashlib
+
+from cantorifs.cli import main
+
+GOLDEN = {
+    "pair.json": "fb12dd455b8f03c56aeb8e686df44608d7669b0cdc9171e2b27dec35cac1fb2e",
+    "gap_a/gap_certificate.txt": "44986210e1c20d245951f5e37111d9bf04e1efe0e4e5c027c6de031bb90439ab",
+    "gap_b/gap_certificate.txt": "3d480ff68a27a424c9e35413e545afe0315945b71476aa2a2b700d81dd6b1163",
+    "certify/certify_report.txt": "e3f07e69fed7ad5e829e7f5b12fe73f6093699519f9b7521ce5c9e6f69db03ad",
+    "certify/certify_report.csv": "aedac144af3c2db3201558092dbf54fa478f35f225c2caa7b11c09b23393d404",
+}
+
+
+def _digest(path) -> str:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith("config_"))
+    return hashlib.sha256(kept.encode("utf-8")).hexdigest()
+
+
+def test_cli_artifacts_match_golden_digests(tmp_path):
+    assert main(["construct", "--output-dir", str(tmp_path)]) == 0
+    pair = str(tmp_path / "pair.json")
+    for out, lo, hi in (("gap_a", "0.30", "0.31"), ("gap_b", "0.41", "0.4101")):
+        assert main(["gaps", pair, "--lo", lo, "--hi", hi,
+                     "--output-dir", str(tmp_path / out)]) == 0
+    assert main(["gaps", pair, "--certify", "--resolution", "1e-2",
+                 "--output-dir", str(tmp_path / "certify")]) == 0
+    assert {name: _digest(tmp_path / name) for name in GOLDEN} == GOLDEN

@@ -178,3 +178,9 @@ def test_seed_agreement_decreases_with_depth(built_pair):
 def test_cover_requires_positive_depth(valid_affine):
     with pytest.raises(DomainError):
         minimal_set_cover(valid_affine, 0, 1e-3)
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1e-3, float("nan")])
+def test_cover_requires_positive_resolution(valid_affine, resolution):
+    with pytest.raises(DomainError):
+        minimal_set_cover(valid_affine, 3, resolution)

@@ -291,6 +291,35 @@ def test_rejects_nonpositive_slope():
         Segment(0.0, 1.0, Affine(-0.5, 1.0))
 
 
+@pytest.mark.parametrize("kind", [Affine(math.nan, 0.0),
+                                  CubicHermite(0.0, 1.0, math.nan, 1.0),
+                                  CubicHermite(0.0, 1.0, 1.0, math.nan)])
+def test_rejects_nan_segment(kind):
+    with pytest.raises(SpecError):
+        Segment(0.0, 1.0, kind)
+
+
+# -- derivative maxima -----------------------------------------------------------------
+
+
+def test_max_deriv_finds_interior_peak():
+    # m'(x) = -3x^2 + 3x + 0.5: 0.5 at both ends, 1.25 at x = 0.5
+    m = MapSpec((Segment(0.0, 1.0, CubicHermite(0.0, 1.0, 0.5, 0.5)),))
+    assert m.max_deriv(0.0, 1.0) == 1.25
+    assert m.max_deriv(0.0, 0.25) == m.deriv(0.25)
+    assert m.max_deriv(0.75, 1.0) == m.deriv(0.75)
+
+
+def test_max_deriv_bounds_a_dense_grid(real_maps):
+    for m in real_maps:
+        pts = sorted({0.0, 1.0, *m.breakpoints(), *RNG.uniform(0.0, 1.0, 20)})
+        for a, b in zip(pts, pts[1:] + [1.0]):
+            a, b = min(a, b), max(a, b)
+            grid = max(m.deriv(float(x)) for x in np.linspace(a, b, 201))
+            top = m.max_deriv(a, b)
+            assert grid <= top <= grid * (1.0 + 1e-3)
+
+
 # -- affine conjugation ----------------------------------------------------------------
 
 

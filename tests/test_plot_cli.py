@@ -159,6 +159,29 @@ def test_cli_gaps_certify_rejects_bad_arguments_before_work(pair_file, tmp_path,
     assert main(["gaps", pair_file, "--certify", *bad, "--output-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["minimal-set", "PAIR", "--resolution", "nan"],
+    ["plot", "PAIR", "--cover-depth", "3", "--resolution", "nan"],
+    ["validate", "PAIR", "--mu-target", "nan"],
+    ["validate", "PAIR", "--mu-target", "1"],
+    ["gaps", "PAIR", "--lo", "0.3", "--hi", "inf"],
+    ["gaps", "PAIR", "--lo", "0.3", "--hi", "0.31", "--mu-target", "0.5"],
+    ["construct", "--k", "-inf"],
+    ["construct", "--mu-target", "1.0"],
+])
+def test_cli_rejects_bad_floats_at_parse_time(pair_file, tmp_path, monkeypatch, argv):
+    import cantorifs.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("_validate", "_load_pair", "build_class_c_example"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = [pair_file if a == "PAIR" else a for a in argv]
+    assert main([*argv, "--output-dir", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def _gaps_verdict(pair_file, tmp_path, *extra):
     """Run `gaps` on one interval; it must end in a verdict with the
     validate report and no certificate."""
@@ -176,7 +199,8 @@ def test_cli_gaps_without_expansion_is_a_verdict(pair_file, tmp_path, monkeypatc
     from cantorifs.axioms import ExpansionReport
 
     monkeypatch.setattr(axioms, "check_ee", lambda *a, **k: ExpansionReport(
-        False, 0.9, 1.01, 10, 0.5, "F", 0.0))
+        ok=False, mu=0.9, mu_target=1.01, samples=10, min_site=0.5, min_branch="F",
+        tails_enclosed=True))
     assert "ee: violated" in _gaps_verdict(pair_file, tmp_path)
 
 
