@@ -667,10 +667,14 @@ def lambda_sequence(pair: IFSPair, params: AppendixParams, n: int) -> list[Inter
     property failed).  Images of interval unions are exact: monotone maps
     send parts to parts.
     """
+    f, g = pair.f.eval_array, pair.g.eval_array
     seq = [params.block_set]
     for k in range(n):
         cur = seq[-1]
-        nxt = pair.f.image_of_set(cur).union(pair.g.image_of_set(cur))
+        # one normalization of both images: the normalized form of a closed
+        # union is unique, so merging the images first gives the same floats
+        nxt = IntervalSet(los=np.concatenate([f(cur.los), g(cur.los)]),
+                          his=np.concatenate([f(cur.his), g(cur.his)]))
         if not _subset(nxt, cur, TOL.eps_newton):
             raise ConstructionError(f"Lambda_{k+1} not nested in Lambda_{k}")
         seq.append(nxt)
@@ -690,17 +694,6 @@ def lambda_sets(pair: IFSPair, params: AppendixParams, n: int) -> IntervalSet:
     if n < 0:
         raise DomainError("lambda_sets needs n >= 0")
     return lambda_sequence(pair, params, n)[-1]
-
-
-def lambda_raw_images(pair: IFSPair, params: AppendixParams, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays of the 3 * 2^n interval images of the recursion tree,
-    without normalization: the branching structure before any merging."""
-    los = np.array([b.lo for b in params.blocks])
-    his = np.array([b.hi for b in params.blocks])
-    for _ in range(n):
-        los = np.concatenate([pair.f.eval_array(los), pair.g.eval_array(los)])
-        his = np.concatenate([pair.f.eval_array(his), pair.g.eval_array(his)])
-    return los, his
 
 
 @dataclass(frozen=True)

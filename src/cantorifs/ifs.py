@@ -203,11 +203,15 @@ class OrbitCloud:
 def _dedup_sorted(pts: np.ndarray, eps: float) -> np.ndarray:
     """Resolution-eps dedup on a sorted array: bucket by floor(x/eps) and
     keep the first point of each bucket.  Representatives are exact orbit
-    values and every dropped point is within eps of its representative."""
-    if pts.size == 0 or eps <= 0.0:
-        return np.unique(pts)
-    keys = np.floor(pts / eps).astype(np.int64)
-    _, first = np.unique(keys, return_index=True)
+    values and every dropped point is within eps of its representative.
+    The keys of a sorted array are sorted, so a bucket starts wherever the
+    key changes."""
+    if pts.size == 0:
+        return pts
+    keys = np.floor(pts / eps).astype(np.int64) if eps > 0.0 else pts
+    first = np.empty(pts.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return pts[first]
 
 
@@ -228,14 +232,18 @@ def orbit(
     if depth < 0:
         raise DomainError("depth must be >= 0")
     eps = TOL.eps_geom if dedup_eps is None else dedup_eps
+    if not (eps >= 0.0):  # NaN fails too
+        raise DomainError(f"dedup_eps must be >= 0, got {eps}")
 
+    # f and g are increasing, so f(level) and g(level) of a sorted level are
+    # sorted runs, which a stable sort (timsort) merges in linear time.
     level = np.array([seed])
     all_pts = level
     for _ in range(depth):
         level = np.concatenate([p.f.eval_array(level), p.g.eval_array(level)])
-        all_pts = np.sort(np.concatenate([all_pts, level]))
+        all_pts = np.sort(np.concatenate([all_pts, level]), kind="stable")
         all_pts = _dedup_sorted(all_pts, eps)
-        level = _dedup_sorted(np.sort(level), eps)
+        level = _dedup_sorted(np.sort(level, kind="stable"), eps)
         if all_pts.size > cap:
             raise ResourceCapError(f"orbit exceeds cap of {cap} points")
     return OrbitCloud(all_pts, depth, seed)

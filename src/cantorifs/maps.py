@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, IterationCapError, RangeError, SpecError
-from .intervals import TOL, Interval, IntervalSet
+from .intervals import TOL, Interval
 
 #: Accepted derivative mismatch at internal breakpoints ("C1 within
 #: tolerance"): constructed joins are exact in exact arithmetic, this absorbs
@@ -188,8 +188,9 @@ class MapSpec:
                 raise SpecError(f"derivative jump {dl:.6g} vs {dr:.6g} at x={b.x_lo}")
 
     # -- cached lookup tables ----------------------------------------------
-    # The scalar path bisects the tuples, the vectorized path searches the
-    # arrays built from them; both hold the same floats.
+    # The scalar path bisects the tuples, `eval_array` searches its points
+    # for the breakpoint tuple, and `inverse_array` searches the arrays built
+    # from the tuples; all hold the same floats.
 
     @cached_property
     def _bp_tuple(self) -> tuple[float, ...]:
@@ -242,14 +243,28 @@ class MapSpec:
         return self.segments[self._seg_index(x)].deriv_at(x)
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
+        """`eval` at every point, bit for bit.  The points, sorted, are cut
+        at the breakpoints by the scalar rule (a point belongs to the segment
+        with x_lo of its own < x <= x_lo of the next), and each segment runs
+        Horner on its slice.  Input that is not non-decreasing is sorted
+        once and scattered back."""
         xs = np.asarray(xs, dtype=float)
         if xs.size and not (-TOL.eps_newton <= xs.min() and xs.max() <= 1.0 + TOL.eps_newton):
             raise DomainError("array evaluation outside [0, 1]")
-        xc = np.clip(xs, 0.0, 1.0)
-        i = np.clip(np.searchsorted(self._bps, xc, side="left") - 1, 0, len(self.segments) - 1)
-        c = self._coeffs[i]
-        t = xc - self._bps[i]
-        return ((c[..., 3] * t + c[..., 2]) * t + c[..., 1]) * t + c[..., 0]
+        xc = np.clip(xs, 0.0, 1.0).ravel()
+        order = np.argsort(xc, kind="stable") if np.any(xc[1:] < xc[:-1]) else None
+        if order is not None:
+            xc = xc[order]
+        out = np.empty_like(xc)
+        cuts = np.searchsorted(xc, self._bp_tuple[1:], side="right").tolist()
+        for s, a, b in zip(self.segments, [0, *cuts], [*cuts, xc.size]):
+            if a < b:
+                c0, c1, c2, c3 = s.coeffs
+                t = xc[a:b] - s.x_lo
+                out[a:b] = ((c3 * t + c2) * t + c1) * t + c0
+        if order is not None:
+            out[order] = out.copy()
+        return out.reshape(xs.shape)
 
     # -- inversion -----------------------------------------------------------
 
@@ -313,9 +328,6 @@ class MapSpec:
 
     def image_of(self, iv: Interval) -> Interval:
         return Interval(self.eval(iv.lo), self.eval(iv.hi))
-
-    def image_of_set(self, s: IntervalSet) -> IntervalSet:
-        return IntervalSet(los=self.eval_array(s.los), his=self.eval_array(s.his))
 
     def preimage_of(self, iv: Interval) -> Interval:
         return Interval(self.inverse_eval(iv.lo), self.inverse_eval(iv.hi))
@@ -394,7 +406,9 @@ def symmetry_conjugate(m: MapSpec) -> MapSpec:
 def symmetry_residual(f: MapSpec, g: MapSpec, n: int = 1001) -> float:
     """max over a grid of |1 - f(1-x) - g(x)|."""
     xs = np.linspace(0.0, 1.0, n)
-    return float(np.max(np.abs(1.0 - f.eval_array(1.0 - xs) - g.eval_array(xs))))
+    # f runs over 1 - xs reversed, so both maps see increasing input
+    f_mirror = f.eval_array(1.0 - xs[::-1])[::-1]
+    return float(np.max(np.abs(1.0 - f_mirror - g.eval_array(xs))))
 
 
 # -- affine conjugation (used by the castration surgery) ---------------------------

@@ -23,7 +23,6 @@ from cantorifs.construct import (
     check_measure_bound,
     epsilon_family,
     h_prime,
-    lambda_raw_images,
     lambda_sequence,
     lambda_sets,
     phi_rescale,
@@ -393,6 +392,17 @@ def test_appendix_infeasible_params_raise():
 
 
 # -- lambda recursion ----------------------------------------------------------------------
+
+
+def lambda_raw_images(pair, params, n):
+    """Endpoint arrays of the 3 * 2^n interval images of the recursion tree,
+    without normalization: the branching structure before any merging."""
+    los = np.array([b.lo for b in params.blocks])
+    his = np.array([b.hi for b in params.blocks])
+    for _ in range(n):
+        los = np.concatenate([pair.f.eval_array(los), pair.g.eval_array(los)])
+        his = np.concatenate([pair.f.eval_array(his), pair.g.eval_array(his)])
+    return los, his
 
 
 def test_lambda_zero_measure(appendix):

@@ -120,6 +120,12 @@ def test_orbit_matches_bruteforce_enumerator_depth_12(built_pair):
     assert float(np.max(d)) <= eps
 
 
+def test_orbit_without_dedup_radius_keeps_every_distinct_value(valid_affine):
+    cloud = orbit(valid_affine, 0.0, 8, dedup_eps=0.0)
+    brute = orbit_bruteforce(valid_affine, 0.0, 8)
+    assert cloud.points.tobytes() == np.unique(brute).tobytes()
+
+
 def test_orbit_monotone_in_depth(valid_affine):
     c5 = orbit(valid_affine, 0.0, 5)
     c6 = orbit(valid_affine, 0.0, 6)
@@ -138,6 +144,12 @@ def test_orbit_seed_endpoints_present(valid_affine):
     c1 = orbit(valid_affine, 1.0, 1)
     assert 1.0 in c1.points.tolist()
     assert valid_affine.f.eval(1.0) in c1.points.tolist()
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -1e-9])
+def test_orbit_rejects_bad_dedup_radius(valid_affine, eps):
+    with pytest.raises(DomainError):
+        orbit(valid_affine, 0.0, 3, dedup_eps=eps)
 
 
 def test_orbit_cap(valid_affine):

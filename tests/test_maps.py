@@ -25,7 +25,8 @@ from cantorifs.maps import (
     symmetry_conjugate,
     symmetry_residual,
 )
-from cantorifs.construct import base_pair
+from cantorifs.construct import base_pair, lambda_sequence
+from cantorifs.ifs import orbit, validate_class_a
 
 RNG = np.random.default_rng(20260810)
 
@@ -61,8 +62,7 @@ def test_eval_domain_error():
 
 def test_eval_array_matches_scalar(bumpy):
     xs = RNG.uniform(0, 1, 257)
-    np.testing.assert_allclose(bumpy.eval_array(xs), [bumpy.eval(float(x)) for x in xs],
-                               rtol=0, atol=1e-15)
+    assert _bits(bumpy.eval_array(xs)) == _bits(bumpy.eval(float(x)) for x in xs)
 
 
 def test_breakpoint_left_value_convention(bumpy):
@@ -141,10 +141,22 @@ def _with_neighbours(points) -> list[float]:
                                                math.nextafter(p, math.inf))})
 
 
+def _orders(xs: list[float]) -> dict[str, np.ndarray]:
+    """The points sorted, reversed, and shuffled with every point twice."""
+    a = np.array(xs)
+    rng = np.random.default_rng(len(xs))
+    return {"sorted": a, "reversed": a[::-1], "shuffled": rng.permutation(np.concatenate([a, a]))}
+
+
 def test_scalar_eval_deriv_match_array_path_bitwise(real_maps):
     for m in real_maps:
         xs = [x for x in _with_neighbours([0.0, 1.0, *m.breakpoints()]) if 0.0 <= x <= 1.0]
-        assert _bits(m.eval(x) for x in xs) == _bits(m.eval_array(np.array(xs)))
+        for name, a in _orders(xs).items():
+            assert _bits(m.eval(float(x)) for x in a) == _bits(m.eval_array(a)), name
+        grid = _orders(xs)["shuffled"].reshape(2, -1)
+        out = m.eval_array(grid)
+        assert out.shape == grid.shape
+        assert _bits(m.eval(float(x)) for x in grid.ravel()) == _bits(out.ravel())
         # deriv has no array form: take the segment the array path picks
         i = np.clip(np.searchsorted(m._bps, xs, side="left") - 1, 0, len(m.segments) - 1)
         assert _bits(m.deriv(x) for x in xs) == _bits(
@@ -181,6 +193,28 @@ def test_scalar_path_makes_no_numpy_call(built_pair, monkeypatch):
     for x in (0.0, 0.3, 1.0, *f.breakpoints()):
         f.deriv(x)
         assert f.inverse_eval(f.eval(x)) == pytest.approx(x, abs=1e-9)
+
+
+def test_sorted_callers_never_argsort(built_pair, appendix, monkeypatch):
+    """The product feeds `eval_array` non-decreasing input (orbit levels,
+    Λ endpoints, grids), so its sort-and-scatter branch stays cold."""
+    class NoArgsort:
+        def __getattr__(self, name):
+            if name == "argsort":
+                raise AssertionError("eval_array sorted its input")
+            return getattr(np, name)
+
+    f = MapSpec(built_pair.f.segments)  # fresh lookup tables
+    xs = np.linspace(0.0, 1.0, 1001)
+    monkeypatch.setattr(maps, "np", NoArgsort())
+    assert _bits(f.eval_array(xs)) == _bits(f.eval(float(x)) for x in xs)
+    orbit(built_pair, 0.0, 12)
+    orbit(built_pair, 1.0, 12)
+    lambda_sequence(*appendix, 12)
+    symmetry_residual(built_pair.f, built_pair.g)
+    validate_class_a(built_pair.f, built_pair.g)
+    with pytest.raises(AssertionError, match="sorted its input"):
+        f.eval_array(xs[::-1])
 
 
 @pytest.mark.parametrize("method, arg, err", [
