@@ -8,16 +8,12 @@ from .intervals import (
     Interval,
     IntervalSet,
     Tolerance,
-    contained_in_interior,
-    hausdorff_distance,
 )
 from .maps import (
     Affine,
     CubicHermite,
     MapSpec,
     Segment,
-    Word,
-    apply_word,
     identity_spec,
     iterate,
     pair_from_json,
@@ -44,7 +40,6 @@ from .axioms import (
     check_so,
     find_hole,
     induced_deriv,
-    induced_map,
     induced_n,
     ruination_regions,
 )
@@ -55,7 +50,6 @@ from .gapfinder import (
     classify,
     find_gap,
     find_gap_core,
-    verify_hole_disjoint,
 )
 from .construct import (
     AppendixParams,
@@ -68,10 +62,8 @@ from .construct import (
     bump_modify,
     castrate,
     check_measure_bound,
-    epsilon_family,
     h_prime,
     lambda_sets,
-    phi_rescale,
 )
 
 __version__ = "0.1.0"

@@ -34,11 +34,15 @@ from .errors import (
     IterationCapError,
     NoContractionError,
 )
-from .intervals import TOL, Interval, IntervalSet, contained_in_interior
+from .intervals import TOL, Interval, IntervalSet
 # Unused here, but perfbench's tracer test expects `axioms.fundamental_domain`
 # to be a binding site it can patch.
 from .ifs import IFSPair, fundamental_domain  # noqa: F401
 from .maps import MapSpec
+
+#: The `find_hole` failures that are verdicts on the pair, reported as data;
+#: any other error is a fault and propagates.
+HOLE_VERDICTS = (NoContractionError, DegenerateHoleError, IterationCapError)
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +70,6 @@ def check_so(p: IFSPair) -> SoReport:
     mr = g2 - p.overlap.hi
     eps = TOL.eps_geom
     return SoReport(ml >= eps and mr >= eps, ml, mr)
-
-
-def check_so_containment_form(p: IFSPair) -> bool:
-    """The equivalent containment form: W inside int(F1 ∪ G1)."""
-    dom = IntervalSet([p.f1, p.g1])
-    return contained_in_interior(IntervalSet([p.overlap]), dom)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +163,6 @@ def _inverse_orbit(p: IFSPair, which: Literal["F", "G"], x: float) -> list[float
 def induced_n(p: IFSPair, x: float, which: Literal["F", "G"] = "F") -> int:
     """Least n >= 0 with (return map)^{-n}(first^{-1}(x)) in the codomain."""
     return len(_inverse_orbit(p, which, x)) - 1
-
-
-def induced_map(p: IFSPair, which: Literal["F", "G"], x: float) -> float:
-    return _inverse_orbit(p, which, x)[-1]
 
 
 def induced_deriv(p: IFSPair, which: Literal["F", "G"], x: float) -> float:
@@ -379,16 +373,12 @@ def check_ee(p: IFSPair, h: HolePair, mu_target: float = 1.01) -> ExpansionRepor
 
 @dataclass(frozen=True)
 class RuinationRegions:
-    """Truncated families Q_n (parts of r_f) and P_n (parts of r_g).
-
-    parts_* pair each retained part with its n; the IntervalSets hold the
-    same parts in position order.
-    """
+    """Truncated families Q_n (parts of r_f) and P_n (parts of r_g), each
+    family's retained parts in position order (`ruination_parts` pairs each
+    with its n)."""
 
     r_f: IntervalSet
     r_g: IntervalSet
-    parts_f: tuple[tuple[int, Interval], ...]
-    parts_g: tuple[tuple[int, Interval], ...]
 
     @cached_property
     def rfrg(self) -> IntervalSet:
@@ -426,47 +416,9 @@ def ruination_parts(
 
 
 def ruination_regions(p: IFSPair, h: HolePair) -> RuinationRegions:
-    pf = ruination_parts(p, h, "f")
-    pg = ruination_parts(p, h, "g")
     return RuinationRegions(
-        r_f=IntervalSet([iv for _, iv in pf]),
-        r_g=IntervalSet([iv for _, iv in pg]),
-        parts_f=tuple(pf),
-        parts_g=tuple(pg),
-    )
-
-
-def ruination_gridscan(
-    p: IFSPair, h: HolePair, which: Literal["f", "g"], grid_n: int = 100_000
-) -> IntervalSet:
-    """Brute-force oracle: scan a uniform grid of the domain (F1 or G1) for
-    membership x ∈ (induced map)^{-1}(hole), via vectorized inverse steps."""
-    if which == "f":
-        first, ret, dom, codom, hole = p.f, p.g, p.f1, p.g1, h.h_g
-    else:
-        first, ret, dom, codom, hole = p.g, p.f, p.g1, p.f1, h.h_f
-    xs = np.linspace(dom.lo, dom.hi, grid_n, endpoint=False) + dom.length / (2 * grid_n)
-    ys = first.inverse_array(xs)
-    member = np.zeros(xs.shape, dtype=bool)
-    active = np.ones(xs.shape, dtype=bool)
-    for _ in range(TOL.max_iter):
-        landed = active & (ys >= codom.lo) & (ys <= codom.hi)
-        member |= landed & (ys >= hole.lo) & (ys <= hole.hi)
-        active &= ~landed
-        if not active.any():
-            break
-        ys[active] = ret.inverse_array(ys[active])
-    # assemble intervals from consecutive member grid cells
-    cell = dom.length / grid_n
-    idx = np.flatnonzero(member)
-    if idx.size == 0:
-        return IntervalSet([])
-    brk = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate([[0], brk + 1])
-    ends = np.concatenate([brk, [idx.size - 1]])
-    return IntervalSet(
-        los=xs[idx[starts]] - cell / 2,
-        his=xs[idx[ends]] + cell / 2,
+        r_f=IntervalSet([iv for _, iv in ruination_parts(p, h, "f")]),
+        r_g=IntervalSet([iv for _, iv in ruination_parts(p, h, "g")]),
     )
 
 
@@ -614,7 +566,7 @@ def run_axiom_checks(
         return AxiomReport(so, None, None, None, None, None, None)
     try:
         hole = find_hole(p, hole_seed)
-    except (NoContractionError, DegenerateHoleError, IterationCapError) as e:
+    except HOLE_VERDICTS as e:
         return AxiomReport(so, None, str(e), None, None, None, None)
     ee = check_ee(p, hole, mu_target)
     ruin = ruination_regions(p, hole)

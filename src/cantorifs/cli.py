@@ -17,7 +17,14 @@ from .errors import CantorIFSError
 from .intervals import Interval, from_csv, to_csv
 from .maps import pair_from_json, pair_to_json
 from .ifs import IFSPair, minimal_set_cover, orbit, validate_class_a
-from .axioms import AxiomReport, boundary_sets, find_hole, ruination_regions, run_axiom_checks
+from .axioms import (
+    HOLE_VERDICTS,
+    AxiomReport,
+    boundary_sets,
+    find_hole,
+    ruination_regions,
+    run_axiom_checks,
+)
 from .gapfinder import certify_cantor, find_gap
 from .construct import (
     AppendixParams,
@@ -182,9 +189,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
     hole = ruin = None
     try:
         hole = find_hole(pair, Interval(args.seed_lo, args.seed_hi))
-        ruin = ruination_regions(pair, hole)
-    except CantorIFSError as e:  # the figure is still drawn, without those layers
+    except HOLE_VERDICTS as e:  # the figure is still drawn, without those layers
         print(f"plot: no hole/ruination layers: {type(e).__name__}: {e}", file=sys.stderr)
+    else:
+        ruin = ruination_regions(pair, hole)
     cover = None
     if args.cover_depth > 0:
         cover = minimal_set_cover(pair, args.cover_depth, args.resolution)

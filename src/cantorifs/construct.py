@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BracketError, ConstructionError, DomainError, SpecError
-from .intervals import TOL, Interval, IntervalSet, grid_cells_meeting
+from .intervals import TOL, Interval, IntervalSet
 from .maps import (
     Affine,
     CubicHermite,
@@ -46,7 +46,7 @@ from .maps import (
     iterate_interval,
     symmetry_residual,
 )
-from .ifs import IFSPair, minimal_set_cover, validate_class_a
+from .ifs import IFSPair, validate_class_a
 from .axioms import (
     AxiomReport,
     HolePair,
@@ -90,9 +90,6 @@ class ConstructionParams:
     def j_p(self) -> Interval:
         return Interval(self.p - self.jp_width / 2, self.p + self.jp_width / 2)
 
-    @property
-    def j_q(self) -> Interval:
-        return Interval(self.q - self.jp_width / 2, self.q + self.jp_width / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +190,7 @@ def epsilon_family_specs(f0: MapSpec, k: float, eps: float) -> tuple[MapSpec, Ma
     is exact.  g_eps is the diagonal conjugate.
     """
     if eps <= 0:
-        raise DomainError("epsilon_family needs eps > 0")
+        raise DomainError("epsilon_family_specs needs eps > 0")
     eta = k / 50.0
     corner = 1.0 - k
     if 4.0 * eps * k / (1.0 + 2.0 * eps) >= k - eta:
@@ -219,16 +216,6 @@ def epsilon_family_specs(f0: MapSpec, k: float, eps: float) -> tuple[MapSpec, Ma
     return f_eps, g_eps
 
 
-def epsilon_family(f0: MapSpec, k: float, eps: float) -> IFSPair:
-    """Validated epsilon-family pair; raises if class-A or So fails."""
-    f_eps, g_eps = epsilon_family_specs(f0, k, eps)
-    pair = validate_class_a(f_eps, g_eps).as_pair()
-    so = check_so(pair)
-    if not so.ok:
-        raise ConstructionError(f"single overlapping fails at eps={eps}: {so}")
-    return pair
-
-
 # ---------------------------------------------------------------------------
 # Stage 4 helpers: H'_p, the C-parameter and the alpha sequence
 # ---------------------------------------------------------------------------
@@ -246,21 +233,6 @@ def h_prime(g: MapSpec, h_p: Interval) -> IntervalSet:
         if parts[-1].length < TOL.eps_geom:
             break
     return IntervalSet(parts)
-
-
-def phi_rescale(w_from: Interval, w_to: Interval, x: float) -> float:
-    """The unique orientation-preserving affine map between two overlap
-    regions, applied to a point."""
-    if w_from.length <= 0 or w_to.length <= 0:
-        raise DomainError("phi_rescale needs non-degenerate intervals")
-    if not w_from.contains(x, slack=TOL.eps_newton):
-        raise DomainError(f"{x} outside {w_from}")
-    t = (x - w_from.lo) / w_from.length
-    return w_to.lo + t * w_to.length
-
-
-def phi_rescale_interval(w_from: Interval, w_to: Interval, iv: Interval) -> Interval:
-    return Interval(phi_rescale(w_from, w_to, iv.lo), phi_rescale(w_from, w_to, iv.hi))
 
 
 def _bisect_increasing(fn: Callable[[float], float], target: float, lo: float, hi: float) -> float:
@@ -734,44 +706,3 @@ def check_measure_bound(
             ratio_ok = False
         prev = m
     return MeasureBoundReport(params.lam, tuple(rows), ok, ratio_ok)
-
-
-@dataclass(frozen=True)
-class ComplementCertifyReport:
-    resolution: float
-    depth: int
-    n_meeting: int
-    n_certified: int
-    n_skipped: int
-
-    @property
-    def all_certified(self) -> bool:
-        return self.n_certified == self.n_meeting
-
-    def to_text(self) -> str:
-        return (f"complement_resolution: {self.resolution:.17g}\n"
-                f"complement_depth: {self.depth}\n"
-                f"complement_meeting: {self.n_meeting}\n"
-                f"complement_certified: {self.n_certified}\n"
-                f"complement_skipped: {self.n_skipped}\n")
-
-
-def certify_cantor_by_complement(
-    pair: IFSPair, params: AppendixParams, resolution: float, depth: int
-) -> ComplementCertifyReport:
-    """Gap certification for the appendix mechanism: every grid interval
-    meeting the orbit cover contains a sub-interval in the complement of
-    some Lambda_d, d <= depth, which is disjoint from the minimal set
-    because K ⊂ Lambda_d for every d."""
-    cover = minimal_set_cover(pair, depth, resolution)
-    seq = lambda_sequence(pair, params, depth)
-    n_grid, cells = grid_cells_meeting(cover, resolution)
-    certified = 0
-    for J in cells:
-        jset = IntervalSet([J])
-        for s in seq:
-            gap = jset.difference(s)
-            if not gap.is_empty() and float(np.max(gap.his - gap.los)) > 10 * TOL.eps_geom:
-                certified += 1
-                break
-    return ComplementCertifyReport(resolution, depth, len(cells), certified, n_grid - len(cells))

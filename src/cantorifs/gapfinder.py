@@ -25,6 +25,7 @@ sound (any certified sub-interval of a sub-interval works).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -108,6 +109,13 @@ def _in_part(j: Interval, s: IntervalSet) -> bool:
     return part is not None and part.contains_interval(j, -TOL.eps_geom)
 
 
+def _boundary_hits(J: Interval, b: BoundarySets) -> tuple[float, ...]:
+    """The boundary points strictly inside J, eps_geom away from both ends;
+    `b.points` is sorted, so they are one slice of it."""
+    eps, pts = TOL.eps_geom, b.points
+    return pts[bisect_right(pts, J.lo + eps):bisect_left(pts, J.hi - eps)]
+
+
 def classify(
     J: Interval, p: IFSPair, h: HolePair, r: RuinationRegions, b: BoundarySets
 ) -> CaseTag:
@@ -121,7 +129,7 @@ def classify(
         raise DomainError("classify needs positive length")
     eps = TOL.eps_geom
     w = p.overlap
-    if any(J.lo + eps < pt < J.hi - eps for pt in b.points):
+    if _boundary_hits(J, b):
         return CaseTag.BOUNDARY_HIT
     if J.hi <= p.f1.lo + eps or J.lo >= p.g1.hi - eps:
         return CaseTag.PULLBACK_FN
@@ -220,14 +228,15 @@ def _widest_component(j: Interval, s: IntervalSet) -> Interval | None:
     return Interval(float(inter.los[k]), float(inter.his[k]))
 
 
-def _middle_third_in(j: Interval, s: IntervalSet, floor: float) -> Interval | None:
-    """Middle third of the widest component of j ∩ s, if long enough.
+def _middle_third_in(j: Interval, s: IntervalSet) -> Interval | None:
+    """Middle third of the widest component of j ∩ s, if at least
+    3*eps_newton long.
 
     The middle third keeps the output comfortably interior, which is what
     stabilizes the verification margins.
     """
     comp = _widest_component(j, s)
-    if comp is None or comp.length < 3.0 * floor:
+    if comp is None or comp.length < 3.0 * TOL.eps_newton:
         return None
     return comp.middle_third()
 
@@ -255,7 +264,7 @@ def _deepen_overlap_near(
 
 
 def _boundary_lemma(
-    p: IFSPair, h: HolePair, r: RuinationRegions, cur: Interval, floor: float
+    p: IFSPair, h: HolePair, r: RuinationRegions, cur: Interval
 ) -> tuple[list[TraceStep], Interval, TerminalReason] | None:
     """The four sub-cases: meets a hole; meets the ruination overlap; contains
     an accumulation endpoint f(1)/g(0); contains f^2(1)/g^2(0) (pulled back
@@ -264,10 +273,10 @@ def _boundary_lemma(
     (the caller then splits and walks on)."""
     w = p.overlap
     for hole in (h.h_f, h.h_g):
-        u = _middle_third_in(cur, IntervalSet([hole]), floor)
+        u = _middle_third_in(cur, IntervalSet([hole]))
         if u is not None:
             return [], u, TerminalReason.HOLE
-    u = _middle_third_in(cur, r.rfrg, floor)
+    u = _middle_third_in(cur, r.rfrg)
     if u is not None:
         return [], u, TerminalReason.RUINATION_OVERLAP
     for endpoint in (w.hi, w.lo):
@@ -287,7 +296,7 @@ def _boundary_lemma(
                 continue
             pulled = m.preimage_of(clipped)
             step = TraceStep(CaseTag.BOUNDARY_HIT, op, 1, pulled)
-            u = _middle_third_in(pulled, r.rfrg, floor)
+            u = _middle_third_in(pulled, r.rfrg)
             if u is not None:
                 return [step], u, TerminalReason.RUINATION_OVERLAP
             u = _deepen_overlap_near(p, h, r, pulled, endpoint)
@@ -361,15 +370,14 @@ def _walk(
             raise ClassificationError(f"interval collapsed to {cur} during walk")
         tag = classify(cur, p, h, r, b)
         if tag is CaseTag.BOUNDARY_HIT:
-            got = _boundary_lemma(p, h, r, cur, floor=TOL.eps_newton)
+            got = _boundary_lemma(p, h, r, cur)
             if got is not None:
                 extra, u, reason = got
                 steps.extend(extra)
                 return finish(u, reason)
             # No usable open piece: split at the hits, walk on with the
             # largest clean side.
-            hits = [pt for pt in b.points if cur.lo + TOL.eps_geom < pt < cur.hi - TOL.eps_geom]
-            shrink_to(_split_at(cur, hits), tag)
+            shrink_to(_split_at(cur, _boundary_hits(cur, b)), tag)
             continue
         if tag is CaseTag.IN_W_OVERLAP:
             steps.append(TraceStep(tag, "shrink", 0, cur))
@@ -472,35 +480,8 @@ def _locate_power_domain(p: IFSPair, j: Interval, which: Literal["f", "g"]) -> t
 
 
 # ---------------------------------------------------------------------------
-# Hole avoidance and the certification sweep
+# The certification sweep
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HoleDisjointReport:
-    depth: int
-    orbit_size: int
-    violations: int
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-    def to_text(self) -> str:
-        return (f"hole_disjoint_depth: {self.depth}\n"
-                f"hole_disjoint_orbit_size: {self.orbit_size}\n"
-                f"hole_disjoint_violations: {self.violations}\n")
-
-
-def verify_hole_disjoint(p: IFSPair, h: HolePair, depth: int) -> HoleDisjointReport:
-    """Count orbit(0, depth) points strictly inside int(h_f ∪ h_g), margin
-    eps_geom.  Hole invariance forces zero; a shifted hole is the negative
-    control."""
-    cloud = orbit(p, 0.0, depth)
-    bad = 0
-    for hole in (h.h_f, h.h_g):
-        bad += _orbit_points_inside(cloud, hole, TOL.eps_geom)
-    return HoleDisjointReport(depth, cloud.size, bad)
 
 
 @dataclass(frozen=True)

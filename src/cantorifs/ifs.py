@@ -188,17 +188,6 @@ class OrbitCloud:
     def size(self) -> int:
         return int(self.points.size)
 
-    def contains(self, x: float, slack: float) -> bool:
-        i = int(np.searchsorted(self.points, x))
-        for k in (i - 1, i):
-            if 0 <= k < self.points.size and abs(self.points[k] - x) <= slack:
-                return True
-        return False
-
-    def min_distance(self, xs: np.ndarray) -> np.ndarray:
-        i = np.clip(np.searchsorted(self.points, xs), 1, self.points.size - 1)
-        return np.minimum(np.abs(xs - self.points[i - 1]), np.abs(xs - self.points[i]))
-
 
 def _dedup_sorted(pts: np.ndarray, eps: float) -> np.ndarray:
     """Resolution-eps dedup on a sorted array: bucket by floor(x/eps) and
@@ -247,21 +236,6 @@ def orbit(
         if all_pts.size > cap:
             raise ResourceCapError(f"orbit exceeds cap of {cap} points")
     return OrbitCloud(all_pts, depth, seed)
-
-
-def orbit_bruteforce(p: IFSPair, seed: float, depth: int) -> np.ndarray:
-    """Independent oracle: recursive enumeration over all <= 2^depth words."""
-    out: list[float] = []
-
-    def rec(x: float, d: int) -> None:
-        out.append(x)
-        if d == 0:
-            return
-        rec(p.f.eval(x), d - 1)
-        rec(p.g.eval(x), d - 1)
-
-    rec(seed, depth)
-    return np.sort(np.asarray(out))
 
 
 def minimal_set_cover(

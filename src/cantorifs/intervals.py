@@ -4,9 +4,8 @@ Everything downstream (fundamental domains, holes, ruination regions, the
 appendix Λ recursion, orbit covers) is carried by these two types.  Sets are
 normalized eagerly: parts sorted, touching/overlapping parts merged, so the
 invariants hold everywhere.  Normalization never changes the set itself (parts
-separated by a positive gap stay apart, however small the gap), so
-measure/distance are computed exactly from the representation rather than by
-sampling.
+separated by a positive gap stay apart, however small the gap), so the
+measure is computed exactly from the representation rather than by sampling.
 """
 
 from __future__ import annotations
@@ -159,18 +158,6 @@ class IntervalSet:
             raise SpecError("span of empty set")
         return Interval(float(self.los[0]), float(self.his[-1]))
 
-    def contains_points(self, xs: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        """Vectorized membership for an array of points."""
-        if self.is_empty():
-            return np.zeros(np.shape(xs), dtype=bool)
-        i = np.searchsorted(self.los, xs, side="right") - 1
-        i_cl = np.clip(i, 0, self.los.size - 1)
-        inside = (i >= 0) & (xs <= self.his[i_cl] + slack)
-        # Points just left of a part start, within slack.
-        j = np.clip(i + 1, 0, self.los.size - 1)
-        near_next = (i + 1 < self.los.size) & (xs >= self.los[j] - slack) & (xs <= self.his[j] + slack)
-        return inside | near_next
-
     def part_containing(self, x: float, slack: float = 0.0) -> Interval | None:
         i = int(np.searchsorted(self.los, x, side="right")) - 1
         for k in (i, i + 1):
@@ -239,14 +226,6 @@ class IntervalSet:
             return self
         return self.intersect(other.complement(self.span()))
 
-    def dilate(self, r: float, clip: Interval = Interval(0.0, 1.0)) -> "IntervalSet":
-        if r < 0:
-            raise SpecError("dilate needs r >= 0")
-        return IntervalSet(
-            los=np.maximum(self.los - r, clip.lo),
-            his=np.minimum(self.his + r, clip.hi),
-        )
-
     def contract(self, r: float) -> "IntervalSet":
         """Shrink every part by r at both ends, dropping emptied parts."""
         if r < 0:
@@ -275,53 +254,6 @@ def grid_cells_meeting(s: IntervalSet, resolution: float) -> tuple[int, list[Int
     k = np.searchsorted(his, cell_lo, side="right")
     meets = np.flatnonzero(los[k] < cell_hi)
     return n_grid, [Interval(float(cell_lo[j]), float(cell_hi[j])) for j in meets]
-
-
-def contained_in_interior(a: IntervalSet, b: IntervalSet) -> bool:
-    """True iff every part of `a` sits inside int(b) with margin >= eps_geom.
-
-    `b` is normalized, so its parts are maximal covering runs; interiority
-    with margin is exactly containment in b contracted by eps_geom.
-    """
-    if a.is_empty():
-        return True
-    core = b.contract(TOL.eps_geom)
-    if core.is_empty():
-        return False
-    i = np.searchsorted(core.los, a.los, side="right") - 1
-    if np.any(i < 0):
-        return False
-    return bool(np.all(a.his <= core.his[i]))
-
-
-def _dist_to_set(xs: np.ndarray, s: IntervalSet) -> np.ndarray:
-    """Distance from each point to the closed set s (exact)."""
-    pts = np.stack([s.los, s.his], axis=1).ravel()  # sorted part endpoints
-    i = np.clip(np.searchsorted(pts, xs), 1, pts.size - 1)
-    d = np.minimum(np.abs(xs - pts[i - 1]), np.abs(xs - pts[i]))
-    return np.where(s.contains_points(xs), 0.0, d)
-
-
-def hausdorff_distance(a: IntervalSet, b: IntervalSet) -> float:
-    """Hausdorff distance between two non-empty closed interval unions.
-
-    sup_{x∈a} d(x, b) is attained either at a part endpoint of `a` or at a
-    gap midpoint of `b` lying inside `a` (d(·, b) is piecewise V-shaped), so
-    finitely many candidates give the exact value.
-    """
-    if a.is_empty() or b.is_empty():
-        raise SpecError("hausdorff_distance needs non-empty sets")
-
-    def one_sided(x: IntervalSet, y: IntervalSet) -> float:
-        cands = [x.los, x.his]
-        if y.n_parts > 1:
-            gap_mids = 0.5 * (y.his[:-1] + y.los[1:])
-            inside = x.contains_points(gap_mids)
-            cands.append(gap_mids[inside])
-        pts = np.concatenate(cands)
-        return float(np.max(_dist_to_set(pts, y))) if pts.size else 0.0
-
-    return max(one_sided(a, b), one_sided(b, a))
 
 
 # -- CSV interchange -------------------------------------------------------

@@ -5,10 +5,6 @@ or cubic Hermite (endpoint values and derivatives in local coordinates).
 Affine pieces reproduce the base pair and the epsilon-family exactly; Hermite
 pieces realize the C1 bump modifications and connector joins with
 controllable endpoint derivatives.
-
-Composition-word convention: the RIGHTMOST letter acts first, so "FG" applied
-to x means f(g(x)).  The convention is fixed globally; mixing conventions is
-the classic way to produce silently wrong orbits.
 """
 
 from __future__ import annotations
@@ -353,33 +349,6 @@ def iterate_interval(m: MapSpec, n: int, iv: Interval) -> Interval:
     for _ in range(n):
         iv = m.image_of(iv)
     return iv
-
-
-# -- words -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Word:
-    """Composition word over {F, G}; rightmost letter acts first."""
-
-    letters: str = ""
-
-    def __post_init__(self) -> None:
-        if any(ch not in "FG" for ch in self.letters):
-            raise SpecError(f"word letters must be F or G, got {self.letters!r}")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return self.letters
-
-
-def apply_word(f: MapSpec, g: MapSpec, w: Word | str, x: float) -> float:
-    letters = w.letters if isinstance(w, Word) else Word(w).letters
-    for ch in reversed(letters):
-        x = f.eval(x) if ch == "F" else g.eval(x)
-    return x
 
 
 # -- diagonal symmetry ---------------------------------------------------------

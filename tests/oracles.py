@@ -1,0 +1,275 @@
+"""Reference implementations and test tools that no command runs.
+
+Each one checks a library result by an independent route: brute-force
+enumeration, a grid scan, an equivalent formulation or a second certifier.
+They live with the tests so that `src/` holds only what the commands and the
+benchmark run.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Literal
+
+import numpy as np
+
+from cantorifs.axioms import HolePair, _inverse_orbit
+from cantorifs.construct import AppendixParams, lambda_sequence
+from cantorifs.errors import DomainError, SpecError
+from cantorifs.gapfinder import _orbit_points_inside
+from cantorifs.ifs import IFSPair, OrbitCloud, minimal_set_cover, orbit
+from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
+from cantorifs.maps import MapSpec
+
+
+# -- interval sets -------------------------------------------------------------
+
+
+def contains_points(s: IntervalSet, xs: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    """Vectorized membership for an array of points."""
+    if s.is_empty():
+        return np.zeros(np.shape(xs), dtype=bool)
+    i = np.searchsorted(s.los, xs, side="right") - 1
+    i_cl = np.clip(i, 0, s.los.size - 1)
+    inside = (i >= 0) & (xs <= s.his[i_cl] + slack)
+    # Points just left of a part start, within slack.
+    j = np.clip(i + 1, 0, s.los.size - 1)
+    near_next = (i + 1 < s.los.size) & (xs >= s.los[j] - slack) & (xs <= s.his[j] + slack)
+    return inside | near_next
+
+
+def dilate(s: IntervalSet, r: float, clip: Interval = Interval(0.0, 1.0)) -> IntervalSet:
+    if r < 0:
+        raise SpecError("dilate needs r >= 0")
+    return IntervalSet(
+        los=np.maximum(s.los - r, clip.lo),
+        his=np.minimum(s.his + r, clip.hi),
+    )
+
+
+def contained_in_interior(a: IntervalSet, b: IntervalSet) -> bool:
+    """True iff every part of `a` sits inside int(b) with margin >= eps_geom.
+
+    `b` is normalized, so its parts are maximal covering runs; interiority
+    with margin is exactly containment in b contracted by eps_geom.
+    """
+    if a.is_empty():
+        return True
+    core = b.contract(TOL.eps_geom)
+    if core.is_empty():
+        return False
+    i = np.searchsorted(core.los, a.los, side="right") - 1
+    if np.any(i < 0):
+        return False
+    return bool(np.all(a.his <= core.his[i]))
+
+
+def _dist_to_set(xs: np.ndarray, s: IntervalSet) -> np.ndarray:
+    """Distance from each point to the closed set s (exact)."""
+    pts = np.stack([s.los, s.his], axis=1).ravel()  # sorted part endpoints
+    i = np.clip(np.searchsorted(pts, xs), 1, pts.size - 1)
+    d = np.minimum(np.abs(xs - pts[i - 1]), np.abs(xs - pts[i]))
+    return np.where(contains_points(s, xs), 0.0, d)
+
+
+def hausdorff_distance(a: IntervalSet, b: IntervalSet) -> float:
+    """Hausdorff distance between two non-empty closed interval unions.
+
+    sup_{x∈a} d(x, b) is attained either at a part endpoint of `a` or at a
+    gap midpoint of `b` lying inside `a` (d(·, b) is piecewise V-shaped), so
+    finitely many candidates give the exact value.
+    """
+    if a.is_empty() or b.is_empty():
+        raise SpecError("hausdorff_distance needs non-empty sets")
+
+    def one_sided(x: IntervalSet, y: IntervalSet) -> float:
+        cands = [x.los, x.his]
+        if y.n_parts > 1:
+            gap_mids = 0.5 * (y.his[:-1] + y.los[1:])
+            inside = contains_points(x, gap_mids)
+            cands.append(gap_mids[inside])
+        pts = np.concatenate(cands)
+        return float(np.max(_dist_to_set(pts, y))) if pts.size else 0.0
+
+    return max(one_sided(a, b), one_sided(b, a))
+
+
+# -- maps --------------------------------------------------------------------------
+
+
+def apply_word(f: MapSpec, g: MapSpec, w: str, x: float) -> float:
+    """The composition word `w` over {F, G} at x; the rightmost letter acts
+    first, so "FG" is f(g(x))."""
+    for ch in reversed(w):
+        x = f.eval(x) if ch == "F" else g.eval(x)
+    return x
+
+
+# -- orbits ------------------------------------------------------------------------
+
+
+def orbit_bruteforce(p: IFSPair, seed: float, depth: int) -> np.ndarray:
+    """Independent oracle: recursive enumeration over all <= 2^depth words."""
+    out: list[float] = []
+
+    def rec(x: float, d: int) -> None:
+        out.append(x)
+        if d == 0:
+            return
+        rec(p.f.eval(x), d - 1)
+        rec(p.g.eval(x), d - 1)
+
+    rec(seed, depth)
+    return np.sort(np.asarray(out))
+
+
+def cloud_contains(cloud: OrbitCloud, x: float, slack: float) -> bool:
+    i = int(np.searchsorted(cloud.points, x))
+    for k in (i - 1, i):
+        if 0 <= k < cloud.points.size and abs(cloud.points[k] - x) <= slack:
+            return True
+    return False
+
+
+def min_distance(cloud: OrbitCloud, xs: np.ndarray) -> np.ndarray:
+    i = np.clip(np.searchsorted(cloud.points, xs), 1, cloud.points.size - 1)
+    return np.minimum(np.abs(xs - cloud.points[i - 1]), np.abs(xs - cloud.points[i]))
+
+
+# -- axioms ------------------------------------------------------------------------
+
+
+def check_so_containment_form(p: IFSPair) -> bool:
+    """The equivalent containment form: W inside int(F1 ∪ G1)."""
+    dom = IntervalSet([p.f1, p.g1])
+    return contained_in_interior(IntervalSet([p.overlap]), dom)
+
+
+def induced_map(p: IFSPair, which: Literal["F", "G"], x: float) -> float:
+    return _inverse_orbit(p, which, x)[-1]
+
+
+def ruination_gridscan(
+    p: IFSPair, h: HolePair, which: Literal["f", "g"], grid_n: int = 100_000
+) -> IntervalSet:
+    """Brute-force oracle: scan a uniform grid of the domain (F1 or G1) for
+    membership x ∈ (induced map)^{-1}(hole), via vectorized inverse steps."""
+    if which == "f":
+        first, ret, dom, codom, hole = p.f, p.g, p.f1, p.g1, h.h_g
+    else:
+        first, ret, dom, codom, hole = p.g, p.f, p.g1, p.f1, h.h_f
+    xs = np.linspace(dom.lo, dom.hi, grid_n, endpoint=False) + dom.length / (2 * grid_n)
+    ys = first.inverse_array(xs)
+    member = np.zeros(xs.shape, dtype=bool)
+    active = np.ones(xs.shape, dtype=bool)
+    for _ in range(TOL.max_iter):
+        landed = active & (ys >= codom.lo) & (ys <= codom.hi)
+        member |= landed & (ys >= hole.lo) & (ys <= hole.hi)
+        active &= ~landed
+        if not active.any():
+            break
+        ys[active] = ret.inverse_array(ys[active])
+    # assemble intervals from consecutive member grid cells
+    cell = dom.length / grid_n
+    idx = np.flatnonzero(member)
+    if idx.size == 0:
+        return IntervalSet([])
+    brk = np.flatnonzero(np.diff(idx) > 1)
+    starts = np.concatenate([[0], brk + 1])
+    ends = np.concatenate([brk, [idx.size - 1]])
+    return IntervalSet(
+        los=xs[idx[starts]] - cell / 2,
+        his=xs[idx[ends]] + cell / 2,
+    )
+
+
+# -- hole avoidance ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HoleDisjointReport:
+    depth: int
+    orbit_size: int
+    violations: int
+
+    @property
+    def ok(self) -> bool:
+        return self.violations == 0
+
+    def to_text(self) -> str:
+        return (f"hole_disjoint_depth: {self.depth}\n"
+                f"hole_disjoint_orbit_size: {self.orbit_size}\n"
+                f"hole_disjoint_violations: {self.violations}\n")
+
+
+def verify_hole_disjoint(p: IFSPair, h: HolePair, depth: int) -> HoleDisjointReport:
+    """Count orbit(0, depth) points strictly inside int(h_f ∪ h_g), margin
+    eps_geom.  Hole invariance forces zero; a shifted hole is the negative
+    control."""
+    cloud = orbit(p, 0.0, depth)
+    bad = 0
+    for hole in (h.h_f, h.h_g):
+        bad += _orbit_points_inside(cloud, hole, TOL.eps_geom)
+    return HoleDisjointReport(depth, cloud.size, bad)
+
+
+# -- the construction's rescaling --------------------------------------------------
+
+
+def phi_rescale(w_from: Interval, w_to: Interval, x: float) -> float:
+    """The unique orientation-preserving affine map between two overlap
+    regions, applied to a point."""
+    if w_from.length <= 0 or w_to.length <= 0:
+        raise DomainError("phi_rescale needs non-degenerate intervals")
+    if not w_from.contains(x, slack=TOL.eps_newton):
+        raise DomainError(f"{x} outside {w_from}")
+    t = (x - w_from.lo) / w_from.length
+    return w_to.lo + t * w_to.length
+
+
+def phi_rescale_interval(w_from: Interval, w_to: Interval, iv: Interval) -> Interval:
+    return Interval(phi_rescale(w_from, w_to, iv.lo), phi_rescale(w_from, w_to, iv.hi))
+
+
+# -- the appendix pair's second certifier ------------------------------------------
+
+
+@dataclass(frozen=True)
+class ComplementCertifyReport:
+    resolution: float
+    depth: int
+    n_meeting: int
+    n_certified: int
+    n_skipped: int
+
+    @property
+    def all_certified(self) -> bool:
+        return self.n_certified == self.n_meeting
+
+    def to_text(self) -> str:
+        return (f"complement_resolution: {self.resolution:.17g}\n"
+                f"complement_depth: {self.depth}\n"
+                f"complement_meeting: {self.n_meeting}\n"
+                f"complement_certified: {self.n_certified}\n"
+                f"complement_skipped: {self.n_skipped}\n")
+
+
+def certify_cantor_by_complement(
+    pair: IFSPair, params: AppendixParams, resolution: float, depth: int
+) -> ComplementCertifyReport:
+    """Gap certification for the appendix mechanism: every grid interval
+    meeting the orbit cover contains a sub-interval in the complement of
+    some Lambda_d, d <= depth, which is disjoint from the minimal set
+    because K ⊂ Lambda_d for every d."""
+    cover = minimal_set_cover(pair, depth, resolution)
+    seq = lambda_sequence(pair, params, depth)
+    n_grid, cells = grid_cells_meeting(cover, resolution)
+    certified = 0
+    for J in cells:
+        jset = IntervalSet([J])
+        for s in seq:
+            gap = jset.difference(s)
+            if not gap.is_empty() and float(np.max(gap.his - gap.los)) > 10 * TOL.eps_geom:
+                certified += 1
+                break
+    return ComplementCertifyReport(resolution, depth, len(cells), certified, n_grid - len(cells))

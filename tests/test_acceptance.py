@@ -7,32 +7,39 @@ from itertools import islice, takewhile
 import numpy as np
 import pytest
 
-from cantorifs.intervals import Interval, IntervalSet, hausdorff_distance
+from cantorifs.intervals import Interval, IntervalSet
 from cantorifs.maps import symmetry_residual
 from cantorifs.ifs import (
     fundamental_domain,
     minimal_set_cover,
     orbit,
-    orbit_bruteforce,
     validate_class_a,
 )
 from cantorifs.axioms import (
     HolePair,
     induced_deriv,
     induced_discontinuities,
-    induced_map,
     induced_n,
-    ruination_gridscan,
 )
-from cantorifs.gapfinder import certify_cantor, verify_hole_disjoint
+from cantorifs.gapfinder import certify_cantor
 from cantorifs.construct import (
     AppendixParams,
     appendix_pair,
     bump_modify,
     check_measure_bound,
-    epsilon_family,
-    phi_rescale_interval,
     ConstructionParams,
+)
+
+from oracles import (
+    cloud_contains,
+    dilate,
+    hausdorff_distance,
+    induced_map,
+    min_distance,
+    orbit_bruteforce,
+    phi_rescale_interval,
+    ruination_gridscan,
+    verify_hole_disjoint,
 )
 
 RNG = np.random.default_rng(20260810)
@@ -125,7 +132,7 @@ def test_acceptance_5_oracle_equivalences(built_ctx):
     # orbit enumeration vs the independent recursive enumerator at depth 12
     cloud = orbit(pair, 0.0, 12, dedup_eps=1e-12)
     brute = orbit_bruteforce(pair, 0.0, 12)
-    assert float(np.max(cloud.min_distance(brute))) <= 1e-9
+    assert float(np.max(min_distance(cloud, brute))) <= 1e-9
     i = np.clip(np.searchsorted(brute, cloud.points), 1, brute.size - 1)
     d = np.minimum(np.abs(cloud.points - brute[i - 1]), np.abs(cloud.points - brute[i]))
     assert float(np.max(d)) <= 1e-9
@@ -133,8 +140,8 @@ def test_acceptance_5_oracle_equivalences(built_ctx):
     # ruination parts vs a 1e5-point membership grid scan
     scan = ruination_gridscan(pair, hole, "f", grid_n=100_000)
     cell = f1.length / 100_000
-    sym_diff = (scan.difference(ruin.r_f.dilate(cell)).measure()
-                + ruin.r_f.difference(scan.dilate(cell)).measure())
+    sym_diff = (scan.difference(dilate(ruin.r_f, cell)).measure()
+                + ruin.r_f.difference(dilate(scan, cell)).measure())
     assert sym_diff < 1e-4
     _report("5 oracle equivalences",
             f"induced_n 1000/1000 exact; orbit depth-12 set-equal at 1e-9; "
@@ -262,7 +269,7 @@ def test_acceptance_9_lemma_properties(built_ctx, cloud18):
     sample = candidates[RNG.choice(candidates.size, 1000, replace=False)]
     for x in sample:
         y = induced_map(pair, "F", float(x))
-        assert fine.contains(y, 1e-9), f"F({x}) = {y} missing from the orbit"
+        assert cloud_contains(fine, y, 1e-9), f"F({x}) = {y} missing from the orbit"
 
     # overlap-lemma intervals contain no depth-18 orbit points
     rfrg = ruin.r_f.intersect(ruin.r_g)
@@ -281,7 +288,7 @@ def test_acceptance_9_lemma_properties(built_ctx, cloud18):
 
     bsets = boundary_sets(pair, hole, ruin)
     res = 1e-3
-    dists = cloud18.min_distance(np.asarray(bsets.b_f))
+    dists = min_distance(cloud18, np.asarray(bsets.b_f))
     assert float(np.max(dists)) <= res
     _report("9 lemma properties",
             f"1000 backward-orbit memberships; {checked_parts} overlap parts "

@@ -1,14 +1,18 @@
 """The public API takes no tolerance arguments: the library reads its one
 fixed `intervals.TOL`.  No function takes a parameter it never reads, no
 object keeps a field nothing reads, the gap walk has no fallback
-expansion factor, and only the axiom front end runs the expansion check."""
+expansion factor, only the axiom front end runs the expansion check, and
+every function, class and method in src/ is run by a command or by the
+benchmark (test oracles live in `tests/oracles.py`)."""
 
 import ast
+import re
 import dataclasses
 import importlib
 import inspect
 import pkgutil
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import cantorifs
@@ -16,6 +20,11 @@ from cantorifs.gapfinder import certify_cantor, find_gap, find_gap_core
 from cantorifs.ifs import IFSPair
 
 REPO = Path(__file__).resolve().parents[1]
+
+# Read by nothing in src/ or perfbench/, kept on purpose: constructors for
+# library users, and `replay`, the README's way to check a certificate.
+KEPT_FOR_LIBRARY_USERS = {"construct.base_pair", "gapfinder.replay", "maps.affine_spec",
+                          "maps.identity_spec", "maps.symmetry_conjugate"}
 
 
 def _public_callables():
@@ -146,3 +155,55 @@ def test_one_expansion_front_end():
 
     callers = sorted(name for name, fn in _package_functions().items() if calls_check_ee(fn))
     assert callers == ["cantorifs.axioms.run_axiom_checks"]
+
+
+def _loads(tree: ast.AST) -> Counter:
+    """Each name read in `tree`, as a Name or as an Attribute, with its count."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def _library_definitions():
+    """(`module.name` or `module.Class.method`, name, node) for each top-level
+    function and class and each non-dunder method in src/cantorifs."""
+    for path in sorted((REPO / "src" / "cantorifs").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield f"{path.stem}.{node.name}", node.name, node
+            if isinstance(node, ast.ClassDef):
+                for meth in node.body:
+                    if isinstance(meth, ast.FunctionDef) and not meth.name.startswith("__"):
+                        yield f"{path.stem}.{node.name}.{meth.name}", meth.name, meth
+
+
+def _perfbench_reads() -> set[str]:
+    """Names perfbench reads, including each part of a dotted string such as
+    the tracer target "MapSpec.inverse_array"."""
+    dotted = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+    read = set()
+    for path in (REPO / "perfbench").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= set(_loads(tree))
+        read |= {part for n in ast.walk(tree)
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                 and dotted.fullmatch(n.value) for part in n.value.split(".")}
+    return read
+
+
+def test_library_holds_only_what_runs():
+    """Each definition is read in src/ (outside `__init__.py` and its own
+    body) or by perfbench; test-only code belongs in `tests/oracles.py`."""
+    src_reads = Counter()
+    for path in (REPO / "src" / "cantorifs").glob("*.py"):
+        if path.name != "__init__.py":
+            src_reads += _loads(ast.parse(path.read_text(encoding="utf-8")))
+    bench_reads = _perfbench_reads()
+    defs = list(_library_definitions())
+    assert {"maps.MapSpec.inverse_array", "axioms.induced_deriv", "ifs.OrbitCloud.size",
+            "gapfinder.classify"} <= {q for q, _, _ in defs}
+    unread = {qual for qual, name, node in defs
+              if src_reads[name] == _loads(node)[name] and name not in bench_reads}
+    assert unread == KEPT_FOR_LIBRARY_USERS

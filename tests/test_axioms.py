@@ -10,7 +10,6 @@ from cantorifs.maps import (
     MapSpec,
     Segment,
     affine_spec,
-    apply_word,
     iterate,
     symmetry_conjugate,
 )
@@ -21,18 +20,23 @@ from cantorifs.axioms import (
     check_ca,
     check_ee,
     check_so,
-    check_so_containment_form,
     find_hole,
     induced_deriv,
     induced_discontinuities,
-    induced_map,
     induced_n,
-    ruination_gridscan,
     run_axiom_checks,
     ruination_parts,
     ruination_regions,
 )
-from cantorifs.construct import ConstructionParams, bump_modify, epsilon_family
+from cantorifs.construct import ConstructionParams, bump_modify, epsilon_family_specs
+
+from oracles import (
+    apply_word,
+    check_so_containment_form,
+    dilate,
+    induced_map,
+    ruination_gridscan,
+)
 
 RNG = np.random.default_rng(4321)
 
@@ -41,7 +45,7 @@ RNG = np.random.default_rng(4321)
 def eps_pair():
     params = ConstructionParams()
     f0, _, _, _ = bump_modify(params)
-    return epsilon_family(f0, k=0.005, eps=0.01)
+    return validate_class_a(*epsilon_family_specs(f0, k=0.005, eps=0.01)).as_pair()
 
 
 # -- single overlapping ----------------------------------------------------------
@@ -386,22 +390,22 @@ def test_ee_tail_needs_return_map_below_one(d_fixed, enclosed):
 
 def test_ruination_midpoints_map_into_hole(built_ctx):
     pair, hole, ruin = built_ctx["pair"], built_ctx["hole"], built_ctx["ruin"]
-    for n, part in ruin.parts_f[:12]:
+    for n, part in ruination_parts(pair, hole, "f")[:12]:
         y = induced_map(pair, "F", part.mid)
         assert hole.h_g.contains(y, 1e-9), f"Q_{n} midpoint escapes h_g"
-    for n, part in ruin.parts_g[:8]:
+    for n, part in ruination_parts(pair, hole, "g")[:8]:
         y = induced_map(pair, "G", part.mid)
         assert hole.h_f.contains(y, 1e-9), f"P_{n} midpoint escapes h_f"
 
 
 def test_ruination_parts_accumulate(built_ctx):
-    pair, ruin = built_ctx["pair"], built_ctx["ruin"]
+    pair, hole = built_ctx["pair"], built_ctx["hole"]
     f1_hi = pair.f.eval(1.0)
-    mids = [p.mid for _, p in ruin.parts_f]
+    mids = [p.mid for _, p in ruination_parts(pair, hole, "f")]
     assert all(a < b for a, b in zip(mids, mids[1:]))  # increase toward f(1)
     assert f1_hi - mids[-1] < f1_hi - mids[0]
     g0 = pair.g.eval(0.0)
-    mids_g = [p.mid for _, p in ruin.parts_g]
+    mids_g = [p.mid for _, p in ruination_parts(pair, hole, "g")]
     assert all(a > b for a, b in zip(mids_g, mids_g[1:]))  # decrease toward g(0)
 
 
@@ -411,14 +415,14 @@ def test_ruination_matches_gridscan(built_ctx):
     f1 = fundamental_domain(pair, "f", 1)
     cell = f1.length / 100_000
     # compare at grid resolution: symmetric difference below 1e-4
-    closed = ruin.r_f.dilate(cell, clip=Interval(0.0, 1.0))
-    sym = scan.difference(closed).measure() + ruin.r_f.difference(scan.dilate(cell)).measure()
+    closed = dilate(ruin.r_f, cell, clip=Interval(0.0, 1.0))
+    sym = scan.difference(closed).measure() + ruin.r_f.difference(dilate(scan, cell)).measure()
     assert sym < 1e-4
 
 
 def test_ruination_index_bookkeeping(built_ctx):
-    ruin = built_ctx["ruin"]
-    ns = [n for n, _ in ruin.parts_f]
+    pair, hole = built_ctx["pair"], built_ctx["hole"]
+    ns = [n for n, _ in ruination_parts(pair, hole, "f")]
     assert ns == sorted(ns) and ns[0] == 0
 
 
@@ -450,7 +454,7 @@ def test_ca_endpoint_membership_necessary(built_ctx):
     kept = IntervalSet([p for p in ruin.r_f.parts if not p.contains(w.lo)])
     from cantorifs.axioms import RuinationRegions
 
-    broken = RuinationRegions(kept, ruin.r_g, ruin.parts_f, ruin.parts_g)
+    broken = RuinationRegions(kept, ruin.r_g)
     rep = check_ca(pair, broken)
     assert not rep.ok and not rep.g0_in_rf
 

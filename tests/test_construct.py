@@ -19,12 +19,16 @@ from cantorifs.construct import (
     build_gamma,
     bump_modify,
     castrate,
-    certify_cantor_by_complement,
     check_measure_bound,
-    epsilon_family,
+    epsilon_family_specs,
     h_prime,
     lambda_sequence,
     lambda_sets,
+)
+
+from oracles import (
+    certify_cantor_by_complement,
+    contains_points,
     phi_rescale,
     phi_rescale_interval,
 )
@@ -60,7 +64,7 @@ def test_bump_agrees_with_base_outside_windows():
     params = ConstructionParams()
     f0, g0, _, _ = bump_modify(params)
     f_star, g_star = base_pair()
-    jq, jp = params.j_q, params.j_p
+    jq, jp = Interval(params.q - params.jp_width / 2, params.q + params.jp_width / 2), params.j_p
     for x in np.linspace(0.0, 1.0, 2001):
         x = float(x)
         if not jq.contains(x):
@@ -95,7 +99,7 @@ def test_bump_symmetry():
 def test_epsilon_family_exact_overlap():
     params = ConstructionParams()
     f0, _, _, _ = bump_modify(params)
-    pair = epsilon_family(f0, k=0.005, eps=0.01)
+    pair = validate_class_a(*epsilon_family_specs(f0, k=0.005, eps=0.01)).as_pair()
     assert pair.f.eval(1.0) == pytest.approx(0.50005, abs=1e-15)
     assert pair.g.eval(0.0) == pytest.approx(0.49995, abs=1e-15)
     assert check_so(pair).ok
@@ -114,7 +118,7 @@ def test_epsilon_rejects_window_escape():
     params = ConstructionParams()
     f0, _, _, _ = bump_modify(params)
     with pytest.raises(ConstructionError):
-        epsilon_family(f0, k=0.005, eps=0.49)
+        validate_class_a(*epsilon_family_specs(f0, k=0.005, eps=0.49)).as_pair()
 
 
 # -- H'_p --------------------------------------------------------------------------
@@ -438,7 +442,7 @@ def test_orbit_points_inside_lambda(appendix):
     for d in (4, 8, 12):
         cloud = orbit(pair, 0.0, d)
         lam = lambda_sets(pair, params, d)
-        assert bool(np.all(lam.contains_points(cloud.points, slack=1e-12)))
+        assert bool(np.all(contains_points(lam, cloud.points, slack=1e-12)))
 
 
 def test_measure_bound_report(appendix):

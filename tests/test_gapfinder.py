@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,16 @@ from cantorifs.ifs import OrbitCloud, fundamental_domain
 from cantorifs.gapfinder import (
     CaseTag,
     TerminalReason,
+    _boundary_hits,
     certify_cantor,
     classify,
     find_gap,
     find_gap_core,
     replay,
-    verify_hole_disjoint,
 )
 from cantorifs.axioms import HolePair
+
+from oracles import verify_hole_disjoint
 
 RNG = np.random.default_rng(777)
 
@@ -32,6 +36,25 @@ def test_classify_boundary_hit_at_f1(built_ctx):
     f1_hi = pair.f.eval(1.0)
     J = Interval(f1_hi - 1e-5, f1_hi + 1e-5)
     assert classify(J, pair, hole, ruin, bsets) is CaseTag.BOUNDARY_HIT
+
+
+def test_boundary_hits_are_the_strict_eps_interior_points(built_ctx):
+    """`classify` and the walk's split read one predicate: the points p
+    with J.lo + eps < p < J.hi - eps.  Checked with interval ends exactly
+    eps, and one ulp more or less, from each boundary point."""
+    pair, hole, ruin, bsets, _ = _ctx(built_ctx)
+    eps, pts = TOL.eps_geom, bsets.points
+    for pt in pts:
+        los = [pt - eps, math.nextafter(pt - eps, -1.0), math.nextafter(pt - eps, 2.0), pt - 1e-3]
+        his = [pt + eps, math.nextafter(pt + eps, -1.0), math.nextafter(pt + eps, 2.0), pt + 1e-3]
+        for lo in los:
+            for hi in his:
+                J = Interval(lo, hi)
+                expect = [p for p in pts if J.lo + eps < p < J.hi - eps]
+                assert list(_boundary_hits(J, bsets)) == expect
+                if J.length > 0:
+                    hit = classify(J, pair, hole, ruin, bsets) is CaseTag.BOUNDARY_HIT
+                    assert hit == bool(expect)
 
 
 def test_classify_inside_hole(built_ctx):

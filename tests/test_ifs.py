@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from cantorifs.errors import DomainError, ResourceCapError, SpecError
-from cantorifs.intervals import Interval, IntervalSet, hausdorff_distance
+from cantorifs.intervals import Interval, IntervalSet
 from cantorifs.maps import identity_spec
 from cantorifs.ifs import (
     fundamental_domain,
     minimal_set_cover,
     orbit,
-    orbit_bruteforce,
     validate_class_a,
 )
-from cantorifs.construct import base_pair, bump_modify, epsilon_family, ConstructionParams
+from cantorifs.construct import base_pair, bump_modify, epsilon_family_specs, ConstructionParams
+
+from oracles import dilate, hausdorff_distance, min_distance, orbit_bruteforce
 
 
 # -- class-A validation -------------------------------------------------------
@@ -29,7 +30,7 @@ def test_base_pair_degenerate_overlap_rejected():
 def test_epsilon_family_is_valid():
     params = ConstructionParams()
     f0, _, _, _ = bump_modify(params)
-    pair = epsilon_family(f0, k=0.005, eps=0.01)
+    pair = validate_class_a(*epsilon_family_specs(f0, k=0.005, eps=0.01)).as_pair()
     assert pair.overlap.lo == pytest.approx(0.49995, abs=1e-12)
     assert pair.overlap.hi == pytest.approx(0.50005, abs=1e-12)
 
@@ -64,7 +65,7 @@ def test_f0_is_right_edge(valid_affine):
 def test_f1_right_endpoint_for_epsilon_family():
     params = ConstructionParams()
     f0, _, _, _ = bump_modify(params)
-    pair = epsilon_family(f0, k=0.005, eps=0.01)
+    pair = validate_class_a(*epsilon_family_specs(f0, k=0.005, eps=0.01)).as_pair()
     f1 = fundamental_domain(pair, "f", 1)
     assert f1.hi == pytest.approx(0.50005, abs=1e-12)
     assert f1.lo == pytest.approx(pair.f.eval(0.50005), abs=1e-12)
@@ -114,7 +115,7 @@ def test_orbit_matches_bruteforce_enumerator_depth_12(built_pair):
     brute = orbit_bruteforce(built_pair, 0.0, 12)
     # set equality at eps_geom: every point of each within eps of the other
     eps = 1e-9
-    assert float(np.max(cloud.min_distance(brute))) <= eps
+    assert float(np.max(min_distance(cloud, brute))) <= eps
     i = np.clip(np.searchsorted(brute, cloud.points), 1, brute.size - 1)
     d = np.minimum(np.abs(cloud.points - brute[i - 1]), np.abs(cloud.points - brute[i]))
     assert float(np.max(d)) <= eps
@@ -129,7 +130,7 @@ def test_orbit_without_dedup_radius_keeps_every_distinct_value(valid_affine):
 def test_orbit_monotone_in_depth(valid_affine):
     c5 = orbit(valid_affine, 0.0, 5)
     c6 = orbit(valid_affine, 0.0, 6)
-    assert float(np.max(c6.min_distance(c5.points))) <= 1e-9
+    assert float(np.max(min_distance(c6, c5.points))) <= 1e-9
 
 
 def test_orbit_invariance_under_one_application(valid_affine):
@@ -137,7 +138,7 @@ def test_orbit_invariance_under_one_application(valid_affine):
     c5 = orbit(valid_affine, 0.0, 5)
     fwd = np.concatenate([valid_affine.f.eval_array(c4.points),
                           valid_affine.g.eval_array(c4.points)])
-    assert float(np.max(c5.min_distance(fwd))) <= 1e-9
+    assert float(np.max(min_distance(c5, fwd))) <= 1e-9
 
 
 def test_orbit_seed_endpoints_present(valid_affine):
@@ -166,7 +167,7 @@ def test_cover_contained_in_dilated_lambda(appendix):
     pair, params = appendix
     res = 1e-4
     cover = minimal_set_cover(pair, 10, res)
-    lam10 = lambda_sets(pair, params, 10).dilate(res)
+    lam10 = dilate(lambda_sets(pair, params, 10), res)
     # every orbit ball sits inside the dilated recursion set
     assert cover.difference(lam10).measure() <= 1e-12
 

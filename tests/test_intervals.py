@@ -9,12 +9,12 @@ from cantorifs.intervals import (
     Interval,
     IntervalSet,
     Tolerance,
-    contained_in_interior,
     from_csv,
     grid_cells_meeting,
-    hausdorff_distance,
     to_csv,
 )
+
+from oracles import contained_in_interior, contains_points, hausdorff_distance
 
 GRID = np.linspace(0.0, 1.0, 10_001)
 
@@ -24,7 +24,7 @@ def S(*parts):
 
 
 def grid_membership(s: IntervalSet) -> np.ndarray:
-    return s.contains_points(GRID)
+    return contains_points(s, GRID)
 
 
 # -- construction and normalization ----------------------------------------

@@ -11,9 +11,7 @@ from cantorifs.maps import (
     CubicHermite,
     MapSpec,
     Segment,
-    Word,
     affine_spec,
-    apply_word,
     conjugate_segment,
     hermite_linear_deriv,
     identity_spec,
@@ -27,6 +25,8 @@ from cantorifs.maps import (
 )
 from cantorifs.construct import base_pair, lambda_sequence
 from cantorifs.ifs import orbit, validate_class_a
+
+from oracles import apply_word
 
 RNG = np.random.default_rng(20260810)
 
@@ -243,11 +243,6 @@ def test_word_rightmost_first():
     assert apply_word(f, g, "FG", 0.0) == 0.25
     # GF means g(f(0)) = g(0) = 0.5
     assert apply_word(f, g, "GF", 0.0) == 0.5
-
-
-def test_word_validation():
-    with pytest.raises(SpecError):
-        Word("FXG")
 
 
 # -- symmetry ----------------------------------------------------------------------

@@ -273,6 +273,20 @@ def test_cli_plot_reports_missing_layers(pair_file, appendix, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cli_plot_fault_is_not_a_missing_layer(pair_file, tmp_path, monkeypatch):
+    """Only the hole verdicts drop the layers: a fault while building them
+    exits 2 and writes no figure."""
+    import cantorifs.cli as cli
+    from cantorifs.errors import DomainError
+
+    def broken(*args):
+        raise DomainError("injected")
+
+    monkeypatch.setattr(cli, "ruination_regions", broken)
+    assert main(["plot", pair_file, "--output-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "pair.svg").exists()
+
+
 def test_cli_strip(tmp_path, appendix):
     pair, params = appendix
     csv_path = tmp_path / "lam.csv"
