@@ -180,6 +180,20 @@ def bump_modify(params: ConstructionParams) -> tuple[MapSpec, MapSpec, Interval,
 # ---------------------------------------------------------------------------
 
 
+def _eps_window_eta(k: float, eps: float) -> float:
+    """The bridge width eta = k/50 of the epsilon family with corner width k,
+    once eps is checked to lie in the family's window: eps > 0, and the
+    overlap preimage [1 - 4*eps*k/(1 + 2*eps), 1] of f_eps stays inside the
+    affine tail [1 - k + eta, 1]."""
+    if not (eps > 0):  # NaN fails too
+        raise DomainError(f"the epsilon family needs eps > 0, got {eps}")
+    eta = k / 50.0
+    if 4.0 * eps * k / (1.0 + 2.0 * eps) >= k - eta:
+        raise ConstructionError(
+            f"eps = {eps} too large: the overlap preimage leaves the affine tail")
+    return eta
+
+
 def epsilon_family_specs(f0: MapSpec, k: float, eps: float) -> tuple[MapSpec, MapSpec]:
     """(f_eps, g_eps) as MapSpecs, without class-A validation.
 
@@ -189,13 +203,8 @@ def epsilon_family_specs(f0: MapSpec, k: float, eps: float) -> tuple[MapSpec, Ma
     equals what the affine slope would produce, so the corner value identity
     is exact.  g_eps is the diagonal conjugate.
     """
-    if eps <= 0:
-        raise DomainError("epsilon_family_specs needs eps > 0")
-    eta = k / 50.0
+    eta = _eps_window_eta(k, eps)
     corner = 1.0 - k
-    if 4.0 * eps * k / (1.0 + 2.0 * eps) >= k - eta:
-        raise ConstructionError(
-            f"eps = {eps} too large: the overlap preimage leaves the affine tail")
     segs: list[Segment] = []
     for s in f0.segments:
         if s.x_hi <= corner + 1e-15:
@@ -260,8 +269,10 @@ class ClassCBuilder:
 
     The reachable-corner function x(eps) = f_eps^{-1}(g_eps(0)) is strictly
     decreasing in eps and tends to 1 as eps -> 0+; all one-dimensional
-    solves bisect it on verified brackets (it has kinks where the preimage
-    crosses breakpoints, so Newton is not trusted).
+    solves bisect it on verified brackets.  `x_of` reads it off the two
+    eps-dependent affine segments without building a pair; `pair_at` builds
+    (and can validate) the whole pairs the pipeline uses: the window probes,
+    the reference pair at delta/2, alpha_0 and the castration candidates.
     """
 
     EPS_FLOOR = 1e-9
@@ -282,9 +293,36 @@ class ClassCBuilder:
         return IFSPair.of(f_eps, g_eps)
 
     def x_of(self, eps: float) -> float:
-        """f_eps^{-1}(g_eps(0)), the left overlap endpoint pulled to the corner."""
-        p = self.pair_at(eps)
-        return p.f.inverse_eval(p.g.eval(0.0))
+        """f_eps^{-1}(g_eps(0)), the left overlap endpoint pulled to the corner.
+
+        Read off the two affine segments it depends on, with nothing built:
+        g_eps(0) is the intercept of g_eps's first segment, the reflection of
+        f_eps's tail Affine(slope, icpt) on [1 - k + eta, 1], and the tail
+        inverts it as (y - icpt) / slope.  The float operations are those of
+        `epsilon_family_specs`, `_reflected_segments` and `Segment`, in their
+        order, so this is the float `f_eps.inverse_eval(g_eps.eval(0.0))`
+        gives whenever `inverse_eval` picks the tail, i.e. when
+        tail.y_lo < y <= tail.y_hi; otherwise it raises ConstructionError.
+
+        The per-eps `MapSpec` validation skipped here cannot fail for eps in
+        [EPS_FLOOR, delta]: the breakpoints, and the join at `corner`, do not
+        depend on eps and were validated with the pairs at delta and delta/2;
+        the bridge Hermite rises eta*slope with end slopes 1/2 and slope, so
+        its derivative 1/2 + eps*u*(4 - 3u), u in [0, 1], stays >= 1/2; and
+        at corner + eta it meets the tail with the same slope and, up to
+        rounding, the same value.
+        """
+        k = self.params.k
+        eta = _eps_window_eta(k, eps)
+        slope = 0.5 + eps
+        icpt = (0.5 + eps * k) - slope
+        y = 1.0 - slope - icpt                  # g_eps(0)
+        y_lo = slope * ((1.0 - k) + eta) + icpt  # f_eps at the tail's start
+        if not (y_lo < y <= slope + icpt):
+            raise ConstructionError(
+                f"eps = {eps}: g_eps(0) = {y} is outside the image "
+                f"({y_lo}, {slope + icpt}] of f_eps's affine tail")
+        return (y - icpt) / slope
 
     def _admissible_delta(self) -> float:
         """Largest dyadic eps <= epsilon_range.hi at which class-A + So hold

@@ -35,7 +35,9 @@ import numpy as np
 
 from .errors import CantorIFSError, CertificateError, ClassificationError, DomainError, IterationCapError
 from .intervals import TOL, Interval, IntervalSet, grid_cells_meeting
-from .ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
+# `fundamental_domain` is unused here, but perfbench's tracer test expects
+# `gapfinder.fundamental_domain` to be a binding site it can patch.
+from .ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit  # noqa: F401
 from .axioms import (
     BoundarySets,
     HolePair,
@@ -44,7 +46,7 @@ from .axioms import (
     induced_n,
     ruination_family,
 )
-from .maps import iterate_interval
+from .maps import iterate, iterate_interval
 
 
 class CaseTag(str, Enum):
@@ -471,11 +473,18 @@ def find_gap(
 
 
 def _locate_power_domain(p: IFSPair, j: Interval, which: Literal["f", "g"]) -> tuple[int, Interval]:
-    """Smallest N with j meeting F_N (resp. G_N); returns (N, that domain)."""
+    """Smallest N >= 2 with F_N (resp. G_N) holding j's midpoint; returns
+    (N, that domain).  One walk along the orbit of 1 under f (resp. of 0
+    under g) yields each domain from two consecutive iterates, the same
+    floats as `fundamental_domain`."""
+    m = p.f if which == "f" else p.g
+    x = iterate(m, 2, 1.0 if which == "f" else 0.0)  # f^2(1) or g^2(0)
     for n in range(2, 5000):
-        dom = fundamental_domain(p, which, n)
+        nxt = m.eval(x)
+        dom = Interval(nxt, x) if which == "f" else Interval(x, nxt)
         if dom.lo <= j.mid <= dom.hi:
             return n, dom
+        x = nxt
     raise ClassificationError(f"could not locate a fundamental domain for {j}")
 
 

@@ -158,11 +158,12 @@ class IntervalSet:
             raise SpecError("span of empty set")
         return Interval(float(self.los[0]), float(self.his[-1]))
 
-    def part_containing(self, x: float, slack: float = 0.0) -> Interval | None:
+    def part_containing(self, x: float) -> Interval | None:
+        """The closed part holding x, or None.  Only the last part with
+        lo <= x can hold it, since the next one starts above x."""
         i = int(np.searchsorted(self.los, x, side="right")) - 1
-        for k in (i, i + 1):
-            if 0 <= k < self.los.size and self.los[k] - slack <= x <= self.his[k] + slack:
-                return Interval(float(self.los[k]), float(self.his[k]))
+        if i >= 0 and x <= self.his[i]:
+            return Interval(float(self.los[i]), float(self.his[i]))
         return None
 
     def __iter__(self) -> Iterator[Interval]:

@@ -14,7 +14,7 @@ from typing import Literal
 import numpy as np
 
 from cantorifs.axioms import HolePair, _inverse_orbit
-from cantorifs.construct import AppendixParams, lambda_sequence
+from cantorifs.construct import AppendixParams, ClassCBuilder, lambda_sequence
 from cantorifs.errors import DomainError, SpecError
 from cantorifs.gapfinder import _orbit_points_inside
 from cantorifs.ifs import IFSPair, OrbitCloud, minimal_set_cover, orbit
@@ -103,6 +103,17 @@ def apply_word(f: MapSpec, g: MapSpec, w: str, x: float) -> float:
     for ch in reversed(w):
         x = f.eval(x) if ch == "F" else g.eval(x)
     return x
+
+
+# -- construction ------------------------------------------------------------------
+
+
+def x_of_full_pair(builder: ClassCBuilder, eps: float) -> float:
+    """x(eps) = f_eps^{-1}(g_eps(0)) read off the whole pair at eps, built
+    and validated as a `MapSpec` pair: the route `ClassCBuilder.x_of`
+    shortcuts."""
+    p = builder.pair_at(eps)
+    return p.f.inverse_eval(p.g.eval(0.0))
 
 
 # -- orbits ------------------------------------------------------------------------

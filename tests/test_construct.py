@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from itertools import islice, takewhile
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from cantorifs.errors import (
     BracketError, ConstructionError, DegenerateHoleError, DomainError, SpecError)
 from cantorifs.intervals import Interval, IntervalSet
-from cantorifs.maps import pair_from_json, pair_to_json, symmetry_residual
+from cantorifs.maps import Affine, pair_from_json, pair_to_json, symmetry_residual
 from cantorifs.ifs import validate_class_a
 from cantorifs.axioms import check_ca, check_so, find_hole, ruination_family, ruination_regions
 from cantorifs.construct import (
@@ -31,6 +32,7 @@ from oracles import (
     contains_points,
     phi_rescale,
     phi_rescale_interval,
+    x_of_full_pair,
 )
 
 
@@ -119,6 +121,33 @@ def test_epsilon_rejects_window_escape():
     f0, _, _, _ = bump_modify(params)
     with pytest.raises(ConstructionError):
         validate_class_a(*epsilon_family_specs(f0, k=0.005, eps=0.49)).as_pair()
+
+
+def test_x_of_guards_the_eps_window(builder):
+    with pytest.raises(DomainError):
+        builder.x_of(0.0)
+    with pytest.raises(ConstructionError):
+        builder.x_of(0.49)  # 4*eps*k/(1 + 2*eps) >= k - k/50 at the default k
+
+
+@pytest.mark.parametrize("params", [
+    ConstructionParams(),
+    ConstructionParams(jp_width=0.008, k=0.004, bump_strength=3.5),
+    ConstructionParams(jp_width=0.01, k=0.006, bump_strength=4.5),
+], ids=["default", "box_low", "box_high"])
+def test_x_of_equals_the_full_pair_path(params):
+    _, report, b = build_class_c_example(params)
+    k = b.params.k
+    grid = [b.EPS_FLOOR, b.delta, report.alpha0, *report.alphas,
+            *np.geomspace(b.EPS_FLOOR, b.delta, 41).tolist()]
+    for eps in grid:
+        pair = b.pair_at(eps)
+        f, y = pair.f, pair.g.eval(0.0)
+        tail = f.segments[-1]
+        assert isinstance(tail.kind, Affine) and tail.x_lo == (1.0 - k) + k / 50.0
+        # inverse_eval's segment rule (the left one at a break value) picks the tail
+        assert bisect_left(f._break_y_tuple, y) == len(f.segments)
+        assert b.x_of(eps) == x_of_full_pair(b, eps)
 
 
 # -- H'_p --------------------------------------------------------------------------

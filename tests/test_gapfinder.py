@@ -10,6 +10,7 @@ from cantorifs.gapfinder import (
     CaseTag,
     TerminalReason,
     _boundary_hits,
+    _locate_power_domain,
     certify_cantor,
     classify,
     find_gap,
@@ -231,6 +232,25 @@ def test_pullback_from_f3(built_ctx):
     assert cert.trace[0].tag is CaseTag.PULLBACK_FN
     assert cert.trace[0].op == "invpow_f" and cert.trace[0].n == 2  # N = 3
     assert J.contains_interval(cert.output)
+
+
+def test_locate_power_domain_matches_fundamental_domain(built_ctx):
+    pair = built_ctx["pair"]
+
+    def by_fundamental_domain(j, which):
+        for n in range(2, 5000):
+            dom = fundamental_domain(pair, which, n)
+            if dom.lo <= j.mid <= dom.hi:
+                return n, dom
+
+    for which in ("f", "g"):
+        ends = [fundamental_domain(pair, which, n) for n in (2, 3, 7, 20)]
+        dist = 2.0 ** -np.linspace(2.0, 40.0, 57)  # distance to the fixed point
+        mids = list(dist) if which == "f" else list(1.0 - dist)
+        mids += [x for d in ends for x in (d.lo, d.hi, d.mid)]
+        for x in mids:
+            j = Interval(x, x)
+            assert _locate_power_domain(pair, j, which) == by_fundamental_domain(j, which)
 
 
 def test_find_gap_identical_to_core_inside_f1(built_ctx):

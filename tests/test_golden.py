@@ -2,13 +2,18 @@
 
 The SHA-256 digests below pin `pair.json` from `construct`, two gap
 certificates and the `gaps --certify` report and CSV on the default pair,
-with the `config_*` echo lines (which hold output paths) left out.  A change
-that moves any of them must update the digest on purpose and say why.
+with the `config_*` echo lines (which hold output paths) left out, and the
+construction's report and pair at the 27 corners of the parameter box that
+perfbench's `construct` workload draws from.  A change that moves any of them
+must update the digest on purpose and say why.
 """
 
 import hashlib
+from itertools import product
 
 from cantorifs.cli import main
+from cantorifs.construct import ConstructionParams, build_class_c_example
+from cantorifs.maps import pair_to_json
 
 GOLDEN = {
     "pair.json": "fb12dd455b8f03c56aeb8e686df44608d7669b0cdc9171e2b27dec35cac1fb2e",
@@ -17,6 +22,10 @@ GOLDEN = {
     "certify/certify_report.txt": "e3f07e69fed7ad5e829e7f5b12fe73f6093699519f9b7521ce5c9e6f69db03ad",
     "certify/certify_report.csv": "aedac144af3c2db3201558092dbf54fa478f35f225c2caa7b11c09b23393d404",
 }
+
+# One digest over `PipelineReport.to_text()` and then `pair_to_json` of the
+# built pair, corner by corner in the order of `product` below.
+CONSTRUCT_BOX = "86037ccf21568d730637317b7fa246894de0b913807425efee208ee91fc66db4"
 
 
 def _digest(path) -> str:
@@ -34,3 +43,14 @@ def test_cli_artifacts_match_golden_digests(tmp_path):
     assert main(["gaps", pair, "--certify", "--resolution", "1e-2",
                  "--output-dir", str(tmp_path / "certify")]) == 0
     assert {name: _digest(tmp_path / name) for name in GOLDEN} == GOLDEN
+
+
+def test_construct_box_matches_golden_digest():
+    h = hashlib.sha256()
+    for jp_width, k, strength in product((0.008, 0.009, 0.010), (0.004, 0.005, 0.006),
+                                         (3.5, 4.0, 4.5)):
+        pair, report, _ = build_class_c_example(
+            ConstructionParams(jp_width=jp_width, k=k, bump_strength=strength))
+        h.update(report.to_text().encode("utf-8"))
+        h.update(pair_to_json(pair.f, pair.g).encode("utf-8"))
+    assert h.hexdigest() == CONSTRUCT_BOX

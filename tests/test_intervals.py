@@ -109,6 +109,20 @@ def test_measure_two_parts():
     assert S((0.1, 0.2), (0.4, 0.7)).measure() == pytest.approx(0.4, abs=1e-15)
 
 
+# -- point lookup ----------------------------------------------------------------
+
+
+def test_part_containing_at_ends_in_gaps_and_outside():
+    s = S((0.1, 0.2), (0.4, 0.7), (0.9, 1.0))
+    for x, part in [(0.1, (0.1, 0.2)), (0.15, (0.1, 0.2)), (0.2, (0.1, 0.2)),
+                    (0.4, (0.4, 0.7)), (0.7, (0.4, 0.7)), (0.9, (0.9, 1.0)), (1.0, (0.9, 1.0))]:
+        assert s.part_containing(x) == Interval(*part)
+    gaps = [math.nextafter(0.2, 1.0), 0.3, math.nextafter(0.4, 0.0), 0.8]
+    for x in [0.0, math.nextafter(0.1, 0.0), *gaps, 1.5, math.nan]:
+        assert s.part_containing(x) is None
+    assert S().part_containing(0.5) is None
+
+
 # -- interiority -----------------------------------------------------------------
 
 
