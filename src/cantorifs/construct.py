@@ -28,8 +28,8 @@ Pipeline stages, in data-dependency order:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -65,12 +65,12 @@ from .axioms import (
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    p: float = 1.0 / 3.0
-    q: float = 2.0 / 3.0
+    p: ClassVar[float] = 1.0 / 3.0  # fixed, not fields: the bump window q must
+    q: ClassVar[float] = 2.0 / 3.0  # map onto p = f*(q) under the base pair
     jp_width: float = 0.01          # |J_p| = |J_q|; 1/100 is small enough
     bump_strength: float = 4.0      # inner expansion factor of f0 ∘ g0
     k: float = 0.005                # affine corner width; < 1/100
-    epsilon_range: Interval = field(default_factory=lambda: Interval(0.0, 0.125))
+    delta_max: float = 0.125        # the eps window is (0, delta_max] at most
     n_target: int = 10              # index n for eps in C_n
 
     def __post_init__(self) -> None:
@@ -81,15 +81,14 @@ class ConstructionParams:
         if not (2.0 < self.bump_strength < 14.0 / 3.0):
             # sigma = strength/2 per map; the edge-slope budget dies at 7/3
             raise SpecError("bump_strength must be in (2, 14/3)")
-        if abs(self.p + self.q - 1.0) > TOL.eps_newton:
-            raise SpecError("p and q must be symmetric about 1/2")
+        if not (self.delta_max > 0):  # NaN fails too
+            raise SpecError(f"delta_max must be > 0, got {self.delta_max}")
         if self.n_target < 3:
             raise SpecError("n_target must be >= 3")
 
     @property
     def j_p(self) -> Interval:
         return Interval(self.p - self.jp_width / 2, self.p + self.jp_width / 2)
-
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +324,12 @@ class ClassCBuilder:
         return (y - icpt) / slope
 
     def _admissible_delta(self) -> float:
-        """Largest dyadic eps <= epsilon_range.hi at which class-A + So hold
+        """Largest dyadic eps <= delta_max at which class-A + So hold
         at both window ends (Ho is eps-independent and checked on the
         reference pair).  The small-end probe sits where the overlap width
         2*eps*k still clears the geometric tolerance."""
         small = max(1e-5, 2.0 * TOL.eps_geom / self.params.k)
-        delta = self.params.epsilon_range.hi
+        delta = self.params.delta_max
         for _ in range(20):
             if delta <= small:
                 break
@@ -525,7 +524,7 @@ class PipelineReport:
             f"param_jp_width: {pr.jp_width:.17g}",
             f"param_bump_strength: {pr.bump_strength:.17g}",
             f"param_k: {pr.k:.17g}",
-            f"param_eps_window: (0, {pr.epsilon_range.hi:.17g}]",
+            f"param_eps_window: (0, {pr.delta_max:.17g}]",
             f"param_n_target: {pr.n_target}",
             f"delta: {self.delta:.17g}",
             f"alpha0: {self.alpha0:.17g}",
@@ -671,11 +670,18 @@ def appendix_pair(params: AppendixParams | None = None) -> IFSPair:
 
 
 def lambda_sequence(pair: IFSPair, params: AppendixParams, n: int) -> list[IntervalSet]:
-    """Lambda_0 = the three blocks; Lambda_{k+1} = f(Lambda_k) ∪ g(Lambda_k).
+    """Lambda_0 = the three blocks; Lambda_{k+1} = f(Lambda_k) ∪ g(Lambda_k),
+    exact since increasing maps send parts to parts.
 
-    Nestedness is verified at every step (a violation means the inclusion
-    property failed).  Images of interval unions are exact: monotone maps
-    send parts to parts.
+    Nestedness is checked on the first two steps and holds for the rest by
+    induction: A ⊂ B implies f(A) ⊂ f(B) for increasing f.  In floats the
+    step needs f and g weakly monotone on each part of Lambda_k, k >= 1, and
+    each lies in a part of Lambda_1.  The check requires both maps to
+    evaluate every part of Lambda_1 on one affine segment, where Horner's
+    ((0*t + 0)*t + slope)*t + c0, t = x - x_lo, slope > 0, chains correctly
+    rounded increasing operations.  For `appendix_pair`, every Lambda_k
+    endpoint with k >= 1, other than 0 and 1, lies strictly inside a block,
+    where f and g are affine with positive slope.
     """
     f, g = pair.f.eval_array, pair.g.eval_array
     seq = [params.block_set]
@@ -685,19 +691,25 @@ def lambda_sequence(pair: IFSPair, params: AppendixParams, n: int) -> list[Inter
         # union is unique, so merging the images first gives the same floats
         nxt = IntervalSet(los=np.concatenate([f(cur.los), g(cur.los)]),
                           his=np.concatenate([f(cur.his), g(cur.his)]))
-        if not _subset(nxt, cur, TOL.eps_newton):
+        if k < 2 and not _subset(nxt, cur, TOL.eps_newton if k == 0 else 0.0):
             raise ConstructionError(f"Lambda_{k+1} not nested in Lambda_{k}")
+        if k == 0 and not _affine_on_parts(pair, nxt):
+            raise ConstructionError("f or g is not affine on a part of Lambda_1")
         seq.append(nxt)
     return seq
 
 
 def _subset(a: IntervalSet, b: IntervalSet, slack: float) -> bool:
-    if a.is_empty():
-        return True
     i = np.searchsorted(b.los, a.los + slack, side="right") - 1
-    if np.any(i < 0):
-        return False
-    return bool(np.all(a.his <= b.his[i] + slack))
+    return bool(np.all(i >= 0) and np.all(a.his <= b.his[i] + slack))
+
+
+def _affine_on_parts(pair: IFSPair, s: IntervalSet) -> bool:
+    """Whether f and g each evaluate every part of `s` on one affine segment."""
+    ends = list(zip(s.los.tolist(), s.his.tolist()))
+    return all(m._seg_index(lo) == m._seg_index(hi)
+               and isinstance(m.segments[m._seg_index(hi)].kind, Affine)
+               for m in (pair.f, pair.g) for lo, hi in ends)
 
 
 def lambda_sets(pair: IFSPair, params: AppendixParams, n: int) -> IntervalSet:

@@ -189,40 +189,31 @@ class OrbitCloud:
         return int(self.points.size)
 
 
-def _dedup_sorted(pts: np.ndarray, eps: float) -> np.ndarray:
-    """Resolution-eps dedup on a sorted array: bucket by floor(x/eps) and
-    keep the first point of each bucket.  Representatives are exact orbit
-    values and every dropped point is within eps of its representative.
-    The keys of a sorted array are sorted, so a bucket starts wherever the
-    key changes."""
-    if pts.size == 0:
-        return pts
-    keys = np.floor(pts / eps).astype(np.int64) if eps > 0.0 else pts
+def _dedup_sorted(pts: np.ndarray) -> np.ndarray:
+    """Resolution-eps_geom dedup on a sorted, non-empty array: bucket by
+    floor(x/eps_geom) and keep the first point of each bucket.
+    Representatives are exact orbit values and every dropped point is within
+    eps_geom of its representative.  The keys of a sorted array are sorted,
+    so a bucket starts wherever the key changes."""
+    keys = np.floor(pts / TOL.eps_geom).astype(np.int64)
     first = np.empty(pts.size, dtype=bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return pts[first]
 
 
-def orbit(
-    p: IFSPair,
-    seed: float,
-    depth: int,
-    dedup_eps: float | None = None,
-    cap: int = ORBIT_CAP,
-) -> OrbitCloud:
-    """Breadth-first enumeration of word images, deduplicated per level.
+def orbit(p: IFSPair, seed: float, depth: int) -> OrbitCloud:
+    """Breadth-first enumeration of word images, deduplicated per level at
+    resolution `TOL.eps_geom`; more than `ORBIT_CAP` points is a
+    ResourceCapError.
 
     The result is a deterministic sorted set: cloud(depth d) is (within
-    dedup_eps) a subset of cloud(depth d+1).
+    eps_geom) a subset of cloud(depth d+1).
     """
     if not (0.0 <= seed <= 1.0):
         raise DomainError(f"seed {seed} outside [0, 1]")
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    eps = TOL.eps_geom if dedup_eps is None else dedup_eps
-    if not (eps >= 0.0):  # NaN fails too
-        raise DomainError(f"dedup_eps must be >= 0, got {eps}")
 
     # f and g are increasing, so f(level) and g(level) of a sorted level are
     # sorted runs, which a stable sort (timsort) merges in linear time.
@@ -231,10 +222,10 @@ def orbit(
     for _ in range(depth):
         level = np.concatenate([p.f.eval_array(level), p.g.eval_array(level)])
         all_pts = np.sort(np.concatenate([all_pts, level]), kind="stable")
-        all_pts = _dedup_sorted(all_pts, eps)
-        level = _dedup_sorted(np.sort(level, kind="stable"), eps)
-        if all_pts.size > cap:
-            raise ResourceCapError(f"orbit exceeds cap of {cap} points")
+        all_pts = _dedup_sorted(all_pts)
+        level = _dedup_sorted(np.sort(level, kind="stable"))
+        if all_pts.size > ORBIT_CAP:
+            raise ResourceCapError(f"orbit exceeds cap of {ORBIT_CAP} points")
     return OrbitCloud(all_pts, depth, seed)
 
 

@@ -28,9 +28,9 @@ class Tolerance:
     max_iter   -- guard on iterative loops.
     """
 
-    eps_geom: float = 1e-9
-    eps_newton: float = 1e-12
-    max_iter: int = 100
+    eps_geom: float
+    eps_newton: float
+    max_iter: int
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps_newton <= self.eps_geom < 1e-3):
@@ -42,7 +42,7 @@ class Tolerance:
             raise SpecError("max_iter must be positive")
 
 
-TOL = Tolerance()
+TOL = Tolerance(eps_geom=1e-9, eps_newton=1e-12, max_iter=100)
 
 
 @dataclass(frozen=True, order=True)

@@ -372,9 +372,9 @@ def symmetry_conjugate(m: MapSpec) -> MapSpec:
     return MapSpec(_reflected_segments(m), label=m.label and f"conj({m.label})")
 
 
-def symmetry_residual(f: MapSpec, g: MapSpec, n: int = 1001) -> float:
-    """max over a grid of |1 - f(1-x) - g(x)|."""
-    xs = np.linspace(0.0, 1.0, n)
+def symmetry_residual(f: MapSpec, g: MapSpec) -> float:
+    """max over a 1001-point grid of |1 - f(1-x) - g(x)|."""
+    xs = np.linspace(0.0, 1.0, 1001)
     # f runs over 1 - xs reversed, so both maps see increasing input
     f_mirror = f.eval_array(1.0 - xs[::-1])[::-1]
     return float(np.max(np.abs(1.0 - f_mirror - g.eval_array(xs))))

@@ -64,8 +64,8 @@ def _square(iv: Interval, color: str) -> str:
             f'height="{_fmt(y1 - y0)}" fill="{color}" opacity="0.5"/>')
 
 
-def _graph_points(m, n: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, n), np.asarray(m.breakpoints())]))
+def _graph_points(m) -> tuple[np.ndarray, np.ndarray]:
+    xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 512), np.asarray(m.breakpoints())]))
     return xs, m.eval_array(xs)
 
 
@@ -106,17 +106,17 @@ def plot_pair(
                f'font-size="14">f:{p.f.label or "f"} g:{p.g.label or "g"} '
                f'W=[{p.overlap.lo:.6g},{p.overlap.hi:.6g}]</text>')
     if cover is not None:
-        out.append(strip_group(cover, y0=SIZE + 10, height=STRIP_H - 20))
+        out.append(strip_group(cover, y0=SIZE + 10))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def strip_group(s: IntervalSet, y0: float = 10, height: float = STRIP_H - 20) -> str:
+def strip_group(s: IntervalSet, y0: float = 10) -> str:
     rects = [f'<g stroke="none" fill="{_COLORS["strip"]}">']
     for lo, hi in zip(s.los, s.his):
         x0, x1 = _sx(float(lo)), _sx(float(hi))
         rects.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
-                     f'width="{_fmt(max(x1 - x0, 0.3))}" height="{_fmt(height)}"/>')
+                     f'width="{_fmt(max(x1 - x0, 0.3))}" height="{_fmt(STRIP_H - 20)}"/>')
     rects.append("</g>")
     return "\n".join(rects)
 

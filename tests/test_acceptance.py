@@ -130,7 +130,7 @@ def test_acceptance_5_oracle_equivalences(built_ctx):
         assert induced_n(pair, float(x), "F") == brute_n(float(x))
 
     # orbit enumeration vs the independent recursive enumerator at depth 12
-    cloud = orbit(pair, 0.0, 12, dedup_eps=1e-12)
+    cloud = orbit(pair, 0.0, 12)
     brute = orbit_bruteforce(pair, 0.0, 12)
     assert float(np.max(min_distance(cloud, brute))) <= 1e-9
     i = np.clip(np.searchsorted(brute, cloud.points), 1, brute.size - 1)
@@ -261,15 +261,14 @@ def test_acceptance_9_lemma_properties(built_ctx, cloud18):
     w = pair.overlap
 
     # backward-orbit membership: F(x) is again an orbit point
-    fine = orbit(pair, 0.0, 18, dedup_eps=1e-12)
-    pts = fine.points
+    pts = cloud18.points
     mask = (pts > f1.lo + 1e-9) & (pts < w.lo - 1e-9)
     candidates = pts[mask]
     assert candidates.size >= 1000
     sample = candidates[RNG.choice(candidates.size, 1000, replace=False)]
     for x in sample:
         y = induced_map(pair, "F", float(x))
-        assert cloud_contains(fine, y, 1e-9), f"F({x}) = {y} missing from the orbit"
+        assert cloud_contains(cloud18, y, 1e-9), f"F({x}) = {y} missing from the orbit"
 
     # overlap-lemma intervals contain no depth-18 orbit points
     rfrg = ruin.r_f.intersect(ruin.r_g)

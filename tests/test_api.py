@@ -1,9 +1,10 @@
 """The public API takes no tolerance arguments: the library reads its one
 fixed `intervals.TOL`.  No function takes a parameter it never reads, no
 object keeps a field nothing reads, the gap walk has no fallback
-expansion factor, only the axiom front end runs the expansion check, and
+expansion factor, only the axiom front end runs the expansion check,
 every function, class and method in src/ is run by a command or by the
-benchmark (test oracles live in `tests/oracles.py`)."""
+benchmark (test oracles live in `tests/oracles.py`), and every option
+has a caller in src/ or perfbench/ that sets it."""
 
 import ast
 import re
@@ -207,3 +208,76 @@ def test_library_holds_only_what_runs():
     unread = {qual for qual, name, node in defs
               if src_reads[name] == _loads(node)[name] and name not in bench_reads}
     assert unread == KEPT_FOR_LIBRARY_USERS
+
+
+def _defaulted_knobs():
+    """(`module.function.param` or `module.Class.field`, definition, callee
+    name, position) for each defaulted parameter of a top-level src function
+    or method and each defaulted dataclass field.  A class is called by its
+    name: `__init__` without `self`, or the dataclass fields in order.
+    `ClassVar` annotations are not fields."""
+    for path in sorted((REPO / "src" / "cantorifs").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            funcs = []
+            if isinstance(node, ast.FunctionDef):
+                funcs.append((f"{path.stem}.{node.name}", node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                if any(ast.unparse(d).startswith(("dataclass", "dataclasses.dataclass"))
+                       for d in node.decorator_list):
+                    fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                              and "ClassVar" not in ast.unparse(s.annotation)]
+                    for i, s in enumerate(fields):
+                        if s.value is not None:
+                            yield (f"{path.stem}.{node.name}.{s.target.id}",
+                                   f"{path.stem}.{node.name}", node.name, i)
+                for meth in node.body:
+                    if isinstance(meth, ast.FunctionDef):
+                        callee = node.name if meth.name == "__init__" else meth.name
+                        funcs.append((f"{path.stem}.{node.name}.{meth.name}", callee, meth))
+            for qual, callee, fn in funcs:
+                a = fn.args
+                positional = a.posonlyargs + a.args
+                if positional and positional[0].arg in ("self", "cls"):
+                    positional = positional[1:]
+                first_default = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first_default:], first_default):
+                    yield f"{qual}.{arg.arg}", qual, callee, i
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield f"{qual}.{arg.arg}", qual, callee, None
+
+
+def _calls():
+    """(callee name, number of leading positional arguments, keyword names)
+    for every call in src/ and perfbench/.  A `*` or `**` splat sets nothing
+    the scan can name."""
+    for root in ("src", "perfbench"):
+        for path in (REPO / root).rglob("*.py"):
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(n, ast.Call):
+                    continue
+                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                n_pos = next((i for i, a in enumerate(n.args) if isinstance(a, ast.Starred)),
+                             len(n.args))
+                yield name, n_pos, {k.arg for k in n.keywords if k.arg is not None}
+
+
+def test_every_option_is_set_by_a_caller():
+    """A defaulted parameter or field that no call in src/ or perfbench/
+    sets is an option only tests reach: make it a constant instead.  Calls
+    are matched by name, so a call to any same-named function counts."""
+    set_by = {}
+    for name, n_pos, keywords in _calls():
+        set_by.setdefault(name, []).append((n_pos, keywords))
+    knobs = list(_defaulted_knobs())
+    assert {"construct.ConstructionParams.jp_width", "ifs.minimal_set_cover.seed",
+            "maps.affine_spec.label"} <= {k for k, _, _, _ in knobs}
+    unset = sorted(
+        knob for knob, qual, callee, i in knobs
+        if qual not in KEPT_FOR_LIBRARY_USERS
+        and not any(knob.rpartition(".")[2] in kw or (i is not None and n_pos > i)
+                    for n_pos, kw in set_by.get(callee, ())))
+    assert unset == []

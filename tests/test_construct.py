@@ -7,8 +7,18 @@ import pytest
 from cantorifs.errors import (
     BracketError, ConstructionError, DegenerateHoleError, DomainError, SpecError)
 from cantorifs.intervals import Interval, IntervalSet
-from cantorifs.maps import Affine, pair_from_json, pair_to_json, symmetry_residual
-from cantorifs.ifs import validate_class_a
+from cantorifs.maps import (
+    Affine,
+    CubicHermite,
+    MapSpec,
+    Segment,
+    affine_spec,
+    pair_from_json,
+    pair_to_json,
+    symmetry_conjugate,
+    symmetry_residual,
+)
+from cantorifs.ifs import IFSPair, validate_class_a
 from cantorifs.axioms import check_ca, check_so, find_hole, ruination_family, ruination_regions
 from cantorifs.construct import (
     AppendixParams,
@@ -87,6 +97,22 @@ def test_bump_strength_bounds():
         ConstructionParams(bump_strength=2.0)
     with pytest.raises(SpecError):
         ConstructionParams(bump_strength=4.7)
+
+
+@pytest.mark.parametrize("kwargs", [{"p": 0.34}, {"q": 0.66}, {"epsilon_range": Interval(0.0, 0.1)}])
+def test_construction_params_fix_the_bump_centres(kwargs):
+    """p and q are set by the base pair, and the eps window is (0, delta_max]."""
+    with pytest.raises(TypeError):
+        ConstructionParams(**kwargs)
+    params = ConstructionParams()
+    assert (params.p, params.q) == (1.0 / 3.0, 2.0 / 3.0)
+    assert params.j_p == Interval(1.0 / 3.0 - 0.005, 1.0 / 3.0 + 0.005)
+
+
+@pytest.mark.parametrize("delta_max", [0.0, -1.0, float("nan")])
+def test_construction_params_need_a_positive_delta_max(delta_max):
+    with pytest.raises(SpecError):
+        ConstructionParams(delta_max=delta_max)
 
 
 def test_bump_symmetry():
@@ -457,11 +483,47 @@ def test_lambda_raw_branching_at_depth_10(appendix):
     assert los.size == 3 * 2 ** 10  # full branching before merging
 
 
-def test_lambda_nested(appendix):
-    pair, params = appendix
-    seq = lambda_sequence(pair, params, 12)  # nestedness asserted inside
-    for a, b in zip(seq[1:], seq):
-        assert a.difference(b).measure() <= 1e-12
+def test_lambda_nested():
+    """`lambda_sequence` checks nestedness on its first two steps only; every
+    later step is nested too, exactly, at the default and at two corners."""
+    for params in (AppendixParams(), AppendixParams(eps=0.001, lam=0.499),
+                   AppendixParams(eps=0.16, lam=0.05)):
+        seq = lambda_sequence(appendix_pair(params), params, 20)
+        for a, b in zip(seq[1:], seq):
+            assert a.difference(b).measure() == 0.0
+
+
+def test_lambda_sequence_rejects_a_pair_without_the_inclusion_property(valid_affine):
+    with pytest.raises(ConstructionError, match="Lambda_1 not nested in Lambda_0"):
+        lambda_sequence(valid_affine, AppendixParams(), 3)  # f(I_0) is not in I_-1
+
+
+def _contracting_pair(f: MapSpec) -> IFSPair:
+    """f and its mirror image, which do not overlap; `lambda_sequence` never
+    reads the overlap."""
+    return IFSPair(f, symmetry_conjugate(f), Interval(0.0, 1.0))
+
+
+def test_lambda_sequence_needs_affine_maps_on_lambda_1():
+    """The induction behind the single nestedness check reads f and g as
+    affine pieces on each part of Lambda_1: the same map, stored as a cubic
+    Hermite segment, is refused."""
+    params = AppendixParams()
+    affine = affine_spec(0.3, 0.0)
+    assert len(lambda_sequence(_contracting_pair(affine), params, 20)) == 21
+    cubic = MapSpec((Segment(0.0, 1.0, CubicHermite(0.0, 0.3, 0.3, 0.3)),))
+    with pytest.raises(ConstructionError, match="not affine"):
+        lambda_sequence(_contracting_pair(cubic), params, 20)
+
+
+def test_lambda_sequence_base_step_is_exact():
+    """f(1) overshoots I_-1 by 5e-13, inside the eps_newton slack of the
+    first step; the second step, the base of the induction, has no slack."""
+    params = AppendixParams()
+    pair = _contracting_pair(affine_spec(params.blocks[0].hi + 5e-13, 0.0))
+    assert len(lambda_sequence(pair, params, 1)) == 2
+    with pytest.raises(ConstructionError, match="Lambda_2 not nested in Lambda_1"):
+        lambda_sequence(pair, params, 2)
 
 
 def test_orbit_points_inside_lambda(appendix):

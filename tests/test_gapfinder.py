@@ -17,7 +17,7 @@ from cantorifs.gapfinder import (
     find_gap_core,
     replay,
 )
-from cantorifs.axioms import HolePair
+from cantorifs.axioms import BoundarySets, HolePair
 
 from oracles import verify_hole_disjoint
 
@@ -192,6 +192,25 @@ def test_certificate_replay_lands_in_terminal_region(built_ctx):
         assert part.lo - 1e-9 <= final.lo and final.hi <= part.hi + 1e-9
         tested += 1
     assert tested == 17
+
+
+def test_walk_splits_at_a_boundary_point_no_lemma_case_takes(built_ctx, cloud18):
+    """A boundary point inside F1's free part, away from the hole, meets none
+    of `_boundary_lemma`'s cases: the walk splits J there and walks on with
+    the larger side."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    x = (pair.f1.lo + hole.h_f.lo) / 2.0
+    b = BoundarySets(tuple(sorted(bsets.b_f + (x,))), bsets.b_g)
+    J = Interval(x - 1e-4, x + 1e-4)
+    cert = find_gap_core(J, pair, hole, ruin, b, mu=mu, cloud=cloud18)
+    first = cert.trace[0]
+    assert (first.tag, first.op) == (CaseTag.BOUNDARY_HIT, "shrink")
+    assert first.interval in (Interval(J.lo, x), Interval(x, J.hi))
+    assert J.lo <= cert.output.lo < cert.output.hi <= J.hi
+    assert cert.terminal_reason is TerminalReason.HOLE
+    final = replay(pair, cert)
+    assert any(h.lo - 1e-9 <= final.lo and final.hi <= h.hi + 1e-9
+               for h in (hole.h_f, hole.h_g)), f"replay ended at {final}, off the holes"
 
 
 def test_trace_growth_respects_expansion(built_ctx):

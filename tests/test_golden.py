@@ -1,8 +1,9 @@
 """Byte-identity of the CLI's deterministic artifacts.
 
 The SHA-256 digests below pin `pair.json` from `construct`, two gap
-certificates and the `gaps --certify` report and CSV on the default pair,
-with the `config_*` echo lines (which hold output paths) left out, and the
+certificates, the `gaps --certify` report and CSV and the depth-12
+`orbit.csv` on the default pair, and the three `appendix` reports, with the
+`config_*` echo lines (which hold output paths) left out; and the
 construction's report and pair at the 27 corners of the parameter box that
 perfbench's `construct` workload draws from.  A change that moves any of them
 must update the digest on purpose and say why.
@@ -21,6 +22,10 @@ GOLDEN = {
     "gap_b/gap_certificate.txt": "3d480ff68a27a424c9e35413e545afe0315945b71476aa2a2b700d81dd6b1163",
     "certify/certify_report.txt": "e3f07e69fed7ad5e829e7f5b12fe73f6093699519f9b7521ce5c9e6f69db03ad",
     "certify/certify_report.csv": "aedac144af3c2db3201558092dbf54fa478f35f225c2caa7b11c09b23393d404",
+    "orbit/orbit.csv": "e618f91ffec04945a963227751bb20377609492a86fd1531b0f309761067192f",
+    "appendix/appendix_bound.txt": "d1f48ae086b4ed5a2a9ae332366e8eea921600d9861bd19ade6b2d501deecc8b",
+    "appendix/appendix_lambda.csv": "f9f677678f9a11e85b0c154d8e34f28f255cad4d8a12c66bd6df121257bb200d",
+    "appendix/appendix_lambda10.csv": "9ed83ba90e5ca5e0a862f932c19e8d968a5539e0a159f83015012b78603a9ece",
 }
 
 # One digest over `PipelineReport.to_text()` and then `pair_to_json` of the
@@ -42,6 +47,8 @@ def test_cli_artifacts_match_golden_digests(tmp_path):
                      "--output-dir", str(tmp_path / out)]) == 0
     assert main(["gaps", pair, "--certify", "--resolution", "1e-2",
                  "--output-dir", str(tmp_path / "certify")]) == 0
+    assert main(["orbit", pair, "--depth", "12", "--output-dir", str(tmp_path / "orbit")]) == 0
+    assert main(["appendix", "--output-dir", str(tmp_path / "appendix")]) == 0
     assert {name: _digest(tmp_path / name) for name in GOLDEN} == GOLDEN
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cantorifs.errors import DomainError, ResourceCapError, SpecError
-from cantorifs.intervals import Interval, IntervalSet
+from cantorifs import ifs
+from cantorifs.intervals import TOL, Interval, IntervalSet
 from cantorifs.maps import identity_spec
 from cantorifs.ifs import (
     fundamental_domain,
@@ -111,7 +112,7 @@ def test_orbit_depth_one_f_fixes_zero(valid_affine):
 
 
 def test_orbit_matches_bruteforce_enumerator_depth_12(built_pair):
-    cloud = orbit(built_pair, 0.0, 12, dedup_eps=1e-12)
+    cloud = orbit(built_pair, 0.0, 12)
     brute = orbit_bruteforce(built_pair, 0.0, 12)
     # set equality at eps_geom: every point of each within eps of the other
     eps = 1e-9
@@ -121,10 +122,10 @@ def test_orbit_matches_bruteforce_enumerator_depth_12(built_pair):
     assert float(np.max(d)) <= eps
 
 
-def test_orbit_without_dedup_radius_keeps_every_distinct_value(valid_affine):
-    cloud = orbit(valid_affine, 0.0, 8, dedup_eps=0.0)
-    brute = orbit_bruteforce(valid_affine, 0.0, 8)
-    assert cloud.points.tobytes() == np.unique(brute).tobytes()
+def test_orbit_keeps_every_distinct_value_farther_apart_than_eps_geom(valid_affine):
+    brute = np.unique(orbit_bruteforce(valid_affine, 0.0, 8))
+    assert float(np.min(np.diff(brute))) > TOL.eps_geom  # nothing for dedup to merge
+    assert orbit(valid_affine, 0.0, 8).points.tobytes() == brute.tobytes()
 
 
 def test_orbit_monotone_in_depth(valid_affine):
@@ -147,15 +148,17 @@ def test_orbit_seed_endpoints_present(valid_affine):
     assert valid_affine.f.eval(1.0) in c1.points.tolist()
 
 
-@pytest.mark.parametrize("eps", [float("nan"), -1e-9])
-def test_orbit_rejects_bad_dedup_radius(valid_affine, eps):
-    with pytest.raises(DomainError):
-        orbit(valid_affine, 0.0, 3, dedup_eps=eps)
-
-
-def test_orbit_cap(valid_affine):
+def test_orbit_cap(valid_affine, monkeypatch):
+    monkeypatch.setattr(ifs, "ORBIT_CAP", 1000)
     with pytest.raises(ResourceCapError):
-        orbit(valid_affine, 0.0, 14, dedup_eps=1e-15, cap=1000)
+        orbit(valid_affine, 0.0, 14)
+
+
+def test_orbit_takes_no_dedup_radius_or_cap(valid_affine):
+    with pytest.raises(TypeError):
+        orbit(valid_affine, 0.0, 3, dedup_eps=1e-12)
+    with pytest.raises(TypeError):
+        orbit(valid_affine, 0.0, 3, cap=1000)
 
 
 # -- minimal-set covers ------------------------------------------------------------

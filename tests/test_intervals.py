@@ -47,9 +47,9 @@ def test_parts_sorted_and_merged():
 
 def test_tolerance_invariant():
     with pytest.raises(SpecError):
-        Tolerance(eps_geom=1e-2, eps_newton=1e-12)
+        Tolerance(eps_geom=1e-2, eps_newton=1e-12, max_iter=100)
     with pytest.raises(SpecError):
-        Tolerance(eps_geom=1e-9, eps_newton=1e-8)
+        Tolerance(eps_geom=1e-9, eps_newton=1e-8, max_iter=100)
 
 
 # -- union ------------------------------------------------------------------

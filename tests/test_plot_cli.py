@@ -182,6 +182,26 @@ def test_cli_rejects_bad_floats_at_parse_time(pair_file, tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["appendix", "--n-max", "-1"],
+    ["appendix", "--n-max", "2.5"],
+    ["plot", "PAIR", "--cover-depth", "-1"],
+])
+def test_cli_rejects_negative_counts_at_parse_time(pair_file, tmp_path, argv):
+    """Before, `appendix --n-max -1` wrote three files and then exited 2, and
+    `plot --cover-depth -1` drew no cover and exited 0."""
+    out = tmp_path / "out"
+    argv = [pair_file if a == "PAIR" else a for a in argv]
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_construct_rejects_a_non_positive_delta_max(tmp_path):
+    out = tmp_path / "out"
+    assert main(["construct", "--delta-max", "-1", "--output-dir", str(out)]) == 2
+    assert not out.exists()
+
+
 def _gaps_verdict(pair_file, tmp_path, *extra):
     """Run `gaps` on one interval; it must end in a verdict with the
     validate report and no certificate."""
