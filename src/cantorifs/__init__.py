@@ -30,7 +30,6 @@ from .ifs import (
     validate_class_a,
 )
 from .axioms import (
-    BoundarySets,
     ExpansionReport,
     HolePair,
     RuinationRegions,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, takewhile
 from typing import Iterator, Literal
 
 import numpy as np
@@ -35,9 +36,7 @@ from .errors import (
     NoContractionError,
 )
 from .intervals import TOL, Interval, IntervalSet
-# Unused here, but perfbench's tracer test expects `axioms.fundamental_domain`
-# to be a binding site it can patch.
-from .ifs import IFSPair, fundamental_domain  # noqa: F401
+from .ifs import IFSPair, fundamental_domain
 from .maps import MapSpec
 
 #: The `find_hole` failures that are verdicts on the pair, reported as data;
@@ -64,10 +63,8 @@ class SoReport:
 
 def check_so(p: IFSPair) -> SoReport:
     """f^2(1) < g(0) and f(1) < g^2(0), each with margin >= eps_geom."""
-    f2 = p.f.eval(p.f.eval(1.0))
-    g2 = p.g.eval(p.g.eval(0.0))
-    ml = p.overlap.lo - f2
-    mr = g2 - p.overlap.hi
+    ml = p.overlap.lo - p.f1.lo
+    mr = p.g1.hi - p.overlap.hi
     eps = TOL.eps_geom
     return SoReport(ml >= eps and mr >= eps, ml, mr)
 
@@ -160,7 +157,7 @@ def _inverse_orbit(p: IFSPair, which: Literal["F", "G"], x: float) -> list[float
     raise IterationCapError(f"inverse orbit did not land in {codom} from x={x}")
 
 
-def induced_n(p: IFSPair, x: float, which: Literal["F", "G"] = "F") -> int:
+def induced_n(p: IFSPair, x: float, which: Literal["F", "G"]) -> int:
     """Least n >= 0 with (return map)^{-n}(first^{-1}(x)) in the codomain."""
     return len(_inverse_orbit(p, which, x)) - 1
 
@@ -251,9 +248,10 @@ def expansion_cells(
     its accumulation cell (None when that is not enclosed).
 
     With q_k = ret^k(base) (ret = g, base 0 for F; ret = f, base 1 for G),
-    the site s_j = first(q_j) and the domains D_k = [q_k, q_{k+1}]: the cell
-    between s_j and s_{j+1} pulls back under first^{-1} onto exactly D_j,
-    each ret^{-1} step maps D_k onto D_{k-1}, and n = j - 1 on it.  Its
+    the site s_j = first(q_j) and the domains D_k = [q_k, q_{k+1}] (ret's
+    fundamental domains, G_k for F and F_k for G): the cell between s_j and
+    s_{j+1} pulls back under first^{-1} onto exactly D_j, each ret^{-1} step
+    maps D_k onto D_{k-1}, and n = j - 1 on it.  Its
     bound is 1/max first'(D_j) times the prefix product of 1/max ret'(D_k)
     over 1 <= k < j.  The first cell (from the far end of the domain to s_2) and
     the pieces the hole cuts pull back through `inverse_eval` of their ends.
@@ -275,34 +273,31 @@ def expansion_cells(
     # edges[0] is the domain's far end and edges[j] = s_{j+1}, so cell j lies
     # between edges[j-1] and edges[j].  Under So every site is strictly
     # inside the domain, so none is missing from the front of the list.
-    qs = [1.0 - fixed]
-
-    def domain(k: int) -> tuple[float, float]:
-        """D_k, padded."""
-        while len(qs) <= k + 1:
-            qs.append(ret.eval(qs[-1]))
-        return _padded(qs[k], qs[k + 1])
+    ret_name: Literal["f", "g"] = "g" if which == "F" else "f"
 
     cells: list[EeCell] = []
     chain = 1.0  # prefix product of 1/max ret'(D_k) over 1 <= k < j
     for j in range(1, len(edges)):
         lo, hi = sorted((edges[j - 1], edges[j]))
+        d = fundamental_domain(p, ret_name, j)
+        d_j = _padded(d.lo, d.hi)
         if hi <= hole.lo or lo >= hole.hi:
             bound = (_first_bound(first, chain, lo, hi) if j == 1
-                     else _down(chain / first.max_deriv(*domain(j))))
+                     else _down(chain / first.max_deriv(*d_j)))
             cells.append(EeCell(lo, hi, j - 1, chain, bound))
         else:
             for a, b in ((lo, hole.lo), (hole.hi, hi)):
                 if a < b:
                     cells.append(EeCell(a, b, j - 1, chain, _first_bound(first, chain, a, b)))
-        chain = _down(chain / ret.max_deriv(*domain(j)))
+        chain = _down(chain / ret.max_deriv(*d_j))
 
     big_j = len(edges)
     lo, hi = sorted((edges[-1], acc_end))
     bound, low = math.inf, chain
     for k in range(big_j, big_j + TOL.max_iter):
-        d_k = domain(k)
-        rest = _padded(qs[k], fixed)
+        d = fundamental_domain(p, ret_name, k)
+        d_k = _padded(d.lo, d.hi)
+        rest = _padded(d.lo if which == "F" else d.hi, fixed)  # q_k to the fixed point
         if ret.max_deriv(*rest) <= 1.0:
             bound = min(bound, _down(chain / first.max_deriv(*rest)))
             return cells, EeCell(lo, hi, big_j - 1, low, bound)
@@ -332,7 +327,7 @@ def _bisect(first: MapSpec, cell: EeCell, mu_target: float) -> tuple[list[EeCell
     return done, False
 
 
-def check_ee(p: IFSPair, h: HolePair, mu_target: float = 1.01) -> ExpansionReport:
+def check_ee(p: IFSPair, h: HolePair, mu_target: float) -> ExpansionReport:
     """Enclose the induced derivatives of both branches outside the holes.
 
     Each branch's domain is cut into the cells of `expansion_cells`; a cell
@@ -374,8 +369,7 @@ def check_ee(p: IFSPair, h: HolePair, mu_target: float = 1.01) -> ExpansionRepor
 @dataclass(frozen=True)
 class RuinationRegions:
     """Truncated families Q_n (parts of r_f) and P_n (parts of r_g), each
-    family's retained parts in position order (`ruination_parts` pairs each
-    with its n)."""
+    normalized from the parts `ruination_parts` keeps."""
 
     r_f: IntervalSet
     r_g: IntervalSet
@@ -397,28 +391,22 @@ def ruination_family(p: IFSPair, h: HolePair, which: Literal["f", "g"]) -> Itera
         cur = inner.image_of(cur)
 
 
-def ruination_parts(
-    p: IFSPair, h: HolePair, which: Literal["f", "g"]
-) -> list[tuple[int, Interval]]:
-    """The parts (n, part) of one ruination family, in order of n.
+def ruination_parts(p: IFSPair, h: HolePair, which: Literal["f", "g"]) -> list[Interval]:
+    """The parts of one ruination family; part n is at index n.
 
     Monotone maps send intervals to intervals, so each part is exact up to
     evaluation rounding.  Keeps parts n = 0..10,000 and stops before the
     first one shorter than eps_geom; castration only ever needs finitely
     many parts.
     """
-    parts: list[tuple[int, Interval]] = []
-    for n, part in zip(range(10_001), ruination_family(p, h, which)):
-        if part.length < TOL.eps_geom:
-            break
-        parts.append((n, part))
-    return parts
+    parts = islice(ruination_family(p, h, which), 10_001)
+    return list(takewhile(lambda part: part.length >= TOL.eps_geom, parts))
 
 
 def ruination_regions(p: IFSPair, h: HolePair) -> RuinationRegions:
     return RuinationRegions(
-        r_f=IntervalSet([iv for _, iv in ruination_parts(p, h, "f")]),
-        r_g=IntervalSet([iv for _, iv in ruination_parts(p, h, "g")]),
+        r_f=IntervalSet(ruination_parts(p, h, "f")),
+        r_g=IntervalSet(ruination_parts(p, h, "g")),
     )
 
 
@@ -499,34 +487,22 @@ def _strictly_inside(s: IntervalSet, x: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Boundary sets
+# Boundary points
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundarySets:
-    b_f: tuple[float, ...]
-    b_g: tuple[float, ...]
-
-    @cached_property
-    def points(self) -> tuple[float, ...]:
-        """b_f ∪ b_g, sorted."""
-        return tuple(sorted(set(self.b_f) | set(self.b_g)))
-
-
-def boundary_sets(p: IFSPair, h: HolePair, r: RuinationRegions) -> BoundarySets:
-    """b_f = boundary(h_f ∪ (r_f ∩ r_g)) ∪ boundary(F1), symmetric for g.
+def boundary_sets(p: IFSPair, h: HolePair, r: RuinationRegions) -> tuple[float, ...]:
+    """b_f ∪ b_g, sorted and without repeats, where
+    b_f = boundary(h_f ∪ (r_f ∩ r_g)) ∪ boundary(F1), symmetric for g.
 
     Assembled from normalized part endpoints of the truncated sets; every
     reported point is an endpoint of a part of the operand sets.
     """
-    def bdry(base: Interval, extra: IntervalSet) -> list[float]:
-        s = IntervalSet([base]).union(extra)
+    def bdry(base: Interval) -> list[float]:
+        s = IntervalSet([base]).union(r.rfrg)
         return [float(v) for v in np.concatenate([s.los, s.his])]
 
-    b_f = sorted(set(bdry(h.h_f, r.rfrg) + [p.f1.lo, p.f1.hi]))
-    b_g = sorted(set(bdry(h.h_g, r.rfrg) + [p.g1.lo, p.g1.hi]))
-    return BoundarySets(tuple(b_f), tuple(b_g))
+    return tuple(sorted(set(bdry(h.h_f) + bdry(h.h_g) + [p.f1.lo, p.f1.hi, p.g1.lo, p.g1.hi])))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +533,7 @@ class AxiomReport:
 def run_axiom_checks(
     p: IFSPair,
     hole_seed: Interval,
-    mu_target: float = 1.01,
+    mu_target: float,
 ) -> AxiomReport:
     """Class-A is assumed already validated for `p`; runs So, Ho, Ee, Ca in
     order, short-circuiting on failure."""

@@ -33,20 +33,21 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import CantorIFSError, CertificateError, ClassificationError, DomainError, IterationCapError
+from .errors import CertificateError, ClassificationError, DomainError, IterationCapError
 from .intervals import TOL, Interval, IntervalSet, grid_cells_meeting
-# `fundamental_domain` is unused here, but perfbench's tracer test expects
-# `gapfinder.fundamental_domain` to be a binding site it can patch.
-from .ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit  # noqa: F401
+from .ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
 from .axioms import (
-    BoundarySets,
     HolePair,
     RuinationRegions,
     induced_discontinuities,
     induced_n,
     ruination_family,
 )
-from .maps import iterate, iterate_interval
+from .maps import iterate_interval
+
+#: The `find_gap` failures that are verdicts on a cell, reported as data by
+#: `certify_cantor`; any other error is a fault and propagates.
+WALK_VERDICTS = (ClassificationError, CertificateError, IterationCapError)
 
 
 class CaseTag(str, Enum):
@@ -111,15 +112,15 @@ def _in_part(j: Interval, s: IntervalSet) -> bool:
     return part is not None and part.contains_interval(j, -TOL.eps_geom)
 
 
-def _boundary_hits(J: Interval, b: BoundarySets) -> tuple[float, ...]:
+def _boundary_hits(J: Interval, b: tuple[float, ...]) -> tuple[float, ...]:
     """The boundary points strictly inside J, eps_geom away from both ends;
-    `b.points` is sorted, so they are one slice of it."""
-    eps, pts = TOL.eps_geom, b.points
-    return pts[bisect_right(pts, J.lo + eps):bisect_left(pts, J.hi - eps)]
+    `b` is sorted, so they are one slice of it."""
+    eps = TOL.eps_geom
+    return b[bisect_right(b, J.lo + eps):bisect_left(b, J.hi - eps)]
 
 
 def classify(
-    J: Interval, p: IFSPair, h: HolePair, r: RuinationRegions, b: BoundarySets
+    J: Interval, p: IFSPair, h: HolePair, r: RuinationRegions, b: tuple[float, ...]
 ) -> CaseTag:
     """Exactly one case tag for an interval of positive length.
 
@@ -222,22 +223,26 @@ def replay(p: IFSPair, cert: GapCertificate) -> Interval:
 
 
 def _widest_component(j: Interval, s: IntervalSet) -> Interval | None:
-    inter = IntervalSet([j]).intersect(s)
-    if inter.is_empty():
+    """The widest piece of j ∩ s (the first on a tie), or None.  The parts
+    of s meeting j are one slice of it; only the slice's ends need clipping
+    to j, and the positive gaps between parts keep the pieces apart."""
+    a = int(np.searchsorted(s.his, j.lo, side="left"))
+    z = int(np.searchsorted(s.los, j.hi, side="right"))
+    if a >= z:
         return None
-    widths = inter.his - inter.los
-    k = int(np.argmax(widths))
-    return Interval(float(inter.los[k]), float(inter.his[k]))
+    los, his = s.los[a:z].copy(), s.his[a:z].copy()
+    los[0], his[-1] = max(j.lo, los[0]), min(j.hi, his[-1])
+    k = int(np.argmax(his - los))
+    return Interval(float(los[k]), float(his[k]))
 
 
-def _middle_third_in(j: Interval, s: IntervalSet) -> Interval | None:
-    """Middle third of the widest component of j ∩ s, if at least
-    3*eps_newton long.
+def _middle_third(comp: Interval | None) -> Interval | None:
+    """Middle third of `comp` (a piece of the current interval), if at
+    least 3*eps_newton long.
 
     The middle third keeps the output comfortably interior, which is what
     stabilizes the verification margins.
     """
-    comp = _widest_component(j, s)
     if comp is None or comp.length < 3.0 * TOL.eps_newton:
         return None
     return comp.middle_third()
@@ -275,10 +280,10 @@ def _boundary_lemma(
     (the caller then splits and walks on)."""
     w = p.overlap
     for hole in (h.h_f, h.h_g):
-        u = _middle_third_in(cur, IntervalSet([hole]))
+        u = _middle_third(cur.intersection(hole))
         if u is not None:
             return [], u, TerminalReason.HOLE
-    u = _middle_third_in(cur, r.rfrg)
+    u = _middle_third(_widest_component(cur, r.rfrg))
     if u is not None:
         return [], u, TerminalReason.RUINATION_OVERLAP
     for endpoint in (w.hi, w.lo):
@@ -298,7 +303,7 @@ def _boundary_lemma(
                 continue
             pulled = m.preimage_of(clipped)
             step = TraceStep(CaseTag.BOUNDARY_HIT, op, 1, pulled)
-            u = _middle_third_in(pulled, r.rfrg)
+            u = _middle_third(_widest_component(pulled, r.rfrg))
             if u is not None:
                 return [step], u, TerminalReason.RUINATION_OVERLAP
             u = _deepen_overlap_near(p, h, r, pulled, endpoint)
@@ -312,7 +317,7 @@ def find_gap_core(
     p: IFSPair,
     h: HolePair,
     r: RuinationRegions,
-    b: BoundarySets,
+    b: tuple[float, ...],
     mu: float,
     cloud: OrbitCloud | None = None,
 ) -> GapCertificate:
@@ -328,7 +333,7 @@ def find_gap_core(
 
 def _walk(
     J: Interval, prefix: tuple[TraceStep, ...], start: Interval, p: IFSPair, h: HolePair,
-    r: RuinationRegions, b: BoundarySets, mu: float, cloud: OrbitCloud | None,
+    r: RuinationRegions, b: tuple[float, ...], mu: float, cloud: OrbitCloud | None,
 ) -> GapCertificate:
     """The induction from `start`, the window that the `prefix` steps carry
     the input J to (no steps: start is J).  The terminal piece is pulled
@@ -337,8 +342,7 @@ def _walk(
     (the walk-space check tests the deeper orbit points)."""
     if start.length < 10.0 * TOL.eps_geom:
         raise DomainError(f"input {start} shorter than 10*eps_geom")
-    span = Interval(p.f1.lo, p.g1.hi)
-    if start.hi <= span.lo or start.lo >= span.hi:
+    if start.hi <= p.f1.lo or start.lo >= p.g1.hi:
         raise DomainError(f"{start} does not meet F1 ∪ G1; use find_gap")
     if mu <= 1.0:
         raise DomainError("find_gap_core needs mu > 1")
@@ -435,7 +439,7 @@ def find_gap(
     p: IFSPair,
     h: HolePair,
     r: RuinationRegions,
-    b: BoundarySets,
+    b: tuple[float, ...],
     mu: float,
     cloud: OrbitCloud | None = None,
 ) -> GapCertificate:
@@ -457,13 +461,12 @@ def find_gap(
     # Shrink (largest piece each time) until work sits inside a single F_N /
     # G_N; domains shrink geometrically toward the fixed point, so this
     # terminates quickly.
-    n, domain = _locate_power_domain(p, work, which)
     for _ in range(200):
+        n, domain = _locate_power_domain(p, work, which)
         cuts = [c for c in (domain.lo, domain.hi) if work.lo < c < work.hi]
         if not cuts:
             break
         work = _split_at(work, cuts)
-        n, domain = _locate_power_domain(p, work, which)
     else:
         raise ClassificationError(f"could not fit {J} inside one fundamental domain")
 
@@ -474,17 +477,11 @@ def find_gap(
 
 def _locate_power_domain(p: IFSPair, j: Interval, which: Literal["f", "g"]) -> tuple[int, Interval]:
     """Smallest N >= 2 with F_N (resp. G_N) holding j's midpoint; returns
-    (N, that domain).  One walk along the orbit of 1 under f (resp. of 0
-    under g) yields each domain from two consecutive iterates, the same
-    floats as `fundamental_domain`."""
-    m = p.f if which == "f" else p.g
-    x = iterate(m, 2, 1.0 if which == "f" else 0.0)  # f^2(1) or g^2(0)
+    (N, that domain)."""
     for n in range(2, 5000):
-        nxt = m.eval(x)
-        dom = Interval(nxt, x) if which == "f" else Interval(x, nxt)
+        dom = fundamental_domain(p, which, n)
         if dom.lo <= j.mid <= dom.hi:
             return n, dom
-        x = nxt
     raise ClassificationError(f"could not locate a fundamental domain for {j}")
 
 
@@ -543,7 +540,7 @@ def certify_cantor(
     p: IFSPair,
     h: HolePair,
     r: RuinationRegions,
-    b: BoundarySets,
+    b: tuple[float, ...],
     resolution: float,
     depth: int,
     mu: float,
@@ -566,7 +563,7 @@ def certify_cantor(
     for J in cells:
         try:
             cert = find_gap(J, p, h, r, b, mu=mu, cloud=cloud)
-        except CantorIFSError as e:  # aggregate verdicts; faults propagate
+        except WALK_VERDICTS as e:  # aggregate verdicts; faults propagate
             failures.append((J.lo, J.hi, f"{type(e).__name__}: {e}"))
             continue
         min_gap = min(min_gap, cert.output.length)

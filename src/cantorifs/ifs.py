@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError, SpecError
 from .intervals import TOL, Interval, IntervalSet, Tolerance
-from .maps import MapSpec, iterate
+from .maps import MapSpec
 
 #: Hard cap on deduplicated orbit size.
 ORBIT_CAP = 10_000_000
@@ -35,7 +35,8 @@ class IFSPair:
     the checked entry point and fills `overlap` consistently.  Direct
     construction is allowed for toys and negative controls.
 
-    The geometry fixed by the pair (F1, G1 and the jump sites of the induced
+    The geometry fixed by the pair (the ladders f^n(1) and g^n(0) that
+    `fundamental_domain` reads, F1, G1 and the jump sites of the induced
     maps) is computed on first use and cached on the instance; it stays lazy
     because parameter searches build many throwaway pairs that never read it.
     """
@@ -52,38 +53,43 @@ class IFSPair:
         return IFSPair(f, g, Interval(g.eval(0.0), f.eval(1.0)))
 
     @cached_property
+    def _ladders(self) -> dict[str, list[float]]:
+        """f^n(1) and g^n(0) for n = 0, 1, ..., grown on demand by
+        `fundamental_domain`."""
+        return {"f": [1.0], "g": [0.0]}
+
+    @cached_property
     def f1(self) -> Interval:
         """F1 = [f^2(1), f(1)]."""
-        return Interval(iterate(self.f, 2, 1.0), iterate(self.f, 1, 1.0))
+        return fundamental_domain(self, "f", 1)
 
     @cached_property
     def g1(self) -> Interval:
         """G1 = [g(0), g^2(0)]."""
-        return Interval(iterate(self.g, 1, 0.0), iterate(self.g, 2, 0.0))
+        return fundamental_domain(self, "g", 1)
 
     @cached_property
     def jumps_F(self) -> tuple[float, ...]:
         """Sorted sites f(g^j(0)), j >= 2, where the induced map F's return
         count n(x) jumps; they accumulate at f(1)."""
-        return self._jump_sites(self.f, self.g, 0.0)
+        return self._jump_sites(self.f, "g")
 
     @cached_property
     def jumps_G(self) -> tuple[float, ...]:
         """Sorted sites g(f^j(1)), j >= 2, the jumps of the induced map G;
         they accumulate at g(0)."""
-        return self._jump_sites(self.g, self.f, 1.0)
+        return self._jump_sites(self.g, "f")
 
-    def _jump_sites(self, first: MapSpec, ret: MapSpec, seed: float) -> tuple[float, ...]:
-        # The sites accumulate at the image under `first` of ret's fixed
-        # point; stop once consecutive ones agree to eps_newton, or after 200.
-        y = ret.eval(ret.eval(seed))  # j = 2
+    def _jump_sites(self, first: MapSpec, ret: Literal["f", "g"]) -> tuple[float, ...]:
+        # The sites first(g^j(0)) = first(G_j.lo) (first(F_j.hi) for ret = f)
+        # accumulate at the image under `first` of ret's fixed point; stop
+        # once consecutive ones agree to eps_newton, or after 200.
         sites: list[float] = []
-        for _ in range(200):
-            x = first.eval(y)
-            sites.append(x)
-            if len(sites) > 1 and abs(x - sites[-2]) < TOL.eps_newton:
+        for j in range(2, 202):
+            d = fundamental_domain(self, ret, j)
+            sites.append(first.eval(d.lo if ret == "g" else d.hi))
+            if len(sites) > 1 and abs(sites[-1] - sites[-2]) < TOL.eps_newton:
                 break
-            y = ret.eval(y)
         return tuple(sorted(sites))
 
 
@@ -160,14 +166,16 @@ def validate_class_a(f: MapSpec, g: MapSpec) -> ValidationResult:
 
 
 def fundamental_domain(p: IFSPair, which: Literal["f", "g"], n: int) -> Interval:
-    """F_n = [f^(n+1)(1), f^n(1)] or G_n = [g^n(0), g^(n+1)(0)]."""
+    """F_n = [f^(n+1)(1), f^n(1)] or G_n = [g^n(0), g^(n+1)(0)], read from
+    the pair's ladder, which grows by one evaluation per new iterate."""
     if n < 0:
         raise DomainError("fundamental_domain needs n >= 0")
-    if which == "f":
-        return Interval(iterate(p.f, n + 1, 1.0), iterate(p.f, n, 1.0))
-    if which == "g":
-        return Interval(iterate(p.g, n, 0.0), iterate(p.g, n + 1, 0.0))
-    raise DomainError(f"which must be 'f' or 'g', got {which!r}")
+    if which not in ("f", "g"):
+        raise DomainError(f"which must be 'f' or 'g', got {which!r}")
+    m, xs = (p.f if which == "f" else p.g), p._ladders[which]
+    while len(xs) <= n + 1:
+        xs.append(m.eval(xs[-1]))
+    return Interval(xs[n + 1], xs[n]) if which == "f" else Interval(xs[n], xs[n + 1])
 
 
 # -- orbits ---------------------------------------------------------------------

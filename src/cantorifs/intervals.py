@@ -208,7 +208,7 @@ class IntervalSet:
                 j += 1
         return IntervalSet(los=np.asarray(out_lo), his=np.asarray(out_hi))
 
-    def complement(self, within: Interval = Interval(0.0, 1.0)) -> "IntervalSet":
+    def complement(self, within: Interval) -> "IntervalSet":
         """Closure of `within` minus this set."""
         out: list[tuple[float, float]] = []
         cursor = within.lo

@@ -47,6 +47,16 @@ def dilate(s: IntervalSet, r: float, clip: Interval = Interval(0.0, 1.0)) -> Int
     )
 
 
+def widest_piece_by_intersection(j: Interval, s: IntervalSet) -> Interval | None:
+    """The widest part of IntervalSet([j]) ∩ s, the first on a tie; the rule
+    `gapfinder._widest_component` reads off one slice of s."""
+    inter = IntervalSet([j]).intersect(s)
+    if inter.is_empty():
+        return None
+    k = int(np.argmax(inter.his - inter.los))
+    return Interval(float(inter.los[k]), float(inter.his[k]))
+
+
 def contained_in_interior(a: IntervalSet, b: IntervalSet) -> bool:
     """True iff every part of `a` sits inside int(b) with margin >= eps_geom.
 

@@ -287,8 +287,8 @@ def test_acceptance_9_lemma_properties(built_ctx, cloud18):
 
     bsets = boundary_sets(pair, hole, ruin)
     res = 1e-3
-    dists = min_distance(cloud18, np.asarray(bsets.b_f))
+    dists = min_distance(cloud18, np.asarray(bsets))
     assert float(np.max(dists)) <= res
     _report("9 lemma properties",
             f"1000 backward-orbit memberships; {checked_parts} overlap parts "
-            f"orbit-free; max b_f distance to cover {float(np.max(dists)):.2e} <= {res}")
+            f"orbit-free; max boundary-point distance to cover {float(np.max(dists)):.2e} <= {res}")

@@ -281,3 +281,19 @@ def test_every_option_is_set_by_a_caller():
         and not any(knob.rpartition(".")[2] in kw or (i is not None and n_pos > i)
                     for n_pos, kw in set_by.get(callee, ())))
     assert unset == []
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Each `_t(module, attr)` target in perfbench/metrics.py names a
+    function of that module or a method defined on its class, as the
+    tracer looks them up.  The benchmark's own tests are outside this suite,
+    so a rename or deletion that breaks the tracer has to fail here."""
+    tree = ast.parse((REPO / "perfbench" / "metrics.py").read_text(encoding="utf-8"))
+    targets = [(n.args[0].value, n.args[1].value) for n in ast.walk(tree)
+               if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_t"]
+    assert ("ifs", "fundamental_domain") in targets and len(targets) > 30
+    for module, attr in targets:
+        owner = importlib.import_module(f"{cantorifs.__name__}.{module}")
+        cls_name, _, name = attr.rpartition(".")
+        fn = vars(getattr(owner, cls_name)).get(name) if cls_name else getattr(owner, name, None)
+        assert callable(fn), f"perfbench traces {module}.{attr}, which does not resolve"

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from cantorifs.axioms import (
     induced_discontinuities,
     induced_n,
     run_axiom_checks,
+    ruination_family,
     ruination_parts,
     ruination_regions,
 )
@@ -144,7 +147,7 @@ def test_hole_limit_must_converge(built_ctx, monkeypatch):
         raise IterationCapError("stalled")
 
     monkeypatch.setattr(axioms, "find_hole", stalled)
-    rep = run_axiom_checks(built_ctx["pair"], Interval(0.33, 0.34))
+    rep = run_axiom_checks(built_ctx["pair"], Interval(0.33, 0.34), 1.01)
     assert rep.hole_error == "stalled" and not rep.ok
 
 
@@ -390,10 +393,10 @@ def test_ee_tail_needs_return_map_below_one(d_fixed, enclosed):
 
 def test_ruination_midpoints_map_into_hole(built_ctx):
     pair, hole, ruin = built_ctx["pair"], built_ctx["hole"], built_ctx["ruin"]
-    for n, part in ruination_parts(pair, hole, "f")[:12]:
+    for n, part in enumerate(ruination_parts(pair, hole, "f")[:12]):
         y = induced_map(pair, "F", part.mid)
         assert hole.h_g.contains(y, 1e-9), f"Q_{n} midpoint escapes h_g"
-    for n, part in ruination_parts(pair, hole, "g")[:8]:
+    for n, part in enumerate(ruination_parts(pair, hole, "g")[:8]):
         y = induced_map(pair, "G", part.mid)
         assert hole.h_f.contains(y, 1e-9), f"P_{n} midpoint escapes h_f"
 
@@ -401,11 +404,11 @@ def test_ruination_midpoints_map_into_hole(built_ctx):
 def test_ruination_parts_accumulate(built_ctx):
     pair, hole = built_ctx["pair"], built_ctx["hole"]
     f1_hi = pair.f.eval(1.0)
-    mids = [p.mid for _, p in ruination_parts(pair, hole, "f")]
+    mids = [p.mid for p in ruination_parts(pair, hole, "f")]
     assert all(a < b for a, b in zip(mids, mids[1:]))  # increase toward f(1)
     assert f1_hi - mids[-1] < f1_hi - mids[0]
     g0 = pair.g.eval(0.0)
-    mids_g = [p.mid for _, p in ruination_parts(pair, hole, "g")]
+    mids_g = [p.mid for p in ruination_parts(pair, hole, "g")]
     assert all(a > b for a, b in zip(mids_g, mids_g[1:]))  # decrease toward g(0)
 
 
@@ -421,9 +424,13 @@ def test_ruination_matches_gridscan(built_ctx):
 
 
 def test_ruination_index_bookkeeping(built_ctx):
+    """Part n of a family sits at index n: Q_0 = f(h_g), P_0 = g(h_f), and
+    the list is the family's first parts in order."""
     pair, hole = built_ctx["pair"], built_ctx["hole"]
-    ns = [n for n, _ in ruination_parts(pair, hole, "f")]
-    assert ns == sorted(ns) and ns[0] == 0
+    for fam, first in (("f", pair.f.image_of(hole.h_g)), ("g", pair.g.image_of(hole.h_f))):
+        parts = ruination_parts(pair, hole, fam)
+        assert parts[0] == first
+        assert parts == list(islice(ruination_family(pair, hole, fam), len(parts)))
 
 
 # -- castration --------------------------------------------------------------------------
@@ -466,18 +473,16 @@ def test_boundary_contains_domain_corners(built_ctx):
     pair, bsets = built_ctx["pair"], built_ctx["bsets"]
     f1 = fundamental_domain(pair, "f", 1)
     g1 = fundamental_domain(pair, "g", 1)
-    assert any(abs(b - f1.lo) < 1e-12 for b in bsets.b_f)   # f^2(1)
-    assert any(abs(b - f1.hi) < 1e-12 for b in bsets.b_f)   # f(1)
-    assert any(abs(b - g1.lo) < 1e-12 for b in bsets.b_g)   # g(0)
-    assert any(abs(b - g1.hi) < 1e-12 for b in bsets.b_g)   # g^2(0)
+    assert list(bsets) == sorted(set(bsets))  # one sorted tuple, no repeats
+    # f^2(1), f(1), g(0), g^2(0)
+    for v in (f1.lo, f1.hi, g1.lo, g1.hi):
+        assert v in bsets
 
 
 def test_boundary_contains_hole_endpoints(built_ctx):
     hole, bsets = built_ctx["hole"], built_ctx["bsets"]
-    for v in (hole.h_f.lo, hole.h_f.hi):
-        assert any(abs(b - v) < 1e-12 for b in bsets.b_f)
-    for v in (hole.h_g.lo, hole.h_g.hi):
-        assert any(abs(b - v) < 1e-12 for b in bsets.b_g)
+    for v in (hole.h_f.lo, hole.h_f.hi, hole.h_g.lo, hole.h_g.hi):
+        assert any(abs(b - v) < 1e-12 for b in bsets)
 
 
 def test_boundary_points_are_part_endpoints(built_ctx):
@@ -485,12 +490,13 @@ def test_boundary_points_are_part_endpoints(built_ctx):
     pair = built_ctx["pair"]
     rfrg = ruin.r_f.intersect(ruin.r_g)
     f1 = fundamental_domain(pair, "f", 1)
-    hf_union = IntervalSet([hole.h_f]).union(rfrg)
+    g1 = fundamental_domain(pair, "g", 1)
     candidates = set()
-    for s in (hf_union,):
+    for hole_part in (hole.h_f, hole.h_g):
+        s = IntervalSet([hole_part]).union(rfrg)
         candidates.update(float(v) for v in np.concatenate([s.los, s.his]))
-    candidates.update([f1.lo, f1.hi])
-    for b in bsets.b_f:
+    candidates.update([f1.lo, f1.hi, g1.lo, g1.hi])
+    for b in bsets:
         assert any(abs(b - c) < 1e-12 for c in candidates)
 
 

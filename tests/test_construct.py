@@ -1,3 +1,4 @@
+import math
 from bisect import bisect_left
 from itertools import islice, takewhile
 
@@ -423,6 +424,45 @@ def test_appendix_inclusions_hold(appendix):
     assert i_1.contains_interval(g.image_of(i_1))
     assert i_1.contains_interval(g.image_of(i_0), 1e-6)
     assert i_0.contains_interval(g.image_of(i_m1), 1e-6)
+
+
+def test_appendix_pair_allows_an_ulp_past_the_fixed_point():
+    """At (eps, lam) = (0.05, 0.2) g evaluates g(1) one ulp above 1, inside
+    the eps_geom that class A allows at the fixed point; the pair builds and
+    its measure bound holds."""
+    params = AppendixParams(eps=0.05, lam=0.2)
+    pair = appendix_pair(params)
+    assert pair.g.eval(1.0) > 1.0
+    rep = check_measure_bound(pair, params, 20)
+    assert rep.ok and rep.ratio_ok
+
+
+@pytest.mark.parametrize("end, shift, refused", [
+    ("far", 1, True),              # one ulp past I_-1's far end
+    ("fixed", -2e-9, True),        # past the eps_geom slack at 0
+    ("fixed", -5e-10, False),      # within it
+])
+def test_appendix_inclusion_slack_only_at_the_fixed_point(monkeypatch, end, shift, refused):
+    """The non-strict containment f(I_-1) ⊂ I_-1 gets eps_geom of slack at
+    the fixed point 0 only; an overshoot of the far end is refused."""
+    params = AppendixParams()
+    i_m1 = params.blocks[0]
+    plain_image = MapSpec.image_of
+
+    def shifted(self, iv):
+        img = plain_image(self, iv)
+        if self.label != "f_appendix" or iv != i_m1:
+            return img
+        if end == "far":
+            return Interval(img.lo, math.nextafter(i_m1.hi, 2.0))
+        return Interval(i_m1.lo + shift, img.hi)
+
+    monkeypatch.setattr(MapSpec, "image_of", shifted)
+    if refused:
+        with pytest.raises(ConstructionError, match=r"inclusion failed: f\(block\)"):
+            appendix_pair(params)
+    else:
+        appendix_pair(params)
 
 
 def test_appendix_derivative_bound(appendix):

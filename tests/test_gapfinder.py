@@ -3,23 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from cantorifs.errors import CertificateError, DomainError
-from cantorifs.intervals import TOL, Interval, IntervalSet
-from cantorifs.ifs import OrbitCloud, fundamental_domain
+from cantorifs.errors import CertificateError, DomainError, RangeError
+from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
+from cantorifs.ifs import OrbitCloud, fundamental_domain, minimal_set_cover
+from cantorifs.maps import MapSpec
 from cantorifs.gapfinder import (
     CaseTag,
     TerminalReason,
     _boundary_hits,
     _locate_power_domain,
+    _widest_component,
     certify_cantor,
     classify,
     find_gap,
     find_gap_core,
     replay,
 )
-from cantorifs.axioms import BoundarySets, HolePair
+from cantorifs.axioms import HolePair
 
-from oracles import verify_hole_disjoint
+from oracles import verify_hole_disjoint, widest_piece_by_intersection
 
 RNG = np.random.default_rng(777)
 
@@ -44,7 +46,7 @@ def test_boundary_hits_are_the_strict_eps_interior_points(built_ctx):
     with J.lo + eps < p < J.hi - eps.  Checked with interval ends exactly
     eps, and one ulp more or less, from each boundary point."""
     pair, hole, ruin, bsets, _ = _ctx(built_ctx)
-    eps, pts = TOL.eps_geom, bsets.points
+    eps, pts = TOL.eps_geom, bsets
     for pt in pts:
         los = [pt - eps, math.nextafter(pt - eps, -1.0), math.nextafter(pt - eps, 2.0), pt - 1e-3]
         his = [pt + eps, math.nextafter(pt + eps, -1.0), math.nextafter(pt + eps, 2.0), pt + 1e-3]
@@ -200,7 +202,7 @@ def test_walk_splits_at_a_boundary_point_no_lemma_case_takes(built_ctx, cloud18)
     the larger side."""
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     x = (pair.f1.lo + hole.h_f.lo) / 2.0
-    b = BoundarySets(tuple(sorted(bsets.b_f + (x,))), bsets.b_g)
+    b = tuple(sorted(bsets + (x,)))
     J = Interval(x - 1e-4, x + 1e-4)
     cert = find_gap_core(J, pair, hole, ruin, b, mu=mu, cloud=cloud18)
     first = cert.trace[0]
@@ -385,6 +387,19 @@ def test_certify_cantor_propagates_faults(built_ctx, monkeypatch):
                        mu=mu, verification_depth=10)
 
 
+def test_certify_cantor_propagates_library_faults(built_ctx, monkeypatch):
+    # a library error that is no verdict on the cell (here a RangeError from
+    # inverse_eval) propagates too
+    def no_preimage(self, y):
+        raise RangeError(f"no preimage of {y}")
+
+    monkeypatch.setattr(MapSpec, "inverse_eval", no_preimage)
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    with pytest.raises(RangeError, match="no preimage"):
+        certify_cantor(pair, hole, ruin, bsets, resolution=0.1, depth=8,
+                       mu=mu, verification_depth=10)
+
+
 def test_certify_skips_cells_off_the_cover(built_ctx):
     # at fine resolution the hole itself leaves grid cells off the cover
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
@@ -393,3 +408,61 @@ def test_certify_skips_cells_off_the_cover(built_ctx):
     assert rep.n_skipped > 0
     assert rep.n_skipped + rep.n_meeting == rep.n_grid
     assert rep.all_certified, rep.to_text()
+
+
+# -- the walk reads the pair's geometry without building sets -----------------------------
+
+
+def test_walk_builds_no_interval_sets(built_ctx, monkeypatch):
+    """`find_gap` over every cell of a sweep constructs no IntervalSet; the
+    cover is built before counting starts."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    _, cells = grid_cells_meeting(minimal_set_cover(pair, 12, 1e-2), 1e-2)
+    ruin.rfrg  # cached on first read, before counting starts
+    built = []
+    plain_init = IntervalSet.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        plain_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntervalSet, "__init__", counted)
+    reasons = {find_gap(J, pair, hole, ruin, bsets, mu=mu).terminal_reason for J in cells}
+    monkeypatch.undo()
+    assert len(cells) > 50 and reasons == {TerminalReason.HOLE, TerminalReason.RUINATION_OVERLAP}
+    assert built == []
+
+
+def _widest_checks(s: IntervalSet, rng: np.random.Generator, n: int):
+    """Windows over s: random ones, ones whose ends sit exactly on part ends
+    (degenerate touching pieces) and ones over all of s."""
+    lo, hi = float(s.los[0]), float(s.his[-1])
+    ends = np.concatenate([s.los, s.his])
+    for _ in range(n):
+        a, b = sorted(rng.uniform(lo - 1e-3, hi + 1e-3, 2))
+        yield Interval(float(a), float(b))
+        a, b = sorted(rng.choice(ends, 2))
+        yield Interval(float(a), float(b))
+        e = float(rng.choice(ends))
+        yield Interval(e, e)
+        yield Interval(e, min(e + float(rng.uniform(0, 1e-2)), 1.0))
+        yield Interval(max(e - float(rng.uniform(0, 1e-2)), 0.0), e)
+    yield Interval(lo, hi)
+
+
+def test_widest_component_matches_the_intersection_rule(built_ctx):
+    rng = np.random.default_rng(31)
+    rfrg = built_ctx["ruin"].rfrg
+    raw = np.sort(rng.uniform(0.0, 1.0, 60))
+    rand = IntervalSet(los=raw[0::2], his=raw[1::2])
+    # equal widths (dyadic, exact): the first of the tied pieces wins
+    ties = IntervalSet([(0.125, 0.25), (0.5, 0.625), (0.75, 0.875)])
+    checked = 0
+    for s in (rfrg, rand, ties):
+        for j in _widest_checks(s, rng, 200):
+            assert _widest_component(j, s) == widest_piece_by_intersection(j, s), (j, s)
+            checked += 1
+    assert _widest_component(Interval(0.0, 1.0), ties) == Interval(0.125, 0.25)
+    assert _widest_component(Interval(0.25, 0.5), ties) == Interval(0.25, 0.25)
+    assert _widest_component(Interval(0.3, 0.4), ties) is None
+    assert checked == 3 * 1001

@@ -4,7 +4,7 @@ import pytest
 from cantorifs.errors import DomainError, ResourceCapError, SpecError
 from cantorifs import ifs
 from cantorifs.intervals import TOL, Interval, IntervalSet
-from cantorifs.maps import identity_spec
+from cantorifs.maps import MapSpec, affine_spec, identity_spec, iterate
 from cantorifs.ifs import (
     fundamental_domain,
     minimal_set_cover,
@@ -96,6 +96,31 @@ def test_g_domains_march_right(valid_affine):
 def test_domain_rejects_negative_n(valid_affine):
     with pytest.raises(DomainError):
         fundamental_domain(valid_affine, "f", -1)
+
+
+def test_domains_read_one_ladder(monkeypatch):
+    """F_0..F_200 read twice cost one evaluation of f per iterate, 201 in
+    all, and give the floats of iterating f from 1 afresh for each end."""
+    pair = validate_class_a(affine_spec(0.55, 0.0), affine_spec(0.55, 0.45)).as_pair()
+    evals = []
+    plain_eval = MapSpec.eval
+
+    def counted(self, x):
+        if self is pair.f:
+            evals.append(x)
+        return plain_eval(self, x)
+
+    monkeypatch.setattr(MapSpec, "eval", counted)
+    for _ in range(2):
+        doms = [fundamental_domain(pair, "f", n) for n in range(201)]
+    assert len(evals) == 201
+    monkeypatch.undo()
+    assert doms == [Interval(iterate(pair.f, n + 1, 1.0), iterate(pair.f, n, 1.0))
+                    for n in range(201)]
+    assert [fundamental_domain(pair, "g", n) for n in (5, 0, 1)] == [
+        Interval(iterate(pair.g, n, 0.0), iterate(pair.g, n + 1, 0.0)) for n in (5, 0, 1)]
+    with pytest.raises(DomainError):
+        fundamental_domain(pair, "h", 1)
 
 
 # -- orbits ---------------------------------------------------------------------
