@@ -116,10 +116,7 @@ def find_hole(p: IFSPair, seed: Interval) -> HolePair:
     back = p.f.image_of(h_g)
     residual = max(abs(back.lo - h_f.lo), abs(back.hi - h_f.hi))
 
-    w = p.overlap
-    f1_minus_w = Interval(p.f1.lo, w.lo)
-    g1_minus_w = Interval(w.hi, p.g1.hi)
-    for name, h, region in (("h_f", h_f, f1_minus_w), ("h_g", h_g, g1_minus_w)):
+    for name, h, region in (("h_f", h_f, p.f1_free), ("h_g", h_g, p.g1_free)):
         if not region.contains_interval(h, margin=TOL.eps_geom):
             raise DegenerateHoleError(
                 f"{name} = {h} not inside int({region}) with margin {TOL.eps_geom:.1g}")

@@ -131,7 +131,6 @@ def classify(
     if J.length <= 0:
         raise DomainError("classify needs positive length")
     eps = TOL.eps_geom
-    w = p.overlap
     if _boundary_hits(J, b):
         return CaseTag.BOUNDARY_HIT
     if J.hi <= p.f1.lo + eps or J.lo >= p.g1.hi - eps:
@@ -140,7 +139,7 @@ def classify(
         return CaseTag.IN_HF
     if h.h_g.contains_interval(J, -eps):
         return CaseTag.IN_HG
-    if w.contains_interval(J, -eps):
+    if p.overlap.contains_interval(J, -eps):
         if _in_part(J, r.rfrg):
             return CaseTag.IN_W_OVERLAP
         if _in_part(J, r.r_f):
@@ -149,9 +148,9 @@ def classify(
             return CaseTag.IN_W_RG
         raise ClassificationError(
             f"{J} in W fits no ruination case (truncation too shallow?)")
-    if Interval(p.f1.lo, w.lo).contains_interval(J, -eps):
+    if p.f1_free.contains_interval(J, -eps):
         return CaseTag.IN_F1_FREE
-    if Interval(w.hi, p.g1.hi).contains_interval(J, -eps):
+    if p.g1_free.contains_interval(J, -eps):
         return CaseTag.IN_G1_FREE
     raise ClassificationError(f"{J} fits no case region")
 

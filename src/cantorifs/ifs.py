@@ -36,9 +36,10 @@ class IFSPair:
     construction is allowed for toys and negative controls.
 
     The geometry fixed by the pair (the ladders f^n(1) and g^n(0) that
-    `fundamental_domain` reads, F1, G1 and the jump sites of the induced
-    maps) is computed on first use and cached on the instance; it stays lazy
-    because parameter searches build many throwaway pairs that never read it.
+    `fundamental_domain` reads, F1, G1, their parts outside W and the jump
+    sites of the induced maps) is computed on first use and cached on the
+    instance; it stays lazy because parameter searches build many throwaway
+    pairs that never read it.
     """
 
     f: MapSpec
@@ -67,6 +68,16 @@ class IFSPair:
     def g1(self) -> Interval:
         """G1 = [g(0), g^2(0)]."""
         return fundamental_domain(self, "g", 1)
+
+    @cached_property
+    def f1_free(self) -> Interval:
+        """F1 minus the interior of W: [f^2(1), g(0)]."""
+        return Interval(self.f1.lo, self.overlap.lo)
+
+    @cached_property
+    def g1_free(self) -> Interval:
+        """G1 minus the interior of W: [f(1), g^2(0)]."""
+        return Interval(self.overlap.hi, self.g1.hi)
 
     @cached_property
     def jumps_F(self) -> tuple[float, ...]:
@@ -202,8 +213,11 @@ def _dedup_sorted(pts: np.ndarray) -> np.ndarray:
     floor(x/eps_geom) and keep the first point of each bucket.
     Representatives are exact orbit values and every dropped point is within
     eps_geom of its representative.  The keys of a sorted array are sorted,
-    so a bucket starts wherever the key changes."""
-    keys = np.floor(pts / TOL.eps_geom).astype(np.int64)
+    so a bucket starts wherever the key changes.  The keys stay floats: for
+    x in [0, 1] they are exact integers below 2^31, so float equality is
+    integer equality (and -0.0 == 0.0)."""
+    keys = np.divide(pts, TOL.eps_geom)
+    np.floor(keys, out=keys)
     first = np.empty(pts.size, dtype=bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])

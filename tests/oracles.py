@@ -8,6 +8,7 @@ benchmark run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -102,6 +103,39 @@ def hausdorff_distance(a: IntervalSet, b: IntervalSet) -> float:
         return float(np.max(_dist_to_set(pts, y))) if pts.size else 0.0
 
     return max(one_sided(a, b), one_sided(b, a))
+
+
+# -- vectorized kernels in their earlier form --------------------------------------
+
+
+def measure_by_fsum(s: IntervalSet) -> float:
+    """`IntervalSet.measure` as `math.fsum` over a Python list of the part
+    lengths."""
+    return math.fsum((s.his - s.los).tolist()) if s.los.size else 0.0
+
+
+def normalize_by_reduceat(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`intervals._normalize` with each run's hi taken by
+    `np.maximum.reduceat` over the run."""
+    if los.size == 0:
+        return los, his
+    order = np.argsort(los, kind="stable")
+    los, his = los[order], his[order]
+    run_hi = np.maximum.accumulate(his)
+    new_run = np.empty(los.size, dtype=bool)
+    new_run[0] = True
+    new_run[1:] = los[1:] > run_hi[:-1]
+    idx = np.flatnonzero(new_run)
+    return los[idx], np.maximum.reduceat(his, idx)
+
+
+def dedup_by_int_keys(pts: np.ndarray) -> np.ndarray:
+    """`ifs._dedup_sorted` with the bucket keys cast to int64."""
+    keys = np.floor(pts / TOL.eps_geom).astype(np.int64)
+    first = np.empty(pts.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return pts[first]
 
 
 # -- maps --------------------------------------------------------------------------

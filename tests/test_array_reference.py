@@ -5,14 +5,24 @@ merges sorted runs and cuts buckets where the key changes, and
 `lambda_sequence` normalizes both images at once.  The reference below is
 the form they replaced: a per-point segment gather, `np.unique` dedup after
 a quicksort, and `f(Λ) ∪ g(Λ)` built from two normalized images.  Both must
-give the same bytes."""
+give the same bytes.
+
+The last kernels to change are checked against their earlier bodies in
+`oracles.py`: the exponent-bucketed `measure` against `math.fsum`, the
+run-end max of `_normalize` against `np.maximum.reduceat`, and the float
+dedup keys against int64 keys."""
+
+import math
 
 import numpy as np
 import pytest
 
-from cantorifs.construct import lambda_sequence
-from cantorifs.intervals import TOL, IntervalSet
-from cantorifs.ifs import orbit
+from cantorifs import intervals
+from cantorifs.construct import AppendixParams, appendix_pair, lambda_sequence
+from cantorifs.intervals import TOL, IntervalSet, _exact_sum, _normalize
+from cantorifs.ifs import _dedup_sorted, orbit
+
+from oracles import dedup_by_int_keys, measure_by_fsum, normalize_by_reduceat
 
 
 def gather_eval_array(m, xs):
@@ -75,3 +85,113 @@ def test_eval_array_matches_gather_on_any_order(built_pair, appendix):
     for m in (built_pair.f, built_pair.g, appendix[0].f, appendix[0].g):
         for a in (np.sort(xs), xs, xs.reshape(2, -1)):
             assert m.eval_array(a).tobytes() == gather_eval_array(m, a).tobytes()
+
+
+@pytest.mark.parametrize("eps,lam,n", [(0.01, 0.45, 20), (1 / 30, 0.45, 20),
+                                       (0.05, 0.2, 18), (0.1, 0.3, 18)])
+def test_lambda_measure_and_normalize_match_earlier_bodies(eps, lam, n):
+    params = AppendixParams(eps=eps, lam=lam)
+    pair = appendix_pair(params)
+    seq = lambda_sequence(pair, params, n)
+    for cur, nxt in zip(seq, seq[1:]):
+        # the step's raw images, as `lambda_sequence` hands them over
+        los = np.concatenate([pair.f.eval_array(cur.los), pair.g.eval_array(cur.los)])
+        his = np.concatenate([pair.f.eval_array(cur.his), pair.g.eval_array(cur.his)])
+        new, ref = _normalize(los, his), normalize_by_reduceat(los, his)
+        assert new[0].tobytes() == ref[0].tobytes() == nxt.los.tobytes()
+        assert new[1].tobytes() == ref[1].tobytes() == nxt.his.tobytes()
+    for s in seq:
+        assert s.measure().hex() == measure_by_fsum(s).hex()
+
+
+def _overlapping_parts(rng, n):
+    """Bounds at scales from subnormal to 1, lengths zero, subnormal or
+    normal, and some parts [0.0, -0.0]; the parts overlap freely."""
+    scale = rng.choice([5e-324, 1e-310, 1e-300, 1e-12, 1e-3, 1.0], n)
+    los = rng.uniform(0.0, 1.0, n) * scale
+    length = rng.choice([0.0, 5e-324, 2.2e-308, 1e-9, 1e-2], n) * rng.integers(0, 4, n)
+    his = los + length
+    signed_zero = rng.random(n) < 0.05
+    los[signed_zero], his[signed_zero] = 0.0, -0.0
+    return los, his
+
+
+def _disjoint_parts(rng, n):
+    """2n + 1 parts that normalization keeps apart, in random order: lengths
+    zero, subnormal and normal of many exponents near 0, normal ones in
+    [0.5, 1], and the part [0.0, -0.0] of length -0.0."""
+    k = rng.choice(10 ** 6, n, replace=False) + 1.0
+    tiny = rng.choice([5e-324, 1e-310, 1e-305, 1e-301], n) * rng.uniform(0.0, 0.9, n)
+    tiny[rng.random(n) < 0.1] = 0.0
+    big_lo = 0.5 + k * 4e-7
+    los = np.concatenate([k * 1e-300, big_lo, [0.0]])
+    his = np.concatenate([k * 1e-300 + tiny, big_lo + rng.uniform(0.0, 3e-7, n), [-0.0]])
+    order = rng.permutation(los.size)
+    return los[order], his[order]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_sets_match_earlier_bodies(seed):
+    rng = np.random.default_rng(20261018 + seed)
+    los, his = _overlapping_parts(rng, int(rng.integers(1, 3000)))
+    new, ref = _normalize(los, his), normalize_by_reduceat(los, his)
+    assert new[0].tobytes() == ref[0].tobytes()
+    assert new[1].tobytes() == ref[1].tobytes()
+    s = IntervalSet(los=los, his=his)
+    assert s.measure().hex() == measure_by_fsum(s).hex()
+
+    los, his = _disjoint_parts(rng, int(rng.integers(1, 3000)))
+    s = IntervalSet(los=los, his=his)
+    d = s.his - s.los
+    assert s.n_parts == los.size
+    assert np.signbit(d).sum() == 1 and ((d > 0) & (d < 2.0 ** -1022)).any()
+    assert s.measure().hex() == measure_by_fsum(s).hex()
+
+
+@pytest.mark.parametrize("length", [np.nextafter(1.0, 0.0), np.nextafter(2.0 ** -1022, 0.0)])
+def test_exact_sum_of_many_lengths_with_every_mantissa_bit(length):
+    # 2^20 copies in one bin: a plain float sum rounds, the bins do not
+    d = np.full(2 ** 20, length)
+    assert (d.view(np.int64) & ((1 << 52) - 1) == (1 << 52) - 1).all()
+    assert _exact_sum(d).hex() == math.fsum(d.tolist()).hex()
+
+
+def test_exact_sum_is_exact_across_chunks(monkeypatch):
+    monkeypatch.setattr(intervals, "_SUM_CHUNK", 3)
+    rng = np.random.default_rng(7)
+    sets = [IntervalSet(los=los, his=his)
+            for los, his in (_disjoint_parts(rng, 1000), _overlapping_parts(rng, 2))]
+    sets += lambda_sequence(appendix_pair(), AppendixParams(), 10)
+    for s in sets:
+        assert s.measure().hex() == measure_by_fsum(s).hex()
+    d = np.full(10, np.nextafter(1.0, 0.0))
+    assert _exact_sum(d).hex() == math.fsum(d.tolist()).hex()
+
+
+def test_dedup_float_keys_match_int_keys():
+    eps = TOL.eps_geom
+    k = np.arange(0, 2000, dtype=float)
+    on_grid = k * eps
+    pts = np.sort(np.concatenate([
+        on_grid, np.nextafter(on_grid, -1.0), np.nextafter(on_grid, 2.0),
+        [-0.0, 0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), 1.0 - eps, 0.5, 0.5 + eps],
+        np.random.default_rng(3).uniform(0.0, 1.0, 5000),
+    ]), kind="stable")
+    assert _dedup_sorted(pts).tobytes() == dedup_by_int_keys(pts).tobytes()
+    for start in (1, 2):  # led by 0.0, then by -0.0
+        assert pts[start] == 0.0 and np.signbit(pts[start]) == (start == 2)
+        sub = pts[start:]
+        assert _dedup_sorted(sub).tobytes() == dedup_by_int_keys(sub).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0.0, 1.0, 0.37])
+def test_orbit_dedup_matches_int_keys_per_level(built_pair, seed):
+    level = np.array([seed])
+    all_pts = level
+    for _ in range(12):
+        level = np.concatenate([built_pair.f.eval_array(level), built_pair.g.eval_array(level)])
+        merged = np.sort(np.concatenate([all_pts, level]), kind="stable")
+        all_pts = _dedup_sorted(merged)
+        assert all_pts.tobytes() == dedup_by_int_keys(merged).tobytes()
+        level = dedup_by_int_keys(np.sort(level, kind="stable"))
+    assert orbit(built_pair, seed, 12).points.tobytes() == all_pts.tobytes()

@@ -3,17 +3,27 @@
 The SHA-256 digests below pin `pair.json` from `construct`, two gap
 certificates, the `gaps --certify` report and CSV and the depth-12
 `orbit.csv` on the default pair, and the three `appendix` reports, with the
-`config_*` echo lines (which hold output paths) left out; and the
+`config_*` echo lines (which hold output paths) left out; the
 construction's report and pair at the 27 corners of the parameter box that
-perfbench's `construct` workload draws from.  A change that moves any of them
-must update the digest on purpose and say why.
+perfbench's `construct` workload draws from; and the vectorized path: three
+depth-20 orbits and the appendix Lambda sets and measure bound to n = 20 at
+four (eps, lam).  A change that moves any of them must update the digest on
+purpose and say why.
 """
 
 import hashlib
 from itertools import product
 
 from cantorifs.cli import main
-from cantorifs.construct import ConstructionParams, build_class_c_example
+from cantorifs.construct import (
+    AppendixParams,
+    ConstructionParams,
+    appendix_pair,
+    build_class_c_example,
+    check_measure_bound,
+    lambda_sequence,
+)
+from cantorifs.ifs import orbit
 from cantorifs.maps import pair_to_json
 
 GOLDEN = {
@@ -27,6 +37,12 @@ GOLDEN = {
     "appendix/appendix_lambda.csv": "f9f677678f9a11e85b0c154d8e34f28f255cad4d8a12c66bd6df121257bb200d",
     "appendix/appendix_lambda10.csv": "9ed83ba90e5ca5e0a862f932c19e8d968a5539e0a159f83015012b78603a9ece",
 }
+
+# One digest over the raw bytes of `orbit(pair, s, 20).points` on the built
+# pair for s = 0, 1, 0.37, then, at each (eps, lam) of `APPENDIX_POINTS`, the
+# los and his of Lambda_0..Lambda_20 and `check_measure_bound(...).to_text()`.
+VECTOR_PATH = "c0eba363f0cd69f9f04187a81b1bee3685238690f1da4e48e36d48eef77b0ae7"
+APPENDIX_POINTS = ((0.01, 0.45), (0.05, 0.2), (0.1, 0.3), (1 / 30, 0.45))
 
 # One digest over `PipelineReport.to_text()` and then `pair_to_json` of the
 # built pair, corner by corner in the order of `product` below.
@@ -61,3 +77,17 @@ def test_construct_box_matches_golden_digest():
         h.update(report.to_text().encode("utf-8"))
         h.update(pair_to_json(pair.f, pair.g).encode("utf-8"))
     assert h.hexdigest() == CONSTRUCT_BOX
+
+
+def test_vector_path_matches_golden_digest(built_pair):
+    h = hashlib.sha256()
+    for s in (0.0, 1.0, 0.37):
+        h.update(orbit(built_pair, s, 20).points.tobytes())
+    for eps, lam in APPENDIX_POINTS:
+        params = AppendixParams(eps=eps, lam=lam)
+        pair = appendix_pair(params)
+        for lam_n in lambda_sequence(pair, params, 20):
+            h.update(lam_n.los.tobytes())
+            h.update(lam_n.his.tobytes())
+        h.update(check_measure_bound(pair, params, 20).to_text().encode("utf-8"))
+    assert h.hexdigest() == VECTOR_PATH

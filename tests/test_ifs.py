@@ -74,6 +74,13 @@ def test_f1_right_endpoint_for_epsilon_family():
     assert pair.g1 == fundamental_domain(pair, "g", 1)
 
 
+def test_free_parts_are_f1_and_g1_outside_w(built_pair):
+    p = built_pair
+    assert p.f1_free == Interval(p.f1.lo, p.overlap.lo)
+    assert p.g1_free == Interval(p.overlap.hi, p.g1.hi)
+    assert p.f1_free is p.f1_free and p.g1_free is p.g1_free  # computed once
+
+
 def test_domains_telescope(valid_affine):
     # F_0 ∪ ... ∪ F_N ∪ [0, f^{N+1}(1)] = [0, 1]
     N = 12

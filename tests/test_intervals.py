@@ -45,6 +45,28 @@ def test_parts_sorted_and_merged():
     assert [(p.lo, p.hi) for p in s.parts] == [(0.0, 0.3), (0.5, 0.6)]
 
 
+@pytest.mark.parametrize("los,his,bad", [
+    ([0.1, 0.5], [0.2, 0.4], "(0.5, 0.4)"),             # hi < lo
+    ([0.1, float("nan")], [0.2, 0.6], "(nan, 0.6)"),    # NaN lo
+    ([0.1, 0.5], [0.2, float("nan")], "(0.5, nan)"),    # NaN hi
+])
+def test_array_bounds_need_hi_at_least_lo(los, his, bad):
+    with pytest.raises(SpecError) as err:
+        IntervalSet(los=np.array(los), his=np.array(his))
+    assert str(err.value) == f"bad part {bad}"
+
+
+@pytest.mark.parametrize("part", [(0.5, 0.4), (float("nan"), 0.5), (0.5, float("nan"))])
+def test_tuple_parts_need_hi_at_least_lo(part):
+    with pytest.raises(SpecError, match="bad part"):
+        S((0.0, 0.1), part)
+
+
+def test_degenerate_and_signed_zero_parts_allowed():
+    s = IntervalSet(los=np.array([0.0, 0.5]), his=np.array([-0.0, 0.5]))
+    assert s.n_parts == 2 and s.measure() == 0.0
+
+
 def test_tolerance_invariant():
     with pytest.raises(SpecError):
         Tolerance(eps_geom=1e-2, eps_newton=1e-12, max_iter=100)
