@@ -22,6 +22,7 @@ Notation used throughout (all intervals live in [0, 1]):
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, takewhile
@@ -34,6 +35,7 @@ from .errors import (
     DomainError,
     IterationCapError,
     NoContractionError,
+    RangeError,
 )
 from .intervals import TOL, Interval, IntervalSet
 from .ifs import IFSPair, fundamental_domain
@@ -137,20 +139,54 @@ def _oriented(p: IFSPair, which: Literal["F", "G"]) -> tuple[MapSpec, MapSpec, I
     raise DomainError(f"which must be 'F' or 'G', got {which!r}")
 
 
-def _inverse_orbit(p: IFSPair, which: Literal["F", "G"], x: float) -> list[float]:
-    """The inverse chain first^{-1}(x), then return^{-1} of each point, up to
-    and including the first point in the codomain.  Domain excludes the
-    fixed-side endpoint (f(1) for F, g(0) for G), where the backward orbit
-    parks at a fixed point."""
+def _oriented_at(p: IFSPair, which: Literal["F", "G"], x: float) -> tuple[MapSpec, MapSpec, Interval]:
+    """(first map, return map, codomain) for the induced map at x.  Its
+    domain excludes the fixed-side endpoint (f(1) for F, g(0) for G), where
+    the backward orbit parks at a fixed point."""
     a, b, dom, codom = _oriented(p, which)
     bad = dom.hi if which == "F" else dom.lo
     if not dom.contains(x, slack=TOL.eps_geom) or x == bad:
         raise DomainError(f"x={x} outside the induced map's domain {dom} minus endpoint")
+    return a, b, codom
+
+
+def _inverse_orbit(p: IFSPair, which: Literal["F", "G"], x: float) -> list[float]:
+    """The inverse chain first^{-1}(x), then return^{-1} of each point, up to
+    and including the first point in the codomain."""
+    a, b, codom = _oriented_at(p, which, x)
     ys = [a.inverse_eval(x)]
     for _ in range(TOL.max_iter):
         if codom.contains(ys[-1]):
             return ys
         ys.append(b.inverse_eval(ys[-1]))
+    raise IterationCapError(f"inverse orbit did not land in {codom} from x={x}")
+
+
+def induced_step(p: IFSPair, which: Literal["F", "G"], iv: Interval) -> tuple[int, Interval]:
+    """(n, image): n = `induced_n` at iv's midpoint and the image of iv under
+    return^{-n} after first^{-1}, in one pass.  The midpoint and both ends
+    are inverted in lockstep, each by the same `inverse_eval` calls in the
+    same order as `_inverse_orbit` and n-fold end inversion would make, so
+    n and the floats are theirs.
+
+    The midpoint's chain decides first, as in two passes: when an inversion
+    fails (RangeError, or a Hermite inversion's IterationCapError) the
+    midpoint's chain is run alone, and its error, if any, is raised instead
+    of the end's."""
+    x = iv.mid
+    a, b, codom = _oriented_at(p, which, x)
+    c_lo, c_hi = codom.lo, codom.hi
+    y = a.inverse_eval(x)
+    try:
+        lo, hi = a.inverse_eval(iv.lo), a.inverse_eval(iv.hi)
+        for n in range(TOL.max_iter):
+            if c_lo <= y <= c_hi:
+                return n, Interval(lo, hi)
+            y = b.inverse_eval(y)
+            lo, hi = b.inverse_eval(lo), b.inverse_eval(hi)
+    except (RangeError, IterationCapError):
+        _inverse_orbit(p, which, x)
+        raise
     raise IterationCapError(f"inverse orbit did not land in {codom} from x={x}")
 
 
@@ -172,14 +208,15 @@ def induced_deriv(p: IFSPair, which: Literal["F", "G"], x: float) -> float:
 
 def induced_discontinuities(p: IFSPair, which: Literal["F", "G"], region: Interval) -> list[float]:
     """Sites strictly inside `region` where n(x) jumps, sorted: the pair's
-    `jumps_F` (f(g^j(0)), j >= 2, accumulating at f(1)) or `jumps_G`."""
+    `jumps_F` (f(g^j(0)), j >= 2, accumulating at f(1)) or `jumps_G`.  The
+    sites are sorted, so they are one slice of them."""
     if which == "F":
         sites = p.jumps_F
     elif which == "G":
         sites = p.jumps_G
     else:
         raise DomainError(f"which must be 'F' or 'G', got {which!r}")
-    return [x for x in sites if region.lo < x < region.hi]
+    return list(sites[bisect_right(sites, region.lo):bisect_left(sites, region.hi)])
 
 
 # ---------------------------------------------------------------------------

@@ -33,17 +33,17 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import CertificateError, ClassificationError, DomainError, IterationCapError
+from .errors import CertificateError, ClassificationError, DomainError, IterationCapError, SpecError
 from .intervals import TOL, Interval, IntervalSet, grid_cells_meeting
 from .ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
 from .axioms import (
     HolePair,
     RuinationRegions,
     induced_discontinuities,
-    induced_n,
+    induced_step,
     ruination_family,
 )
-from .maps import iterate_interval
+from .maps import MapSpec
 
 #: The `find_gap` failures that are verdicts on a cell, reported as data by
 #: `certify_cantor`; any other error is a fault and propagates.
@@ -186,25 +186,34 @@ def _apply_step_forward(p: IFSPair, s: TraceStep, iv: Interval) -> Interval:
     raise CertificateError(f"unknown op {s.op!r}")
 
 
-def _apply_step_backward(p: IFSPair, s: TraceStep, iv: Interval) -> Interval:
-    """Inverse of one step: pulls a set in post-step space back to pre-step."""
+def _backward_maps(p: IFSPair, s: TraceStep) -> list[MapSpec]:
+    """The maps that undo one step, in the order they apply."""
     if s.op == "F":   # inverse of x -> g^{-n}(f^{-1}(x)) is y -> f(g^n(y))
-        return p.f.image_of(iterate_interval(p.g, s.n, iv))
+        return [p.g] * s.n + [p.f]
     if s.op == "G":
-        return p.g.image_of(iterate_interval(p.f, s.n, iv))
+        return [p.f] * s.n + [p.g]
     if s.op == "invpow_f":
-        return iterate_interval(p.f, s.n, iv)
+        return [p.f] * s.n
     if s.op == "invpow_g":
-        return iterate_interval(p.g, s.n, iv)
+        return [p.g] * s.n
     if s.op == "shrink":
-        return iv
+        return []
     raise CertificateError(f"unknown op {s.op!r}")
 
 
 def pull_back(p: IFSPair, steps: Sequence[TraceStep], iv: Interval) -> Interval:
+    """Pull `iv`, in the space after `steps`, back to the space before them.
+
+    The pull-back runs on the two end floats: each map that undoes a step
+    costs one `eval` per end, and its result is checked lo <= hi with the
+    SpecError an Interval would raise.  One Interval is built, at the end."""
+    lo, hi = iv.lo, iv.hi
     for s in reversed(steps):
-        iv = _apply_step_backward(p, s, iv)
-    return iv
+        for m in _backward_maps(p, s):
+            lo, hi = m.eval(lo), m.eval(hi)
+            if not lo <= hi:
+                raise SpecError(f"interval needs lo <= hi, got [{lo}, {hi}]")
+    return Interval(lo, hi)
 
 
 def replay(p: IFSPair, cert: GapCertificate) -> Interval:
@@ -338,7 +347,12 @@ def _walk(
     the input J to (no steps: start is J).  The terminal piece is pulled
     back through the walk's steps and clipped to `start`, then through the
     prefix and clipped to J; with a cloud, each stage is checked against it
-    (the walk-space check tests the deeper orbit points)."""
+    (the walk-space check tests the deeper orbit points).  With no prefix
+    the first stage is the output, and its check the only one.
+
+    Each step classifies the current interval once, and an induced step
+    inverts its midpoint and both ends in one pass (`induced_step`): the
+    midpoint's chain fixes n, the ends' chains give the image."""
     if start.length < 10.0 * TOL.eps_geom:
         raise DomainError(f"input {start} shorter than 10*eps_geom")
     if start.hi <= p.f1.lo or start.lo >= p.g1.hi:
@@ -356,10 +370,12 @@ def _walk(
         if clipped is None or clipped.length <= 0:
             raise CertificateError(f"pullback {out} escaped the input {start}")
         _reject_orbit_points(cloud, clipped, f"certified output {clipped}")
-        out = pull_back(p, prefix, clipped).intersection(J)
-        if out is None or out.length <= 0:
-            raise CertificateError("pullback output escaped the original interval")
-        _reject_orbit_points(cloud, out, "pulled-back output")
+        out = clipped
+        if prefix:
+            out = pull_back(p, prefix, clipped).intersection(J)
+            if out is None or out.length <= 0:
+                raise CertificateError("pullback output escaped the original interval")
+            _reject_orbit_points(cloud, out, "pulled-back output")
         return GapCertificate(
             input=J, output=out, trace=prefix + tuple(steps), terminal_reason=reason,
             iteration_bound=bound,
@@ -400,8 +416,7 @@ def _walk(
         sites = induced_discontinuities(p, which, window)
         if sites:
             shrink_to(_split_at(cur, sites), tag)
-        n = induced_n(p, cur.mid, which)
-        img = _apply_induced(p, which, n, cur)
+        n, img = induced_step(p, which, cur)
         steps.append(TraceStep(tag, which, n, img))
         cur = img
 

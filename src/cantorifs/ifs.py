@@ -245,7 +245,12 @@ def orbit(p: IFSPair, seed: float, depth: int) -> OrbitCloud:
         level = np.concatenate([p.f.eval_array(level), p.g.eval_array(level)])
         all_pts = np.sort(np.concatenate([all_pts, level]), kind="stable")
         all_pts = _dedup_sorted(all_pts)
-        level = _dedup_sorted(np.sort(level, kind="stable"))
+        # The level is a fresh temporary: sort it in place, uncopied.  The
+        # merge above keeps np.sort's copy: sorting it in place as well, or
+        # deduping the level before the merge, left perfbench's `cloud` about
+        # 5% higher in peak RSS and no faster.
+        level.sort(kind="stable")
+        level = _dedup_sorted(level)
         if all_pts.size > ORBIT_CAP:
             raise ResourceCapError(f"orbit exceeds cap of {ORBIT_CAP} points")
     return OrbitCloud(all_pts, depth, seed)

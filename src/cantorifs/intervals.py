@@ -94,9 +94,10 @@ def _normalize(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray
     A new run starts where lo exceeds the running max of hi.  Every hi of a
     run is at least its own lo, so at least the run's first lo, which is
     above every earlier hi: the running max at a run's last part is the
-    run's max."""
+    run's max.  The result never shares memory with the input, which the
+    caller freezes."""
     if los.size == 0:
-        return los, his
+        return los.copy(), his.copy()
     order = np.argsort(los, kind="stable")
     los, his = los[order], his[order]
     run_hi = np.maximum.accumulate(his)

@@ -197,6 +197,22 @@ class MapSpec:
         return tuple(s.y_lo for s in self.segments) + (self.segments[-1].y_hi,)
 
     @cached_property
+    def _eval_rows(self) -> tuple[tuple[float, float, float, float, float], ...]:
+        """Row k is (x_lo, c0, c1, c2, c3) of segment max(k - 1, 0), the one
+        `_seg_index` picks where bisect_left returns k: no index clamp."""
+        segs = self.segments
+        return tuple((s.x_lo, *s.coeffs) for s in (segs[0], *segs))
+
+    @cached_property
+    def _inverse_rows(self) -> tuple[tuple[float | None, float | None, Segment | None], ...]:
+        """Row k is (intercept, slope, None) of an affine segment or (None,
+        None, segment) of a Hermite one, for segment min(max(k - 1, 0), n - 1),
+        the one the break-value bisect_left picks at k: no index clamp."""
+        segs = self.segments
+        return tuple((s.kind.intercept, s.kind.slope, None) if isinstance(s.kind, Affine)
+                     else (None, None, s) for s in (segs[0], *segs, segs[-1]))
+
+    @cached_property
     def _bps(self) -> np.ndarray:
         a = np.array(self._bp_tuple)
         a.setflags(write=False)
@@ -225,14 +241,18 @@ class MapSpec:
     def _check_domain(self, x: float) -> float:
         if not (-TOL.eps_newton <= x <= 1.0 + TOL.eps_newton):  # NaN fails too
             raise DomainError(f"x={x} outside [0, 1]")
-        return min(max(x, 0.0), 1.0)
+        return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
 
     def eval(self, x: float) -> float:
+        """`Segment.value_at` of the segment `_seg_index` picks, op for op,
+        read off `_eval_rows`."""
         x = self._check_domain(x)
-        return self.segments[self._seg_index(x)].value_at(x)
+        x_lo, c0, c1, c2, c3 = self._eval_rows[bisect_left(self._bp_tuple, x)]
+        t = x - x_lo
+        return ((c3 * t + c2) * t + c1) * t + c0
 
     def deriv(self, x: float) -> float:
         x = self._check_domain(x)
@@ -274,12 +294,20 @@ class MapSpec:
 
     def inverse_eval(self, y: float) -> float:
         """The unique x with eval(x) = y: the segment whose image holds y
-        (the left one at a break value) solves it with `Segment.inverse_at`."""
-        if not (self.y0 - TOL.eps_newton <= y <= self.y1 + TOL.eps_newton):
-            raise RangeError(f"y={y} outside image [{self.y0}, {self.y1}]")
-        y = min(max(y, self.y0), self.y1)
-        j = min(max(bisect_left(self._break_y_tuple, y) - 1, 0), len(self.segments) - 1)
-        return self.segments[j].inverse_at(y)
+        (the left one at a break value) solves it.  An affine segment's row
+        in `_inverse_rows` gives `Segment.inverse_at`'s quotient op for op;
+        a Hermite one calls it."""
+        y0, y1 = self.y0, self.y1
+        if not (y0 - TOL.eps_newton <= y <= y1 + TOL.eps_newton):  # NaN fails too
+            raise RangeError(f"y={y} outside image [{y0}, {y1}]")
+        if y < y0:
+            y = y0
+        elif y > y1:
+            y = y1
+        intercept, slope, hermite = self._inverse_rows[bisect_left(self._break_y_tuple, y)]
+        if hermite is None:
+            return (y - intercept) / slope
+        return hermite.inverse_at(y)
 
     def inverse_array(self, ys: np.ndarray) -> np.ndarray:
         """Vectorized inversion by 60 bisection steps inside located segments."""

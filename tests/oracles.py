@@ -9,18 +9,19 @@ benchmark run.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
-from cantorifs.axioms import HolePair, _inverse_orbit
+from cantorifs.axioms import HolePair, _inverse_orbit, induced_n
 from cantorifs.construct import AppendixParams, ClassCBuilder, lambda_sequence
-from cantorifs.errors import DomainError, SpecError
-from cantorifs.gapfinder import _orbit_points_inside
-from cantorifs.ifs import IFSPair, OrbitCloud, minimal_set_cover, orbit
+from cantorifs.errors import CertificateError, DomainError, RangeError, SpecError
+from cantorifs.gapfinder import TraceStep, _apply_induced, _orbit_points_inside
+from cantorifs.ifs import IFSPair, OrbitCloud, _dedup_sorted, minimal_set_cover, orbit
 from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
-from cantorifs.maps import MapSpec
+from cantorifs.maps import MapSpec, iterate_interval
 
 
 # -- interval sets -------------------------------------------------------------
@@ -149,6 +150,25 @@ def apply_word(f: MapSpec, g: MapSpec, w: str, x: float) -> float:
     return x
 
 
+def eval_by_segment(m: MapSpec, x: float) -> float:
+    """`MapSpec.eval` as the picked segment's own `Segment.value_at`, with
+    the clamp written as min/max: the route its row table shortcuts."""
+    if not (-TOL.eps_newton <= x <= 1.0 + TOL.eps_newton):
+        raise DomainError(f"x={x} outside [0, 1]")
+    x = min(max(x, 0.0), 1.0)
+    return m.segments[m._seg_index(x)].value_at(x)
+
+
+def inverse_by_segment(m: MapSpec, y: float) -> float:
+    """`MapSpec.inverse_eval` as the picked segment's own
+    `Segment.inverse_at`, with clamps written as min/max."""
+    if not (m.y0 - TOL.eps_newton <= y <= m.y1 + TOL.eps_newton):
+        raise RangeError(f"y={y} outside image [{m.y0}, {m.y1}]")
+    y = min(max(y, m.y0), m.y1)
+    j = min(max(bisect_left(m._break_y_tuple, y) - 1, 0), len(m.segments) - 1)
+    return m.segments[j].inverse_at(y)
+
+
 # -- construction ------------------------------------------------------------------
 
 
@@ -178,6 +198,17 @@ def orbit_bruteforce(p: IFSPair, seed: float, depth: int) -> np.ndarray:
     return np.sort(np.asarray(out))
 
 
+def orbit_by_sorted_copies(p: IFSPair, seed: float, depth: int) -> np.ndarray:
+    """`ifs.orbit`'s points, each level sorted by `np.sort` into a copy."""
+    level = np.array([seed])
+    all_pts = level
+    for _ in range(depth):
+        level = np.concatenate([p.f.eval_array(level), p.g.eval_array(level)])
+        all_pts = _dedup_sorted(np.sort(np.concatenate([all_pts, level]), kind="stable"))
+        level = _dedup_sorted(np.sort(level, kind="stable"))
+    return all_pts
+
+
 def cloud_contains(cloud: OrbitCloud, x: float, slack: float) -> bool:
     i = int(np.searchsorted(cloud.points, x))
     for k in (i - 1, i):
@@ -202,6 +233,37 @@ def check_so_containment_form(p: IFSPair) -> bool:
 
 def induced_map(p: IFSPair, which: Literal["F", "G"], x: float) -> float:
     return _inverse_orbit(p, which, x)[-1]
+
+
+def induced_discontinuities_by_scan(
+    p: IFSPair, which: Literal["F", "G"], region: Interval
+) -> list[float]:
+    """The jump sites strictly inside `region`, by a scan of all of them."""
+    sites = p.jumps_F if which == "F" else p.jumps_G
+    return [x for x in sites if region.lo < x < region.hi]
+
+
+def induced_step_two_pass(
+    p: IFSPair, which: Literal["F", "G"], iv: Interval
+) -> tuple[int, Interval]:
+    """n from the midpoint's inverse orbit, then the n-fold inverse image of
+    iv: the two passes that `axioms.induced_step` makes in one."""
+    n = induced_n(p, iv.mid, which)
+    return n, _apply_induced(p, which, n, iv)
+
+
+def pull_back_by_intervals(p: IFSPair, steps: Sequence[TraceStep], iv: Interval) -> Interval:
+    """`gapfinder.pull_back` with an Interval built after every map."""
+    for s in reversed(steps):
+        if s.op == "F":
+            iv = p.f.image_of(iterate_interval(p.g, s.n, iv))
+        elif s.op == "G":
+            iv = p.g.image_of(iterate_interval(p.f, s.n, iv))
+        elif s.op in ("invpow_f", "invpow_g"):
+            iv = iterate_interval(p.f if s.op == "invpow_f" else p.g, s.n, iv)
+        elif s.op != "shrink":
+            raise CertificateError(f"unknown op {s.op!r}")
+    return iv
 
 
 def ruination_gridscan(

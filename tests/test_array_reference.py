@@ -22,7 +22,7 @@ from cantorifs.construct import AppendixParams, appendix_pair, lambda_sequence
 from cantorifs.intervals import TOL, IntervalSet, _exact_sum, _normalize
 from cantorifs.ifs import _dedup_sorted, orbit
 
-from oracles import dedup_by_int_keys, measure_by_fsum, normalize_by_reduceat
+from oracles import dedup_by_int_keys, measure_by_fsum, normalize_by_reduceat, orbit_by_sorted_copies
 
 
 def gather_eval_array(m, xs):
@@ -68,6 +68,17 @@ def reference_lambda_sequence(pair, params, n):
 def test_orbit_matches_reference_bytes(request, which, seed):
     p = request.getfixturevalue(which)
     assert orbit(p, seed, 14).points.tobytes() == reference_orbit(p, seed, 14).tobytes()
+
+
+@pytest.mark.parametrize("which", ["built_pair", "valid_affine"])
+@pytest.mark.parametrize("seed", [0.0, -0.0, 1.0, 0.37])
+def test_orbit_sorts_levels_in_place_to_the_same_bytes(request, which, seed):
+    """Sorting each level in place gives the bytes of sorting a copy, -0.0
+    included (`reference_orbit`'s unstable sort may put 0.0 first)."""
+    p = request.getfixturevalue(which)
+    want = orbit_by_sorted_copies(p, seed, 16)
+    assert orbit(p, seed, 16).points.tobytes() == want.tobytes()
+    assert np.signbit(want[0]) == np.signbit(seed)
 
 
 def test_lambda_sequence_matches_reference_bytes(appendix):

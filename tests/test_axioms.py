@@ -1,10 +1,17 @@
+import math
 from itertools import islice
 
 import numpy as np
 import pytest
 
 from cantorifs import axioms
-from cantorifs.errors import DegenerateHoleError, DomainError, IterationCapError, NoContractionError
+from cantorifs.errors import (
+    DegenerateHoleError,
+    DomainError,
+    IterationCapError,
+    NoContractionError,
+    RangeError,
+)
 from cantorifs.intervals import Interval, IntervalSet
 from cantorifs.maps import (
     Affine,
@@ -26,6 +33,7 @@ from cantorifs.axioms import (
     induced_deriv,
     induced_discontinuities,
     induced_n,
+    induced_step,
     run_axiom_checks,
     ruination_family,
     ruination_parts,
@@ -37,7 +45,9 @@ from oracles import (
     apply_word,
     check_so_containment_form,
     dilate,
+    induced_discontinuities_by_scan,
     induced_map,
+    induced_step_two_pass,
     ruination_gridscan,
 )
 
@@ -215,6 +225,98 @@ def test_induced_n_matches_domain_oracle(built_ctx):
             assert expect
             assert induced_discontinuities(pair, which, region) == expect
     assert len(induced_discontinuities(pair, "F", sub)) < len(induced_discontinuities(pair, "F", f1))
+
+
+def test_induced_discontinuities_slice_matches_scan(built_ctx, eps_pair):
+    """Regions with ends exactly on sites, one ulp either side of them, on
+    the domain's ends, and degenerate ones: the bisect slice is the scan."""
+    for pair in (built_ctx["pair"], eps_pair):
+        for which, sites, dom in (("F", pair.jumps_F, pair.f1), ("G", pair.jumps_G, pair.g1)):
+            ends = [dom.lo, dom.hi, *sites[:6], *sites[-6:], sites[len(sites) // 2]]
+            ends = sorted({q for e in ends for q in (e, math.nextafter(e, 0.0),
+                                                      math.nextafter(e, 1.0))})
+            regions = [Interval(a, b) for a in ends for b in ends if a <= b]
+            assert len(regions) > 500
+            for region in regions:
+                assert (induced_discontinuities(pair, which, region)
+                        == induced_discontinuities_by_scan(pair, which, region))
+
+
+def _inverse_calls(monkeypatch, fn):
+    """fn's result and the (map, argument) of each `inverse_eval` it made."""
+    calls = []
+    inverse_eval = MapSpec.inverse_eval
+
+    def recording(self, y):
+        calls.append((id(self), y))
+        return inverse_eval(self, y)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(MapSpec, "inverse_eval", recording)
+        out = fn()
+    return out, calls
+
+
+def test_induced_step_matches_two_passes(built_ctx, monkeypatch):
+    """Same n, same floats, and the same `inverse_eval` calls: each value's
+    chain in the same order, only interleaved."""
+    pair = built_ctx["pair"]
+    ns = set()
+    for which, dom in (("F", pair.f1), ("G", pair.g1)):
+        for a, b in RNG.uniform(dom.lo, dom.hi, (200, 2)):
+            iv = Interval(*sorted((float(a), float(b))))
+            if 0.5 * (iv.lo + iv.hi) in (pair.f1.hi, pair.g1.lo):
+                continue
+            got, calls = _inverse_calls(monkeypatch, lambda: induced_step(pair, which, iv))
+            want, want_calls = _inverse_calls(
+                monkeypatch, lambda: induced_step_two_pass(pair, which, iv))
+            n = got[0]
+            assert n == want[0]
+            assert (got[1].lo.hex(), got[1].hi.hex()) == (want[1].lo.hex(), want[1].hi.hex())
+            # two passes: the midpoint's n + 1 calls, then lo and hi by turns
+            assert len(calls) == len(want_calls) == 3 * (n + 1)
+            assert calls[0::3] == want_calls[:n + 1]
+            assert calls[1::3] == want_calls[n + 1::2]
+            assert calls[2::3] == want_calls[n + 2::2]
+            ns.add(n)
+    assert {0, 1, 2, 3} <= ns
+
+
+def _error(fn) -> tuple[str, str] | None:
+    try:
+        fn()
+    except (DomainError, RangeError, IterationCapError) as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+def test_induced_step_errors_follow_the_midpoint():
+    """On a slow pair (slopes 0.9) the midpoint's verdict comes first, as
+    in two passes: an end that leaves a map's image raises only once the
+    midpoint's chain has landed.  Both branches."""
+    pair = validate_class_a(affine_spec(0.9, 0.0), affine_spec(0.9, 0.1)).as_pair()
+    tiny = 1e-11
+    cases = {
+        # the removed endpoints f(1) and g(0) as midpoints
+        ("F", DomainError): Interval(pair.f1.hi - 1e-3, pair.f1.hi + 1e-3),
+        ("G", DomainError): Interval(pair.g1.lo - 1e-3, pair.g1.lo + 1e-3),
+        # midpoint within eps_geom past the domain: its own first inverse fails
+        ("F", RangeError): Interval(pair.f1.hi + 1e-10, pair.f1.hi + 9e-10),
+        # midpoint over 100 steps from the codomain, one end off the image
+        ("F", IterationCapError): Interval(pair.f1.lo, 2 * (pair.f1.hi - tiny) - pair.f1.lo),
+        ("G", IterationCapError): Interval(2 * (pair.g1.lo + tiny) - pair.g1.hi, pair.g1.hi),
+    }
+    for (which, err), iv in cases.items():
+        got = _error(lambda: induced_step(pair, which, iv))
+        assert got is not None and got[0] == err.__name__, (which, iv, got)
+        assert got == _error(lambda: induced_step_two_pass(pair, which, iv))
+    # the midpoint lands and an end does not: the end's RangeError, as in
+    # two passes, after the midpoint's whole chain
+    for which, iv in (("F", Interval(pair.f1.mid, pair.f1.hi + 5e-10)),
+                      ("G", Interval(pair.g1.lo - 5e-10, pair.g1.mid))):
+        got = _error(lambda: induced_step(pair, which, iv))
+        assert got is not None and got[0] == "RangeError"
+        assert got == _error(lambda: induced_step_two_pass(pair, which, iv))
 
 
 def test_induced_map_codomain(built_ctx):

@@ -1,15 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cantorifs.errors import CertificateError, DomainError, RangeError
+from cantorifs import gapfinder
+from cantorifs.errors import CertificateError, DomainError, RangeError, SpecError
 from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
-from cantorifs.ifs import OrbitCloud, fundamental_domain, minimal_set_cover
+from cantorifs.ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover
 from cantorifs.maps import MapSpec
 from cantorifs.gapfinder import (
     CaseTag,
     TerminalReason,
+    TraceStep,
     _boundary_hits,
     _locate_power_domain,
     _widest_component,
@@ -17,11 +20,17 @@ from cantorifs.gapfinder import (
     classify,
     find_gap,
     find_gap_core,
+    pull_back,
     replay,
 )
 from cantorifs.axioms import HolePair
 
-from oracles import verify_hole_disjoint, widest_piece_by_intersection
+from oracles import (
+    induced_step_two_pass,
+    pull_back_by_intervals,
+    verify_hole_disjoint,
+    widest_piece_by_intersection,
+)
 
 RNG = np.random.default_rng(777)
 
@@ -466,3 +475,69 @@ def test_widest_component_matches_the_intersection_rule(built_ctx):
     assert _widest_component(Interval(0.25, 0.5), ties) == Interval(0.25, 0.25)
     assert _widest_component(Interval(0.3, 0.4), ties) is None
     assert checked == 3 * 1001
+
+
+# -- one-pass steps and float pull-backs ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sweep_1e3(built_ctx, cloud18):
+    """The certificates of the certify sweep at resolution 1e-3 and the
+    arguments of every `induced_step` its walks made."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    _, cells = grid_cells_meeting(minimal_set_cover(pair, 14, 1e-3), 1e-3)
+    steps = []
+    record = gapfinder.induced_step
+
+    def recording(p, which, iv):
+        steps.append((which, iv))
+        return record(p, which, iv)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gapfinder, "induced_step", recording)
+        certs = [find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=cloud18) for J in cells]
+    return certs, steps
+
+
+def test_walk_steps_match_two_passes(built_ctx, sweep_1e3):
+    pair = built_ctx["pair"]
+    certs, steps = sweep_1e3
+    assert len(certs) == 998 and len(steps) > 3000
+    assert len(steps) == sum(s.op in ("F", "G") and s.tag not in (CaseTag.IN_HF, CaseTag.IN_HG)
+                             for c in certs for s in c.trace)
+    for which, iv in steps:
+        n, img = gapfinder.induced_step(pair, which, iv)
+        want_n, want = induced_step_two_pass(pair, which, iv)
+        assert (n, img.lo.hex(), img.hi.hex()) == (want_n, want.lo.hex(), want.hi.hex())
+
+
+def test_pull_back_matches_interval_route(built_ctx, sweep_1e3):
+    """Every prefix of every trace pulls the interval recorded after it back
+    to the same floats as an Interval per map would."""
+    pair = built_ctx["pair"]
+    certs, _ = sweep_1e3
+    ops = set()
+    for cert in certs:
+        for k, s in enumerate(cert.trace, 1):
+            ops.add(s.op)
+            got = pull_back(pair, cert.trace[:k], s.interval)
+            want = pull_back_by_intervals(pair, cert.trace[:k], s.interval)
+            assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
+    assert ops == {"F", "G", "shrink", "invpow_f", "invpow_g"}
+
+
+def test_pull_back_checks_every_map():
+    """A map that reverses the ends raises, from inside a step, the
+    SpecError an Interval would; an unknown op is a CertificateError."""
+    rising, falling = SimpleNamespace(eval=lambda x: x), SimpleNamespace(eval=lambda x: 1.0 - x)
+    pair = IFSPair(rising, falling, Interval(0.4, 0.6))
+    iv = Interval(0.1, 0.2)
+    with pytest.raises(SpecError) as want:
+        Interval(0.9, 0.8)
+    for op, n in (("F", 2), ("G", 0), ("invpow_g", 1)):
+        with pytest.raises(SpecError) as got:
+            pull_back(pair, [TraceStep(CaseTag.IN_F1_FREE, op, n, iv)], iv)
+        assert str(got.value) == str(want.value)
+    assert pull_back(pair, [TraceStep(CaseTag.IN_F1_FREE, "F", 0, iv)], iv) == iv
+    with pytest.raises(CertificateError, match="unknown op"):
+        pull_back(pair, [TraceStep(CaseTag.IN_HF, "bogus", 0, iv)], iv)

@@ -7,8 +7,9 @@ certificates, the `gaps --certify` report and CSV and the depth-12
 construction's report and pair at the 27 corners of the parameter box that
 perfbench's `construct` workload draws from; and the vectorized path: three
 depth-20 orbits and the appendix Lambda sets and measure bound to n = 20 at
-four (eps, lam).  A change that moves any of them must update the digest on
-purpose and say why.
+four (eps, lam); and every certificate that `find_gap` returns in the
+certify sweeps at resolutions 1e-3 and 1/1013.  A change that moves any of
+them must update the digest on purpose and say why.
 """
 
 import hashlib
@@ -23,7 +24,9 @@ from cantorifs.construct import (
     check_measure_bound,
     lambda_sequence,
 )
-from cantorifs.ifs import orbit
+from cantorifs.gapfinder import WALK_VERDICTS, find_gap
+from cantorifs.ifs import minimal_set_cover, orbit
+from cantorifs.intervals import grid_cells_meeting
 from cantorifs.maps import pair_to_json
 
 GOLDEN = {
@@ -43,6 +46,13 @@ GOLDEN = {
 # los and his of Lambda_0..Lambda_20 and `check_measure_bound(...).to_text()`.
 VECTOR_PATH = "c0eba363f0cd69f9f04187a81b1bee3685238690f1da4e48e36d48eef77b0ae7"
 APPENDIX_POINTS = ((0.01, 0.45), (0.05, 0.2), (0.1, 0.3), (1 / 30, 0.45))
+
+# One digest over the `find_gap` certificate of every cell that the certify
+# sweep (depth 14, verification depth 18) walks at each resolution of
+# `SWEEP_RESOLUTIONS`: input, output, each trace step, terminal reason and
+# iteration bound, floats by `float.hex`; a verdict adds its error instead.
+CERTIFY_SWEEPS = "1a61450f0a76a58ad5e7dd3a8156fcd285f9b3c0ea304d51a0042a24dc280d8d"
+SWEEP_RESOLUTIONS = (1e-3, 1 / 1013)
 
 # One digest over `PipelineReport.to_text()` and then `pair_to_json` of the
 # built pair, corner by corner in the order of `product` below.
@@ -91,3 +101,25 @@ def test_vector_path_matches_golden_digest(built_pair):
             h.update(lam_n.his.tobytes())
         h.update(check_measure_bound(pair, params, 20).to_text().encode("utf-8"))
     assert h.hexdigest() == VECTOR_PATH
+
+
+def _iv(iv) -> str:
+    return f"{iv.lo.hex()},{iv.hi.hex()}"
+
+
+def test_certify_sweep_certificates_match_golden_digest(built_ctx, cloud18):
+    ctx = built_ctx
+    h = hashlib.sha256()
+    for res in SWEEP_RESOLUTIONS:
+        _, cells = grid_cells_meeting(minimal_set_cover(ctx["pair"], 14, res), res)
+        for J in cells:
+            try:
+                cert = find_gap(J, ctx["pair"], ctx["hole"], ctx["ruin"], ctx["bsets"],
+                                mu=ctx["mu"], cloud=cloud18)
+            except WALK_VERDICTS as e:
+                h.update(f"{_iv(J)} {type(e).__name__}: {e}\n".encode("utf-8"))
+                continue
+            steps = ";".join(f"{s.tag.value}:{s.op}:{s.n}:{_iv(s.interval)}" for s in cert.trace)
+            h.update(f"{_iv(cert.input)} {_iv(cert.output)} {steps} "
+                     f"{cert.terminal_reason.value} {cert.iteration_bound}\n".encode("utf-8"))
+    assert h.hexdigest() == CERTIFY_SWEEPS

@@ -114,6 +114,16 @@ def test_intersect_grid_oracle():
         grid_membership(got), grid_membership(a) & grid_membership(b))
 
 
+def test_construction_leaves_caller_arrays_writeable():
+    """The set freezes its own arrays, never the caller's, empty or not."""
+    for n in (0, 1, 3):
+        a, b = np.linspace(0.0, 0.5, n), np.linspace(0.1, 0.6, n)
+        s = IntervalSet(los=a, his=b)
+        assert a.flags.writeable and b.flags.writeable
+        assert not s.los.flags.writeable and not s.his.flags.writeable
+        assert not np.shares_memory(s.los, a) and not np.shares_memory(s.his, b)
+
+
 # -- measure -------------------------------------------------------------------
 
 

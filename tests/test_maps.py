@@ -25,8 +25,9 @@ from cantorifs.maps import (
 )
 from cantorifs.construct import base_pair, lambda_sequence
 from cantorifs.ifs import orbit, validate_class_a
+from cantorifs.intervals import TOL
 
-from oracles import apply_word
+from oracles import apply_word, eval_by_segment, inverse_by_segment
 
 RNG = np.random.default_rng(20260810)
 
@@ -178,6 +179,37 @@ def test_inverse_lookup_matches_searchsorted_rule(real_maps):
         j = np.clip(np.searchsorted(m._break_ys, ys, side="left") - 1, 0, len(m.segments) - 1)
         assert _bits(m.inverse_eval(y) for y in ys) == _bits(
             m.segments[k].inverse_at(y) for k, y in zip(j, ys))
+
+
+def _outcome(fn, v) -> str:
+    """The result's `float.hex`, or the type of the error raised."""
+    try:
+        return fn(v).hex()
+    except (DomainError, RangeError) as e:
+        return type(e).__name__
+
+
+def test_scalar_kernels_match_segment_oracles_bitwise(real_maps, bumpy):
+    """`eval` and `inverse_eval` read their row tables; the oracles take the
+    picked segment's `value_at`/`inverse_at`.  Checked at every breakpoint
+    and break value, their neighbours, the ends, -0.0, overshoots within and
+    beyond eps_newton, and NaN; an error must have the oracle's type."""
+    half, over = 0.5 * TOL.eps_newton, 2.0 * TOL.eps_newton
+    bad = [math.nan, math.inf, -math.inf]
+    checked = [*real_maps, bumpy, maps.symmetry_conjugate(bumpy)]
+    assert all(any(isinstance(s.kind, CubicHermite) for s in m.segments) for m in checked[:2])
+    for m in checked:
+        # -0.0 is added after the neighbours: a set keeps one of 0.0, -0.0
+        xs = _with_neighbours([0.0, 1.0, -half, 1.0 + half, *m.breakpoints()])
+        xs += [-0.0, -over, 1.0 + over, *bad]
+        got = [_outcome(m.eval, x) for x in xs]
+        assert got == [_outcome(lambda x: eval_by_segment(m, x), x) for x in xs]
+        assert got.count("DomainError") == 5
+        ys = _with_neighbours([*m._break_y_tuple, m.y0 - half, m.y1 + half])
+        ys += [-0.0, m.y0 - over, m.y1 + over, *bad]
+        got = [_outcome(m.inverse_eval, y) for y in ys]
+        assert got == [_outcome(lambda y: inverse_by_segment(m, y), y) for y in ys]
+        assert got.count("RangeError") >= 5
 
 
 def test_segment_constants_are_computed_once(real_maps):
