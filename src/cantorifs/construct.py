@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -151,8 +151,9 @@ def bump_modify(params: ConstructionParams) -> tuple[MapSpec, MapSpec, Interval,
         ("hermite", c1, m, 0.5),                    # edge join (right)
     ]
     bump = _chain(lo, lo / 2.0, pieces)
+    # the tail starts where the chain ends, which rounds near q + w/2
     segs = [Segment(0.0, lo, Affine(0.5, 0.0))] + bump + [
-        Segment(q + w / 2.0, 1.0, Affine(0.5, 0.0))
+        Segment(bump[-1].x_hi, 1.0, Affine(0.5, 0.0))
     ]
     f0 = MapSpec(tuple(segs), label="f0")
     g0 = MapSpec(_reflected_segments(f0), label="g0")
@@ -206,7 +207,7 @@ def epsilon_family_specs(f0: MapSpec, k: float, eps: float) -> tuple[MapSpec, Ma
     corner = 1.0 - k
     segs: list[Segment] = []
     for s in f0.segments:
-        if s.x_hi <= corner + 1e-15:
+        if s.x_hi <= corner:
             segs.append(s)
         elif s.x_lo < corner:
             if not isinstance(s.kind, Affine):
@@ -243,35 +244,17 @@ def h_prime(g: MapSpec, h_p: Interval) -> IntervalSet:
     return IntervalSet(parts)
 
 
-def _bisect_increasing(fn: Callable[[float], float], target: float, lo: float, hi: float) -> float:
-    """Bisection for fn increasing in x to a bracket below 1e-14 (at most 200
-    steps); robust against kinks, no Newton."""
-    flo, fhi = fn(lo) - target, fn(hi) - target
-    if flo > 0 or fhi < 0:
-        raise BracketError(
-            f"bracket [{lo}, {hi}] does not straddle target {target}: "
-            f"f(lo)-t={flo:.3g}, f(hi)-t={fhi:.3g}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    return 0.5 * (lo + hi)
-
-
 class ClassCBuilder:
     """Pipeline state: the bump pair, the admissible eps window and the
     derived objects, with pair construction at arbitrary eps.
 
-    The reachable-corner function x(eps) = f_eps^{-1}(g_eps(0)) is strictly
-    decreasing in eps and tends to 1 as eps -> 0+; all one-dimensional
-    solves bisect it on verified brackets.  `x_of` reads it off the two
-    eps-dependent affine segments without building a pair; `pair_at` builds
-    (and can validate) the whole pairs the pipeline uses: the window probes,
-    the reference pair at delta/2, alpha_0 and the castration candidates.
+    The reachable-corner function x(eps) = f_eps^{-1}(g_eps(0)) is
+    1 - 2*eps*k/(1/2 + eps) on the eps window, strictly decreasing and
+    tending to 1 as eps -> 0+; `_eps_reaching` solves x(eps) = t in closed
+    form.  `x_of` reads x off the two eps-dependent affine segments without
+    building a pair; `pair_at` builds (and can validate) the whole pairs the
+    pipeline uses: the window probes, the reference pair at delta/2, alpha_0
+    and the castration candidates.
     """
 
     EPS_FLOOR = 1e-9
@@ -350,21 +333,27 @@ class ClassCBuilder:
 
     # -- the C parameter and alpha sequence ---------------------------------
 
+    def _eps_reaching(self, t: float) -> float:
+        """The eps with x(eps) = t: eps = (1 - t) / (2(2k - 1 + t)), the root
+        of x(eps) = 1 - 2*eps*k/(1/2 + eps).  Raises BracketError when that
+        eps falls outside [EPS_FLOOR, delta], where the formula holds."""
+        u = 1.0 - t  # exact for t in [1/2, 1]
+        d = 2.0 * (2.0 * self.params.k - u)
+        eps = u / d if d > 0 else math.inf
+        if not (self.EPS_FLOOR <= eps <= self.delta):  # NaN fails too
+            raise BracketError(f"x = {t!r} is not reached for eps in "
+                               f"[{self.EPS_FLOOR}, {self.delta}] (eps = {eps!r})")
+        return eps
+
     def find_c_parameter(self, n: int) -> float:
         """eps with x(eps) at the midpoint of g^n(H_p); member of C_n.
 
-        x(eps) is decreasing in eps, so bisect -x against -target on
-        [floor, delta]; raises when the target is outside the reachable
-        range (n too small or too large for the window).
+        Raises BracketError when the midpoint is outside the reachable range
+        (n too small or too large for the window), and ConstructionError
+        when x(eps) does not land in the middle 80% of g^n(H_p).
         """
         target = self.g_power_hole(n)
-        lo, hi = self.EPS_FLOOR, self.delta
-        x_hi, x_lo = self.x_of(lo), self.x_of(hi)
-        if not (x_lo < target.mid < x_hi):
-            raise BracketError(
-                f"g^{n}(H_p) midpoint {target.mid:.12g} outside reachable "
-                f"range ({x_lo:.12g}, {x_hi:.12g}); adjust n_target")
-        eps = _bisect_increasing(lambda e: -self.x_of(e), -target.mid, lo, hi)
+        eps = self._eps_reaching(target.mid)
         x = self.x_of(eps)
         if not (target.lo + target.length / 10.0 <= x <= target.hi - target.length / 10.0):
             raise ConstructionError(
@@ -377,19 +366,18 @@ class ClassCBuilder:
         return h_prime(self.g0, self.hole_ref.h_f).part_containing(self.x_of(eps)) is not None
 
     def alpha_sequence(self, alpha0: float, count: int) -> list[float]:
-        """alpha_n solving x(alpha_n) = g^n_{alpha_0}(x(alpha_0)); strictly
-        decreasing to 0, each a member of C."""
+        """alpha_n solving x(alpha_n) = g^n_{alpha_0}(x(alpha_0)), n < count;
+        strictly decreasing to 0, each a member of C.  alpha_0 is alpha0
+        itself: solving back from x(alpha0), which rounds to an ulp of 1,
+        would move it by about 1e-14."""
         if not self.in_h_prime(alpha0):
             raise ConstructionError(f"alpha0 = {alpha0} is not in C")
         g_a0 = self.pair_at(alpha0).g
-        x0 = self.x_of(alpha0)
-        out: list[float] = []
-        target = x0
-        for n in range(count):
-            alpha = _bisect_increasing(lambda e: -self.x_of(e), -target,
-                                       self.EPS_FLOOR, self.delta)
-            out.append(alpha)
+        out = [alpha0]
+        target = self.x_of(alpha0)
+        for _ in range(count - 1):
             target = g_a0.eval(target)
+            out.append(self._eps_reaching(target))
         for a, b in zip(out, out[1:]):
             if not b < a:
                 raise ConstructionError(f"alpha sequence not strictly decreasing: {out}")
@@ -449,9 +437,9 @@ def build_gamma(ruin: RuinationRegions, w: Interval) -> MapSpec:
     ]
     segs = [Segment(0.0, xi, Affine(1.0, 0.0))] + _chain(xi, xi, pieces)
     end = segs[-1]
-    # close with the identity tail; the chain lands at (1 - xi, 1 - xi) by
-    # the rise bookkeeping, up to rounding absorbed by the C0 tolerance
-    segs.append(Segment(1.0 - xi, 1.0, Affine(1.0, 0.0)))
+    # close with the identity tail from where the chain ends; the widths and
+    # rises land it at (1 - xi, 1 - xi) up to rounding
+    segs.append(Segment(end.x_hi, 1.0, Affine(1.0, 0.0)))
     gamma = MapSpec(tuple(segs), label="gamma")
     if abs(end.y_hi - (1.0 - xi)) > TOL.eps_geom:
         raise ConstructionError(f"gamma rise bookkeeping off by {end.y_hi - (1 - xi):.3g}")
@@ -471,31 +459,26 @@ def castrate(g_alpha_n: MapSpec, gamma: MapSpec, w_n: Interval) -> MapSpec:
     """
     s_hi = g_alpha_n.inverse_eval(w_n.hi)
     first = g_alpha_n.segments[0]
-    if not isinstance(first.kind, Affine) or first.x_hi < s_hi - 1e-15:
+    if not isinstance(first.kind, Affine) or first.x_hi < s_hi:
         raise ConstructionError(
             "castration support must fall inside g's leading affine run")
     a_g, b_g = first.kind.slope, first.kind.intercept
     # A1: y -> (g(y) - w_n.lo)/|w_n| onto [0, 1]; A2: t -> w_n.lo + t |w_n|
     a1, b1 = a_g / w_n.length, (b_g - w_n.lo) / w_n.length
     a2, b2 = w_n.length, w_n.lo
+    # g(0) is first's intercept, so b1 = 0 and the run starts at 0.0;
+    # gamma's exact joins stay exact, and only the run's end is set to s_hi
     composed = [conjugate_segment(s, a1, b1, a2, b2) for s in gamma.segments]
-    # snap the composed run exactly onto [0, s_hi]
-    snapped: list[Segment] = []
-    for i, s in enumerate(composed):
-        x_lo = 0.0 if i == 0 else snapped[-1].x_hi
-        x_hi = s_hi if i == len(composed) - 1 else s.x_hi
-        if x_hi <= x_lo:
-            continue
-        snapped.append(Segment(x_lo, x_hi, s.kind))
+    composed[-1] = Segment(composed[-1].x_lo, s_hi, composed[-1].kind)
     rest: list[Segment] = []
     for s in g_alpha_n.segments:
-        if s.x_hi <= s_hi + 1e-15:
+        if s.x_hi <= s_hi:
             continue
         if s.x_lo < s_hi:
             rest.append(Segment(s_hi, s.x_hi, s.kind))
         else:
             rest.append(s)
-    return MapSpec(tuple(snapped + rest), label=f"{g_alpha_n.label}.castrated")
+    return MapSpec(tuple(composed + rest), label=f"{g_alpha_n.label}.castrated")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ class RangeError(CantorIFSError, ValueError):
 
 
 class BracketError(CantorIFSError):
-    """A root-finding bracket does not straddle the target."""
+    """A one-dimensional solve's root falls outside its admissible range."""
 
 
 class IterationCapError(CantorIFSError):

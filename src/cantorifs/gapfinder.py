@@ -369,7 +369,7 @@ def _walk(
         clipped = out.intersection(start)
         if clipped is None or clipped.length <= 0:
             raise CertificateError(f"pullback {out} escaped the input {start}")
-        _reject_orbit_points(cloud, clipped, f"certified output {clipped}")
+        _reject_orbit_points(cloud, clipped, "certified output {}")
         out = clipped
         if prefix:
             out = pull_back(p, prefix, clipped).intersection(J)
@@ -432,9 +432,11 @@ def _split_at(cur: Interval, pts: Sequence[float]) -> Interval:
 
 
 def _reject_orbit_points(cloud: OrbitCloud | None, iv: Interval, where: str) -> None:
+    """Raise when orbit points lie inside `iv`; `where` names it, and its
+    `{}`, if any, is filled with `iv` only then."""
     bad = 0 if cloud is None else _orbit_points_inside(cloud, iv, TOL.eps_geom)
     if bad:
-        raise CertificateError(f"{bad} orbit points inside {where}")
+        raise CertificateError(f"{bad} orbit points inside {where.format(iv)}")
 
 
 def _orbit_points_inside(cloud: OrbitCloud, iv: Interval, margin: float) -> int:

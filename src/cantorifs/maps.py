@@ -162,7 +162,10 @@ def hermite_linear_deriv(x_lo: float, x_hi: float, y_lo: float, d_lo: float, d_h
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Strictly increasing piecewise map covering [0, 1] without gaps."""
+    """Strictly increasing piecewise map covering [0, 1] without gaps: each
+    segment starts at the float where the previous one ends, from 0.0 to
+    1.0.  Values and derivatives at a join round, and are checked to
+    `TOL.eps_geom` and `C1_DERIV_TOL`."""
 
     segments: tuple[Segment, ...]
     label: str = ""
@@ -172,11 +175,13 @@ class MapSpec:
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise SpecError("MapSpec needs at least one segment")
-        if abs(segs[0].x_lo) > TOL.eps_newton or abs(segs[-1].x_hi - 1.0) > TOL.eps_newton:
-            raise SpecError("segments must cover [0, 1]")
-        for a, b in zip(segs, segs[1:]):
-            if abs(a.x_hi - b.x_lo) > TOL.eps_newton:
-                raise SpecError(f"segments must abut: {a.x_hi} vs {b.x_lo}")
+        if segs[0].x_lo != 0.0 or segs[-1].x_hi != 1.0:
+            raise SpecError(f"segments must cover [0, 1] exactly, got "
+                            f"[{segs[0].x_lo!r}, {segs[-1].x_hi!r}]")
+        for i, (a, b) in enumerate(zip(segs, segs[1:])):
+            if a.x_hi != b.x_lo:
+                raise SpecError(f"segments {i} and {i + 1} must join exactly: "
+                                f"x_hi {a.x_hi!r} vs x_lo {b.x_lo!r}")
             if abs(a.y_hi - b.y_lo) > TOL.eps_geom:
                 raise SpecError(f"value jump {a.y_hi - b.y_lo:.3g} at x={b.x_lo}")
             dl, dr = a.deriv_at(a.x_hi), b.deriv_at(b.x_lo)

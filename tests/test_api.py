@@ -1,10 +1,10 @@
 """The public API takes no tolerance arguments: the library reads its one
-fixed `intervals.TOL`.  No function takes a parameter it never reads, no
-object keeps a field nothing reads, the gap walk has no fallback
-expansion factor, only the axiom front end runs the expansion check,
-every function, class and method in src/ is run by a command or by the
-benchmark (test oracles live in `tests/oracles.py`), and every option
-has a caller in src/ or perfbench/ that sets it."""
+fixed `intervals.TOL`, and holds no float literal finer than it.  No function
+takes a parameter it never reads, no object keeps a field nothing reads, the
+gap walk has no fallback expansion factor, only the axiom front end runs the
+expansion check, every function, class and method in src/ is run by a
+command or by the benchmark (test oracles live in `tests/oracles.py`), and
+every option has a caller in src/ or perfbench/ that sets it."""
 
 import ast
 import re
@@ -19,6 +19,7 @@ from pathlib import Path
 import cantorifs
 from cantorifs.gapfinder import certify_cantor, find_gap, find_gap_core
 from cantorifs.ifs import IFSPair
+from cantorifs.intervals import TOL
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -115,6 +116,17 @@ def test_no_tol_parameters():
     offenders = [name for name, fn in checked.items()
                  if "tol" in inspect.signature(fn).parameters]
     assert offenders == []
+
+
+def test_no_float_literal_below_the_tolerance():
+    """A float literal finer than `TOL.eps_newton` is an ad-hoc tolerance:
+    compare exactly or read `TOL`."""
+    tiny = sorted((path.name, n.lineno, n.value)
+                  for path in (REPO / "src" / "cantorifs").glob("*.py")
+                  for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(n, ast.Constant) and isinstance(n.value, float)
+                  and 0.0 < abs(n.value) < TOL.eps_newton)
+    assert tiny == []
 
 
 def test_tol_is_not_a_pair_field():

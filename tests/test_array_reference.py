@@ -4,7 +4,7 @@
 merges sorted runs and cuts buckets where the key changes, and
 `lambda_sequence` normalizes both images at once.  The reference below is
 the form they replaced: a per-point segment gather, `np.unique` dedup after
-a quicksort, and `f(Λ) ∪ g(Λ)` built from two normalized images.  Both must
+a stable sort (so signed zeros keep their order), and `f(Λ) ∪ g(Λ)` built from two normalized images.  Both must
 give the same bytes.
 
 The last kernels to change are checked against their earlier bodies in
@@ -47,8 +47,8 @@ def reference_orbit(p, seed, depth):
     all_pts = level
     for _ in range(depth):
         level = np.concatenate([gather_eval_array(p.f, level), gather_eval_array(p.g, level)])
-        all_pts = _unique_dedup(np.sort(np.concatenate([all_pts, level])), eps)
-        level = _unique_dedup(np.sort(level), eps)
+        all_pts = _unique_dedup(np.sort(np.concatenate([all_pts, level]), kind="stable"), eps)
+        level = _unique_dedup(np.sort(level, kind="stable"), eps)
     return all_pts
 
 
@@ -64,7 +64,7 @@ def reference_lambda_sequence(pair, params, n):
 
 
 @pytest.mark.parametrize("which", ["built_pair", "valid_affine"])
-@pytest.mark.parametrize("seed", [0.0, 1.0, 0.37])
+@pytest.mark.parametrize("seed", [0.0, -0.0, 1.0, 0.37])
 def test_orbit_matches_reference_bytes(request, which, seed):
     p = request.getfixturevalue(which)
     assert orbit(p, seed, 14).points.tobytes() == reference_orbit(p, seed, 14).tobytes()
@@ -74,7 +74,7 @@ def test_orbit_matches_reference_bytes(request, which, seed):
 @pytest.mark.parametrize("seed", [0.0, -0.0, 1.0, 0.37])
 def test_orbit_sorts_levels_in_place_to_the_same_bytes(request, which, seed):
     """Sorting each level in place gives the bytes of sorting a copy, -0.0
-    included (`reference_orbit`'s unstable sort may put 0.0 first)."""
+    included."""
     p = request.getfixturevalue(which)
     want = orbit_by_sorted_copies(p, seed, 16)
     assert orbit(p, seed, 16).points.tobytes() == want.tobytes()

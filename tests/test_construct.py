@@ -1,6 +1,6 @@
 import math
 from bisect import bisect_left
-from itertools import islice, takewhile
+from itertools import islice, product, takewhile
 
 import numpy as np
 import pytest
@@ -20,7 +20,8 @@ from cantorifs.maps import (
     symmetry_residual,
 )
 from cantorifs.ifs import IFSPair, validate_class_a
-from cantorifs.axioms import check_ca, check_so, find_hole, ruination_family, ruination_regions
+from cantorifs.axioms import (
+    check_ca, check_so, expansion_cells, find_hole, ruination_family, ruination_regions)
 from cantorifs.construct import (
     AppendixParams,
     ClassCBuilder,
@@ -240,6 +241,36 @@ def test_alpha_zero_reproduces(builder, built_report):
     alpha0 = built_report.alpha0
     seq = builder.alpha_sequence(alpha0, 1)
     assert seq[0] == pytest.approx(alpha0, abs=1e-10)
+
+
+@pytest.mark.parametrize("jp_width,k,strength", list(product(
+    (0.008, 0.009, 0.010), (0.004, 0.005, 0.006), (3.5, 4.0, 4.5))))
+def test_closed_form_alphas_reach_their_targets(jp_width, k, strength):
+    """Over the corners of the golden CONSTRUCT_BOX, x(alpha_n) lands within
+    4 ulps of g^n_{alpha_0}(x(alpha_0)), the target the closed form solves,
+    and alpha_0 is alpha0 itself."""
+    b = ClassCBuilder(ConstructionParams(jp_width=jp_width, k=k, bump_strength=strength))
+    alpha0 = b.find_c_parameter(b.params.n_target)
+    g_a0 = b.pair_at(alpha0).g
+    target = b.x_of(alpha0)
+    alphas = b.alpha_sequence(alpha0, 13)
+    assert len(alphas) == 13 and alphas[0] == alpha0
+    for alpha in alphas:
+        assert abs(b.x_of(alpha) - target) <= 4 * math.ulp(target)
+        target = g_a0.eval(target)
+
+
+def test_symmetric_pair_expands_equally_on_both_branches(builder, built_report):
+    """The pair at alpha_0 is its own diagonal mirror, so F and G have the
+    same least cell bound; a breakpoint gap that `deriv` extrapolated across
+    broke the tie on F."""
+    pair = builder.pair_at(built_report.alpha0, validate=True)
+    hole = find_hole(pair, builder.params.j_p)
+    least = []
+    for which, h in (("F", hole.h_f), ("G", hole.h_g)):
+        cells, tail = expansion_cells(pair, which, h)
+        least.append(min(c.bound for c in [*cells, tail]))
+    assert least[0] == least[1]
 
 
 def test_alpha_strictly_decreasing(built_report):

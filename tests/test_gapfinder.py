@@ -317,8 +317,15 @@ def test_pullback_checks_cloud_in_walk_space(built_ctx):
     assert walk_out.lo + eps < x < walk_out.hi - eps
     assert not cert.output.lo + eps < y < cert.output.hi - eps
     cloud = OrbitCloud(np.array([x]), depth=0, seed=x)
-    with pytest.raises(CertificateError, match="certified output"):
+    with pytest.raises(CertificateError, match="certified output") as err:
         find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=cloud)
+    assert str(err.value) == f"1 orbit points inside certified output {walk_out}"
+    # a point inside the final output but outside the walk-space one
+    mid = cert.output.mid
+    cloud = OrbitCloud(np.array([mid]), depth=0, seed=mid)
+    with pytest.raises(CertificateError) as err:
+        find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=cloud)
+    assert str(err.value) == "1 orbit points inside pulled-back output"
 
 
 def test_gap_near_fixed_point_zero(built_ctx, cloud18):

@@ -30,12 +30,12 @@ from cantorifs.intervals import grid_cells_meeting
 from cantorifs.maps import pair_to_json
 
 GOLDEN = {
-    "pair.json": "fb12dd455b8f03c56aeb8e686df44608d7669b0cdc9171e2b27dec35cac1fb2e",
+    "pair.json": "5fbc9e9a68239551ddd383a8df5006b0bd4ba92a9fdbd7f2e15e415e853d4541",
     "gap_a/gap_certificate.txt": "44986210e1c20d245951f5e37111d9bf04e1efe0e4e5c027c6de031bb90439ab",
     "gap_b/gap_certificate.txt": "3d480ff68a27a424c9e35413e545afe0315945b71476aa2a2b700d81dd6b1163",
     "certify/certify_report.txt": "e3f07e69fed7ad5e829e7f5b12fe73f6093699519f9b7521ce5c9e6f69db03ad",
     "certify/certify_report.csv": "aedac144af3c2db3201558092dbf54fa478f35f225c2caa7b11c09b23393d404",
-    "orbit/orbit.csv": "e618f91ffec04945a963227751bb20377609492a86fd1531b0f309761067192f",
+    "orbit/orbit.csv": "3be9024c966b7511ab275fe9a3bafadfb86c0b0478e4c7d312fbf4bb28fd4fd9",
     "appendix/appendix_bound.txt": "d1f48ae086b4ed5a2a9ae332366e8eea921600d9861bd19ade6b2d501deecc8b",
     "appendix/appendix_lambda.csv": "f9f677678f9a11e85b0c154d8e34f28f255cad4d8a12c66bd6df121257bb200d",
     "appendix/appendix_lambda10.csv": "9ed83ba90e5ca5e0a862f932c19e8d968a5539e0a159f83015012b78603a9ece",
@@ -44,19 +44,19 @@ GOLDEN = {
 # One digest over the raw bytes of `orbit(pair, s, 20).points` on the built
 # pair for s = 0, 1, 0.37, then, at each (eps, lam) of `APPENDIX_POINTS`, the
 # los and his of Lambda_0..Lambda_20 and `check_measure_bound(...).to_text()`.
-VECTOR_PATH = "c0eba363f0cd69f9f04187a81b1bee3685238690f1da4e48e36d48eef77b0ae7"
+VECTOR_PATH = "78d89765fe4990ecdfdeb700316526a12623509ebfd339bdbd1e42f0e3115d2b"
 APPENDIX_POINTS = ((0.01, 0.45), (0.05, 0.2), (0.1, 0.3), (1 / 30, 0.45))
 
 # One digest over the `find_gap` certificate of every cell that the certify
 # sweep (depth 14, verification depth 18) walks at each resolution of
 # `SWEEP_RESOLUTIONS`: input, output, each trace step, terminal reason and
 # iteration bound, floats by `float.hex`; a verdict adds its error instead.
-CERTIFY_SWEEPS = "1a61450f0a76a58ad5e7dd3a8156fcd285f9b3c0ea304d51a0042a24dc280d8d"
+CERTIFY_SWEEPS = "49ee6f6935c5449835df9b4d6d6bde016d20ce26b2682f0a456acce5f0c080b1"
 SWEEP_RESOLUTIONS = (1e-3, 1 / 1013)
 
 # One digest over `PipelineReport.to_text()` and then `pair_to_json` of the
 # built pair, corner by corner in the order of `product` below.
-CONSTRUCT_BOX = "86037ccf21568d730637317b7fa246894de0b913807425efee208ee91fc66db4"
+CONSTRUCT_BOX = "064050283720e773fa839501dd89502c12a5e8febaaede3a2a63c4c7f5f0e196"
 
 
 def _digest(path) -> str:

@@ -328,6 +328,20 @@ def test_rejects_gap_between_segments():
         MapSpec((Segment(0.0, 0.4, Affine(1.0, 0.0)), Segment(0.5, 1.0, Affine(1.0, 0.0))))
 
 
+@pytest.mark.parametrize("ends", [
+    (0.0, 0.5, math.nextafter(0.5, 1.0), 1.0),   # a 1-ulp gap
+    (0.0, 0.5, math.nextafter(0.5, 0.0), 1.0),   # a 1-ulp overlap
+    (5e-324, 0.5, 0.5, 1.0),
+    (0.0, 0.5, 0.5, 1.0 - 2.0 ** -53),
+], ids=["gap", "overlap", "first_x_lo", "last_x_hi"])
+def test_rejects_inexact_join_or_end(ends):
+    """Joins and ends must be exact, not within a tolerance: the value and
+    derivative checks pass on these identity pieces."""
+    a_lo, a_hi, b_lo, b_hi = ends
+    with pytest.raises(SpecError, match="segments 0 and 1 must join exactly|cover"):
+        MapSpec((Segment(a_lo, a_hi, Affine(1.0, 0.0)), Segment(b_lo, b_hi, Affine(1.0, 0.0))))
+
+
 def test_rejects_value_jump():
     with pytest.raises(SpecError):
         MapSpec((Segment(0.0, 0.5, Affine(0.5, 0.0)),

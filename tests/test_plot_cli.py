@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -319,6 +321,19 @@ def test_cli_strip(tmp_path, appendix):
 def test_cli_missing_file_is_usage_error(tmp_path):
     code = main(["validate", str(tmp_path / "nope.json"), "--output-dir", str(tmp_path)])
     assert code == 2
+
+
+def test_cli_validate_refuses_an_inexact_join(pair_file, tmp_path, capsys):
+    """f's segment at the bump's right edge moved 2 ulps past the bump's
+    end, as in pair files written before joins were exact: refused."""
+    doc = json.loads(Path(pair_file).read_text(encoding="utf-8"))
+    segs = doc["f"]["segments"]
+    i = min(range(1, len(segs)), key=lambda j: abs(segs[j]["x_lo"] - (2 / 3 + 0.005)))
+    segs[i]["x_lo"] = math.nextafter(math.nextafter(segs[i]["x_lo"], 1.0), 1.0)
+    path = tmp_path / "old_pair.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path), "--output-dir", str(tmp_path)]) == 2
+    assert f"SpecError: segments {i - 1} and {i} must join exactly" in capsys.readouterr().err
 
 
 def test_cli_construct(tmp_path):
