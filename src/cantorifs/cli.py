@@ -137,8 +137,8 @@ def cmd_gaps(args: argparse.Namespace) -> int:
         if args.lo is None or args.hi is None:
             print("gaps: need --lo and --hi (or --certify)", file=sys.stderr)
             return 2
-        if not args.lo < args.hi:
-            print(f"gaps: need --lo < --hi, got {args.lo} >= {args.hi}", file=sys.stderr)
+        if not 0.0 <= args.lo < args.hi <= 1.0:
+            print(f"gaps: need 0 <= --lo < --hi <= 1, got {args.lo}, {args.hi}", file=sys.stderr)
             return 2
     # Certificates hold only for pairs with all four properties.
     out, pair, ax = _validate(args)
@@ -333,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CantorIFSError as e:

@@ -311,18 +311,21 @@ class ClassCBuilder:
         at both window ends (Ho is eps-independent and checked on the
         reference pair).  The small-end probe sits where the overlap width
         2*eps*k still clears the geometric tolerance."""
-        small = max(1e-5, 2.0 * TOL.eps_geom / self.params.k)
+        k = self.params.k
+        small = max(1e-5, 2.0 * TOL.eps_geom / k)
         delta = self.params.delta_max
         for _ in range(20):
             if delta <= small:
                 break
+            # Only an eps the window cannot hold is caught: a failed check is
+            # a verdict read off its result, and any other error propagates.
             try:
-                hi_pair = self.pair_at(delta, validate=True)
-                lo_pair = self.pair_at(small, validate=True)
-                if check_so(hi_pair).ok and check_so(lo_pair).ok:
-                    return delta
-            except (ConstructionError, SpecError):
-                pass
+                specs = [epsilon_family_specs(self.f0, k, eps) for eps in (delta, small)]
+            except ConstructionError:
+                specs = []
+            results = (validate_class_a(f, g) for f, g in specs)
+            if specs and all(r.ok and check_so(r.pair).ok for r in results):
+                return delta
             delta /= 2.0
         raise ConstructionError("no admissible eps window found")
 

@@ -160,32 +160,6 @@ def classify(
 # ---------------------------------------------------------------------------
 
 
-def _apply_induced(p: IFSPair, which: Literal["F", "G"], n: int, iv: Interval) -> Interval:
-    first, ret = (p.f, p.g) if which == "F" else (p.g, p.f)
-    lo, hi = first.inverse_eval(iv.lo), first.inverse_eval(iv.hi)
-    for _ in range(n):
-        lo, hi = ret.inverse_eval(lo), ret.inverse_eval(hi)
-    return Interval(lo, hi)
-
-
-def _apply_step_forward(p: IFSPair, s: TraceStep, iv: Interval) -> Interval:
-    if s.op == "F":
-        return _apply_induced(p, "F", s.n, iv)
-    if s.op == "G":
-        return _apply_induced(p, "G", s.n, iv)
-    if s.op in ("invpow_f", "invpow_g"):
-        m = p.f if s.op == "invpow_f" else p.g
-        for _ in range(s.n):
-            iv = m.preimage_of(iv)
-        return iv
-    if s.op == "shrink":
-        inter = iv.intersection(s.interval)
-        if inter is None:
-            raise CertificateError("replay left the recorded shrink window")
-        return inter
-    raise CertificateError(f"unknown op {s.op!r}")
-
-
 def _backward_maps(p: IFSPair, s: TraceStep) -> list[MapSpec]:
     """The maps that undo one step, in the order they apply."""
     if s.op == "F":   # inverse of x -> g^{-n}(f^{-1}(x)) is y -> f(g^n(y))
@@ -199,6 +173,23 @@ def _backward_maps(p: IFSPair, s: TraceStep) -> list[MapSpec]:
     if s.op == "shrink":
         return []
     raise CertificateError(f"unknown op {s.op!r}")
+
+
+def _apply_step_forward(p: IFSPair, s: TraceStep, iv: Interval) -> Interval:
+    """Carry `iv` forward through one step: the maps that undo it
+    (`_backward_maps`) are inverted, last first, on the two end floats, with
+    the lo <= hi check of `pull_back`; a shrink step clips to its window."""
+    if s.op == "shrink":
+        inter = iv.intersection(s.interval)
+        if inter is None:
+            raise CertificateError("replay left the recorded shrink window")
+        return inter
+    lo, hi = iv.lo, iv.hi
+    for m in reversed(_backward_maps(p, s)):
+        lo, hi = m.inverse_eval(lo), m.inverse_eval(hi)
+        if not lo <= hi:
+            raise SpecError(f"interval needs lo <= hi, got [{lo}, {hi}]")
+    return Interval(lo, hi)
 
 
 def pull_back(p: IFSPair, steps: Sequence[TraceStep], iv: Interval) -> Interval:
@@ -408,16 +399,16 @@ def _walk(
 
         which: Literal["F", "G"] = (
             "G" if tag in (CaseTag.IN_HG, CaseTag.IN_W_RF, CaseTag.IN_G1_FREE) else "F")
-        if tag in (CaseTag.IN_HF, CaseTag.IN_HG):
-            img = _apply_induced(p, which, 0, cur)
-            steps.append(TraceStep(tag, which, 0, img))
-            return finish(img, TerminalReason.HOLE)
-        window = Interval(cur.lo + TOL.eps_newton, cur.hi - TOL.eps_newton)
-        sites = induced_discontinuities(p, which, window)
-        if sites:
-            shrink_to(_split_at(cur, sites), tag)
+        in_hole = tag in (CaseTag.IN_HF, CaseTag.IN_HG)
+        if not in_hole:
+            window = Interval(cur.lo + TOL.eps_newton, cur.hi - TOL.eps_newton)
+            sites = induced_discontinuities(p, which, window)
+            if sites:
+                shrink_to(_split_at(cur, sites), tag)
         n, img = induced_step(p, which, cur)
         steps.append(TraceStep(tag, which, n, img))
+        if in_hole:
+            return finish(img, TerminalReason.HOLE)
         cur = img
 
     raise IterationCapError(

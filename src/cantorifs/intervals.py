@@ -304,11 +304,16 @@ def to_csv(s: IntervalSet) -> str:
 
 
 def from_csv(text: str) -> IntervalSet:
+    """The parts of `lo,hi` lines; blank and `#` lines are skipped, and any
+    other line is a SpecError that names it."""
     parts = []
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        lo_s, hi_s = line.split(",")
-        parts.append((float(lo_s), float(hi_s)))
+        try:
+            lo_s, hi_s = line.split(",")
+            parts.append((float(lo_s), float(hi_s)))
+        except ValueError:
+            raise SpecError(f"line {n} is not 'lo,hi': {line!r}") from None
     return IntervalSet(parts)

@@ -189,9 +189,8 @@ class MapSpec:
                 raise SpecError(f"derivative jump {dl:.6g} vs {dr:.6g} at x={b.x_lo}")
 
     # -- cached lookup tables ----------------------------------------------
-    # The scalar path bisects the tuples, `eval_array` searches its points
-    # for the breakpoint tuple, and `inverse_array` searches the arrays built
-    # from the tuples; all hold the same floats.
+    # The scalar path bisects the tuples and `eval_array` searches its
+    # points for the breakpoint tuple: both cut at the same floats.
 
     @cached_property
     def _bp_tuple(self) -> tuple[float, ...]:
@@ -216,24 +215,6 @@ class MapSpec:
         segs = self.segments
         return tuple((s.kind.intercept, s.kind.slope, None) if isinstance(s.kind, Affine)
                      else (None, None, s) for s in (segs[0], *segs, segs[-1]))
-
-    @cached_property
-    def _bps(self) -> np.ndarray:
-        a = np.array(self._bp_tuple)
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def _coeffs(self) -> np.ndarray:
-        a = np.array([s.coeffs for s in self.segments])  # (n, 4)
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def _break_ys(self) -> np.ndarray:
-        a = np.array(self._break_y_tuple)
-        a.setflags(write=False)
-        return a
 
     def _seg_index(self, x: float) -> int:
         # bisect_left is searchsorted(side="left"): the LEFT segment at an
@@ -315,23 +296,9 @@ class MapSpec:
         return hermite.inverse_at(y)
 
     def inverse_array(self, ys: np.ndarray) -> np.ndarray:
-        """Vectorized inversion by 60 bisection steps inside located segments."""
+        """`inverse_eval` at every point."""
         ys = np.asarray(ys, dtype=float)
-        if ys.size and not (self.y0 - TOL.eps_newton <= ys.min() and ys.max() <= self.y1 + TOL.eps_newton):
-            raise RangeError("array inversion outside image")
-        yc = np.clip(ys, self.y0, self.y1)
-        j = np.clip(np.searchsorted(self._break_ys, yc, side="left") - 1, 0, len(self.segments) - 1)
-        lo = self._bps[j]
-        hi = np.append(self._bps[1:], 1.0)[j]
-        c = self._coeffs[j]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            t = mid - self._bps[j]
-            val = ((c[..., 3] * t + c[..., 2]) * t + c[..., 1]) * t + c[..., 0]
-            too_big = val > yc
-            hi = np.where(too_big, mid, hi)
-            lo = np.where(too_big, lo, mid)
-        return 0.5 * (lo + hi)
+        return np.array([self.inverse_eval(y) for y in ys.ravel().tolist()]).reshape(ys.shape)
 
     def max_deriv(self, lo: float, hi: float) -> float:
         """The maximum of m' over [lo, hi], exact up to the rounding of the
@@ -449,12 +416,9 @@ def _seg_to_dict(s: Segment) -> dict:
             "y_lo": k.y_lo, "y_hi": k.y_hi, "d_lo": k.d_lo, "d_hi": k.d_hi}
 
 
-def _seg_from_dict(d: dict) -> Segment:
-    if d["kind"] == "affine":
-        return Segment(d["x_lo"], d["x_hi"], Affine(d["slope"], d["intercept"]))
-    if d["kind"] == "cubic_hermite":
-        return Segment(d["x_lo"], d["x_hi"], CubicHermite(d["y_lo"], d["y_hi"], d["d_lo"], d["d_hi"]))
-    raise SpecError(f"unknown segment kind {d['kind']!r}")
+#: The number fields of a segment of each kind, after x_lo and x_hi.
+_KIND_FIELDS = {"affine": ("slope", "intercept"),
+                "cubic_hermite": ("y_lo", "y_hi", "d_lo", "d_hi")}
 
 
 def spec_to_dict(m: MapSpec) -> dict:
@@ -462,7 +426,24 @@ def spec_to_dict(m: MapSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> MapSpec:
-    return MapSpec(tuple(_seg_from_dict(s) for s in d["segments"]), label=d.get("label", ""))
+    """The map `spec_to_dict` wrote; a missing or mistyped field is a
+    SpecError that names it and its segment."""
+    segs = d.get("segments") if isinstance(d, dict) else None
+    if not isinstance(segs, list):
+        raise SpecError("a map needs a 'segments' list")
+    out = []
+    for i, sd in enumerate(segs):
+        kind = sd.get("kind") if isinstance(sd, dict) else None
+        if kind not in _KIND_FIELDS:
+            raise SpecError(f"segment {i}: unknown segment kind {kind!r}")
+        names = ("x_lo", "x_hi", *_KIND_FIELDS[kind])
+        vals = [sd.get(name) for name in names]
+        for name, v in zip(names, vals):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise SpecError(f"segment {i}: field {name!r} must be a number, got {v!r}")
+        x_lo, x_hi, *k = vals
+        out.append(Segment(x_lo, x_hi, Affine(*k) if kind == "affine" else CubicHermite(*k)))
+    return MapSpec(tuple(out), label=d.get("label", ""))
 
 
 def pair_to_json(f: MapSpec, g: MapSpec) -> str:
@@ -472,7 +453,12 @@ def pair_to_json(f: MapSpec, g: MapSpec) -> str:
 
 
 def pair_from_json(text: str) -> tuple[MapSpec, MapSpec]:
-    doc = json.loads(text)
-    if doc.get("format") != "cantorifs-pair":
+    """The pair in a pair file; malformed JSON or a missing or mistyped
+    field is a SpecError that names it."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SpecError(f"pair file is not JSON: {e}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "cantorifs-pair":
         raise SpecError("not a cantorifs pair file")
-    return spec_from_dict(doc["f"]), spec_from_dict(doc["g"])
+    return spec_from_dict(doc.get("f")), spec_from_dict(doc.get("g"))

@@ -18,7 +18,7 @@ import numpy as np
 from cantorifs.axioms import HolePair, _inverse_orbit, induced_n
 from cantorifs.construct import AppendixParams, ClassCBuilder, lambda_sequence
 from cantorifs.errors import CertificateError, DomainError, RangeError, SpecError
-from cantorifs.gapfinder import TraceStep, _apply_induced, _orbit_points_inside
+from cantorifs.gapfinder import TraceStep, _orbit_points_inside
 from cantorifs.ifs import IFSPair, OrbitCloud, _dedup_sorted, minimal_set_cover, orbit
 from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
 from cantorifs.maps import MapSpec, iterate_interval
@@ -249,7 +249,11 @@ def induced_step_two_pass(
     """n from the midpoint's inverse orbit, then the n-fold inverse image of
     iv: the two passes that `axioms.induced_step` makes in one."""
     n = induced_n(p, iv.mid, which)
-    return n, _apply_induced(p, which, n, iv)
+    first, ret = (p.f, p.g) if which == "F" else (p.g, p.f)
+    lo, hi = first.inverse_eval(iv.lo), first.inverse_eval(iv.hi)
+    for _ in range(n):
+        lo, hi = ret.inverse_eval(lo), ret.inverse_eval(hi)
+    return n, Interval(lo, hi)
 
 
 def pull_back_by_intervals(p: IFSPair, steps: Sequence[TraceStep], iv: Interval) -> Interval:

@@ -129,6 +129,29 @@ def test_no_float_literal_below_the_tolerance():
     assert tiny == []
 
 
+def test_no_except_turns_a_fault_into_a_verdict():
+    """No `except` clause in src/ is bare or catches `Exception`,
+    `BaseException`, `CantorIFSError` or `SpecError`, so a fault cannot pass
+    for a verdict; the one in `cli.main`, which turns a fault into exit 2,
+    is the exception."""
+    broad = {"Exception", "BaseException", "CantorIFSError", "SpecError"}
+    found = []
+    for path in sorted((REPO / "src" / "cantorifs").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # ast.walk is breadth-first: the innermost function wins
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((n, fn.name) for n in ast.walk(fn))
+        for h in ast.walk(tree):
+            if not isinstance(h, ast.ExceptHandler):
+                continue
+            caught = h.type.elts if isinstance(h.type, ast.Tuple) else [h.type]
+            names = {getattr(c, "id", getattr(c, "attr", None)) for c in caught if c is not None}
+            if h.type is None or names & broad:
+                found.append(f"{path.stem}.{owner.get(h, '<module>')}")
+    assert found == ["cli.main"]
+
+
 def test_tol_is_not_a_pair_field():
     assert "tol" not in {f.name for f in dataclasses.fields(IFSPair)}
 

@@ -29,9 +29,10 @@ def gather_eval_array(m, xs):
     """Each point looks up its segment and gathers that segment's row of
     the (n, 4) coefficient table."""
     xc = np.clip(np.asarray(xs, dtype=float), 0.0, 1.0)
-    i = np.clip(np.searchsorted(m._bps, xc, side="left") - 1, 0, len(m.segments) - 1)
-    c = m._coeffs[i]
-    t = xc - m._bps[i]
+    bps = np.array(m._bp_tuple)
+    i = np.clip(np.searchsorted(bps, xc, side="left") - 1, 0, len(m.segments) - 1)
+    c = np.array([s.coeffs for s in m.segments])[i]
+    t = xc - bps[i]
     return ((c[..., 3] * t + c[..., 2]) * t + c[..., 1]) * t + c[..., 0]
 
 

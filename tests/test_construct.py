@@ -151,6 +151,19 @@ def test_epsilon_rejects_window_escape():
         validate_class_a(*epsilon_family_specs(f0, k=0.005, eps=0.49)).as_pair()
 
 
+def test_eps_window_probe_fault_propagates(monkeypatch):
+    """A fault while building a window probe is not read as "no admissible
+    eps window": only the window's ConstructionError is caught."""
+    import cantorifs.construct as construct
+
+    def faulting(f0, k, eps):
+        raise SpecError("injected probe fault")
+
+    monkeypatch.setattr(construct, "epsilon_family_specs", faulting)
+    with pytest.raises(SpecError, match="injected probe fault"):
+        ClassCBuilder()
+
+
 def test_x_of_guards_the_eps_window(builder):
     with pytest.raises(DomainError):
         builder.x_of(0.0)

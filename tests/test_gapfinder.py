@@ -510,8 +510,7 @@ def test_walk_steps_match_two_passes(built_ctx, sweep_1e3):
     pair = built_ctx["pair"]
     certs, steps = sweep_1e3
     assert len(certs) == 998 and len(steps) > 3000
-    assert len(steps) == sum(s.op in ("F", "G") and s.tag not in (CaseTag.IN_HF, CaseTag.IN_HG)
-                             for c in certs for s in c.trace)
+    assert len(steps) == sum(s.op in ("F", "G") for c in certs for s in c.trace)
     for which, iv in steps:
         n, img = gapfinder.induced_step(pair, which, iv)
         want_n, want = induced_step_two_pass(pair, which, iv)
@@ -531,6 +530,26 @@ def test_pull_back_matches_interval_route(built_ctx, sweep_1e3):
             want = pull_back_by_intervals(pair, cert.trace[:k], s.interval)
             assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
     assert ops == {"F", "G", "shrink", "invpow_f", "invpow_g"}
+
+
+def test_step_forward_checks_every_map():
+    """Carrying an interval forward inverts the maps that undo the step, with
+    `pull_back`'s check: an inverse that reverses the ends raises, from
+    inside a step, the SpecError an Interval would."""
+    rising = SimpleNamespace(inverse_eval=lambda y: y)
+    falling = SimpleNamespace(inverse_eval=lambda y: 1.0 - y)
+    pair = IFSPair(rising, falling, Interval(0.4, 0.6))
+    iv = Interval(0.1, 0.2)
+    with pytest.raises(SpecError) as want:
+        Interval(0.9, 0.8)
+    for op, n in (("F", 2), ("G", 0), ("invpow_g", 1)):
+        with pytest.raises(SpecError) as got:
+            gapfinder._apply_step_forward(pair, TraceStep(CaseTag.IN_F1_FREE, op, n, iv), iv)
+        assert str(got.value) == str(want.value)
+    for op, n in (("F", 0), ("invpow_f", 3)):
+        assert gapfinder._apply_step_forward(pair, TraceStep(CaseTag.IN_F1_FREE, op, n, iv), iv) == iv
+    with pytest.raises(CertificateError, match="unknown op"):
+        gapfinder._apply_step_forward(pair, TraceStep(CaseTag.IN_HF, "bogus", 0, iv), iv)
 
 
 def test_pull_back_checks_every_map():

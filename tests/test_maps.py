@@ -120,7 +120,7 @@ def test_inverse_array_matches_scalar(bumpy):
     ys = RNG.uniform(bumpy.y0, bumpy.y1, 200)
     xs = bumpy.inverse_array(ys)
     for x, y in zip(xs, ys):
-        assert bumpy.eval(float(x)) == pytest.approx(float(y), abs=1e-12)
+        assert x == bumpy.inverse_eval(float(y))
 
 
 # -- cached lookups ---------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_scalar_eval_deriv_match_array_path_bitwise(real_maps):
         assert out.shape == grid.shape
         assert _bits(m.eval(float(x)) for x in grid.ravel()) == _bits(out.ravel())
         # deriv has no array form: take the segment the array path picks
-        i = np.clip(np.searchsorted(m._bps, xs, side="left") - 1, 0, len(m.segments) - 1)
+        i = np.clip(np.searchsorted(m._bp_tuple, xs, side="left") - 1, 0, len(m.segments) - 1)
         assert _bits(m.deriv(x) for x in xs) == _bits(
             m.segments[k].deriv_at(x) for k, x in zip(i, xs))
 
@@ -174,11 +174,34 @@ def test_scalar_lookup_takes_left_segment_at_breakpoint(real_maps):
 
 def test_inverse_lookup_matches_searchsorted_rule(real_maps):
     for m in real_maps:
-        ys = [y for y in _with_neighbours(m._break_ys) if m.y0 <= y <= m.y1]
+        ys = [y for y in _with_neighbours(m._break_y_tuple) if m.y0 <= y <= m.y1]
         # the numpy lookup the scalar path used before `bisect`
-        j = np.clip(np.searchsorted(m._break_ys, ys, side="left") - 1, 0, len(m.segments) - 1)
+        j = np.clip(np.searchsorted(m._break_y_tuple, ys, side="left") - 1, 0, len(m.segments) - 1)
         assert _bits(m.inverse_eval(y) for y in ys) == _bits(
             m.segments[k].inverse_at(y) for k, y in zip(j, ys))
+
+
+def test_inverse_array_is_inverse_eval_bitwise(real_maps, bumpy):
+    """At every break value and its neighbours, 0, 1, -0.0 and overshoots
+    of eps_newton/2, in any order and in 0-d and 2-d input."""
+    half = 0.5 * TOL.eps_newton
+    signed_zero_checked = False
+    for m in [*real_maps, bumpy, maps.symmetry_conjugate(bumpy)]:
+        # -0.0 is added after the neighbours: a set keeps one of 0.0, -0.0
+        ys = _with_neighbours([*m._break_y_tuple, 0.0, 1.0, m.y0 - half, m.y1 + half]) + [-0.0]
+        ys = [y for y in ys if m.y0 - TOL.eps_newton <= y <= m.y1 + TOL.eps_newton]
+        signed_zero_checked |= "-0x0.0p+0" in _bits(ys)
+        want = {y.hex(): m.inverse_eval(y).hex() for y in ys}
+        for name, a in _orders(ys).items():
+            assert _bits(m.inverse_array(a)) == [want[y] for y in _bits(a)], name
+        grid = _orders(ys)["shuffled"].reshape(2, -1)
+        out = m.inverse_array(grid)
+        assert out.shape == grid.shape
+        assert _bits(out.ravel()) == [want[y] for y in _bits(grid.ravel())]
+        for y in ys:
+            point = m.inverse_array(np.array(y))
+            assert point.shape == () and float(point).hex() == want[y.hex()]
+    assert signed_zero_checked
 
 
 def _outcome(fn, v) -> str:

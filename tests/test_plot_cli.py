@@ -146,10 +146,13 @@ def _no_validation(monkeypatch):
 
 
 def test_cli_gaps_rejects_bad_interval_before_work(pair_file, tmp_path, monkeypatch):
+    """An interval outside [0, 1] once ran the validation and a 5,000-step
+    fundamental-domain search before its ClassificationError exited 2."""
     _no_validation(monkeypatch)
     assert main(["gaps", pair_file, "--lo", "0.3", "--output-dir", str(tmp_path)]) == 2
-    assert main(["gaps", pair_file, "--lo", "0.31", "--hi", "0.30",
-                 "--output-dir", str(tmp_path)]) == 2
+    for lo, hi in (("0.31", "0.30"), ("1.2", "1.3"), ("-0.1", "0.2"), ("0.9", "1.5")):
+        assert main(["gaps", pair_file, "--lo", lo, "--hi", hi,
+                     "--output-dir", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("bad", [["--resolution", "0"], ["--resolution", "-0.01"],
@@ -321,6 +324,38 @@ def test_cli_strip(tmp_path, appendix):
 def test_cli_missing_file_is_usage_error(tmp_path):
     code = main(["validate", str(tmp_path / "nope.json"), "--output-dir", str(tmp_path)])
     assert code == 2
+
+
+def _segment_without_x_lo(pair_file: str) -> str:
+    doc = json.loads(Path(pair_file).read_text(encoding="utf-8"))
+    del doc["g"]["segments"][1]["x_lo"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("validate", "[1,2]", "SpecError: not a cantorifs pair file"),
+    ("validate", "{bad", "SpecError: pair file is not JSON"),
+    ("validate", _segment_without_x_lo, "SpecError: segment 1: field 'x_lo' must be a number"),
+    ("validate", None, "error: "),
+    ("validate", b"\xff\xfe{}", "codec can't decode"),
+    ("strip", "0.1,0.2\nx,2\n", "SpecError: line 2 is not 'lo,hi'"),
+], ids=["list", "not-json", "no-x_lo", "directory", "not-utf8", "csv-line"])
+def test_cli_malformed_input_is_a_usage_error(pair_file, tmp_path, capsys, command, content,
+                                              message):
+    """A malformed input file exits 2 with one error line, never 1 (a
+    verdict) with a traceback; None stands for a directory."""
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else content(pair_file),
+                        encoding="utf-8")
+    assert main([command, str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_validate_refuses_an_inexact_join(pair_file, tmp_path, capsys):
