@@ -454,8 +454,8 @@ class CaReport:
     ok: bool
     g0_in_rf: bool
     f1_in_rg: bool
-    witness: float | None   # an uncovered point of W when not ok
-    min_margin: float       # smallest interior clearance along W's covering
+    witness: float | None   # the shallowest point of W when not ok
+    min_margin: float       # the minimum clearance over W
 
     def to_text(self) -> str:
         lines = [f"ca: {'ok' if self.ok else 'violated'}",
@@ -467,57 +467,45 @@ class CaReport:
         return "\n".join(lines) + "\n"
 
 
+def _depth(los: np.ndarray, his: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """min(x - lo, hi - x) in the last part with lo <= x: the depth of x in
+    the part holding it, negative where no part holds it.  The parts start
+    with a sentinel at -inf, so every x finds one."""
+    i = np.searchsorted(los, xs, side="right") - 1
+    return np.minimum(xs - los[i], his[i] - xs)
+
+
 def check_ca(p: IFSPair, r: RuinationRegions) -> CaReport:
-    """W inside int(r_f) ∪ int(r_g), with margin eps_geom at every junction.
+    """W inside int(r_f) ∪ int(r_g), with clearance eps_geom everywhere.
 
-    The interior of a union is larger than the union of interiors, so each
-    family is contracted by eps_geom *separately* before taking the union:
-    two parts merely touching across families do not cover their common
-    endpoint.  Checks the necessary endpoint memberships first (g(0) in
-    int(r_f) and f(1) in int(r_g)); on failure reports an uncovered witness.
+    The clearance of x in W is its depth in the part of either family that
+    holds it most deeply, and 0 where none does; at g(0) only r_f counts and
+    at f(1) only r_g, since castration needs g(0) in int(r_f) and f(1) in
+    int(r_g).  Parts of the two families that merely touch leave their
+    common end at clearance 0: the interior of a union is larger than the
+    union of interiors.  The clearance is piecewise linear, so its minimum
+    over W is reached at an end of W, at a part end, or where one family's
+    falling edge crosses the other's rising edge: midway between a part's hi
+    and the lo of the other family's part that holds it (a part that does
+    not hold it adds a harmless point).  `min_margin` is that minimum and ok
+    is min_margin >= eps_geom; when not ok, `witness` is the leftmost point
+    where the minimum is reached.
     """
-    eps = TOL.eps_geom
     w = p.overlap
-    g0_in = _strictly_inside(r.r_f, w.lo)
-    f1_in = _strictly_inside(r.r_g, w.hi)
-    core = r.r_f.contract(eps).union(r.r_g.contract(eps))
-    uncovered = IntervalSet([w]).difference(core)
-    ok = g0_in and f1_in and uncovered.is_empty()
-    witness = None
-    if not uncovered.is_empty():
-        witness = uncovered.parts[0].mid
-    elif not g0_in:
-        witness = w.lo
-    elif not f1_in:
-        witness = w.hi
-
-    # Smallest clearance along W: at W's endpoints and at every part
-    # endpoint falling inside W, the depth inside the deepest single part of
-    # either family.  This is the quantity that must survive serialization
-    # roundtrips for the verdict to be stable.
-    min_margin = math.inf
-    if ok:
-        pts = [w.lo, w.hi]
-        for fam in (r.r_f, r.r_g):
-            for v in np.concatenate([fam.los, fam.his]):
-                if w.lo < v < w.hi:
-                    pts.append(float(v))
-        for x in pts:
-            best = 0.0
-            for fam in (r.r_f, r.r_g):
-                part = fam.part_containing(x)
-                if part is not None:
-                    best = max(best, min(x - part.lo, part.hi - x))
-            min_margin = min(min_margin, best)
-    else:
-        min_margin = 0.0
-    return CaReport(bool(ok), bool(g0_in), bool(f1_in), witness, float(min_margin))
-
-
-def _strictly_inside(s: IntervalSet, x: float) -> bool:
-    """x lies in one part of s, at least eps_geom from both its ends."""
-    part = s.part_containing(x)
-    return part is not None and part.contains(x, -TOL.eps_geom)
+    # A sentinel part at -inf in each family holds no point of W.
+    (flo, fhi), (glo, ghi) = ((np.append(-math.inf, s.los), np.append(-math.inf, s.his))
+                              for s in (r.r_f, r.r_g))
+    mids = [0.5 * (his + los[np.searchsorted(los, his, side="right") - 1])
+            for his, los in ((fhi, glo), (ghi, flo))]
+    xs = np.concatenate([flo, fhi, glo, ghi, *mids])
+    xs = np.concatenate([[w.lo], np.unique(xs[(w.lo < xs) & (xs < w.hi)]), [w.hi]])
+    f_depth, g_depth = _depth(flo, fhi, xs), _depth(glo, ghi, xs)
+    g0_in, f1_in = bool(f_depth[0] >= TOL.eps_geom), bool(g_depth[-1] >= TOL.eps_geom)
+    g_depth[0] = f_depth[-1] = -math.inf
+    clearance = np.maximum(np.maximum(f_depth, g_depth), 0.0)
+    k = int(np.argmin(clearance))
+    ok = bool(clearance[k] >= TOL.eps_geom)
+    return CaReport(ok, g0_in, f1_in, None if ok else float(xs[k]), float(clearance[k]))
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     pair, report, _ = build_class_c_example(params, mu_target=args.mu_target)
     outdir = Path(args.output_dir)
     _write(outdir / "pair.json", pair_to_json(pair.f, pair.g))
-    _write(outdir / "construct_report.txt", _config_echo(args) + report.to_text())
+    _emit(args, "construct_report.txt", _config_echo(args) + report.to_text())
     print(f"pair written to {outdir / 'pair.json'}")
     return 0 if report.axioms.ok else 1
 
@@ -172,7 +172,7 @@ def cmd_appendix(args: argparse.Namespace) -> int:
     outdir = Path(args.output_dir)
     _write(outdir / "appendix_pair.json", pair_to_json(pair.f, pair.g))
     report = check_measure_bound(pair, params, n_max=args.n_max)
-    _write(outdir / "appendix_bound.txt", _config_echo(args) + report.to_text())
+    _emit(args, "appendix_bound.txt", _config_echo(args) + report.to_text())
     _write(outdir / "appendix_lambda.csv", report.to_csv())
     lam_n = lambda_sets(pair, params, min(args.n_max, 10))
     _write(outdir / "appendix_lambda10.csv", to_csv(lam_n))

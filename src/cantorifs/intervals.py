@@ -265,14 +265,6 @@ class IntervalSet:
             return self
         return self.intersect(other.complement(self.span()))
 
-    def contract(self, r: float) -> "IntervalSet":
-        """Shrink every part by r at both ends, dropping emptied parts."""
-        if r < 0:
-            raise SpecError("contract needs r >= 0")
-        los, his = self.los + r, self.his - r
-        keep = los <= his
-        return IntervalSet(los=los[keep], his=his[keep])
-
 
 def grid_cells_meeting(s: IntervalSet, resolution: float) -> tuple[int, list[Interval]]:
     """Cut [0, 1] into the cells [i*res, min((i+1)*res, 1)], i < ceil(1/res);

@@ -15,7 +15,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from cantorifs.axioms import HolePair, _inverse_orbit, induced_n
+from cantorifs.axioms import HolePair, RuinationRegions, _inverse_orbit, induced_n
 from cantorifs.construct import AppendixParams, ClassCBuilder, lambda_sequence
 from cantorifs.errors import CertificateError, DomainError, RangeError, SpecError
 from cantorifs.gapfinder import TraceStep, _orbit_points_inside
@@ -67,13 +67,26 @@ def contained_in_interior(a: IntervalSet, b: IntervalSet) -> bool:
     """
     if a.is_empty():
         return True
-    core = b.contract(TOL.eps_geom)
-    if core.is_empty():
+    los, his = b.los + TOL.eps_geom, b.his - TOL.eps_geom
+    keep = los <= his
+    los, his = los[keep], his[keep]
+    if los.size == 0:
         return False
-    i = np.searchsorted(core.los, a.los, side="right") - 1
+    i = np.searchsorted(los, a.los, side="right") - 1
     if np.any(i < 0):
         return False
-    return bool(np.all(a.his <= core.his[i]))
+    return bool(np.all(a.his <= his[i]))
+
+
+def ca_clearance(r: RuinationRegions, w: Interval, xs: np.ndarray) -> np.ndarray:
+    """Each x's depth min(x - lo, hi - x) in the deepest part of r_f or r_g
+    holding it, 0 where none does; r_g does not count at g(0) = w.lo nor r_f
+    at f(1) = w.hi.  Brute force over every part of both families."""
+    best = np.zeros(xs.shape)
+    for fam, skipped in ((r.r_f, w.hi), (r.r_g, w.lo)):
+        for lo, hi in zip(fam.los, fam.his):
+            best = np.maximum(best, np.where(xs == skipped, 0.0, np.minimum(xs - lo, hi - xs)))
+    return best
 
 
 def _dist_to_set(xs: np.ndarray, s: IntervalSet) -> np.ndarray:

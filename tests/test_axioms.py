@@ -12,7 +12,7 @@ from cantorifs.errors import (
     NoContractionError,
     RangeError,
 )
-from cantorifs.intervals import Interval, IntervalSet
+from cantorifs.intervals import TOL, Interval, IntervalSet
 from cantorifs.maps import (
     Affine,
     CubicHermite,
@@ -25,6 +25,7 @@ from cantorifs.maps import (
 from cantorifs.ifs import IFSPair, fundamental_domain, validate_class_a
 from cantorifs.axioms import (
     HolePair,
+    RuinationRegions,
     boundary_sets,
     check_ca,
     check_ee,
@@ -43,6 +44,7 @@ from cantorifs.construct import ConstructionParams, bump_modify, epsilon_family_
 
 from oracles import (
     apply_word,
+    ca_clearance,
     check_so_containment_form,
     dilate,
     induced_discontinuities_by_scan,
@@ -566,6 +568,56 @@ def test_ca_endpoint_membership_necessary(built_ctx):
     broken = RuinationRegions(kept, ruin.r_g)
     rep = check_ca(pair, broken)
     assert not rep.ok and not rep.g0_in_rf
+
+
+# eps_geom rounded down to a multiple of ulp(1/2), less one: 1/2 +- it is exact
+_JUST_BELOW_EPS = (math.floor(TOL.eps_geom * 2**53) - 1) * 2.0**-53
+
+
+@pytest.mark.parametrize("lo, hi, witness", [
+    (0.5 - 2.0**-20, 0.5 + 2.0**-20, None),
+    (0.5 - _JUST_BELOW_EPS, 0.5 + _JUST_BELOW_EPS, 0.5),
+    (0.49, 0.49, 0.49),
+], ids=["overlap", "overlap-below-eps", "touch"])
+def test_ca_margin_is_the_depth_where_two_parts_cross(valid_affine, lo, hi, witness):
+    """W = [0.45, 0.55]; the r_f part [0.25, hi] overlaps the r_g part
+    [lo, 0.75] by hi - lo.  Their edges cross at (lo + hi)/2, (hi - lo)/2 deep
+    in both: that is the minimum clearance over W, not the hi - lo that
+    either part end sits inside the other part.  Parts that only touch
+    (lo == hi) cover their common end with clearance 0: the interior of
+    their union holds it, but neither family's interior does."""
+    rep = check_ca(valid_affine, RuinationRegions(IntervalSet([(0.25, hi)]),
+                                                  IntervalSet([(lo, 0.75)])))
+    assert rep.min_margin == (hi - lo) / 2
+    assert rep.g0_in_rf and rep.f1_in_rg
+    assert rep.ok == (witness is None) and rep.witness == witness
+
+
+def test_ca_counts_only_r_f_at_g0(valid_affine):
+    """r_g holds g(0) = 0.45 deeply, but castration needs g(0) in int(r_f):
+    g(0) has clearance 0, and is the witness."""
+    rep = check_ca(valid_affine, RuinationRegions(IntervalSet([(0.46, 0.6)]),
+                                                  IntervalSet([(0.3, 0.75)])))
+    assert not rep.ok and not rep.g0_in_rf and rep.f1_in_rg
+    assert rep.min_margin == 0.0 and rep.witness == 0.45
+
+
+def test_ca_margin_is_the_minimum_clearance_over_w(built_ctx):
+    """On the built pair the margin is at most the clearance at each point of
+    a dense grid over W, and equal to it at the minimizer among those points,
+    the part ends and every midway point between one family's part hi and the
+    other's part lo."""
+    pair, ruin = built_ctx["pair"], built_ctx["ruin"]
+    w = pair.overlap
+    rep = check_ca(pair, ruin)
+    grid = np.linspace(w.lo, w.hi, 200_001)
+    assert rep.min_margin <= ca_clearance(ruin, w, grid).min()
+    f, g = ruin.r_f, ruin.r_g
+    ends = np.concatenate([f.los, f.his, g.los, g.his])
+    mids = np.concatenate([0.5 * np.add.outer(a.his, b.los).ravel() for a, b in ((f, g), (g, f))])
+    xs = np.concatenate([grid, ends, mids])
+    xs = xs[(w.lo <= xs) & (xs <= w.hi)]
+    assert rep.min_margin == ca_clearance(ruin, w, xs).min() > TOL.eps_geom
 
 
 # -- boundary sets ---------------------------------------------------------------------------

@@ -171,11 +171,15 @@ def test_x_of_guards_the_eps_window(builder):
         builder.x_of(0.49)  # 4*eps*k/(1 + 2*eps) >= k - k/50 at the default k
 
 
-@pytest.mark.parametrize("params", [
+# The default parameters and two corners of the construct parameter box.
+BOX_SAMPLES = pytest.mark.parametrize("params", [
     ConstructionParams(),
     ConstructionParams(jp_width=0.008, k=0.004, bump_strength=3.5),
     ConstructionParams(jp_width=0.01, k=0.006, bump_strength=4.5),
 ], ids=["default", "box_low", "box_high"])
+
+
+@BOX_SAMPLES
 def test_x_of_equals_the_full_pair_path(params):
     _, report, b = build_class_c_example(params)
     k = b.params.k
@@ -189,6 +193,14 @@ def test_x_of_equals_the_full_pair_path(params):
         # inverse_eval's segment rule (the left one at a break value) picks the tail
         assert bisect_left(f._break_y_tuple, y) == len(f.segments)
         assert b.x_of(eps) == x_of_full_pair(b, eps)
+
+
+@BOX_SAMPLES
+def test_hole_at_alpha0_is_the_reference_hole(params):
+    """The hole does not depend on eps, so the construction reads
+    `hole_ref` instead of searching the pair at alpha_0 again."""
+    _, report, b = build_class_c_example(params)
+    assert find_hole(b.pair_at(report.alpha0), b.params.j_p) == b.hole_ref
 
 
 # -- H'_p --------------------------------------------------------------------------

@@ -56,7 +56,7 @@ SWEEP_RESOLUTIONS = (1e-3, 1 / 1013)
 
 # One digest over `PipelineReport.to_text()` and then `pair_to_json` of the
 # built pair, corner by corner in the order of `product` below.
-CONSTRUCT_BOX = "064050283720e773fa839501dd89502c12a5e8febaaede3a2a63c4c7f5f0e196"
+CONSTRUCT_BOX = "0397ea624a0702c39adb4e2793832e5e95cb3eafb94680eb9a12e61f52fe4bb4"
 
 
 def _digest(path) -> str:

@@ -321,6 +321,28 @@ def test_cli_strip(tmp_path, appendix):
     assert (tmp_path / "strip.svg").read_text().count("<rect") > 10
 
 
+@pytest.mark.parametrize("argv, echoed", [
+    (["validate", "{pair}"], ["validate_report.txt"]),
+    (["construct"], ["construct_report.txt"]),
+    (["orbit", "{pair}", "--depth", "8"], ["orbit.csv"]),
+    (["minimal-set", "{pair}", "--depth", "8"], ["minimal_set.csv"]),
+    (["gaps", "{pair}", "--lo", "0.30", "--hi", "0.31"], ["gap_certificate.txt"]),
+    (["gaps", "{pair}", "--certify", "--resolution", "0.05", "--depth", "10",
+      "--verification-depth", "12"], ["certify_report.txt", "certify_report.csv"]),
+    (["appendix", "--n-max", "12"], ["appendix_bound.txt"]),
+    (["plot", "{pair}"], ["pair.svg"]),
+    (["strip", "{csv}"], ["strip.svg"]),
+], ids=["validate", "construct", "orbit", "minimal-set", "gaps", "gaps-certify", "appendix",
+        "plot", "strip"])
+def test_cli_echo_prints_each_report(pair_file, tmp_path, capsys, argv, echoed):
+    csv = tmp_path / "parts.csv"
+    csv.write_text("0.1,0.2\n0.4,0.6\n", encoding="utf-8")
+    argv = [a.format(pair=pair_file, csv=csv) for a in argv]
+    assert main([*argv, "--echo", "--output-dir", str(tmp_path / "out")]) == 0
+    written = "".join((tmp_path / "out" / name).read_text(encoding="utf-8") for name in echoed)
+    assert written in capsys.readouterr().out
+
+
 def test_cli_missing_file_is_usage_error(tmp_path):
     code = main(["validate", str(tmp_path / "nope.json"), "--output-dir", str(tmp_path)])
     assert code == 2
