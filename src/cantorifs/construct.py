@@ -46,7 +46,7 @@ from .maps import (
     iterate_interval,
     symmetry_residual,
 )
-from .ifs import IFSPair, validate_class_a
+from .ifs import IFSPair, ValidationResult, validate_class_a
 from .axioms import (
     AxiomReport,
     HolePair,
@@ -180,20 +180,6 @@ def bump_modify(params: ConstructionParams) -> tuple[MapSpec, MapSpec, Interval,
 # ---------------------------------------------------------------------------
 
 
-def _eps_window_eta(k: float, eps: float) -> float:
-    """The bridge width eta = k/50 of the epsilon family with corner width k,
-    once eps is checked to lie in the family's window: eps > 0, and the
-    overlap preimage [1 - 4*eps*k/(1 + 2*eps), 1] of f_eps stays inside the
-    affine tail [1 - k + eta, 1]."""
-    if not (eps > 0):  # NaN fails too
-        raise DomainError(f"the epsilon family needs eps > 0, got {eps}")
-    eta = k / 50.0
-    if 4.0 * eps * k / (1.0 + 2.0 * eps) >= k - eta:
-        raise ConstructionError(
-            f"eps = {eps} too large: the overlap preimage leaves the affine tail")
-    return eta
-
-
 def epsilon_family_specs(f0: MapSpec, k: float, eps: float) -> tuple[MapSpec, MapSpec]:
     """(f_eps, g_eps) as MapSpecs, without class-A validation.
 
@@ -201,9 +187,15 @@ def epsilon_family_specs(f0: MapSpec, k: float, eps: float) -> tuple[MapSpec, Ma
     [1-k+eta, 1] with f_eps(1) = 1/2 + eps*k exactly, and C1-bridges the
     slopes over the bridge of width eta = k/50 in between; the bridge's rise
     equals what the affine slope would produce, so the corner value identity
-    is exact.  g_eps is the diagonal conjugate.
+    is exact.  g_eps is the diagonal conjugate.  eps must lie in the window:
+    eps > 0 and f_eps^{-1}(W) = [1 - 4*eps*k/(1 + 2*eps), 1] inside the tail.
     """
-    eta = _eps_window_eta(k, eps)
+    if not (eps > 0):  # NaN fails too
+        raise DomainError(f"the epsilon family needs eps > 0, got {eps}")
+    eta = k / 50.0
+    if 4.0 * eps * k / (1.0 + 2.0 * eps) >= k - eta:
+        raise ConstructionError(
+            f"eps = {eps} too large: the overlap preimage leaves the affine tail")
     corner = 1.0 - k
     segs: list[Segment] = []
     for s in f0.segments:
@@ -245,16 +237,15 @@ def h_prime(g: MapSpec, h_p: Interval) -> IntervalSet:
 
 
 class ClassCBuilder:
-    """Pipeline state: the bump pair, the admissible eps window and the
-    derived objects, with pair construction at arbitrary eps.
+    """Pipeline state: the bump pair, the admissible eps window, the
+    reference hole and the parameter solves.
 
     The reachable-corner function x(eps) = f_eps^{-1}(g_eps(0)) is
     1 - 2*eps*k/(1/2 + eps) on the eps window, strictly decreasing and
     tending to 1 as eps -> 0+; `_eps_reaching` solves x(eps) = t in closed
-    form.  `x_of` reads x off the two eps-dependent affine segments without
-    building a pair; `pair_at` builds (and can validate) the whole pairs the
-    pipeline uses: the window probes, the reference pair at delta/2, alpha_0
-    and the castration candidates.
+    form, so no solve builds a pair.  `pair_at` builds and validates the
+    pair at alpha_0 and at each castration candidate; x(alpha_0) and
+    g_alpha_0 are read off the pair at alpha_0.
     """
 
     EPS_FLOOR = 1e-9
@@ -263,48 +254,14 @@ class ClassCBuilder:
         self.params = params or ConstructionParams()
         self.f0, self.g0, _, _ = bump_modify(self.params)
         self.delta = self._admissible_delta()
-        ref = self.pair_at(self.delta / 2.0)
+        ref = IFSPair.of(*epsilon_family_specs(self.f0, self.params.k, self.delta / 2.0))
         self.hole_ref = find_hole(ref, self.params.j_p)
 
     # -- primitives --------------------------------------------------------
 
-    def pair_at(self, eps: float, validate: bool = False) -> IFSPair:
-        f_eps, g_eps = epsilon_family_specs(self.f0, self.params.k, eps)
-        if validate:
-            return validate_class_a(f_eps, g_eps).as_pair()
-        return IFSPair.of(f_eps, g_eps)
-
-    def x_of(self, eps: float) -> float:
-        """f_eps^{-1}(g_eps(0)), the left overlap endpoint pulled to the corner.
-
-        Read off the two affine segments it depends on, with nothing built:
-        g_eps(0) is the intercept of g_eps's first segment, the reflection of
-        f_eps's tail Affine(slope, icpt) on [1 - k + eta, 1], and the tail
-        inverts it as (y - icpt) / slope.  The float operations are those of
-        `epsilon_family_specs`, `_reflected_segments` and `Segment`, in their
-        order, so this is the float `f_eps.inverse_eval(g_eps.eval(0.0))`
-        gives whenever `inverse_eval` picks the tail, i.e. when
-        tail.y_lo < y <= tail.y_hi; otherwise it raises ConstructionError.
-
-        The per-eps `MapSpec` validation skipped here cannot fail for eps in
-        [EPS_FLOOR, delta]: the breakpoints, and the join at `corner`, do not
-        depend on eps and were validated with the pairs at delta and delta/2;
-        the bridge Hermite rises eta*slope with end slopes 1/2 and slope, so
-        its derivative 1/2 + eps*u*(4 - 3u), u in [0, 1], stays >= 1/2; and
-        at corner + eta it meets the tail with the same slope and, up to
-        rounding, the same value.
-        """
-        k = self.params.k
-        eta = _eps_window_eta(k, eps)
-        slope = 0.5 + eps
-        icpt = (0.5 + eps * k) - slope
-        y = 1.0 - slope - icpt                  # g_eps(0)
-        y_lo = slope * ((1.0 - k) + eta) + icpt  # f_eps at the tail's start
-        if not (y_lo < y <= slope + icpt):
-            raise ConstructionError(
-                f"eps = {eps}: g_eps(0) = {y} is outside the image "
-                f"({y_lo}, {slope + icpt}] of f_eps's affine tail")
-        return (y - icpt) / slope
+    def pair_at(self, eps: float) -> ValidationResult:
+        """The class-A verdict on (f_eps, g_eps), carrying the pair when ok."""
+        return validate_class_a(*epsilon_family_specs(self.f0, self.params.k, eps))
 
     def _admissible_delta(self) -> float:
         """Largest dyadic eps <= delta_max at which class-A + So hold
@@ -348,38 +305,40 @@ class ClassCBuilder:
                                f"[{self.EPS_FLOOR}, {self.delta}] (eps = {eps!r})")
         return eps
 
-    def find_c_parameter(self, n: int) -> float:
-        """eps with x(eps) at the midpoint of g^n(H_p); member of C_n.
+    def find_c_parameter(self, n: int) -> tuple[float, IFSPair]:
+        """eps with x(eps) at the midpoint of g^n(H_p), a member of C_n, and
+        the validated pair at eps.
 
         Raises BracketError when the midpoint is outside the reachable range
         (n too small or too large for the window), and ConstructionError
-        when x(eps) does not land in the middle 80% of g^n(H_p).
+        when the pair at eps fails class A or x(eps) does not land in the
+        middle 80% of g^n(H_p).
         """
         target = self.g_power_hole(n)
         eps = self._eps_reaching(target.mid)
-        x = self.x_of(eps)
+        result = self.pair_at(eps)
+        if not result.ok:
+            raise ConstructionError(f"the pair at eps = {eps} fails class A: "
+                                    + "; ".join(v.bullet for v in result.violations))
+        pair = result.pair
+        x = pair.f.inverse_eval(pair.overlap.lo)
         if not (target.lo + target.length / 10.0 <= x <= target.hi - target.length / 10.0):
             raise ConstructionError(
                 f"C-parameter verification failed: x({eps}) = {x} vs {target}")
-        return eps
+        return eps, pair
 
-    def in_h_prime(self, eps: float) -> bool:
-        """Membership of x(eps) in H'_p (see `h_prime`), the defining
-        condition of the parameter set C."""
-        return h_prime(self.g0, self.hole_ref.h_f).part_containing(self.x_of(eps)) is not None
-
-    def alpha_sequence(self, alpha0: float, count: int) -> list[float]:
-        """alpha_n solving x(alpha_n) = g^n_{alpha_0}(x(alpha_0)), n < count;
+    def alpha_sequence(self, alpha0: float, pair0: IFSPair, count: int) -> list[float]:
+        """alpha_n solving x(alpha_n) = g^n_{alpha_0}(x(alpha_0)), n < count,
+        with g_alpha_0 and x(alpha_0) read off pair0, the pair at alpha0;
         strictly decreasing to 0, each a member of C.  alpha_0 is alpha0
         itself: solving back from x(alpha0), which rounds to an ulp of 1,
         would move it by about 1e-14."""
-        if not self.in_h_prime(alpha0):
+        target = pair0.f.inverse_eval(pair0.overlap.lo)
+        if h_prime(self.g0, self.hole_ref.h_f).part_containing(target) is None:
             raise ConstructionError(f"alpha0 = {alpha0} is not in C")
-        g_a0 = self.pair_at(alpha0).g
         out = [alpha0]
-        target = self.x_of(alpha0)
         for _ in range(count - 1):
-            target = g_a0.eval(target)
+            target = pair0.g.eval(target)
             out.append(self._eps_reaching(target))
         for a, b in zip(out, out[1:]):
             if not b < a:
@@ -542,19 +501,17 @@ def build_class_c_example(
     """
     builder = ClassCBuilder(params)
     pr = builder.params
-    alpha0 = builder.find_c_parameter(pr.n_target)
-    pair0 = builder.pair_at(alpha0, validate=True)
+    alpha0, pair0 = builder.find_c_parameter(pr.n_target)
     # The hole does not depend on eps: find_hole(pair0) is hole_ref bit for bit.
     gamma = build_gamma(ruination_regions(pair0, builder.hole_ref), pair0.overlap)
-    alphas = builder.alpha_sequence(alpha0, 13)
+    alphas = builder.alpha_sequence(alpha0, pair0, 13)
 
     attempts: list[tuple[int, float, float, bool, bool]] = []
     for n in range(13):
         alpha_n = alphas[n]  # alphas[0] is alpha0, whose pair is built
-        pair_n = pair0 if n == 0 else builder.pair_at(alpha_n, validate=True)
-        g_dot = castrate(pair_n.g, gamma, pair_n.overlap)
-        cand = validate_class_a(pair_n.f, g_dot)
-        pair = cand.as_pair() if cand.ok else None
+        pair_n = pair0 if n == 0 else builder.pair_at(alpha_n).pair  # None: not class A
+        pair = None if pair_n is None else validate_class_a(
+            pair_n.f, castrate(pair_n.g, gamma, pair_n.overlap)).pair
         ax = None if pair is None else run_axiom_checks(pair, pr.j_p, mu_target)
         if ax is None or ax.ee is None:  # class A, So or the hole search failed
             attempts.append((n, alpha_n, math.nan, False, False))

@@ -296,16 +296,18 @@ def to_csv(s: IntervalSet) -> str:
 
 
 def from_csv(text: str) -> IntervalSet:
-    """The parts of `lo,hi` lines; blank and `#` lines are skipped, and any
-    other line is a SpecError that names it."""
+    """The parts of `lo,hi` lines with 0 <= lo, hi <= 1; blank and `#` lines
+    are skipped, and any other line is a SpecError that names it."""
     parts = []
     for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            lo_s, hi_s = line.split(",")
-            parts.append((float(lo_s), float(hi_s)))
+            lo, hi = map(float, line.split(","))
         except ValueError:
             raise SpecError(f"line {n} is not 'lo,hi': {line!r}") from None
+        if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):  # NaN and inf fail too
+            raise SpecError(f"line {n} has a bound outside [0, 1]: {line!r}")
+        parts.append((lo, hi))
     return IntervalSet(parts)

@@ -16,7 +16,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from cantorifs.axioms import HolePair, RuinationRegions, _inverse_orbit, induced_n
-from cantorifs.construct import AppendixParams, ClassCBuilder, lambda_sequence
+from cantorifs.construct import AppendixParams, ClassCBuilder, epsilon_family_specs, lambda_sequence
 from cantorifs.errors import CertificateError, DomainError, RangeError, SpecError
 from cantorifs.gapfinder import TraceStep, _orbit_points_inside
 from cantorifs.ifs import IFSPair, OrbitCloud, _dedup_sorted, minimal_set_cover, orbit
@@ -187,9 +187,9 @@ def inverse_by_segment(m: MapSpec, y: float) -> float:
 
 def x_of_full_pair(builder: ClassCBuilder, eps: float) -> float:
     """x(eps) = f_eps^{-1}(g_eps(0)) read off the whole pair at eps, built
-    and validated as a `MapSpec` pair: the route `ClassCBuilder.x_of`
-    shortcuts."""
-    p = builder.pair_at(eps)
+    without class-A validation: at some eps the overlap is narrower than
+    eps_geom, and a validated build fails."""
+    p = IFSPair.of(*epsilon_family_specs(builder.f0, builder.params.k, eps))
     return p.f.inverse_eval(p.g.eval(0.0))
 
 

@@ -200,7 +200,7 @@ def test_acceptance_6_numerical_consistency(built, built_report):
     f0, g0, _, _ = bump_modify(params)
     sym_bump = symmetry_residual(f0, g0)
     alpha = built_report.alphas[built_report.n_final]
-    pre = builder.pair_at(alpha, validate=True)
+    pre = builder.pair_at(alpha).as_pair()
     sym_eps = symmetry_residual(pre.f, pre.g)
     ap = appendix_pair(AppendixParams())
     sym_ap = symmetry_residual(ap.f, ap.g)
@@ -217,7 +217,7 @@ def test_acceptance_7_phi_equivariance(builder, built_report):
     alphas = built_report.alphas
 
     def in_w_parts(alpha, fam):
-        p = builder.pair_at(alpha, validate=True)
+        p = builder.pair_at(alpha).as_pair()
         h = find_hole(p, builder.params.j_p)
         # the family's parts down to a 1e-13 floor, finer than eps_geom
         kept = takewhile(lambda iv: iv.length >= 1e-13,

@@ -548,7 +548,7 @@ def test_ca_passes_on_castrated(built_ctx):
 
 def test_ca_fails_before_castration(builder, built_report):
     alpha = built_report.alphas[built_report.n_final]
-    pair0 = builder.pair_at(alpha, validate=True)
+    pair0 = builder.pair_at(alpha).as_pair()
     hole0 = find_hole(pair0, builder.params.j_p)
     ruin0 = ruination_regions(pair0, hole0)
     rep = check_ca(pair0, ruin0)

@@ -1,5 +1,4 @@
 import math
-from bisect import bisect_left
 from itertools import islice, product, takewhile
 
 import numpy as np
@@ -9,7 +8,6 @@ from cantorifs.errors import (
     BracketError, ConstructionError, DegenerateHoleError, DomainError, SpecError)
 from cantorifs.intervals import Interval, IntervalSet
 from cantorifs.maps import (
-    Affine,
     CubicHermite,
     MapSpec,
     Segment,
@@ -139,7 +137,7 @@ def test_epsilon_family_exact_overlap():
 def test_reachable_corner_monotone_to_one():
     b = ClassCBuilder()
     eps_seq = [0.02, 0.01, 0.005, 0.0025, 0.00125]
-    xs = [b.x_of(e) for e in eps_seq]
+    xs = [x_of_full_pair(b, e) for e in eps_seq]
     assert all(a < bb for a, bb in zip(xs, xs[1:]))  # increases as eps decreases
     assert xs[-1] > 1.0 - 1e-4  # converges to 1
 
@@ -165,10 +163,13 @@ def test_eps_window_probe_fault_propagates(monkeypatch):
 
 
 def test_x_of_guards_the_eps_window(builder):
-    with pytest.raises(DomainError):
-        builder.x_of(0.0)
-    with pytest.raises(ConstructionError):
-        builder.x_of(0.49)  # 4*eps*k/(1 + 2*eps) >= k - k/50 at the default k
+    """x(eps) is read off pairs that `epsilon_family_specs` builds, which
+    refuses an eps outside the family's window."""
+    for eps in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            epsilon_family_specs(builder.f0, builder.params.k, eps)
+    with pytest.raises(ConstructionError):  # 4*eps*k/(1 + 2*eps) >= k - k/50 at the default k
+        epsilon_family_specs(builder.f0, builder.params.k, 0.49)
 
 
 # The default parameters and two corners of the construct parameter box.
@@ -180,34 +181,18 @@ BOX_SAMPLES = pytest.mark.parametrize("params", [
 
 
 @BOX_SAMPLES
-def test_x_of_equals_the_full_pair_path(params):
-    _, report, b = build_class_c_example(params)
-    k = b.params.k
-    grid = [b.EPS_FLOOR, b.delta, report.alpha0, *report.alphas,
-            *np.geomspace(b.EPS_FLOOR, b.delta, 41).tolist()]
-    for eps in grid:
-        pair = b.pair_at(eps)
-        f, y = pair.f, pair.g.eval(0.0)
-        tail = f.segments[-1]
-        assert isinstance(tail.kind, Affine) and tail.x_lo == (1.0 - k) + k / 50.0
-        # inverse_eval's segment rule (the left one at a break value) picks the tail
-        assert bisect_left(f._break_y_tuple, y) == len(f.segments)
-        assert b.x_of(eps) == x_of_full_pair(b, eps)
-
-
-@BOX_SAMPLES
 def test_hole_at_alpha0_is_the_reference_hole(params):
     """The hole does not depend on eps, so the construction reads
     `hole_ref` instead of searching the pair at alpha_0 again."""
     _, report, b = build_class_c_example(params)
-    assert find_hole(b.pair_at(report.alpha0), b.params.j_p) == b.hole_ref
+    assert find_hole(b.pair_at(report.alpha0).as_pair(), b.params.j_p) == b.hole_ref
 
 
 # -- H'_p --------------------------------------------------------------------------
 
 
 def test_h_prime_part_zero_is_the_hole(builder):
-    pair = builder.pair_at(0.01, validate=True)
+    pair = builder.pair_at(0.01).as_pair()
     hp = builder.hole_ref.h_f
     parts = h_prime(pair.g, hp).parts
     assert parts[0].lo == pytest.approx(hp.lo, abs=1e-12)
@@ -215,7 +200,7 @@ def test_h_prime_part_zero_is_the_hole(builder):
 
 
 def test_h_prime_accumulates_to_one(builder):
-    pair = builder.pair_at(0.01, validate=True)
+    pair = builder.pair_at(0.01).as_pair()
     parts = h_prime(pair.g, builder.hole_ref.h_f).parts
     mids = [p.mid for p in parts]
     assert all(a < b for a, b in zip(mids, mids[1:]))
@@ -223,8 +208,8 @@ def test_h_prime_accumulates_to_one(builder):
 
 
 def test_h_prime_eps_independent(builder):
-    p1 = builder.pair_at(0.01, validate=True)
-    p2 = builder.pair_at(0.02, validate=True)
+    p1 = builder.pair_at(0.01).as_pair()
+    p2 = builder.pair_at(0.02).as_pair()
     s1 = h_prime(p1.g, builder.hole_ref.h_f).parts[:13]
     s2 = h_prime(p2.g, builder.hole_ref.h_f).parts[:13]
     for a, b in zip(s1, s2):
@@ -233,7 +218,7 @@ def test_h_prime_eps_independent(builder):
 
 def test_h_prime_self_similarity(builder):
     # g(H'_p) = H'_p ∩ g(I): forward image of part j is part j+1
-    pair = builder.pair_at(0.01, validate=True)
+    pair = builder.pair_at(0.01).as_pair()
     parts = h_prime(pair.g, builder.hole_ref.h_f).parts[:11]
     for a, b in zip(parts, parts[1:]):
         img = pair.g.image_of(a)
@@ -245,9 +230,10 @@ def test_h_prime_self_similarity(builder):
 
 
 def test_c_parameter_membership_margin(builder):
-    eps = builder.find_c_parameter(builder.params.n_target)
+    eps, pair = builder.find_c_parameter(builder.params.n_target)
+    assert pair == builder.pair_at(eps).pair
     target = builder.g_power_hole(builder.params.n_target)
-    x = builder.x_of(eps)
+    x = x_of_full_pair(builder, eps)
     assert target.lo + target.length / 10 <= x <= target.hi - target.length / 10
 
 
@@ -257,14 +243,14 @@ def test_c_parameter_bracket_verified(builder):
 
 
 def test_c_parameter_ordering(builder):
-    e10 = builder.find_c_parameter(10)
-    e11 = builder.find_c_parameter(11)
+    e10, _ = builder.find_c_parameter(10)
+    e11, _ = builder.find_c_parameter(11)
     assert e11 < e10  # larger n -> smaller eps
 
 
 def test_alpha_zero_reproduces(builder, built_report):
     alpha0 = built_report.alpha0
-    seq = builder.alpha_sequence(alpha0, 1)
+    seq = builder.alpha_sequence(alpha0, builder.pair_at(alpha0).as_pair(), 1)
     assert seq[0] == pytest.approx(alpha0, abs=1e-10)
 
 
@@ -275,13 +261,13 @@ def test_closed_form_alphas_reach_their_targets(jp_width, k, strength):
     4 ulps of g^n_{alpha_0}(x(alpha_0)), the target the closed form solves,
     and alpha_0 is alpha0 itself."""
     b = ClassCBuilder(ConstructionParams(jp_width=jp_width, k=k, bump_strength=strength))
-    alpha0 = b.find_c_parameter(b.params.n_target)
-    g_a0 = b.pair_at(alpha0).g
-    target = b.x_of(alpha0)
-    alphas = b.alpha_sequence(alpha0, 13)
+    alpha0, pair0 = b.find_c_parameter(b.params.n_target)
+    g_a0 = pair0.g
+    target = x_of_full_pair(b, alpha0)
+    alphas = b.alpha_sequence(alpha0, pair0, 13)
     assert len(alphas) == 13 and alphas[0] == alpha0
     for alpha in alphas:
-        assert abs(b.x_of(alpha) - target) <= 4 * math.ulp(target)
+        assert abs(x_of_full_pair(b, alpha) - target) <= 4 * math.ulp(target)
         target = g_a0.eval(target)
 
 
@@ -289,7 +275,7 @@ def test_symmetric_pair_expands_equally_on_both_branches(builder, built_report):
     """The pair at alpha_0 is its own diagonal mirror, so F and G have the
     same least cell bound; a breakpoint gap that `deriv` extrapolated across
     broke the tie on F."""
-    pair = builder.pair_at(built_report.alpha0, validate=True)
+    pair = builder.pair_at(built_report.alpha0).as_pair()
     hole = find_hole(pair, builder.params.j_p)
     least = []
     for which, h in (("F", hole.h_f), ("G", hole.h_g)):
@@ -304,8 +290,10 @@ def test_alpha_strictly_decreasing(built_report):
 
 
 def test_alphas_stay_in_c(builder, built_report):
-    for a in built_report.alphas[:5]:
-        assert builder.in_h_prime(a)
+    h = h_prime(builder.g0, builder.hole_ref.h_f)
+    assert len(built_report.alphas) == 13
+    for a in built_report.alphas:
+        assert h.part_containing(x_of_full_pair(builder, a)) is not None
 
 
 # -- phi rescaling ----------------------------------------------------------------------
@@ -332,7 +320,7 @@ def test_phi_equivariance_of_ruination_regions(builder, built_report):
     alphas = built_report.alphas
 
     def in_w_parts(alpha, fam):
-        p = builder.pair_at(alpha, validate=True)
+        p = builder.pair_at(alpha).as_pair()
         h = find_hole(p, builder.params.j_p)
         # the family's parts down to a 1e-13 floor, finer than eps_geom
         kept = takewhile(lambda iv: iv.length >= 1e-13,
@@ -358,7 +346,7 @@ def test_phi_equivariance_of_ruination_regions(builder, built_report):
 
 
 def test_gamma_is_a_diffeomorphism(builder, built_report):
-    pair0 = builder.pair_at(built_report.alpha0, validate=True)
+    pair0 = builder.pair_at(built_report.alpha0).as_pair()
     hole0 = find_hole(pair0, builder.params.j_p)
     ruin0 = ruination_regions(pair0, hole0)
     gamma = build_gamma(ruin0, pair0.overlap)
@@ -372,7 +360,7 @@ def test_gamma_is_a_diffeomorphism(builder, built_report):
 def test_identity_gamma_fails_covering(builder, built_report):
     # negative control: castration with the identity changes nothing
     alpha = built_report.alphas[built_report.n_final]
-    pair_n = builder.pair_at(alpha, validate=True)
+    pair_n = builder.pair_at(alpha).as_pair()
     hole = find_hole(pair_n, builder.params.j_p)
     ruin = ruination_regions(pair_n, hole)
     assert not check_ca(pair_n, ruin).ok
@@ -387,7 +375,7 @@ def test_castrate_inverse_formula_roundtrip(built_pair):
 
 def test_castrate_intact_outside_window(builder, built_report, built_pair):
     alpha = built_report.alphas[built_report.n_final]
-    g_plain = builder.pair_at(alpha).g
+    g_plain = builder.pair_at(alpha).as_pair().g
     s_hi = g_plain.inverse_eval(built_pair.overlap.hi)
     for x in np.linspace(s_hi + 1e-9, 1.0, 257):
         assert built_pair.g.eval(float(x)) == pytest.approx(g_plain.eval(float(x)), abs=1e-13)
@@ -434,6 +422,46 @@ def test_castration_hole_fault_is_a_failed_attempt(built_report, monkeypatch):
     assert (n, alpha) == (0, built_report.alphas[0])
     assert np.isnan(mu) and not ee_ok and not ca_ok
     assert report.n_final >= 1 and report.axioms.ok
+
+
+def test_class_a_failure_at_alpha_n_is_a_failed_attempt():
+    """At n_target = 17 the pair at alpha_12 fails class A (its overlap is
+    narrower than eps_geom).  That is a failed attempt like any other, so
+    the construction ends in a ConstructionError that lists all 13."""
+    with pytest.raises(ConstructionError) as info:
+        build_class_c_example(ConstructionParams(n_target=17))
+    message = str(info.value)
+    assert all(f"n={n} " in message for n in range(13))
+    assert "n=12 mu=nan ee=False ca=False" in message
+
+
+def test_class_a_failure_at_alpha0_is_a_construction_error(monkeypatch):
+    import cantorifs.construct as construct
+    from cantorifs.ifs import ValidationResult, Violation
+
+    b = ClassCBuilder()
+    failing = ValidationResult(False, None, (Violation("f(0) = 0", 0.0, "injected"),), 0)
+    monkeypatch.setattr(construct, "validate_class_a", lambda f, g: failing)
+    with pytest.raises(ConstructionError, match="fails class A: f\\(0\\) = 0"):
+        b.find_c_parameter(b.params.n_target)
+
+
+def test_default_build_makes_four_epsilon_pairs(monkeypatch):
+    """The window probes at delta and at the small end, the reference pair
+    at delta/2 and alpha_0: x(alpha_0) and g_alpha_0 are read off the pair
+    at alpha_0, which is also the n = 0 candidate."""
+    import cantorifs.construct as construct
+
+    calls = []
+
+    def counted(f0, k, eps):
+        calls.append(eps)
+        return epsilon_family_specs(f0, k, eps)
+
+    monkeypatch.setattr(construct, "epsilon_family_specs", counted)
+    _, report, b = build_class_c_example()
+    assert report.n_final == 0
+    assert calls == [b.delta, calls[1], b.delta / 2.0, report.alpha0]
 
 
 def test_pipeline_serialization_roundtrip(built_pair, built_report):

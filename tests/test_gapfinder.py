@@ -341,7 +341,7 @@ def test_hole_case_symmetry_on_precastration_pair(builder, built_report):
     from cantorifs.axioms import find_hole, ruination_regions, boundary_sets
 
     alpha = built_report.alphas[built_report.n_final]
-    pair0 = builder.pair_at(alpha, validate=True)
+    pair0 = builder.pair_at(alpha).as_pair()
     hole0 = find_hole(pair0, builder.params.j_p)
     ruin0 = ruination_regions(pair0, hole0)
     b0 = boundary_sets(pair0, hole0, ruin0)

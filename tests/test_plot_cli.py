@@ -173,6 +173,9 @@ def test_cli_gaps_certify_rejects_bad_arguments_before_work(pair_file, tmp_path,
     ["gaps", "PAIR", "--lo", "0.3", "--hi", "0.31", "--mu-target", "0.5"],
     ["construct", "--k", "-inf"],
     ["construct", "--mu-target", "1.0"],
+    ["orbit", "PAIR", "--depth", "-1"],
+    ["minimal-set", "PAIR", "--depth", "0"],
+    ["gaps", "PAIR", "--lo", "0.3", "--hi", "0.31", "--depth", "0"],
 ])
 def test_cli_rejects_bad_floats_at_parse_time(pair_file, tmp_path, monkeypatch, argv):
     import cantorifs.cli as cli
@@ -361,7 +364,12 @@ def _segment_without_x_lo(pair_file: str) -> str:
     ("validate", None, "error: "),
     ("validate", b"\xff\xfe{}", "codec can't decode"),
     ("strip", "0.1,0.2\nx,2\n", "SpecError: line 2 is not 'lo,hi'"),
-], ids=["list", "not-json", "no-x_lo", "directory", "not-utf8", "csv-line"])
+    ("strip", "0.2,inf\n", "SpecError: line 1 has a bound outside [0, 1]"),
+    ("strip", "0.1,0.2\n-5,0.3\n", "SpecError: line 2 has a bound outside [0, 1]"),
+    ("strip", "nan,0.5\n", "SpecError: line 1 has a bound outside [0, 1]"),
+    ("strip", "0.5,1.0000000000000002\n", "SpecError: line 1 has a bound outside [0, 1]"),
+], ids=["list", "not-json", "no-x_lo", "directory", "not-utf8", "csv-line", "csv-inf",
+        "csv-negative", "csv-nan", "csv-above-one"])
 def test_cli_malformed_input_is_a_usage_error(pair_file, tmp_path, capsys, command, content,
                                               message):
     """A malformed input file exits 2 with one error line, never 1 (a
