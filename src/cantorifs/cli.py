@@ -130,9 +130,6 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
 
 
 def cmd_gaps(args: argparse.Namespace) -> int:
-    if args.certify and not args.resolution > 0:
-        print("gaps: need --resolution > 0", file=sys.stderr)
-        return 2
     if not args.certify:
         if args.lo is None or args.hi is None:
             print("gaps: need --lo and --hi (or --certify)", file=sys.stderr)
@@ -169,9 +166,9 @@ def cmd_gaps(args: argparse.Namespace) -> int:
 def cmd_appendix(args: argparse.Namespace) -> int:
     params = AppendixParams(eps=args.eps, lam=args.lam)
     pair = appendix_pair(params)
+    report = check_measure_bound(pair, params, n_max=args.n_max)
     outdir = Path(args.output_dir)
     _write(outdir / "appendix_pair.json", pair_to_json(pair.f, pair.g))
-    report = check_measure_bound(pair, params, n_max=args.n_max)
     _emit(args, "appendix_bound.txt", _config_echo(args) + report.to_text())
     _write(outdir / "appendix_lambda.csv", report.to_csv())
     lam_n = lambda_sets(pair, params, min(args.n_max, 10))
@@ -240,6 +237,14 @@ def _depth(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> float:
+    """argparse type of --resolution: a cover or sweep needs a width > 0."""
+    x = _finite_float(text)
+    if not x > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return x
+
+
 def _mu_target(text: str) -> float:
     """argparse type of --mu-target: Ee can never pass at or below 1."""
     x = _finite_float(text)
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pair_file")
     p.add_argument("--seed", type=_finite_float, default=0.0, choices=[0.0, 1.0])
     p.add_argument("--depth", type=_depth, default=14)
-    p.add_argument("--resolution", type=_finite_float, default=1e-3)
+    p.add_argument("--resolution", type=_positive, default=1e-3)
     common(p)
     p.set_defaults(func=cmd_minimal_set)
 
@@ -297,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=_finite_float, default=None)
     p.add_argument("--hi", type=_finite_float, default=None)
     p.add_argument("--certify", action="store_true")
-    p.add_argument("--resolution", type=_finite_float, default=1e-2)
+    p.add_argument("--resolution", type=_positive, default=1e-2)
     p.add_argument("--depth", type=_depth, default=14)
     p.add_argument("--verification-depth", type=_count, default=18)
     p.add_argument("--seed-lo", type=_finite_float, default=DEFAULT_SEED.lo)
@@ -318,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-lo", type=_finite_float, default=DEFAULT_SEED.lo)
     p.add_argument("--seed-hi", type=_finite_float, default=DEFAULT_SEED.hi)
     p.add_argument("--cover-depth", type=_count, default=0)
-    p.add_argument("--resolution", type=_finite_float, default=1e-3)
+    p.add_argument("--resolution", type=_positive, default=1e-3)
     p.add_argument("--blocks", default=None, help="CSV of block intervals to shade")
     common(p)
     p.set_defaults(func=cmd_plot)

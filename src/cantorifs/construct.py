@@ -33,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import BracketError, ConstructionError, DomainError, SpecError
+from .errors import BracketError, ConstructionError, DomainError, ResourceCapError, SpecError
 from .intervals import TOL, Interval, IntervalSet
 from .maps import (
     Affine,
@@ -46,7 +46,7 @@ from .maps import (
     iterate_interval,
     symmetry_residual,
 )
-from .ifs import IFSPair, ValidationResult, validate_class_a
+from .ifs import ORBIT_CAP, IFSPair, ValidationResult, validate_class_a
 from .axioms import (
     AxiomReport,
     HolePair,
@@ -507,16 +507,22 @@ def build_class_c_example(
     alphas = builder.alpha_sequence(alpha0, pair0, 13)
 
     attempts: list[tuple[int, float, float, bool, bool]] = []
+    stops: list[str] = []  # the first check that stopped each failed attempt
     for n in range(13):
         alpha_n = alphas[n]  # alphas[0] is alpha0, whose pair is built
-        pair_n = pair0 if n == 0 else builder.pair_at(alpha_n).pair  # None: not class A
-        pair = None if pair_n is None else validate_class_a(
-            pair_n.f, castrate(pair_n.g, gamma, pair_n.overlap)).pair
-        ax = None if pair is None else run_axiom_checks(pair, pr.j_p, mu_target)
+        res_n = None if n == 0 else builder.pair_at(alpha_n)
+        pair_n = pair0 if res_n is None else res_n.pair  # None: not class A
+        res = None if pair_n is None else validate_class_a(
+            pair_n.f, castrate(pair_n.g, gamma, pair_n.overlap))
+        ax = None if res is None or res.pair is None else run_axiom_checks(res.pair, pr.j_p, mu_target)
         if ax is None or ax.ee is None:  # class A, So or the hole search failed
             attempts.append((n, alpha_n, math.nan, False, False))
+            stops.append(f"class A of the alpha_n pair: {res_n.violations[0].bullet}" if res is None
+                         else f"class A of the castrated pair: {res.violations[0].bullet}" if ax is None
+                         else "so" if not ax.so.ok else f"hole: {ax.hole_error}")
             continue
         attempts.append((n, alpha_n, ax.ee.mu, ax.ee.ok, ax.ca.ok))
+        stops.append("ee" if not ax.ee.ok else "ca")
         if ax.ok:
             report = PipelineReport(
                 params=pr, delta=builder.delta, alpha0=alpha0, alphas=tuple(alphas),
@@ -524,10 +530,11 @@ def build_class_c_example(
                 symmetry_residual_precastration=symmetry_residual(pair_n.f, pair_n.g),
                 attempts=tuple(attempts),
             )
-            return pair, report, builder
+            return res.pair, report, builder
     raise ConstructionError(
         "no castration index satisfied expansion + covering margins; attempts: "
-        + ", ".join(f"n={n} mu={mu:.4g} ee={e} ca={c}" for n, _, mu, e, c in attempts))
+        + "; ".join(f"n={n} mu={mu:.4g} ee={e} ca={c} failed: {stop}"
+                    for (n, _, mu, e, c), stop in zip(attempts, stops)))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +623,9 @@ def appendix_pair(params: AppendixParams | None = None) -> IFSPair:
 
 def lambda_sequence(pair: IFSPair, params: AppendixParams, n: int) -> list[IntervalSet]:
     """Lambda_0 = the three blocks; Lambda_{k+1} = f(Lambda_k) ∪ g(Lambda_k),
-    exact since increasing maps send parts to parts.
+    exact since increasing maps send parts to parts.  A step that could
+    make more than `ifs.ORBIT_CAP` parts (twice those of Lambda_k) is a
+    ResourceCapError before it allocates.
 
     Nestedness is checked on the first two steps and holds for the rest by
     induction: A ⊂ B implies f(A) ⊂ f(B) for increasing f.  In floats the
@@ -632,6 +641,8 @@ def lambda_sequence(pair: IFSPair, params: AppendixParams, n: int) -> list[Inter
     seq = [params.block_set]
     for k in range(n):
         cur = seq[-1]
+        if 2 * cur.n_parts > ORBIT_CAP:
+            raise ResourceCapError(f"Lambda_{k+1} could exceed the cap of {ORBIT_CAP} parts")
         # one normalization of both images: the normalized form of a closed
         # union is unique, so merging the images first gives the same floats
         nxt = IntervalSet(los=np.concatenate([f(cur.los), g(cur.los)]),

@@ -6,9 +6,9 @@ f(0) = 0, g(1) = 1, f(x) < x < g(x) on (0, 1), and 0 < g(0) < f(1) < 1.
 Such a pair has a unique minimal set K equal to the closure of the orbit of 0
 (and of 1); the overlap region is W = [g(0), f(1)].
 
-Membership of "f(x) < x < g(x) on (0,1)" is checked on a uniform grid plus
-all breakpoints.  With a few piecewise-monotone segments this is reliable in
-practice, but it is sampling, not a proof; reports say so.
+Membership of "f(x) < x < g(x) on (0,1)" is decided on each segment's cubic,
+in floats, at its ends and critical points, with margin `eps_geom`; on the
+segment at a fixed point the margin is scale free (see `_below_diagonal`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError, SpecError
 from .intervals import TOL, Interval, IntervalSet, Tolerance
-from .maps import MapSpec
+from .maps import MapSpec, Segment, _reflected_segments, cubic_extremes
 
 #: Hard cap on deduplicated orbit size.
 ORBIT_CAP = 10_000_000
@@ -116,7 +116,6 @@ class ValidationResult:
     ok: bool
     pair: IFSPair | None
     violations: tuple[Violation, ...]
-    grid_n: int
 
     def as_pair(self) -> IFSPair:
         if not self.ok or self.pair is None:
@@ -125,7 +124,7 @@ class ValidationResult:
         return self.pair
 
     def to_text(self) -> str:
-        lines = [f"class_a: {'ok' if self.ok else 'violated'}", f"grid_n: {self.grid_n}"]
+        lines = [f"class_a: {'ok' if self.ok else 'violated'}"]
         for v in self.violations:
             lines.append(f"violation: {v.bullet}")
             lines.append(f"  witness: {v.witness:.17g}")
@@ -136,10 +135,24 @@ class ValidationResult:
         return "\n".join(lines) + "\n"
 
 
+def _below_diagonal(segs: tuple[Segment, ...]) -> float | None:
+    """Where the cubic y - m(y) is least on the first segment of m, from 0,
+    whose least is below eps_geom, or None.  On the segment at the fixed point
+    0, c0 is dropped and t divided out while the constant term is exactly 0."""
+    for s in segs:
+        c0, c1, c2, c3 = s.coeffs
+        p = (0.0 if s.x_lo == 0.0 else s.x_lo - c0, 1.0 - c1, -c2, -c3)
+        while s.x_lo == 0.0 and p[0] == 0.0 and any(p):
+            p = (*p[1:], 0.0)
+        (least, t), _ = cubic_extremes(p, 0.0, s.width)
+        if least < TOL.eps_geom:
+            return s.x_lo + t
+    return None
+
+
 def validate_class_a(f: MapSpec, g: MapSpec) -> ValidationResult:
-    """Check the class-A bullets in order on a 10,000-cell grid plus all
-    breakpoints; violations are data, not faults."""
-    grid_n = 10_000
+    """Check the class-A bullets in order, "f(x) < x < g(x)" on the segments
+    of f and of g reflected about the diagonal; violations are data."""
     eps = TOL.eps_geom
     violations: list[Violation] = []
 
@@ -149,20 +162,12 @@ def validate_class_a(f: MapSpec, g: MapSpec) -> ValidationResult:
         violations.append(Violation("g(1) = 1", 1.0, f"g(1) = {g.eval(1.0):.3g}"))
 
     if not violations:
-        xs = np.linspace(0.0, 1.0, grid_n + 1)[1:-1]
-        xs = np.unique(np.concatenate([
-            xs,
-            [b for b in f.breakpoints() if 0.0 < b < 1.0],
-            [b for b in g.breakpoints() if 0.0 < b < 1.0],
-        ]))
-        fx, gx = f.eval_array(xs), g.eval_array(xs)
-        bad_f = np.flatnonzero(xs - fx < eps)
-        if bad_f.size:
-            x = float(xs[bad_f[0]])
+        x = _below_diagonal(f.segments)
+        if x is not None:
             violations.append(Violation("f(x) < x", x, f"x - f(x) = {x - f.eval(x):.3g}"))
-        bad_g = np.flatnonzero(gx - xs < eps)
-        if bad_g.size:
-            x = float(xs[bad_g[0]])
+        y = _below_diagonal(_reflected_segments(g))
+        if y is not None:
+            x = 1.0 - y
             violations.append(Violation("x < g(x)", x, f"g(x) - x = {g.eval(x) - x:.3g}"))
 
     if not violations:
@@ -172,8 +177,8 @@ def validate_class_a(f: MapSpec, g: MapSpec) -> ValidationResult:
                 "0 < g(0) < f(1) < 1", 0.0, f"g(0) = {g0:.12g}, f(1) = {f1:.12g}"))
 
     if violations:
-        return ValidationResult(False, None, tuple(violations), grid_n)
-    return ValidationResult(True, IFSPair.of(f, g), (), grid_n)
+        return ValidationResult(False, None, tuple(violations))
+    return ValidationResult(True, IFSPair.of(f, g), ())
 
 
 def fundamental_domain(p: IFSPair, which: Literal["f", "g"], n: int) -> Interval:

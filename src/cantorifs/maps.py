@@ -62,7 +62,8 @@ class Segment:
         else:
             if not (k.d_lo > 0 and k.d_hi > 0) or not (k.y_lo < k.y_hi):
                 raise SpecError("hermite segment needs d_lo, d_hi > 0 and y_lo < y_hi")
-            if not (_deriv_extremes(self, 0.0, self.width)[0] > 0):
+            _, c1, c2, c3 = self.coeffs
+            if not (cubic_extremes((c1, 2.0 * c2, 3.0 * c3, 0.0), 0.0, self.width)[0][0] > 0):
                 raise SpecError("hermite segment is not strictly increasing")
 
     @property
@@ -135,17 +136,17 @@ class Segment:
         return k.y_hi if isinstance(k, CubicHermite) else k.value(self.x_hi)
 
 
-def _deriv_extremes(seg: Segment, t_a: float, t_b: float) -> tuple[float, float]:
-    """(min, max) of the segment's derivative over t = x - x_lo in [t_a, t_b].
-
-    The derivative is a quadratic in t, so its extremes sit at the two ends
-    or at the critical point -c2/(3 c3) when that falls strictly inside."""
-    _, c1, c2, c3 = seg.coeffs
-    vals = [(3.0 * c3 * t + 2.0 * c2) * t + c1 for t in (t_a, t_b)]
-    if c3 != 0.0:
-        t_star = -c2 / (3.0 * c3)
-        if t_a < t_star < t_b:
-            vals.append((3.0 * c3 * t_star + 2.0 * c2) * t_star + c1)
+def cubic_extremes(a: tuple[float, ...], t_a: float, t_b: float) -> tuple[tuple[float, float], ...]:
+    """((min, t), (max, t)) of a0 + a1 t + a2 t^2 + a3 t^3 over [t_a, t_b],
+    read at the ends and at the roots of its derivative strictly inside."""
+    a0, a1, a2, a3 = a
+    ts = [t_a, t_b]
+    disc = a2 * a2 - 3.0 * a1 * a3
+    if disc > 0.0:  # else no root, or a double one: an inflection
+        q = -(a2 + math.copysign(math.sqrt(disc), a2))
+        roots = (q / (3.0 * a3), a1 / q) if a3 != 0.0 else (-a1 / (2.0 * a2),)
+        ts += [t for t in roots if t_a < t < t_b]
+    vals = [(((a3 * t + a2) * t + a1) * t + a0, t) for t in ts]
     return min(vals), max(vals)
 
 
@@ -311,9 +312,11 @@ class MapSpec:
         a, best = lo, -math.inf
         while True:
             s = segs[j]
+            _, c1, c2, c3 = s.coeffs
+            d = (c1, 2.0 * c2, 3.0 * c3, 0.0)
             if j == len(segs) - 1 or hi <= bps[j + 1]:
-                return max(best, _deriv_extremes(s, a - s.x_lo, hi - s.x_lo)[1])
-            best = max(best, _deriv_extremes(s, a - s.x_lo, bps[j + 1] - s.x_lo)[1])
+                return max(best, cubic_extremes(d, a - s.x_lo, hi - s.x_lo)[1][0])
+            best = max(best, cubic_extremes(d, a - s.x_lo, bps[j + 1] - s.x_lo)[1][0])
             j += 1
             a = bps[j]
 

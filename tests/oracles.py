@@ -21,7 +21,19 @@ from cantorifs.errors import CertificateError, DomainError, RangeError, SpecErro
 from cantorifs.gapfinder import TraceStep, _orbit_points_inside
 from cantorifs.ifs import IFSPair, OrbitCloud, _dedup_sorted, minimal_set_cover, orbit
 from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
-from cantorifs.maps import MapSpec, iterate_interval
+from cantorifs.maps import MapSpec, Segment, iterate_interval
+
+
+# -- class A ---------------------------------------------------------------------
+
+
+def diagonal_gap_scan(s: Segment, n: int = 20_001) -> float:
+    """The least of y - s(y) at n evenly spaced points of the segment, each
+    s(y) by `Segment.value_at`'s Horner run on arrays."""
+    c0, c1, c2, c3 = s.coeffs
+    ys = np.linspace(s.x_lo, s.x_hi, n)
+    t = ys - s.x_lo
+    return float(np.min(ys - (((c3 * t + c2) * t + c1) * t + c0)))
 
 
 # -- interval sets -------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cantorifs.errors import (
-    BracketError, ConstructionError, DegenerateHoleError, DomainError, SpecError)
+    BracketError, ConstructionError, DegenerateHoleError, DomainError, ResourceCapError, SpecError)
 from cantorifs.intervals import Interval, IntervalSet
 from cantorifs.maps import (
     CubicHermite,
@@ -424,15 +424,28 @@ def test_castration_hole_fault_is_a_failed_attempt(built_report, monkeypatch):
     assert report.n_final >= 1 and report.axioms.ok
 
 
-def test_class_a_failure_at_alpha_n_is_a_failed_attempt():
-    """At n_target = 17 the pair at alpha_12 fails class A (its overlap is
-    narrower than eps_geom).  That is a failed attempt like any other, so
-    the construction ends in a ConstructionError that lists all 13."""
+@pytest.fixture(scope="module")
+def n20_failure() -> str:
     with pytest.raises(ConstructionError) as info:
-        build_class_c_example(ConstructionParams(n_target=17))
-    message = str(info.value)
-    assert all(f"n={n} " in message for n in range(13))
-    assert "n=12 mu=nan ee=False ca=False" in message
+        build_class_c_example(ConstructionParams(n_target=20))
+    return str(info.value)
+
+
+def test_class_a_failure_at_alpha_n_is_a_failed_attempt(n20_failure):
+    """At n_target = 20 the pairs at alpha_9..alpha_12 fail class A (their
+    overlap is narrower than eps_geom).  Each is a failed attempt like any
+    other, so the construction ends in a ConstructionError that lists all 13."""
+    assert all(f"n={n} " in n20_failure for n in range(13))
+    assert "n=12 mu=nan ee=False ca=False" in n20_failure
+
+
+def test_failed_attempts_name_the_check_that_stopped_them(n20_failure):
+    attempts = n20_failure.split("attempts: ")[1].split("; ")
+    assert len(attempts) == 13
+    for n, text in enumerate(attempts):
+        assert text.startswith(f"n={n} ")
+        assert text.endswith("ee=True ca=False failed: ca" if n <= 8 else
+                             "failed: class A of the alpha_n pair: 0 < g(0) < f(1) < 1")
 
 
 def test_class_a_failure_at_alpha0_is_a_construction_error(monkeypatch):
@@ -440,7 +453,7 @@ def test_class_a_failure_at_alpha0_is_a_construction_error(monkeypatch):
     from cantorifs.ifs import ValidationResult, Violation
 
     b = ClassCBuilder()
-    failing = ValidationResult(False, None, (Violation("f(0) = 0", 0.0, "injected"),), 0)
+    failing = ValidationResult(False, None, (Violation("f(0) = 0", 0.0, "injected"),))
     monkeypatch.setattr(construct, "validate_class_a", lambda f, g: failing)
     with pytest.raises(ConstructionError, match="fails class A: f\\(0\\) = 0"):
         b.find_c_parameter(b.params.n_target)
@@ -615,6 +628,19 @@ def test_lambda_nested():
         seq = lambda_sequence(appendix_pair(params), params, 20)
         for a, b in zip(seq[1:], seq):
             assert a.difference(b).measure() == 0.0
+
+
+def test_lambda_sequence_refuses_a_step_past_the_cap(appendix, monkeypatch):
+    """A step at most doubles the parts.  Lambda_5 and Lambda_6 have 40 and
+    72, so with a cap of 100 Lambda_6 is built and the step to Lambda_7 is
+    refused before it allocates."""
+    import cantorifs.construct as construct
+
+    pair, params = appendix
+    monkeypatch.setattr(construct, "ORBIT_CAP", 100)
+    assert [s.n_parts for s in lambda_sequence(pair, params, 6)][5:] == [40, 72]
+    with pytest.raises(ResourceCapError, match="Lambda_7 could exceed the cap of 100 parts"):
+        lambda_sequence(pair, params, 7)
 
 
 def test_lambda_sequence_rejects_a_pair_without_the_inclusion_property(valid_affine):

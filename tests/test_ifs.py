@@ -4,16 +4,33 @@ import pytest
 from cantorifs.errors import DomainError, ResourceCapError, SpecError
 from cantorifs import ifs
 from cantorifs.intervals import TOL, Interval, IntervalSet
-from cantorifs.maps import MapSpec, affine_spec, identity_spec, iterate
+from cantorifs.maps import (
+    Affine,
+    CubicHermite,
+    MapSpec,
+    Segment,
+    _reflected_segments,
+    affine_spec,
+    cubic_extremes,
+    identity_spec,
+    iterate,
+    symmetry_conjugate,
+)
 from cantorifs.ifs import (
     fundamental_domain,
     minimal_set_cover,
     orbit,
     validate_class_a,
 )
-from cantorifs.construct import base_pair, bump_modify, epsilon_family_specs, ConstructionParams
+from cantorifs.construct import (
+    ConstructionParams,
+    base_pair,
+    build_class_c_example,
+    bump_modify,
+    epsilon_family_specs,
+)
 
-from oracles import dilate, hausdorff_distance, min_distance, orbit_bruteforce
+from oracles import diagonal_gap_scan, dilate, hausdorff_distance, min_distance, orbit_bruteforce
 
 
 # -- class-A validation -------------------------------------------------------
@@ -40,6 +57,65 @@ def test_identity_pair_rejected_on_strict_inequality():
     res = validate_class_a(identity_spec(), identity_spec())
     assert not res.ok
     assert res.violations[0].bullet == "f(x) < x"
+
+
+def _grid_miss_f() -> MapSpec:
+    """x - f(x) is E = 1.2e-8 at both ends of (0.50001, 0.50009) and dips to
+    E - s*h/4 = -8e-9 at its middle (h = 8e-5): no multiple of 1e-4 and no
+    breakpoint lies inside, so a 10,000-cell grid sees only the ends."""
+    e, s = 1.2e-8, 1e-3
+    return MapSpec((
+        Segment(0.0, 0.4, Affine(0.5, 0.0)),
+        Segment(0.4, 0.50001, CubicHermite(0.2, 0.50001 - e, 0.5, 1.0 + s)),
+        Segment(0.50001, 0.50009, CubicHermite(0.50001 - e, 0.50009 - e, 1.0 + s, 1.0 - s)),
+        Segment(0.50009, 1.0, CubicHermite(0.50009 - e, 0.75, 1.0 - s, 0.5)),
+    ))
+
+
+def test_class_a_sees_a_dip_between_grid_points():
+    f = _grid_miss_f()
+    assert f.eval(0.50005) - 0.50005 == pytest.approx(8.0e-9, rel=1e-3)
+    res = validate_class_a(f, symmetry_conjugate(f))
+    assert [v.bullet for v in res.violations] == ["f(x) < x", "x < g(x)"]
+    x_f, x_g = (v.witness for v in res.violations)
+    assert 0.50001 < x_f < 0.50009 and x_f == pytest.approx(0.50005, abs=1e-9)
+    assert x_g == pytest.approx(0.49995, abs=1e-9)
+    assert res.violations[0].detail.startswith("x - f(x) = -8")
+
+
+def test_class_a_rejects_an_identity_piece_at_the_fixed_point():
+    f = MapSpec((Segment(0.0, 0.2, Affine(1.0, 0.0)),
+                 Segment(0.2, 1.0, CubicHermite(0.2, 0.75, 1.0, 0.5))))
+    res = validate_class_a(f, symmetry_conjugate(f))
+    assert res.violations[0].bullet == "f(x) < x"
+    assert res.violations[0].witness == 0.0
+
+
+def test_class_a_admits_a_parabolic_fixed_point():
+    """g'(1) = 1 = f'(0): on the segment at the fixed point, x - f(x) has
+    the factor t twice, and the quotient -c2 - c3 t stays above eps_geom."""
+    g = MapSpec((Segment(0.0, 0.5, Affine(0.5, 0.45)),
+                 Segment(0.5, 1.0, CubicHermite(0.7, 1.0, 0.5, 1.0))))
+    f = symmetry_conjugate(g)
+    assert f.deriv(0.0) == 1.0 == g.deriv(1.0)
+    assert validate_class_a(f, g).ok
+
+
+@pytest.fixture(scope="module")
+def n17_pair():
+    return build_class_c_example(ConstructionParams(n_target=17))[0]
+
+
+def test_segment_least_never_exceeds_a_dense_scan(built_pair, appendix, n17_pair):
+    """Off the segment at the fixed point, the least of y - m(y) that class A
+    reads from the cubic is no larger than a 20,001-point scan finds."""
+    for pair in (built_pair, appendix[0], n17_pair):
+        for segs in (pair.f.segments, _reflected_segments(pair.g)):
+            for s in segs[1:]:
+                c0, c1, c2, c3 = s.coeffs
+                (least, t), _ = cubic_extremes((s.x_lo - c0, 1.0 - c1, -c2, -c3), 0.0, s.width)
+                assert 0.0 <= t <= s.width
+                assert least <= diagonal_gap_scan(s)
 
 
 def test_as_pair_raises_on_failure():

@@ -13,6 +13,7 @@ from cantorifs.maps import (
     Segment,
     affine_spec,
     conjugate_segment,
+    cubic_extremes,
     hermite_linear_deriv,
     identity_spec,
     iterate,
@@ -398,6 +399,15 @@ def test_rejects_nan_segment(kind):
 
 
 # -- derivative maxima -----------------------------------------------------------------
+
+
+def test_cubic_extremes_reads_ends_and_critical_points():
+    # t^3 - 3t: -2 at t = 1 and 2 at t = -1 inside, 1.125 and 8.125 at the ends
+    assert cubic_extremes((0.0, -3.0, 0.0, 1.0), -1.5, 2.5) == ((-2.0, 1.0), (8.125, 2.5))
+    # (t - 1)^2: a quadratic's one critical point, its vertex
+    assert cubic_extremes((1.0, -2.0, 1.0, 0.0), 0.0, 3.0) == ((0.0, 1.0), (4.0, 3.0))
+    # t^3: the double critical point at 0 is an inflection, so the ends decide
+    assert cubic_extremes((0.0, 0.0, 0.0, 1.0), -1.0, 2.0) == ((-1.0, -1.0), (8.0, 2.0))
 
 
 def test_max_deriv_finds_interior_peak():

@@ -176,6 +176,10 @@ def test_cli_gaps_certify_rejects_bad_arguments_before_work(pair_file, tmp_path,
     ["orbit", "PAIR", "--depth", "-1"],
     ["minimal-set", "PAIR", "--depth", "0"],
     ["gaps", "PAIR", "--lo", "0.3", "--hi", "0.31", "--depth", "0"],
+    ["minimal-set", "PAIR", "--resolution", "0"],
+    ["minimal-set", "PAIR", "--resolution", "-1e-3"],
+    ["plot", "PAIR", "--cover-depth", "3", "--resolution", "0"],
+    ["gaps", "PAIR", "--certify", "--resolution", "0"],
 ])
 def test_cli_rejects_bad_floats_at_parse_time(pair_file, tmp_path, monkeypatch, argv):
     import cantorifs.cli as cli
@@ -278,6 +282,17 @@ def test_cli_appendix(tmp_path):
     rows = (tmp_path / "appendix_lambda.csv").read_text().strip().splitlines()
     assert rows[0] == "n,measure,bound"
     assert len(rows) == 14  # header + n = 0..12
+
+
+def test_cli_appendix_refuses_a_lambda_step_past_the_cap(tmp_path, monkeypatch, capsys):
+    import cantorifs.construct as construct
+
+    monkeypatch.setattr(construct, "ORBIT_CAP", 100)
+    out = tmp_path / "out"
+    assert main(["appendix", "--n-max", "12", "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ResourceCapError: Lambda_")
+    assert not out.exists()
 
 
 def test_cli_plot(pair_file, tmp_path):
@@ -406,4 +421,12 @@ def test_cli_construct(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "pair.json").read_text())
     assert doc["format"] == "cantorifs-pair"
+    assert "all_axioms: ok" in (tmp_path / "construct_report.txt").read_text()
+
+
+def test_cli_construct_builds_at_n_target_16(tmp_path):
+    """Before class A was decided on each segment's cubic, every castrated
+    candidate at n_target = 16 failed `f(x) < x` at one of g's breakpoints
+    within 1e-9 of the fixed point 0."""
+    assert main(["construct", "--n-target", "16", "--output-dir", str(tmp_path)]) == 0
     assert "all_axioms: ok" in (tmp_path / "construct_report.txt").read_text()
