@@ -25,7 +25,7 @@ from .axioms import (
     ruination_regions,
     run_axiom_checks,
 )
-from .gapfinder import certify_cantor, find_gap
+from .gapfinder import WALK_VERDICTS, certify_cantor, find_gap
 from .construct import (
     AppendixParams,
     ConstructionParams,
@@ -150,7 +150,11 @@ def cmd_gaps(args: argparse.Namespace) -> int:
         _emit(args, "certify_report.txt", _config_echo(args) + report.to_text())
         _emit(args, "certify_report.csv", report.to_csv())
         return 0 if report.all_certified else 1
-    cert = find_gap(Interval(args.lo, args.hi), pair, hole, ruin, bsets, mu=mu)
+    try:
+        cert = find_gap(Interval(args.lo, args.hi), pair, hole, ruin, bsets, mu=mu)
+    except WALK_VERDICTS as e:  # no certificate for this window: a verdict
+        print(f"gaps: no certificate: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
     lines = [_config_echo(args),
              f"input: [{cert.input.lo:.17g}, {cert.input.hi:.17g}]",
              f"output: [{cert.output.lo:.17g}, {cert.output.hi:.17g}]",

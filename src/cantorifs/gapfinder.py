@@ -8,8 +8,8 @@ the certified factor mu each step, until it hits a terminal configuration:
 * inside a hole            -> one induced application lands in the other hole;
 * inside both ruination
   regions                  -> already disjoint from K;
-* meets a boundary point   -> the boundary lemma produces an open sub-piece
-                              inside a hole or inside r_f ∩ r_g.
+* meets a boundary point   -> the boundary lemma's open sub-piece inside a
+                              hole or r_f ∩ r_g, else a split inside F1 ∪ G1.
 
 Soundness of every non-terminal step: if the current interval met the
 minimal set, so would its image (backward-orbit lemma for the free regions,
@@ -28,7 +28,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import Literal, Sequence
 
 import numpy as np
@@ -41,7 +40,6 @@ from .axioms import (
     RuinationRegions,
     induced_discontinuities,
     induced_step,
-    ruination_family,
 )
 from .maps import MapSpec
 
@@ -67,7 +65,6 @@ class CaseTag(str, Enum):
 class TerminalReason(str, Enum):
     HOLE = "HOLE"
     RUINATION_OVERLAP = "RUINATION_OVERLAP"
-    BOUNDARY_LEMMA = "BOUNDARY_LEMMA"
 
 
 @dataclass(frozen=True)
@@ -119,13 +116,21 @@ def _boundary_hits(J: Interval, b: tuple[float, ...]) -> tuple[float, ...]:
     return b[bisect_right(b, J.lo + eps):bisect_left(b, J.hi - eps)]
 
 
+def _side_outside(J: Interval, p: IFSPair) -> Literal["f", "g"] | None:
+    """"f" ("g") when J's midpoint lies left (right) of F1 ∪ G1 and J reaches
+    at most eps_geom into it; None when the walk can start from J."""
+    if J.hi <= p.f1.lo + TOL.eps_geom and J.mid <= p.f1.lo:
+        return "f"
+    return "g" if J.lo >= p.g1.hi - TOL.eps_geom and J.mid >= p.g1.hi else None
+
+
 def classify(
     J: Interval, p: IFSPair, h: HolePair, r: RuinationRegions, b: tuple[float, ...]
 ) -> CaseTag:
     """Exactly one case tag for an interval of positive length.
 
     BOUNDARY_HIT when a boundary point lies strictly inside J; PULLBACK_FN
-    when J misses F1 ∪ G1 entirely; otherwise one of the five case regions,
+    when `_side_outside` places J beside F1 ∪ G1; else one of the five regions,
     with the W case refined through the ruination regions.
     """
     if J.length <= 0:
@@ -133,7 +138,7 @@ def classify(
     eps = TOL.eps_geom
     if _boundary_hits(J, b):
         return CaseTag.BOUNDARY_HIT
-    if J.hi <= p.f1.lo + eps or J.lo >= p.g1.hi - eps:
+    if _side_outside(J, p):
         return CaseTag.PULLBACK_FN
     if h.h_f.contains_interval(J, -eps):
         return CaseTag.IN_HF
@@ -247,37 +252,14 @@ def _middle_third(comp: Interval | None) -> Interval | None:
     return comp.middle_third()
 
 
-def _deepen_overlap_near(
-    p: IFSPair, h: HolePair, r: RuinationRegions, j: Interval, endpoint: float
-) -> Interval | None:
-    """Find a ruination-overlap piece inside j near an accumulation endpoint
-    (f(1) for the Q-family, g(0) for the P-family), extending the truncated
-    families on demand."""
-    w = p.overlap
-    if endpoint == w.hi:
-        family, host = "f", r.r_g.part_containing(w.hi)
-    else:
-        family, host = "g", r.r_f.part_containing(w.lo)
-    if host is None:
-        return None
-    for part in islice(ruination_family(p, h, family), 280):
-        if part.length <= 0:
-            return None
-        if (j.lo < part.lo and part.hi < j.hi
-                and host.lo < part.lo and part.hi < host.hi):
-            return part.middle_third()
-    return None
-
-
 def _boundary_lemma(
     p: IFSPair, h: HolePair, r: RuinationRegions, cur: Interval
 ) -> tuple[list[TraceStep], Interval, TerminalReason] | None:
-    """The four sub-cases: meets a hole; meets the ruination overlap; contains
-    an accumulation endpoint f(1)/g(0); contains f^2(1)/g^2(0) (pulled back
-    once onto the previous case).  Returns (extra steps, U, reason) with U in
-    the space after the extra steps, or None if no usable open piece exists
-    (the caller then splits and walks on)."""
-    w = p.overlap
+    """The three sub-cases: meets a hole; meets the ruination overlap
+    r_f ∩ r_g; contains f^2(1)/g^2(0), and its pull-back by f/g (which then
+    contains f(1)/g(0)) meets the overlap.  Returns (extra steps, U, reason)
+    with U in the space after the extra steps, or None if no usable open
+    piece exists (the caller then splits and walks on)."""
     for hole in (h.h_f, h.h_g):
         u = _middle_third(cur.intersection(hole))
         if u is not None:
@@ -285,28 +267,13 @@ def _boundary_lemma(
     u = _middle_third(_widest_component(cur, r.rfrg))
     if u is not None:
         return [], u, TerminalReason.RUINATION_OVERLAP
-    for endpoint in (w.hi, w.lo):
-        if cur.lo < endpoint < cur.hi:
-            u = _deepen_overlap_near(p, h, r, cur, endpoint)
-            if u is not None:
-                return [], u, TerminalReason.RUINATION_OVERLAP
-    # f^2(1) (resp. g^2(0)) inside: pull back once by f (resp. g); the image
-    # then contains f(1) (resp. g(0)) and the previous case applies
-    for corner, m, op, endpoint in (
-        (p.f1.lo, p.f, "invpow_f", w.hi),
-        (p.g1.hi, p.g, "invpow_g", w.lo),
-    ):
+    for corner, m, op in ((p.f1.lo, p.f, "invpow_f"), (p.g1.hi, p.g, "invpow_g")):
         if cur.lo < corner < cur.hi:
-            clipped = cur.intersection(Interval(m.y0, m.y1))
-            if clipped is None or clipped.length <= 0:
-                continue
-            pulled = m.preimage_of(clipped)
-            step = TraceStep(CaseTag.BOUNDARY_HIT, op, 1, pulled)
+            # the corner lies strictly inside both cur and m's range
+            pulled = m.preimage_of(cur.intersection(Interval(m.y0, m.y1)))
             u = _middle_third(_widest_component(pulled, r.rfrg))
             if u is not None:
-                return [step], u, TerminalReason.RUINATION_OVERLAP
-            u = _deepen_overlap_near(p, h, r, pulled, endpoint)
-            if u is not None:
+                step = TraceStep(CaseTag.BOUNDARY_HIT, op, 1, pulled)
                 return [step], u, TerminalReason.RUINATION_OVERLAP
     return None
 
@@ -341,12 +308,14 @@ def _walk(
     (the walk-space check tests the deeper orbit points).  With no prefix
     the first stage is the output, and its check the only one.
 
-    Each step classifies the current interval once, and an induced step
-    inverts its midpoint and both ends in one pass (`induced_step`): the
-    midpoint's chain fixes n, the ends' chains give the image."""
+    Each step classifies the current interval once.  An induced step inverts
+    its midpoint and both ends in one pass (`induced_step`): the midpoint's
+    chain fixes n, the ends' chains give the image.  A boundary hit ends in
+    one of `_boundary_lemma`'s three sub-cases, or else splits at the hits
+    and keeps the largest piece inside F1 ∪ G1."""
     if start.length < 10.0 * TOL.eps_geom:
         raise DomainError(f"input {start} shorter than 10*eps_geom")
-    if start.hi <= p.f1.lo or start.lo >= p.g1.hi:
+    if _side_outside(start, p):
         raise DomainError(f"{start} does not meet F1 ∪ G1; use find_gap")
     if mu <= 1.0:
         raise DomainError("find_gap_core needs mu > 1")
@@ -387,9 +356,10 @@ def _walk(
                 extra, u, reason = got
                 steps.extend(extra)
                 return finish(u, reason)
-            # No usable open piece: split at the hits, walk on with the
-            # largest clean side.
-            shrink_to(_split_at(cur, _boundary_hits(cur, b)), tag)
+            # No usable open piece: split at the hits (all in F1 ∪ G1) and
+            # walk on with the largest piece inside F1 ∪ G1.
+            inside = cur.intersection(Interval(p.f1.lo, p.g1.hi))
+            shrink_to(_split_at(inside, _boundary_hits(cur, b)), tag)
             continue
         if tag is CaseTag.IN_W_OVERLAP:
             steps.append(TraceStep(tag, "shrink", 0, cur))
@@ -453,15 +423,15 @@ def find_gap(
     """find_gap_core, preceded when necessary by the fundamental-domain
     pullback: an interval outside F1 ∪ G1 lies (after shrinking away from the
     fixed points) inside a single F_N or G_N and is pulled back into F1."""
-    if J.hi > p.f1.lo and J.lo < p.g1.hi:
+    if (which := _side_outside(J, p)) is None:
         return find_gap_core(J, p, h, r, b, mu=mu, cloud=cloud)
 
     # The side fixes the map, its fixed point, and the half kept when the
     # input touches that fixed point.
-    if J.hi <= p.f1.lo:  # left side: inside some F_N, N >= 2
-        which, op, fixed, away = "f", "invpow_f", 0.0, Interval(J.mid, J.hi)
-    else:                   # right side: inside some G_N
-        which, op, fixed, away = "g", "invpow_g", 1.0, Interval(J.lo, J.mid)
+    if which == "f":  # left side: inside some F_N, N >= 2
+        op, fixed, away = "invpow_f", 0.0, Interval(J.mid, J.hi)
+    else:             # right side: inside some G_N
+        op, fixed, away = "invpow_g", 1.0, Interval(J.lo, J.mid)
     near_fixed = abs(J.lo - fixed) < TOL.eps_geom or abs(J.hi - fixed) < TOL.eps_geom
     work = away if near_fixed else J
 

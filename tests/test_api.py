@@ -252,6 +252,21 @@ def test_library_holds_only_what_runs():
                           "intervals.IntervalSet.difference"}
 
 
+def test_every_enum_member_is_read():
+    """Each member of an `Enum` in src/ is read in src/ outside its class
+    body: a member nothing produces or tests for is dead."""
+    reads, enums = Counter(), []
+    for path in sorted((REPO / "src" / "cantorifs").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += _loads(tree)
+        enums += [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+                  and any(ast.unparse(b).endswith("Enum") for b in n.bases)]
+    assert {"CaseTag", "TerminalReason"} <= {e.name for e in enums}
+    unread = [f"{e.name}.{t.id}" for e in enums for s in e.body if isinstance(s, ast.Assign)
+              for t in s.targets if reads[t.id] == _loads(e)[t.id]]
+    assert unread == []
+
+
 def _defaulted_knobs():
     """(`module.function.param` or `module.Class.field`, definition, callee
     name, position) for each defaulted parameter of a top-level src function

@@ -224,6 +224,23 @@ def test_walk_splits_at_a_boundary_point_no_lemma_case_takes(built_ctx, cloud18)
                for h in (hole.h_f, hole.h_g)), f"replay ended at {final}, off the holes"
 
 
+@pytest.mark.parametrize("corner", ["f(1)", "g(0)", "f^2(1)", "g^2(0)"])
+def test_tight_windows_at_the_corner_points_certify(built_ctx, cloud18, corner):
+    """Windows [e - a, e + b], at least 10*eps_geom long, around the points
+    where the walk splits and pulls back.  The split keeps a piece inside
+    F1 ∪ G1, so none of them leaves it mid-walk."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    e = {"f(1)": pair.overlap.hi, "g(0)": pair.overlap.lo,
+         "f^2(1)": pair.f1.lo, "g^2(0)": pair.g1.hi}[corner]
+    widths = (1.01e-9, 2e-9, 5e-9, 1.5e-8, 1e-7, 1e-6)
+    windows = [J for a in widths for b in widths
+               if (J := Interval(e - a, e + b)).length >= 10.0 * TOL.eps_geom]
+    assert len(windows) > 25
+    for J in windows:
+        cert = find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=cloud18)
+        assert J.contains_interval(cert.output), J
+
+
 def test_trace_growth_respects_expansion(built_ctx):
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     f1 = fundamental_domain(pair, "f", 1)
@@ -261,6 +278,31 @@ def test_pullback_from_f3(built_ctx):
     cert = find_gap(J, pair, hole, ruin, bsets, mu=mu)
     assert cert.trace[0].tag is CaseTag.PULLBACK_FN
     assert cert.trace[0].op == "invpow_f" and cert.trace[0].n == 2  # N = 3
+    assert J.contains_interval(cert.output)
+
+
+@pytest.mark.parametrize("side", ["f", "g"])
+def test_window_reaching_eps_into_f1_g1_is_pulled_back(built_ctx, cloud18, side):
+    """A window that reaches less than eps_geom into F1 ∪ G1 is beside it
+    for `classify`, `find_gap` and the walk's entry check alike: it is
+    pulled back first, where the core walk once took it and failed on its
+    first step.  One shorter than 10*eps_geom whose midpoint is inside
+    F1 ∪ G1 stays the walk's input fault."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    if side == "f":
+        J = Interval(pair.f1.lo - 1e-6, pair.f1.lo + 5e-10)
+        tiny = Interval(pair.f1.lo - 1e-10, pair.f1.lo + 3e-10)
+    else:
+        J = Interval(pair.g1.hi - 5e-10, pair.g1.hi + 1e-6)
+        tiny = Interval(pair.g1.hi - 3e-10, pair.g1.hi + 1e-10)
+    with pytest.raises(DomainError, match="shorter than 10"):
+        find_gap(tiny, pair, hole, ruin, bsets, mu=mu)
+    assert classify(J, pair, hole, ruin, bsets) is CaseTag.PULLBACK_FN
+    with pytest.raises(DomainError):
+        find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
+    cert = find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=cloud18)
+    first = cert.trace[0]
+    assert (first.tag, first.op, first.n) == (CaseTag.PULLBACK_FN, f"invpow_{side}", 1)
     assert J.contains_interval(cert.output)
 
 

@@ -275,6 +275,36 @@ def test_cli_gaps_without_hole_matches_validate(appendix, tmp_path):
     assert hole_error("g") == hole_error("v")
 
 
+@pytest.mark.parametrize("error", ["ClassificationError", "CertificateError",
+                                   "IterationCapError", "DomainError"])
+def test_cli_gaps_walk_verdict_exits_1(pair_file, tmp_path, monkeypatch, capsys, error):
+    """A walk that ends in a verdict on the window writes no certificate,
+    one stderr line, and exits 1; a fault such as a DomainError still
+    exits 2."""
+    import cantorifs.cli as cli
+    import cantorifs.errors as errors
+
+    def no_gap(*args, **kwargs):
+        raise getattr(errors, error)("no gap here")
+
+    monkeypatch.setattr(cli, "find_gap", no_gap)
+    code = main(["gaps", pair_file, "--lo", "0.30", "--hi", "0.31",
+                 "--output-dir", str(tmp_path)])
+    assert code == (2 if error == "DomainError" else 1)
+    assert not (tmp_path / "gap_certificate.txt").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith(f"{error}: no gap here")
+
+
+def test_cli_gaps_window_reaching_eps_into_f1_is_pulled_back(pair_file, built_pair, tmp_path):
+    """Once exit 2, after a failed first step of the core walk."""
+    lo, hi = built_pair.f1.lo - 1e-6, built_pair.f1.lo + 5e-10
+    assert main(["gaps", pair_file, "--lo", repr(lo), "--hi", repr(hi),
+                 "--output-dir", str(tmp_path)]) == 0
+    text = (tmp_path / "gap_certificate.txt").read_text()
+    assert "\ntrace: PULLBACK_FN op=invpow_f n=1 " in text
+
+
 def test_cli_appendix(tmp_path):
     code = main(["appendix", "--n-max", "12", "--output-dir", str(tmp_path)])
     assert code == 0
