@@ -14,8 +14,10 @@ Pipeline stages, in data-dependency order:
    slope 1/2 + eps (C1-bridged over a sub-window of width k/50 so the family
    stays C1 while f_eps(1) = 1/2 + eps*k holds exactly), g_eps symmetric.
    The overlap is W = [1/2 - eps*k, 1/2 + eps*k].
-4. parameter search: eps with f_eps^{-1}(g_eps(0)) in the middle of
-   g^n(H_p); then the alpha sequence solving
+4. parameter search: eps in the window (0, delta_max] with
+   x(eps) = f_eps^{-1}(g_eps(0)) in the middle of g^n(H_p), where H_p is
+   found once on the bump pair (eps matters only through x(eps)); then the
+   alpha sequence solving
    f^{-1}_{alpha_n}(g_{alpha_n}(0)) = g^n_{alpha_0}(f^{-1}_{alpha_0}(g_{alpha_0}(0))).
 5. gamma surgery on W^{alpha_0}: a single stretch sliding the ruination part
    of r_g that contains f(1) across the whole overlap until it overlaps the
@@ -51,7 +53,6 @@ from .axioms import (
     AxiomReport,
     HolePair,
     RuinationRegions,
-    check_so,
     find_hole,
     ruination_regions,
     run_axiom_checks,
@@ -237,10 +238,13 @@ def h_prime(g: MapSpec, h_p: Interval) -> IntervalSet:
 
 
 class ClassCBuilder:
-    """Pipeline state: the bump pair, the admissible eps window, the
-    reference hole and the parameter solves.
+    """Pipeline state: the bump pair, its hole and the parameter solves.
 
-    The reachable-corner function x(eps) = f_eps^{-1}(g_eps(0)) is
+    The hole H_p is found once, on the bump pair (f0, g0): every f_eps
+    equals f0 and every g_eps equals g0 away from the corners, so it does
+    not depend on eps.  The eps window is (0, delta_max]; nothing probes
+    it, because each eps-pair the build uses is class-A-validated where it
+    is used.  The reachable-corner function x(eps) = f_eps^{-1}(g_eps(0)) is
     1 - 2*eps*k/(1/2 + eps) on the eps window, strictly decreasing and
     tending to 1 as eps -> 0+; `_eps_reaching` solves x(eps) = t in closed
     form, so no solve builds a pair.  `pair_at` builds and validates the
@@ -253,38 +257,13 @@ class ClassCBuilder:
     def __init__(self, params: ConstructionParams | None = None):
         self.params = params or ConstructionParams()
         self.f0, self.g0, _, _ = bump_modify(self.params)
-        self.delta = self._admissible_delta()
-        ref = IFSPair.of(*epsilon_family_specs(self.f0, self.params.k, self.delta / 2.0))
-        self.hole_ref = find_hole(ref, self.params.j_p)
+        self.hole_ref = find_hole(IFSPair.of(self.f0, self.g0), self.params.j_p)
 
     # -- primitives --------------------------------------------------------
 
     def pair_at(self, eps: float) -> ValidationResult:
         """The class-A verdict on (f_eps, g_eps), carrying the pair when ok."""
         return validate_class_a(*epsilon_family_specs(self.f0, self.params.k, eps))
-
-    def _admissible_delta(self) -> float:
-        """Largest dyadic eps <= delta_max at which class-A + So hold
-        at both window ends (Ho is eps-independent and checked on the
-        reference pair).  The small-end probe sits where the overlap width
-        2*eps*k still clears the geometric tolerance."""
-        k = self.params.k
-        small = max(1e-5, 2.0 * TOL.eps_geom / k)
-        delta = self.params.delta_max
-        for _ in range(20):
-            if delta <= small:
-                break
-            # Only an eps the window cannot hold is caught: a failed check is
-            # a verdict read off its result, and any other error propagates.
-            try:
-                specs = [epsilon_family_specs(self.f0, k, eps) for eps in (delta, small)]
-            except ConstructionError:
-                specs = []
-            results = (validate_class_a(f, g) for f, g in specs)
-            if specs and all(r.ok and check_so(r.pair).ok for r in results):
-                return delta
-            delta /= 2.0
-        raise ConstructionError("no admissible eps window found")
 
     def g_power_hole(self, n: int) -> Interval:
         """g^n(H_p), computed with g0 (the orbit avoids the modified corner,
@@ -296,13 +275,14 @@ class ClassCBuilder:
     def _eps_reaching(self, t: float) -> float:
         """The eps with x(eps) = t: eps = (1 - t) / (2(2k - 1 + t)), the root
         of x(eps) = 1 - 2*eps*k/(1/2 + eps).  Raises BracketError when that
-        eps falls outside [EPS_FLOOR, delta], where the formula holds."""
+        eps falls outside [EPS_FLOOR, delta_max]; an eps in that range
+        which the family itself refuses fails later, in `pair_at`."""
         u = 1.0 - t  # exact for t in [1/2, 1]
         d = 2.0 * (2.0 * self.params.k - u)
         eps = u / d if d > 0 else math.inf
-        if not (self.EPS_FLOOR <= eps <= self.delta):  # NaN fails too
+        if not (self.EPS_FLOOR <= eps <= self.params.delta_max):  # NaN fails too
             raise BracketError(f"x = {t!r} is not reached for eps in "
-                               f"[{self.EPS_FLOOR}, {self.delta}] (eps = {eps!r})")
+                               f"[{self.EPS_FLOOR}, {self.params.delta_max}] (eps = {eps!r})")
         return eps
 
     def find_c_parameter(self, n: int) -> tuple[float, IFSPair]:
@@ -311,8 +291,8 @@ class ClassCBuilder:
 
         Raises BracketError when the midpoint is outside the reachable range
         (n too small or too large for the window), and ConstructionError
-        when the pair at eps fails class A or x(eps) does not land in the
-        middle 80% of g^n(H_p).
+        when eps leaves the family's window, the pair at eps fails class A
+        or x(eps) does not land in the middle 80% of g^n(H_p).
         """
         target = self.g_power_hole(n)
         eps = self._eps_reaching(target.mid)
@@ -451,7 +431,6 @@ def castrate(g_alpha_n: MapSpec, gamma: MapSpec, w_n: Interval) -> MapSpec:
 @dataclass(frozen=True)
 class PipelineReport:
     params: ConstructionParams
-    delta: float
     alpha0: float
     alphas: tuple[float, ...]
     n_final: int
@@ -471,7 +450,7 @@ class PipelineReport:
             f"param_k: {pr.k:.17g}",
             f"param_eps_window: (0, {pr.delta_max:.17g}]",
             f"param_n_target: {pr.n_target}",
-            f"delta: {self.delta:.17g}",
+            f"delta: {pr.delta_max:.17g}",
             f"alpha0: {self.alpha0:.17g}",
             f"alphas: {', '.join(f'{a:.12g}' for a in self.alphas)}",
             f"n_final: {self.n_final}",
@@ -525,7 +504,7 @@ def build_class_c_example(
         stops.append("ee" if not ax.ee.ok else "ca")
         if ax.ok:
             report = PipelineReport(
-                params=pr, delta=builder.delta, alpha0=alpha0, alphas=tuple(alphas),
+                params=pr, alpha0=alpha0, alphas=tuple(alphas),
                 n_final=n, hole=ax.hole, axioms=ax,
                 symmetry_residual_precastration=symmetry_residual(pair_n.f, pair_n.g),
                 attempts=tuple(attempts),

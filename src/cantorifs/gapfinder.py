@@ -525,7 +525,9 @@ def certify_cantor(
 ) -> CertifyReport:
     """Sweep a resolution grid over [0, 1]; for every grid interval meeting
     the minimal-set cover, find a certified gap and verify it against the
-    deep orbit cloud.  Per-interval errors are aggregated, not raised.
+    deep orbit cloud.  Per-interval errors are aggregated, not raised;
+    `bound_respected` reads False exactly when some cell's walk stopped
+    with IterationCapError, an iteration guard that ran out.
 
     A successful sweep witnesses total disconnectedness at grid scale: every
     neighborhood of a sampled minimal-set point contains a certified gap.
@@ -542,12 +544,11 @@ def certify_cantor(
             cert = find_gap(J, p, h, r, b, mu=mu, cloud=cloud)
         except WALK_VERDICTS as e:  # aggregate verdicts; faults propagate
             failures.append((J.lo, J.hi, f"{type(e).__name__}: {e}"))
+            bound_ok = bound_ok and not isinstance(e, IterationCapError)
             continue
         min_gap = min(min_gap, cert.output.length)
         max_gap = max(max_gap, cert.output.length)
         max_steps = max(max_steps, cert.n_steps)
-        if cert.n_steps > cert.iteration_bound:
-            bound_ok = False
     return CertifyReport(
         resolution=resolution, depth=depth, verification_depth=verification_depth,
         n_grid=n_grid, n_meeting=len(cells), n_certified=len(cells) - len(failures),

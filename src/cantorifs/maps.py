@@ -230,9 +230,6 @@ class MapSpec:
             raise DomainError(f"x={x} outside [0, 1]")
         return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
-    def __call__(self, x: float) -> float:
-        return self.eval(x)
-
     def eval(self, x: float) -> float:
         """`Segment.value_at` of the segment `_seg_index` picks, op for op,
         read off `_eval_rows`."""

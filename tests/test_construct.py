@@ -149,17 +149,17 @@ def test_epsilon_rejects_window_escape():
         validate_class_a(*epsilon_family_specs(f0, k=0.005, eps=0.49)).as_pair()
 
 
-def test_eps_window_probe_fault_propagates(monkeypatch):
-    """A fault while building a window probe is not read as "no admissible
-    eps window": only the window's ConstructionError is caught."""
+def test_alpha0_pair_fault_propagates(monkeypatch):
+    """A fault while building the pair at alpha_0 leaves the build as it
+    is: it is not read as a verdict on the candidate."""
     import cantorifs.construct as construct
 
     def faulting(f0, k, eps):
-        raise SpecError("injected probe fault")
+        raise SpecError("injected pair fault")
 
     monkeypatch.setattr(construct, "epsilon_family_specs", faulting)
-    with pytest.raises(SpecError, match="injected probe fault"):
-        ClassCBuilder()
+    with pytest.raises(SpecError, match="injected pair fault"):
+        build_class_c_example()
 
 
 def test_x_of_guards_the_eps_window(builder):
@@ -182,10 +182,13 @@ BOX_SAMPLES = pytest.mark.parametrize("params", [
 
 @BOX_SAMPLES
 def test_hole_at_alpha0_is_the_reference_hole(params):
-    """The hole does not depend on eps, so the construction reads
-    `hole_ref` instead of searching the pair at alpha_0 again."""
+    """The hole does not depend on eps: `hole_ref`, found on the bump pair,
+    is bit for bit the hole of the eps-pairs at alpha_0 and at delta_max/2,
+    so the construction does not search the pair at alpha_0 again."""
     _, report, b = build_class_c_example(params)
     assert find_hole(b.pair_at(report.alpha0).as_pair(), b.params.j_p) == b.hole_ref
+    mid = IFSPair.of(*epsilon_family_specs(b.f0, params.k, params.delta_max / 2.0))
+    assert find_hole(mid, params.j_p) == b.hole_ref
 
 
 # -- H'_p --------------------------------------------------------------------------
@@ -459,22 +462,29 @@ def test_class_a_failure_at_alpha0_is_a_construction_error(monkeypatch):
         b.find_c_parameter(b.params.n_target)
 
 
-def test_default_build_makes_four_epsilon_pairs(monkeypatch):
-    """The window probes at delta and at the small end, the reference pair
-    at delta/2 and alpha_0: x(alpha_0) and g_alpha_0 are read off the pair
-    at alpha_0, which is also the n = 0 candidate."""
+def test_default_build_makes_one_epsilon_pair(monkeypatch):
+    """The only eps-pair a default build makes is the pair at alpha_0: the
+    hole is found on the bump pair, x(alpha_0) and g_alpha_0 are read off
+    the pair at alpha_0, which is also the n = 0 candidate.  Class A is
+    validated twice, on that pair and on its castration."""
     import cantorifs.construct as construct
 
-    calls = []
+    calls, validated = [], []
 
     def counted(f0, k, eps):
         calls.append(eps)
         return epsilon_family_specs(f0, k, eps)
 
+    def counted_validate(f, g):
+        validated.append(g.label)
+        return validate_class_a(f, g)
+
     monkeypatch.setattr(construct, "epsilon_family_specs", counted)
-    _, report, b = build_class_c_example()
+    monkeypatch.setattr(construct, "validate_class_a", counted_validate)
+    _, report, _ = build_class_c_example()
     assert report.n_final == 0
-    assert calls == [b.delta, calls[1], b.delta / 2.0, report.alpha0]
+    assert calls == [report.alpha0]
+    assert len(validated) == 2 and validated[1].endswith(".castrated")
 
 
 def test_pipeline_serialization_roundtrip(built_pair, built_report):
@@ -532,6 +542,15 @@ def test_appendix_pair_allows_an_ulp_past_the_fixed_point():
     assert pair.g.eval(1.0) > 1.0
     rep = check_measure_bound(pair, params, 20)
     assert rep.ok and rep.ratio_ok
+
+
+def test_measure_bound_failure_verdicts():
+    """A pair whose measures shrink at its own lam = 0.45 fails both the
+    bound (2*0.2)^n and the per-step ratio 2*0.2 of lam = 0.2."""
+    rep = check_measure_bound(appendix_pair(AppendixParams(lam=0.45)),
+                              AppendixParams(lam=0.2), 5)
+    assert not rep.ok and not rep.ratio_ok
+    assert "measure_bound_ok: False\nmeasure_ratio_ok: False\n" in rep.to_text()
 
 
 @pytest.mark.parametrize("end, shift, refused", [

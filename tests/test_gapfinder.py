@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from cantorifs import gapfinder
-from cantorifs.errors import CertificateError, DomainError, RangeError, SpecError
+from cantorifs.errors import (
+    CertificateError, ClassificationError, DomainError, IterationCapError, RangeError, SpecError,
+)
 from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
 from cantorifs.ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover
 from cantorifs.maps import MapSpec
@@ -443,6 +445,24 @@ def test_certify_cantor_propagates_faults(built_ctx, monkeypatch):
     with pytest.raises(TypeError, match="broken walk"):
         certify_cantor(pair, hole, ruin, bsets, resolution=0.1, depth=8,
                        mu=mu, verification_depth=10)
+
+
+@pytest.mark.parametrize("verdict, respected", [
+    (IterationCapError, False), (ClassificationError, True)])
+def test_certify_cantor_bound_respected_reads_iteration_caps(built_ctx, monkeypatch,
+                                                             verdict, respected):
+    """`bound_respected` is False exactly when a cell's walk ran out of its
+    iteration guard; any other walk verdict leaves it True."""
+    def stopped(*args, **kwargs):
+        raise verdict("injected")
+
+    monkeypatch.setattr(gapfinder, "find_gap", stopped)
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    rep = certify_cantor(pair, hole, ruin, bsets, resolution=0.1, depth=8,
+                         mu=mu, verification_depth=10)
+    assert rep.n_failed == rep.n_meeting > 0
+    assert rep.bound_respected is respected
+    assert f"certify_bound_respected: {respected}" in rep.to_text()
 
 
 def test_certify_cantor_propagates_library_faults(built_ctx, monkeypatch):

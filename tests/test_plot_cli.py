@@ -12,7 +12,7 @@ from cantorifs.construct import (
 )
 from cantorifs.ifs import minimal_set_cover
 from cantorifs.intervals import from_csv, to_csv
-from cantorifs.maps import pair_to_json
+from cantorifs.maps import affine_spec, pair_to_json
 from cantorifs.plot import plot_pair, plot_strip
 
 
@@ -86,6 +86,18 @@ def test_cli_validate_base_pair_fails(bad_pair_file, tmp_path):
     assert code == 1
     text = (tmp_path / "validate_report.txt").read_text()
     assert "violation: 0 < g(0) < f(1) < 1" in text
+
+
+def test_cli_validate_so_failure_stops_the_checks(tmp_path):
+    """A class-A pair whose overlap is too wide fails So, and the checks
+    stop there: no hole, Ee or Ca lines."""
+    path = tmp_path / "wide.json"
+    path.write_text(pair_to_json(affine_spec(0.8, 0.0), affine_spec(0.8, 0.2)))
+    assert main(["validate", str(path), "--output-dir", str(tmp_path)]) == 1
+    lines = (tmp_path / "validate_report.txt").read_text().splitlines()
+    assert "class_a: ok" in lines
+    assert "so: violated" in lines and "all_axioms: FAILED" in lines
+    assert not [ln for ln in lines if ln.startswith(("hole_h_f", "ee:", "ca:"))]
 
 
 def test_cli_orbit(pair_file, tmp_path):
@@ -332,6 +344,23 @@ def test_cli_plot(pair_file, tmp_path):
     assert svg.startswith("<svg")
 
 
+def test_cli_plot_with_cover_and_blocks(pair_file, tmp_path):
+    """`--blocks` shades one square per CSV line and `--cover-depth` appends
+    the minimal-set strip; the figure is byte-identical across runs."""
+    blocks = tmp_path / "blocks.csv"
+    blocks.write_text("0.1,0.2\n# a comment\n0.6,0.75\n", encoding="utf-8")
+    svgs = []
+    for run in ("a", "b"):
+        argv = ["plot", pair_file, "--cover-depth", "6", "--blocks", str(blocks),
+                "--output-dir", str(tmp_path / run)]
+        assert main(argv) == 0
+        svgs.append((tmp_path / run / "pair.svg").read_bytes())
+    assert svgs[0] == svgs[1]
+    svg = svgs[0].decode()
+    assert svg.count('fill="#c8dcf0"') == 2  # one square per block
+    assert svg.count('<g stroke="none"') == 1  # the cover strip
+
+
 def test_cli_plot_reports_missing_layers(pair_file, appendix, tmp_path, capsys):
     """A pair without a hole at the seed still gets its figure; the reason
     the hole and ruination layers are missing goes to stderr."""
@@ -452,6 +481,17 @@ def test_cli_construct(tmp_path):
     doc = json.loads((tmp_path / "pair.json").read_text())
     assert doc["format"] == "cantorifs-pair"
     assert "all_axioms: ok" in (tmp_path / "construct_report.txt").read_text()
+
+
+def test_cli_construct_delta_max_above_the_family_window(tmp_path):
+    """The eps window is read, not searched: with delta_max = 1.0, past the
+    family's own window, the build solves the same alpha_0 and writes the
+    default pair file byte for byte; `delta:` echoes delta_max."""
+    assert main(["construct", "--output-dir", str(tmp_path / "default")]) == 0
+    assert main(["construct", "--delta-max", "1.0", "--output-dir", str(tmp_path / "wide")]) == 0
+    pair_bytes = [(tmp_path / d / "pair.json").read_bytes() for d in ("default", "wide")]
+    assert pair_bytes[0] == pair_bytes[1]
+    assert "delta: 1\n" in (tmp_path / "wide" / "construct_report.txt").read_text()
 
 
 def test_cli_construct_builds_at_n_target_16(tmp_path):
