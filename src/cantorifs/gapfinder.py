@@ -289,55 +289,33 @@ def find_gap_core(
 ) -> GapCertificate:
     """Run the case-driven induction for J meeting F1 ∪ G1.
 
-    The iteration guard is ceil(log(|F1| / |J|) / log(mu)) + 50: eventual
-    expansion guarantees finiteness but gives no bound, so the guard turns
-    non-termination into a diagnosable error.  When `cloud` is given, the
-    output is checked against it before returning.
-    """
-    return _walk(J, (), J, p, h, r, b, mu, cloud)
-
-
-def _walk(
-    J: Interval, prefix: tuple[TraceStep, ...], start: Interval, p: IFSPair, h: HolePair,
-    r: RuinationRegions, b: tuple[float, ...], mu: float, cloud: OrbitCloud | None,
-) -> GapCertificate:
-    """The induction from `start`, the window that the `prefix` steps carry
-    the input J to (no steps: start is J).  The terminal piece is pulled
-    back through the walk's steps and clipped to `start`, then through the
-    prefix and clipped to J; with a cloud, each stage is checked against it
-    (the walk-space check tests the deeper orbit points).  With no prefix
-    the first stage is the output, and its check the only one.
-
     Each step classifies the current interval once.  An induced step inverts
     its midpoint and both ends in one pass (`induced_step`): the midpoint's
     chain fixes n, the ends' chains give the image.  A boundary hit ends in
     one of `_boundary_lemma`'s three sub-cases, or else splits at the hits
-    and keeps the largest piece inside F1 ∪ G1."""
-    if start.length < 10.0 * TOL.eps_geom:
-        raise DomainError(f"input {start} shorter than 10*eps_geom")
-    if _side_outside(start, p):
-        raise DomainError(f"{start} does not meet F1 ∪ G1; use find_gap")
+    and keeps the largest piece inside F1 ∪ G1.  The terminal piece is
+    pulled back through the walk's steps and clipped to J; when `cloud` is
+    given, the output is checked against it before returning.
+
+    The iteration guard is ceil(log(|F1| / |J|) / log(mu)) + 50: eventual
+    expansion guarantees finiteness but gives no bound, so the guard turns
+    non-termination into a diagnosable error.
+    """
+    if J.length < 10.0 * TOL.eps_geom:
+        raise DomainError(f"input {J} shorter than 10*eps_geom")
+    if _side_outside(J, p):
+        raise DomainError(f"{J} does not meet F1 ∪ G1; use find_gap")
     if mu <= 1.0:
         raise DomainError("find_gap_core needs mu > 1")
-    bound = math.ceil(math.log(max(p.f1.length / start.length, 1.0)) / math.log(mu)) + 50
+    bound = math.ceil(math.log(max(p.f1.length / J.length, 1.0)) / math.log(mu)) + 50
 
     steps: list[TraceStep] = []
-    cur = start
+    cur = J
 
     def finish(u: Interval, reason: TerminalReason) -> GapCertificate:
-        out = pull_back(p, steps, u)
-        clipped = out.intersection(start)
-        if clipped is None or clipped.length <= 0:
-            raise CertificateError(f"pullback {out} escaped the input {start}")
-        _reject_orbit_points(cloud, clipped, "certified output {}")
-        out = clipped
-        if prefix:
-            out = pull_back(p, prefix, clipped).intersection(J)
-            if out is None or out.length <= 0:
-                raise CertificateError("pullback output escaped the original interval")
-            _reject_orbit_points(cloud, out, "pulled-back output")
+        out = _pull_back_into(p, steps, u, J, cloud, "certified output {}")
         return GapCertificate(
-            input=J, output=out, trace=prefix + tuple(steps), terminal_reason=reason,
+            input=J, output=out, trace=tuple(steps), terminal_reason=reason,
             iteration_bound=bound,
         )
 
@@ -392,12 +370,21 @@ def _split_at(cur: Interval, pts: Sequence[float]) -> Interval:
     return max(pieces, key=lambda iv: iv.length)
 
 
-def _reject_orbit_points(cloud: OrbitCloud | None, iv: Interval, where: str) -> None:
-    """Raise when orbit points lie inside `iv`; `where` names it, and its
-    `{}`, if any, is filled with `iv` only then."""
-    bad = 0 if cloud is None else _orbit_points_inside(cloud, iv, TOL.eps_geom)
+def _pull_back_into(
+    p: IFSPair, steps: Sequence[TraceStep], u: Interval, window: Interval,
+    cloud: OrbitCloud | None, where: str,
+) -> Interval:
+    """Pull `u` back through `steps` and clip it to `window`; refuse it when
+    it escapes the window or when orbit points lie inside.  `where` names
+    the result in that refusal, and its `{}`, if any, is filled with it."""
+    out = pull_back(p, steps, u)
+    clipped = out.intersection(window)
+    if clipped is None or clipped.length <= 0:
+        raise CertificateError(f"pullback {out} escaped the input {window}")
+    bad = 0 if cloud is None else _orbit_points_inside(cloud, clipped, TOL.eps_geom)
     if bad:
-        raise CertificateError(f"{bad} orbit points inside {where.format(iv)}")
+        raise CertificateError(f"{bad} orbit points inside {where.format(clipped)}")
+    return clipped
 
 
 def _orbit_points_inside(cloud: OrbitCloud, iv: Interval, margin: float) -> int:
@@ -421,8 +408,11 @@ def find_gap(
     cloud: OrbitCloud | None = None,
 ) -> GapCertificate:
     """find_gap_core, preceded when necessary by the fundamental-domain
-    pullback: an interval outside F1 ∪ G1 lies (after shrinking away from the
-    fixed points) inside a single F_N or G_N and is pulled back into F1."""
+    pullback: an interval beside F1 ∪ G1 lies (after shrinking away from the
+    fixed points) inside a single F_N or G_N and is pulled back into F1 (G1)
+    by one step.  find_gap_core walks that pulled-back window; its output is
+    pulled back through the step, clipped to J and, with a cloud, checked a
+    second time.  The trace is the pull-back step, then the core's."""
     if (which := _side_outside(J, p)) is None:
         return find_gap_core(J, p, h, r, b, mu=mu, cloud=cloud)
 
@@ -449,7 +439,12 @@ def find_gap(
 
     pullback = TraceStep(CaseTag.PULLBACK_FN, op, n - 1, work)
     start = _apply_step_forward(p, pullback, work)
-    return _walk(J, (pullback,), start, p, h, r, b, mu, cloud)
+    core = find_gap_core(start, p, h, r, b, mu=mu, cloud=cloud)
+    out = _pull_back_into(p, (pullback,), core.output, J, cloud, "pulled-back output")
+    return GapCertificate(
+        input=J, output=out, trace=(pullback, *core.trace),
+        terminal_reason=core.terminal_reason, iteration_bound=core.iteration_bound,
+    )
 
 
 def _locate_power_domain(p: IFSPair, j: Interval, which: Literal["f", "g"]) -> tuple[int, Interval]:

@@ -477,6 +477,27 @@ def test_ee_cell_bounds_below_induced_deriv(built_ctx, which):
     assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
 
 
+def test_bisect_passes_when_both_halves_clear_the_target(built_ctx):
+    """A cell below mu_target whose halves both bound above it is replaced
+    by those halves, and no failing piece is reported."""
+    pair, hole = built_ctx["pair"], built_ctx["hole"]
+    found = []
+    for which, h in (("F", hole.h_f), ("G", hole.h_g)):
+        first = axioms._oriented(pair, which)[0]
+        for c in axioms.expansion_cells(pair, which, h)[0]:
+            halves = [axioms.EeCell(a, b, c.n, c.chain, axioms._first_bound(first, c.chain, a, b))
+                      for a, b in ((c.lo, c.mid), (c.mid, c.hi))]
+            if min(half.bound for half in halves) > c.bound:
+                found.append((c, first, sorted(halves, key=lambda half: half.bound)))
+    assert found
+    cell, first, halves = min(found, key=lambda f: f[0].bound)
+    mu_target = (cell.bound + halves[0].bound) / 2.0
+    assert cell.bound < mu_target < halves[0].bound
+    assert axioms._bisect(first, cell, mu_target) == (halves, False)
+    left, right = sorted(halves, key=lambda half: half.lo)
+    assert (left.lo, left.hi, right.hi) == (cell.lo, right.lo, cell.hi)
+
+
 @pytest.mark.parametrize("d_fixed, enclosed", [(0.9, True), (1.0, False)])
 def test_ee_tail_needs_return_map_below_one(d_fixed, enclosed):
     # g's last segment ends at its fixed point 1 with derivative d_fixed, and

@@ -19,7 +19,8 @@ from cantorifs.maps import (
 )
 from cantorifs.ifs import IFSPair, validate_class_a
 from cantorifs.axioms import (
-    check_ca, check_so, expansion_cells, find_hole, ruination_family, ruination_regions)
+    RuinationRegions, check_ca, check_so, expansion_cells, find_hole, ruination_family,
+    ruination_regions)
 from cantorifs.construct import (
     AppendixParams,
     ClassCBuilder,
@@ -358,6 +359,22 @@ def test_gamma_is_a_diffeomorphism(builder, built_report):
     assert gamma.deriv(0.0) == 1.0 and gamma.deriv(1.0) == 1.0
     for x in np.linspace(0, 1, 501):
         assert gamma.deriv(float(x)) > 0
+
+
+def test_gamma_is_the_identity_when_the_end_parts_already_overlap(builder, built_report):
+    """When the r_f part holding g(0) reaches past where the r_g part holding
+    f(1) starts, no stretch is needed: gamma is the identity, and castrating
+    with it leaves g as it was."""
+    pair0 = builder.pair_at(built_report.alpha0).as_pair()
+    w = pair0.overlap
+    ruin = RuinationRegions(
+        r_f=IntervalSet([Interval(w.lo - 0.01, w.lo + 0.6 * w.length)]),
+        r_g=IntervalSet([Interval(w.lo + 0.4 * w.length, w.hi + 0.01)]))
+    gamma = build_gamma(ruin, w)
+    assert gamma.label == "gamma[id]" and len(gamma.segments) == 1
+    same = castrate(pair0.g, gamma, w)
+    xs = np.linspace(0.0, 1.0, 10_001)
+    assert max(abs(same.eval(float(x)) - pair0.g.eval(float(x))) for x in xs) == 0.0
 
 
 def test_identity_gamma_fails_covering(builder, built_report):

@@ -372,6 +372,47 @@ def test_pullback_checks_cloud_in_walk_space(built_ctx):
     assert str(err.value) == "1 orbit points inside pulled-back output"
 
 
+ESCAPED = Interval(0.9, 0.95)  # off every window the escape tests pull back into
+
+
+def _escape_on_call(monkeypatch, stage: int) -> None:
+    """Make call number `stage` of `gapfinder.pull_back` (1 is the first)
+    return ESCAPED; the others pull back as before."""
+    calls = []
+    plain = gapfinder.pull_back
+
+    def escaping(p, steps, iv):
+        calls.append(1)
+        return ESCAPED if len(calls) == stage else plain(p, steps, iv)
+
+    monkeypatch.setattr(gapfinder, "pull_back", escaping)
+
+
+def test_core_refuses_an_output_that_escapes_its_window(built_ctx, monkeypatch):
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    J = Interval(0.30, 0.31)
+    _escape_on_call(monkeypatch, 1)
+    with pytest.raises(CertificateError) as err:
+        find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
+    assert str(err.value) == f"pullback {ESCAPED} escaped the input {J}"
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_find_gap_refuses_an_output_that_escapes_either_window(built_ctx, monkeypatch, stage):
+    """On an F_3 window, the walk's pull-back (call 1) must stay in the
+    pulled-back window and the pull-back step's (call 2) in J."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    f3 = fundamental_domain(pair, "f", 3)
+    J = Interval(f3.mid - 1e-5, f3.mid + 1e-5)
+    first = find_gap(J, pair, hole, ruin, bsets, mu=mu).trace[0]
+    start = gapfinder._apply_step_forward(pair, first, first.interval)
+    _escape_on_call(monkeypatch, stage)
+    with pytest.raises(CertificateError) as err:
+        find_gap(J, pair, hole, ruin, bsets, mu=mu)
+    window = start if stage == 1 else J
+    assert str(err.value) == f"pullback {ESCAPED} escaped the input {window}"
+
+
 def test_gap_near_fixed_point_zero(built_ctx, cloud18):
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     J = Interval(0.0, 0.01)  # contains the fixed point 0 ∈ K
@@ -592,6 +633,34 @@ def test_pull_back_matches_interval_route(built_ctx, sweep_1e3):
             want = pull_back_by_intervals(pair, cert.trace[:k], s.interval)
             assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
     assert ops == {"F", "G", "shrink", "invpow_f", "invpow_g"}
+
+
+def test_pulled_back_windows_are_walked_by_the_core(built_ctx, cloud18, sweep_1e3):
+    """On every window `find_gap` pulls back, its certificate is the core
+    walk's on the pulled-back window: the same trace after the pull-back
+    step, terminal reason and iteration bound, and the core's output pulled
+    back through that step and clipped to the window."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    certs, _ = sweep_1e3
+    pulled = [c for c in certs if c.trace and c.trace[0].tag is CaseTag.PULLBACK_FN]
+    assert len(pulled) == 500
+    # the windows of the pull-back tests above: beside f^2(1) and g^2(0),
+    # reaching 5e-10 into F1 ∪ G1, inside F_3 and G_3, and at the fixed point 0
+    f3, g3 = fundamental_domain(pair, "f", 3), fundamental_domain(pair, "g", 3)
+    for J in (Interval(pair.f1.lo - 1e-6, pair.f1.lo + 5e-10),
+              Interval(pair.g1.hi - 5e-10, pair.g1.hi + 1e-6),
+              Interval(f3.mid - 1e-5, f3.mid + 1e-5), Interval(g3.mid - 1e-5, g3.mid + 1e-5),
+              Interval(0.0, 0.01)):
+        pulled.append(find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=cloud18))
+        assert pulled[-1].trace[0].tag is CaseTag.PULLBACK_FN, J
+    for cert in pulled:
+        first = cert.trace[0]
+        start = gapfinder._apply_step_forward(pair, first, first.interval)
+        core = find_gap_core(start, pair, hole, ruin, bsets, mu=mu, cloud=cloud18)
+        assert cert.trace[1:] == core.trace
+        assert cert.terminal_reason is core.terminal_reason
+        assert cert.iteration_bound == core.iteration_bound
+        assert cert.output == pull_back(pair, cert.trace[:1], core.output).intersection(cert.input)
 
 
 def test_step_forward_checks_every_map():

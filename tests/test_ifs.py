@@ -53,6 +53,16 @@ def test_epsilon_family_is_valid():
     assert pair.overlap.hi == pytest.approx(0.50005, abs=1e-12)
 
 
+@pytest.mark.parametrize("f_icpt, g_icpt, bullet, witness, detail", [
+    (0.01, 0.5, "f(0) = 0", 0.0, "f(0) = 0.01"),
+    (0.0, 0.49, "g(1) = 1", 1.0, "g(1) = 0.99"),
+])
+def test_class_a_fixed_point_bullets(f_icpt, g_icpt, bullet, witness, detail):
+    res = validate_class_a(affine_spec(0.5, f_icpt), affine_spec(0.5, g_icpt))
+    assert not res.ok and res.pair is None
+    assert [(v.bullet, v.witness, v.detail) for v in res.violations] == [(bullet, witness, detail)]
+
+
 def test_identity_pair_rejected_on_strict_inequality():
     res = validate_class_a(identity_spec(), identity_spec())
     assert not res.ok

@@ -88,6 +88,17 @@ def test_cli_validate_base_pair_fails(bad_pair_file, tmp_path):
     assert "violation: 0 < g(0) < f(1) < 1" in text
 
 
+@pytest.mark.parametrize("f_icpt, g_icpt, bullet", [
+    (0.01, 0.5, "f(0) = 0"), (0.0, 0.49, "g(1) = 1")])
+def test_cli_validate_fixed_point_failure(tmp_path, capsys, f_icpt, g_icpt, bullet):
+    path = tmp_path / "moved.json"
+    path.write_text(pair_to_json(affine_spec(0.5, f_icpt), affine_spec(0.5, g_icpt)))
+    assert main(["validate", str(path), "--output-dir", str(tmp_path), "--echo"]) == 1
+    out = capsys.readouterr().out
+    assert "class_a: violated\n" in out and f"violation: {bullet}\n" in out
+    assert out == (tmp_path / "validate_report.txt").read_text()
+
+
 def test_cli_validate_so_failure_stops_the_checks(tmp_path):
     """A class-A pair whose overlap is too wide fails So, and the checks
     stop there: no hole, Ee or Ca lines."""
