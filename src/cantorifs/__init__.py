@@ -61,7 +61,6 @@ from .construct import (
     bump_modify,
     castrate,
     check_measure_bound,
-    h_prime,
     lambda_sets,
 )
 

@@ -25,8 +25,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, takewhile
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -415,26 +414,24 @@ class RuinationRegions:
         return self.r_f.intersect(self.r_g)
 
 
-def ruination_family(p: IFSPair, h: HolePair, which: Literal["f", "g"]) -> Iterator[Interval]:
-    """The parts of one ruination family in order n = 0, 1, 2, ...:
-    Q_n = f(g^n(h_g)) for the f-family, P_n = g(f^n(h_f)) for the g-family.
-    Endless; each part is computed only when asked for."""
-    outer, inner, cur = (p.f, p.g, h.h_g) if which == "f" else (p.g, p.f, h.h_f)
-    while True:
-        yield outer.image_of(cur)
-        cur = inner.image_of(cur)
-
-
 def ruination_parts(p: IFSPair, h: HolePair, which: Literal["f", "g"]) -> list[Interval]:
-    """The parts of one ruination family; part n is at index n.
+    """The parts of one ruination family, Q_n = f(g^n(h_g)) for the
+    f-family and P_n = g(f^n(h_f)) for the g-family; part n is at index n.
 
     Monotone maps send intervals to intervals, so each part is exact up to
     evaluation rounding.  Keeps parts n = 0..10,000 and stops before the
     first one shorter than eps_geom; castration only ever needs finitely
     many parts.
     """
-    parts = islice(ruination_family(p, h, which), 10_001)
-    return list(takewhile(lambda part: part.length >= TOL.eps_geom, parts))
+    outer, inner, cur = (p.f, p.g, h.h_g) if which == "f" else (p.g, p.f, h.h_f)
+    parts: list[Interval] = []
+    for _ in range(10_001):
+        part = outer.image_of(cur)
+        if part.length < TOL.eps_geom:
+            break
+        parts.append(part)
+        cur = inner.image_of(cur)
+    return parts
 
 
 def ruination_regions(p: IFSPair, h: HolePair) -> RuinationRegions:

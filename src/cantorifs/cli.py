@@ -98,7 +98,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     params = ConstructionParams(
         jp_width=args.jp_width, bump_strength=args.bump_strength,
-        k=args.k, delta_max=args.delta_max, n_target=args.n_target,
+        k=args.k, n_target=args.n_target,
     )
     pair, report, _ = build_class_c_example(params, mu_target=args.mu_target)
     outdir = Path(args.output_dir)
@@ -280,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jp-width", type=_finite_float, default=0.01)
     p.add_argument("--bump-strength", type=_finite_float, default=4.0)
     p.add_argument("--k", type=_finite_float, default=0.005)
-    p.add_argument("--delta-max", type=_finite_float, default=0.125)
     p.add_argument("--n-target", type=int, default=10)
     p.add_argument("--mu-target", type=_mu_target, default=1.01)
     common(p)

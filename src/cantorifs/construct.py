@@ -14,10 +14,11 @@ Pipeline stages, in data-dependency order:
    slope 1/2 + eps (C1-bridged over a sub-window of width k/50 so the family
    stays C1 while f_eps(1) = 1/2 + eps*k holds exactly), g_eps symmetric.
    The overlap is W = [1/2 - eps*k, 1/2 + eps*k].
-4. parameter search: eps in the window (0, delta_max] with
-   x(eps) = f_eps^{-1}(g_eps(0)) in the middle of g^n(H_p), where H_p is
-   found once on the bump pair (eps matters only through x(eps)); then the
-   alpha sequence solving
+4. parameter search: the eps with x(eps) = f_eps^{-1}(g_eps(0)) in the
+   middle of g^n(H_p), where H_p is found once on the bump pair (eps matters
+   only through x(eps)); g^n(H_p) is part n of H'_p, so that eps is in C.
+   The family bounds its own window: an eps past it fails where the pair is
+   built.  Then the alpha sequence solving
    f^{-1}_{alpha_n}(g_{alpha_n}(0)) = g^n_{alpha_0}(f^{-1}_{alpha_0}(g_{alpha_0}(0))).
 5. gamma surgery on W^{alpha_0}: a single stretch sliding the ruination part
    of r_g that contains f(1) across the whole overlap until it overlaps the
@@ -71,7 +72,6 @@ class ConstructionParams:
     jp_width: float = 0.01          # |J_p| = |J_q|; 1/100 is small enough
     bump_strength: float = 4.0      # inner expansion factor of f0 ∘ g0
     k: float = 0.005                # affine corner width; < 1/100
-    delta_max: float = 0.125        # the eps window is (0, delta_max] at most
     n_target: int = 10              # index n for eps in C_n
 
     def __post_init__(self) -> None:
@@ -82,8 +82,6 @@ class ConstructionParams:
         if not (2.0 < self.bump_strength < 14.0 / 3.0):
             # sigma = strength/2 per map; the edge-slope budget dies at 7/3
             raise SpecError("bump_strength must be in (2, 14/3)")
-        if not (self.delta_max > 0):  # NaN fails too
-            raise SpecError(f"delta_max must be > 0, got {self.delta_max}")
         if self.n_target < 3:
             raise SpecError("n_target must be >= 3")
 
@@ -219,22 +217,8 @@ def epsilon_family_specs(f0: MapSpec, k: float, eps: float) -> tuple[MapSpec, Ma
 
 
 # ---------------------------------------------------------------------------
-# Stage 4 helpers: H'_p, the C-parameter and the alpha sequence
+# Stage 4 helpers: the C-parameter and the alpha sequence
 # ---------------------------------------------------------------------------
-
-
-def h_prime(g: MapSpec, h_p: Interval) -> IntervalSet:
-    """H'_p, the union of the forward images g^n(H_p): disjoint parts
-    marching to 1, part 0 being H_p itself.
-
-    Ends with the first part shorter than eps_geom (kept), or at n = 10,000.
-    """
-    parts = [h_p]
-    for _ in range(10_000):
-        parts.append(g.image_of(parts[-1]))
-        if parts[-1].length < TOL.eps_geom:
-            break
-    return IntervalSet(parts)
 
 
 class ClassCBuilder:
@@ -242,14 +226,15 @@ class ClassCBuilder:
 
     The hole H_p is found once, on the bump pair (f0, g0): every f_eps
     equals f0 and every g_eps equals g0 away from the corners, so it does
-    not depend on eps.  The eps window is (0, delta_max]; nothing probes
-    it, because each eps-pair the build uses is class-A-validated where it
-    is used.  The reachable-corner function x(eps) = f_eps^{-1}(g_eps(0)) is
-    1 - 2*eps*k/(1/2 + eps) on the eps window, strictly decreasing and
-    tending to 1 as eps -> 0+; `_eps_reaching` solves x(eps) = t in closed
-    form, so no solve builds a pair.  `pair_at` builds and validates the
-    pair at alpha_0 and at each castration candidate; x(alpha_0) and
-    g_alpha_0 are read off the pair at alpha_0.
+    not depend on eps.  The eps window is the family's own: nothing probes
+    it, because `epsilon_family_specs` refuses an eps outside it and each
+    eps-pair the build uses is class-A-validated where it is used.  The
+    reachable-corner function x(eps) = f_eps^{-1}(g_eps(0)) is
+    1 - 2*eps*k/(1/2 + eps) on that window, strictly decreasing and tending
+    to 1 as eps -> 0+; `_eps_reaching` solves x(eps) = t in closed form, so
+    no solve builds a pair.  `pair_at` builds and validates the pair at
+    alpha_0 and at each castration candidate; x(alpha_0) and g_alpha_0 are
+    read off the pair at alpha_0.
     """
 
     EPS_FLOOR = 1e-9
@@ -274,25 +259,25 @@ class ClassCBuilder:
 
     def _eps_reaching(self, t: float) -> float:
         """The eps with x(eps) = t: eps = (1 - t) / (2(2k - 1 + t)), the root
-        of x(eps) = 1 - 2*eps*k/(1/2 + eps).  Raises BracketError when that
-        eps falls outside [EPS_FLOOR, delta_max]; an eps in that range
-        which the family itself refuses fails later, in `pair_at`."""
+        of x(eps) = 1 - 2*eps*k/(1/2 + eps).  Raises BracketError when no
+        finite eps >= EPS_FLOOR solves it; an eps past the family's window
+        fails later, in `pair_at`."""
         u = 1.0 - t  # exact for t in [1/2, 1]
         d = 2.0 * (2.0 * self.params.k - u)
         eps = u / d if d > 0 else math.inf
-        if not (self.EPS_FLOOR <= eps <= self.params.delta_max):  # NaN fails too
-            raise BracketError(f"x = {t!r} is not reached for eps in "
-                               f"[{self.EPS_FLOOR}, {self.params.delta_max}] (eps = {eps!r})")
+        if not (self.EPS_FLOOR <= eps < math.inf):  # NaN fails too
+            raise BracketError(f"x = {t!r} is not reached for a finite eps "
+                               f">= {self.EPS_FLOOR} (eps = {eps!r})")
         return eps
 
     def find_c_parameter(self, n: int) -> tuple[float, IFSPair]:
         """eps with x(eps) at the midpoint of g^n(H_p), a member of C_n, and
         the validated pair at eps.
 
-        Raises BracketError when the midpoint is outside the reachable range
-        (n too small or too large for the window), and ConstructionError
-        when eps leaves the family's window, the pair at eps fails class A
-        or x(eps) does not land in the middle 80% of g^n(H_p).
+        Raises BracketError when no finite eps >= EPS_FLOOR reaches the
+        midpoint (n too small or too large), and ConstructionError when eps
+        leaves the family's window (n too small), the pair at eps fails
+        class A or x(eps) does not land in the middle 80% of g^n(H_p).
         """
         target = self.g_power_hole(n)
         eps = self._eps_reaching(target.mid)
@@ -310,12 +295,12 @@ class ClassCBuilder:
     def alpha_sequence(self, alpha0: float, pair0: IFSPair, count: int) -> list[float]:
         """alpha_n solving x(alpha_n) = g^n_{alpha_0}(x(alpha_0)), n < count,
         with g_alpha_0 and x(alpha_0) read off pair0, the pair at alpha0;
-        strictly decreasing to 0, each a member of C.  alpha_0 is alpha0
-        itself: solving back from x(alpha0), which rounds to an ulp of 1,
-        would move it by about 1e-14."""
+        strictly decreasing to 0.  alpha_0 is alpha0 itself: solving back
+        from x(alpha0), which rounds to an ulp of 1, would move it by about
+        1e-14.  For alpha0 from `find_c_parameter`, x(alpha0) lies in
+        g^n(H_p), a part of H'_p, and g maps each part of H'_p onto the
+        next, so every alpha_n is a member of C."""
         target = pair0.f.inverse_eval(pair0.overlap.lo)
-        if h_prime(self.g0, self.hole_ref.h_f).part_containing(target) is None:
-            raise ConstructionError(f"alpha0 = {alpha0} is not in C")
         out = [alpha0]
         for _ in range(count - 1):
             target = pair0.g.eval(target)
@@ -448,9 +433,7 @@ class PipelineReport:
             f"param_jp_width: {pr.jp_width:.17g}",
             f"param_bump_strength: {pr.bump_strength:.17g}",
             f"param_k: {pr.k:.17g}",
-            f"param_eps_window: (0, {pr.delta_max:.17g}]",
             f"param_n_target: {pr.n_target}",
-            f"delta: {pr.delta_max:.17g}",
             f"alpha0: {self.alpha0:.17g}",
             f"alphas: {', '.join(f'{a:.12g}' for a in self.alphas)}",
             f"n_final: {self.n_final}",

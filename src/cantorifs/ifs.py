@@ -199,11 +199,10 @@ def fundamental_domain(p: IFSPair, which: Literal["f", "g"], n: int) -> Interval
 
 @dataclass(frozen=True)
 class OrbitCloud:
-    """Deduplicated images of `seed` under all words of length <= depth."""
+    """Deduplicated images of a seed under all words up to a depth, as
+    `orbit` enumerates them."""
 
     points: np.ndarray
-    depth: int
-    seed: float
 
     def __post_init__(self) -> None:
         self.points.setflags(write=False)
@@ -258,7 +257,7 @@ def orbit(p: IFSPair, seed: float, depth: int) -> OrbitCloud:
         level = _dedup_sorted(level)
         if all_pts.size > ORBIT_CAP:
             raise ResourceCapError(f"orbit exceeds cap of {ORBIT_CAP} points")
-    return OrbitCloud(all_pts, depth, seed)
+    return OrbitCloud(all_pts)
 
 
 def minimal_set_cover(

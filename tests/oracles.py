@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -205,6 +205,21 @@ def x_of_full_pair(builder: ClassCBuilder, eps: float) -> float:
     return p.f.inverse_eval(p.g.eval(0.0))
 
 
+def h_prime(g: MapSpec, h_p: Interval) -> IntervalSet:
+    """H'_p, the union of the forward images g^n(H_p): disjoint parts
+    marching to 1, part 0 being H_p itself.  The paper's definition of the
+    parameter set C reads it: eps is in C when x(eps) lies in H'_p.
+
+    Ends with the first part shorter than eps_geom (kept), or at n = 10,000.
+    """
+    parts = [h_p]
+    for _ in range(10_000):
+        parts.append(g.image_of(parts[-1]))
+        if parts[-1].length < TOL.eps_geom:
+            break
+    return IntervalSet(parts)
+
+
 # -- orbits ------------------------------------------------------------------------
 
 
@@ -293,6 +308,16 @@ def pull_back_by_intervals(p: IFSPair, steps: Sequence[TraceStep], iv: Interval)
         elif s.op != "shrink":
             raise CertificateError(f"unknown op {s.op!r}")
     return iv
+
+
+def ruination_family(p: IFSPair, h: HolePair, which: Literal["f", "g"]) -> Iterator[Interval]:
+    """The parts of one ruination family in order n = 0, 1, 2, ...:
+    Q_n = f(g^n(h_g)) for the f-family, P_n = g(f^n(h_f)) for the g-family.
+    Endless, so a reader picks its own floor below eps_geom."""
+    outer, inner, cur = (p.f, p.g, h.h_g) if which == "f" else (p.g, p.f, h.h_f)
+    while True:
+        yield outer.image_of(cur)
+        cur = inner.image_of(cur)
 
 
 def ruination_gridscan(

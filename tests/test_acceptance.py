@@ -38,6 +38,7 @@ from oracles import (
     min_distance,
     orbit_bruteforce,
     phi_rescale_interval,
+    ruination_family,
     ruination_gridscan,
     verify_hole_disjoint,
 )
@@ -212,7 +213,7 @@ def test_acceptance_6_numerical_consistency(built, built_report):
 
 
 def test_acceptance_7_phi_equivariance(builder, built_report):
-    from cantorifs.axioms import find_hole, ruination_family
+    from cantorifs.axioms import find_hole
 
     alphas = built_report.alphas
 

@@ -36,7 +36,6 @@ from cantorifs.axioms import (
     induced_n,
     induced_step,
     run_axiom_checks,
-    ruination_family,
     ruination_parts,
     ruination_regions,
 )
@@ -50,6 +49,7 @@ from oracles import (
     induced_discontinuities_by_scan,
     induced_map,
     induced_step_two_pass,
+    ruination_family,
     ruination_gridscan,
 )
 

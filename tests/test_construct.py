@@ -19,8 +19,7 @@ from cantorifs.maps import (
 )
 from cantorifs.ifs import IFSPair, validate_class_a
 from cantorifs.axioms import (
-    RuinationRegions, check_ca, check_so, expansion_cells, find_hole, ruination_family,
-    ruination_regions)
+    RuinationRegions, check_ca, check_so, expansion_cells, find_hole, ruination_regions)
 from cantorifs.construct import (
     AppendixParams,
     ClassCBuilder,
@@ -33,7 +32,6 @@ from cantorifs.construct import (
     castrate,
     check_measure_bound,
     epsilon_family_specs,
-    h_prime,
     lambda_sequence,
     lambda_sets,
 )
@@ -41,8 +39,10 @@ from cantorifs.construct import (
 from oracles import (
     certify_cantor_by_complement,
     contains_points,
+    h_prime,
     phi_rescale,
     phi_rescale_interval,
+    ruination_family,
     x_of_full_pair,
 )
 
@@ -100,20 +100,16 @@ def test_bump_strength_bounds():
         ConstructionParams(bump_strength=4.7)
 
 
-@pytest.mark.parametrize("kwargs", [{"p": 0.34}, {"q": 0.66}, {"epsilon_range": Interval(0.0, 0.1)}])
+@pytest.mark.parametrize("kwargs", [{"p": 0.34}, {"q": 0.66}, {"epsilon_range": Interval(0.0, 0.1)},
+                                    {"delta_max": 0.125}])
 def test_construction_params_fix_the_bump_centres(kwargs):
-    """p and q are set by the base pair, and the eps window is (0, delta_max]."""
+    """p and q are set by the base pair, and the eps family bounds its own
+    window."""
     with pytest.raises(TypeError):
         ConstructionParams(**kwargs)
     params = ConstructionParams()
     assert (params.p, params.q) == (1.0 / 3.0, 2.0 / 3.0)
     assert params.j_p == Interval(1.0 / 3.0 - 0.005, 1.0 / 3.0 + 0.005)
-
-
-@pytest.mark.parametrize("delta_max", [0.0, -1.0, float("nan")])
-def test_construction_params_need_a_positive_delta_max(delta_max):
-    with pytest.raises(SpecError):
-        ConstructionParams(delta_max=delta_max)
 
 
 def test_bump_symmetry():
@@ -184,11 +180,11 @@ BOX_SAMPLES = pytest.mark.parametrize("params", [
 @BOX_SAMPLES
 def test_hole_at_alpha0_is_the_reference_hole(params):
     """The hole does not depend on eps: `hole_ref`, found on the bump pair,
-    is bit for bit the hole of the eps-pairs at alpha_0 and at delta_max/2,
+    is bit for bit the hole of the eps-pairs at alpha_0 and at eps = 1/16,
     so the construction does not search the pair at alpha_0 again."""
     _, report, b = build_class_c_example(params)
     assert find_hole(b.pair_at(report.alpha0).as_pair(), b.params.j_p) == b.hole_ref
-    mid = IFSPair.of(*epsilon_family_specs(b.f0, params.k, params.delta_max / 2.0))
+    mid = IFSPair.of(*epsilon_family_specs(b.f0, params.k, 0.0625))
     assert find_hole(mid, params.j_p) == b.hole_ref
 
 
@@ -243,7 +239,7 @@ def test_c_parameter_membership_margin(builder):
 
 def test_c_parameter_bracket_verified(builder):
     with pytest.raises(BracketError):
-        builder.find_c_parameter(2)  # target not reachable in the eps window
+        builder.find_c_parameter(2)  # no finite eps reaches the target
 
 
 def test_c_parameter_ordering(builder):
@@ -658,12 +654,15 @@ def test_lambda_raw_branching_at_depth_10(appendix):
 
 def test_lambda_nested():
     """`lambda_sequence` checks nestedness on its first two steps only; every
-    later step is nested too, exactly, at the default and at two corners."""
+    later step is nested too, exactly, at the default and at two corners:
+    each part of Lambda_{k+1} lies inside the part of Lambda_k that starts
+    at or before it."""
     for params in (AppendixParams(), AppendixParams(eps=0.001, lam=0.499),
                    AppendixParams(eps=0.16, lam=0.05)):
         seq = lambda_sequence(appendix_pair(params), params, 20)
         for a, b in zip(seq[1:], seq):
-            assert a.difference(b).measure() == 0.0
+            i = np.searchsorted(b.los, a.los, side="right") - 1
+            assert np.all(i >= 0) and np.all(a.his <= b.his[i])
 
 
 def test_lambda_sequence_refuses_a_step_past_the_cap(appendix, monkeypatch):

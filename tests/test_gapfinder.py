@@ -360,13 +360,13 @@ def test_pullback_checks_cloud_in_walk_space(built_ctx):
     y = pair.f.eval(pair.f.eval(x))
     assert walk_out.lo + eps < x < walk_out.hi - eps
     assert not cert.output.lo + eps < y < cert.output.hi - eps
-    cloud = OrbitCloud(np.array([x]), depth=0, seed=x)
+    cloud = OrbitCloud(np.array([x]))
     with pytest.raises(CertificateError, match="certified output") as err:
         find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=cloud)
     assert str(err.value) == f"1 orbit points inside certified output {walk_out}"
     # a point inside the final output but outside the walk-space one
     mid = cert.output.mid
-    cloud = OrbitCloud(np.array([mid]), depth=0, seed=mid)
+    cloud = OrbitCloud(np.array([mid]))
     with pytest.raises(CertificateError) as err:
         find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=cloud)
     assert str(err.value) == "1 orbit points inside pulled-back output"

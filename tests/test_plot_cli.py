@@ -231,12 +231,6 @@ def test_cli_rejects_negative_counts_at_parse_time(pair_file, tmp_path, argv):
     assert not out.exists()
 
 
-def test_cli_construct_rejects_a_non_positive_delta_max(tmp_path):
-    out = tmp_path / "out"
-    assert main(["construct", "--delta-max", "-1", "--output-dir", str(out)]) == 2
-    assert not out.exists()
-
-
 def _gaps_verdict(pair_file, tmp_path, *extra):
     """Run `gaps` on one interval; it must end in a verdict with the
     validate report and no certificate."""
@@ -491,18 +485,41 @@ def test_cli_construct(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "pair.json").read_text())
     assert doc["format"] == "cantorifs-pair"
+    report = (tmp_path / "construct_report.txt").read_text()
+    assert "all_axioms: ok" in report
+    # the eps family bounds its own window, so the report names none
+    assert "param_eps_window:" not in report and "\ndelta:" not in report
+
+
+def test_cli_construct_has_no_eps_window_option(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["construct", "--delta-max", "1", "--output-dir", str(out)]) == 2
+    assert "unrecognized arguments: --delta-max 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_construct_builds_at_n_target_8(tmp_path):
+    """alpha_0 = 0.176 at n_target = 8 is inside the family's window; an
+    upper bound of 1/8 on eps used to refuse it with BracketError."""
+    assert main(["construct", "--n-target", "8", "--output-dir", str(tmp_path)]) == 0
     assert "all_axioms: ok" in (tmp_path / "construct_report.txt").read_text()
 
 
-def test_cli_construct_delta_max_above_the_family_window(tmp_path):
-    """The eps window is read, not searched: with delta_max = 1.0, past the
-    family's own window, the build solves the same alpha_0 and writes the
-    default pair file byte for byte; `delta:` echoes delta_max."""
-    assert main(["construct", "--output-dir", str(tmp_path / "default")]) == 0
-    assert main(["construct", "--delta-max", "1.0", "--output-dir", str(tmp_path / "wide")]) == 0
-    pair_bytes = [(tmp_path / d / "pair.json").read_bytes() for d in ("default", "wide")]
-    assert pair_bytes[0] == pair_bytes[1]
-    assert "delta: 1\n" in (tmp_path / "wide" / "construct_report.txt").read_text()
+@pytest.mark.parametrize("argv, message", [
+    (["--n-target", "7"], "too large: the overlap preimage leaves the affine tail"),
+    (["--bump-strength", "2.2"], "inner containment failed: g0(J'_p) = "),
+    (["--bump-strength", "4.6"], "bump profile infeasible: low slope m = "),
+    (["--n-target", "22"], "gamma needs g(0) in r_f and f(1) in r_g"),
+], ids=["eps-past-the-family-window", "inner-containment", "bump-profile", "gamma-ends"])
+def test_cli_construct_refusal_is_one_error_line(tmp_path, capsys, argv, message):
+    """Valid options the construction cannot build from exit 2 with one
+    ConstructionError line and write no pair file."""
+    out = tmp_path / "out"
+    assert main(["construct", *argv, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConstructionError: ") and message in err
+    assert err.count("\n") == 1
+    assert not (out / "pair.json").exists()
 
 
 def test_cli_construct_builds_at_n_target_16(tmp_path):
