@@ -162,35 +162,35 @@ def _inverse_orbit(p: IFSPair, which: Literal["F", "G"], x: float) -> list[float
 
 
 def induced_step(p: IFSPair, which: Literal["F", "G"], iv: Interval) -> tuple[int, Interval]:
-    """(n, image): n = `induced_n` at iv's midpoint and the image of iv under
-    return^{-n} after first^{-1}, in one pass.  The midpoint and both ends
-    are inverted in lockstep, each by the same `inverse_eval` calls in the
-    same order as `_inverse_orbit` and n-fold end inversion would make, so
-    n and the floats are theirs.
-
-    The midpoint's chain decides first, as in two passes: when an inversion
-    fails (RangeError, or a Hermite inversion's IterationCapError) the
-    midpoint's chain is run alone, and its error, if any, is raised instead
-    of the end's."""
+    """(n, image): n = `induced_n` at iv's midpoint, and the image of iv under
+    return^{-n} after first^{-1} from its two ends' `inverse_eval` chains.
+    When an end's inversion fails, the midpoint's chain runs first and its
+    error, if any, is raised instead of the end's, as in two passes."""
     x = iv.mid
-    a, b, codom = _oriented_at(p, which, x)
-    c_lo, c_hi = codom.lo, codom.hi
-    y = a.inverse_eval(x)
+    n = induced_n(p, x, which)
+    a, b = (p.f, p.g) if which == "F" else (p.g, p.f)
     try:
         lo, hi = a.inverse_eval(iv.lo), a.inverse_eval(iv.hi)
-        for n in range(TOL.max_iter):
-            if c_lo <= y <= c_hi:
-                return n, Interval(lo, hi)
-            y = b.inverse_eval(y)
+        for _ in range(n):
             lo, hi = b.inverse_eval(lo), b.inverse_eval(hi)
     except (RangeError, IterationCapError):
         _inverse_orbit(p, which, x)
         raise
-    raise IterationCapError(f"inverse orbit did not land in {codom} from x={x}")
+    return n, Interval(lo, hi)
 
 
 def induced_n(p: IFSPair, x: float, which: Literal["F", "G"]) -> int:
-    """Least n >= 0 with (return map)^{-n}(first^{-1}(x)) in the codomain."""
+    """Least n >= 0 with (return map)^{-n}(first^{-1}(x)) in the codomain,
+    read off the cached jump sites, between which n is constant: with i
+    sites below x - eps_newton, n = i for F and len(jumps_G) - i for G.  The
+    inverse chain decides instead where a site lies within eps_newton of x,
+    past the last cached site, at n >= max_iter and outside [f^2(1), g^2(0)]."""
+    sites = p.jumps_F if which == "F" else p.jumps_G
+    i = bisect_left(sites, x - TOL.eps_newton)
+    n, past = (i, len(sites)) if which == "F" else (len(sites) - i, 0)
+    if (i != past and n < TOL.max_iter and i == bisect_right(sites, x + TOL.eps_newton)
+            and p.f1.lo <= x <= p.g1.hi and which in ("F", "G")):
+        return n
     return len(_inverse_orbit(p, which, x)) - 1
 
 

@@ -130,6 +130,9 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
 
 
 def cmd_gaps(args: argparse.Namespace) -> int:
+    if args.certify and (args.lo is not None or args.hi is not None):
+        print("gaps: --certify sweeps all of [0, 1]; drop --lo and --hi", file=sys.stderr)
+        return 2
     if not args.certify:
         if args.lo is None or args.hi is None:
             print("gaps: need --lo and --hi (or --certify)", file=sys.stderr)

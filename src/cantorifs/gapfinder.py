@@ -289,9 +289,9 @@ def find_gap_core(
 ) -> GapCertificate:
     """Run the case-driven induction for J meeting F1 ∪ G1.
 
-    Each step classifies the current interval once.  An induced step inverts
-    its midpoint and both ends in one pass (`induced_step`): the midpoint's
-    chain fixes n, the ends' chains give the image.  A boundary hit ends in
+    Each step classifies the current interval once.  An induced step
+    (`induced_step`) reads n at the midpoint off the jump sites and inverts
+    only the two ends, n + 1 times each.  A boundary hit ends in
     one of `_boundary_lemma`'s three sub-cases, or else splits at the hits
     and keeps the largest piece inside F1 ∪ G1.  The terminal piece is
     pulled back through the walk's steps and clipped to J; when `cloud` is

@@ -15,7 +15,7 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from cantorifs.axioms import HolePair, RuinationRegions, _inverse_orbit, induced_n
+from cantorifs.axioms import HolePair, RuinationRegions, _inverse_orbit
 from cantorifs.construct import AppendixParams, ClassCBuilder, epsilon_family_specs, lambda_sequence
 from cantorifs.errors import CertificateError, DomainError, RangeError, SpecError
 from cantorifs.gapfinder import TraceStep, _orbit_points_inside
@@ -275,6 +275,11 @@ def induced_map(p: IFSPair, which: Literal["F", "G"], x: float) -> float:
     return _inverse_orbit(p, which, x)[-1]
 
 
+def induced_n_by_chain(p: IFSPair, x: float, which: Literal["F", "G"]) -> int:
+    """`axioms.induced_n` by inverting x until it lands, not by the sites."""
+    return len(_inverse_orbit(p, which, x)) - 1
+
+
 def induced_discontinuities_by_scan(
     p: IFSPair, which: Literal["F", "G"], region: Interval
 ) -> list[float]:
@@ -287,8 +292,8 @@ def induced_step_two_pass(
     p: IFSPair, which: Literal["F", "G"], iv: Interval
 ) -> tuple[int, Interval]:
     """n from the midpoint's inverse orbit, then the n-fold inverse image of
-    iv: the two passes that `axioms.induced_step` makes in one."""
-    n = induced_n(p, iv.mid, which)
+    iv: `axioms.induced_step` reads the same n off the jump sites."""
+    n = induced_n_by_chain(p, iv.mid, which)
     first, ret = (p.f, p.g) if which == "F" else (p.g, p.f)
     lo, hi = first.inverse_eval(iv.lo), first.inverse_eval(iv.hi)
     for _ in range(n):

@@ -39,7 +39,8 @@ from cantorifs.axioms import (
     ruination_parts,
     ruination_regions,
 )
-from cantorifs.construct import ConstructionParams, bump_modify, epsilon_family_specs
+from cantorifs.construct import ClassCBuilder, ConstructionParams, bump_modify, epsilon_family_specs
+from cantorifs.gapfinder import certify_cantor
 
 from oracles import (
     apply_word,
@@ -48,6 +49,7 @@ from oracles import (
     dilate,
     induced_discontinuities_by_scan,
     induced_map,
+    induced_n_by_chain,
     induced_step_two_pass,
     ruination_family,
     ruination_gridscan,
@@ -260,8 +262,8 @@ def _inverse_calls(monkeypatch, fn):
 
 
 def test_induced_step_matches_two_passes(built_ctx, monkeypatch):
-    """Same n, same floats, and the same `inverse_eval` calls: each value's
-    chain in the same order, only interleaved."""
+    """Same n, same floats, and the ends' `inverse_eval` calls of two passes
+    in the same order; the midpoint's chain is not run."""
     pair = built_ctx["pair"]
     ns = set()
     for which, dom in (("F", pair.f1), ("G", pair.g1)):
@@ -276,12 +278,50 @@ def test_induced_step_matches_two_passes(built_ctx, monkeypatch):
             assert n == want[0]
             assert (got[1].lo.hex(), got[1].hi.hex()) == (want[1].lo.hex(), want[1].hi.hex())
             # two passes: the midpoint's n + 1 calls, then lo and hi by turns
-            assert len(calls) == len(want_calls) == 3 * (n + 1)
-            assert calls[0::3] == want_calls[:n + 1]
-            assert calls[1::3] == want_calls[n + 1::2]
-            assert calls[2::3] == want_calls[n + 2::2]
+            assert len(calls) == 2 * (n + 1) and len(want_calls) == 3 * (n + 1)
+            assert calls == want_calls[n + 1:]
             ns.add(n)
     assert {0, 1, 2, 3} <= ns
+
+
+def test_certify_sweep_inverts_only_the_ends(built_ctx, monkeypatch):
+    """The 1e-2 sweep's `inverse_eval` calls: each induced step inverts its
+    two ends only (1,128 calls when it also ran the midpoint's chain)."""
+    c = built_ctx
+    rep, calls = _inverse_calls(monkeypatch, lambda: certify_cantor(
+        c["pair"], c["hole"], c["ruin"], c["bsets"], resolution=1e-2, depth=14, mu=c["mu"]))
+    assert rep.all_certified and rep.n_certified == 100
+    assert len(calls) == 820
+
+
+def _n_or_error(fn):
+    try:
+        return fn()
+    except (DomainError, RangeError, IterationCapError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_induced_n_site_read_matches_chain(built_ctx):
+    """The site read gives the chain's n, or raises the chain's error, at
+    every cached site and the float on each side of it, at the domain's
+    ends and just past them, and at 20,000 seeded points per branch, on the
+    built pair, an ε-family pair and a slow pair (slopes 0.9)."""
+    rng = np.random.default_rng(26)
+    slow = validate_class_a(affine_spec(0.9, 0.0), affine_spec(0.9, 0.1)).as_pair()
+    errors = set()
+    for pair in (built_ctx["pair"], ClassCBuilder().pair_at(0.05).pair, slow):
+        for which, sites, dom in (("F", pair.jumps_F, pair.f1), ("G", pair.jumps_G, pair.g1)):
+            ends = [e + d for e in (dom.lo, dom.hi)
+                    for d in (0.0, -0.5 * TOL.eps_geom, 0.5 * TOL.eps_geom, -2 * TOL.eps_geom,
+                              2 * TOL.eps_geom)]
+            xs = [q for s in (*sites, *ends)
+                  for q in (math.nextafter(s, 0.0), s, math.nextafter(s, 1.0))]
+            for x in xs + rng.uniform(dom.lo, dom.hi, 20_000).tolist():
+                want = _n_or_error(lambda: induced_n_by_chain(pair, x, which))
+                assert _n_or_error(lambda: induced_n(pair, x, which)) == want, (which, x)
+                if isinstance(want, tuple):
+                    errors.add(want[0])
+    assert errors == {"DomainError", "RangeError", "IterationCapError"}
 
 
 def _error(fn) -> tuple[str, str] | None:
@@ -466,7 +506,7 @@ def test_ee_cell_bounds_below_induced_deriv(built_ctx, which):
     assert any(pair.overlap.contains_interval(Interval(c.lo, c.hi)) for c in cells)  # in W
     for c in cells:
         for x in _interior_grid(c):
-            assert induced_n(pair, float(x), which) == c.n
+            assert induced_n_by_chain(pair, float(x), which) == c.n
             assert c.bound <= induced_deriv(pair, which, float(x))
     assert tail.hi == dom.hi if which == "F" else tail.lo == dom.lo  # f(1) / g(0)
     for x in _interior_grid(tail, 9):

@@ -178,6 +178,18 @@ def test_cli_gaps_rejects_bad_interval_before_work(pair_file, tmp_path, monkeypa
                      "--output-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("window", [["--lo", "0.3"], ["--hi", "0.31"],
+                                    ["--lo", "0.3", "--hi", "0.31"]])
+def test_cli_gaps_certify_refuses_a_window(pair_file, tmp_path, monkeypatch, capsys, window):
+    """The sweep covers [0, 1]; a window beside --certify was dropped, and
+    its report still echoed config_lo/config_hi."""
+    _no_validation(monkeypatch)
+    assert main(["gaps", pair_file, "--certify", *window, "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gaps: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("bad", [["--resolution", "0"], ["--resolution", "-0.01"],
                                  ["--resolution", "nan"], ["--depth", "0"],
                                  ["--verification-depth", "-1"]])
