@@ -129,30 +129,26 @@ def find_hole(p: IFSPair, seed: Interval) -> HolePair:
 # ---------------------------------------------------------------------------
 
 
-def _oriented(p: IFSPair, which: Literal["F", "G"]) -> tuple[MapSpec, MapSpec, Interval, Interval]:
-    """(first map, return map, domain, codomain) for the induced map."""
+def _oriented(
+    p: IFSPair, which: Literal["F", "G"]
+) -> tuple[MapSpec, MapSpec, Interval, Interval, tuple[float, ...]]:
+    """(first map, return map, domain, codomain, jump sites) of the induced
+    map: the one place that says what each branch is made of."""
     if which == "F":
-        return p.f, p.g, p.f1, p.g1
+        return p.f, p.g, p.f1, p.g1, p.jumps_F
     if which == "G":
-        return p.g, p.f, p.g1, p.f1
+        return p.g, p.f, p.g1, p.f1, p.jumps_G
     raise DomainError(f"which must be 'F' or 'G', got {which!r}")
-
-
-def _oriented_at(p: IFSPair, which: Literal["F", "G"], x: float) -> tuple[MapSpec, MapSpec, Interval]:
-    """(first map, return map, codomain) for the induced map at x.  Its
-    domain excludes the fixed-side endpoint (f(1) for F, g(0) for G), where
-    the backward orbit parks at a fixed point."""
-    a, b, dom, codom = _oriented(p, which)
-    bad = dom.hi if which == "F" else dom.lo
-    if not dom.contains(x, slack=TOL.eps_geom) or x == bad:
-        raise DomainError(f"x={x} outside the induced map's domain {dom} minus endpoint")
-    return a, b, codom
 
 
 def _inverse_orbit(p: IFSPair, which: Literal["F", "G"], x: float) -> list[float]:
     """The inverse chain first^{-1}(x), then return^{-1} of each point, up to
-    and including the first point in the codomain."""
-    a, b, codom = _oriented_at(p, which, x)
+    and including the first point in the codomain.  The induced map's domain
+    excludes the fixed-side endpoint (f(1) for F, g(0) for G), where the
+    backward orbit parks at a fixed point."""
+    a, b, dom, codom, _ = _oriented(p, which)
+    if not dom.contains(x, slack=TOL.eps_geom) or x == (dom.hi if which == "F" else dom.lo):
+        raise DomainError(f"x={x} outside the induced map's domain {dom} minus endpoint")
     ys = [a.inverse_eval(x)]
     for _ in range(TOL.max_iter):
         if codom.contains(ys[-1]):
@@ -168,7 +164,7 @@ def induced_step(p: IFSPair, which: Literal["F", "G"], iv: Interval) -> tuple[in
     error, if any, is raised instead of the end's, as in two passes."""
     x = iv.mid
     n = induced_n(p, x, which)
-    a, b = (p.f, p.g) if which == "F" else (p.g, p.f)
+    a, b, _, _, _ = _oriented(p, which)
     try:
         lo, hi = a.inverse_eval(iv.lo), a.inverse_eval(iv.hi)
         for _ in range(n):
@@ -185,11 +181,11 @@ def induced_n(p: IFSPair, x: float, which: Literal["F", "G"]) -> int:
     sites below x - eps_newton, n = i for F and len(jumps_G) - i for G.  The
     inverse chain decides instead where a site lies within eps_newton of x,
     past the last cached site, at n >= max_iter and outside [f^2(1), g^2(0)]."""
-    sites = p.jumps_F if which == "F" else p.jumps_G
+    sites = _oriented(p, which)[4]
     i = bisect_left(sites, x - TOL.eps_newton)
     n, past = (i, len(sites)) if which == "F" else (len(sites) - i, 0)
     if (i != past and n < TOL.max_iter and i == bisect_right(sites, x + TOL.eps_newton)
-            and p.f1.lo <= x <= p.g1.hi and which in ("F", "G")):
+            and p.f1.lo <= x <= p.g1.hi):
         return n
     return len(_inverse_orbit(p, which, x)) - 1
 
@@ -197,7 +193,7 @@ def induced_n(p: IFSPair, x: float, which: Literal["F", "G"]) -> int:
 def induced_deriv(p: IFSPair, which: Literal["F", "G"], x: float) -> float:
     """Chain rule along the realized inverse word:
     (1/first'(first^{-1} x)) * prod over the backward orbit of 1/return'."""
-    a, b, _, _ = _oriented(p, which)
+    a, b, _, _, _ = _oriented(p, which)
     ys = _inverse_orbit(p, which, x)
     d = 1.0 / a.deriv(ys[0])
     for y in ys[1:]:
@@ -209,12 +205,7 @@ def induced_discontinuities(p: IFSPair, which: Literal["F", "G"], region: Interv
     """Sites strictly inside `region` where n(x) jumps, sorted: the pair's
     `jumps_F` (f(g^j(0)), j >= 2, accumulating at f(1)) or `jumps_G`.  The
     sites are sorted, so they are one slice of them."""
-    if which == "F":
-        sites = p.jumps_F
-    elif which == "G":
-        sites = p.jumps_G
-    else:
-        raise DomainError(f"which must be 'F' or 'G', got {which!r}")
+    sites = _oriented(p, which)[4]
     return list(sites[bisect_right(sites, region.lo):bisect_left(sites, region.hi)])
 
 
@@ -297,7 +288,7 @@ def expansion_cells(
     product.  If no such k comes within max_iter steps the cell is not
     enclosed.
     """
-    first, ret, dom, _ = _oriented(p, which)
+    first, ret, dom, _, _ = _oriented(p, which)
     sites = induced_discontinuities(p, which, dom)
     if which == "F":
         fixed, acc_end, edges = 1.0, dom.hi, [dom.lo, *sites]
@@ -555,7 +546,8 @@ def run_axiom_checks(
     mu_target: float,
 ) -> AxiomReport:
     """Class-A is assumed already validated for `p`; runs So, Ho, Ee, Ca in
-    order, short-circuiting on failure."""
+    order.  A failing So or Ho stops the run; Ee and Ca both run once the
+    hole is found, so a failing Ee still reports Ca."""
     so = check_so(p)
     if not so.ok:
         return AxiomReport(so, None, None, None, None, None, None)

@@ -212,9 +212,8 @@ def cmd_strip(args: argparse.Namespace) -> int:
 
 
 def _emit(args: argparse.Namespace, default_name: str, text: str) -> None:
-    outdir = Path(getattr(args, "output_dir", "."))
-    _write(outdir / default_name, text)
-    if getattr(args, "echo", False):
+    _write(Path(args.output_dir) / default_name, text)
+    if args.echo:
         sys.stdout.write(text)
 
 

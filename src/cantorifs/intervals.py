@@ -34,15 +34,6 @@ class Tolerance:
     eps_newton: float
     max_iter: int
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eps_newton <= self.eps_geom < 1e-3):
-            raise SpecError(
-                f"need 0 < eps_newton <= eps_geom < 1e-3, got "
-                f"eps_newton={self.eps_newton}, eps_geom={self.eps_geom}"
-            )
-        if self.max_iter < 1:
-            raise SpecError("max_iter must be positive")
-
 
 TOL = Tolerance(eps_geom=1e-9, eps_newton=1e-12, max_iter=100)
 

@@ -31,9 +31,6 @@ class Affine:
     slope: float
     intercept: float
 
-    def value(self, x: float) -> float:
-        return self.slope * x + self.intercept
-
 
 @dataclass(frozen=True)
 class CubicHermite:
@@ -133,7 +130,7 @@ class Segment:
     @cached_property
     def y_hi(self) -> float:
         k = self.kind
-        return k.y_hi if isinstance(k, CubicHermite) else k.value(self.x_hi)
+        return k.y_hi if isinstance(k, CubicHermite) else k.slope * self.x_hi + k.intercept
 
 
 def cubic_extremes(a: tuple[float, ...], t_a: float, t_b: float) -> tuple[tuple[float, float], ...]:
@@ -325,9 +322,6 @@ class MapSpec:
     def image_of(self, iv: Interval) -> Interval:
         return Interval(self.eval(iv.lo), self.eval(iv.hi))
 
-    def preimage_of(self, iv: Interval) -> Interval:
-        return Interval(self.inverse_eval(iv.lo), self.inverse_eval(iv.hi))
-
 
 def identity_spec() -> MapSpec:
     return MapSpec((Segment(0.0, 1.0, Affine(1.0, 0.0)),), label="id")
@@ -407,18 +401,15 @@ def conjugate_segment(s: Segment, a1: float, b1: float, a2: float, b2: float) ->
 # -- serialization ------------------------------------------------------------
 
 
-def _seg_to_dict(s: Segment) -> dict:
-    k = s.kind
-    if isinstance(k, Affine):
-        return {"x_lo": s.x_lo, "x_hi": s.x_hi, "kind": "affine",
-                "slope": k.slope, "intercept": k.intercept}
-    return {"x_lo": s.x_lo, "x_hi": s.x_hi, "kind": "cubic_hermite",
-            "y_lo": k.y_lo, "y_hi": k.y_hi, "d_lo": k.d_lo, "d_hi": k.d_hi}
-
-
 #: The number fields of a segment of each kind, after x_lo and x_hi.
 _KIND_FIELDS = {"affine": ("slope", "intercept"),
                 "cubic_hermite": ("y_lo", "y_hi", "d_lo", "d_hi")}
+
+
+def _seg_to_dict(s: Segment) -> dict:
+    kind = "affine" if isinstance(s.kind, Affine) else "cubic_hermite"
+    return {"x_lo": s.x_lo, "x_hi": s.x_hi, "kind": kind,
+            **{name: getattr(s.kind, name) for name in _KIND_FIELDS[kind]}}
 
 
 def spec_to_dict(m: MapSpec) -> dict:

@@ -193,6 +193,26 @@ def test_one_expansion_front_end():
     assert callers == ["cantorifs.axioms.run_axiom_checks"]
 
 
+def test_one_branch_table():
+    """Only `axioms._oriented` reads the pair's jump sites (`ifs` defines
+    them): every other use of an induced branch takes its maps, domain,
+    codomain and sites from that one table."""
+    def site_reads(tree: ast.AST) -> int:
+        return sum(isinstance(n, ast.Attribute) and n.attr in ("jumps_F", "jumps_G")
+                   for n in ast.walk(tree))
+
+    def source(fn) -> ast.AST:
+        return ast.parse(textwrap.dedent(inspect.getsource(fn)))
+
+    functions = _package_functions()
+    readers = sorted(name for name, fn in functions.items() if site_reads(source(fn)))
+    assert readers == ["cantorifs.axioms._oriented"]
+    # and no read outside a function body
+    in_src = sum(site_reads(ast.parse(path.read_text(encoding="utf-8")))
+                 for path in (REPO / "src" / "cantorifs").glob("*.py"))
+    assert in_src == site_reads(source(functions["cantorifs.axioms._oriented"]))
+
+
 def _loads(tree: ast.AST) -> Counter:
     """Each name read in `tree`, as a Name or as an Attribute, with its count."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)

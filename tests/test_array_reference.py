@@ -58,7 +58,7 @@ def _image(m, s):
 
 
 def reference_lambda_sequence(pair, params, n):
-    seq = [params.block_set]
+    seq = [IntervalSet(params.blocks)]
     for _ in range(n):
         seq.append(_image(pair.f, seq[-1]).union(_image(pair.g, seq[-1])))
     return seq

@@ -456,6 +456,20 @@ def test_induced_map_domain_error(built_ctx):
         induced_n(pair, f1.hi, "F")  # the removed endpoint f(1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p, h: induced_n(p, 0.3, "H"),
+    lambda p, h: induced_step(p, "H", Interval(0.3, 0.31)),
+    lambda p, h: induced_deriv(p, "H", 0.3),
+    lambda p, h: induced_discontinuities(p, "H", Interval(0.0, 1.0)),
+    lambda p, h: axioms.expansion_cells(p, "H", h.h_f),
+], ids=["induced_n", "induced_step", "induced_deriv", "induced_discontinuities",
+        "expansion_cells"])
+def test_induced_maps_refuse_a_bad_branch(built_ctx, call):
+    with pytest.raises(DomainError) as err:
+        call(built_ctx["pair"], built_ctx["hole"])
+    assert str(err.value) == "which must be 'F' or 'G', got 'H'"
+
+
 # -- eventual expansion -----------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from cantorifs.maps import (
     MapSpec,
     Segment,
     affine_spec,
+    iterate_interval,
     pair_from_json,
     pair_to_json,
     symmetry_conjugate,
@@ -232,7 +233,7 @@ def test_h_prime_self_similarity(builder):
 def test_c_parameter_membership_margin(builder):
     eps, pair = builder.find_c_parameter(builder.params.n_target)
     assert pair == builder.pair_at(eps).pair
-    target = builder.g_power_hole(builder.params.n_target)
+    target = iterate_interval(builder.g0, builder.params.n_target, builder.hole_ref.h_f)
     x = x_of_full_pair(builder, eps)
     assert target.lo + target.length / 10 <= x <= target.hi - target.length / 10
 

@@ -6,7 +6,8 @@ import pytest
 
 from cantorifs import gapfinder
 from cantorifs.errors import (
-    CertificateError, ClassificationError, DomainError, IterationCapError, RangeError, SpecError,
+    CertificateError, ClassificationError, DomainError, IterationCapError, RangeError,
+    ResourceCapError, SpecError,
 )
 from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
 from cantorifs.ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover
@@ -353,7 +354,8 @@ def test_pullback_checks_cloud_in_walk_space(built_ctx):
     J = Interval(f3.mid - 1e-5, f3.mid + 1e-5)
     cert = find_gap(J, pair, hole, ruin, bsets, mu=mu)
     pullback = cert.trace[0]
-    start = pair.f.preimage_of(pair.f.preimage_of(pullback.interval))
+    start = Interval(*(pair.f.inverse_eval(pair.f.inverse_eval(y))
+                       for y in (pullback.interval.lo, pullback.interval.hi)))
     walk_out = find_gap_core(start, pair, hole, ruin, bsets, mu=mu).output
     eps = TOL.eps_geom
     x = walk_out.lo + 1.5 * eps
@@ -516,6 +518,23 @@ def test_certify_cantor_propagates_library_faults(built_ctx, monkeypatch):
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     with pytest.raises(RangeError, match="no preimage"):
         certify_cantor(pair, hole, ruin, bsets, resolution=0.1, depth=8,
+                       mu=mu, verification_depth=10)
+
+
+@pytest.mark.parametrize("resolution, error", [
+    (1e-9, ResourceCapError), (5e-324, ResourceCapError),
+    (0.0, DomainError), (math.nan, DomainError)])
+def test_certify_cantor_refuses_a_bad_resolution_before_the_grid(built_ctx, monkeypatch,
+                                                                  resolution, error):
+    """A grid past `ifs.ORBIT_CAP` cells is refused before it is built; 0
+    and NaN are the cover's DomainError."""
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(gapfinder, "grid_cells_meeting", no_grid)
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    with pytest.raises(error):
+        certify_cantor(pair, hole, ruin, bsets, resolution=resolution, depth=8,
                        mu=mu, verification_depth=10)
 
 

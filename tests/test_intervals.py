@@ -8,7 +8,6 @@ from cantorifs.errors import SpecError
 from cantorifs.intervals import (
     Interval,
     IntervalSet,
-    Tolerance,
     from_csv,
     grid_cells_meeting,
     to_csv,
@@ -65,13 +64,6 @@ def test_tuple_parts_need_hi_at_least_lo(part):
 def test_degenerate_and_signed_zero_parts_allowed():
     s = IntervalSet(los=np.array([0.0, 0.5]), his=np.array([-0.0, 0.5]))
     assert s.n_parts == 2 and s.measure() == 0.0
-
-
-def test_tolerance_invariant():
-    with pytest.raises(SpecError):
-        Tolerance(eps_geom=1e-2, eps_newton=1e-12, max_iter=100)
-    with pytest.raises(SpecError):
-        Tolerance(eps_geom=1e-9, eps_newton=1e-8, max_iter=100)
 
 
 # -- union ------------------------------------------------------------------

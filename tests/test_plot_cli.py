@@ -154,6 +154,25 @@ def test_cli_gaps_certify(pair_file, tmp_path):
     assert (tmp_path / "certify_report.csv").exists()
 
 
+@pytest.mark.parametrize("resolution", ["1e-9", "5e-324"])
+def test_cli_gaps_certify_refuses_a_grid_past_the_cap(pair_file, tmp_path, monkeypatch, capsys,
+                                                      resolution):
+    """5e-324 once ended in an OverflowError traceback, and 1e-9 would
+    allocate gigabytes for the grid."""
+    import cantorifs.gapfinder as gapfinder
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(gapfinder, "grid_cells_meeting", no_grid)
+    out = tmp_path / "out"
+    assert main(["gaps", pair_file, "--certify", "--resolution", resolution,
+                 "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ResourceCapError: ")
+    assert not out.exists()
+
+
 def test_cli_gaps_usage_error(pair_file, tmp_path):
     code = main(["gaps", pair_file, "--output-dir", str(tmp_path)])
     assert code == 2  # neither --certify nor an explicit interval
