@@ -154,7 +154,7 @@ def cmd_gaps(args: argparse.Namespace) -> int:
         _emit(args, "certify_report.csv", report.to_csv())
         return 0 if report.all_certified else 1
     try:
-        cert = find_gap(Interval(args.lo, args.hi), pair, hole, ruin, bsets, mu=mu)
+        cert = find_gap(Interval(args.lo, args.hi), pair, hole, ruin, bsets, mu=mu, cloud=None)
     except WALK_VERDICTS as e:  # no certificate for this window: a verdict
         print(f"gaps: no certificate: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

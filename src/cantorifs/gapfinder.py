@@ -20,6 +20,16 @@ The induced maps are only piecewise continuous; where the iteration count
 n(x) jumps inside the current interval, the walk shrinks to the largest
 clean piece and records the shrink.  Restricting the interval is always
 sound (any certified sub-interval of a sub-interval works).
+
+All the windows of a sweep walk together, in rounds (`_walk`).  The live
+intervals are two float arrays, and a round moves every one of them one
+step: one `classify` call for all, one shrink at the jump sites and one
+batch of end inversions per induced branch.  Each array operation repeats
+the scalar one element by element, so the floats are those of a walk of
+one interval at a time.  The rare branches run per interval inside the
+round: the boundary lemma past its hole case, the split at boundary
+points, a return count the inverse chain decides and the pull-back of a
+window beside F1 ∪ G1.  `find_gap` walks its one window the same way.
 """
 
 from __future__ import annotations
@@ -28,21 +38,16 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (CertificateError, ClassificationError, DomainError, IterationCapError,
-                     ResourceCapError, SpecError)
+                     RangeError, ResourceCapError, SpecError)
 from .intervals import TOL, Interval, IntervalSet, grid_cells_meeting
 from .ifs import ORBIT_CAP, IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
-from .axioms import (
-    HolePair,
-    RuinationRegions,
-    induced_discontinuities,
-    induced_step,
-)
-from .maps import MapSpec
+from .axioms import HolePair, RuinationRegions, _oriented, induced_n, induced_step
+from .maps import _FEW, MapSpec
 
 #: The `find_gap` failures that are verdicts on a cell, reported as data by
 #: `certify_cantor`; any other error is a fault and propagates.
@@ -103,11 +108,28 @@ class GapCertificate:
 # Case classification
 # ---------------------------------------------------------------------------
 
+#: `classify` answers with an index into CASES: the window's CaseTag, or,
+#: for a window that fits no case, the end of its ClassificationError.
+#: Each induced branch's cases come first, its hole leading, so a branch is
+#: a range of indexes.
+CASES: tuple[CaseTag | str, ...] = (
+    CaseTag.IN_HF, CaseTag.IN_W_RG, CaseTag.IN_F1_FREE,
+    CaseTag.IN_HG, CaseTag.IN_W_RF, CaseTag.IN_G1_FREE,
+    CaseTag.BOUNDARY_HIT, CaseTag.IN_W_OVERLAP, CaseTag.PULLBACK_FN,
+    "in W fits no ruination case (truncation too shallow?)", "fits no case region")
+(_HF, _W_RG, _F1_FREE, _HG, _W_RF, _G1_FREE, _HIT, _W_OVERLAP, _BESIDE, _NO_RUINATION,
+ _NO_CASE) = range(len(CASES))
 
-def _in_part(j: Interval, s: IntervalSet) -> bool:
-    """j lies in the part of s containing its midpoint, widened by eps_geom."""
-    part = s.part_containing(j.mid)
-    return part is not None and part.contains_interval(j, -TOL.eps_geom)
+
+def _in_part(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, s: IntervalSet) -> np.ndarray:
+    """Each window lies in the part of s holding its midpoint, widened by
+    eps_geom.  Only the last part with lo <= mid can hold it."""
+    if s.is_empty():
+        return np.zeros(mid.shape, dtype=bool)
+    i = s.los.searchsorted(mid, side="right") - 1
+    k = np.maximum(i, 0)
+    eps = TOL.eps_geom
+    return (i >= 0) & (mid <= s.his[k]) & (s.los[k] - eps <= lo) & (hi <= s.his[k] + eps)
 
 
 def _boundary_hits(J: Interval, b: tuple[float, ...]) -> tuple[float, ...]:
@@ -117,100 +139,121 @@ def _boundary_hits(J: Interval, b: tuple[float, ...]) -> tuple[float, ...]:
     return b[bisect_right(b, J.lo + eps):bisect_left(b, J.hi - eps)]
 
 
-def _side_outside(J: Interval, p: IFSPair) -> Literal["f", "g"] | None:
-    """"f" ("g") when J's midpoint lies left (right) of F1 ∪ G1 and J reaches
-    at most eps_geom into it; None when the walk can start from J."""
-    if J.hi <= p.f1.lo + TOL.eps_geom and J.mid <= p.f1.lo:
-        return "f"
-    return "g" if J.lo >= p.g1.hi - TOL.eps_geom and J.mid >= p.g1.hi else None
+def _beside(lo, hi, p: IFSPair):
+    """(left, right), for floats or arrays: the window's midpoint lies left
+    (right) of F1 ∪ G1 and the window reaches at most eps_geom into it, so
+    the walk cannot start from it."""
+    eps, mid = TOL.eps_geom, 0.5 * (lo + hi)
+    return (hi <= p.f1.lo + eps) & (mid <= p.f1.lo), (lo >= p.g1.hi - eps) & (mid >= p.g1.hi)
 
 
-def classify(
-    J: Interval, p: IFSPair, h: HolePair, r: RuinationRegions, b: tuple[float, ...]
-) -> CaseTag:
-    """Exactly one case tag for an interval of positive length.
+def classify(lo, hi, p: IFSPair, h: HolePair, r: RuinationRegions, b) -> np.ndarray:
+    """The case of each window [lo, hi] of positive length, as an index
+    into CASES (one numpy integer for floats); `b` holds the sorted
+    boundary points.
 
-    BOUNDARY_HIT when a boundary point lies strictly inside J; PULLBACK_FN
-    when `_side_outside` places J beside F1 ∪ G1; else one of the five regions,
-    with the W case refined through the ruination regions.
+    The first that applies: BOUNDARY_HIT when a boundary point lies in it
+    as `_boundary_hits` reads them; PULLBACK_FN when `_beside` places it
+    beside F1 ∪ G1; a hole; W, refined through the part of r_f ∩ r_g, r_f
+    or r_g holding its midpoint, else no ruination case; a free region;
+    else no case.  Each containment is widened by eps_geom.
     """
-    if J.length <= 0:
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if not (hi - lo > 0).all():  # NaN fails too
         raise DomainError("classify needs positive length")
-    eps = TOL.eps_geom
-    if _boundary_hits(J, b):
-        return CaseTag.BOUNDARY_HIT
-    if _side_outside(J, p):
-        return CaseTag.PULLBACK_FN
-    if h.h_f.contains_interval(J, -eps):
-        return CaseTag.IN_HF
-    if h.h_g.contains_interval(J, -eps):
-        return CaseTag.IN_HG
-    if p.overlap.contains_interval(J, -eps):
-        if _in_part(J, r.rfrg):
-            return CaseTag.IN_W_OVERLAP
-        if _in_part(J, r.r_f):
-            return CaseTag.IN_W_RF
-        if _in_part(J, r.r_g):
-            return CaseTag.IN_W_RG
-        raise ClassificationError(
-            f"{J} in W fits no ruination case (truncation too shallow?)")
-    if p.f1_free.contains_interval(J, -eps):
-        return CaseTag.IN_F1_FREE
-    if p.g1_free.contains_interval(J, -eps):
-        return CaseTag.IN_G1_FREE
-    raise ClassificationError(f"{J} fits no case region")
+    eps, mid = TOL.eps_geom, 0.5 * (lo + hi)
+
+    def within(iv: Interval) -> np.ndarray:
+        return (iv.lo - eps <= lo) & (hi <= iv.hi + eps)
+
+    pts = np.asarray(b, dtype=float)
+    in_w = within(p.overlap)
+    parts = ([in_w & _in_part(lo, hi, mid, s) for s in (r.rfrg, r.r_f, r.r_g)] if in_w.any()
+             else [in_w] * 3)
+    left, right = _beside(lo, hi, p)
+    cases = (_HIT, _BESIDE, _HF, _HG, _W_OVERLAP, _W_RF, _W_RG, _NO_RUINATION, _F1_FREE, _G1_FREE,
+             _NO_CASE)
+    rows = np.array([pts.searchsorted(lo + eps, side="right") < pts.searchsorted(hi - eps),
+                     left | right, within(h.h_f), within(h.h_g), *parts, in_w,
+                     within(p.f1_free), within(p.g1_free), np.ones(lo.shape, dtype=bool)])
+    return np.array(cases)[rows.argmax(axis=0)]  # the first case that applies
 
 
 # ---------------------------------------------------------------------------
 # Step application and replay
 # ---------------------------------------------------------------------------
 
+#: The maps that undo a step, by op: (the map applied n times, the map
+#: applied once after them), each named "f" or "g".  F is x ->
+#: g^{-n}(f^{-1}(x)), so y -> f(g^n(y)) undoes it.
+_UNDO = {"F": ("g", "f"), "G": ("f", "g"), "invpow_f": ("f", ""), "invpow_g": ("g", ""),
+         "shrink": ("", "")}
 
-def _backward_maps(p: IFSPair, s: TraceStep) -> list[MapSpec]:
-    """The maps that undo one step, in the order they apply."""
-    if s.op == "F":   # inverse of x -> g^{-n}(f^{-1}(x)) is y -> f(g^n(y))
-        return [p.g] * s.n + [p.f]
-    if s.op == "G":
-        return [p.f] * s.n + [p.g]
-    if s.op == "invpow_f":
-        return [p.f] * s.n
-    if s.op == "invpow_g":
-        return [p.g] * s.n
-    if s.op == "shrink":
-        return []
-    raise CertificateError(f"unknown op {s.op!r}")
+
+def _undo(op: str, n: int) -> str:
+    """The maps that undo one step, as a word in "f" and "g" in the order
+    they apply."""
+    if op not in _UNDO:
+        raise CertificateError(f"unknown op {op!r}")
+    repeated, once = _UNDO[op]
+    return repeated * n + once
 
 
 def _apply_step_forward(p: IFSPair, s: TraceStep, iv: Interval) -> Interval:
-    """Carry `iv` forward through one step: the maps that undo it
-    (`_backward_maps`) are inverted, last first, on the two end floats, with
-    the lo <= hi check of `pull_back`; a shrink step clips to its window."""
+    """Carry `iv` forward through one step: the maps that undo it (`_undo`)
+    are inverted, last first, on the two end floats, with the lo <= hi
+    check of `pull_back`; a shrink step clips to its window."""
     if s.op == "shrink":
         inter = iv.intersection(s.interval)
         if inter is None:
             raise CertificateError("replay left the recorded shrink window")
         return inter
     lo, hi = iv.lo, iv.hi
-    for m in reversed(_backward_maps(p, s)):
+    for name in reversed(_undo(s.op, s.n)):
+        m = p.f if name == "f" else p.g
         lo, hi = m.inverse_eval(lo), m.inverse_eval(hi)
         if not lo <= hi:
             raise SpecError(f"interval needs lo <= hi, got [{lo}, {hi}]")
     return Interval(lo, hi)
 
 
-def pull_back(p: IFSPair, steps: Sequence[TraceStep], iv: Interval) -> Interval:
-    """Pull `iv`, in the space after `steps`, back to the space before them.
+def pull_back(p: IFSPair, words: Sequence[str], lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Pull each interval [lo[k], hi[k]] back through the maps of words[k],
+    a word in "f" and "g" (`_undo` of each step, last step first), applied
+    in the word's order.
 
-    The pull-back runs on the two end floats: each map that undoes a step
-    costs one `eval` per end, and its result is checked lo <= hi with the
-    SpecError an Interval would raise.  One Interval is built, at the end."""
-    lo, hi = iv.lo, iv.hi
-    for s in reversed(steps):
-        for m in _backward_maps(p, s):
-            lo, hi = m.eval(lo), m.eval(hi)
-            if not lo <= hi:
-                raise SpecError(f"interval needs lo <= hi, got [{lo}, {hi}]")
-    return Interval(lo, hi)
+    The intervals move in lockstep, one letter per pass.  A pass evaluates
+    the ends of all intervals whose letter is "f" in one `eval_array` call,
+    which is `eval` bit for bit, and those whose letter is "g" in another.
+    After every pass each interval is checked lo <= hi, with the SpecError
+    an Interval would raise.  A few intervals go through `eval` one map at a
+    time instead."""
+    if len(words) <= _FEW:
+        ends = []
+        for word, a, z in zip(words, np.ravel(lo).tolist(), np.ravel(hi).tolist()):
+            for name in word:
+                m = p.f if name == "f" else p.g
+                a, z = m.eval(a), m.eval(z)
+                if not a <= z:
+                    raise SpecError(f"interval needs lo <= hi, got [{a}, {z}]")
+            ends.append((a, z))
+        pairs = np.array(ends, dtype=float).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+    ends = np.empty(2 * len(words))
+    ends[0::2], ends[1::2] = lo, hi
+    width = max([1, *map(len, words)])
+    # One byte per letter, a row per end; a short word is padded with 0.
+    letters = np.array(words, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    for column in letters.repeat(2, axis=0).T:
+        for name, m in ((b"f", p.f), (b"g", p.g)):
+            k = (column == ord(name)).nonzero()[0]
+            if k.size:
+                ends[k] = m.eval_array(ends[k])
+        bad = (~(ends[0::2] <= ends[1::2])).nonzero()[0]
+        if bad.size:
+            j = 2 * int(bad[0])
+            raise SpecError(f"interval needs lo <= hi, got [{ends[j]}, {ends[j + 1]}]")
+    return ends[0::2], ends[1::2]
 
 
 def replay(p: IFSPair, cert: GapCertificate) -> Interval:
@@ -223,7 +266,7 @@ def replay(p: IFSPair, cert: GapCertificate) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# The induction core
+# The pieces of a round
 # ---------------------------------------------------------------------------
 
 
@@ -253,18 +296,32 @@ def _middle_third(comp: Interval | None) -> Interval | None:
     return comp.middle_third()
 
 
-def _boundary_lemma(
-    p: IFSPair, h: HolePair, r: RuinationRegions, cur: Interval
-) -> tuple[list[TraceStep], Interval, TerminalReason] | None:
-    """The three sub-cases: meets a hole; meets the ruination overlap
-    r_f ∩ r_g; contains f^2(1)/g^2(0), and its pull-back by f/g (which then
-    contains f(1)/g(0)) meets the overlap.  Returns (extra steps, U, reason)
-    with U in the space after the extra steps, or None if no usable open
-    piece exists (the caller then splits and walks on)."""
+def _hole_thirds(lo: np.ndarray, hi: np.ndarray, h: HolePair):
+    """The boundary lemma's first sub-case, for every window at once: the
+    `_middle_third` of the window's piece in h_f, else of its piece in h_g
+    (`Interval.intersection`, the window's end on a tie).  Returns (found,
+    the thirds' lo, the thirds' hi)."""
+    found = np.zeros(lo.shape, dtype=bool)
+    u_lo, u_hi = np.empty_like(lo), np.empty_like(hi)
     for hole in (h.h_f, h.h_g):
-        u = _middle_third(cur.intersection(hole))
-        if u is not None:
-            return [], u, TerminalReason.HOLE
+        a = np.where(hole.lo > lo, hole.lo, lo)
+        z = np.where(hole.hi < hi, hole.hi, hi)
+        third = (z - a) / 3.0
+        new = ~found & (a <= z) & ~(z - a < 3.0 * TOL.eps_newton)
+        u_lo[new], u_hi[new] = (a + third)[new], (z - third)[new]
+        found |= new
+    return found, u_lo, u_hi
+
+
+def _boundary_lemma(
+    p: IFSPair, r: RuinationRegions, cur: Interval
+) -> tuple[list[tuple], Interval, TerminalReason] | None:
+    """The boundary lemma's other two sub-cases, for a window with no hole
+    piece (`_hole_thirds`): meets the ruination overlap r_f ∩ r_g; contains
+    f^2(1)/g^2(0), and its pull-back by f/g (which then contains f(1)/g(0))
+    meets the overlap.  Returns (extra steps, U, reason) with U in the
+    space after the extra steps, or None if no usable open piece exists
+    (the caller then splits and walks on)."""
     u = _middle_third(_widest_component(cur, r.rfrg))
     if u is not None:
         return [], u, TerminalReason.RUINATION_OVERLAP
@@ -275,95 +332,9 @@ def _boundary_lemma(
             pulled = Interval(m.inverse_eval(in_range.lo), m.inverse_eval(in_range.hi))
             u = _middle_third(_widest_component(pulled, r.rfrg))
             if u is not None:
-                step = TraceStep(CaseTag.BOUNDARY_HIT, op, 1, pulled)
+                step = (CaseTag.BOUNDARY_HIT, op, 1, pulled.lo, pulled.hi)
                 return [step], u, TerminalReason.RUINATION_OVERLAP
     return None
-
-
-def find_gap_core(
-    J: Interval,
-    p: IFSPair,
-    h: HolePair,
-    r: RuinationRegions,
-    b: tuple[float, ...],
-    mu: float,
-    cloud: OrbitCloud | None = None,
-) -> GapCertificate:
-    """Run the case-driven induction for J meeting F1 ∪ G1.
-
-    Each step classifies the current interval once.  An induced step
-    (`induced_step`) reads n at the midpoint off the jump sites and inverts
-    only the two ends, n + 1 times each.  A boundary hit ends in
-    one of `_boundary_lemma`'s three sub-cases, or else splits at the hits
-    and keeps the largest piece inside F1 ∪ G1.  The terminal piece is
-    pulled back through the walk's steps and clipped to J; when `cloud` is
-    given, the output is checked against it before returning.
-
-    The iteration guard is ceil(log(|F1| / |J|) / log(mu)) + 50: eventual
-    expansion guarantees finiteness but gives no bound, so the guard turns
-    non-termination into a diagnosable error.
-    """
-    if J.length < 10.0 * TOL.eps_geom:
-        raise DomainError(f"input {J} shorter than 10*eps_geom")
-    if _side_outside(J, p):
-        raise DomainError(f"{J} does not meet F1 ∪ G1; use find_gap")
-    if mu <= 1.0:
-        raise DomainError("find_gap_core needs mu > 1")
-    bound = math.ceil(math.log(max(p.f1.length / J.length, 1.0)) / math.log(mu)) + 50
-
-    steps: list[TraceStep] = []
-    cur = J
-
-    def finish(u: Interval, reason: TerminalReason) -> GapCertificate:
-        out = _pull_back_into(p, steps, u, J, cloud, "certified output {}")
-        return GapCertificate(
-            input=J, output=out, trace=tuple(steps), terminal_reason=reason,
-            iteration_bound=bound,
-        )
-
-    def shrink_to(piece: Interval, tag: CaseTag) -> None:
-        nonlocal cur
-        steps.append(TraceStep(tag, "shrink", 0, piece))
-        cur = piece
-
-    for _ in range(bound):
-        if cur.length < 3.0 * TOL.eps_newton:
-            raise ClassificationError(f"interval collapsed to {cur} during walk")
-        tag = classify(cur, p, h, r, b)
-        if tag is CaseTag.BOUNDARY_HIT:
-            got = _boundary_lemma(p, h, r, cur)
-            if got is not None:
-                extra, u, reason = got
-                steps.extend(extra)
-                return finish(u, reason)
-            # No usable open piece: split at the hits (all in F1 ∪ G1) and
-            # walk on with the largest piece inside F1 ∪ G1.
-            inside = cur.intersection(Interval(p.f1.lo, p.g1.hi))
-            shrink_to(_split_at(inside, _boundary_hits(cur, b)), tag)
-            continue
-        if tag is CaseTag.IN_W_OVERLAP:
-            steps.append(TraceStep(tag, "shrink", 0, cur))
-            return finish(cur, TerminalReason.RUINATION_OVERLAP)
-        if tag is CaseTag.PULLBACK_FN:
-            raise ClassificationError(f"{cur} left F1 ∪ G1 mid-walk")
-
-        which: Literal["F", "G"] = (
-            "G" if tag in (CaseTag.IN_HG, CaseTag.IN_W_RF, CaseTag.IN_G1_FREE) else "F")
-        in_hole = tag in (CaseTag.IN_HF, CaseTag.IN_HG)
-        if not in_hole:
-            window = Interval(cur.lo + TOL.eps_newton, cur.hi - TOL.eps_newton)
-            sites = induced_discontinuities(p, which, window)
-            if sites:
-                shrink_to(_split_at(cur, sites), tag)
-        n, img = induced_step(p, which, cur)
-        steps.append(TraceStep(tag, which, n, img))
-        if in_hole:
-            return finish(img, TerminalReason.HOLE)
-        cur = img
-
-    raise IterationCapError(
-        f"gap walk exceeded its bound of {bound} steps; trace: "
-        + " ".join(f"{s.tag.value}:{s.op}{s.n}" for s in steps))
 
 
 def _split_at(cur: Interval, pts: Sequence[float]) -> Interval:
@@ -372,58 +343,138 @@ def _split_at(cur: Interval, pts: Sequence[float]) -> Interval:
     return max(pieces, key=lambda iv: iv.length)
 
 
+def _largest_pieces(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray, a: np.ndarray,
+                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_split_at` of each window at the points pts[a:z], all strictly
+    inside it: the longest piece between consecutive cuts, the first on a
+    tie.  A row's cuts are padded with its hi; the empty pieces that adds
+    never win."""
+    j = np.arange(int((z - a).max()))
+    inner = np.where(j < (z - a)[:, None], pts[np.minimum(a[:, None] + j, pts.size - 1)],
+                     hi[:, None])
+    cuts = np.concatenate([lo[:, None], inner, hi[:, None]], axis=1)
+    k = np.diff(cuts, axis=1).argmax(axis=1)
+    rows = np.arange(lo.size)
+    return cuts[rows, k], cuts[rows, k + 1]
+
+
+def _site_counts(p: IFSPair, which: Literal["F", "G"], sites: np.ndarray,
+                 mid: np.ndarray) -> np.ndarray:
+    """`induced_n` at each midpoint where it reads n off the jump sites, and
+    -1 where its inverse chain decides: with i sites below mid - eps_newton,
+    n = i for F and len(sites) - i for G, unless a site lies within
+    eps_newton of mid, mid is past the last site, n >= max_iter or mid is
+    outside [f^2(1), g^2(0)]."""
+    eps = TOL.eps_newton
+    i = sites.searchsorted(mid - eps)
+    n, past = (i, sites.size) if which == "F" else (sites.size - i, 0)
+    read = ((i != past) & (n < TOL.max_iter) & (i == sites.searchsorted(mid + eps, side="right"))
+            & (p.f1.lo <= mid) & (mid <= p.g1.hi))
+    return np.where(read, n, -1)
+
+
+def _invert_ends(first: MapSpec, ret: MapSpec, n: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each window's ends through first^{-1}, then through ret^{-1} n[k]
+    times: `induced_step`'s end chains, every window at once, and None when
+    some window's ends come out reversed.  Pass k inverts the ends of the
+    windows with n >= k, so no end is inverted more than n + 1 times.  A few
+    windows run their chains through `inverse_eval` one by one instead."""
+    if n.size <= _FEW:
+        chains = []
+        for k, a, z in zip(n.tolist(), lo.tolist(), hi.tolist()):
+            a, z = first.inverse_eval(a), first.inverse_eval(z)
+            for _ in range(k):
+                a, z = ret.inverse_eval(a), ret.inverse_eval(z)
+            chains.append((a, z))
+        ends = np.array(chains, dtype=float).reshape(-1)
+        return None if not (ends[0::2] <= ends[1::2]).all() else (ends[0::2], ends[1::2])
+    ends = np.empty(2 * n.size)
+    ends[0::2], ends[1::2] = lo, hi
+    ends = first.inverse_array(ends)
+    more = n.repeat(2)
+    for k in range(1, int(n.max()) + 1):
+        ends[more >= k] = ret.inverse_array(ends[more >= k])
+    if not (ends[0::2] <= ends[1::2]).all():
+        return None
+    return ends[0::2], ends[1::2]
+
+
+def _orbit_points_inside(cloud: OrbitCloud, lo, hi, margin: float):
+    """The orbit points strictly inside each [lo + margin, hi - margin]."""
+    a = cloud.points.searchsorted(np.add(lo, margin), side="right")
+    z = cloud.points.searchsorted(np.subtract(hi, margin))
+    return np.maximum(z - a, 0)
+
+
 def _pull_back_into(
-    p: IFSPair, steps: Sequence[TraceStep], u: Interval, window: Interval,
-    cloud: OrbitCloud | None, where: str,
-) -> Interval:
-    """Pull `u` back through `steps` and clip it to `window`; refuse it when
-    it escapes the window or when orbit points lie inside.  `where` names
+    p: IFSPair, words: Sequence[str], lo: np.ndarray, hi: np.ndarray, w_lo: np.ndarray,
+    w_hi: np.ndarray, cloud: OrbitCloud | None, where: str,
+) -> tuple[np.ndarray, np.ndarray, dict[int, CertificateError]]:
+    """Pull each [lo[k], hi[k]] back through words[k] and clip it to its
+    window [w_lo[k], w_hi[k]] (`Interval.intersection`, the pulled-back end
+    on a tie).  Returns the clipped ends and, by position, the refusal of
+    each one that escapes its window or holds orbit points; `where` names
     the result in that refusal, and its `{}`, if any, is filled with it."""
-    out = pull_back(p, steps, u)
-    clipped = out.intersection(window)
-    if clipped is None or clipped.length <= 0:
-        raise CertificateError(f"pullback {out} escaped the input {window}")
-    bad = 0 if cloud is None else _orbit_points_inside(cloud, clipped, TOL.eps_geom)
-    if bad:
-        raise CertificateError(f"{bad} orbit points inside {where.format(clipped)}")
-    return clipped
-
-
-def _orbit_points_inside(cloud: OrbitCloud, iv: Interval, margin: float) -> int:
-    lo = int(np.searchsorted(cloud.points, iv.lo + margin, side="right"))
-    hi = int(np.searchsorted(cloud.points, iv.hi - margin, side="left"))
-    return max(hi - lo, 0)
+    o_lo, o_hi = pull_back(p, words, lo, hi)
+    c_lo = np.where(w_lo > o_lo, w_lo, o_lo)
+    c_hi = np.where(w_hi < o_hi, w_hi, o_hi)
+    escaped = ~(c_hi - c_lo > 0)
+    refused = {k: CertificateError(f"pullback {Interval(o_lo[k], o_hi[k])} escaped the input "
+                                   f"{Interval(w_lo[k], w_hi[k])}")
+               for k in escaped.nonzero()[0].tolist()}
+    if cloud is not None:
+        bad = _orbit_points_inside(cloud, c_lo, c_hi, TOL.eps_geom)
+        for k in (~escaped & (bad > 0)).nonzero()[0].tolist():
+            refused[k] = CertificateError(
+                f"{bad[k]} orbit points inside {where.format(Interval(c_lo[k], c_hi[k]))}")
+    return c_lo, c_hi, refused
 
 
 # ---------------------------------------------------------------------------
-# Outer entry point: pull back into F1 ∪ G1 first if needed
+# The walk
 # ---------------------------------------------------------------------------
 
 
-def find_gap(
-    J: Interval,
-    p: IFSPair,
-    h: HolePair,
-    r: RuinationRegions,
-    b: tuple[float, ...],
-    mu: float,
-    cloud: OrbitCloud | None = None,
-) -> GapCertificate:
-    """find_gap_core, preceded when necessary by the fundamental-domain
-    pullback: an interval beside F1 ∪ G1 lies (after shrinking away from the
-    fixed points) inside a single F_N or G_N and is pulled back into F1 (G1)
-    by one step.  find_gap_core walks that pulled-back window; its output is
-    pulled back through the step, clipped to J and, with a cloud, checked a
-    second time.  The trace is the pull-back step, then the core's."""
-    if (which := _side_outside(J, p)) is None:
-        return find_gap_core(J, p, h, r, b, mu=mu, cloud=cloud)
+class _Walked(NamedTuple):
+    """A window's finished walk; each step is a (tag, op, n, lo, hi) tuple,
+    the fields of its TraceStep."""
 
+    lo: float
+    hi: float
+    reason: TerminalReason
+    bound: int
+    steps: list[tuple[CaseTag, str, int, float, float]]
+
+
+def _check_core(J: Interval, p: IFSPair, mu: float) -> None:
+    """The faults of a window the walk cannot start from."""
+    if J.length < 10.0 * TOL.eps_geom:
+        raise DomainError(f"input {J} shorter than 10*eps_geom")
+    if any(_beside(J.lo, J.hi, p)):
+        raise DomainError(f"{J} does not meet F1 ∪ G1; use find_gap")
+    if mu <= 1.0:
+        raise DomainError("find_gap_core needs mu > 1")
+
+
+def _enter(J: Interval, p: IFSPair, mu: float) -> tuple[tuple | None, Interval]:
+    """(the pull-back step or None, the window the walk starts from).
+
+    A window meeting F1 ∪ G1 is its own start.  One beside it lies, after
+    shrinking away from the fixed point, inside a single F_N or G_N, and is
+    pulled back into F1 (G1) by f^{-(N-1)} (g^{-(N-1)}); the step records
+    the window before the pull-back.  The start must pass `_check_core`."""
+    left, right = _beside(J.lo, J.hi, p)
+    if not (left or right):
+        _check_core(J, p, mu)
+        return None, J
     # The side fixes the map, its fixed point, and the half kept when the
     # input touches that fixed point.
-    if which == "f":  # left side: inside some F_N, N >= 2
-        op, fixed, away = "invpow_f", 0.0, Interval(J.mid, J.hi)
-    else:             # right side: inside some G_N
-        op, fixed, away = "invpow_g", 1.0, Interval(J.lo, J.mid)
+    which: Literal["f", "g"]
+    if left:  # inside some F_N, N >= 2
+        which, op, fixed, away = "f", "invpow_f", 0.0, Interval(J.mid, J.hi)
+    else:     # inside some G_N
+        which, op, fixed, away = "g", "invpow_g", 1.0, Interval(J.lo, J.mid)
     near_fixed = abs(J.lo - fixed) < TOL.eps_geom or abs(J.hi - fixed) < TOL.eps_geom
     work = away if near_fixed else J
 
@@ -438,15 +489,10 @@ def find_gap(
         work = _split_at(work, cuts)
     else:
         raise ClassificationError(f"could not fit {J} inside one fundamental domain")
-
-    pullback = TraceStep(CaseTag.PULLBACK_FN, op, n - 1, work)
-    start = _apply_step_forward(p, pullback, work)
-    core = find_gap_core(start, p, h, r, b, mu=mu, cloud=cloud)
-    out = _pull_back_into(p, (pullback,), core.output, J, cloud, "pulled-back output")
-    return GapCertificate(
-        input=J, output=out, trace=(pullback, *core.trace),
-        terminal_reason=core.terminal_reason, iteration_bound=core.iteration_bound,
-    )
+    step = TraceStep(CaseTag.PULLBACK_FN, op, n - 1, work)
+    start = _apply_step_forward(p, step, work)
+    _check_core(start, p, mu)
+    return (step.tag, op, n - 1, work.lo, work.hi), start
 
 
 def _locate_power_domain(p: IFSPair, j: Interval, which: Literal["f", "g"]) -> tuple[int, Interval]:
@@ -457,6 +503,250 @@ def _locate_power_domain(p: IFSPair, j: Interval, which: Literal["f", "g"]) -> t
         if dom.lo <= j.mid <= dom.hi:
             return n, dom
     raise ClassificationError(f"could not locate a fundamental domain for {j}")
+
+
+def _walk(
+    p: IFSPair, h: HolePair, r: RuinationRegions, b: tuple[float, ...], mu: float,
+    cloud: OrbitCloud | None, windows: Sequence[Interval],
+) -> list[_Walked | Exception]:
+    """Walk every window at once; returns each window's `_Walked` or its
+    verdict, and raises the first fault met.
+
+    Each window enters through `_enter`, and its iteration guard is
+    ceil(log(|F1| / |start|) / log(mu)) + 50, since eventual expansion
+    guarantees finiteness but gives no bound.  Then rounds run until no
+    window is live, and each moves every live window one step:
+
+    * past its guard it stops with IterationCapError, and shorter than
+      3*eps_newton with ClassificationError;
+    * one `classify` call gives every window its case;
+    * a BOUNDARY_HIT ends in the boundary lemma (`_hole_thirds` for all,
+      then `_boundary_lemma` one by one), or else splits at the hits and
+      walks on with the largest piece inside F1 ∪ G1;
+    * IN_W_OVERLAP ends at once; PULLBACK_FN and no case are verdicts;
+    * the other cases take one step of their induced branch, whose table
+      is read once per walk: outside a hole the window shrinks to its
+      largest piece between the jump sites, n is read off the sites at its
+      midpoint (`_site_counts`, or `induced_n`'s chain), and both ends are
+      inverted n + 1 times (`_invert_ends`).  When an inversion fails or
+      reverses some ends, every window of the branch is stepped by
+      `induced_step`, which raises its verdict in the two-pass order.  A
+      hole case ends there.
+
+    The windows that end are pulled back together (`_pull_back_into`):
+    through the walk's steps into the start, where the cloud, if given, is
+    checked; then, for a pulled-back window, through the entry step into
+    the window, where it is checked again.
+    """
+    got: list = [None] * len(windows)
+    steps: list[list[tuple]] = [[] for _ in windows]
+    entries: list = [None] * len(windows)
+    starts: dict[int, Interval] = {}
+    for c, J in enumerate(windows):
+        try:
+            entries[c], starts[c] = _enter(J, p, mu)
+        except WALK_VERDICTS as e:
+            got[c] = e
+    bounds = {c: math.ceil(math.log(max(p.f1.length / s.length, 1.0)) / math.log(mu)) + 50
+              for c, s in starts.items()}
+    cells = np.array(list(starts), dtype=np.intp)
+    lo = np.array([s.lo for s in starts.values()], dtype=float)
+    hi = np.array([s.hi for s in starts.values()], dtype=float)
+    guard = np.array(list(bounds.values()), dtype=np.intp)
+    pts = np.array(b, dtype=float)
+    branches = {}
+    for which in ("F", "G"):
+        first, ret, _, _, sites = _oriented(p, which)
+        branches[which] = first, ret, np.array(sites, dtype=float)
+    ended: dict[int, tuple[float, float, TerminalReason]] = {}
+
+    def record(cs, codes, op, ns, los, his) -> None:
+        ns = ns.tolist() if ns is not None else [0] * cs.size
+        for c, t, n, a, z in zip(cs.tolist(), codes.tolist(), ns, los.tolist(), his.tolist()):
+            steps[c].append((CASES[t], op, n, a, z))
+
+    def end(cs, los, his, reason: TerminalReason) -> None:
+        for c, a, z in zip(cs.tolist(), los.tolist(), his.tolist()):
+            ended[c] = a, z, reason
+
+    rnd = 0
+    while cells.size:
+        out = (guard <= rnd) | (hi - lo < 3.0 * TOL.eps_newton)
+        if out.any():
+            for j in out.nonzero()[0].tolist():
+                c = int(cells[j])
+                got[c] = (IterationCapError(
+                    f"gap walk exceeded its bound of {bounds[c]} steps; trace: "
+                    + " ".join(f"{t.value}:{op}{n}" for t, op, n, _, _ in steps[c]))
+                    if guard[j] <= rnd else ClassificationError(
+                        f"interval collapsed to {Interval(float(lo[j]), float(hi[j]))} during walk"))
+            cells, lo, hi, guard = cells[~out], lo[~out], hi[~out], guard[~out]
+        code = classify(lo, hi, p, h, r, pts)
+        walking = []  # (cells, lo, hi, guard) of the windows that walk on
+
+        hits = (code == _HIT).nonzero()[0]
+        if hits.size:
+            found, u_lo, u_hi = _hole_thirds(lo[hits], hi[hits], h)
+            end(cells[hits[found]], u_lo[found], u_hi[found], TerminalReason.HOLE)
+            code[hits[found]] = -1  # ended
+        for j in (code >= _HIT).nonzero()[0].tolist():
+            c, case, cur = int(cells[j]), int(code[j]), Interval(float(lo[j]), float(hi[j]))
+            if case == _HIT:
+                lemma = _boundary_lemma(p, r, cur)
+                if lemma is not None:
+                    extra, u, reason = lemma
+                    steps[c] += extra
+                    ended[c] = u.lo, u.hi, reason
+                    continue
+                # No usable open piece: split at the hits (all in F1 ∪ G1)
+                # and walk on with the largest piece inside F1 ∪ G1.
+                inside = cur.intersection(Interval(p.f1.lo, p.g1.hi))
+                piece = _split_at(inside, _boundary_hits(cur, b))
+                steps[c].append((CaseTag.BOUNDARY_HIT, "shrink", 0, piece.lo, piece.hi))
+                walking.append((cells[j:j + 1], np.array([piece.lo]), np.array([piece.hi]),
+                                guard[j:j + 1]))
+            elif case == _W_OVERLAP:
+                steps[c].append((CaseTag.IN_W_OVERLAP, "shrink", 0, cur.lo, cur.hi))
+                ended[c] = cur.lo, cur.hi, TerminalReason.RUINATION_OVERLAP
+            else:
+                why = "left F1 ∪ G1 mid-walk" if case == _BESIDE else CASES[case]
+                got[c] = ClassificationError(f"{cur} {why}")
+
+        branch = code // 3  # 0 for F's cases, 1 for G's
+        for which, hole in (("F", _HF), ("G", _HG)):
+            k = (branch == hole // 3).nonzero()[0]
+            if not k.size:
+                continue
+            first, ret, sites = branches[which]
+            cs, codes, w_lo, w_hi, w_guard = cells[k], code[k], lo[k], hi[k], guard[k]
+            a = sites.searchsorted(w_lo + TOL.eps_newton, side="right")
+            z = sites.searchsorted(w_hi - TOL.eps_newton)
+            cut = ((codes != hole) & (a < z)).nonzero()[0]
+            if cut.size:
+                w_lo[cut], w_hi[cut] = _largest_pieces(w_lo[cut], w_hi[cut], sites, a[cut], z[cut])
+                record(cs[cut], codes[cut], "shrink", None, w_lo[cut], w_hi[cut])
+            mid = 0.5 * (w_lo + w_hi)
+            n = _site_counts(p, which, sites, mid)
+            chain = (n < 0).nonzero()[0]
+            if chain.size:
+                for j in chain.tolist():
+                    try:
+                        n[j] = induced_n(p, float(mid[j]), which)
+                    except WALK_VERDICTS as e:
+                        got[int(cs[j])] = e
+                ok = n >= 0
+                cs, codes, w_lo, w_hi, w_guard, n = [x[ok] for x in (cs, codes, w_lo, w_hi, w_guard, n)]
+                if not n.size:
+                    continue
+            try:
+                stepped = _invert_ends(first, ret, n, w_lo, w_hi)
+            except (RangeError, IterationCapError):
+                stepped = None
+            if stepped is None:  # one at a time, with induced_step's verdicts and their order
+                ok = np.ones(n.size, dtype=bool)
+                i_lo, i_hi = np.empty_like(w_lo), np.empty_like(w_hi)
+                for j in range(n.size):
+                    try:
+                        n[j], img = induced_step(p, which, Interval(float(w_lo[j]), float(w_hi[j])))
+                    except WALK_VERDICTS as e:
+                        got[int(cs[j])], ok[j] = e, False
+                        continue
+                    i_lo[j], i_hi[j] = img.lo, img.hi
+                cs, codes, i_lo, i_hi, w_guard, n = [x[ok] for x in (cs, codes, i_lo, i_hi, w_guard, n)]
+            else:
+                i_lo, i_hi = stepped
+            record(cs, codes, which, n, i_lo, i_hi)
+            on = codes != hole
+            end(cs[~on], i_lo[~on], i_hi[~on], TerminalReason.HOLE)
+            walking.append((cs[on], i_lo[on], i_hi[on], w_guard[on]))
+
+        cells, lo, hi, guard = ([np.concatenate(x) for x in zip(*walking)] if walking
+                                else (cells[:0], lo[:0], hi[:0], guard[:0]))
+        rnd += 1
+
+    if not ended:
+        return got
+    cs = list(ended)
+    words = ["".join([_undo(op, n) for _, op, n, _, _ in reversed(steps[c])]) for c in cs]
+    out_lo, out_hi, refused = _pull_back_into(
+        p, words, np.array([ended[c][0] for c in cs]), np.array([ended[c][1] for c in cs]),
+        np.array([starts[c].lo for c in cs]), np.array([starts[c].hi for c in cs]), cloud,
+        "certified output {}")
+    back = [j for j, c in enumerate(cs) if j not in refused and entries[c] is not None]
+    if back:
+        b_lo, b_hi, refused_back = _pull_back_into(
+            p, [_undo(op, n) for _, op, n, _, _ in (entries[cs[j]] for j in back)],
+            out_lo[back], out_hi[back], np.array([windows[cs[j]].lo for j in back]),
+            np.array([windows[cs[j]].hi for j in back]), cloud, "pulled-back output")
+        out_lo[back], out_hi[back] = b_lo, b_hi
+        refused.update((back[i], e) for i, e in refused_back.items())
+    for j, (c, a, z) in enumerate(zip(cs, out_lo.tolist(), out_hi.tolist())):
+        entry = [] if entries[c] is None else [entries[c]]
+        got[c] = refused[j] if j in refused else _Walked(a, z, ended[c][2], bounds[c], entry + steps[c])
+    return got
+
+
+def _certificate(J: Interval, got: _Walked | Exception) -> GapCertificate:
+    """The certificate of J's walk, or its verdict raised."""
+    if isinstance(got, Exception):
+        raise got
+    return GapCertificate(
+        input=J, output=Interval(got.lo, got.hi),
+        trace=tuple(TraceStep(t, op, n, Interval(a, z)) for t, op, n, a, z in got.steps),
+        terminal_reason=got.reason, iteration_bound=got.bound,
+    )
+
+
+def find_gap_core(
+    J: Interval,
+    p: IFSPair,
+    h: HolePair,
+    r: RuinationRegions,
+    b: tuple[float, ...],
+    mu: float,
+    cloud: OrbitCloud | None = None,
+) -> GapCertificate:
+    """Run the case-driven induction for J meeting F1 ∪ G1: the rounds of
+    `_walk` on J alone.
+
+    Each round classifies the current interval once, and an induced step
+    reads n at the midpoint off the jump sites and inverts only the two
+    ends, n + 1 times each.  A boundary hit ends in one of the boundary
+    lemma's three sub-cases, or else splits at the hits and keeps the
+    largest piece inside F1 ∪ G1.  The terminal piece is pulled back
+    through the walk's steps and clipped to J; when `cloud` is given, the
+    output is checked against it before returning.  The iteration guard is
+    ceil(log(|F1| / |J|) / log(mu)) + 50, which turns non-termination into
+    a diagnosable error.
+    """
+    _check_core(J, p, mu)
+    return _certificate(J, _walk(p, h, r, b, mu, cloud, [J])[0])
+
+
+# ---------------------------------------------------------------------------
+# Outer entry point: pull back into F1 ∪ G1 first if needed
+# ---------------------------------------------------------------------------
+
+
+def find_gap(
+    J: Interval,
+    p: IFSPair,
+    h: HolePair,
+    r: RuinationRegions,
+    b: tuple[float, ...],
+    mu: float,
+    cloud: OrbitCloud | None,
+) -> GapCertificate:
+    """find_gap_core, preceded when necessary by the fundamental-domain
+    pullback (`_enter`): an interval beside F1 ∪ G1 lies (after shrinking
+    away from the fixed points) inside a single F_N or G_N and is pulled
+    back into F1 (G1) by one step.  The walk starts from that pulled-back
+    window; its output is pulled back through the step, clipped to J and,
+    unless `cloud` is None, checked a second time.  The trace is the
+    pull-back step, then the walk's."""
+    if not any(_beside(J.lo, J.hi, p)):
+        return find_gap_core(J, p, h, r, b, mu=mu, cloud=cloud)
+    return _certificate(J, _walk(p, h, r, b, mu, cloud, [J])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +812,9 @@ def certify_cantor(
 ) -> CertifyReport:
     """Sweep a resolution grid over [0, 1]; for every grid interval meeting
     the minimal-set cover, find a certified gap and verify it against the
-    deep orbit cloud.  Per-interval errors are aggregated, not raised;
+    deep orbit cloud.  All the cells walk at once, in the rounds of `_walk`,
+    and each gets the certificate or the verdict that `find_gap` gives it
+    alone.  Verdicts are aggregated, not raised, in cell order;
     `bound_respected` reads False exactly when some cell's walk stopped
     with IterationCapError, an iteration guard that ran out.
 
@@ -542,16 +834,14 @@ def certify_cantor(
     failures: list[tuple[float, float, str]] = []
     min_gap, max_gap, max_steps = math.inf, 0.0, 0
     bound_ok = True
-    for J in cells:
-        try:
-            cert = find_gap(J, p, h, r, b, mu=mu, cloud=cloud)
-        except WALK_VERDICTS as e:  # aggregate verdicts; faults propagate
-            failures.append((J.lo, J.hi, f"{type(e).__name__}: {e}"))
-            bound_ok = bound_ok and not isinstance(e, IterationCapError)
+    for J, got in zip(cells, _walk(p, h, r, b, mu, cloud, cells)):
+        if isinstance(got, Exception):  # a verdict; faults propagate from the walk
+            failures.append((J.lo, J.hi, f"{type(got).__name__}: {got}"))
+            bound_ok = bound_ok and not isinstance(got, IterationCapError)
             continue
-        min_gap = min(min_gap, cert.output.length)
-        max_gap = max(max_gap, cert.output.length)
-        max_steps = max(max_steps, cert.n_steps)
+        min_gap = min(min_gap, got.hi - got.lo)
+        max_gap = max(max_gap, got.hi - got.lo)
+        max_steps = max(max_steps, sum(op in ("F", "G") for _, op, _, _, _ in got.steps))
     return CertifyReport(
         resolution=resolution, depth=depth, verification_depth=verification_depth,
         n_grid=n_grid, n_meeting=len(cells), n_certified=len(cells) - len(failures),

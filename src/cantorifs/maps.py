@@ -25,6 +25,10 @@ from .intervals import TOL, Interval
 #: rounding.
 C1_DERIV_TOL = 1e-6
 
+#: Up to this many points, `eval_array` and `inverse_array` call the scalar
+#: method per point: below it numpy's cost per call outweighs its speed.
+_FEW = 8
+
 
 @dataclass(frozen=True)
 class Affine:
@@ -244,8 +248,10 @@ class MapSpec:
         at the breakpoints by the scalar rule (a point belongs to the segment
         with x_lo of its own < x <= x_lo of the next), and each segment runs
         Horner on its slice.  Input that is not non-decreasing is sorted
-        once and scattered back."""
+        once and scattered back.  A few points go through `eval` itself."""
         xs = np.asarray(xs, dtype=float)
+        if xs.size <= _FEW:
+            return np.array([self.eval(x) for x in xs.ravel().tolist()], dtype=float).reshape(xs.shape)
         if xs.size and not (-TOL.eps_newton <= xs.min() and xs.max() <= 1.0 + TOL.eps_newton):
             raise DomainError("array evaluation outside [0, 1]")
         xc = np.clip(xs, 0.0, 1.0).ravel()
@@ -290,10 +296,42 @@ class MapSpec:
             return (y - intercept) / slope
         return hermite.inverse_at(y)
 
+    @cached_property
+    def _inverse_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The break values and `_inverse_rows` as arrays: (break values,
+        intercepts, slopes, Hermite-row mask); a Hermite row's intercept
+        and slope are NaN."""
+        rows = self._inverse_rows
+        herm = np.array([s is not None for _, _, s in rows])
+        icpt = np.array([math.nan if s else c for c, _, s in rows], dtype=float)
+        slope = np.array([math.nan if s else m for _, m, s in rows], dtype=float)
+        return np.array(self._break_y_tuple), icpt, slope, herm
+
     def inverse_array(self, ys: np.ndarray) -> np.ndarray:
-        """`inverse_eval` at every point."""
+        """`inverse_eval` at every point, bit for bit: the same range check
+        (the first point outside raises its RangeError), the same clamps
+        by comparison, which keep -0.0, the same row by `searchsorted`, which
+        is `bisect_left`, and an affine row's `(y - intercept) / slope` as
+        element-wise IEEE operations.  A Hermite row calls
+        `Segment.inverse_at` point by point, and a few points go through
+        `inverse_eval` itself."""
         ys = np.asarray(ys, dtype=float)
-        return np.array([self.inverse_eval(y) for y in ys.ravel().tolist()]).reshape(ys.shape)
+        if ys.size <= _FEW:
+            return np.array([self.inverse_eval(y) for y in ys.ravel().tolist()],
+                            dtype=float).reshape(ys.shape)
+        y = ys.ravel()
+        y0, y1 = self.y0, self.y1
+        inside = (y0 - TOL.eps_newton <= y) & (y <= y1 + TOL.eps_newton)  # NaN fails too
+        if not inside.all():
+            bad = float(y[np.argmin(inside)])
+            raise RangeError(f"y={bad} outside image [{y0}, {y1}]")
+        y = np.where(y < y0, y0, np.where(y > y1, y1, y))
+        breaks, icpt, slope, herm = self._inverse_columns
+        k = np.searchsorted(breaks, y, side="left")
+        x = (y - icpt[k]) / slope[k]
+        for j in np.flatnonzero(herm[k]).tolist():
+            x[j] = self._inverse_rows[k[j]][2].inverse_at(float(y[j]))
+        return x.reshape(ys.shape)
 
     def max_deriv(self, lo: float, hi: float) -> float:
         """The maximum of m' over [lo, hi], exact up to the rounding of the

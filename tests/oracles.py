@@ -15,11 +15,15 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from cantorifs.axioms import HolePair, RuinationRegions, _inverse_orbit
+from cantorifs.axioms import (HolePair, RuinationRegions, _inverse_orbit, induced_discontinuities,
+                              induced_step)
 from cantorifs.construct import AppendixParams, ClassCBuilder, epsilon_family_specs, lambda_sequence
-from cantorifs.errors import CertificateError, DomainError, RangeError, SpecError
-from cantorifs.gapfinder import TraceStep, _orbit_points_inside
-from cantorifs.ifs import IFSPair, OrbitCloud, _dedup_sorted, minimal_set_cover, orbit
+from cantorifs.errors import (CertificateError, ClassificationError, DomainError, IterationCapError,
+                              RangeError, SpecError)
+from cantorifs.gapfinder import (
+    WALK_VERDICTS, CaseTag, CertifyReport, GapCertificate, TerminalReason, TraceStep, _beside,
+    _boundary_hits, _boundary_lemma, _enter, _middle_third, _orbit_points_inside, _split_at)
+from cantorifs.ifs import ORBIT_CAP, IFSPair, OrbitCloud, _dedup_sorted, minimal_set_cover, orbit
 from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
 from cantorifs.maps import MapSpec, Segment, iterate_interval
 
@@ -385,7 +389,7 @@ def verify_hole_disjoint(p: IFSPair, h: HolePair, depth: int) -> HoleDisjointRep
     cloud = orbit(p, 0.0, depth)
     bad = 0
     for hole in (h.h_f, h.h_g):
-        bad += _orbit_points_inside(cloud, hole, TOL.eps_geom)
+        bad += int(_orbit_points_inside(cloud, hole.lo, hole.hi, TOL.eps_geom))
     return HoleDisjointReport(depth, cloud.size, bad)
 
 
@@ -449,3 +453,158 @@ def certify_cantor_by_complement(
                 certified += 1
                 break
     return ComplementCertifyReport(resolution, depth, len(cells), certified, n_grid - len(cells))
+
+
+# -- the gap walk, one window at a time --------------------------------------------
+
+
+def classify_window(J: Interval, p: IFSPair, h: HolePair, r: RuinationRegions,
+                    b: tuple[float, ...]) -> CaseTag:
+    """`gapfinder.classify` of one window by the scalar predicates: Interval
+    containment widened by eps_geom and `IntervalSet.part_containing`; a
+    window that fits no case raises the walk's ClassificationError."""
+    if J.length <= 0:
+        raise DomainError("classify needs positive length")
+    eps = TOL.eps_geom
+
+    def in_part(s: IntervalSet) -> bool:
+        part = s.part_containing(J.mid)
+        return part is not None and part.contains_interval(J, -eps)
+
+    if _boundary_hits(J, b):
+        return CaseTag.BOUNDARY_HIT
+    if any(_beside(J.lo, J.hi, p)):
+        return CaseTag.PULLBACK_FN
+    if h.h_f.contains_interval(J, -eps):
+        return CaseTag.IN_HF
+    if h.h_g.contains_interval(J, -eps):
+        return CaseTag.IN_HG
+    if p.overlap.contains_interval(J, -eps):
+        for s, tag in ((r.rfrg, CaseTag.IN_W_OVERLAP), (r.r_f, CaseTag.IN_W_RF),
+                       (r.r_g, CaseTag.IN_W_RG)):
+            if in_part(s):
+                return tag
+        raise ClassificationError(f"{J} in W fits no ruination case (truncation too shallow?)")
+    if p.f1_free.contains_interval(J, -eps):
+        return CaseTag.IN_F1_FREE
+    if p.g1_free.contains_interval(J, -eps):
+        return CaseTag.IN_G1_FREE
+    raise ClassificationError(f"{J} fits no case region")
+
+
+def _pull_back_checked(p: IFSPair, steps: Sequence[TraceStep], u: Interval, window: Interval,
+                       cloud: OrbitCloud | None, where: str) -> Interval:
+    out = pull_back_by_intervals(p, steps, u)
+    clipped = out.intersection(window)
+    if clipped is None or clipped.length <= 0:
+        raise CertificateError(f"pullback {out} escaped the input {window}")
+    bad = 0 if cloud is None else int(_orbit_points_inside(cloud, clipped.lo, clipped.hi,
+                                                           TOL.eps_geom))
+    if bad:
+        raise CertificateError(f"{bad} orbit points inside {where.format(clipped)}")
+    return clipped
+
+
+def walk_window(J: Interval, p: IFSPair, h: HolePair, r: RuinationRegions,
+                b: tuple[float, ...], mu: float, cloud: OrbitCloud | None) -> GapCertificate:
+    """`gapfinder.find_gap_core` as the loop that walked one window at a
+    time: per step `classify_window`, the whole boundary lemma, a shrink at
+    `induced_discontinuities` and one `induced_step`, and at the end a
+    pull-back by Intervals, clipped to J and checked against the cloud."""
+    if J.length < 10.0 * TOL.eps_geom:
+        raise DomainError(f"input {J} shorter than 10*eps_geom")
+    if any(_beside(J.lo, J.hi, p)):
+        raise DomainError(f"{J} does not meet F1 ∪ G1; use find_gap")
+    if mu <= 1.0:
+        raise DomainError("find_gap_core needs mu > 1")
+    bound = math.ceil(math.log(max(p.f1.length / J.length, 1.0)) / math.log(mu)) + 50
+    steps: list[TraceStep] = []
+    cur = J
+
+    def finish(u: Interval, reason: TerminalReason) -> GapCertificate:
+        out = _pull_back_checked(p, steps, u, J, cloud, "certified output {}")
+        return GapCertificate(J, out, tuple(steps), reason, bound)
+
+    for _ in range(bound):
+        if cur.length < 3.0 * TOL.eps_newton:
+            raise ClassificationError(f"interval collapsed to {cur} during walk")
+        tag = classify_window(cur, p, h, r, b)
+        if tag is CaseTag.BOUNDARY_HIT:
+            for hole in (h.h_f, h.h_g):
+                u = _middle_third(cur.intersection(hole))
+                if u is not None:
+                    return finish(u, TerminalReason.HOLE)
+            got = _boundary_lemma(p, r, cur)
+            if got is not None:
+                extra, u, reason = got
+                steps.extend(TraceStep(t, op, n, Interval(a, z)) for t, op, n, a, z in extra)
+                return finish(u, reason)
+            inside = cur.intersection(Interval(p.f1.lo, p.g1.hi))
+            cur = _split_at(inside, _boundary_hits(cur, b))
+            steps.append(TraceStep(tag, "shrink", 0, cur))
+            continue
+        if tag is CaseTag.IN_W_OVERLAP:
+            steps.append(TraceStep(tag, "shrink", 0, cur))
+            return finish(cur, TerminalReason.RUINATION_OVERLAP)
+        if tag is CaseTag.PULLBACK_FN:
+            raise ClassificationError(f"{cur} left F1 ∪ G1 mid-walk")
+        which = "G" if tag in (CaseTag.IN_HG, CaseTag.IN_W_RF, CaseTag.IN_G1_FREE) else "F"
+        in_hole = tag in (CaseTag.IN_HF, CaseTag.IN_HG)
+        if not in_hole:
+            window = Interval(cur.lo + TOL.eps_newton, cur.hi - TOL.eps_newton)
+            sites = induced_discontinuities(p, which, window)
+            if sites:
+                cur = _split_at(cur, sites)
+                steps.append(TraceStep(tag, "shrink", 0, cur))
+        n, img = induced_step(p, which, cur)
+        steps.append(TraceStep(tag, which, n, img))
+        if in_hole:
+            return finish(img, TerminalReason.HOLE)
+        cur = img
+    raise IterationCapError(
+        f"gap walk exceeded its bound of {bound} steps; trace: "
+        + " ".join(f"{s.tag.value}:{s.op}{s.n}" for s in steps))
+
+
+def find_gap_by_windows(J: Interval, p: IFSPair, h: HolePair, r: RuinationRegions,
+                        b: tuple[float, ...], mu: float,
+                        cloud: OrbitCloud | None) -> GapCertificate:
+    """`gapfinder.find_gap` around `walk_window`: a window beside F1 ∪ G1
+    is pulled back by `gapfinder._enter`'s step, walked, and its output is
+    pulled back through the step, clipped to J and checked again."""
+    entry, start = _enter(J, p, mu)
+    core = walk_window(start, p, h, r, b, mu, cloud)
+    if entry is None:
+        return core
+    tag, op, n, a, z = entry
+    step = TraceStep(tag, op, n, Interval(a, z))
+    out = _pull_back_checked(p, (step,), core.output, J, cloud, "pulled-back output")
+    return GapCertificate(J, out, (step, *core.trace), core.terminal_reason, core.iteration_bound)
+
+
+def certify_by_windows(p: IFSPair, h: HolePair, r: RuinationRegions, b: tuple[float, ...],
+                       resolution: float, depth: int, mu: float,
+                       verification_depth: int = 18) -> CertifyReport:
+    """`gapfinder.certify_cantor` as the sweep that ran `find_gap_by_windows`
+    on one grid cell after another."""
+    if resolution > 0 and 1.0 / resolution > ORBIT_CAP:
+        raise AssertionError("the oracle sweep takes grids within the orbit cap")
+    cloud = orbit(p, 0.0, verification_depth)
+    n_grid, cells = grid_cells_meeting(minimal_set_cover(p, depth, resolution), resolution)
+    failures: list[tuple[float, float, str]] = []
+    lengths, n_steps, bound_ok = [], [0], True
+    for J in cells:
+        try:
+            cert = find_gap_by_windows(J, p, h, r, b, mu, cloud)
+        except WALK_VERDICTS as e:
+            failures.append((J.lo, J.hi, f"{type(e).__name__}: {e}"))
+            bound_ok = bound_ok and not isinstance(e, IterationCapError)
+            continue
+        lengths.append(cert.output.length)
+        n_steps.append(cert.n_steps)
+    return CertifyReport(
+        resolution=resolution, depth=depth, verification_depth=verification_depth,
+        n_grid=n_grid, n_meeting=len(cells), n_certified=len(cells) - len(failures),
+        n_failed=len(failures), n_skipped=n_grid - len(cells), failures=tuple(failures),
+        min_gap_length=min(lengths, default=0.0), max_gap_length=max(lengths, default=0.0),
+        max_trace_steps=max(n_steps), bound_respected=bound_ok)

@@ -267,8 +267,8 @@ def test_library_holds_only_what_runs():
     # Kept alive by perfbench's names alone; a new entry is a new shim.
     bench_only = {qual for qual, name, node in defs
                   if src_reads[name] == _loads(node)[name] and name in bench_reads}
-    assert bench_only == {"axioms.induced_deriv", "maps.MapSpec.inverse_array",
-                          "maps.iterate", "intervals.IntervalSet.difference"}
+    assert bench_only == {"axioms.induced_deriv", "maps.iterate",
+                          "intervals.IntervalSet.difference"}
 
 
 def test_every_enum_member_is_read():

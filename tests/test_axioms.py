@@ -284,14 +284,40 @@ def test_induced_step_matches_two_passes(built_ctx, monkeypatch):
     assert {0, 1, 2, 3} <= ns
 
 
+def _inversions(monkeypatch, fn):
+    """fn's result and its inversions: the points through
+    `MapSpec.inverse_array` and the `inverse_eval` calls made outside it."""
+    count, inside = [0], [0]
+    inverse_eval, inverse_array = MapSpec.inverse_eval, MapSpec.inverse_array
+
+    def counted_eval(self, y):
+        count[0] += not inside[0]
+        return inverse_eval(self, y)
+
+    def counted_array(self, ys):
+        count[0] += np.size(ys)
+        inside[0] += 1
+        try:
+            return inverse_array(self, ys)
+        finally:
+            inside[0] -= 1
+
+    with monkeypatch.context() as mp:
+        mp.setattr(MapSpec, "inverse_eval", counted_eval)
+        mp.setattr(MapSpec, "inverse_array", counted_array)
+        out = fn()
+    return out, count[0]
+
+
 def test_certify_sweep_inverts_only_the_ends(built_ctx, monkeypatch):
-    """The 1e-2 sweep's `inverse_eval` calls: each induced step inverts its
-    two ends only (1,128 calls when it also ran the midpoint's chain)."""
+    """The 1e-2 sweep's inversions, in arrays and one by one: each induced
+    step inverts its two ends only (1,128 when it also ran the midpoint's
+    chain)."""
     c = built_ctx
-    rep, calls = _inverse_calls(monkeypatch, lambda: certify_cantor(
+    rep, inversions = _inversions(monkeypatch, lambda: certify_cantor(
         c["pair"], c["hole"], c["ruin"], c["bsets"], resolution=1e-2, depth=14, mu=c["mu"]))
     assert rep.all_certified and rep.n_certified == 100
-    assert len(calls) == 820
+    assert inversions == 820
 
 
 def _n_or_error(fn):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,9 +11,10 @@ from cantorifs.errors import (
     ResourceCapError, SpecError,
 )
 from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
-from cantorifs.ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover
+from cantorifs.ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
 from cantorifs.maps import MapSpec
 from cantorifs.gapfinder import (
+    CASES,
     CaseTag,
     TerminalReason,
     TraceStep,
@@ -29,6 +31,8 @@ from cantorifs.gapfinder import (
 from cantorifs.axioms import HolePair
 
 from oracles import (
+    certify_by_windows,
+    find_gap_by_windows,
     induced_step_two_pass,
     pull_back_by_intervals,
     verify_hole_disjoint,
@@ -43,6 +47,22 @@ def _ctx(built_ctx):
     return c["pair"], c["hole"], c["ruin"], c["bsets"], c["mu"]
 
 
+def _case(J, pair, hole, ruin, bsets):
+    """`classify` of the one window J, as its entry of CASES."""
+    return CASES[classify(J.lo, J.hi, pair, hole, ruin, bsets)]
+
+
+def _word(steps) -> str:
+    """The maps that undo `steps`, last step first, as `pull_back` reads them."""
+    return "".join(gapfinder._undo(s.op, s.n) for s in reversed(steps))
+
+
+def _pulled(pair, steps, iv: Interval) -> Interval:
+    """`pull_back` of one interval through `steps`."""
+    lo, hi = pull_back(pair, [_word(steps)], [iv.lo], [iv.hi])
+    return Interval(float(lo[0]), float(hi[0]))
+
+
 # -- classification -----------------------------------------------------------
 
 
@@ -50,7 +70,7 @@ def test_classify_boundary_hit_at_f1(built_ctx):
     pair, hole, ruin, bsets, _ = _ctx(built_ctx)
     f1_hi = pair.f.eval(1.0)
     J = Interval(f1_hi - 1e-5, f1_hi + 1e-5)
-    assert classify(J, pair, hole, ruin, bsets) is CaseTag.BOUNDARY_HIT
+    assert _case(J, pair, hole, ruin, bsets) is CaseTag.BOUNDARY_HIT
 
 
 def test_boundary_hits_are_the_strict_eps_interior_points(built_ctx):
@@ -68,38 +88,38 @@ def test_boundary_hits_are_the_strict_eps_interior_points(built_ctx):
                 expect = [p for p in pts if J.lo + eps < p < J.hi - eps]
                 assert list(_boundary_hits(J, bsets)) == expect
                 if J.length > 0:
-                    hit = classify(J, pair, hole, ruin, bsets) is CaseTag.BOUNDARY_HIT
+                    hit = _case(J, pair, hole, ruin, bsets) is CaseTag.BOUNDARY_HIT
                     assert hit == bool(expect)
 
 
 def test_classify_inside_hole(built_ctx):
     pair, hole, ruin, bsets, _ = _ctx(built_ctx)
-    assert classify(hole.h_f.middle_third(), pair, hole, ruin, bsets) is CaseTag.IN_HF
-    assert classify(hole.h_g.middle_third(), pair, hole, ruin, bsets) is CaseTag.IN_HG
+    assert _case(hole.h_f.middle_third(), pair, hole, ruin, bsets) is CaseTag.IN_HF
+    assert _case(hole.h_g.middle_third(), pair, hole, ruin, bsets) is CaseTag.IN_HG
 
 
 def test_classify_deep_domain_is_pullback(built_ctx):
     pair, hole, ruin, bsets, _ = _ctx(built_ctx)
     f3 = fundamental_domain(pair, "f", 3)
     J = Interval(f3.mid - 1e-6, f3.mid + 1e-6)
-    assert classify(J, pair, hole, ruin, bsets) is CaseTag.PULLBACK_FN
+    assert _case(J, pair, hole, ruin, bsets) is CaseTag.PULLBACK_FN
 
 
 def test_classify_free_regions(built_ctx):
     pair, hole, ruin, bsets, _ = _ctx(built_ctx)
     f1 = fundamental_domain(pair, "f", 1)
     J = Interval(f1.lo + 0.01, hole.h_f.lo - 0.01)
-    assert classify(J, pair, hole, ruin, bsets) is CaseTag.IN_F1_FREE
+    assert _case(J, pair, hole, ruin, bsets) is CaseTag.IN_F1_FREE
     g1 = fundamental_domain(pair, "g", 1)
     J = Interval(hole.h_g.hi + 0.01, g1.hi - 0.01)
-    assert classify(J, pair, hole, ruin, bsets) is CaseTag.IN_G1_FREE
+    assert _case(J, pair, hole, ruin, bsets) is CaseTag.IN_G1_FREE
 
 
 def test_classify_w_overlap(built_ctx):
     pair, hole, ruin, bsets, _ = _ctx(built_ctx)
     rfrg = ruin.r_f.intersect(ruin.r_g)
     widest = max(rfrg.parts, key=lambda p: p.length)
-    assert classify(widest.middle_third(), pair, hole, ruin, bsets) is CaseTag.IN_W_OVERLAP
+    assert _case(widest.middle_third(), pair, hole, ruin, bsets) is CaseTag.IN_W_OVERLAP
 
 
 def test_classify_w_exclusive_sides(built_ctx):
@@ -112,7 +132,7 @@ def test_classify_w_exclusive_sides(built_ctx):
         for part in only.parts:
             if part.length < 1e-7:
                 continue
-            got = classify(part.middle_third(), pair, hole, ruin, bsets)
+            got = _case(part.middle_third(), pair, hole, ruin, bsets)
             if got is tag:
                 found[tag] += 1
     assert found[CaseTag.IN_W_RF] > 0
@@ -122,7 +142,7 @@ def test_classify_w_exclusive_sides(built_ctx):
 def test_classify_rejects_degenerate(built_ctx):
     pair, hole, ruin, bsets, _ = _ctx(built_ctx)
     with pytest.raises(DomainError):
-        classify(Interval(0.3, 0.3), pair, hole, ruin, bsets)
+        classify(0.3, 0.3, pair, hole, ruin, bsets)
 
 
 # -- core terminal cases -------------------------------------------------------------
@@ -266,8 +286,8 @@ def test_trace_growth_respects_expansion(built_ctx):
 def test_find_gap_determinism(built_ctx):
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     J = Interval(0.30, 0.301)
-    c1 = find_gap(J, pair, hole, ruin, bsets, mu=mu)
-    c2 = find_gap(J, pair, hole, ruin, bsets, mu=mu)
+    c1 = find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
+    c2 = find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
     assert c1 == c2
 
 
@@ -278,7 +298,7 @@ def test_pullback_from_f3(built_ctx):
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     f3 = fundamental_domain(pair, "f", 3)
     J = Interval(f3.mid - 1e-5, f3.mid + 1e-5)
-    cert = find_gap(J, pair, hole, ruin, bsets, mu=mu)
+    cert = find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
     assert cert.trace[0].tag is CaseTag.PULLBACK_FN
     assert cert.trace[0].op == "invpow_f" and cert.trace[0].n == 2  # N = 3
     assert J.contains_interval(cert.output)
@@ -299,8 +319,8 @@ def test_window_reaching_eps_into_f1_g1_is_pulled_back(built_ctx, cloud18, side)
         J = Interval(pair.g1.hi - 5e-10, pair.g1.hi + 1e-6)
         tiny = Interval(pair.g1.hi - 3e-10, pair.g1.hi + 1e-10)
     with pytest.raises(DomainError, match="shorter than 10"):
-        find_gap(tiny, pair, hole, ruin, bsets, mu=mu)
-    assert classify(J, pair, hole, ruin, bsets) is CaseTag.PULLBACK_FN
+        find_gap(tiny, pair, hole, ruin, bsets, mu=mu, cloud=None)
+    assert _case(J, pair, hole, ruin, bsets) is CaseTag.PULLBACK_FN
     with pytest.raises(DomainError):
         find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
     cert = find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=cloud18)
@@ -332,7 +352,7 @@ def test_find_gap_identical_to_core_inside_f1(built_ctx):
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     f1 = fundamental_domain(pair, "f", 1)
     J = Interval(f1.lo + 0.02, f1.lo + 0.0205)
-    assert find_gap(J, pair, hole, ruin, bsets, mu=mu) == \
+    assert find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None) == \
         find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
 
 
@@ -340,7 +360,7 @@ def test_pullback_right_side_g_domains(built_ctx):
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     g3 = fundamental_domain(pair, "g", 3)
     J = Interval(g3.mid - 1e-5, g3.mid + 1e-5)
-    cert = find_gap(J, pair, hole, ruin, bsets, mu=mu)
+    cert = find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
     assert cert.trace[0].op == "invpow_g"
     assert J.contains_interval(cert.output)
 
@@ -352,7 +372,7 @@ def test_pullback_checks_cloud_in_walk_space(built_ctx):
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     f3 = fundamental_domain(pair, "f", 3)
     J = Interval(f3.mid - 1e-5, f3.mid + 1e-5)
-    cert = find_gap(J, pair, hole, ruin, bsets, mu=mu)
+    cert = find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
     pullback = cert.trace[0]
     start = Interval(*(pair.f.inverse_eval(pair.f.inverse_eval(y))
                        for y in (pullback.interval.lo, pullback.interval.hi)))
@@ -379,13 +399,15 @@ ESCAPED = Interval(0.9, 0.95)  # off every window the escape tests pull back int
 
 def _escape_on_call(monkeypatch, stage: int) -> None:
     """Make call number `stage` of `gapfinder.pull_back` (1 is the first)
-    return ESCAPED; the others pull back as before."""
+    return ESCAPED for its one window; the others pull back as before."""
     calls = []
     plain = gapfinder.pull_back
 
-    def escaping(p, steps, iv):
+    def escaping(p, words, lo, hi):
         calls.append(1)
-        return ESCAPED if len(calls) == stage else plain(p, steps, iv)
+        if len(calls) == stage:
+            return np.array([ESCAPED.lo]), np.array([ESCAPED.hi])
+        return plain(p, words, lo, hi)
 
     monkeypatch.setattr(gapfinder, "pull_back", escaping)
 
@@ -406,11 +428,11 @@ def test_find_gap_refuses_an_output_that_escapes_either_window(built_ctx, monkey
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     f3 = fundamental_domain(pair, "f", 3)
     J = Interval(f3.mid - 1e-5, f3.mid + 1e-5)
-    first = find_gap(J, pair, hole, ruin, bsets, mu=mu).trace[0]
+    first = find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None).trace[0]
     start = gapfinder._apply_step_forward(pair, first, first.interval)
     _escape_on_call(monkeypatch, stage)
     with pytest.raises(CertificateError) as err:
-        find_gap(J, pair, hole, ruin, bsets, mu=mu)
+        find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
     window = start if stage == 1 else J
     assert str(err.value) == f"pullback {ESCAPED} escaped the input {window}"
 
@@ -477,13 +499,13 @@ def test_certify_cantor_small_sweep(built_ctx):
 
 
 def test_certify_cantor_propagates_faults(built_ctx, monkeypatch):
-    # a fault in the walk is a crash, not a certify_failure row
+    # a fault in the walk's round is a crash, not a certify_failure row
     import cantorifs.gapfinder as gapfinder
 
     def broken(*args, **kwargs):
         raise TypeError("broken walk")
 
-    monkeypatch.setattr(gapfinder, "find_gap", broken)
+    monkeypatch.setattr(gapfinder, "classify", broken)
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     with pytest.raises(TypeError, match="broken walk"):
         certify_cantor(pair, hole, ruin, bsets, resolution=0.1, depth=8,
@@ -499,7 +521,8 @@ def test_certify_cantor_bound_respected_reads_iteration_caps(built_ctx, monkeypa
     def stopped(*args, **kwargs):
         raise verdict("injected")
 
-    monkeypatch.setattr(gapfinder, "find_gap", stopped)
+    # every window enters the walk through `_enter`
+    monkeypatch.setattr(gapfinder, "_enter", stopped)
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     rep = certify_cantor(pair, hole, ruin, bsets, resolution=0.1, depth=8,
                          mu=mu, verification_depth=10)
@@ -565,7 +588,7 @@ def test_walk_builds_no_interval_sets(built_ctx, monkeypatch):
         plain_init(self, *args, **kwargs)
 
     monkeypatch.setattr(IntervalSet, "__init__", counted)
-    reasons = {find_gap(J, pair, hole, ruin, bsets, mu=mu).terminal_reason for J in cells}
+    reasons = {find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None).terminal_reason for J in cells}
     monkeypatch.undo()
     assert len(cells) > 50 and reasons == {TerminalReason.HOLE, TerminalReason.RUINATION_OVERLAP}
     assert built == []
@@ -611,19 +634,23 @@ def test_widest_component_matches_the_intersection_rule(built_ctx):
 
 @pytest.fixture(scope="module")
 def sweep_1e3(built_ctx, cloud18):
-    """The certificates of the certify sweep at resolution 1e-3 and the
-    arguments of every `induced_step` its walks made."""
+    """The certificates of the certify sweep at resolution 1e-3 and every
+    induced step its walks made: (branch, window, n, image) of each window
+    of every `_invert_ends` call."""
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     _, cells = grid_cells_meeting(minimal_set_cover(pair, 14, 1e-3), 1e-3)
     steps = []
-    record = gapfinder.induced_step
+    record = gapfinder._invert_ends
 
-    def recording(p, which, iv):
-        steps.append((which, iv))
-        return record(p, which, iv)
+    def recording(first, ret, n, lo, hi):
+        out = record(first, ret, n, lo, hi)
+        which = "F" if first is pair.f else "G"
+        steps.extend((which, Interval(a, z), k, Interval(c, d)) for a, z, k, c, d
+                     in zip(lo.tolist(), hi.tolist(), n.tolist(), out[0].tolist(), out[1].tolist()))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gapfinder, "induced_step", recording)
+        mp.setattr(gapfinder, "_invert_ends", recording)
         certs = [find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=cloud18) for J in cells]
     return certs, steps
 
@@ -633,8 +660,7 @@ def test_walk_steps_match_two_passes(built_ctx, sweep_1e3):
     certs, steps = sweep_1e3
     assert len(certs) == 998 and len(steps) > 3000
     assert len(steps) == sum(s.op in ("F", "G") for c in certs for s in c.trace)
-    for which, iv in steps:
-        n, img = gapfinder.induced_step(pair, which, iv)
+    for which, iv, n, img in steps:
         want_n, want = induced_step_two_pass(pair, which, iv)
         assert (n, img.lo.hex(), img.hi.hex()) == (want_n, want.lo.hex(), want.hi.hex())
 
@@ -644,14 +670,15 @@ def test_pull_back_matches_interval_route(built_ctx, sweep_1e3):
     to the same floats as an Interval per map would."""
     pair = built_ctx["pair"]
     certs, _ = sweep_1e3
-    ops = set()
-    for cert in certs:
-        for k, s in enumerate(cert.trace, 1):
-            ops.add(s.op)
-            got = pull_back(pair, cert.trace[:k], s.interval)
-            want = pull_back_by_intervals(pair, cert.trace[:k], s.interval)
-            assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
-    assert ops == {"F", "G", "shrink", "invpow_f", "invpow_g"}
+    prefixes = [(cert.trace[:k], s.interval) for cert in certs
+                for k, s in enumerate(cert.trace, 1)]
+    lo, hi = pull_back(pair, [_word(steps) for steps, _ in prefixes],
+                       [iv.lo for _, iv in prefixes], [iv.hi for _, iv in prefixes])
+    for (steps, iv), a, z in zip(prefixes, lo.tolist(), hi.tolist()):
+        want = pull_back_by_intervals(pair, steps, iv)
+        assert (a.hex(), z.hex()) == (want.lo.hex(), want.hi.hex())
+    assert {s.op for steps, _ in prefixes for s in steps} == {
+        "F", "G", "shrink", "invpow_f", "invpow_g"}
 
 
 def test_pulled_back_windows_are_walked_by_the_core(built_ctx, cloud18, sweep_1e3):
@@ -679,7 +706,7 @@ def test_pulled_back_windows_are_walked_by_the_core(built_ctx, cloud18, sweep_1e
         assert cert.trace[1:] == core.trace
         assert cert.terminal_reason is core.terminal_reason
         assert cert.iteration_bound == core.iteration_bound
-        assert cert.output == pull_back(pair, cert.trace[:1], core.output).intersection(cert.input)
+        assert cert.output == _pulled(pair, cert.trace[:1], core.output).intersection(cert.input)
 
 
 def test_step_forward_checks_every_map():
@@ -705,15 +732,94 @@ def test_step_forward_checks_every_map():
 def test_pull_back_checks_every_map():
     """A map that reverses the ends raises, from inside a step, the
     SpecError an Interval would; an unknown op is a CertificateError."""
-    rising, falling = SimpleNamespace(eval=lambda x: x), SimpleNamespace(eval=lambda x: 1.0 - x)
+    rising = SimpleNamespace(eval=lambda x: x, eval_array=lambda xs: xs)
+    falling = SimpleNamespace(eval=lambda x: 1.0 - x, eval_array=lambda xs: 1.0 - xs)
     pair = IFSPair(rising, falling, Interval(0.4, 0.6))
     iv = Interval(0.1, 0.2)
     with pytest.raises(SpecError) as want:
         Interval(0.9, 0.8)
     for op, n in (("F", 2), ("G", 0), ("invpow_g", 1)):
         with pytest.raises(SpecError) as got:
-            pull_back(pair, [TraceStep(CaseTag.IN_F1_FREE, op, n, iv)], iv)
+            _pulled(pair, [TraceStep(CaseTag.IN_F1_FREE, op, n, iv)], iv)
         assert str(got.value) == str(want.value)
-    assert pull_back(pair, [TraceStep(CaseTag.IN_F1_FREE, "F", 0, iv)], iv) == iv
+        # and the same with the interval among many, pulled back in arrays
+        with pytest.raises(SpecError) as got:
+            pull_back(pair, [_word([TraceStep(CaseTag.IN_F1_FREE, op, n, iv)])] * 9,
+                      [iv.lo] * 9, [iv.hi] * 9)
+        assert str(got.value) == str(want.value)
+    assert _pulled(pair, [TraceStep(CaseTag.IN_F1_FREE, "F", 0, iv)], iv) == iv
     with pytest.raises(CertificateError, match="unknown op"):
-        pull_back(pair, [TraceStep(CaseTag.IN_HF, "bogus", 0, iv)], iv)
+        _pulled(pair, [TraceStep(CaseTag.IN_HF, "bogus", 0, iv)], iv)
+
+
+# -- the lockstep walk against the walk of one window at a time ----------------------
+
+
+@pytest.mark.parametrize("resolution", [2e-2, 1e-3, 1 / 1013], ids=["2e-2", "1e-3", "1/1013"])
+def test_certify_equals_the_window_by_window_sweep(built_ctx, resolution):
+    """The lockstep sweep reports what the sweep that walked one cell after
+    another reports, field for field, failure rows included."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    got = certify_cantor(pair, hole, ruin, bsets, resolution=resolution, depth=14, mu=mu)
+    assert got == certify_by_windows(pair, hole, ruin, bsets, resolution, 14, mu)
+    assert got.n_certified > 40
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except gapfinder.WALK_VERDICTS as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_a_mixed_batch_keeps_each_windows_outcome(built_ctx):
+    """In a batch where some windows end in a verdict, each window gets the
+    certificate or the failure string that its walk alone gets.  A cloud
+    with a point in every fifth window's output refuses those windows, and
+    some others whose output in the walk's space holds such a point."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    _, cells = grid_cells_meeting(minimal_set_cover(pair, 14, 1e-3), 1e-3)
+    marked = [find_gap_by_windows(J, pair, hole, ruin, bsets, mu, None).output.mid
+              for J in cells[::5]]
+    cloud = OrbitCloud(np.array(sorted(marked)))
+    walked = gapfinder._walk(pair, hole, ruin, bsets, mu, cloud, cells)
+    failed = set()
+    for J, got in zip(cells, walked):
+        want = _outcome(lambda: find_gap_by_windows(J, pair, hole, ruin, bsets, mu, cloud))
+        assert _outcome(lambda: gapfinder._certificate(J, got)) == want, J
+        if isinstance(want, str):
+            failed.add(want.split(" inside ")[1][:6])
+    assert failed == {"certif", "pulled"}
+    assert len(marked) <= sum(isinstance(g, Exception) for g in walked) < len(cells)
+
+
+# -- memory ---------------------------------------------------------------------------------
+
+
+def _peak(fn) -> int:
+    """fn's peak of traced memory, in bytes, over what it started with."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_find_gap_walks_in_little_memory(built_ctx):
+    """One window's walk, on the windows of the gap_a and gap_b artifacts."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    for J in (Interval(0.30, 0.31), Interval(0.41, 0.4101)):
+        find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None)  # caches filled
+        assert _peak(lambda: find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None)) < 2 ** 18
+
+
+def test_certify_peak_is_its_verification_orbit(built_ctx):
+    """The lockstep sweep at 1e-3 adds at most 1 MiB to the peak that its
+    depth-18 verification orbit sets on its own: its arrays are sized by
+    the cells, not by the cloud or the iteration caps."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    sweep = lambda: certify_cantor(pair, hole, ruin, bsets, resolution=1e-3, depth=14, mu=mu,
+                                   verification_depth=18)
+    sweep()  # caches filled
+    assert _peak(sweep) <= _peak(lambda: orbit(pair, 0.0, 18)) + 2 ** 20
