@@ -823,3 +823,29 @@ def test_certify_peak_is_its_verification_orbit(built_ctx):
                                    verification_depth=18)
     sweep()  # caches filled
     assert _peak(sweep) <= _peak(lambda: orbit(pair, 0.0, 18)) + 2 ** 20
+
+
+@pytest.mark.parametrize("forced", ["chain", "reversed", "range"])
+def test_the_walks_per_window_fallbacks_give_the_same_report(built_ctx, monkeypatch, forced):
+    """The branches that leave the arrays give what the arrays give: every
+    n from `induced_n`'s chain, and every induced step from `induced_step`
+    when `_invert_ends` reports reversed ends or an inversion raises."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    sweep = lambda: certify_cantor(pair, hole, ruin, bsets, resolution=2e-2, depth=14, mu=mu)
+    want = sweep()
+    calls = []
+    if forced == "chain":
+        chain = gapfinder.induced_n
+        monkeypatch.setattr(gapfinder, "_site_counts", lambda p, which, sites, mid: np.full(mid.shape, -1))
+        monkeypatch.setattr(gapfinder, "induced_n", lambda *a: calls.append(a) or chain(*a))
+    else:
+        step = gapfinder.induced_step
+        monkeypatch.setattr(gapfinder, "induced_step", lambda *a: calls.append(a) or step(*a))
+        if forced == "reversed":
+            monkeypatch.setattr(gapfinder, "_invert_ends", lambda *a: None)
+        else:
+            def no_range(*a):
+                raise RangeError("forced")
+            monkeypatch.setattr(gapfinder, "_invert_ends", no_range)
+    assert sweep() == want
+    assert len(calls) >= 60  # every induced step of the sweep
