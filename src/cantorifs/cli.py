@@ -9,6 +9,7 @@ figures are SVG.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -259,6 +260,7 @@ def _mu_target(text: str) -> float:
     return x
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cantorifs",

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cantorifs.errors import SpecError
 from cantorifs.intervals import (
+    TOL,
     Interval,
     IntervalSet,
     from_csv,
@@ -292,6 +293,18 @@ def test_grid_cells_meeting_skips_touching_cells():
 @given(interval_sets(), st.sampled_from([0.3, 0.1, 1 / 7, 0.01, 1 / 997]))
 def test_grid_cells_meeting_random(cover, resolution):
     assert grid_cells_meeting(cover, resolution) == _meeting_oracle(cover, resolution)
+
+
+@pytest.mark.xfail(strict=True, reason="for 15 of these N, N*(1/N) rounds below 1 and the grid "
+                   "still ends in the 1-ulp cell [0.9999999999999999, 1]")
+def test_grid_at_one_over_n_has_n_cells():
+    """perfbench's certify sweep draws N from 950..1050; the golden sweep
+    runs 1/1013."""
+    for n in range(950, 1051):
+        n_grid, cells = grid_cells_meeting(S((0.0, 1.0)), 1.0 / n)
+        assert n_grid == len(cells) == n, n
+        assert cells[-1].hi == 1.0, n
+        assert min(J.length for J in cells) >= TOL.eps_geom, n
 
 
 # -- CSV --------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from cantorifs.cli import main
+from cantorifs.cli import DEFAULT_SEED, main
 from cantorifs.construct import (
     AppendixParams,
     appendix_pair,
@@ -559,3 +563,110 @@ def test_cli_construct_builds_at_n_target_16(tmp_path):
     within 1e-9 of the fixed point 0."""
     assert main(["construct", "--n-target", "16", "--output-dir", str(tmp_path)]) == 0
     assert "all_axioms: ok" in (tmp_path / "construct_report.txt").read_text()
+
+
+# The fix is not in the library yet: perfbench's gap_query peak_rss_mb moved
+# between heap states with it (see CHANGES.md).
+@pytest.mark.xfail(strict=True, reason="an output reaching the fixed point 0 or 1, "
+                                       "which lie in K, still certifies")
+@pytest.mark.parametrize("lo, hi", [("0.9999999999999999", "1"), ("0", "5e-324")],
+                         ids=["at-1", "at-0"])
+def test_cli_gaps_refuses_an_output_at_a_fixed_point(pair_file, tmp_path, capsys, lo, hi):
+    """These windows certified [0.99999999999999989, 1] and [0, 4.94e-324],
+    each holding a point of K."""
+    assert main(["gaps", pair_file, "--lo", lo, "--hi", hi, "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("gaps: no certificate: ")
+    assert not (tmp_path / "gap_certificate.txt").exists()
+
+
+# -- in-process calls ----------------------------------------------------------
+
+
+def _artifacts(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+
+
+_SEQUENCE = [
+    ["gaps", "{pair}", "--certify", "--resolution", "0.05"],
+    ["gaps", "{pair}", "--lo", "0.30", "--hi", "0.31"],
+    ["gaps", "{pair}", "--lo", "0.3"],
+    ["validate", "{pair}", "--seed-lo", "0.3", "--mu-target", "1.5"],
+    ["validate", "{pair}"],
+]
+
+
+def test_cli_calls_share_no_state(pair_file, tmp_path, monkeypatch, capsys):
+    """`main` parses every call with the one parser of the process.  Each
+    call of a sequence that switches subcommands, then options back to
+    their defaults, gives what a parser built for that call alone gives:
+    exit code, stdout, stderr and artifacts with their config_* lines."""
+    import cantorifs.cli as cli
+
+    def run(argv):
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        code = main([a.format(pair=pair_file) for a in argv] + ["--output-dir", str(out)])
+        return code, capsys.readouterr(), _artifacts(out)
+
+    shared = [run(argv) for argv in _SEQUENCE]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [run(argv) for argv in _SEQUENCE] == shared
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0]
+    cert = shared[1][2]["gap_certificate.txt"].decode()
+    assert "config_certify: False\n" in cert and "config_resolution: 0.01\n" in cert
+    report = shared[4][2]["validate_report.txt"].decode()
+    assert "config_mu_target: 1.01\n" in report
+    assert f"config_seed_lo: {DEFAULT_SEED.lo}\n" in report
+
+
+def test_cli_builds_its_parser_once(pair_file, tmp_path, monkeypatch):
+    import argparse
+
+    import cantorifs.cli as cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    argv = ["gaps", pair_file, "--lo", "0.30", "--hi", "0.31", "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = len(built)
+    assert main(argv) == 0
+    assert first == 9  # the top parser and one per subcommand
+    assert len(built) == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["gaps", "{pair}", "--lo", "0.30", "--hi", "0.31"],
+    ["gaps", "{pair}", "--lo", "0.3"],
+    ["gaps", "{pair}", "--lo", "nan", "--hi", "0.31"],
+    ["--help"],
+    ["gaps", "--help"],
+], ids=["certificate", "missing-hi", "parse-error", "help", "gaps-help"])
+def test_cli_in_process_matches_a_new_process(pair_file, tmp_path, monkeypatch, capsys, argv):
+    """`main` called in-process prints and writes the bytes that
+    `python -m cantorifs.cli` prints and writes in a new process.  COLUMNS
+    is fixed in both, so that help text wraps the same."""
+    import cantorifs.cli as cli
+
+    argv = [a.format(pair=pair_file) for a in argv]
+    env = dict(os.environ, COLUMNS="80")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    new, here = tmp_path / "new", tmp_path / "here"
+    new.mkdir()
+    here.mkdir()
+    proc = subprocess.run([sys.executable, "-m", "cantorifs.cli", *argv], cwd=new, env=env,
+                          capture_output=True, check=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(here)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+    assert _artifacts(here) == _artifacts(new)
