@@ -414,8 +414,9 @@ def _pull_back_into(
     """Pull each [lo[k], hi[k]] back through words[k] and clip it to its
     window [w_lo[k], w_hi[k]] (`Interval.intersection`, the pulled-back end
     on a tie).  Returns the clipped ends and, by position, the refusal of
-    each one that escapes its window or holds orbit points; `where` names
-    the result in that refusal, and its `{}`, if any, is filled with it."""
+    each one that escapes its window, reaches the fixed point 0 or 1 (both
+    in K) or holds orbit points; `where` names the result in that refusal,
+    and its `{}`, if any, is filled with it."""
     o_lo, o_hi = pull_back(p, words, lo, hi)
     c_lo = np.where(w_lo > o_lo, w_lo, o_lo)
     c_hi = np.where(w_hi < o_hi, w_hi, o_hi)
@@ -423,6 +424,11 @@ def _pull_back_into(
     refused = {k: CertificateError(f"pullback {Interval(o_lo[k], o_hi[k])} escaped the input "
                                    f"{Interval(w_lo[k], w_hi[k])}")
                for k in escaped.nonzero()[0].tolist()}
+    at_fixed = ~escaped & ((c_lo <= 0.0) | (c_hi >= 1.0))
+    for k in at_fixed.nonzero()[0].tolist():
+        refused[k] = CertificateError(
+            f"{where.format(Interval(c_lo[k], c_hi[k]))} reaches the fixed point 0 or 1")
+    escaped |= at_fixed
     if cloud is not None:
         bad = _orbit_points_inside(cloud, c_lo, c_hi, TOL.eps_geom)
         for k in (~escaped & (bad > 0)).nonzero()[0].tolist():

@@ -233,8 +233,13 @@ def orbit(p: IFSPair, seed: float, depth: int) -> OrbitCloud:
     resolution `TOL.eps_geom`; more than `ORBIT_CAP` points is a
     ResourceCapError.
 
-    The result is a deterministic sorted set: cloud(depth d) is (within
-    eps_geom) a subset of cloud(depth d+1).
+    Level d is the `_dedup_sorted` of the stable-sorted f(level d-1) ∪
+    g(level d-1).  When f or g maps the seed to itself bit for bit (0.0
+    under f, 1.0 under g), each level holds the earlier levels' images and
+    the cloud is the last level: cloud(d) is exactly the dedup of
+    f(cloud(d-1)) ∪ g(cloud(d-1)), which need not hold cloud(d-1) within
+    eps_geom.  Other seeds (−0.0 too: its image is +0.0) merge all levels,
+    so there cloud(d) ⊂ cloud(d+1) within eps_geom.
     """
     if not (0.0 <= seed <= 1.0):
         raise DomainError(f"seed {seed} outside [0, 1]")
@@ -243,21 +248,24 @@ def orbit(p: IFSPair, seed: float, depth: int) -> OrbitCloud:
 
     # f and g are increasing, so f(level) and g(level) of a sorted level are
     # sorted runs, which a stable sort (timsort) merges in linear time.
-    level = np.array([seed])
-    all_pts = level
-    for _ in range(depth):
+    level = all_pts = np.array([seed])
+    fixed = False
+    for d in range(depth):
         level = np.concatenate([p.f.eval_array(level), p.g.eval_array(level)])
-        all_pts = np.sort(np.concatenate([all_pts, level]), kind="stable")
-        all_pts = _dedup_sorted(all_pts)
+        if d == 0:
+            fixed = all_pts.tobytes() in (level[:1].tobytes(), level[1:].tobytes())
+        if not fixed:
+            all_pts = np.sort(np.concatenate([all_pts, level]), kind="stable")
+            all_pts = _dedup_sorted(all_pts)
         # The level is a fresh temporary: sort it in place, uncopied.  The
-        # merge above keeps np.sort's copy: sorting it in place as well, or
+        # merge, where it runs, keeps np.sort's copy: sorting it in place, or
         # deduping the level before the merge, left perfbench's `cloud` about
         # 5% higher in peak RSS and no faster.
         level.sort(kind="stable")
         level = _dedup_sorted(level)
-        if all_pts.size > ORBIT_CAP:
+        if max(all_pts.size, level.size) > ORBIT_CAP:
             raise ResourceCapError(f"orbit exceeds cap of {ORBIT_CAP} points")
-    return OrbitCloud(all_pts)
+    return OrbitCloud(level if fixed else all_pts)
 
 
 def minimal_set_cover(

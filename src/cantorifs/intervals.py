@@ -258,21 +258,23 @@ class IntervalSet:
 
 
 def grid_cells_meeting(s: IntervalSet, resolution: float) -> tuple[int, list[Interval]]:
-    """Cut [0, 1] into the cells [i*res, min((i+1)*res, 1)], i < ceil(1/res);
-    return the number of cells and the cells that meet `s` in positive length.
+    """Cut [0, 1] into n = ceil((1 - eps_geom)/res) cells [i*res, (i+1)*res],
+    the last ending at 1.0, so a remainder shorter than eps_geom joins it;
+    return n and the cells that meet `s` in positive length.
 
     A cell J meets s iff some part has min(hi, J.hi) > max(lo, J.lo): a part
     that only touches J at an endpoint does not meet it, nor does a
     degenerate part.  The first positive-length part ending after J.lo is
     the only one to test.
     """
-    n_grid = int(math.ceil(1.0 / resolution))
+    n_grid = int(math.ceil((1.0 - TOL.eps_geom) / resolution))
     solid = s.his > s.los
     # A sentinel part at +inf ends after every cell and meets none.
     los, his = np.append(s.los[solid], np.inf), np.append(s.his[solid], np.inf)
     i = np.arange(n_grid, dtype=float)
     cell_lo = i * resolution
-    cell_hi = np.minimum((i + 1.0) * resolution, 1.0)
+    cell_hi = (i + 1.0) * resolution
+    cell_hi[-1:] = 1.0
     k = np.searchsorted(his, cell_lo, side="right")
     meets = np.flatnonzero(los[k] < cell_hi)
     return n_grid, [Interval(float(cell_lo[j]), float(cell_hi[j])) for j in meets]

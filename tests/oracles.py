@@ -498,6 +498,8 @@ def _pull_back_checked(p: IFSPair, steps: Sequence[TraceStep], u: Interval, wind
     clipped = out.intersection(window)
     if clipped is None or clipped.length <= 0:
         raise CertificateError(f"pullback {out} escaped the input {window}")
+    if clipped.lo <= 0.0 or clipped.hi >= 1.0:
+        raise CertificateError(f"{where.format(clipped)} reaches the fixed point 0 or 1")
     bad = 0 if cloud is None else int(_orbit_points_inside(cloud, clipped.lo, clipped.hi,
                                                            TOL.eps_geom))
     if bad:

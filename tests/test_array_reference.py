@@ -1,7 +1,8 @@
 """The vectorized path against its earlier form, kept here as the reference.
 
 `eval_array` evaluates each segment on a slice of sorted points, `orbit`
-merges sorted runs and cuts buckets where the key changes, and
+merges sorted runs and cuts buckets where the key changes (a fixed seed's
+cloud is its last level, which on these pairs has the merge's bytes), and
 `lambda_sequence` normalizes both images at once.  The reference below is
 the form they replaced: a per-point segment gather, `np.unique` dedup after
 a stable sort (so signed zeros keep their order), and `f(Λ) ∪ g(Λ)` built from two normalized images.  Both must
@@ -64,11 +65,34 @@ def reference_lambda_sequence(pair, params, n):
     return seq
 
 
-@pytest.mark.parametrize("which", ["built_pair", "valid_affine"])
-@pytest.mark.parametrize("seed", [0.0, -0.0, 1.0, 0.37])
-def test_orbit_matches_reference_bytes(request, which, seed):
+_REFERENCE_CASES = [pytest.param(which, seed, 14, id=f"{seed}-{which}")
+                    for which in ("built_pair", "valid_affine") for seed in (0.0, -0.0, 1.0, 0.37)]
+# The depths certify, gap_query's gate and `cloud` build, from the last level.
+_REFERENCE_CASES += [pytest.param("built_pair", seed, depth, id=f"{seed}-built_pair-{depth}")
+                     for seed in (0.0, 1.0) for depth in (18, 20)]
+
+
+@pytest.mark.parametrize("which, seed, depth", _REFERENCE_CASES)
+def test_orbit_matches_reference_bytes(request, which, seed, depth):
     p = request.getfixturevalue(which)
-    assert orbit(p, seed, 14).points.tobytes() == reference_orbit(p, seed, 14).tobytes()
+    assert orbit(p, seed, depth).points.tobytes() == reference_orbit(p, seed, depth).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0.0, 1.0])
+def test_fixed_seed_cloud_is_the_dedup_of_its_images(appendix, seed):
+    """On the appendix pair, where a fixed seed's cloud is not the merge of
+    all levels from depth 18, each cloud is exactly the eps_geom dedup of
+    the stable-sorted f(cloud(d-1)) ∪ g(cloud(d-1)), one point per bucket."""
+    p = appendix[0]
+    prev = orbit(p, seed, 17).points
+    for depth in (18, 19, 20):
+        want = _dedup_sorted(np.sort(np.concatenate([p.f.eval_array(prev), p.g.eval_array(prev)]),
+                                     kind="stable"))
+        got = orbit(p, seed, depth).points
+        assert got.tobytes() == want.tobytes(), depth
+        keys = np.floor(got / TOL.eps_geom)
+        assert np.all(keys[1:] > keys[:-1]), depth
+        prev = got
 
 
 @pytest.mark.parametrize("which", ["built_pair", "valid_affine"])

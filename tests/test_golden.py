@@ -51,7 +51,7 @@ APPENDIX_POINTS = ((0.01, 0.45), (0.05, 0.2), (0.1, 0.3), (1 / 30, 0.45))
 # sweep (depth 14, verification depth 18) walks at each resolution of
 # `SWEEP_RESOLUTIONS`: input, output, each trace step, terminal reason and
 # iteration bound, floats by `float.hex`; a verdict adds its error instead.
-CERTIFY_SWEEPS = "49ee6f6935c5449835df9b4d6d6bde016d20ce26b2682f0a456acce5f0c080b1"
+CERTIFY_SWEEPS = "d754c78deda37325bdf071c22027f16e1b0c26ec948ce2c8670cd348b4ea3b90"
 SWEEP_RESOLUTIONS = (1e-3, 1 / 1013)
 
 # One digest over `PipelineReport.to_text()` and then `pair_to_json` of the

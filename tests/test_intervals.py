@@ -265,8 +265,9 @@ def test_hausdorff_symmetry_triangle(a, b, c):
 
 def _meeting_oracle(cover, resolution):
     """The cells whose intersection with `cover` has positive measure."""
-    n_grid = int(math.ceil(1.0 / resolution))
-    cells = [Interval(i * resolution, min((i + 1) * resolution, 1.0)) for i in range(n_grid)]
+    n_grid = int(math.ceil((1.0 - TOL.eps_geom) / resolution))
+    cells = [Interval(i * resolution, 1.0 if i == n_grid - 1 else min((i + 1) * resolution, 1.0))
+             for i in range(n_grid)]
     return n_grid, [J for J in cells if cover.intersect(IntervalSet([J])).measure() > 0]
 
 
@@ -278,6 +279,7 @@ def _meeting_oracle(cover, resolution):
     (S((0.0, 0.05), (0.61, 0.62), (0.95, 1.0)), 0.3),  # 0.3 does not divide 1
     (S((0.0, 0.001), (0.4, 0.400001), (0.999, 1.0)), 1 / 997),
     (S((0.0, 1.0)), 1 / 1050),
+    (S((0.0, 1.0)), 1 / 1013),                   # 1013 * (1/1013) rounds below 1
 ])
 def test_grid_cells_meeting_matches_oracle(cover, resolution):
     assert grid_cells_meeting(cover, resolution) == _meeting_oracle(cover, resolution)
@@ -295,8 +297,6 @@ def test_grid_cells_meeting_random(cover, resolution):
     assert grid_cells_meeting(cover, resolution) == _meeting_oracle(cover, resolution)
 
 
-@pytest.mark.xfail(strict=True, reason="for 15 of these N, N*(1/N) rounds below 1 and the grid "
-                   "still ends in the 1-ulp cell [0.9999999999999999, 1]")
 def test_grid_at_one_over_n_has_n_cells():
     """perfbench's certify sweep draws N from 950..1050; the golden sweep
     runs 1/1013."""

@@ -565,10 +565,6 @@ def test_cli_construct_builds_at_n_target_16(tmp_path):
     assert "all_axioms: ok" in (tmp_path / "construct_report.txt").read_text()
 
 
-# The fix is not in the library yet: perfbench's gap_query peak_rss_mb moved
-# between heap states with it (see CHANGES.md).
-@pytest.mark.xfail(strict=True, reason="an output reaching the fixed point 0 or 1, "
-                                       "which lie in K, still certifies")
 @pytest.mark.parametrize("lo, hi", [("0.9999999999999999", "1"), ("0", "5e-324")],
                          ids=["at-1", "at-0"])
 def test_cli_gaps_refuses_an_output_at_a_fixed_point(pair_file, tmp_path, capsys, lo, hi):
