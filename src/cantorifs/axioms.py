@@ -34,7 +34,6 @@ from .errors import (
     DomainError,
     IterationCapError,
     NoContractionError,
-    RangeError,
 )
 from .intervals import TOL, Interval, IntervalSet
 from .ifs import IFSPair, fundamental_domain
@@ -157,37 +156,27 @@ def _inverse_orbit(p: IFSPair, which: Literal["F", "G"], x: float) -> list[float
     raise IterationCapError(f"inverse orbit did not land in {codom} from x={x}")
 
 
-def induced_step(p: IFSPair, which: Literal["F", "G"], iv: Interval) -> tuple[int, Interval]:
-    """(n, image): n = `induced_n` at iv's midpoint, and the image of iv under
-    return^{-n} after first^{-1} from its two ends' `inverse_eval` chains.
-    When an end's inversion fails, the midpoint's chain runs first and its
-    error, if any, is raised instead of the end's, as in two passes."""
-    x = iv.mid
-    n = induced_n(p, x, which)
-    a, b, _, _, _ = _oriented(p, which)
-    try:
-        lo, hi = a.inverse_eval(iv.lo), a.inverse_eval(iv.hi)
-        for _ in range(n):
-            lo, hi = b.inverse_eval(lo), b.inverse_eval(hi)
-    except (RangeError, IterationCapError):
-        _inverse_orbit(p, which, x)
-        raise
-    return n, Interval(lo, hi)
+def _site_counts(p: IFSPair, which: Literal["F", "G"], sites: np.ndarray,
+                 mid: np.ndarray) -> np.ndarray:
+    """`induced_n` at each midpoint where it reads n off the jump sites, and
+    -1 where its inverse chain decides: with i sites below mid - eps_newton,
+    n = i for F and len(sites) - i for G, unless a site lies within
+    eps_newton of mid, mid is past the last site, n >= max_iter or mid is
+    outside [f^2(1), g^2(0)]."""
+    eps = TOL.eps_newton
+    i = sites.searchsorted(mid - eps)
+    n, past = (i, sites.size) if which == "F" else (sites.size - i, 0)
+    read = ((i != past) & (n < TOL.max_iter) & (i == sites.searchsorted(mid + eps, side="right"))
+            & (p.f1.lo <= mid) & (mid <= p.g1.hi))
+    return np.where(read, n, -1)
 
 
 def induced_n(p: IFSPair, x: float, which: Literal["F", "G"]) -> int:
-    """Least n >= 0 with (return map)^{-n}(first^{-1}(x)) in the codomain,
-    read off the cached jump sites, between which n is constant: with i
-    sites below x - eps_newton, n = i for F and len(jumps_G) - i for G.  The
-    inverse chain decides instead where a site lies within eps_newton of x,
-    past the last cached site, at n >= max_iter and outside [f^2(1), g^2(0)]."""
-    sites = _oriented(p, which)[4]
-    i = bisect_left(sites, x - TOL.eps_newton)
-    n, past = (i, len(sites)) if which == "F" else (len(sites) - i, 0)
-    if (i != past and n < TOL.max_iter and i == bisect_right(sites, x + TOL.eps_newton)
-            and p.f1.lo <= x <= p.g1.hi):
-        return n
-    return len(_inverse_orbit(p, which, x)) - 1
+    """Least n >= 0 with (return map)^{-n}(first^{-1}(x)) in the codomain:
+    `_site_counts` off the cached jump sites, between which n is constant,
+    and the inverse chain's where that reads -1."""
+    n = int(_site_counts(p, which, np.array(_oriented(p, which)[4]), x))
+    return n if n >= 0 else len(_inverse_orbit(p, which, x)) - 1
 
 
 def induced_deriv(p: IFSPair, which: Literal["F", "G"], x: float) -> float:

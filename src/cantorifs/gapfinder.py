@@ -21,21 +21,21 @@ n(x) jumps inside the current interval, the walk shrinks to the largest
 clean piece and records the shrink.  Restricting the interval is always
 sound (any certified sub-interval of a sub-interval works).
 
-All the windows of a sweep walk together, in rounds (`_walk`).  The live
-intervals are two float arrays, and a round moves every one of them one
-step: one `classify` call for all, one shrink at the jump sites and one
-batch of end inversions per induced branch.  Each array operation repeats
-the scalar one element by element, so the floats are those of a walk of
-one interval at a time.  The rare branches run per interval inside the
-round: the boundary lemma past its hole case, the split at boundary
-points, a return count the inverse chain decides and the pull-back of a
-window beside F1 ∪ G1.  `find_gap` walks its one window the same way.
+All the windows of a sweep enter together (`_enter`) and walk together,
+in rounds (`_walk`).  The live intervals are two float arrays, and a round
+moves every one of them one step: one `classify` call, one split at the
+boundary points, one shrink at the jump sites and one batch of end
+inversions per induced branch.  Each array operation repeats the scalar
+one element by element, so the floats are those of a walk of one interval
+at a time.  Per interval run only the boundary lemma past its hole case, a
+return count the inverse chain decides, and the inversions of a batch that
+failed, redone one window at a time so that each raises its verdict in the
+two-pass order.  `find_gap` walks its one window the same way.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Literal, NamedTuple, Sequence
@@ -46,7 +46,7 @@ from .errors import (CertificateError, ClassificationError, DomainError, Iterati
                      RangeError, ResourceCapError, SpecError)
 from .intervals import TOL, Interval, IntervalSet, grid_cells_meeting
 from .ifs import ORBIT_CAP, IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
-from .axioms import HolePair, RuinationRegions, _oriented, induced_n, induced_step
+from .axioms import HolePair, RuinationRegions, _inverse_orbit, _oriented, _site_counts, induced_n
 from .maps import _FEW, MapSpec
 
 #: The `find_gap` failures that are verdicts on a cell, reported as data by
@@ -132,11 +132,10 @@ def _in_part(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, s: IntervalSet) ->
     return (i >= 0) & (mid <= s.his[k]) & (s.los[k] - eps <= lo) & (hi <= s.his[k] + eps)
 
 
-def _boundary_hits(J: Interval, b: tuple[float, ...]) -> tuple[float, ...]:
-    """The boundary points strictly inside J, eps_geom away from both ends;
-    `b` is sorted, so they are one slice of it."""
-    eps = TOL.eps_geom
-    return b[bisect_right(b, J.lo + eps):bisect_left(b, J.hi - eps)]
+def _inside(pts: np.ndarray, lo, hi, eps: float):
+    """(a, z), for floats or arrays: the sorted points strictly inside the
+    window and more than eps from both its ends are pts[a:z]."""
+    return pts.searchsorted(lo + eps, side="right"), pts.searchsorted(hi - eps)
 
 
 def _beside(lo, hi, p: IFSPair):
@@ -153,7 +152,7 @@ def classify(lo, hi, p: IFSPair, h: HolePair, r: RuinationRegions, b) -> np.ndar
     boundary points.
 
     The first that applies: BOUNDARY_HIT when a boundary point lies in it
-    as `_boundary_hits` reads them; PULLBACK_FN when `_beside` places it
+    as `_inside` reads them; PULLBACK_FN when `_beside` places it
     beside F1 ∪ G1; a hole; W, refined through the part of r_f ∩ r_g, r_f
     or r_g holding its midpoint, else no ruination case; a free region;
     else no case.  Each containment is widened by eps_geom.
@@ -173,8 +172,8 @@ def classify(lo, hi, p: IFSPair, h: HolePair, r: RuinationRegions, b) -> np.ndar
     left, right = _beside(lo, hi, p)
     cases = (_HIT, _BESIDE, _HF, _HG, _W_OVERLAP, _W_RF, _W_RG, _NO_RUINATION, _F1_FREE, _G1_FREE,
              _NO_CASE)
-    rows = np.array([pts.searchsorted(lo + eps, side="right") < pts.searchsorted(hi - eps),
-                     left | right, within(h.h_f), within(h.h_g), *parts, in_w,
+    a, z = _inside(pts, lo, hi, eps)
+    rows = np.array([a < z, left | right, within(h.h_f), within(h.h_g), *parts, in_w,
                      within(p.f1_free), within(p.g1_free), np.ones(lo.shape, dtype=bool)])
     return np.array(cases)[rows.argmax(axis=0)]  # the first case that applies
 
@@ -226,19 +225,18 @@ def pull_back(p: IFSPair, words: Sequence[str], lo, hi) -> tuple[np.ndarray, np.
     the ends of all intervals whose letter is "f" in one `eval_array` call,
     which is `eval` bit for bit, and those whose letter is "g" in another.
     After every pass each interval is checked lo <= hi, with the SpecError
-    an Interval would raise.  A few intervals go through `eval` one map at a
-    time instead."""
+    an Interval would raise.  A few intervals (`maps._FEW`) go through `eval`
+    one map at a time instead, with the same check: for one interval a pass
+    costs more than its two maps."""
     if len(words) <= _FEW:
         ends = []
         for word, a, z in zip(words, np.ravel(lo).tolist(), np.ravel(hi).tolist()):
-            for name in word:
-                m = p.f if name == "f" else p.g
+            for m in [p.f if name == "f" else p.g for name in word]:
                 a, z = m.eval(a), m.eval(z)
                 if not a <= z:
                     raise SpecError(f"interval needs lo <= hi, got [{a}, {z}]")
             ends.append((a, z))
-        pairs = np.array(ends, dtype=float).reshape(-1, 2)
-        return pairs[:, 0], pairs[:, 1]
+        return tuple(np.array(ends, dtype=float).reshape(-1, 2).T)
     ends = np.empty(2 * len(words))
     ends[0::2], ends[1::2] = lo, hi
     width = max([1, *map(len, words)])
@@ -284,33 +282,24 @@ def _widest_component(j: Interval, s: IntervalSet) -> Interval | None:
     return Interval(float(los[k]), float(his[k]))
 
 
-def _middle_third(comp: Interval | None) -> Interval | None:
-    """Middle third of `comp` (a piece of the current interval), if at
-    least 3*eps_newton long.
-
-    The middle third keeps the output comfortably interior, which is what
-    stabilizes the verification margins.
-    """
-    if comp is None or comp.length < 3.0 * TOL.eps_newton:
-        return None
-    return comp.middle_third()
+def _thirds(a, z):
+    """(usable, lo, hi), for floats or arrays: the middle third of the piece
+    [a, z] of the current interval, usable when the piece is at least
+    3*eps_newton long.  The middle third keeps the output comfortably
+    interior, which is what stabilizes the verification margins."""
+    third = (z - a) / 3.0
+    return z - a >= 3.0 * TOL.eps_newton, a + third, z - third
 
 
 def _hole_thirds(lo: np.ndarray, hi: np.ndarray, h: HolePair):
     """The boundary lemma's first sub-case, for every window at once: the
-    `_middle_third` of the window's piece in h_f, else of its piece in h_g
+    `_thirds` of the window's piece in h_f, else of its piece in h_g
     (`Interval.intersection`, the window's end on a tie).  Returns (found,
     the thirds' lo, the thirds' hi)."""
-    found = np.zeros(lo.shape, dtype=bool)
-    u_lo, u_hi = np.empty_like(lo), np.empty_like(hi)
-    for hole in (h.h_f, h.h_g):
-        a = np.where(hole.lo > lo, hole.lo, lo)
-        z = np.where(hole.hi < hi, hole.hi, hi)
-        third = (z - a) / 3.0
-        new = ~found & (a <= z) & ~(z - a < 3.0 * TOL.eps_newton)
-        u_lo[new], u_hi[new] = (a + third)[new], (z - third)[new]
-        found |= new
-    return found, u_lo, u_hi
+    (f_ok, f_lo, f_hi), (g_ok, g_lo, g_hi) = [
+        _thirds(np.where(hole.lo > lo, hole.lo, lo), np.where(hole.hi < hi, hole.hi, hi))
+        for hole in (h.h_f, h.h_g)]
+    return f_ok | g_ok, np.where(f_ok, f_lo, g_lo), np.where(f_ok, f_hi, g_hi)
 
 
 def _boundary_lemma(
@@ -322,7 +311,12 @@ def _boundary_lemma(
     meets the overlap.  Returns (extra steps, U, reason) with U in the
     space after the extra steps, or None if no usable open piece exists
     (the caller then splits and walks on)."""
-    u = _middle_third(_widest_component(cur, r.rfrg))
+    def overlap_third(j: Interval) -> Interval | None:
+        comp = _widest_component(j, r.rfrg)
+        usable, a, z = _thirds(comp.lo, comp.hi) if comp is not None else (False, 0.0, 0.0)
+        return Interval(a, z) if usable else None
+
+    u = overlap_third(cur)
     if u is not None:
         return [], u, TerminalReason.RUINATION_OVERLAP
     for corner, m, op in ((p.f1.lo, p.f, "invpow_f"), (p.g1.hi, p.g, "invpow_g")):
@@ -330,25 +324,19 @@ def _boundary_lemma(
             # the corner lies strictly inside both cur and m's range
             in_range = cur.intersection(Interval(m.y0, m.y1))
             pulled = Interval(m.inverse_eval(in_range.lo), m.inverse_eval(in_range.hi))
-            u = _middle_third(_widest_component(pulled, r.rfrg))
+            u = overlap_third(pulled)
             if u is not None:
                 step = (CaseTag.BOUNDARY_HIT, op, 1, pulled.lo, pulled.hi)
                 return [step], u, TerminalReason.RUINATION_OVERLAP
     return None
 
 
-def _split_at(cur: Interval, pts: Sequence[float]) -> Interval:
-    cuts = sorted([cur.lo] + [float(x) for x in pts] + [cur.hi])
-    pieces = [Interval(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-    return max(pieces, key=lambda iv: iv.length)
-
-
 def _largest_pieces(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray, a: np.ndarray,
                     z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_split_at` of each window at the points pts[a:z], all strictly
-    inside it: the longest piece between consecutive cuts, the first on a
-    tie.  A row's cuts are padded with its hi; the empty pieces that adds
-    never win."""
+    """Each window [lo, hi] cut at the points pts[a:z], sorted and none
+    outside it: the longest piece between consecutive cuts, the first on a
+    tie.  A row's cuts are padded with its hi; the empty pieces that adds,
+    or a cut at an end, never win."""
     j = np.arange(int((z - a).max()))
     inner = np.where(j < (z - a)[:, None], pts[np.minimum(a[:, None] + j, pts.size - 1)],
                      hi[:, None])
@@ -358,52 +346,53 @@ def _largest_pieces(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray, a: np.ndarr
     return cuts[rows, k], cuts[rows, k + 1]
 
 
-def _site_counts(p: IFSPair, which: Literal["F", "G"], sites: np.ndarray,
-                 mid: np.ndarray) -> np.ndarray:
-    """`induced_n` at each midpoint where it reads n off the jump sites, and
-    -1 where its inverse chain decides: with i sites below mid - eps_newton,
-    n = i for F and len(sites) - i for G, unless a site lies within
-    eps_newton of mid, mid is past the last site, n >= max_iter or mid is
-    outside [f^2(1), g^2(0)]."""
-    eps = TOL.eps_newton
-    i = sites.searchsorted(mid - eps)
-    n, past = (i, sites.size) if which == "F" else (sites.size - i, 0)
-    read = ((i != past) & (n < TOL.max_iter) & (i == sites.searchsorted(mid + eps, side="right"))
-            & (p.f1.lo <= mid) & (mid <= p.g1.hi))
-    return np.where(read, n, -1)
-
-
 def _invert_ends(first: MapSpec, ret: MapSpec, n: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+                 hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each window's ends through first^{-1}, then through ret^{-1} n[k]
-    times: `induced_step`'s end chains, every window at once, and None when
-    some window's ends come out reversed.  Pass k inverts the ends of the
-    windows with n >= k, so no end is inverted more than n + 1 times.  A few
-    windows run their chains through `inverse_eval` one by one instead."""
-    if n.size <= _FEW:
-        chains = []
-        for k, a, z in zip(n.tolist(), lo.tolist(), hi.tolist()):
-            a, z = first.inverse_eval(a), first.inverse_eval(z)
-            for _ in range(k):
-                a, z = ret.inverse_eval(a), ret.inverse_eval(z)
-            chains.append((a, z))
-        ends = np.array(chains, dtype=float).reshape(-1)
-        return None if not (ends[0::2] <= ends[1::2]).all() else (ends[0::2], ends[1::2])
+    times, every window at once; the caller checks lo <= hi.  Pass k
+    inverts the ends of the windows with n >= k, so no end is inverted more
+    than n + 1 times.  One window runs the same passes; `inverse_array`
+    sends a few points through `inverse_eval`."""
     ends = np.empty(2 * n.size)
     ends[0::2], ends[1::2] = lo, hi
     ends = first.inverse_array(ends)
     more = n.repeat(2)
-    for k in range(1, int(n.max()) + 1):
+    for k in range(1, int(n.max(initial=0)) + 1):
         ends[more >= k] = ret.inverse_array(ends[more >= k])
-    if not (ends[0::2] <= ends[1::2]).all():
-        return None
     return ends[0::2], ends[1::2]
+
+
+def _invert_checked(first: MapSpec, ret: MapSpec, n: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray, chain) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """`_invert_ends` of the batch: the ends, and each window's error by
+    position.  When an inversion fails or some ends come out reversed, each
+    window runs alone: one whose inversion fails runs `chain(j)` first, whose
+    error wins, and reversed ends get the SpecError an Interval raises."""
+    try:
+        i_lo, i_hi = _invert_ends(first, ret, n, lo, hi)
+        if (i_lo <= i_hi).all():
+            return i_lo, i_hi, {}
+    except (RangeError, IterationCapError):
+        i_lo, i_hi = np.empty_like(lo), np.empty_like(hi)
+    errors = {}
+    for j in range(n.size):
+        try:
+            try:
+                (i_lo[j],), (i_hi[j],) = _invert_ends(first, ret, n[j:j + 1], lo[j:j + 1],
+                                                      hi[j:j + 1])
+            except (RangeError, IterationCapError):
+                chain(j)
+                raise
+        except (RangeError, IterationCapError, DomainError) as e:
+            errors[j] = e
+        if j not in errors and not i_lo[j] <= i_hi[j]:
+            errors[j] = SpecError(f"interval needs lo <= hi, got [{i_lo[j]}, {i_hi[j]}]")
+    return i_lo, i_hi, errors
 
 
 def _orbit_points_inside(cloud: OrbitCloud, lo, hi, margin: float):
     """The orbit points strictly inside each [lo + margin, hi - margin]."""
-    a = cloud.points.searchsorted(np.add(lo, margin), side="right")
-    z = cloud.points.searchsorted(np.subtract(hi, margin))
+    a, z = _inside(cloud.points, lo, hi, margin)
     return np.maximum(z - a, 0)
 
 
@@ -453,62 +442,84 @@ class _Walked(NamedTuple):
     steps: list[tuple[CaseTag, str, int, float, float]]
 
 
-def _check_core(J: Interval, p: IFSPair, mu: float) -> None:
-    """The faults of a window the walk cannot start from."""
-    if J.length < 10.0 * TOL.eps_geom:
-        raise DomainError(f"input {J} shorter than 10*eps_geom")
-    if any(_beside(J.lo, J.hi, p)):
-        raise DomainError(f"{J} does not meet F1 ∪ G1; use find_gap")
-    if mu <= 1.0:
-        raise DomainError("find_gap_core needs mu > 1")
+def _core_faults(lo: np.ndarray, hi: np.ndarray, p: IFSPair, mu: float) -> dict[int, DomainError]:
+    """By position, the fault of each window the walk cannot start from."""
+    short, (left, right) = hi - lo < 10.0 * TOL.eps_geom, _beside(lo, hi, p)
+    return {k: DomainError(f"input {J} shorter than 10*eps_geom" if short[k] else
+                           f"{J} does not meet F1 ∪ G1; use find_gap" if left[k] or right[k]
+                           else "find_gap_core needs mu > 1")
+            for k in (short | left | right | (mu <= 1.0)).nonzero()[0].tolist()
+            for J in [Interval(float(lo[k]), float(hi[k]))]}
 
 
-def _enter(J: Interval, p: IFSPair, mu: float) -> tuple[tuple | None, Interval]:
-    """(the pull-back step or None, the window the walk starts from).
-
-    A window meeting F1 ∪ G1 is its own start.  One beside it lies, after
-    shrinking away from the fixed point, inside a single F_N or G_N, and is
-    pulled back into F1 (G1) by f^{-(N-1)} (g^{-(N-1)}); the step records
-    the window before the pull-back.  The start must pass `_check_core`."""
-    left, right = _beside(J.lo, J.hi, p)
-    if not (left or right):
-        _check_core(J, p, mu)
-        return None, J
-    # The side fixes the map, its fixed point, and the half kept when the
-    # input touches that fixed point.
-    which: Literal["f", "g"]
-    if left:  # inside some F_N, N >= 2
-        which, op, fixed, away = "f", "invpow_f", 0.0, Interval(J.mid, J.hi)
-    else:     # inside some G_N
-        which, op, fixed, away = "g", "invpow_g", 1.0, Interval(J.lo, J.mid)
-    near_fixed = abs(J.lo - fixed) < TOL.eps_geom or abs(J.hi - fixed) < TOL.eps_geom
-    work = away if near_fixed else J
-
-    # Shrink (largest piece each time) until work sits inside a single F_N /
-    # G_N; domains shrink geometrically toward the fixed point, so this
-    # terminates quickly.
-    for _ in range(200):
-        n, domain = _locate_power_domain(p, work, which)
-        cuts = [c for c in (domain.lo, domain.hi) if work.lo < c < work.hi]
-        if not cuts:
-            break
-        work = _split_at(work, cuts)
-    else:
-        raise ClassificationError(f"could not fit {J} inside one fundamental domain")
-    step = TraceStep(CaseTag.PULLBACK_FN, op, n - 1, work)
-    start = _apply_step_forward(p, step, work)
-    _check_core(start, p, mu)
-    return (step.tag, op, n - 1, work.lo, work.hi), start
+def _power_domains(p: IFSPair, which: Literal["f", "g"], mid: np.ndarray):
+    """(N, lo, hi) of F_N (G_N) for each midpoint: the least N >= 2 whose
+    domain holds it, so a tie goes to the smaller N, and N = -1 where no
+    N < 5000 does.  The ladder f^n(1) falls (g^n(0) rises), so after it is
+    grown past every midpoint one searchsorted reads N off it."""
+    xs, s = p._ladders[which], (-1.0 if which == "f" else 1.0)
+    far = float((s * mid).max())
+    while len(xs) < 4 or (len(xs) < 5001 and s * xs[-1] < far):
+        fundamental_domain(p, which, len(xs) - 1)
+    ladder = np.array([*xs, math.nan])  # a NaN rung sorts last and holds no midpoint
+    j = 3 + (s * ladder[3:]).searchsorted(s * mid)  # the first rung N + 1 at or past mid
+    d_lo, d_hi = (ladder[j], ladder[j - 1]) if which == "f" else (ladder[j - 1], ladder[j])
+    return np.where((d_lo <= mid) & (mid <= d_hi), j - 1, -1), d_lo, d_hi
 
 
-def _locate_power_domain(p: IFSPair, j: Interval, which: Literal["f", "g"]) -> tuple[int, Interval]:
-    """Smallest N >= 2 with F_N (resp. G_N) holding j's midpoint; returns
-    (N, that domain)."""
-    for n in range(2, 5000):
-        dom = fundamental_domain(p, which, n)
-        if dom.lo <= j.mid <= dom.hi:
-            return n, dom
-    raise ClassificationError(f"could not locate a fundamental domain for {j}")
+def _enter(windows: Sequence[Interval], p: IFSPair, mu: float):
+    """(the pull-back steps, the verdicts, the windows that start, and the
+    starts' lo and hi), by window.  A window meeting F1 ∪ G1 is its own
+    start.  One beside it lies, after shrinking away from the fixed point,
+    inside a single F_N or G_N, and is pulled back into F1 (G1) by
+    f^{-(N-1)} (g^{-(N-1)}); the step records the window before the
+    pull-back.  Each of up to 200 passes reads every unfitted window's
+    domain off the ladder (`_power_domains`) and keeps its `_largest_pieces`
+    between the domain's ends.  Every start must pass `_core_faults`; the
+    lowest-indexed window's fault raises."""
+    lo, hi = np.array([(J.lo, J.hi) for J in windows], dtype=float).reshape(-1, 2).T
+    entries, got, faults = [None] * len(windows), {}, {}
+    left, right = _beside(lo, hi, p)  # left wins where F1 ∪ G1 leaves room for both
+    for which, m, op, fixed, side in (("f", p.f, "invpow_f", 0.0, left),
+                                      ("g", p.g, "invpow_g", 1.0, right & ~left)):
+        cs = side.nonzero()[0]
+        if not cs.size:
+            continue
+        # A window touching the fixed point keeps its half away from it.
+        near = (abs(lo[cs] - fixed) < TOL.eps_geom) | (abs(hi[cs] - fixed) < TOL.eps_geom)
+        mid = 0.5 * (lo[cs] + hi[cs])
+        a = np.where(near & (which == "f"), mid, lo[cs])
+        z = np.where(near & (which == "g"), mid, hi[cs])
+        n, live = np.zeros(cs.size, dtype=np.intp), np.arange(cs.size)
+        for _ in range(200):
+            N, d_lo, d_hi = _power_domains(p, which, 0.5 * (a[live] + z[live]))
+            for j in live[N < 0].tolist():
+                got[int(cs[j])] = ClassificationError(
+                    f"could not locate a fundamental domain for {Interval(a[j], z[j])}")
+            fit = (d_lo <= a[live]) & (z[live] <= d_hi)  # it holds the midpoint: no end inside
+            n[live[fit]] = N[fit]
+            # The domain's ends clipped to the window; a clipped end cuts an empty piece.
+            ends = np.stack([np.maximum(d_lo, a[live]), np.minimum(d_hi, z[live])], 1)
+            live, ends = live[~fit & (N >= 0)], ends[~fit & (N >= 0)].ravel()
+            if not live.size:
+                break
+            r = 2 * np.arange(live.size)
+            a[live], z[live] = _largest_pieces(a[live], z[live], ends, r, r + 2)
+        for j in live.tolist():
+            got[int(cs[j])] = ClassificationError(
+                f"could not fit {windows[cs[j]]} inside one fundamental domain")
+        k = (n > 0).nonzero()[0]
+        lo[cs[k]], hi[cs[k]], errors = _invert_checked(m, m, n[k] - 2, a[k], z[k], lambda j: None)
+        for c, n1, a1, z1 in zip(cs[k].tolist(), (n[k] - 1).tolist(), a[k].tolist(), z[k].tolist()):
+            entries[c] = (CaseTag.PULLBACK_FN, op, n1, a1, z1)
+        for j, e in errors.items():
+            (got if isinstance(e, WALK_VERDICTS) else faults)[int(cs[k[j]])] = e
+    cells = np.array([c for c in range(len(windows)) if c not in got and c not in faults],
+                     dtype=np.intp)
+    faults.update((int(cells[k]), e) for k, e in _core_faults(lo[cells], hi[cells], p, mu).items())
+    if faults:
+        raise faults[min(faults)]
+    return entries, got, cells, lo, hi
 
 
 def _walk(
@@ -518,7 +529,7 @@ def _walk(
     """Walk every window at once; returns each window's `_Walked` or its
     verdict, and raises the first fault met.
 
-    Each window enters through `_enter`, and its iteration guard is
+    Every window enters through `_enter`, and its iteration guard is
     ceil(log(|F1| / |start|) / log(mu)) + 50, since eventual expansion
     guarantees finiteness but gives no bound.  Then rounds run until no
     window is live, and each moves every live window one step:
@@ -527,43 +538,30 @@ def _walk(
       3*eps_newton with ClassificationError;
     * one `classify` call gives every window its case;
     * a BOUNDARY_HIT ends in the boundary lemma (`_hole_thirds` for all,
-      then `_boundary_lemma` one by one), or else splits at the hits and
-      walks on with the largest piece inside F1 ∪ G1;
+      then `_boundary_lemma` one by one), or else is cut at its hits (all
+      in F1 ∪ G1) and walks on with its largest piece inside F1 ∪ G1;
     * IN_W_OVERLAP ends at once; PULLBACK_FN and no case are verdicts;
-    * the other cases take one step of their induced branch, whose table
-      is read once per walk: outside a hole the window shrinks to its
-      largest piece between the jump sites, n is read off the sites at its
-      midpoint (`_site_counts`, or `induced_n`'s chain), and both ends are
-      inverted n + 1 times (`_invert_ends`).  When an inversion fails or
-      reverses some ends, every window of the branch is stepped by
-      `induced_step`, which raises its verdict in the two-pass order.  A
-      hole case ends there.
+    * the other cases take one step of their induced branch, whose sites
+      are read once per walk: outside a hole the window shrinks to its
+      largest piece between the jump sites, n is read at its midpoint off
+      the sites (`_site_counts`, or `induced_n`'s chain), and both ends are
+      inverted n + 1 times (`_invert_checked`; one window at a time after a
+      failure, each running its midpoint's chain first, as in two passes).
+      A hole case ends there.
 
     The windows that end are pulled back together (`_pull_back_into`):
     through the walk's steps into the start, where the cloud, if given, is
     checked; then, for a pulled-back window, through the entry step into
     the window, where it is checked again.
     """
-    got: list = [None] * len(windows)
     steps: list[list[tuple]] = [[] for _ in windows]
-    entries: list = [None] * len(windows)
-    starts: dict[int, Interval] = {}
-    for c, J in enumerate(windows):
-        try:
-            entries[c], starts[c] = _enter(J, p, mu)
-        except WALK_VERDICTS as e:
-            got[c] = e
-    bounds = {c: math.ceil(math.log(max(p.f1.length / s.length, 1.0)) / math.log(mu)) + 50
-              for c, s in starts.items()}
-    cells = np.array(list(starts), dtype=np.intp)
-    lo = np.array([s.lo for s in starts.values()], dtype=float)
-    hi = np.array([s.hi for s in starts.values()], dtype=float)
+    entries, got, cells, s_lo, s_hi = _enter(windows, p, mu)
+    lo, hi = s_lo[cells], s_hi[cells]
+    bounds = {c: math.ceil(math.log(max(p.f1.length / (z - a), 1.0)) / math.log(mu)) + 50
+              for c, a, z in zip(cells.tolist(), lo.tolist(), hi.tolist())}
     guard = np.array(list(bounds.values()), dtype=np.intp)
     pts = np.array(b, dtype=float)
-    branches = {}
-    for which in ("F", "G"):
-        first, ret, _, _, sites = _oriented(p, which)
-        branches[which] = first, ret, np.array(sites, dtype=float)
+    sites = {which: np.array(_oriented(p, which)[4], dtype=float) for which in "FG"}
     ended: dict[int, tuple[float, float, TerminalReason]] = {}
 
     def record(cs, codes, op, ns, los, his) -> None:
@@ -578,15 +576,14 @@ def _walk(
     rnd = 0
     while cells.size:
         out = (guard <= rnd) | (hi - lo < 3.0 * TOL.eps_newton)
-        if out.any():
-            for j in out.nonzero()[0].tolist():
-                c = int(cells[j])
-                got[c] = (IterationCapError(
-                    f"gap walk exceeded its bound of {bounds[c]} steps; trace: "
-                    + " ".join(f"{t.value}:{op}{n}" for t, op, n, _, _ in steps[c]))
-                    if guard[j] <= rnd else ClassificationError(
-                        f"interval collapsed to {Interval(float(lo[j]), float(hi[j]))} during walk"))
-            cells, lo, hi, guard = cells[~out], lo[~out], hi[~out], guard[~out]
+        for j in out.nonzero()[0].tolist():
+            c = int(cells[j])
+            got[c] = (IterationCapError(
+                f"gap walk exceeded its bound of {bounds[c]} steps; trace: "
+                + " ".join(f"{t.value}:{op}{n}" for t, op, n, _, _ in steps[c]))
+                if guard[j] <= rnd else ClassificationError(
+                    f"interval collapsed to {Interval(float(lo[j]), float(hi[j]))} during walk"))
+        cells, lo, hi, guard = cells[~out], lo[~out], hi[~out], guard[~out]
         code = classify(lo, hi, p, h, r, pts)
         walking = []  # (cells, lo, hi, guard) of the windows that walk on
 
@@ -595,72 +592,57 @@ def _walk(
             found, u_lo, u_hi = _hole_thirds(lo[hits], hi[hits], h)
             end(cells[hits[found]], u_lo[found], u_hi[found], TerminalReason.HOLE)
             code[hits[found]] = -1  # ended
+        split = []
         for j in (code >= _HIT).nonzero()[0].tolist():
             c, case, cur = int(cells[j]), int(code[j]), Interval(float(lo[j]), float(hi[j]))
             if case == _HIT:
-                lemma = _boundary_lemma(p, r, cur)
-                if lemma is not None:
-                    extra, u, reason = lemma
-                    steps[c] += extra
-                    ended[c] = u.lo, u.hi, reason
-                    continue
-                # No usable open piece: split at the hits (all in F1 ∪ G1)
-                # and walk on with the largest piece inside F1 ∪ G1.
-                inside = cur.intersection(Interval(p.f1.lo, p.g1.hi))
-                piece = _split_at(inside, _boundary_hits(cur, b))
-                steps[c].append((CaseTag.BOUNDARY_HIT, "shrink", 0, piece.lo, piece.hi))
-                walking.append((cells[j:j + 1], np.array([piece.lo]), np.array([piece.hi]),
-                                guard[j:j + 1]))
+                lemma = _boundary_lemma(p, r, cur)  # (extra steps, U, reason)
+                if lemma is None:
+                    split.append(j)
+                else:
+                    steps[c] += lemma[0]
+                    ended[c] = lemma[1].lo, lemma[1].hi, lemma[2]
             elif case == _W_OVERLAP:
                 steps[c].append((CaseTag.IN_W_OVERLAP, "shrink", 0, cur.lo, cur.hi))
                 ended[c] = cur.lo, cur.hi, TerminalReason.RUINATION_OVERLAP
             else:
                 why = "left F1 ∪ G1 mid-walk" if case == _BESIDE else CASES[case]
                 got[c] = ClassificationError(f"{cur} {why}")
+        if split:
+            k = np.array(split)
+            a, z = _inside(pts, lo[k], hi[k], TOL.eps_geom)
+            p_lo, p_hi = _largest_pieces(np.maximum(lo[k], p.f1.lo), np.minimum(hi[k], p.g1.hi),
+                                         pts, a, z)
+            record(cells[k], code[k], "shrink", None, p_lo, p_hi)
+            walking.append((cells[k], p_lo, p_hi, guard[k]))
 
         branch = code // 3  # 0 for F's cases, 1 for G's
         for which, hole in (("F", _HF), ("G", _HG)):
             k = (branch == hole // 3).nonzero()[0]
             if not k.size:
                 continue
-            first, ret, sites = branches[which]
             cs, codes, w_lo, w_hi, w_guard = cells[k], code[k], lo[k], hi[k], guard[k]
-            a = sites.searchsorted(w_lo + TOL.eps_newton, side="right")
-            z = sites.searchsorted(w_hi - TOL.eps_newton)
+            a, z = _inside(sites[which], w_lo, w_hi, TOL.eps_newton)
             cut = ((codes != hole) & (a < z)).nonzero()[0]
             if cut.size:
-                w_lo[cut], w_hi[cut] = _largest_pieces(w_lo[cut], w_hi[cut], sites, a[cut], z[cut])
+                w_lo[cut], w_hi[cut] = _largest_pieces(w_lo[cut], w_hi[cut], sites[which], a[cut],
+                                                       z[cut])
                 record(cs[cut], codes[cut], "shrink", None, w_lo[cut], w_hi[cut])
-            mid = 0.5 * (w_lo + w_hi)
-            n = _site_counts(p, which, sites, mid)
-            chain = (n < 0).nonzero()[0]
-            if chain.size:
-                for j in chain.tolist():
-                    try:
-                        n[j] = induced_n(p, float(mid[j]), which)
-                    except WALK_VERDICTS as e:
-                        got[int(cs[j])] = e
-                ok = n >= 0
-                cs, codes, w_lo, w_hi, w_guard, n = [x[ok] for x in (cs, codes, w_lo, w_hi, w_guard, n)]
-                if not n.size:
-                    continue
-            try:
-                stepped = _invert_ends(first, ret, n, w_lo, w_hi)
-            except (RangeError, IterationCapError):
-                stepped = None
-            if stepped is None:  # one at a time, with induced_step's verdicts and their order
-                ok = np.ones(n.size, dtype=bool)
-                i_lo, i_hi = np.empty_like(w_lo), np.empty_like(w_hi)
-                for j in range(n.size):
-                    try:
-                        n[j], img = induced_step(p, which, Interval(float(w_lo[j]), float(w_hi[j])))
-                    except WALK_VERDICTS as e:
-                        got[int(cs[j])], ok[j] = e, False
-                        continue
-                    i_lo[j], i_hi[j] = img.lo, img.hi
-                cs, codes, i_lo, i_hi, w_guard, n = [x[ok] for x in (cs, codes, i_lo, i_hi, w_guard, n)]
-            else:
-                i_lo, i_hi = stepped
+            # n at the midpoint off the sites, or from its chain where they cannot decide
+            mid, ok = 0.5 * (w_lo + w_hi), np.ones(k.size, dtype=bool)
+            n = _site_counts(p, which, sites[which], mid)
+            for j in (n < 0).nonzero()[0].tolist():
+                try:
+                    n[j] = induced_n(p, float(mid[j]), which)
+                except WALK_VERDICTS as e:
+                    got[int(cs[j])], n[j], ok[j] = e, 0, False
+            i_lo, i_hi, errors = _invert_checked(*_oriented(p, which)[:2], n, w_lo, w_hi,
+                                                 lambda j: _inverse_orbit(p, which, float(mid[j])))
+            for j in [j for j in errors if ok[j]]:  # a verdict is kept, the first fault raises
+                if not isinstance(errors[j], WALK_VERDICTS):
+                    raise errors[j]
+                got[int(cs[j])], ok[j] = errors[j], False
+            cs, codes, i_lo, i_hi, w_guard, n = [x[ok] for x in (cs, codes, i_lo, i_hi, w_guard, n)]
             record(cs, codes, which, n, i_lo, i_hi)
             on = codes != hole
             end(cs[~on], i_lo[~on], i_hi[~on], TerminalReason.HOLE)
@@ -670,26 +652,25 @@ def _walk(
                                 else (cells[:0], lo[:0], hi[:0], guard[:0]))
         rnd += 1
 
-    if not ended:
-        return got
-    cs = list(ended)
-    words = ["".join([_undo(op, n) for _, op, n, _, _ in reversed(steps[c])]) for c in cs]
-    out_lo, out_hi, refused = _pull_back_into(
-        p, words, np.array([ended[c][0] for c in cs]), np.array([ended[c][1] for c in cs]),
-        np.array([starts[c].lo for c in cs]), np.array([starts[c].hi for c in cs]), cloud,
-        "certified output {}")
-    back = [j for j, c in enumerate(cs) if j not in refused and entries[c] is not None]
-    if back:
-        b_lo, b_hi, refused_back = _pull_back_into(
-            p, [_undo(op, n) for _, op, n, _, _ in (entries[cs[j]] for j in back)],
-            out_lo[back], out_hi[back], np.array([windows[cs[j]].lo for j in back]),
-            np.array([windows[cs[j]].hi for j in back]), cloud, "pulled-back output")
-        out_lo[back], out_hi[back] = b_lo, b_hi
-        refused.update((back[i], e) for i, e in refused_back.items())
-    for j, (c, a, z) in enumerate(zip(cs, out_lo.tolist(), out_hi.tolist())):
-        entry = [] if entries[c] is None else [entries[c]]
-        got[c] = refused[j] if j in refused else _Walked(a, z, ended[c][2], bounds[c], entry + steps[c])
-    return got
+    if ended:
+        cs = list(ended)
+        words = ["".join([_undo(op, n) for _, op, n, _, _ in reversed(steps[c])]) for c in cs]
+        out_lo, out_hi, refused = _pull_back_into(
+            p, words, np.array([ended[c][0] for c in cs]), np.array([ended[c][1] for c in cs]),
+            s_lo[cs], s_hi[cs], cloud, "certified output {}")
+        back = [j for j, c in enumerate(cs) if j not in refused and entries[c] is not None]
+        if back:
+            b_lo, b_hi, refused_back = _pull_back_into(
+                p, [_undo(op, n) for _, op, n, _, _ in (entries[cs[j]] for j in back)],
+                out_lo[back], out_hi[back], np.array([windows[cs[j]].lo for j in back]),
+                np.array([windows[cs[j]].hi for j in back]), cloud, "pulled-back output")
+            out_lo[back], out_hi[back] = b_lo, b_hi
+            refused.update((back[i], e) for i, e in refused_back.items())
+        for j, (c, a, z) in enumerate(zip(cs, out_lo.tolist(), out_hi.tolist())):
+            entry = [] if entries[c] is None else [entries[c]]
+            got[c] = refused[j] if j in refused else _Walked(a, z, ended[c][2], bounds[c],
+                                                             entry + steps[c])
+    return [got[c] for c in range(len(windows))]
 
 
 def _certificate(J: Interval, got: _Walked | Exception) -> GapCertificate:
@@ -713,19 +694,14 @@ def find_gap_core(
     cloud: OrbitCloud | None = None,
 ) -> GapCertificate:
     """Run the case-driven induction for J meeting F1 ∪ G1: the rounds of
-    `_walk` on J alone.
-
-    Each round classifies the current interval once, and an induced step
-    reads n at the midpoint off the jump sites and inverts only the two
-    ends, n + 1 times each.  A boundary hit ends in one of the boundary
-    lemma's three sub-cases, or else splits at the hits and keeps the
-    largest piece inside F1 ∪ G1.  The terminal piece is pulled back
-    through the walk's steps and clipped to J; when `cloud` is given, the
-    output is checked against it before returning.  The iteration guard is
+    `_walk` on J alone.  The terminal piece is pulled back through the
+    walk's steps and clipped to J; when `cloud` is given, the output is
+    checked against it before returning.  The iteration guard is
     ceil(log(|F1| / |J|) / log(mu)) + 50, which turns non-termination into
     a diagnosable error.
     """
-    _check_core(J, p, mu)
+    if any(_beside(J.lo, J.hi, p)):  # refused, not pulled back; `_enter` checks the rest
+        raise _core_faults(np.array([J.lo]), np.array([J.hi]), p, mu)[0]
     return _certificate(J, _walk(p, h, r, b, mu, cloud, [J])[0])
 
 
@@ -743,10 +719,8 @@ def find_gap(
     mu: float,
     cloud: OrbitCloud | None,
 ) -> GapCertificate:
-    """find_gap_core, preceded when necessary by the fundamental-domain
-    pullback (`_enter`): an interval beside F1 ∪ G1 lies (after shrinking
-    away from the fixed points) inside a single F_N or G_N and is pulled
-    back into F1 (G1) by one step.  The walk starts from that pulled-back
+    """find_gap_core, preceded when J lies beside F1 ∪ G1 by `_enter`'s
+    one-step pull-back into F1 (G1).  The walk starts from the pulled-back
     window; its output is pulled back through the step, clipped to J and,
     unless `cloud` is None, checked a second time.  The trace is the
     pull-back step, then the walk's."""

@@ -70,10 +70,6 @@ class Interval:
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
         return Interval(lo, hi) if lo <= hi else None
 
-    def middle_third(self) -> "Interval":
-        third = self.length / 3.0
-        return Interval(self.lo + third, self.hi - third)
-
     def __str__(self) -> str:
         return f"[{self.lo:.12g}, {self.hi:.12g}]"
 

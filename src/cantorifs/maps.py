@@ -25,8 +25,10 @@ from .intervals import TOL, Interval
 #: rounding.
 C1_DERIV_TOL = 1e-6
 
-#: Up to this many points, `eval_array` and `inverse_array` call the scalar
-#: method per point: below it numpy's cost per call outweighs its speed.
+#: The library's one small-batch threshold: up to this many points, `eval_array`
+#: and `inverse_array` call the scalar method per point, where numpy's cost per
+#: call outweighs its speed, and `gapfinder.pull_back` maps up to this many
+#: intervals through `eval`.  The gap walk's other batches go through the two.
 _FEW = 8
 
 

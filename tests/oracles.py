@@ -9,21 +9,22 @@ benchmark run.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from cantorifs.axioms import (HolePair, RuinationRegions, _inverse_orbit, induced_discontinuities,
-                              induced_step)
+from cantorifs.axioms import (HolePair, RuinationRegions, _inverse_orbit, _oriented,
+                              induced_discontinuities)
 from cantorifs.construct import AppendixParams, ClassCBuilder, epsilon_family_specs, lambda_sequence
 from cantorifs.errors import (CertificateError, ClassificationError, DomainError, IterationCapError,
                               RangeError, SpecError)
 from cantorifs.gapfinder import (
     WALK_VERDICTS, CaseTag, CertifyReport, GapCertificate, TerminalReason, TraceStep, _beside,
-    _boundary_hits, _boundary_lemma, _enter, _middle_third, _orbit_points_inside, _split_at)
-from cantorifs.ifs import ORBIT_CAP, IFSPair, OrbitCloud, _dedup_sorted, minimal_set_cover, orbit
+    _boundary_lemma, _orbit_points_inside)
+from cantorifs.ifs import (ORBIT_CAP, IFSPair, OrbitCloud, _dedup_sorted, fundamental_domain,
+                           minimal_set_cover, orbit)
 from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
 from cantorifs.maps import MapSpec, Segment, iterate_interval
 
@@ -292,11 +293,43 @@ def induced_discontinuities_by_scan(
     return [x for x in sites if region.lo < x < region.hi]
 
 
+def induced_n_by_bisect(p: IFSPair, x: float, which: Literal["F", "G"]) -> int:
+    """`axioms.induced_n` with the sites bisected as a tuple: with i sites
+    below x - eps_newton, n = i for F and len(sites) - i for G, and the
+    inverse chain's n where a site lies within eps_newton of x, past the
+    last site, at n >= max_iter and outside [f^2(1), g^2(0)]."""
+    sites = _oriented(p, which)[4]
+    i = bisect_left(sites, x - TOL.eps_newton)
+    n, past = (i, len(sites)) if which == "F" else (len(sites) - i, 0)
+    if (i != past and n < TOL.max_iter and i == bisect_right(sites, x + TOL.eps_newton)
+            and p.f1.lo <= x <= p.g1.hi):
+        return n
+    return induced_n_by_chain(p, x, which)
+
+
+def induced_step(p: IFSPair, which: Literal["F", "G"], iv: Interval) -> tuple[int, Interval]:
+    """(n, image): n at iv's midpoint (`induced_n_by_bisect`), and the image
+    of iv under return^{-n} after first^{-1} from its two ends'
+    `inverse_eval` chains.  When an end's inversion fails, the midpoint's
+    chain runs first and its error, if any, is raised instead of the
+    end's, as in two passes."""
+    n = induced_n_by_bisect(p, iv.mid, which)
+    a, b, _, _, _ = _oriented(p, which)
+    try:
+        lo, hi = a.inverse_eval(iv.lo), a.inverse_eval(iv.hi)
+        for _ in range(n):
+            lo, hi = b.inverse_eval(lo), b.inverse_eval(hi)
+    except (RangeError, IterationCapError):
+        _inverse_orbit(p, which, iv.mid)
+        raise
+    return n, Interval(lo, hi)
+
+
 def induced_step_two_pass(
     p: IFSPair, which: Literal["F", "G"], iv: Interval
 ) -> tuple[int, Interval]:
     """n from the midpoint's inverse orbit, then the n-fold inverse image of
-    iv: `axioms.induced_step` reads the same n off the jump sites."""
+    iv: `induced_step` reads the same n off the jump sites."""
     n = induced_n_by_chain(p, iv.mid, which)
     first, ret = (p.f, p.g) if which == "F" else (p.g, p.f)
     lo, hi = first.inverse_eval(iv.lo), first.inverse_eval(iv.hi)
@@ -458,6 +491,86 @@ def certify_cantor_by_complement(
 # -- the gap walk, one window at a time --------------------------------------------
 
 
+def middle_third(iv: Interval) -> Interval:
+    third = iv.length / 3.0
+    return Interval(iv.lo + third, iv.hi - third)
+
+
+def _middle_third(comp: Interval | None) -> Interval | None:
+    """The middle third of a piece of the current interval, if the piece is
+    at least 3*eps_newton long."""
+    if comp is None or comp.length < 3.0 * TOL.eps_newton:
+        return None
+    return middle_third(comp)
+
+
+def _boundary_hits(J: Interval, b: tuple[float, ...]) -> tuple[float, ...]:
+    """The boundary points strictly inside J, eps_geom away from both ends;
+    `b` is sorted, so they are one slice of it."""
+    eps = TOL.eps_geom
+    return b[bisect_right(b, J.lo + eps):bisect_left(b, J.hi - eps)]
+
+
+def _split_at(cur: Interval, pts: Sequence[float]) -> Interval:
+    """The longest piece of cur between consecutive cuts at pts, the first
+    on a tie."""
+    cuts = sorted([cur.lo] + [float(x) for x in pts] + [cur.hi])
+    pieces = [Interval(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+    return max(pieces, key=lambda iv: iv.length)
+
+
+def locate_power_domain(p: IFSPair, j: Interval, which: Literal["f", "g"]) -> tuple[int, Interval]:
+    """Smallest N >= 2 with F_N (resp. G_N) holding j's midpoint, by a scan
+    from N = 2; returns (N, that domain)."""
+    for n in range(2, 5000):
+        dom = fundamental_domain(p, which, n)
+        if dom.lo <= j.mid <= dom.hi:
+            return n, dom
+    raise ClassificationError(f"could not locate a fundamental domain for {j}")
+
+
+def _check_core(J: Interval, p: IFSPair, mu: float) -> None:
+    """The faults of a window the walk cannot start from."""
+    if J.length < 10.0 * TOL.eps_geom:
+        raise DomainError(f"input {J} shorter than 10*eps_geom")
+    if any(_beside(J.lo, J.hi, p)):
+        raise DomainError(f"{J} does not meet F1 ∪ G1; use find_gap")
+    if mu <= 1.0:
+        raise DomainError("find_gap_core needs mu > 1")
+
+
+def enter_window(J: Interval, p: IFSPair, mu: float) -> tuple[TraceStep | None, Interval]:
+    """`gapfinder._enter` of one window, as the loop that shrank it until
+    it fit one domain: (the pull-back step or None, the window the walk
+    starts from).  Each pass locates the domain by `locate_power_domain`
+    and keeps the `_split_at` piece; the start is pulled back by an
+    Interval per inversion and must pass `_check_core`."""
+    left, right = _beside(J.lo, J.hi, p)
+    if not (left or right):
+        _check_core(J, p, mu)
+        return None, J
+    which: Literal["f", "g"]
+    if left:
+        which, op, fixed, away = "f", "invpow_f", 0.0, Interval(J.mid, J.hi)
+    else:
+        which, op, fixed, away = "g", "invpow_g", 1.0, Interval(J.lo, J.mid)
+    near_fixed = abs(J.lo - fixed) < TOL.eps_geom or abs(J.hi - fixed) < TOL.eps_geom
+    work = away if near_fixed else J
+    for _ in range(200):
+        n, domain = locate_power_domain(p, work, which)
+        cuts = [c for c in (domain.lo, domain.hi) if work.lo < c < work.hi]
+        if not cuts:
+            break
+        work = _split_at(work, cuts)
+    else:
+        raise ClassificationError(f"could not fit {J} inside one fundamental domain")
+    m, start = (p.f if which == "f" else p.g), work
+    for _ in range(n - 1):
+        start = Interval(m.inverse_eval(start.lo), m.inverse_eval(start.hi))
+    _check_core(start, p, mu)
+    return TraceStep(CaseTag.PULLBACK_FN, op, n - 1, work), start
+
+
 def classify_window(J: Interval, p: IFSPair, h: HolePair, r: RuinationRegions,
                     b: tuple[float, ...]) -> CaseTag:
     """`gapfinder.classify` of one window by the scalar predicates: Interval
@@ -513,12 +626,7 @@ def walk_window(J: Interval, p: IFSPair, h: HolePair, r: RuinationRegions,
     time: per step `classify_window`, the whole boundary lemma, a shrink at
     `induced_discontinuities` and one `induced_step`, and at the end a
     pull-back by Intervals, clipped to J and checked against the cloud."""
-    if J.length < 10.0 * TOL.eps_geom:
-        raise DomainError(f"input {J} shorter than 10*eps_geom")
-    if any(_beside(J.lo, J.hi, p)):
-        raise DomainError(f"{J} does not meet F1 ∪ G1; use find_gap")
-    if mu <= 1.0:
-        raise DomainError("find_gap_core needs mu > 1")
+    _check_core(J, p, mu)
     bound = math.ceil(math.log(max(p.f1.length / J.length, 1.0)) / math.log(mu)) + 50
     steps: list[TraceStep] = []
     cur = J
@@ -572,14 +680,12 @@ def find_gap_by_windows(J: Interval, p: IFSPair, h: HolePair, r: RuinationRegion
                         b: tuple[float, ...], mu: float,
                         cloud: OrbitCloud | None) -> GapCertificate:
     """`gapfinder.find_gap` around `walk_window`: a window beside F1 ∪ G1
-    is pulled back by `gapfinder._enter`'s step, walked, and its output is
+    is pulled back by `enter_window`'s step, walked, and its output is
     pulled back through the step, clipped to J and checked again."""
-    entry, start = _enter(J, p, mu)
+    step, start = enter_window(J, p, mu)
     core = walk_window(start, p, h, r, b, mu, cloud)
-    if entry is None:
+    if step is None:
         return core
-    tag, op, n, a, z = entry
-    step = TraceStep(tag, op, n, Interval(a, z))
     out = _pull_back_checked(p, (step,), core.output, J, cloud, "pulled-back output")
     return GapCertificate(J, out, (step, *core.trace), core.terminal_reason, core.iteration_bound)
 

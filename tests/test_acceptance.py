@@ -35,6 +35,7 @@ from oracles import (
     dilate,
     hausdorff_distance,
     induced_map,
+    middle_third,
     min_distance,
     orbit_bruteforce,
     phi_rescale_interval,
@@ -276,7 +277,7 @@ def test_acceptance_9_lemma_properties(built_ctx, cloud18):
     assert not rfrg.is_empty()
     checked_parts = 0
     for part in rfrg.parts:
-        core = part.middle_third()
+        core = middle_third(part)
         lo = np.searchsorted(cloud18.points, core.lo + 1e-9, side="right")
         hi = np.searchsorted(cloud18.points, core.hi - 1e-9, side="left")
         assert hi - lo <= 0

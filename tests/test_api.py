@@ -271,6 +271,27 @@ def test_library_holds_only_what_runs():
                           "intervals.IntervalSet.difference"}
 
 
+#: The private `gapfinder` names that `tests/oracles.py` may import.  Each
+#: oracle that checks a walk rule carries its own copy of the rule; a name
+#: added here shares that rule with the library, so its oracle checks the
+#: code against itself.
+ORACLE_SHARES = {"_beside", "_boundary_lemma", "_orbit_points_inside"}
+
+
+def test_oracles_share_only_the_pinned_private_walk_names():
+    """`tests/oracles.py` imports from `cantorifs.gapfinder` by name, never
+    the module (whose private names it could then reach), and of those
+    names the private ones are ORACLE_SHARES."""
+    tree = ast.parse((REPO / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert [a.name for n in imports for a in n.names if a.name.endswith("gapfinder")] == []
+    names = {a.name for n in imports if getattr(n, "module", None) == "cantorifs.gapfinder"
+             for a in n.names}
+    assert {"certify_by_windows", "walk_window"} <= {
+        n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert {name for name in names if name.startswith("_")} == ORACLE_SHARES
+
+
 def test_every_enum_member_is_read():
     """Each member of an `Enum` in src/ is read in src/ outside its class
     body: a member nothing produces or tests for is dead."""

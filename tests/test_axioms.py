@@ -34,13 +34,12 @@ from cantorifs.axioms import (
     induced_deriv,
     induced_discontinuities,
     induced_n,
-    induced_step,
     run_axiom_checks,
     ruination_parts,
     ruination_regions,
 )
 from cantorifs.construct import ClassCBuilder, ConstructionParams, bump_modify, epsilon_family_specs
-from cantorifs.gapfinder import certify_cantor
+from cantorifs.gapfinder import _invert_checked, certify_cantor
 
 from oracles import (
     apply_word,
@@ -51,6 +50,7 @@ from oracles import (
     induced_map,
     induced_n_by_chain,
     induced_step_two_pass,
+    middle_third,
     ruination_family,
     ruination_gridscan,
 )
@@ -261,9 +261,26 @@ def _inverse_calls(monkeypatch, fn):
     return out, calls
 
 
+def _walk_step(pair, which, iv):
+    """The gap walk's induced step of the one window iv: its n read
+    (`induced_n`, which is `_site_counts` and, where that reads -1, the
+    chain) and its inversions (`gapfinder._invert_checked`, with the
+    midpoint's chain first where an inversion fails); (n, image), or the
+    window's error raised."""
+    n = induced_n(pair, iv.mid, which)
+    first, ret, _, _, _ = axioms._oriented(pair, which)
+    chain = lambda j: axioms._inverse_orbit(pair, which, iv.mid)
+    lo, hi, errors = _invert_checked(first, ret, np.array([n]), np.array([iv.lo]),
+                                     np.array([iv.hi]), chain)
+    if errors:
+        raise errors[0]
+    return n, Interval(float(lo[0]), float(hi[0]))
+
+
 def test_induced_step_matches_two_passes(built_ctx, monkeypatch):
-    """Same n, same floats, and the ends' `inverse_eval` calls of two passes
-    in the same order; the midpoint's chain is not run."""
+    """The walk's step of one window: same n, same floats, and the ends'
+    `inverse_eval` calls of two passes in the same order; the midpoint's
+    chain is not run."""
     pair = built_ctx["pair"]
     ns = set()
     for which, dom in (("F", pair.f1), ("G", pair.g1)):
@@ -271,7 +288,7 @@ def test_induced_step_matches_two_passes(built_ctx, monkeypatch):
             iv = Interval(*sorted((float(a), float(b))))
             if 0.5 * (iv.lo + iv.hi) in (pair.f1.hi, pair.g1.lo):
                 continue
-            got, calls = _inverse_calls(monkeypatch, lambda: induced_step(pair, which, iv))
+            got, calls = _inverse_calls(monkeypatch, lambda: _walk_step(pair, which, iv))
             want, want_calls = _inverse_calls(
                 monkeypatch, lambda: induced_step_two_pass(pair, which, iv))
             n = got[0]
@@ -359,8 +376,9 @@ def _error(fn) -> tuple[str, str] | None:
 
 
 def test_induced_step_errors_follow_the_midpoint():
-    """On a slow pair (slopes 0.9) the midpoint's verdict comes first, as
-    in two passes: an end that leaves a map's image raises only once the
+    """On a slow pair (slopes 0.9) the walk's step of one window (its n read
+    and its inversions) gives the midpoint's verdict first, as in two
+    passes: an end that leaves a map's image raises only once the
     midpoint's chain has landed.  Both branches."""
     pair = validate_class_a(affine_spec(0.9, 0.0), affine_spec(0.9, 0.1)).as_pair()
     tiny = 1e-11
@@ -375,14 +393,14 @@ def test_induced_step_errors_follow_the_midpoint():
         ("G", IterationCapError): Interval(2 * (pair.g1.lo + tiny) - pair.g1.hi, pair.g1.hi),
     }
     for (which, err), iv in cases.items():
-        got = _error(lambda: induced_step(pair, which, iv))
+        got = _error(lambda: _walk_step(pair, which, iv))
         assert got is not None and got[0] == err.__name__, (which, iv, got)
         assert got == _error(lambda: induced_step_two_pass(pair, which, iv))
     # the midpoint lands and an end does not: the end's RangeError, as in
     # two passes, after the midpoint's whole chain
     for which, iv in (("F", Interval(pair.f1.mid, pair.f1.hi + 5e-10)),
                       ("G", Interval(pair.g1.lo - 5e-10, pair.g1.mid))):
-        got = _error(lambda: induced_step(pair, which, iv))
+        got = _error(lambda: _walk_step(pair, which, iv))
         assert got is not None and got[0] == "RangeError"
         assert got == _error(lambda: induced_step_two_pass(pair, which, iv))
 
@@ -484,7 +502,7 @@ def test_induced_map_domain_error(built_ctx):
 
 @pytest.mark.parametrize("call", [
     lambda p, h: induced_n(p, 0.3, "H"),
-    lambda p, h: induced_step(p, "H", Interval(0.3, 0.31)),
+    lambda p, h: _walk_step(p, "H", Interval(0.3, 0.31)),
     lambda p, h: induced_deriv(p, "H", 0.3),
     lambda p, h: induced_discontinuities(p, "H", Interval(0.0, 1.0)),
     lambda p, h: axioms.expansion_cells(p, "H", h.h_f),
@@ -507,8 +525,8 @@ def test_ee_passes_on_constructed(built_ctx):
 def test_ee_fail_reports_min_site(built_ctx):
     # shrink the hole: the exposed bump region has contracting derivative
     pair, hole = built_ctx["pair"], built_ctx["hole"]
-    small = HolePair(hole.h_f.middle_third().middle_third(),
-                     hole.h_g.middle_third().middle_third(), 0.0)
+    small = HolePair(middle_third(middle_third(hole.h_f)),
+                     middle_third(middle_third(hole.h_g)), 0.0)
     rep = check_ee(pair, small, mu_target=1.0)
     assert not rep.ok
     assert rep.mu < 1.0

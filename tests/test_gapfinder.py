@@ -11,15 +11,16 @@ from cantorifs.errors import (
     ResourceCapError, SpecError,
 )
 from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
-from cantorifs.ifs import IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
-from cantorifs.maps import MapSpec
+from cantorifs.ifs import (IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit,
+                           validate_class_a)
+from cantorifs.maps import MapSpec, affine_spec
 from cantorifs.gapfinder import (
     CASES,
     CaseTag,
     TerminalReason,
     TraceStep,
-    _boundary_hits,
-    _locate_power_domain,
+    _inside,
+    _power_domains,
     _widest_component,
     certify_cantor,
     classify,
@@ -31,9 +32,13 @@ from cantorifs.gapfinder import (
 from cantorifs.axioms import HolePair
 
 from oracles import (
+    _boundary_hits,
     certify_by_windows,
+    enter_window,
     find_gap_by_windows,
     induced_step_two_pass,
+    locate_power_domain,
+    middle_third,
     pull_back_by_intervals,
     verify_hole_disjoint,
     widest_piece_by_intersection,
@@ -86,7 +91,8 @@ def test_boundary_hits_are_the_strict_eps_interior_points(built_ctx):
             for hi in his:
                 J = Interval(lo, hi)
                 expect = [p for p in pts if J.lo + eps < p < J.hi - eps]
-                assert list(_boundary_hits(J, bsets)) == expect
+                a, z = _inside(np.array(pts), J.lo, J.hi, eps)
+                assert list(pts[a:z]) == list(_boundary_hits(J, bsets)) == expect
                 if J.length > 0:
                     hit = _case(J, pair, hole, ruin, bsets) is CaseTag.BOUNDARY_HIT
                     assert hit == bool(expect)
@@ -94,8 +100,8 @@ def test_boundary_hits_are_the_strict_eps_interior_points(built_ctx):
 
 def test_classify_inside_hole(built_ctx):
     pair, hole, ruin, bsets, _ = _ctx(built_ctx)
-    assert _case(hole.h_f.middle_third(), pair, hole, ruin, bsets) is CaseTag.IN_HF
-    assert _case(hole.h_g.middle_third(), pair, hole, ruin, bsets) is CaseTag.IN_HG
+    assert _case(middle_third(hole.h_f), pair, hole, ruin, bsets) is CaseTag.IN_HF
+    assert _case(middle_third(hole.h_g), pair, hole, ruin, bsets) is CaseTag.IN_HG
 
 
 def test_classify_deep_domain_is_pullback(built_ctx):
@@ -119,7 +125,7 @@ def test_classify_w_overlap(built_ctx):
     pair, hole, ruin, bsets, _ = _ctx(built_ctx)
     rfrg = ruin.r_f.intersect(ruin.r_g)
     widest = max(rfrg.parts, key=lambda p: p.length)
-    assert _case(widest.middle_third(), pair, hole, ruin, bsets) is CaseTag.IN_W_OVERLAP
+    assert _case(middle_third(widest), pair, hole, ruin, bsets) is CaseTag.IN_W_OVERLAP
 
 
 def test_classify_w_exclusive_sides(built_ctx):
@@ -132,7 +138,7 @@ def test_classify_w_exclusive_sides(built_ctx):
         for part in only.parts:
             if part.length < 1e-7:
                 continue
-            got = _case(part.middle_third(), pair, hole, ruin, bsets)
+            got = _case(middle_third(part), pair, hole, ruin, bsets)
             if got is tag:
                 found[tag] += 1
     assert found[CaseTag.IN_W_RF] > 0
@@ -150,7 +156,7 @@ def test_classify_rejects_degenerate(built_ctx):
 
 def test_core_hole_input_is_its_own_gap(built_ctx):
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
-    J = hole.h_f.middle_third()
+    J = middle_third(hole.h_f)
     cert = find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
     # already disjoint from K: the certified gap is J itself (up to the
     # inverse-evaluation roundtrip)
@@ -164,7 +170,7 @@ def test_core_overlap_input_is_its_own_gap(built_ctx):
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     rfrg = ruin.r_f.intersect(ruin.r_g)
     widest = max(rfrg.parts, key=lambda p: p.length)
-    J = widest.middle_third()
+    J = middle_third(widest)
     cert = find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
     assert cert.output == J
     assert cert.terminal_reason is TerminalReason.RUINATION_OVERLAP
@@ -330,22 +336,122 @@ def test_window_reaching_eps_into_f1_g1_is_pulled_back(built_ctx, cloud18, side)
 
 
 def test_locate_power_domain_matches_fundamental_domain(built_ctx):
+    """The ladder lookup gives, for every midpoint at once, the domain that a
+    scan from N = 2 finds first: on a tie at a shared end, the smaller N.
+    A midpoint past F_2 (G_2) reads N = -1, where the scan finds none."""
     pair = built_ctx["pair"]
-
-    def by_fundamental_domain(j, which):
-        for n in range(2, 5000):
-            dom = fundamental_domain(pair, which, n)
-            if dom.lo <= j.mid <= dom.hi:
-                return n, dom
-
     for which in ("f", "g"):
         ends = [fundamental_domain(pair, which, n) for n in (2, 3, 7, 20)]
         dist = 2.0 ** -np.linspace(2.0, 40.0, 57)  # distance to the fixed point
         mids = list(dist) if which == "f" else list(1.0 - dist)
         mids += [x for d in ends for x in (d.lo, d.hi, d.mid)]
-        for x in mids:
-            j = Interval(x, x)
-            assert _locate_power_domain(pair, j, which) == by_fundamental_domain(j, which)
+        n, lo, hi = _power_domains(pair, which, np.array(mids))
+        for x, k, a, z in zip(mids, n.tolist(), lo.tolist(), hi.tolist()):
+            assert (k, Interval(a, z)) == locate_power_domain(pair, Interval(x, x), which), x
+        past = ends[0].hi if which == "f" else ends[0].lo
+        assert _power_domains(pair, which, np.array([past]))[0].tolist() == [2]
+        beyond = math.nextafter(past, 1.0 if which == "f" else 0.0)
+        assert _power_domains(pair, which, np.array([beyond]))[0].tolist() == [-1]
+        with pytest.raises(ClassificationError):
+            locate_power_domain(pair, Interval(beyond, beyond), which)
+
+
+def _entered(windows, pair, mu):
+    """`gapfinder._enter` of the batch, as each window's (pull-back step or
+    None, start) or verdict."""
+    entries, got, _, lo, hi = gapfinder._enter(windows, pair, mu)
+    return [got[c] if c in got else (
+        None if entries[c] is None else TraceStep(*entries[c][:3], Interval(*entries[c][3:])),
+        Interval(float(lo[c]), float(hi[c]))) for c in range(len(windows))]
+
+
+def _entered_one_by_one(windows, pair, mu):
+    """The oracle's `enter_window` of each window in turn, with its verdict
+    kept and its fault raised, as the loop over windows did."""
+    out = []
+    for J in windows:
+        try:
+            out.append(enter_window(J, pair, mu))
+        except gapfinder.WALK_VERDICTS as e:
+            out.append(e)
+    return out
+
+
+def _at(x: float, h: float) -> Interval:
+    """[x - h', x + h'] for the first h' >= h (in steps of 2^-40 h) whose
+    ends are exact, so that the window's midpoint is x itself."""
+    for k in range(64):
+        d = h * (1.0 + k * 2.0 ** -40)
+        if (x + d) - x == x - (x - d) == d:
+            break
+    J = Interval(x - d, x + d)
+    assert J.mid == x
+    return J
+
+
+def test_batched_entry_matches_the_one_window_entry(built_ctx):
+    """One batch of windows on both sides of F1 ∪ G1 enters as each window
+    entered alone: windows whose midpoint is a rung f^n(1) or g^n(0), where
+    two domains meet and the smaller N holds it; windows touching 0 or 1;
+    windows across three or more domains; and windows meeting F1 ∪ G1.
+    The windows [x - h, x + h] at the rung x = f^n(1) with x/2 < h < x end
+    in F_n when the tie goes to the smaller N and in F_{n-1} otherwise."""
+    pair, _, _, _, mu = _ctx(built_ctx)
+    rungs_f = [fundamental_domain(pair, "f", n).lo for n in (2, 3, 5, 9)]
+    rungs_g = [fundamental_domain(pair, "g", n).hi for n in (2, 3, 5, 9)]
+    windows = [_at(x, h * x) for x in rungs_f for h in (1e-3, 0.6, 0.75, 0.9)]
+    windows += [_at(y, h * (1.0 - y)) for y in rungs_g for h in (1e-3, 0.6, 0.75, 0.9)]
+    windows += [Interval(0.0, 0.01), Interval(0.5 * TOL.eps_geom, 0.02), Interval(0.0, 0.2),
+                Interval(0.99, 1.0), Interval(0.98, 1.0 - 0.5 * TOL.eps_geom), Interval(0.8, 1.0),
+                Interval(0.01, 0.24), Interval(0.76, 0.99), Interval(0.001, 0.002),
+                Interval(0.3, 0.31), Interval(pair.f1.lo - 1e-6, pair.f1.lo + 5e-10),
+                Interval(pair.g1.hi - 5e-10, pair.g1.hi + 1e-6)]
+    windows = windows[::2] + windows[1::2][::-1]  # left and right windows mixed
+    got, want = _entered(windows, pair, mu), _entered_one_by_one(windows, pair, mu)
+    for J, g, w in zip(windows, got, want):
+        assert g == w, J
+    ns = {(step.op, step.n) for step, _ in got if step is not None}
+    assert {("invpow_f", 1), ("invpow_g", 1), ("invpow_f", 8), ("invpow_g", 8)} <= ns
+
+
+@pytest.mark.parametrize("which", ["f", "g"])
+def test_batched_entry_gives_a_rung_to_the_smaller_domain(built_ctx, which):
+    """A window of one point at the rung where F_n meets F_{n+1} (G_n meets
+    G_{n+1}) enters through F_n (G_n): its start, f^{-(n-1)} of the point,
+    is the one the fault names."""
+    pair, _, _, _, mu = _ctx(built_ctx)
+    for n in (2, 3, 6):
+        d = fundamental_domain(pair, which, n)
+        x = d.lo if which == "f" else d.hi
+        with pytest.raises(DomainError) as got:
+            gapfinder._enter([Interval(x, x)], pair, mu)
+        with pytest.raises(DomainError) as want:
+            enter_window(Interval(x, x), pair, mu)
+        assert str(got.value) == str(want.value)
+        start = x
+        for _ in range(n - 1):
+            start = (pair.f if which == "f" else pair.g).inverse_eval(start)
+        assert str(got.value) == f"input {Interval(start, start)} shorter than 10*eps_geom"
+
+
+def test_batched_entry_raises_the_first_windows_fault():
+    """On a slow pair (slopes 0.9), a window at 1e-250 lies past F_4999 and
+    is a verdict; a short window meeting F1 ∪ G1 or pulled back into it is a
+    fault.  The batch keeps the verdict and raises the lowest-indexed
+    window's fault, as the loop over windows did."""
+    pair = validate_class_a(affine_spec(0.9, 0.0), affine_spec(0.9, 0.1)).as_pair()
+    lost, walked = Interval(1e-250, 3e-250), Interval(0.1, 0.85)
+    short_g, short_f = Interval(0.85, 0.85 + 1e-12), Interval(0.4, 0.4 + 1e-12)
+    got, want = _entered([lost, walked], pair, 2.0), _entered_one_by_one([lost, walked], pair, 2.0)
+    assert [str(g) for g in got] == [str(w) for w in want]
+    assert isinstance(got[0], ClassificationError) and "could not locate" in str(got[0])
+    for batch in ([lost, short_g, short_f], [lost, walked, short_f, short_g], [short_f, lost]):
+        with pytest.raises(DomainError) as err:
+            gapfinder._enter(batch, pair, 2.0)
+        with pytest.raises(DomainError) as one_by_one:
+            _entered_one_by_one(batch, pair, 2.0)
+        assert str(err.value) == str(one_by_one.value)
+        assert "shorter than 10*eps_geom" in str(err.value)
 
 
 def test_find_gap_identical_to_core_inside_f1(built_ctx):
@@ -454,7 +560,7 @@ def test_hole_case_symmetry_on_precastration_pair(builder, built_report):
     hole0 = find_hole(pair0, builder.params.j_p)
     ruin0 = ruination_regions(pair0, hole0)
     b0 = boundary_sets(pair0, hole0, ruin0)
-    J = hole0.h_f.middle_third()
+    J = middle_third(hole0.h_f)
     J_ref = Interval(1.0 - J.hi, 1.0 - J.lo)
     c1 = find_gap_core(J, pair0, hole0, ruin0, b0, mu=2.0)
     c2 = find_gap_core(J_ref, pair0, hole0, ruin0, b0, mu=2.0)
@@ -518,10 +624,14 @@ def test_certify_cantor_bound_respected_reads_iteration_caps(built_ctx, monkeypa
                                                              verdict, respected):
     """`bound_respected` is False exactly when a cell's walk ran out of its
     iteration guard; any other walk verdict leaves it True."""
-    def stopped(*args, **kwargs):
-        raise verdict("injected")
+    enter = gapfinder._enter
 
-    # every window enters the walk through `_enter`
+    def stopped(windows, p, mu):
+        entries, _, _, lo, hi = enter(windows, p, mu)
+        none = np.zeros(0, dtype=np.intp)
+        return entries, {c: verdict("injected") for c in range(len(windows))}, none, lo, hi
+
+    # every window enters the walk through `_enter`, which gives its verdict
     monkeypatch.setattr(gapfinder, "_enter", stopped)
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     rep = certify_cantor(pair, hole, ruin, bsets, resolution=0.1, depth=8,
@@ -644,6 +754,8 @@ def sweep_1e3(built_ctx, cloud18):
 
     def recording(first, ret, n, lo, hi):
         out = record(first, ret, n, lo, hi)
+        if first is ret:  # the entry's pull-back, not an induced step
+            return out
         which = "F" if first is pair.f else "G"
         steps.extend((which, Interval(a, z), k, Interval(c, d)) for a, z, k, c, d
                      in zip(lo.tolist(), hi.tolist(), n.tolist(), out[0].tolist(), out[1].tolist()))
@@ -828,24 +940,31 @@ def test_certify_peak_is_its_verification_orbit(built_ctx):
 @pytest.mark.parametrize("forced", ["chain", "reversed", "range"])
 def test_the_walks_per_window_fallbacks_give_the_same_report(built_ctx, monkeypatch, forced):
     """The branches that leave the arrays give what the arrays give: every
-    n from `induced_n`'s chain, and every induced step from `induced_step`
-    when `_invert_ends` reports reversed ends or an inversion raises."""
+    n from `induced_n`'s inverse chain, and every inversion one window at a
+    time when a batch's ends come out reversed or an inversion raises."""
+    from cantorifs import axioms
+
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     sweep = lambda: certify_cantor(pair, hole, ruin, bsets, resolution=2e-2, depth=14, mu=mu)
     want = sweep()
     calls = []
     if forced == "chain":
         chain = gapfinder.induced_n
-        monkeypatch.setattr(gapfinder, "_site_counts", lambda p, which, sites, mid: np.full(mid.shape, -1))
+        no_sites = lambda p, which, sites, mid: np.full(np.shape(mid), -1)
+        monkeypatch.setattr(gapfinder, "_site_counts", no_sites)
+        monkeypatch.setattr(axioms, "_site_counts", no_sites)
         monkeypatch.setattr(gapfinder, "induced_n", lambda *a: calls.append(a) or chain(*a))
     else:
-        step = gapfinder.induced_step
-        monkeypatch.setattr(gapfinder, "induced_step", lambda *a: calls.append(a) or step(*a))
-        if forced == "reversed":
-            monkeypatch.setattr(gapfinder, "_invert_ends", lambda *a: None)
-        else:
-            def no_range(*a):
+        invert = gapfinder._invert_ends
+
+        def failing(first, ret, n, lo, hi):  # a batch fails, one window does not
+            if n.size == 1:
+                calls.append(n)
+                return invert(first, ret, n, lo, hi)
+            if forced == "range":
                 raise RangeError("forced")
-            monkeypatch.setattr(gapfinder, "_invert_ends", no_range)
+            return hi, lo
+
+        monkeypatch.setattr(gapfinder, "_invert_ends", failing)
     assert sweep() == want
     assert len(calls) >= 60  # every induced step of the sweep
