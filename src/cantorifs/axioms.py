@@ -22,7 +22,6 @@ Notation used throughout (all intervals live in [0, 1]):
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -35,7 +34,7 @@ from .errors import (
     IterationCapError,
     NoContractionError,
 )
-from .intervals import TOL, Interval, IntervalSet
+from .intervals import TOL, Interval, IntervalSet, _inside
 from .ifs import IFSPair, fundamental_domain
 from .maps import MapSpec
 
@@ -193,9 +192,10 @@ def induced_deriv(p: IFSPair, which: Literal["F", "G"], x: float) -> float:
 def induced_discontinuities(p: IFSPair, which: Literal["F", "G"], region: Interval) -> list[float]:
     """Sites strictly inside `region` where n(x) jumps, sorted: the pair's
     `jumps_F` (f(g^j(0)), j >= 2, accumulating at f(1)) or `jumps_G`.  The
-    sites are sorted, so they are one slice of them."""
+    sites are sorted, so they are one slice of them (`_inside`)."""
     sites = _oriented(p, which)[4]
-    return list(sites[bisect_right(sites, region.lo):bisect_left(sites, region.hi)])
+    a, z = _inside(np.array(sites), region.lo, region.hi, 0.0)
+    return list(sites[a:z])
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,11 @@ All the windows of a sweep enter together (`_enter`) and walk together,
 in rounds (`_walk`).  The live intervals are two float arrays, and a round
 moves every one of them one step: one `classify` call, one split at the
 boundary points, one shrink at the jump sites and one batch of end
-inversions per induced branch.  Each array operation repeats the scalar
-one element by element, so the floats are those of a walk of one interval
-at a time.  Per interval run only the boundary lemma past its hole case, a
-return count the inverse chain decides, and the inversions of a batch that
-failed, redone one window at a time so that each raises its verdict in the
+inversions per induced branch, and one boundary lemma.  Each array
+operation repeats the scalar one element by element, so the floats are
+those of a walk of one interval at a time.  Per interval run only a return
+count the inverse chain decides, and the inversions of a batch that failed,
+redone one window at a time so that each raises its verdict in the
 two-pass order.  `find_gap` walks its one window the same way.
 """
 
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (CertificateError, ClassificationError, DomainError, IterationCapError,
                      RangeError, ResourceCapError, SpecError)
-from .intervals import TOL, Interval, IntervalSet, grid_cells_meeting
+from .intervals import TOL, Interval, IntervalSet, _inside, grid_cells_meeting
 from .ifs import ORBIT_CAP, IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
 from .axioms import HolePair, RuinationRegions, _inverse_orbit, _oriented, _site_counts, induced_n
 from .maps import _FEW, MapSpec
@@ -130,12 +130,6 @@ def _in_part(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, s: IntervalSet) ->
     k = np.maximum(i, 0)
     eps = TOL.eps_geom
     return (i >= 0) & (mid <= s.his[k]) & (s.los[k] - eps <= lo) & (hi <= s.his[k] + eps)
-
-
-def _inside(pts: np.ndarray, lo, hi, eps: float):
-    """(a, z), for floats or arrays: the sorted points strictly inside the
-    window and more than eps from both its ends are pts[a:z]."""
-    return pts.searchsorted(lo + eps, side="right"), pts.searchsorted(hi - eps)
 
 
 def _beside(lo, hi, p: IFSPair):
@@ -268,67 +262,66 @@ def replay(p: IFSPair, cert: GapCertificate) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-def _widest_component(j: Interval, s: IntervalSet) -> Interval | None:
-    """The widest piece of j ∩ s (the first on a tie), or None.  The parts
-    of s meeting j are one slice of it; only the slice's ends need clipping
-    to j, and the positive gaps between parts keep the pieces apart."""
-    a = int(np.searchsorted(s.his, j.lo, side="left"))
-    z = int(np.searchsorted(s.los, j.hi, side="right"))
-    if a >= z:
-        return None
-    los, his = s.los[a:z].copy(), s.his[a:z].copy()
-    los[0], his[-1] = max(j.lo, los[0]), min(j.hi, his[-1])
-    k = int(np.argmax(his - los))
-    return Interval(float(los[k]), float(his[k]))
-
-
-def _thirds(a, z):
-    """(usable, lo, hi), for floats or arrays: the middle third of the piece
-    [a, z] of the current interval, usable when the piece is at least
-    3*eps_newton long.  The middle third keeps the output comfortably
-    interior, which is what stabilizes the verification margins."""
+def _thirds(a: np.ndarray, z: np.ndarray):
+    """(usable, lo, hi): the middle third of each piece [a, z] of a current
+    interval, usable when the piece is at least 3*eps_newton long.  The
+    middle third keeps the output comfortably interior, which is what
+    stabilizes the verification margins."""
     third = (z - a) / 3.0
     return z - a >= 3.0 * TOL.eps_newton, a + third, z - third
 
 
-def _hole_thirds(lo: np.ndarray, hi: np.ndarray, h: HolePair):
-    """The boundary lemma's first sub-case, for every window at once: the
-    `_thirds` of the window's piece in h_f, else of its piece in h_g
-    (`Interval.intersection`, the window's end on a tie).  Returns (found,
-    the thirds' lo, the thirds' hi)."""
-    (f_ok, f_lo, f_hi), (g_ok, g_lo, g_hi) = [
-        _thirds(np.where(hole.lo > lo, hole.lo, lo), np.where(hole.hi < hi, hole.hi, hi))
-        for hole in (h.h_f, h.h_g)]
-    return f_ok | g_ok, np.where(f_ok, f_lo, g_lo), np.where(f_ok, f_hi, g_hi)
+def _widest_pieces(lo: np.ndarray, hi: np.ndarray, s: IntervalSet) -> tuple[np.ndarray, ...]:
+    """The widest piece of each window [lo, hi] ∩ s, the first on a tie;
+    reversed or NaN ends where there is none.  The parts meeting a window
+    are one slice of s, padded to one row length by repeating its last
+    part, which then never wins; only the slice's ends need clipping to the
+    window, and the positive gaps between parts keep the pieces apart."""
+    if s.is_empty():
+        return np.full(lo.shape, math.nan), np.full(lo.shape, math.nan)
+    a, z = s.his.searchsorted(lo), s.los.searchsorted(hi, side="right")
+    k = np.minimum(a[:, None] + np.arange(max(int((z - a).max()), 1)), z[:, None] - 1)
+    los, his = np.maximum(s.los[k], lo[:, None]), np.minimum(s.his[k], hi[:, None])
+    w, rows = (his - los).argmax(axis=1), np.arange(lo.size)
+    return los[rows, w], his[rows, w]
 
 
-def _boundary_lemma(
-    p: IFSPair, r: RuinationRegions, cur: Interval
-) -> tuple[list[tuple], Interval, TerminalReason] | None:
-    """The boundary lemma's other two sub-cases, for a window with no hole
-    piece (`_hole_thirds`): meets the ruination overlap r_f ∩ r_g; contains
-    f^2(1)/g^2(0), and its pull-back by f/g (which then contains f(1)/g(0))
-    meets the overlap.  Returns (extra steps, U, reason) with U in the
-    space after the extra steps, or None if no usable open piece exists
-    (the caller then splits and walks on)."""
-    def overlap_third(j: Interval) -> Interval | None:
-        comp = _widest_component(j, r.rfrg)
-        usable, a, z = _thirds(comp.lo, comp.hi) if comp is not None else (False, 0.0, 0.0)
-        return Interval(a, z) if usable else None
+def _boundary_lemma(p: IFSPair, h: HolePair, r: RuinationRegions, lo: np.ndarray,
+                    hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The boundary lemma for each window [lo, hi] meeting a boundary point:
+    the `_thirds` of the first usable of five pieces, each tried only by the
+    windows no earlier one took: the window ∩ h_f, ∩ h_g, its widest piece
+    in r_f ∩ r_g (`_widest_pieces`) and, for a window holding f^2(1) (then
+    g^2(0)), that of its pull-back by f (g), which holds f(1) (g(0)).
+    Reversed pull-back ends raise Interval's SpecError, f's corner first.
+    Returns (the piece taken, -1 to split; the thirds; the pull-back)."""
+    took = np.full(lo.size, -1)
+    out = np.full((4, lo.size), math.nan)  # the thirds' lo and hi, the pull-back's lo and hi
 
-    u = overlap_third(cur)
-    if u is not None:
-        return [], u, TerminalReason.RUINATION_OVERLAP
-    for corner, m, op in ((p.f1.lo, p.f, "invpow_f"), (p.g1.hi, p.g, "invpow_g")):
-        if cur.lo < corner < cur.hi:
-            # the corner lies strictly inside both cur and m's range
-            in_range = cur.intersection(Interval(m.y0, m.y1))
-            pulled = Interval(m.inverse_eval(in_range.lo), m.inverse_eval(in_range.hi))
-            u = overlap_third(pulled)
-            if u is not None:
-                step = (CaseTag.BOUNDARY_HIT, op, 1, pulled.lo, pulled.hi)
-                return [step], u, TerminalReason.RUINATION_OVERLAP
-    return None
+    def keep(piece: int, k: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+        ok, u_lo, u_hi = _thirds(a, z)
+        t = k[ok]
+        took[t], out[0, t], out[1, t] = piece, u_lo[ok], u_hi[ok]
+        return k[~ok]
+
+    k = np.arange(lo.size)
+    for piece, hole in enumerate((h.h_f, h.h_g)):
+        if k.size:
+            k = keep(piece, k, np.maximum(lo[k], hole.lo), np.minimum(hi[k], hole.hi))
+    if k.size:
+        k = keep(2, k, *_widest_pieces(lo[k], hi[k], r.rfrg))
+    for piece, corner, m in ((3, p.f1.lo, p.f), (4, p.g1.hi, p.g)):
+        c = k[(lo[k] < corner) & (corner < hi[k])] if k.size else k
+        if c.size:
+            b_lo, b_hi = m.inverse_array(np.stack([np.maximum(lo[c], m.y0),
+                                                   np.minimum(hi[c], m.y1)], 1)).T
+            if not (b_lo <= b_hi).all():
+                j = int(np.argmin(b_lo <= b_hi))
+                raise SpecError(f"interval needs lo <= hi, got [{b_lo[j]}, {b_hi[j]}]")
+            out[2, c], out[3, c] = b_lo, b_hi
+            keep(piece, c, *_widest_pieces(b_lo, b_hi, r.rfrg))
+            k = k[took[k] < 0]
+    return took, *out
 
 
 def _largest_pieces(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray, a: np.ndarray,
@@ -390,12 +383,6 @@ def _invert_checked(first: MapSpec, ret: MapSpec, n: np.ndarray, lo: np.ndarray,
     return i_lo, i_hi, errors
 
 
-def _orbit_points_inside(cloud: OrbitCloud, lo, hi, margin: float):
-    """The orbit points strictly inside each [lo + margin, hi - margin]."""
-    a, z = _inside(cloud.points, lo, hi, margin)
-    return np.maximum(z - a, 0)
-
-
 def _pull_back_into(
     p: IFSPair, words: Sequence[str], lo: np.ndarray, hi: np.ndarray, w_lo: np.ndarray,
     w_hi: np.ndarray, cloud: OrbitCloud | None, where: str,
@@ -419,7 +406,8 @@ def _pull_back_into(
             f"{where.format(Interval(c_lo[k], c_hi[k]))} reaches the fixed point 0 or 1")
     escaped |= at_fixed
     if cloud is not None:
-        bad = _orbit_points_inside(cloud, c_lo, c_hi, TOL.eps_geom)
+        a, z = _inside(cloud.points, c_lo, c_hi, TOL.eps_geom)
+        bad = z - a  # the orbit points strictly inside, where positive
         for k in (~escaped & (bad > 0)).nonzero()[0].tolist():
             refused[k] = CertificateError(
                 f"{bad[k]} orbit points inside {where.format(Interval(c_lo[k], c_hi[k]))}")
@@ -537,9 +525,9 @@ def _walk(
     * past its guard it stops with IterationCapError, and shorter than
       3*eps_newton with ClassificationError;
     * one `classify` call gives every window its case;
-    * a BOUNDARY_HIT ends in the boundary lemma (`_hole_thirds` for all,
-      then `_boundary_lemma` one by one), or else is cut at its hits (all
-      in F1 ∪ G1) and walks on with its largest piece inside F1 ∪ G1;
+    * the BOUNDARY_HITs take one `_boundary_lemma` call, and each ends in
+      the piece it takes or is cut at its hits (all in F1 ∪ G1) and walks
+      on with its largest piece inside F1 ∪ G1;
     * IN_W_OVERLAP ends at once; PULLBACK_FN and no case are verdicts;
     * the other cases take one step of their induced branch, whose sites
       are read once per walk: outside a hole the window shrinks to its
@@ -589,32 +577,31 @@ def _walk(
 
         hits = (code == _HIT).nonzero()[0]
         if hits.size:
-            found, u_lo, u_hi = _hole_thirds(lo[hits], hi[hits], h)
-            end(cells[hits[found]], u_lo[found], u_hi[found], TerminalReason.HOLE)
-            code[hits[found]] = -1  # ended
-        split = []
-        for j in (code >= _HIT).nonzero()[0].tolist():
+            took, *ends = _boundary_lemma(p, h, r, lo[hits], hi[hits])
+            for c, t, a, z, b_a, b_z in zip(cells[hits].tolist(), took.tolist(),
+                                            *[e.tolist() for e in ends]):
+                if t >= 3:  # a pull-back by f or g
+                    op = "invpow_f" if t == 3 else "invpow_g"
+                    steps[c].append((CaseTag.BOUNDARY_HIT, op, 1, b_a, b_z))
+                if t >= 0:
+                    reason = TerminalReason.HOLE if t < 2 else TerminalReason.RUINATION_OVERLAP
+                    ended[c] = a, z, reason
+            code[hits[took >= 0]] = -1  # ended
+            k = hits[took < 0]
+            if k.size:
+                a, z = _inside(pts, lo[k], hi[k], TOL.eps_geom)
+                p_lo, p_hi = _largest_pieces(np.maximum(lo[k], p.f1.lo),
+                                             np.minimum(hi[k], p.g1.hi), pts, a, z)
+                record(cells[k], code[k], "shrink", None, p_lo, p_hi)
+                walking.append((cells[k], p_lo, p_hi, guard[k]))
+        for j in (code >= _W_OVERLAP).nonzero()[0].tolist():
             c, case, cur = int(cells[j]), int(code[j]), Interval(float(lo[j]), float(hi[j]))
-            if case == _HIT:
-                lemma = _boundary_lemma(p, r, cur)  # (extra steps, U, reason)
-                if lemma is None:
-                    split.append(j)
-                else:
-                    steps[c] += lemma[0]
-                    ended[c] = lemma[1].lo, lemma[1].hi, lemma[2]
-            elif case == _W_OVERLAP:
+            if case == _W_OVERLAP:
                 steps[c].append((CaseTag.IN_W_OVERLAP, "shrink", 0, cur.lo, cur.hi))
                 ended[c] = cur.lo, cur.hi, TerminalReason.RUINATION_OVERLAP
             else:
                 why = "left F1 ∪ G1 mid-walk" if case == _BESIDE else CASES[case]
                 got[c] = ClassificationError(f"{cur} {why}")
-        if split:
-            k = np.array(split)
-            a, z = _inside(pts, lo[k], hi[k], TOL.eps_geom)
-            p_lo, p_hi = _largest_pieces(np.maximum(lo[k], p.f1.lo), np.minimum(hi[k], p.g1.hi),
-                                         pts, a, z)
-            record(cells[k], code[k], "shrink", None, p_lo, p_hi)
-            walking.append((cells[k], p_lo, p_hi, guard[k]))
 
         branch = code // 3  # 0 for F's cases, 1 for G's
         for which, hole in (("F", _HF), ("G", _HG)):

@@ -253,6 +253,12 @@ class IntervalSet:
         return self.intersect(other.complement(self.span()))
 
 
+def _inside(pts: np.ndarray, lo, hi, eps: float):
+    """(a, z), for floats or arrays: the sorted points strictly inside the
+    window and more than eps from both its ends are pts[a:z]."""
+    return pts.searchsorted(lo + eps, side="right"), pts.searchsorted(hi - eps)
+
+
 def grid_cells_meeting(s: IntervalSet, resolution: float) -> tuple[int, list[Interval]]:
     """Cut [0, 1] into n = ceil((1 - eps_geom)/res) cells [i*res, (i+1)*res],
     the last ending at 1.0, so a remainder shorter than eps_geom joins it;

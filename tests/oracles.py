@@ -21,8 +21,7 @@ from cantorifs.construct import AppendixParams, ClassCBuilder, epsilon_family_sp
 from cantorifs.errors import (CertificateError, ClassificationError, DomainError, IterationCapError,
                               RangeError, SpecError)
 from cantorifs.gapfinder import (
-    WALK_VERDICTS, CaseTag, CertifyReport, GapCertificate, TerminalReason, TraceStep, _beside,
-    _boundary_lemma, _orbit_points_inside)
+    WALK_VERDICTS, CaseTag, CertifyReport, GapCertificate, TerminalReason, TraceStep)
 from cantorifs.ifs import (ORBIT_CAP, IFSPair, OrbitCloud, _dedup_sorted, fundamental_domain,
                            minimal_set_cover, orbit)
 from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
@@ -67,8 +66,8 @@ def dilate(s: IntervalSet, r: float, clip: Interval = Interval(0.0, 1.0)) -> Int
 
 
 def widest_piece_by_intersection(j: Interval, s: IntervalSet) -> Interval | None:
-    """The widest part of IntervalSet([j]) ∩ s, the first on a tie; the rule
-    `gapfinder._widest_component` reads off one slice of s."""
+    """The widest part of IntervalSet([j]) ∩ s, the first on a tie: the rule
+    `gapfinder._widest_pieces` reads off one slice of s for every window."""
     inter = IntervalSet([j]).intersect(s)
     if inter.is_empty():
         return None
@@ -511,6 +510,48 @@ def _boundary_hits(J: Interval, b: tuple[float, ...]) -> tuple[float, ...]:
     return b[bisect_right(b, J.lo + eps):bisect_left(b, J.hi - eps)]
 
 
+def _beside(lo: float, hi: float, p: IFSPair) -> tuple[bool, bool]:
+    """(left, right): the window's midpoint lies left (right) of F1 ∪ G1 and
+    the window reaches at most eps_geom into it, so the walk cannot start
+    from it."""
+    eps, mid = TOL.eps_geom, 0.5 * (lo + hi)
+    return (hi <= p.f1.lo + eps and mid <= p.f1.lo), (lo >= p.g1.hi - eps and mid >= p.g1.hi)
+
+
+def _orbit_points_inside(cloud: OrbitCloud, lo: float, hi: float, margin: float) -> int:
+    """The orbit points strictly inside [lo + margin, hi - margin]: one slice
+    of the sorted cloud."""
+    pts = cloud.points
+    return max(int(pts.searchsorted(hi - margin)) - int(pts.searchsorted(lo + margin, "right")), 0)
+
+
+def _boundary_lemma(p: IFSPair, h: HolePair, r: RuinationRegions,
+                    cur: Interval) -> tuple[list[TraceStep], Interval, TerminalReason] | None:
+    """`gapfinder._boundary_lemma` of one window, as the scalar rule: the
+    middle third of cur ∩ h_f, else of cur ∩ h_g; else of cur's widest piece
+    in r_f ∩ r_g; else, for cur containing f^2(1) (then g^2(0)), of the
+    widest such piece of its pull-back by f (g), which then contains f(1)
+    (g(0)).  Returns (extra steps, U, reason) with U in the space after the
+    extra steps, or None if no piece is usable (the walk then splits)."""
+    for hole in (h.h_f, h.h_g):
+        u = _middle_third(cur.intersection(hole))
+        if u is not None:
+            return [], u, TerminalReason.HOLE
+    u = _middle_third(widest_piece_by_intersection(cur, r.rfrg))
+    if u is not None:
+        return [], u, TerminalReason.RUINATION_OVERLAP
+    for corner, m, op in ((p.f1.lo, p.f, "invpow_f"), (p.g1.hi, p.g, "invpow_g")):
+        if cur.lo < corner < cur.hi:
+            # the corner lies strictly inside both cur and m's range
+            in_range = cur.intersection(Interval(m.y0, m.y1))
+            pulled = Interval(m.inverse_eval(in_range.lo), m.inverse_eval(in_range.hi))
+            u = _middle_third(widest_piece_by_intersection(pulled, r.rfrg))
+            if u is not None:
+                step = TraceStep(CaseTag.BOUNDARY_HIT, op, 1, pulled)
+                return [step], u, TerminalReason.RUINATION_OVERLAP
+    return None
+
+
 def _split_at(cur: Interval, pts: Sequence[float]) -> Interval:
     """The longest piece of cur between consecutive cuts at pts, the first
     on a tie."""
@@ -623,7 +664,7 @@ def _pull_back_checked(p: IFSPair, steps: Sequence[TraceStep], u: Interval, wind
 def walk_window(J: Interval, p: IFSPair, h: HolePair, r: RuinationRegions,
                 b: tuple[float, ...], mu: float, cloud: OrbitCloud | None) -> GapCertificate:
     """`gapfinder.find_gap_core` as the loop that walked one window at a
-    time: per step `classify_window`, the whole boundary lemma, a shrink at
+    time: per step `classify_window`, the scalar `_boundary_lemma`, a shrink at
     `induced_discontinuities` and one `induced_step`, and at the end a
     pull-back by Intervals, clipped to J and checked against the cloud."""
     _check_core(J, p, mu)
@@ -640,14 +681,10 @@ def walk_window(J: Interval, p: IFSPair, h: HolePair, r: RuinationRegions,
             raise ClassificationError(f"interval collapsed to {cur} during walk")
         tag = classify_window(cur, p, h, r, b)
         if tag is CaseTag.BOUNDARY_HIT:
-            for hole in (h.h_f, h.h_g):
-                u = _middle_third(cur.intersection(hole))
-                if u is not None:
-                    return finish(u, TerminalReason.HOLE)
-            got = _boundary_lemma(p, r, cur)
+            got = _boundary_lemma(p, h, r, cur)
             if got is not None:
                 extra, u, reason = got
-                steps.extend(TraceStep(t, op, n, Interval(a, z)) for t, op, n, a, z in extra)
+                steps.extend(extra)
                 return finish(u, reason)
             inside = cur.intersection(Interval(p.f1.lo, p.g1.hi))
             cur = _split_at(inside, _boundary_hits(cur, b))

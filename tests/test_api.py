@@ -275,21 +275,33 @@ def test_library_holds_only_what_runs():
 #: oracle that checks a walk rule carries its own copy of the rule; a name
 #: added here shares that rule with the library, so its oracle checks the
 #: code against itself.
-ORACLE_SHARES = {"_beside", "_boundary_lemma", "_orbit_points_inside"}
+ORACLE_SHARES: set[str] = set()
+
+#: The private names `tests/oracles.py` imports from the other `cantorifs`
+#: modules, by module: shared tools, not walk rules.
+ORACLE_PRIVATE_IMPORTS = {"cantorifs.axioms": {"_inverse_orbit", "_oriented"},
+                          "cantorifs.ifs": {"_dedup_sorted"}}
 
 
 def test_oracles_share_only_the_pinned_private_walk_names():
-    """`tests/oracles.py` imports from `cantorifs.gapfinder` by name, never
-    the module (whose private names it could then reach), and of those
-    names the private ones are ORACLE_SHARES."""
+    """`tests/oracles.py` imports from `cantorifs` modules by name, never a
+    module (whose private names it could then reach); of those names the
+    private ones are ORACLE_SHARES from `gapfinder` and
+    ORACLE_PRIVATE_IMPORTS from the rest."""
     tree = ast.parse((REPO / "tests" / "oracles.py").read_text(encoding="utf-8"))
     imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
-    assert [a.name for n in imports for a in n.names if a.name.endswith("gapfinder")] == []
-    names = {a.name for n in imports if getattr(n, "module", None) == "cantorifs.gapfinder"
-             for a in n.names}
+    modules = {path.stem for path in (REPO / "src" / "cantorifs").glob("*.py")}
+    assert [a.name for n in imports for a in n.names
+            if a.name.startswith("cantorifs") or a.name in modules] == []
+    private: dict[str, set[str]] = {}
+    for n in imports:
+        if isinstance(n, ast.ImportFrom) and (n.module or "").startswith("cantorifs"):
+            private.setdefault(n.module, set()).update(
+                a.name for a in n.names if a.name.startswith("_"))
     assert {"certify_by_windows", "walk_window"} <= {
         n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
-    assert {name for name in names if name.startswith("_")} == ORACLE_SHARES
+    assert private.pop("cantorifs.gapfinder") == ORACLE_SHARES
+    assert {m: names for m, names in private.items() if names} == ORACLE_PRIVATE_IMPORTS
 
 
 def test_every_enum_member_is_read():

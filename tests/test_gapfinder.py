@@ -10,7 +10,7 @@ from cantorifs.errors import (
     CertificateError, ClassificationError, DomainError, IterationCapError, RangeError,
     ResourceCapError, SpecError,
 )
-from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
+from cantorifs.intervals import TOL, Interval, IntervalSet, _inside, grid_cells_meeting
 from cantorifs.ifs import (IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit,
                            validate_class_a)
 from cantorifs.maps import MapSpec, affine_spec
@@ -19,9 +19,8 @@ from cantorifs.gapfinder import (
     CaseTag,
     TerminalReason,
     TraceStep,
-    _inside,
     _power_domains,
-    _widest_component,
+    _widest_pieces,
     certify_cantor,
     classify,
     find_gap,
@@ -33,6 +32,7 @@ from cantorifs.axioms import HolePair
 
 from oracles import (
     _boundary_hits,
+    _boundary_lemma as scalar_boundary_lemma,
     certify_by_windows,
     enter_window,
     find_gap_by_windows,
@@ -721,7 +721,15 @@ def _widest_checks(s: IntervalSet, rng: np.random.Generator, n: int):
     yield Interval(lo, hi)
 
 
-def test_widest_component_matches_the_intersection_rule(built_ctx):
+def _widest(windows, s: IntervalSet) -> list[Interval | None]:
+    """`_widest_pieces` of the windows as one batch; None for reversed or NaN
+    ends, which `_thirds` refuses."""
+    lo, hi = np.array([(j.lo, j.hi) for j in windows], dtype=float).reshape(-1, 2).T
+    return [Interval(a, b) if a <= b else None
+            for a, b in zip(*[x.tolist() for x in _widest_pieces(lo, hi, s)])]
+
+
+def test_widest_pieces_match_the_intersection_rule(built_ctx):
     rng = np.random.default_rng(31)
     rfrg = built_ctx["ruin"].rfrg
     raw = np.sort(rng.uniform(0.0, 1.0, 60))
@@ -730,13 +738,68 @@ def test_widest_component_matches_the_intersection_rule(built_ctx):
     ties = IntervalSet([(0.125, 0.25), (0.5, 0.625), (0.75, 0.875)])
     checked = 0
     for s in (rfrg, rand, ties):
-        for j in _widest_checks(s, rng, 200):
-            assert _widest_component(j, s) == widest_piece_by_intersection(j, s), (j, s)
-            checked += 1
-    assert _widest_component(Interval(0.0, 1.0), ties) == Interval(0.125, 0.25)
-    assert _widest_component(Interval(0.25, 0.5), ties) == Interval(0.25, 0.25)
-    assert _widest_component(Interval(0.3, 0.4), ties) is None
+        windows = list(_widest_checks(s, rng, 200))
+        assert _widest(windows, s) == [widest_piece_by_intersection(j, s) for j in windows], s
+        checked += len(windows)
+    assert _widest([Interval(0.0, 1.0), Interval(0.25, 0.5), Interval(0.3, 0.4)], ties) == [
+        Interval(0.125, 0.25), Interval(0.25, 0.25), None]
+    assert _widest([Interval(0.0, 1.0)], IntervalSet()) == [None]
     assert checked == 3 * 1001
+
+
+def _lemma_by_window(lemma, j: int):
+    """Window j of `gapfinder._boundary_lemma`'s arrays, in the scalar
+    lemma's form: (extra steps, U, reason), or None."""
+    took, u_lo, u_hi, b_lo, b_hi = [x.tolist() for x in lemma]
+    if took[j] < 0:
+        return None
+    extra = [TraceStep(CaseTag.BOUNDARY_HIT, ("invpow_f", "invpow_g")[took[j] - 3], 1,
+                       Interval(b_lo[j], b_hi[j]))] if took[j] >= 3 else []
+    reason = TerminalReason.HOLE if took[j] < 2 else TerminalReason.RUINATION_OVERLAP
+    return extra, Interval(u_lo[j], u_hi[j]), reason
+
+
+def test_batched_boundary_lemma_matches_the_scalar_lemma(built_ctx):
+    """One batch of edge windows against the oracle's scalar lemma, on the
+    built pair with holes and an r_f ∩ r_g placed so that each piece is
+    taken: both holes usable (h_f wins), an exact tie of two r_f ∩ r_g
+    pieces (the first wins), a window touching a part (a zero-length
+    piece), a window holding f^2(1) whose pull-back misses r_f ∩ r_g, and
+    one holding both corners, whose pull-backs both meet it (f's wins).
+    With maps whose inverses reverse the ends, a batch raises the scalar
+    lemma's SpecError of its fault window, also after a window that ends,
+    and f's corner's fault before that of g^2(0) in an earlier window."""
+    pair = built_ctx["pair"]
+    corner_f, corner_g = pair.f1.lo, pair.g1.hi
+    h = SimpleNamespace(h_f=Interval(0.78, 0.79), h_g=Interval(0.81, 0.82))
+    r = SimpleNamespace(rfrg=IntervalSet([(0.05, 0.1), (0.125, 0.15625), (0.1875, 0.21875),
+                                          (0.9, 0.95)]))
+    windows = [
+        Interval(0.785, 0.8),                            # h_f
+        Interval(0.785, 0.815),                          # h_f and h_g both usable
+        Interval(0.8, 0.815),                            # h_g
+        Interval(0.140625, 0.203125),                    # two r_f ∩ r_g pieces 1/64 wide
+        Interval(0.21875, 0.23),                         # touches r_f ∩ r_g: splits
+        Interval(corner_f - 0.01, pair.f.eval(0.92)),    # f^2(1); its pull-back meets (0.9, 0.95)
+        Interval(corner_f - 1e-3, corner_f + 1e-3),      # f^2(1); its pull-back misses: splits
+        Interval(pair.g.eval(0.08), corner_g + 0.01),    # g^2(0); its pull-back meets the rest
+        Interval(corner_f - 0.01, corner_g + 0.01),      # both corners
+    ]
+    lo, hi = np.array([(J.lo, J.hi) for J in windows]).T
+    lemma = gapfinder._boundary_lemma(pair, h, r, lo, hi)
+    assert lemma[0].tolist() == [0, 0, 1, 2, -1, 3, -1, 4, 3]
+    assert [_lemma_by_window(lemma, j) for j in range(len(windows))] == [
+        scalar_boundary_lemma(pair, h, r, J) for J in windows]
+
+    flip = SimpleNamespace(y0=0.0, y1=1.0, inverse_eval=lambda y: 1.0 - y,
+                           inverse_array=lambda ys: 1.0 - ys)
+    reversing = SimpleNamespace(f1=pair.f1, g1=pair.g1, f=flip, g=flip)
+    for batch, fault in (([0, 6], 6), ([7, 6], 6)):
+        with pytest.raises(SpecError) as want:
+            scalar_boundary_lemma(reversing, h, r, windows[fault])
+        with pytest.raises(SpecError) as got:
+            gapfinder._boundary_lemma(reversing, h, r, lo[batch], hi[batch])
+        assert str(got.value) == str(want.value)
 
 
 # -- one-pass steps and float pull-backs ------------------------------------------
