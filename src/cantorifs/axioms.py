@@ -129,7 +129,7 @@ def find_hole(p: IFSPair, seed: Interval) -> HolePair:
 
 def _oriented(
     p: IFSPair, which: Literal["F", "G"]
-) -> tuple[MapSpec, MapSpec, Interval, Interval, tuple[float, ...]]:
+) -> tuple[MapSpec, MapSpec, Interval, Interval, np.ndarray]:
     """(first map, return map, domain, codomain, jump sites) of the induced
     map: the one place that says what each branch is made of."""
     if which == "F":
@@ -174,7 +174,7 @@ def induced_n(p: IFSPair, x: float, which: Literal["F", "G"]) -> int:
     """Least n >= 0 with (return map)^{-n}(first^{-1}(x)) in the codomain:
     `_site_counts` off the cached jump sites, between which n is constant,
     and the inverse chain's where that reads -1."""
-    n = int(_site_counts(p, which, np.array(_oriented(p, which)[4]), x))
+    n = int(_site_counts(p, which, _oriented(p, which)[4], x))
     return n if n >= 0 else len(_inverse_orbit(p, which, x)) - 1
 
 
@@ -194,8 +194,8 @@ def induced_discontinuities(p: IFSPair, which: Literal["F", "G"], region: Interv
     `jumps_F` (f(g^j(0)), j >= 2, accumulating at f(1)) or `jumps_G`.  The
     sites are sorted, so they are one slice of them (`_inside`)."""
     sites = _oriented(p, which)[4]
-    a, z = _inside(np.array(sites), region.lo, region.hi, 0.0)
-    return list(sites[a:z])
+    a, z = _inside(sites, region.lo, region.hi, 0.0)
+    return sites[a:z].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -586,11 +586,12 @@ def lambda_sequence(pair: IFSPair, params: AppendixParams, n: int) -> list[Inter
     induction: A ⊂ B implies f(A) ⊂ f(B) for increasing f.  In floats the
     step needs f and g weakly monotone on each part of Lambda_k, k >= 1, and
     each lies in a part of Lambda_1.  The check requires both maps to
-    evaluate every part of Lambda_1 on one affine segment, where Horner's
-    ((0*t + 0)*t + slope)*t + c0, t = x - x_lo, slope > 0, chains correctly
-    rounded increasing operations.  For `appendix_pair`, every Lambda_k
-    endpoint with k >= 1, other than 0 and 1, lies strictly inside a block,
-    where f and g are affine with positive slope.
+    evaluate every part of Lambda_1 on one affine segment, where
+    `eval_array`'s t*slope + c0, t = x - x_lo, slope > 0, is a multiply and
+    an add, each correctly rounded and increasing: bit for bit Horner's
+    ((0*t + 0)*t + slope)*t + c0, whose first steps give exactly slope.  For
+    `appendix_pair`, every Lambda_k endpoint with k >= 1, other than 0 and 1,
+    lies strictly inside a block, where f and g are affine with positive slope.
     """
     f, g = pair.f.eval_array, pair.g.eval_array
     seq = [IntervalSet(params.blocks)]

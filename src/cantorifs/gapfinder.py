@@ -549,7 +549,7 @@ def _walk(
               for c, a, z in zip(cells.tolist(), lo.tolist(), hi.tolist())}
     guard = np.array(list(bounds.values()), dtype=np.intp)
     pts = np.array(b, dtype=float)
-    sites = {which: np.array(_oriented(p, which)[4], dtype=float) for which in "FG"}
+    sites = {which: _oriented(p, which)[4] for which in "FG"}
     ended: dict[int, tuple[float, float, TerminalReason]] = {}
 
     def record(cs, codes, op, ns, los, his) -> None:

@@ -80,18 +80,18 @@ class IFSPair:
         return Interval(self.overlap.hi, self.g1.hi)
 
     @cached_property
-    def jumps_F(self) -> tuple[float, ...]:
+    def jumps_F(self) -> np.ndarray:
         """Sorted sites f(g^j(0)), j >= 2, where the induced map F's return
-        count n(x) jumps; they accumulate at f(1)."""
+        count n(x) jumps, as a read-only array; they accumulate at f(1)."""
         return self._jump_sites(self.f, "g")
 
     @cached_property
-    def jumps_G(self) -> tuple[float, ...]:
+    def jumps_G(self) -> np.ndarray:
         """Sorted sites g(f^j(1)), j >= 2, the jumps of the induced map G;
         they accumulate at g(0)."""
         return self._jump_sites(self.g, "f")
 
-    def _jump_sites(self, first: MapSpec, ret: Literal["f", "g"]) -> tuple[float, ...]:
+    def _jump_sites(self, first: MapSpec, ret: Literal["f", "g"]) -> np.ndarray:
         # The sites first(g^j(0)) = first(G_j.lo) (first(F_j.hi) for ret = f)
         # accumulate at the image under `first` of ret's fixed point; stop
         # once consecutive ones agree to eps_newton, or after 200.
@@ -101,7 +101,9 @@ class IFSPair:
             sites.append(first.eval(d.lo if ret == "g" else d.hi))
             if len(sites) > 1 and abs(sites[-1] - sites[-2]) < TOL.eps_newton:
                 break
-        return tuple(sorted(sites))
+        out = np.array(sorted(sites))
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)

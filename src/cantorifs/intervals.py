@@ -86,15 +86,13 @@ def _normalize(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray
     if los.size == 0:
         return los.copy(), his.copy()
     order = np.argsort(los, kind="stable")
-    los, his = los[order], his[order]
-    run_hi = np.maximum.accumulate(his)
-    new_run = np.empty(los.size, dtype=bool)
-    new_run[0] = True
-    np.greater(los[1:], run_hi[:-1], out=new_run[1:])
-    run_end = np.empty(los.size, dtype=bool)
-    run_end[:-1] = new_run[1:]
-    run_end[-1] = True
-    return los[new_run], run_hi[run_end]
+    los, run_hi = los[order], his[order]
+    np.maximum.accumulate(run_hi, out=run_hi)
+    # starts[i]: part i starts a run; a part ends one where the next starts
+    starts = np.empty(los.size + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    np.greater(los[1:], run_hi[:-1], out=starts[1:-1])
+    return los[starts[:-1]], run_hi[starts[1:]]
 
 
 def _exact_sum(d: np.ndarray) -> float:
@@ -116,11 +114,12 @@ def _exact_sum(d: np.ndarray) -> float:
     for c in range(0, d.size, _SUM_CHUNK):
         part = d[c:c + _SUM_CHUNK]
         bits = part.view(np.int64)
-        e = (bits >> 52) & 0x7FF  # -0.0 lands in bin 0
+        e = bits >> 52
+        e &= 0x7FF  # -0.0 lands in bin 0
         e -= e.min()  # a bin only for the exponents present
         hi = (bits & ~0x3FFFFFF).view(np.float64)
         totals += np.bincount(e, hi).tolist()
-        totals += np.bincount(e, part - hi).tolist()
+        totals += np.bincount(e, np.subtract(part, hi, out=hi)).tolist()
     return math.fsum(totals)
 
 

@@ -249,14 +249,19 @@ class MapSpec:
         """`eval` at every point, bit for bit.  The points, sorted, are cut
         at the breakpoints by the scalar rule (a point belongs to the segment
         with x_lo of its own < x <= x_lo of the next), and each segment runs
-        Horner on its slice.  Input that is not non-decreasing is sorted
+        Horner on its slice, in place.  An affine one (c2 = c3 = 0) runs
+        t*c1 + c0: for finite t, Horner's ((0*t + 0)*t + c1)*t + c0 reaches
+        exactly c1 first, so the floats are the same, from a multiply and an
+        add, each correctly rounded and increasing in t (c1 > 0).  Points are
+        clamped only if one lies outside [0, 1].  Unsorted input is sorted
         once and scattered back.  A few points go through `eval` itself."""
         xs = np.asarray(xs, dtype=float)
         if xs.size <= _FEW:
             return np.array([self.eval(x) for x in xs.ravel().tolist()], dtype=float).reshape(xs.shape)
-        if xs.size and not (-TOL.eps_newton <= xs.min() and xs.max() <= 1.0 + TOL.eps_newton):
+        lo, hi = xs.min(), xs.max()
+        if not (-TOL.eps_newton <= lo and hi <= 1.0 + TOL.eps_newton):  # NaN fails too
             raise DomainError("array evaluation outside [0, 1]")
-        xc = np.clip(xs, 0.0, 1.0).ravel()
+        xc = np.clip(xs, 0.0, 1.0).ravel() if lo < 0.0 or hi > 1.0 else xs.ravel()
         order = np.argsort(xc, kind="stable") if np.any(xc[1:] < xc[:-1]) else None
         if order is not None:
             xc = xc[order]
@@ -265,8 +270,16 @@ class MapSpec:
         for s, a, b in zip(self.segments, [0, *cuts], [*cuts, xc.size]):
             if a < b:
                 c0, c1, c2, c3 = s.coeffs
-                t = xc[a:b] - s.x_lo
-                out[a:b] = ((c3 * t + c2) * t + c1) * t + c0
+                y = np.subtract(xc[a:b], s.x_lo, out=out[a:b])
+                if c2 == c3 == 0.0:
+                    y *= c1
+                else:  # Horner in place, on one copy of t
+                    t = y.copy()
+                    y *= c3
+                    for c in (c2, c1):
+                        y += c
+                        y *= t
+                y += c0
         if order is not None:
             out[order] = out.copy()
         return out.reshape(xs.shape)

@@ -246,6 +246,20 @@ def test_induced_discontinuities_slice_matches_scan(built_ctx, eps_pair):
                         == induced_discontinuities_by_scan(pair, which, region))
 
 
+def test_jump_sites_are_one_read_only_array_per_branch(built_ctx):
+    """Each branch's sites are built once, as a sorted float array that the
+    pair caches and nobody can write; `induced_discontinuities` still hands
+    out a list of Python floats."""
+    pair = built_ctx["pair"]
+    for which, dom in (("F", pair.f1), ("G", pair.g1)):
+        sites = axioms._oriented(pair, which)[4]
+        assert sites is axioms._oriented(pair, which)[4]
+        assert sites.dtype == np.float64 and not sites.flags.writeable
+        assert (np.diff(sites) >= 0).all()
+        got = induced_discontinuities(pair, which, dom)
+        assert got and all(type(x) is float for x in got)
+
+
 def _inverse_calls(monkeypatch, fn):
     """fn's result and the (map, argument) of each `inverse_eval` it made."""
     calls = []

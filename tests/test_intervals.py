@@ -9,6 +9,7 @@ from cantorifs.intervals import (
     TOL,
     Interval,
     IntervalSet,
+    _exact_sum,
     from_csv,
     grid_cells_meeting,
     to_csv,
@@ -108,16 +109,36 @@ def test_intersect_grid_oracle():
 
 
 def test_construction_leaves_caller_arrays_writeable():
-    """The set freezes its own arrays, never the caller's, empty or not."""
-    for n in (0, 1, 3):
-        a, b = np.linspace(0.0, 0.5, n), np.linspace(0.1, 0.6, n)
+    """The set freezes its own arrays, never the caller's, empty or not,
+    and leaves their contents as they were."""
+    cases = [(np.linspace(0.0, 0.5, n), np.linspace(0.1, 0.6, n)) for n in (0, 1, 3)]
+    # unsorted, with parts nested in others and one touching its neighbour
+    cases.append((np.array([0.5, 0.1, 0.55, 0.0, 0.12, 0.4, 0.3]),
+                  np.array([0.8, 0.4, 0.6, 0.05, 0.2, 0.45, 0.35])))
+    for a, b in cases:
+        before = a.tobytes(), b.tobytes()
         s = IntervalSet(los=a, his=b)
+        assert (a.tobytes(), b.tobytes()) == before
         assert a.flags.writeable and b.flags.writeable
         assert not s.los.flags.writeable and not s.his.flags.writeable
         assert not np.shares_memory(s.los, a) and not np.shares_memory(s.his, b)
+    assert s.parts == [Interval(0.0, 0.05), Interval(0.1, 0.45), Interval(0.5, 0.8)]
 
 
 # -- measure -------------------------------------------------------------------
+
+
+def test_exact_sum_is_fsum_over_many_exponents():
+    """-0.0, zeros, subnormals and normals over 40+ binary exponents, in no
+    order: `math.fsum`, bit for bit, and the input unchanged."""
+    rng = np.random.default_rng(34)
+    d = np.concatenate([[-0.0, 0.0, 5e-324], rng.uniform(0.0, 2.0 ** -1022, 500),
+                        np.ldexp(rng.uniform(1.0, 2.0, 3000), rng.integers(-1060, 0, 3000))])
+    rng.shuffle(d)
+    assert np.unique(np.frexp(d)[1]).size > 40 and np.signbit(d).sum() == 1
+    before = d.tobytes()
+    assert _exact_sum(d).hex() == math.fsum(d.tolist()).hex()
+    assert d.tobytes() == before
 
 
 def test_measure_empty():

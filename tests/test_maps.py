@@ -285,6 +285,73 @@ def test_nan_is_rejected(bumpy, method, arg, err):
         getattr(bumpy, method)(arg)
 
 
+def _constant_slope_spec(d: float) -> MapSpec:
+    """Slope d throughout: affine on [0, 0.4], `hermite_linear_deriv` with
+    d_lo == d_hi on [0.4, 0.7] and [0.7, 0.85], affine on [0.85, 1]."""
+    a = Segment(0.0, 0.4, Affine(d, 0.0))
+    h1 = hermite_linear_deriv(0.4, 0.7, a.y_hi, d, d)
+    h2 = hermite_linear_deriv(0.7, 0.85, h1.y_hi, d, d)
+    return MapSpec((a, h1, h2, Segment(0.85, 1.0, Affine(d, h2.y_hi - d * 0.85))))
+
+
+@pytest.fixture(scope="module")
+def edge_maps(built_pair, appendix, valid_affine):
+    """The built pair, the appendix pair, `valid_affine` and two maps with
+    linear-derivative Hermite segments: at slope 0.5 their cubic terms
+    round to c2 = c3 = 0 (the multiply-add), at 0.7 they do not (Horner)."""
+    flat, bent = _constant_slope_spec(0.5), _constant_slope_spec(0.7)
+    assert all(s.coeffs[2:] == (0.0, 0.0) for s in flat.segments)
+    assert all(s.coeffs[2:] != (0.0, 0.0) for s in bent.segments[1:3])
+    app = appendix[0]
+    return {"built f": built_pair.f, "built g": built_pair.g, "appendix f": app.f,
+            "appendix g": app.g, "affine f": valid_affine.f, "affine g": valid_affine.g,
+            "hermite c2 = c3 = 0": flat, "hermite c2 != 0": bent}
+
+
+def test_eval_array_is_eval_bitwise_at_the_edges(edge_maps, monkeypatch):
+    """-0.0, both ends and every breakpoint exactly and one ulp either side,
+    sorted and reversed, in read-only arrays that come back unmodified: read
+    in place while every point is in [0, 1], so -0.0 reaches its segment as
+    it does in `eval`, and clamped once some lie within eps_newton below 0
+    or above 1."""
+    clipped = []
+
+    class CountClip:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def clip(self, *args):
+            clipped.append(args[0].size)
+            return np.clip(*args)
+
+    monkeypatch.setattr(maps, "np", CountClip())
+    eps = TOL.eps_newton
+    below, above = [-eps, -0.5 * eps, -5e-324], [1.0 + 0.5 * eps, 1.0 + eps]
+    grid = np.linspace(0.0, 1.0, maps._FEW + 1).tolist()
+    for name, m in edge_maps.items():
+        inside = [-0.0, *(x for x in _with_neighbours([*grid, *m.breakpoints()])
+                          if 0.0 <= x <= 1.0)]
+        for xs, clips in ((inside, 0), (inside + below, 1), (above + inside, 1)):
+            for a in (np.array(xs), np.array(xs)[::-1]):
+                a.setflags(write=False)
+                before, n = a.tobytes(), len(clipped)
+                got = m.eval_array(a)
+                assert a.tobytes() == before and not np.shares_memory(got, a)
+                assert len(clipped) - n == clips, name
+                assert _bits(got) == _bits(m.eval(float(x)) for x in a), name
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, -2 * TOL.eps_newton,
+                                 1.0 + 2 * TOL.eps_newton, math.inf])
+def test_eval_array_rejects_a_point_outside_the_domain(edge_maps, bad):
+    xs = np.linspace(0.0, 1.0, 2 * maps._FEW)
+    xs[5] = bad
+    for m in edge_maps.values():
+        with pytest.raises(DomainError) as err:
+            m.eval_array(xs)
+        assert str(err.value) == "array evaluation outside [0, 1]"
+
+
 # -- words ----------------------------------------------------------------------
 
 
