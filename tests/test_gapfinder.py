@@ -1031,3 +1031,146 @@ def test_the_walks_per_window_fallbacks_give_the_same_report(built_ctx, monkeypa
         monkeypatch.setattr(gapfinder, "_invert_ends", failing)
     assert sweep() == want
     assert len(calls) >= 60  # every induced step of the sweep
+
+
+# -- the round's verdicts and faults, forced for one window of a batch ----------------------
+
+
+@pytest.fixture(scope="module")
+def cells_2e2(built_ctx):
+    """The 50 cells of the sweep at 2e-2; cell 20, [0.4, 0.42], meets F1 ∪ G1
+    and its first step is an induced F step, taken without a shrink."""
+    return grid_cells_meeting(minimal_set_cover(built_ctx["pair"], 14, 2e-2), 2e-2)[1]
+
+
+def _force_step(monkeypatch, J: Interval, ends=None, error=None) -> None:
+    """Wrap `_invert_checked` so that the induced step of the window that
+    enters it as J gives `ends` in place of its image, or the `error`."""
+    invert = gapfinder._invert_checked
+
+    def forced(first, ret, n, lo, hi, chain):
+        i_lo, i_hi, errors = invert(first, ret, n, lo, hi, chain)
+        for j in ((lo == J.lo) & (hi == J.hi)).nonzero()[0].tolist():
+            if ends is not None:
+                i_lo[j], i_hi[j] = ends
+            if error is not None:
+                errors[j] = error
+        return i_lo, i_hi, errors
+
+    monkeypatch.setattr(gapfinder, "_invert_checked", forced)
+
+
+def _batch_outcome(built_ctx, cells, target: int, b=None) -> str:
+    """The walk of the whole batch: every window but `target` gets what
+    `find_gap_by_windows` gives it alone; returns the target's outcome."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    b = bsets if b is None else b
+    walked = gapfinder._walk(pair, hole, ruin, b, mu, None, cells)
+    for c, (J, got) in enumerate(zip(cells, walked)):
+        if c != target:
+            want = _outcome(lambda: find_gap_by_windows(J, pair, hole, ruin, b, mu, None))
+            assert _outcome(lambda: gapfinder._certificate(J, got)) == want, J
+    return _outcome(lambda: gapfinder._certificate(cells[target], walked[target]))
+
+
+@pytest.mark.parametrize("forced", ["own ends", "sliver", "beside F1", "no case"])
+def test_a_forced_step_gives_one_window_of_a_batch_its_round_verdict(built_ctx, cells_2e2,
+                                                                      monkeypatch, forced):
+    """A step that returns the window's own ends walks it until its guard
+    runs out; a sliver collapses; ends left of F1 leave F1 ∪ G1; ends
+    across g(0), with g(0) left out of the boundary points, fit no case."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    J, b = cells_2e2[20], bsets
+    first = find_gap_by_windows(J, pair, hole, ruin, bsets, mu, None).trace[0]
+    assert (first.tag, first.op) == (CaseTag.IN_F1_FREE, "F")
+    if forced == "own ends":
+        ends = (J.lo, J.hi)
+        bound = math.ceil(math.log(pair.f1.length / J.length) / math.log(mu)) + 50
+        want = (f"IterationCapError: gap walk exceeded its bound of {bound} steps; trace: "
+                + " ".join([f"IN_F1_FREE:F{first.n}"] * bound))
+    elif forced == "sliver":
+        ends = (J.mid, J.mid + TOL.eps_newton)
+        want = f"ClassificationError: interval collapsed to {Interval(*ends)} during walk"
+    elif forced == "beside F1":
+        ends = (0.2, 0.21)
+        assert ends[1] < pair.f1.lo == bsets[0]
+        want = f"ClassificationError: {Interval(*ends)} left F1 ∪ G1 mid-walk"
+    else:
+        g0 = pair.overlap.lo
+        b = tuple(x for x in bsets if x != g0)
+        ends = (g0 - 1e-6, g0 + 5e-7)
+        assert len(b) == len(bsets) - 1 and not any(ends[0] <= x <= ends[1] for x in b)
+        want = f"ClassificationError: {Interval(*ends)} fits no case region"
+    _force_step(monkeypatch, J, ends=ends)
+    assert _batch_outcome(built_ctx, cells_2e2, 20, b) == want
+
+
+@pytest.mark.parametrize("forced", ["chain verdict", "step verdict", "step fault"])
+def test_a_step_error_of_one_window_is_its_verdict_or_the_batchs_fault(built_ctx, cells_2e2,
+                                                                     monkeypatch, forced):
+    """A verdict from `induced_n`'s chain, or from the step's inversion, ends
+    that window alone; a fault from the inversion raises."""
+    J = cells_2e2[20]
+    if forced == "chain verdict":
+        sites, chain = gapfinder._site_counts, gapfinder.induced_n
+
+        def no_sites(p, which, s, mid):
+            n = sites(p, which, s, mid)
+            n[mid == J.mid] = -1
+            return n
+
+        def failing_chain(p, x, which):
+            if x == J.mid:
+                raise IterationCapError("forced chain")
+            return chain(p, x, which)
+
+        monkeypatch.setattr(gapfinder, "_site_counts", no_sites)
+        monkeypatch.setattr(gapfinder, "induced_n", failing_chain)
+        assert _batch_outcome(built_ctx, cells_2e2, 20) == "IterationCapError: forced chain"
+    elif forced == "step verdict":
+        _force_step(monkeypatch, J, error=IterationCapError("forced step"))
+        assert _batch_outcome(built_ctx, cells_2e2, 20) == "IterationCapError: forced step"
+    else:
+        _force_step(monkeypatch, J, error=RangeError("forced fault"))
+        with pytest.raises(RangeError, match="forced fault"):
+            _batch_outcome(built_ctx, cells_2e2, 20)
+
+
+def test_reversed_ends_of_a_lone_window_raise_its_spec_error(built_ctx, cells_2e2, monkeypatch):
+    """Ends that come out reversed in the batch, and again when the window
+    is inverted alone, are the SpecError an Interval raises."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    J, invert, alone = cells_2e2[20], gapfinder._invert_ends, []
+
+    def reversing(first, ret, n, lo, hi):
+        i_lo, i_hi = invert(first, ret, n, lo, hi)
+        k = (lo == J.lo) & (hi == J.hi)
+        i_lo[k], i_hi[k] = i_hi[k], i_lo[k]
+        if n.size == 1 and k[0]:
+            alone.append((i_lo[0], i_hi[0]))
+        return i_lo, i_hi
+
+    monkeypatch.setattr(gapfinder, "_invert_ends", reversing)
+    with pytest.raises(SpecError) as err:
+        gapfinder._walk(pair, hole, ruin, bsets, mu, None, cells_2e2)
+    assert len(alone) == 1
+    assert str(err.value) == f"interval needs lo <= hi, got [{alone[0][0]}, {alone[0][1]}]"
+
+
+def test_a_window_no_domain_holds_is_a_verdict_at_entry(built_ctx, cells_2e2, monkeypatch):
+    """When every domain read for a window beside F1 lies just right of its
+    midpoint, 200 shrinks leave it unfitted; the other windows enter and
+    walk as they do alone."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    J, domains = cells_2e2[8], gapfinder._power_domains
+    assert find_gap_by_windows(J, pair, hole, ruin, bsets, mu, None).trace[0].op == "invpow_f"
+
+    def off_the_midpoint(p, which, mid):
+        n, d_lo, d_hi = domains(p, which, mid)
+        k = (J.lo <= mid) & (mid <= J.hi)
+        return n, np.where(k, mid + 1e-9, d_lo), np.where(k, mid + 2e-9, d_hi)
+
+    monkeypatch.setattr(gapfinder, "_power_domains", off_the_midpoint)
+    want = f"ClassificationError: could not fit {J} inside one fundamental domain"
+    assert _batch_outcome(built_ctx, cells_2e2, 8) == want
+

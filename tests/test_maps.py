@@ -117,6 +117,20 @@ def test_inverse_range_error(bumpy):
         bumpy.inverse_eval(bumpy.y1 + 0.1)
 
 
+@pytest.mark.parametrize("at", [0, 5, 11])
+def test_inverse_array_raises_the_range_error_of_its_point_outside(bumpy, at):
+    """More than `maps._FEW` points, one of them outside the image: the
+    array path raises the RangeError that `inverse_eval` raises there."""
+    for bad in (bumpy.y0 - 0.1, bumpy.y1 + 2.0 * TOL.eps_newton, math.nan):
+        ys = np.linspace(bumpy.y0, bumpy.y1, maps._FEW + 4)
+        ys[at] = bad
+        with pytest.raises(RangeError) as want:
+            bumpy.inverse_eval(bad)
+        with pytest.raises(RangeError) as got:
+            bumpy.inverse_array(ys)
+        assert str(got.value) == str(want.value)
+
+
 def test_inverse_array_matches_scalar(bumpy):
     ys = RNG.uniform(bumpy.y0, bumpy.y1, 200)
     xs = bumpy.inverse_array(ys)
