@@ -22,15 +22,17 @@ clean piece and records the shrink.  Restricting the interval is always
 sound (any certified sub-interval of a sub-interval works).
 
 All the windows of a sweep enter together (`_enter`) and walk together,
-in rounds (`_walk`).  The live intervals are two float arrays, and a round
-moves every one of them one step: one `classify` call, one split at the
-boundary points, one shrink at the jump sites and one batch of end
-inversions per induced branch, and one boundary lemma.  Each array
-operation repeats the scalar one element by element, so the floats are
-those of a walk of one interval at a time.  Per interval run only a return
-count the inverse chain decides, and the inversions of a batch that failed,
-redone one window at a time so that each raises its verdict in the
-two-pass order.  `find_gap` walks its one window the same way.
+in rounds (`_walk`).  A window's current ends, iteration guard, terminal
+reason and steps are held by its number, and an index array lists the
+windows still walking.  A round moves every one of them one step: one
+`classify` call, one split at the boundary points, one shrink at the jump
+sites and one batch of end inversions per induced branch, and one boundary
+lemma.  Each array operation repeats the scalar one element by element, so
+the floats are those of a walk of one interval at a time.  Per interval
+run only a return count the inverse chain decides, and the inversions of a
+batch that failed, redone one window at a time so that each raises its
+verdict in the two-pass order.  `find_gap` walks its one window the same
+way.
 """
 
 from __future__ import annotations
@@ -457,33 +459,31 @@ def _power_domains(p: IFSPair, which: Literal["f", "g"], mid: np.ndarray):
 
 def _enter(windows: Sequence[Interval], p: IFSPair, mu: float):
     """(the pull-back steps, the verdicts, the windows that start, and the
-    starts' lo and hi), by window.  A window meeting F1 ∪ G1 is its own
-    start.  One beside it lies, after shrinking away from the fixed point,
-    inside a single F_N or G_N, and is pulled back into F1 (G1) by
-    f^{-(N-1)} (g^{-(N-1)}); the step records the window before the
-    pull-back.  Each of up to 200 passes reads every unfitted window's
-    domain off the ladder (`_power_domains`) and keeps its `_largest_pieces`
-    between the domain's ends.  Every start must pass `_core_faults`; the
-    lowest-indexed window's fault raises."""
+    starts' lo and hi), each by window number.  A window meeting F1 ∪ G1
+    is its own start.  One beside it lies, after shrinking away from the
+    fixed point, inside a single F_N or G_N, and is pulled back into F1
+    (G1) by f^{-(N-1)} (g^{-(N-1)}); the step records the window before the
+    pull-back.  Each of up to 200 passes reads the domain of every window
+    still unfitted (`live`) off the ladder (`_power_domains`) and keeps its
+    `_largest_pieces` between the domain's ends.  Every start must pass
+    `_core_faults`; the lowest-numbered window's fault raises."""
     lo, hi = np.array([(J.lo, J.hi) for J in windows], dtype=float).reshape(-1, 2).T
+    a, z, n = lo.copy(), hi.copy(), np.zeros(lo.size, dtype=np.intp)
     entries, got, faults = [None] * len(windows), {}, {}
     left, right = _beside(lo, hi, p)  # left wins where F1 ∪ G1 leaves room for both
     for which, m, op, fixed, side in (("f", p.f, "invpow_f", 0.0, left),
                                       ("g", p.g, "invpow_g", 1.0, right & ~left)):
-        cs = side.nonzero()[0]
-        if not cs.size:
+        live = side.nonzero()[0]
+        if not live.size:
             continue
         # A window touching the fixed point keeps its half away from it.
-        near = (abs(lo[cs] - fixed) < TOL.eps_geom) | (abs(hi[cs] - fixed) < TOL.eps_geom)
-        mid = 0.5 * (lo[cs] + hi[cs])
-        a = np.where(near & (which == "f"), mid, lo[cs])
-        z = np.where(near & (which == "g"), mid, hi[cs])
-        n, live = np.zeros(cs.size, dtype=np.intp), np.arange(cs.size)
+        near = live[(abs(lo[live] - fixed) < TOL.eps_geom) | (abs(hi[live] - fixed) < TOL.eps_geom)]
+        (a if which == "f" else z)[near] = 0.5 * (lo[near] + hi[near])
         for _ in range(200):
             N, d_lo, d_hi = _power_domains(p, which, 0.5 * (a[live] + z[live]))
-            for j in live[N < 0].tolist():
-                got[int(cs[j])] = ClassificationError(
-                    f"could not locate a fundamental domain for {Interval(a[j], z[j])}")
+            for c in live[N < 0].tolist():
+                got[c] = ClassificationError(
+                    f"could not locate a fundamental domain for {Interval(a[c], z[c])}")
             fit = (d_lo <= a[live]) & (z[live] <= d_hi)  # it holds the midpoint: no end inside
             n[live[fit]] = N[fit]
             # The domain's ends clipped to the window; a clipped end cuts an empty piece.
@@ -493,21 +493,21 @@ def _enter(windows: Sequence[Interval], p: IFSPair, mu: float):
                 break
             r = 2 * np.arange(live.size)
             a[live], z[live] = _largest_pieces(a[live], z[live], ends, r, r + 2)
-        for j in live.tolist():
-            got[int(cs[j])] = ClassificationError(
-                f"could not fit {windows[cs[j]]} inside one fundamental domain")
-        k = (n > 0).nonzero()[0]
-        lo[cs[k]], hi[cs[k]], errors = _invert_checked(m, m, n[k] - 2, a[k], z[k], lambda j: None)
-        for c, n1, a1, z1 in zip(cs[k].tolist(), (n[k] - 1).tolist(), a[k].tolist(), z[k].tolist()):
+        for c in live.tolist():
+            got[c] = ClassificationError(
+                f"could not fit {windows[c]} inside one fundamental domain")
+        k = (side & (n > 0)).nonzero()[0]
+        lo[k], hi[k], errors = _invert_checked(m, m, n[k] - 2, a[k], z[k], lambda j: None)
+        for c, n1, a1, z1 in zip(k.tolist(), (n[k] - 1).tolist(), a[k].tolist(), z[k].tolist()):
             entries[c] = (CaseTag.PULLBACK_FN, op, n1, a1, z1)
         for j, e in errors.items():
-            (got if isinstance(e, WALK_VERDICTS) else faults)[int(cs[k[j]])] = e
-    cells = np.array([c for c in range(len(windows)) if c not in got and c not in faults],
-                     dtype=np.intp)
-    faults.update((int(cells[k]), e) for k, e in _core_faults(lo[cells], hi[cells], p, mu).items())
+            (got if isinstance(e, WALK_VERDICTS) else faults)[int(k[j])] = e
+    live = np.array([c for c in range(len(windows)) if c not in got and c not in faults],
+                    dtype=np.intp)
+    faults.update((int(live[j]), e) for j, e in _core_faults(lo[live], hi[live], p, mu).items())
     if faults:
         raise faults[min(faults)]
-    return entries, got, cells, lo, hi
+    return entries, got, live, lo, hi
 
 
 def _walk(
@@ -519,8 +519,10 @@ def _walk(
 
     Every window enters through `_enter`, and its iteration guard is
     ceil(log(|F1| / |start|) / log(mu)) + 50, since eventual expansion
-    guarantees finiteness but gives no bound.  Then rounds run until no
-    window is live, and each moves every live window one step:
+    guarantees finiteness but gives no bound.  Each window's ends, guard,
+    terminal reason and steps are held by its number, and `live` lists the
+    windows still walking, in ascending order.  Each round moves every live
+    window one step and writes its ends back in place:
 
     * past its guard it stops with IterationCapError, and shorter than
       3*eps_newton with ClassificationError;
@@ -540,123 +542,120 @@ def _walk(
     The windows that end are pulled back together (`_pull_back_into`):
     through the walk's steps into the start, where the cloud, if given, is
     checked; then, for a pulled-back window, through the entry step into
-    the window, where it is checked again.
+    the window, where it is checked again.  When several windows fault in
+    one stage (the entry, one branch's inversions, one corner of the
+    boundary lemma or one pull-back), the lowest-numbered one's fault raises.
     """
     steps: list[list[tuple]] = [[] for _ in windows]
-    entries, got, cells, s_lo, s_hi = _enter(windows, p, mu)
-    lo, hi = s_lo[cells], s_hi[cells]
-    bounds = {c: math.ceil(math.log(max(p.f1.length / (z - a), 1.0)) / math.log(mu)) + 50
-              for c, a, z in zip(cells.tolist(), lo.tolist(), hi.tolist())}
-    guard = np.array(list(bounds.values()), dtype=np.intp)
+    entries, got, live, s_lo, s_hi = _enter(windows, p, mu)
+    lo, hi = s_lo.copy(), s_hi.copy()
+    guard = np.zeros(len(windows), dtype=np.intp)
+    guard[live] = [math.ceil(math.log(max(p.f1.length / (z - a), 1.0)) / math.log(mu)) + 50
+                   for a, z in zip(lo[live].tolist(), hi[live].tolist())]
+    reasons = (TerminalReason.HOLE, TerminalReason.RUINATION_OVERLAP)
+    reason = np.full(len(windows), -1)  # once the window ends, its index into reasons
     pts = np.array(b, dtype=float)
     sites = {which: _oriented(p, which)[4] for which in "FG"}
-    ended: dict[int, tuple[float, float, TerminalReason]] = {}
 
-    def record(cs, codes, op, ns, los, his) -> None:
+    def record(cs, codes, op, ns) -> None:
         ns = ns.tolist() if ns is not None else [0] * cs.size
-        for c, t, n, a, z in zip(cs.tolist(), codes.tolist(), ns, los.tolist(), his.tolist()):
+        for c, t, n, a, z in zip(cs.tolist(), codes.tolist(), ns, lo[cs].tolist(),
+                                 hi[cs].tolist()):
             steps[c].append((CASES[t], op, n, a, z))
 
-    def end(cs, los, his, reason: TerminalReason) -> None:
-        for c, a, z in zip(cs.tolist(), los.tolist(), his.tolist()):
-            ended[c] = a, z, reason
-
     rnd = 0
-    while cells.size:
-        out = (guard <= rnd) | (hi - lo < 3.0 * TOL.eps_newton)
-        for j in out.nonzero()[0].tolist():
-            c = int(cells[j])
+    while live.size:
+        out = (guard[live] <= rnd) | (hi[live] - lo[live] < 3.0 * TOL.eps_newton)
+        for c in live[out].tolist():
             got[c] = (IterationCapError(
-                f"gap walk exceeded its bound of {bounds[c]} steps; trace: "
+                f"gap walk exceeded its bound of {guard[c]} steps; trace: "
                 + " ".join(f"{t.value}:{op}{n}" for t, op, n, _, _ in steps[c]))
-                if guard[j] <= rnd else ClassificationError(
-                    f"interval collapsed to {Interval(float(lo[j]), float(hi[j]))} during walk"))
-        cells, lo, hi, guard = cells[~out], lo[~out], hi[~out], guard[~out]
-        code = classify(lo, hi, p, h, r, pts)
-        walking = []  # (cells, lo, hi, guard) of the windows that walk on
+                if guard[c] <= rnd else ClassificationError(
+                    f"interval collapsed to {Interval(float(lo[c]), float(hi[c]))} during walk"))
+        live = live[~out]
+        code = classify(lo[live], hi[live], p, h, r, pts)
+        walks_on = np.zeros(len(windows), dtype=bool)
 
-        hits = (code == _HIT).nonzero()[0]
-        if hits.size:
-            took, *ends = _boundary_lemma(p, h, r, lo[hits], hi[hits])
-            for c, t, a, z, b_a, b_z in zip(cells[hits].tolist(), took.tolist(),
-                                            *[e.tolist() for e in ends]):
+        k = live[code == _HIT]
+        if k.size:
+            took, t_lo, t_hi, b_lo, b_hi = _boundary_lemma(p, h, r, lo[k], hi[k])
+            for c, t, b_a, b_z in zip(k.tolist(), took.tolist(), b_lo.tolist(), b_hi.tolist()):
                 if t >= 3:  # a pull-back by f or g
-                    op = "invpow_f" if t == 3 else "invpow_g"
-                    steps[c].append((CaseTag.BOUNDARY_HIT, op, 1, b_a, b_z))
-                if t >= 0:
-                    reason = TerminalReason.HOLE if t < 2 else TerminalReason.RUINATION_OVERLAP
-                    ended[c] = a, z, reason
-            code[hits[took >= 0]] = -1  # ended
-            k = hits[took < 0]
+                    steps[c].append((CaseTag.BOUNDARY_HIT, "invpow_f" if t == 3 else "invpow_g",
+                                     1, b_a, b_z))
+            ends = took >= 0
+            lo[k[ends]], hi[k[ends]] = t_lo[ends], t_hi[ends]
+            reason[k[ends]] = took[ends] >= 2  # a piece in r_f ∩ r_g, not in a hole
+            k = k[~ends]
             if k.size:
                 a, z = _inside(pts, lo[k], hi[k], TOL.eps_geom)
-                p_lo, p_hi = _largest_pieces(np.maximum(lo[k], p.f1.lo),
-                                             np.minimum(hi[k], p.g1.hi), pts, a, z)
-                record(cells[k], code[k], "shrink", None, p_lo, p_hi)
-                walking.append((cells[k], p_lo, p_hi, guard[k]))
-        for j in (code >= _W_OVERLAP).nonzero()[0].tolist():
-            c, case, cur = int(cells[j]), int(code[j]), Interval(float(lo[j]), float(hi[j]))
+                lo[k], hi[k] = _largest_pieces(np.maximum(lo[k], p.f1.lo),
+                                               np.minimum(hi[k], p.g1.hi), pts, a, z)
+                record(k, np.full(k.size, _HIT), "shrink", None)
+                walks_on[k] = True
+        stops = code >= _W_OVERLAP
+        for c, case in zip(live[stops].tolist(), code[stops].tolist()):
+            cur = Interval(float(lo[c]), float(hi[c]))
             if case == _W_OVERLAP:
                 steps[c].append((CaseTag.IN_W_OVERLAP, "shrink", 0, cur.lo, cur.hi))
-                ended[c] = cur.lo, cur.hi, TerminalReason.RUINATION_OVERLAP
+                reason[c] = 1
             else:
                 why = "left F1 ∪ G1 mid-walk" if case == _BESIDE else CASES[case]
                 got[c] = ClassificationError(f"{cur} {why}")
 
         branch = code // 3  # 0 for F's cases, 1 for G's
         for which, hole in (("F", _HF), ("G", _HG)):
-            k = (branch == hole // 3).nonzero()[0]
-            if not k.size:
+            on = branch == hole // 3
+            if not on.any():
                 continue
-            cs, codes, w_lo, w_hi, w_guard = cells[k], code[k], lo[k], hi[k], guard[k]
-            a, z = _inside(sites[which], w_lo, w_hi, TOL.eps_newton)
-            cut = ((codes != hole) & (a < z)).nonzero()[0]
-            if cut.size:
-                w_lo[cut], w_hi[cut] = _largest_pieces(w_lo[cut], w_hi[cut], sites[which], a[cut],
-                                                       z[cut])
-                record(cs[cut], codes[cut], "shrink", None, w_lo[cut], w_hi[cut])
+            k, codes = live[on], code[on]
+            a, z = _inside(sites[which], lo[k], hi[k], TOL.eps_newton)
+            cut = (codes != hole) & (a < z)
+            if cut.any():
+                cs = k[cut]
+                lo[cs], hi[cs] = _largest_pieces(lo[cs], hi[cs], sites[which], a[cut], z[cut])
+                record(cs, codes[cut], "shrink", None)
             # n at the midpoint off the sites, or from its chain where they cannot decide
-            mid, ok = 0.5 * (w_lo + w_hi), np.ones(k.size, dtype=bool)
+            mid, ok = 0.5 * (lo[k] + hi[k]), np.ones(k.size, dtype=bool)
             n = _site_counts(p, which, sites[which], mid)
             for j in (n < 0).nonzero()[0].tolist():
                 try:
                     n[j] = induced_n(p, float(mid[j]), which)
                 except WALK_VERDICTS as e:
-                    got[int(cs[j])], n[j], ok[j] = e, 0, False
-            i_lo, i_hi, errors = _invert_checked(*_oriented(p, which)[:2], n, w_lo, w_hi,
+                    got[int(k[j])], n[j], ok[j] = e, 0, False
+            i_lo, i_hi, errors = _invert_checked(*_oriented(p, which)[:2], n, lo[k], hi[k],
                                                  lambda j: _inverse_orbit(p, which, float(mid[j])))
             for j in [j for j in errors if ok[j]]:  # a verdict is kept, the first fault raises
                 if not isinstance(errors[j], WALK_VERDICTS):
                     raise errors[j]
-                got[int(cs[j])], ok[j] = errors[j], False
-            cs, codes, i_lo, i_hi, w_guard, n = [x[ok] for x in (cs, codes, i_lo, i_hi, w_guard, n)]
-            record(cs, codes, which, n, i_lo, i_hi)
-            on = codes != hole
-            end(cs[~on], i_lo[~on], i_hi[~on], TerminalReason.HOLE)
-            walking.append((cs[on], i_lo[on], i_hi[on], w_guard[on]))
+                got[int(k[j])], ok[j] = errors[j], False
+            k, codes = k[ok], codes[ok]
+            lo[k], hi[k] = i_lo[ok], i_hi[ok]
+            record(k, codes, which, n[ok])
+            reason[k[codes == hole]] = 0
+            walks_on[k[codes != hole]] = True
 
-        cells, lo, hi, guard = ([np.concatenate(x) for x in zip(*walking)] if walking
-                                else (cells[:0], lo[:0], hi[:0], guard[:0]))
+        live = walks_on.nonzero()[0]
         rnd += 1
 
-    if ended:
-        cs = list(ended)
-        words = ["".join([_undo(op, n) for _, op, n, _, _ in reversed(steps[c])]) for c in cs]
-        out_lo, out_hi, refused = _pull_back_into(
-            p, words, np.array([ended[c][0] for c in cs]), np.array([ended[c][1] for c in cs]),
-            s_lo[cs], s_hi[cs], cloud, "certified output {}")
-        back = [j for j, c in enumerate(cs) if j not in refused and entries[c] is not None]
-        if back:
-            b_lo, b_hi, refused_back = _pull_back_into(
-                p, [_undo(op, n) for _, op, n, _, _ in (entries[cs[j]] for j in back)],
-                out_lo[back], out_hi[back], np.array([windows[cs[j]].lo for j in back]),
-                np.array([windows[cs[j]].hi for j in back]), cloud, "pulled-back output")
-            out_lo[back], out_hi[back] = b_lo, b_hi
-            refused.update((back[i], e) for i, e in refused_back.items())
-        for j, (c, a, z) in enumerate(zip(cs, out_lo.tolist(), out_hi.tolist())):
+    ended = (reason >= 0).nonzero()[0]
+    words = ["".join([_undo(op, n) for _, op, n, _, _ in reversed(steps[c])])
+             for c in ended.tolist()]
+    lo[ended], hi[ended], refused = _pull_back_into(
+        p, words, lo[ended], hi[ended], s_lo[ended], s_hi[ended], cloud, "certified output {}")
+    got.update((int(ended[j]), e) for j, e in refused.items())
+    k = ended[[c not in got and entries[c] is not None for c in ended.tolist()]]
+    if k.size:
+        lo[k], hi[k], refused = _pull_back_into(
+            p, [_undo(op, n) for _, op, n, _, _ in (entries[c] for c in k.tolist())], lo[k], hi[k],
+            np.array([windows[c].lo for c in k.tolist()]),
+            np.array([windows[c].hi for c in k.tolist()]), cloud, "pulled-back output")
+        got.update((int(k[j]), e) for j, e in refused.items())
+    for c in ended.tolist():
+        if c not in got:
             entry = [] if entries[c] is None else [entries[c]]
-            got[c] = refused[j] if j in refused else _Walked(a, z, ended[c][2], bounds[c],
-                                                             entry + steps[c])
+            got[c] = _Walked(float(lo[c]), float(hi[c]), reasons[reason[c]],
+                             int(guard[c]), entry + steps[c])
     return [got[c] for c in range(len(windows))]
 
 

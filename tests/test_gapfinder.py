@@ -1174,3 +1174,31 @@ def test_a_window_no_domain_holds_is_a_verdict_at_entry(built_ctx, cells_2e2, mo
     want = f"ClassificationError: could not fit {J} inside one fundamental domain"
     assert _batch_outcome(built_ctx, cells_2e2, 8) == want
 
+
+def test_the_lower_numbered_windows_fault_raises(built_ctx, monkeypatch):
+    """Window 0 takes an F step and window 1 splits at a boundary point in
+    round 0; in round 1 both take a G step, and when both inversions fault,
+    window 0's fault raises, whatever their order in the batch."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    x = (hole.h_g.hi + pair.g1.hi) / 2.0
+    b = tuple(sorted(bsets + (x,)))
+    windows = [Interval(0.28, 0.3), Interval(x - 1e-4, x + 1e-4)]
+    walked = gapfinder._walk(pair, hole, ruin, b, mu, None, windows)
+    assert [w.steps[0][:2] for w in walked] == [(CaseTag.IN_F1_FREE, "F"),
+                                                (CaseTag.BOUNDARY_HIT, "shrink")]
+    # each window's interval as its first G step reads it: the one recorded just before
+    g_los = [w.steps[[s[1] for s in w.steps].index("G") - 1][3] for w in walked]
+    invert, batches = gapfinder._invert_checked, []
+
+    def faulting(first, ret, n, lo, hi, chain):
+        i_lo, i_hi, errors = invert(first, ret, n, lo, hi, chain)
+        if first is pair.g:
+            batches.append(lo.tolist())
+            errors = {j: RangeError(f"fault at {a!r}") for j, a in enumerate(lo.tolist())}
+        return i_lo, i_hi, errors
+
+    monkeypatch.setattr(gapfinder, "_invert_checked", faulting)
+    with pytest.raises(RangeError) as err:
+        gapfinder._walk(pair, hole, ruin, b, mu, None, windows)
+    assert [sorted(lo) for lo in batches] == [sorted(g_los)]
+    assert str(err.value) == f"fault at {g_los[0]!r}"
