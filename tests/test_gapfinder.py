@@ -1105,6 +1105,50 @@ def test_a_forced_step_gives_one_window_of_a_batch_its_round_verdict(built_ctx, 
     assert _batch_outcome(built_ctx, cells_2e2, 20, b) == want
 
 
+@pytest.mark.parametrize("first", ["BOUNDARY_HIT", "PULLBACK_FN"])
+def test_a_capped_walks_trace_lists_every_step(built_ctx, cells_2e2, monkeypatch, first):
+    """A window that splits at a boundary point, or one that enters by a
+    pull-back and shrinks at the jump sites, and whose induced step then
+    returns the ends it was given walks until its guard runs out.  The
+    verdict's trace lists every step of the walk, the shrink first, and
+    not the entry's pull-back, which the walk starts after."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    if first == "BOUNDARY_HIT":
+        x = (hole.h_g.hi + pair.g1.hi) / 2.0
+        b = tuple(sorted(bsets + (x,)))
+        windows, target = [Interval(0.28, 0.3), Interval(x - 1e-4, x + 1e-4)], 1
+    else:
+        b, windows, target = bsets, cells_2e2, 9
+    cert = find_gap_by_windows(windows[target], pair, hole, ruin, b, mu, None)
+    entry = [s for s in cert.trace if s.tag is CaseTag.PULLBACK_FN]
+    shrink, step = cert.trace[len(entry):len(entry) + 2]
+    assert [s.op for s in entry] == ([] if first == "BOUNDARY_HIT" else ["invpow_f"])
+    assert (shrink.tag.value, shrink.op) == ((first, "shrink") if first == "BOUNDARY_HIT"
+                                             else ("IN_F1_FREE", "shrink"))
+    assert step.op in ("F", "G") and step.tag is not CaseTag.BOUNDARY_HIT
+    _force_step(monkeypatch, shrink.interval, ends=(shrink.interval.lo, shrink.interval.hi))
+    bound = cert.iteration_bound
+    # a boundary hit's round takes no induced step; a site shrink's round takes one
+    n_induced = bound - 1 if first == "BOUNDARY_HIT" else bound
+    want = (f"IterationCapError: gap walk exceeded its bound of {bound} steps; trace: "
+            + " ".join([f"{shrink.tag.value}:shrink0"]
+                       + [f"{step.tag.value}:{step.op}{step.n}"] * n_induced))
+    assert _batch_outcome(built_ctx, windows, target, b) == want
+
+
+def test_a_window_longer_than_f1_gets_the_least_guard(built_ctx):
+    """The guard's ratio |F1| / |start| is clamped at 1: a window longer
+    than F1 gets the guard 50, also one longer than mu·|F1|, where the
+    unclamped formula would give 49."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    for J in (Interval(0.26, 0.55), Interval(0.2, 0.8)):
+        assert J.length > pair.f1.length
+        assert find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None).iteration_bound == 50
+        assert find_gap_by_windows(J, pair, hole, ruin, bsets, mu, None).iteration_bound == 50
+    unclamped = math.log(pair.f1.length / 0.6) / math.log(mu)
+    assert math.ceil(unclamped) + 50 == 49
+
+
 @pytest.mark.parametrize("forced", ["chain verdict", "step verdict", "step fault"])
 def test_a_step_error_of_one_window_is_its_verdict_or_the_batchs_fault(built_ctx, cells_2e2,
                                                                      monkeypatch, forced):
