@@ -22,17 +22,12 @@ clean piece and records the shrink.  Restricting the interval is always
 sound (any certified sub-interval of a sub-interval works).
 
 All the windows of a sweep enter together (`_enter`) and walk together,
-in rounds (`_walk`).  A window's current ends, iteration guard, terminal
-reason and steps are held by its number, and an index array lists the
-windows still walking.  A round moves every one of them one step: one
-`classify` call, one split at the boundary points, one shrink at the jump
-sites and one batch of end inversions per induced branch, and one boundary
-lemma.  Each array operation repeats the scalar one element by element, so
-the floats are those of a walk of one interval at a time.  Per interval
-run only a return count the inverse chain decides, and the inversions of a
-batch that failed, redone one window at a time so that each raises its
-verdict in the two-pass order.  `find_gap` walks its one window the same
-way.
+in rounds (`_walk`), each array operation repeating the scalar one element
+by element, so the floats are those of a walk of one interval at a time;
+`find_gap` walks its one window the same way.  Every step goes into one
+log of arrays (`_rows`): the pull-backs read their maps off it as letters
+(`_undo_letters`), the sweep's report its step counts, and only
+`find_gap`'s caller gets a window's steps as TraceSteps.
 """
 
 from __future__ import annotations
@@ -121,6 +116,9 @@ CASES: tuple[CaseTag | str, ...] = (
     "in W fits no ruination case (truncation too shallow?)", "fits no case region")
 (_HF, _W_RG, _F1_FREE, _HG, _W_RF, _G1_FREE, _HIT, _W_OVERLAP, _BESIDE, _NO_RUINATION,
  _NO_CASE) = range(len(CASES))
+#: `classify`'s tests in order, by case: the first that applies wins.
+_FIRST_CASE = np.array([_HIT, _BESIDE, _HF, _HG, _W_OVERLAP, _W_RF, _W_RG, _NO_RUINATION,
+                        _F1_FREE, _G1_FREE, _NO_CASE])
 
 
 def _in_part(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, s: IntervalSet) -> np.ndarray:
@@ -157,21 +155,16 @@ def classify(lo, hi, p: IFSPair, h: HolePair, r: RuinationRegions, b) -> np.ndar
     if not (hi - lo > 0).all():  # NaN fails too
         raise DomainError("classify needs positive length")
     eps, mid = TOL.eps_geom, 0.5 * (lo + hi)
-
-    def within(iv: Interval) -> np.ndarray:
-        return (iv.lo - eps <= lo) & (hi <= iv.hi + eps)
-
-    pts = np.asarray(b, dtype=float)
-    in_w = within(p.overlap)
+    regions = (p.overlap, h.h_f, h.h_g, p.f1_free, p.g1_free)
+    ends = np.array([[iv.lo - eps for iv in regions], [iv.hi + eps for iv in regions]])
+    in_w, in_hf, in_hg, in_f1, in_g1 = ((ends[0] <= lo[..., None]) & (hi[..., None] <= ends[1])).T
     parts = ([in_w & _in_part(lo, hi, mid, s) for s in (r.rfrg, r.r_f, r.r_g)] if in_w.any()
              else [in_w] * 3)
     left, right = _beside(lo, hi, p)
-    cases = (_HIT, _BESIDE, _HF, _HG, _W_OVERLAP, _W_RF, _W_RG, _NO_RUINATION, _F1_FREE, _G1_FREE,
-             _NO_CASE)
-    a, z = _inside(pts, lo, hi, eps)
-    rows = np.array([a < z, left | right, within(h.h_f), within(h.h_g), *parts, in_w,
-                     within(p.f1_free), within(p.g1_free), np.ones(lo.shape, dtype=bool)])
-    return np.array(cases)[rows.argmax(axis=0)]  # the first case that applies
+    a, z = _inside(np.asarray(b, dtype=float), lo, hi, eps)
+    rows = np.array([a < z, left | right, in_hf, in_hg, *parts, in_w, in_f1, in_g1,
+                     np.ones(lo.shape, dtype=bool)])
+    return _FIRST_CASE[rows.argmax(axis=0)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +173,15 @@ def classify(lo, hi, p: IFSPair, h: HolePair, r: RuinationRegions, b) -> np.ndar
 
 #: The maps that undo a step, by op: (the map applied n times, the map
 #: applied once after them), each named "f" or "g".  F is x ->
-#: g^{-n}(f^{-1}(x)), so y -> f(g^n(y)) undoes it.
+#: g^{-n}(f^{-1}(x)), so y -> f(g^n(y)) undoes it.  The step log holds an
+#: op as its index in _OPS, _LETTERS its two maps as bytes, 0 for none, and
+#: _PER_N how many times each applies per n.
 _UNDO = {"F": ("g", "f"), "G": ("f", "g"), "invpow_f": ("f", ""), "invpow_g": ("g", ""),
          "shrink": ("", "")}
+_OPS = tuple(_UNDO)
+_F, _G, _INVPOW_F, _INVPOW_G, _SHRINK = range(len(_OPS))
+_LETTERS = np.array([[ord(m or "\0") for m in maps] for maps in _UNDO.values()], dtype=np.uint8)
+_PER_N = (_LETTERS > 0).astype(np.intp)
 
 
 def _undo(op: str, n: int) -> str:
@@ -192,6 +191,20 @@ def _undo(op: str, n: int) -> str:
         raise CertificateError(f"unknown op {op!r}")
     repeated, once = _UNDO[op]
     return repeated * n + once
+
+
+def _undo_letters(row: np.ndarray, op: np.ndarray, n: np.ndarray, size: int) -> np.ndarray:
+    """The letter matrix, `size` rows, of the words that undo the steps
+    (op, n), given in the order taken, step k in row row[k]: a row is its
+    steps' `_undo` words, last step first, padded with 0."""
+    k = row.size - 1 - row[::-1].argsort(kind="stable")  # by row, each row's steps last first
+    row, op = row[k], op[k]
+    counts = _PER_N[op]
+    counts[:, 0] *= n[k]
+    length = np.bincount(row.repeat(2), counts.ravel(), size)
+    out = np.zeros((size, int(length.max(initial=1))), dtype=np.uint8)
+    out[np.arange(out.shape[1]) < length[:, None]] = _LETTERS[op].ravel().repeat(counts.ravel())
+    return out
 
 
 def _apply_step_forward(p: IFSPair, s: TraceStep, iv: Interval) -> Interval:
@@ -212,10 +225,11 @@ def _apply_step_forward(p: IFSPair, s: TraceStep, iv: Interval) -> Interval:
     return Interval(lo, hi)
 
 
-def pull_back(p: IFSPair, words: Sequence[str], lo, hi) -> tuple[np.ndarray, np.ndarray]:
+def pull_back(p: IFSPair, words: Sequence[str] | np.ndarray, lo, hi
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Pull each interval [lo[k], hi[k]] back through the maps of words[k],
-    a word in "f" and "g" (`_undo` of each step, last step first), applied
-    in the word's order.
+    applied in the word's order: a word in "f" and "g" (`_undo` of each
+    step, last step first), or a row of `_undo_letters`' matrix.
 
     The intervals move in lockstep, one letter per pass.  A pass evaluates
     the ends of all intervals whose letter is "f" in one `eval_array` call,
@@ -224,10 +238,13 @@ def pull_back(p: IFSPair, words: Sequence[str], lo, hi) -> tuple[np.ndarray, np.
     an Interval would raise.  A few intervals (`maps._FEW`) go through `eval`
     one map at a time instead, with the same check: for one interval a pass
     costs more than its two maps."""
+    if not isinstance(words, np.ndarray):  # one byte per letter, a short word padded with 0
+        width = max([1, *map(len, words)])
+        words = np.array(words, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     if len(words) <= _FEW:
         ends = []
-        for word, a, z in zip(words, np.ravel(lo).tolist(), np.ravel(hi).tolist()):
-            for m in [p.f if name == "f" else p.g for name in word]:
+        for word, a, z in zip(words.tolist(), np.ravel(lo).tolist(), np.ravel(hi).tolist()):
+            for m in [p.f if x == ord("f") else p.g for x in word if x]:
                 a, z = m.eval(a), m.eval(z)
                 if not a <= z:
                     raise SpecError(f"interval needs lo <= hi, got [{a}, {z}]")
@@ -235,10 +252,7 @@ def pull_back(p: IFSPair, words: Sequence[str], lo, hi) -> tuple[np.ndarray, np.
         return tuple(np.array(ends, dtype=float).reshape(-1, 2).T)
     ends = np.empty(2 * len(words))
     ends[0::2], ends[1::2] = lo, hi
-    width = max([1, *map(len, words)])
-    # One byte per letter, a row per end; a short word is padded with 0.
-    letters = np.array(words, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    for column in letters.repeat(2, axis=0).T:
+    for column in words.repeat(2, axis=0).T:
         for name, m in ((b"f", p.f), (b"g", p.g)):
             k = (column == ord(name)).nonzero()[0]
             if k.size:
@@ -353,7 +367,8 @@ def _invert_ends(first: MapSpec, ret: MapSpec, n: np.ndarray, lo: np.ndarray,
     ends = first.inverse_array(ends)
     more = n.repeat(2)
     for k in range(1, int(n.max(initial=0)) + 1):
-        ends[more >= k] = ret.inverse_array(ends[more >= k])
+        again = more >= k
+        ends[again] = ret.inverse_array(ends[again])
     return ends[0::2], ends[1::2]
 
 
@@ -386,16 +401,16 @@ def _invert_checked(first: MapSpec, ret: MapSpec, n: np.ndarray, lo: np.ndarray,
 
 
 def _pull_back_into(
-    p: IFSPair, words: Sequence[str], lo: np.ndarray, hi: np.ndarray, w_lo: np.ndarray,
+    p: IFSPair, letters: np.ndarray, lo: np.ndarray, hi: np.ndarray, w_lo: np.ndarray,
     w_hi: np.ndarray, cloud: OrbitCloud | None, where: str,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, CertificateError]]:
-    """Pull each [lo[k], hi[k]] back through words[k] and clip it to its
+    """Pull each [lo[k], hi[k]] back through letters[k] and clip it to its
     window [w_lo[k], w_hi[k]] (`Interval.intersection`, the pulled-back end
     on a tie).  Returns the clipped ends and, by position, the refusal of
     each one that escapes its window, reaches the fixed point 0 or 1 (both
     in K) or holds orbit points; `where` names the result in that refusal,
     and its `{}`, if any, is filled with it."""
-    o_lo, o_hi = pull_back(p, words, lo, hi)
+    o_lo, o_hi = pull_back(p, letters, lo, hi)
     c_lo = np.where(w_lo > o_lo, w_lo, o_lo)
     c_hi = np.where(w_hi < o_hi, w_hi, o_hi)
     escaped = ~(c_hi - c_lo > 0)
@@ -421,15 +436,46 @@ def _pull_back_into(
 # ---------------------------------------------------------------------------
 
 
-class _Walked(NamedTuple):
-    """A window's finished walk; each step is a (tag, op, n, lo, hi) tuple,
-    the fields of its TraceStep."""
+_REASONS = (TerminalReason.HOLE, TerminalReason.RUINATION_OVERLAP)
 
-    lo: float
-    hi: float
-    reason: TerminalReason
-    bound: int
-    steps: list[tuple[CaseTag, str, int, float, float]]
+
+class _Walked(NamedTuple):
+    """A batch's walk, by window number: the output ends, the terminal
+    reason (an index into _REASONS, -1 for a verdict), the iteration guard
+    and the verdicts; and the step log and its `_rows`."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    reason: np.ndarray
+    bound: np.ndarray
+    verdicts: dict[int, Exception]
+    log: list[tuple]
+    rows: tuple[np.ndarray, ...]
+
+
+def _rows(log: list[tuple]) -> tuple[np.ndarray, ...]:
+    """The window, op and n of every step, in the order taken.
+
+    The step log is a list of batches of rows (window, case, op, n, lo,
+    hi), one batch per stage of a round, each window at most once in a
+    batch.  A batch's op is one value for all its rows, and its case and n
+    are arrays or one value each."""
+    if not log:
+        return tuple(np.zeros(0, dtype=np.intp) for _ in range(3))
+    sizes = [len(b[0]) for b in log]
+    return (np.concatenate([b[0] for b in log]), np.repeat([b[2] for b in log], sizes),
+            np.concatenate([b[3] if isinstance(b[3], np.ndarray) else np.full(size, b[3])
+                            for b, size in zip(log, sizes)]))
+
+
+def _steps(log: list[tuple], windows):
+    """The steps of the windows in `windows`, each (window, case, op, n, lo,
+    hi), in the order taken."""
+    for batch in log:
+        wins = batch[0].tolist()
+        if not windows.isdisjoint(wins):
+            cols = [x.tolist() if isinstance(x, np.ndarray) else [x] * len(wins) for x in batch]
+            yield from (step for step in zip(*cols) if step[0] in windows)
 
 
 def _core_faults(lo: np.ndarray, hi: np.ndarray, p: IFSPair, mu: float) -> dict[int, DomainError]:
@@ -457,22 +503,23 @@ def _power_domains(p: IFSPair, which: Literal["f", "g"], mid: np.ndarray):
     return np.where((d_lo <= mid) & (mid <= d_hi), j - 1, -1), d_lo, d_hi
 
 
-def _enter(windows: Sequence[Interval], p: IFSPair, mu: float):
-    """(the pull-back steps, the verdicts, the windows that start, and the
-    starts' lo and hi), each by window number.  A window meeting F1 ∪ G1
-    is its own start.  One beside it lies, after shrinking away from the
-    fixed point, inside a single F_N or G_N, and is pulled back into F1
-    (G1) by f^{-(N-1)} (g^{-(N-1)}); the step records the window before the
+def _enter(w_lo: np.ndarray, w_hi: np.ndarray, p: IFSPair, mu: float):
+    """(the step log, the verdicts, the windows that start, and the starts'
+    lo and hi), each by window number, for the windows [w_lo, w_hi].  A
+    window meeting F1 ∪ G1 is its own start.  One beside it lies, after
+    shrinking away from the fixed point, inside a single F_N or G_N, and is
+    pulled back into F1 (G1) by f^{-(N-1)} (g^{-(N-1)}); the log's first
+    rows are these PULLBACK_FN steps, each recording the window before the
     pull-back.  Each of up to 200 passes reads the domain of every window
     still unfitted (`live`) off the ladder (`_power_domains`) and keeps its
     `_largest_pieces` between the domain's ends.  Every start must pass
     `_core_faults`; the lowest-numbered window's fault raises."""
-    lo, hi = np.array([(J.lo, J.hi) for J in windows], dtype=float).reshape(-1, 2).T
+    lo, hi = np.array(w_lo, dtype=float), np.array(w_hi, dtype=float)
     a, z, n = lo.copy(), hi.copy(), np.zeros(lo.size, dtype=np.intp)
-    entries, got, faults = [None] * len(windows), {}, {}
+    log, got, faults = [], {}, {}
     left, right = _beside(lo, hi, p)  # left wins where F1 ∪ G1 leaves room for both
-    for which, m, op, fixed, side in (("f", p.f, "invpow_f", 0.0, left),
-                                      ("g", p.g, "invpow_g", 1.0, right & ~left)):
+    for which, m, op, fixed, side in (("f", p.f, _INVPOW_F, 0.0, left),
+                                      ("g", p.g, _INVPOW_G, 1.0, right & ~left)):
         live = side.nonzero()[0]
         if not live.size:
             continue
@@ -494,38 +541,40 @@ def _enter(windows: Sequence[Interval], p: IFSPair, mu: float):
             r = 2 * np.arange(live.size)
             a[live], z[live] = _largest_pieces(a[live], z[live], ends, r, r + 2)
         for c in live.tolist():
-            got[c] = ClassificationError(
-                f"could not fit {windows[c]} inside one fundamental domain")
+            J = Interval(float(w_lo[c]), float(w_hi[c]))
+            got[c] = ClassificationError(f"could not fit {J} inside one fundamental domain")
         k = (side & (n > 0)).nonzero()[0]
         lo[k], hi[k], errors = _invert_checked(m, m, n[k] - 2, a[k], z[k], lambda j: None)
-        for c, n1, a1, z1 in zip(k.tolist(), (n[k] - 1).tolist(), a[k].tolist(), z[k].tolist()):
-            entries[c] = (CaseTag.PULLBACK_FN, op, n1, a1, z1)
+        log.append((k, _BESIDE, op, n[k] - 1, a[k], z[k]))
         for j, e in errors.items():
             (got if isinstance(e, WALK_VERDICTS) else faults)[int(k[j])] = e
-    live = np.array([c for c in range(len(windows)) if c not in got and c not in faults],
-                    dtype=np.intp)
+    stopped = np.zeros(lo.size, dtype=bool)
+    stopped[[*got, *faults]] = True
+    live = (~stopped).nonzero()[0]
     faults.update((int(live[j]), e) for j, e in _core_faults(lo[live], hi[live], p, mu).items())
     if faults:
         raise faults[min(faults)]
-    return entries, got, live, lo, hi
+    return log, got, live, lo, hi
 
 
 def _walk(
     p: IFSPair, h: HolePair, r: RuinationRegions, b: tuple[float, ...], mu: float,
-    cloud: OrbitCloud | None, windows: Sequence[Interval],
-) -> list[_Walked | Exception]:
-    """Walk every window at once; returns each window's `_Walked` or its
-    verdict, and raises the first fault met.
+    cloud: OrbitCloud | None, w_lo: np.ndarray, w_hi: np.ndarray,
+) -> _Walked:
+    """Walk every window [w_lo[c], w_hi[c]] at once into a `_Walked`; the
+    first fault met raises.
 
     Every window enters through `_enter`, and its iteration guard is
-    ceil(log(|F1| / |start|) / log(mu)) + 50, since eventual expansion
-    guarantees finiteness but gives no bound.  Each window's ends, guard,
-    terminal reason and steps are held by its number, and `live` lists the
-    windows still walking, in ascending order.  Each round moves every live
-    window one step and writes its ends back in place:
+    ceil(log(max(|F1| / |start|, 1)) / log(mu)) + 50, since eventual
+    expansion guarantees finiteness but gives no bound.  Each window's
+    ends, guard and terminal reason are held by its number, and `live`
+    lists the windows still walking, in ascending order.  Each round moves
+    every live window one step, writes its ends back in place and appends
+    its steps to the log, a batch per stage:
 
-    * past its guard it stops with IterationCapError, and shorter than
-      3*eps_newton with ClassificationError;
+    * past its guard it stops with IterationCapError, its trace read off
+      the log after the rounds; shorter than 3*eps_newton, with
+      ClassificationError;
     * one `classify` call gives every window its case;
     * the BOUNDARY_HITs take one `_boundary_lemma` call, and each ends in
       the piece it takes or is cut at its hits (all in F1 ∪ G1) and walks
@@ -539,134 +588,147 @@ def _walk(
       failure, each running its midpoint's chain first, as in two passes).
       A hole case ends there.
 
-    The windows that end are pulled back together (`_pull_back_into`):
-    through the walk's steps into the start, where the cloud, if given, is
-    checked; then, for a pulled-back window, through the entry step into
-    the window, where it is checked again.  When several windows fault in
-    one stage (the entry, one branch's inversions, one corner of the
-    boundary lemma or one pull-back), the lowest-numbered one's fault raises.
+    The windows that end are pulled back together (`_pull_back_into`), by
+    letters read off the log (`_undo_letters`): through the walk's steps
+    into the start, where the cloud, if given, is checked; then, for a
+    pulled-back window, through the entry step into the window, where it is
+    checked again.  When several windows fault in one stage (the entry, one
+    branch's inversions, one corner of the boundary lemma or one
+    pull-back), the lowest-numbered one's fault raises.
     """
-    steps: list[list[tuple]] = [[] for _ in windows]
-    entries, got, live, s_lo, s_hi = _enter(windows, p, mu)
+    log, got, live, s_lo, s_hi = _enter(w_lo, w_hi, p, mu)
+    entered = sum(len(batch[0]) for batch in log)  # the log's first rows are the entry steps
     lo, hi = s_lo.copy(), s_hi.copy()
-    guard = np.zeros(len(windows), dtype=np.intp)
-    guard[live] = [math.ceil(math.log(max(p.f1.length / (z - a), 1.0)) / math.log(mu)) + 50
-                   for a, z in zip(lo[live].tolist(), hi[live].tolist())]
-    reasons = (TerminalReason.HOLE, TerminalReason.RUINATION_OVERLAP)
-    reason = np.full(len(windows), -1)  # once the window ends, its index into reasons
+    guard = np.zeros(lo.size, dtype=np.intp)
+    guard[live] = np.ceil(np.log(np.maximum(p.f1.length / (hi[live] - lo[live]), 1.0))
+                          / math.log(mu)) + 50
+    reason = np.full(lo.size, -1)
     pts = np.array(b, dtype=float)
     sites = {which: _oriented(p, which)[4] for which in "FG"}
 
-    def record(cs, codes, op, ns) -> None:
-        ns = ns.tolist() if ns is not None else [0] * cs.size
-        for c, t, n, a, z in zip(cs.tolist(), codes.tolist(), ns, lo[cs].tolist(),
-                                 hi[cs].tolist()):
-            steps[c].append((CASES[t], op, n, a, z))
-
-    rnd = 0
+    rnd, capped = 0, []
     while live.size:
         out = (guard[live] <= rnd) | (hi[live] - lo[live] < 3.0 * TOL.eps_newton)
         for c in live[out].tolist():
-            got[c] = (IterationCapError(
-                f"gap walk exceeded its bound of {guard[c]} steps; trace: "
-                + " ".join(f"{t.value}:{op}{n}" for t, op, n, _, _ in steps[c]))
-                if guard[c] <= rnd else ClassificationError(
-                    f"interval collapsed to {Interval(float(lo[c]), float(hi[c]))} during walk"))
+            if guard[c] <= rnd:
+                capped.append(c)
+            else:
+                got[c] = ClassificationError(
+                    f"interval collapsed to {Interval(float(lo[c]), float(hi[c]))} during walk")
         live = live[~out]
         code = classify(lo[live], hi[live], p, h, r, pts)
-        walks_on = np.zeros(len(windows), dtype=bool)
+        walks_on = np.zeros(lo.size, dtype=bool)
 
         k = live[code == _HIT]
         if k.size:
             took, t_lo, t_hi, b_lo, b_hi = _boundary_lemma(p, h, r, lo[k], hi[k])
-            for c, t, b_a, b_z in zip(k.tolist(), took.tolist(), b_lo.tolist(), b_hi.tolist()):
-                if t >= 3:  # a pull-back by f or g
-                    steps[c].append((CaseTag.BOUNDARY_HIT, "invpow_f" if t == 3 else "invpow_g",
-                                     1, b_a, b_z))
+            for piece, op in ((3, _INVPOW_F), (4, _INVPOW_G)):  # a pull-back by f or g
+                j = (took == piece).nonzero()[0]
+                if j.size:
+                    log.append((k[j], _HIT, op, 1, b_lo[j], b_hi[j]))
             ends = took >= 0
             lo[k[ends]], hi[k[ends]] = t_lo[ends], t_hi[ends]
             reason[k[ends]] = took[ends] >= 2  # a piece in r_f ∩ r_g, not in a hole
             k = k[~ends]
             if k.size:
                 a, z = _inside(pts, lo[k], hi[k], TOL.eps_geom)
-                lo[k], hi[k] = _largest_pieces(np.maximum(lo[k], p.f1.lo),
-                                               np.minimum(hi[k], p.g1.hi), pts, a, z)
-                record(k, np.full(k.size, _HIT), "shrink", None)
+                c_lo, c_hi = _largest_pieces(np.maximum(lo[k], p.f1.lo),
+                                             np.minimum(hi[k], p.g1.hi), pts, a, z)
+                lo[k], hi[k] = c_lo, c_hi
+                log.append((k, _HIT, _SHRINK, 0, c_lo, c_hi))
                 walks_on[k] = True
-        stops = code >= _W_OVERLAP
+        stops, over = code >= _W_OVERLAP, []
         for c, case in zip(live[stops].tolist(), code[stops].tolist()):
-            cur = Interval(float(lo[c]), float(hi[c]))
             if case == _W_OVERLAP:
-                steps[c].append((CaseTag.IN_W_OVERLAP, "shrink", 0, cur.lo, cur.hi))
-                reason[c] = 1
+                over.append(c)
             else:
                 why = "left F1 ∪ G1 mid-walk" if case == _BESIDE else CASES[case]
-                got[c] = ClassificationError(f"{cur} {why}")
+                got[c] = ClassificationError(f"{Interval(float(lo[c]), float(hi[c]))} {why}")
+        if over:
+            k = np.array(over)
+            log.append((k, _W_OVERLAP, _SHRINK, 0, lo[k], hi[k]))
+            reason[k] = 1
 
         branch = code // 3  # 0 for F's cases, 1 for G's
-        for which, hole in (("F", _HF), ("G", _HG)):
+        for which, hole, op in (("F", _HF, _F), ("G", _HG, _G)):
             on = branch == hole // 3
-            if not on.any():
+            k = live[on]
+            if not k.size:
                 continue
-            k, codes = live[on], code[on]
+            codes = code[on]
             a, z = _inside(sites[which], lo[k], hi[k], TOL.eps_newton)
             cut = (codes != hole) & (a < z)
-            if cut.any():
-                cs = k[cut]
-                lo[cs], hi[cs] = _largest_pieces(lo[cs], hi[cs], sites[which], a[cut], z[cut])
-                record(cs, codes[cut], "shrink", None)
+            cs = k[cut]
+            if cs.size:
+                c_lo, c_hi = _largest_pieces(lo[cs], hi[cs], sites[which], a[cut], z[cut])
+                lo[cs], hi[cs] = c_lo, c_hi
+                log.append((cs, codes[cut], _SHRINK, 0, c_lo, c_hi))
             # n at the midpoint off the sites, or from its chain where they cannot decide
-            mid, ok = 0.5 * (lo[k] + hi[k]), np.ones(k.size, dtype=bool)
+            k_lo, k_hi = lo[k], hi[k]
+            mid, failed = 0.5 * (k_lo + k_hi), {}
             n = _site_counts(p, which, sites[which], mid)
             for j in (n < 0).nonzero()[0].tolist():
                 try:
                     n[j] = induced_n(p, float(mid[j]), which)
                 except WALK_VERDICTS as e:
-                    got[int(k[j])], n[j], ok[j] = e, 0, False
-            i_lo, i_hi, errors = _invert_checked(*_oriented(p, which)[:2], n, lo[k], hi[k],
+                    n[j], failed[j] = 0, e
+            i_lo, i_hi, errors = _invert_checked(*_oriented(p, which)[:2], n, k_lo, k_hi,
                                                  lambda j: _inverse_orbit(p, which, float(mid[j])))
-            for j in [j for j in errors if ok[j]]:  # a verdict is kept, the first fault raises
-                if not isinstance(errors[j], WALK_VERDICTS):
-                    raise errors[j]
-                got[int(k[j])], ok[j] = errors[j], False
-            k, codes = k[ok], codes[ok]
-            lo[k], hi[k] = i_lo[ok], i_hi[ok]
-            record(k, codes, which, n[ok])
-            reason[k[codes == hole]] = 0
-            walks_on[k[codes != hole]] = True
+            for j, e in errors.items():  # a verdict is kept, the first fault raises
+                if j not in failed:
+                    if not isinstance(e, WALK_VERDICTS):
+                        raise e
+                    failed[j] = e
+            if failed:
+                got.update((int(k[j]), e) for j, e in failed.items())
+                ok = np.ones(k.size, dtype=bool)
+                ok[list(failed)] = False
+                k, codes, n, i_lo, i_hi = k[ok], codes[ok], n[ok], i_lo[ok], i_hi[ok]
+            lo[k], hi[k] = i_lo, i_hi
+            log.append((k, codes, op, n, i_lo, i_hi))
+            at_hole = codes == hole
+            reason[k[at_hole]] = 0
+            walks_on[k[~at_hole]] = True
 
         live = walks_on.nonzero()[0]
         rnd += 1
 
+    if capped:  # each one's trace, its entry left out
+        trace = {c: f"gap walk exceeded its bound of {guard[c]} steps; trace:" for c in capped}
+        for c, t, o, m, _, _ in _steps(log, trace.keys()):
+            if t != _BESIDE:
+                trace[c] += f" {CASES[t].value}:{_OPS[o]}{m}"
+        got.update((c, IterationCapError(text)) for c, text in trace.items())
+    win, op, n = rows = _rows(log)
     ended = (reason >= 0).nonzero()[0]
-    words = ["".join([_undo(op, n) for _, op, n, _, _ in reversed(steps[c])])
-             for c in ended.tolist()]
+    j = entered + (reason[win[entered:]] >= 0).nonzero()[0]  # their walk steps
     lo[ended], hi[ended], refused = _pull_back_into(
-        p, words, lo[ended], hi[ended], s_lo[ended], s_hi[ended], cloud, "certified output {}")
-    got.update((int(ended[j]), e) for j, e in refused.items())
-    k = ended[[c not in got and entries[c] is not None for c in ended.tolist()]]
-    if k.size:
+        p, _undo_letters(ended.searchsorted(win[j]), op[j], n[j], ended.size), lo[ended],
+        hi[ended], s_lo[ended], s_hi[ended], cloud, "certified output {}")
+    if refused:
+        got.update((int(ended[j]), e) for j, e in refused.items())
+        reason[ended[list(refused)]] = -1
+    if entered:
+        j = (reason[win[:entered]] >= 0).nonzero()[0]  # their entry steps, one per window
+        k = win[j]
         lo[k], hi[k], refused = _pull_back_into(
-            p, [_undo(op, n) for _, op, n, _, _ in (entries[c] for c in k.tolist())], lo[k], hi[k],
-            np.array([windows[c].lo for c in k.tolist()]),
-            np.array([windows[c].hi for c in k.tolist()]), cloud, "pulled-back output")
-        got.update((int(k[j]), e) for j, e in refused.items())
-    for c in ended.tolist():
-        if c not in got:
-            entry = [] if entries[c] is None else [entries[c]]
-            got[c] = _Walked(float(lo[c]), float(hi[c]), reasons[reason[c]],
-                             int(guard[c]), entry + steps[c])
-    return [got[c] for c in range(len(windows))]
+            p, _undo_letters(np.arange(k.size), op[j], n[j], k.size), lo[k], hi[k],
+            w_lo[k], w_hi[k], cloud, "pulled-back output")
+        if refused:
+            got.update((int(k[j]), e) for j, e in refused.items())
+            reason[k[list(refused)]] = -1
+    return _Walked(lo, hi, reason, guard, got, log, rows)
 
 
-def _certificate(J: Interval, got: _Walked | Exception) -> GapCertificate:
-    """The certificate of J's walk, or its verdict raised."""
-    if isinstance(got, Exception):
-        raise got
+def _certificate(walked: _Walked, c: int, J: Interval) -> GapCertificate:
+    """The certificate of window c's walk, J, or its verdict raised."""
+    if c in walked.verdicts:
+        raise walked.verdicts[c]
     return GapCertificate(
-        input=J, output=Interval(got.lo, got.hi),
-        trace=tuple(TraceStep(t, op, n, Interval(a, z)) for t, op, n, a, z in got.steps),
-        terminal_reason=got.reason, iteration_bound=got.bound,
+        input=J, output=Interval(float(walked.lo[c]), float(walked.hi[c])),
+        trace=tuple(TraceStep(CASES[t], _OPS[o], n, Interval(a, z))
+                    for _, t, o, n, a, z in _steps(walked.log, {c})),
+        terminal_reason=_REASONS[walked.reason[c]], iteration_bound=int(walked.bound[c]),
     )
 
 
@@ -683,12 +745,12 @@ def find_gap_core(
     `_walk` on J alone.  The terminal piece is pulled back through the
     walk's steps and clipped to J; when `cloud` is given, the output is
     checked against it before returning.  The iteration guard is
-    ceil(log(|F1| / |J|) / log(mu)) + 50, which turns non-termination into
-    a diagnosable error.
+    ceil(log(max(|F1| / |J|, 1)) / log(mu)) + 50, which turns
+    non-termination into a diagnosable error.
     """
     if any(_beside(J.lo, J.hi, p)):  # refused, not pulled back; `_enter` checks the rest
         raise _core_faults(np.array([J.lo]), np.array([J.hi]), p, mu)[0]
-    return _certificate(J, _walk(p, h, r, b, mu, cloud, [J])[0])
+    return _certificate(_walk(p, h, r, b, mu, cloud, np.array([J.lo]), np.array([J.hi])), 0, J)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +774,7 @@ def find_gap(
     pull-back step, then the walk's."""
     if not any(_beside(J.lo, J.hi, p)):
         return find_gap_core(J, p, h, r, b, mu=mu, cloud=cloud)
-    return _certificate(J, _walk(p, h, r, b, mu, cloud, [J])[0])
+    return _certificate(_walk(p, h, r, b, mu, cloud, np.array([J.lo]), np.array([J.hi])), 0, J)
 
 
 # ---------------------------------------------------------------------------
@@ -796,23 +858,20 @@ def certify_cantor(
                                f"{ORBIT_CAP} cells")
     cover = minimal_set_cover(p, depth, resolution)
     cloud = orbit(p, 0.0, verification_depth)
-    n_grid, cells = grid_cells_meeting(cover, resolution)
-    failures: list[tuple[float, float, str]] = []
-    min_gap, max_gap, max_steps = math.inf, 0.0, 0
-    bound_ok = True
-    for J, got in zip(cells, _walk(p, h, r, b, mu, cloud, cells)):
-        if isinstance(got, Exception):  # a verdict; faults propagate from the walk
-            failures.append((J.lo, J.hi, f"{type(got).__name__}: {got}"))
-            bound_ok = bound_ok and not isinstance(got, IterationCapError)
-            continue
-        min_gap = min(min_gap, got.hi - got.lo)
-        max_gap = max(max_gap, got.hi - got.lo)
-        max_steps = max(max_steps, sum(op in ("F", "G") for _, op, _, _, _ in got.steps))
+    n_grid, lo, hi = grid_cells_meeting(cover, resolution)
+    walked = _walk(p, h, r, b, mu, cloud, lo, hi)
+    failures = tuple((float(lo[c]), float(hi[c]), f"{type(e).__name__}: {e}")
+                     for c, e in sorted(walked.verdicts.items()))
+    ok = walked.reason >= 0
+    gaps = (walked.hi - walked.lo)[ok]
+    win, op, _ = walked.rows
+    steps = np.bincount(win[op <= _G], minlength=lo.size)[ok]  # the F and G steps
     return CertifyReport(
         resolution=resolution, depth=depth, verification_depth=verification_depth,
-        n_grid=n_grid, n_meeting=len(cells), n_certified=len(cells) - len(failures),
-        n_failed=len(failures), n_skipped=n_grid - len(cells), failures=tuple(failures),
-        min_gap_length=0.0 if math.isinf(min_gap) else min_gap,
-        max_gap_length=max_gap, max_trace_steps=max_steps,
-        bound_respected=bound_ok,
+        n_grid=n_grid, n_meeting=lo.size, n_certified=lo.size - len(failures),
+        n_failed=len(failures), n_skipped=n_grid - lo.size, failures=failures,
+        min_gap_length=float(gaps.min()) if gaps.size else 0.0,
+        max_gap_length=float(gaps.max(initial=0.0)), max_trace_steps=int(steps.max(initial=0)),
+        bound_respected=not any(isinstance(e, IterationCapError)
+                                for e in walked.verdicts.values()),
     )

@@ -258,10 +258,11 @@ def _inside(pts: np.ndarray, lo, hi, eps: float):
     return pts.searchsorted(lo + eps, side="right"), pts.searchsorted(hi - eps)
 
 
-def grid_cells_meeting(s: IntervalSet, resolution: float) -> tuple[int, list[Interval]]:
+def grid_cells_meeting(s: IntervalSet, resolution: float) -> tuple[int, np.ndarray, np.ndarray]:
     """Cut [0, 1] into n = ceil((1 - eps_geom)/res) cells [i*res, (i+1)*res],
     the last ending at 1.0, so a remainder shorter than eps_geom joins it;
-    return n and the cells that meet `s` in positive length.
+    return n and the lo and hi of the cells that meet `s` in positive
+    length.
 
     A cell J meets s iff some part has min(hi, J.hi) > max(lo, J.lo): a part
     that only touches J at an endpoint does not meet it, nor does a
@@ -278,7 +279,7 @@ def grid_cells_meeting(s: IntervalSet, resolution: float) -> tuple[int, list[Int
     cell_hi[-1:] = 1.0
     k = np.searchsorted(his, cell_lo, side="right")
     meets = np.flatnonzero(los[k] < cell_hi)
-    return n_grid, [Interval(float(cell_lo[j]), float(cell_hi[j])) for j in meets]
+    return n_grid, cell_lo[meets], cell_hi[meets]
 
 
 # -- CSV interchange -------------------------------------------------------

@@ -443,6 +443,12 @@ def phi_rescale_interval(w_from: Interval, w_to: Interval, iv: Interval) -> Inte
     return Interval(phi_rescale(w_from, w_to, iv.lo), phi_rescale(w_from, w_to, iv.hi))
 
 
+def grid_cells(cover: IntervalSet, resolution: float) -> tuple[int, list[Interval]]:
+    """`grid_cells_meeting` with each meeting cell as an Interval."""
+    n_grid, lo, hi = grid_cells_meeting(cover, resolution)
+    return n_grid, [Interval(a, z) for a, z in zip(lo.tolist(), hi.tolist())]
+
+
 # -- the appendix pair's second certifier ------------------------------------------
 
 
@@ -475,7 +481,7 @@ def certify_cantor_by_complement(
     because K ⊂ Lambda_d for every d."""
     cover = minimal_set_cover(pair, depth, resolution)
     seq = lambda_sequence(pair, params, depth)
-    n_grid, cells = grid_cells_meeting(cover, resolution)
+    n_grid, cells = grid_cells(cover, resolution)
     certified = 0
     for J in cells:
         jset = IntervalSet([J])
@@ -735,7 +741,7 @@ def certify_by_windows(p: IFSPair, h: HolePair, r: RuinationRegions, b: tuple[fl
     if resolution > 0 and 1.0 / resolution > ORBIT_CAP:
         raise AssertionError("the oracle sweep takes grids within the orbit cap")
     cloud = orbit(p, 0.0, verification_depth)
-    n_grid, cells = grid_cells_meeting(minimal_set_cover(p, depth, resolution), resolution)
+    n_grid, cells = grid_cells(minimal_set_cover(p, depth, resolution), resolution)
     failures: list[tuple[float, float, str]] = []
     lengths, n_steps, bound_ok = [], [0], True
     for J in cells:

@@ -10,7 +10,7 @@ from cantorifs.errors import (
     CertificateError, ClassificationError, DomainError, IterationCapError, RangeError,
     ResourceCapError, SpecError,
 )
-from cantorifs.intervals import TOL, Interval, IntervalSet, _inside, grid_cells_meeting
+from cantorifs.intervals import TOL, Interval, IntervalSet, _inside
 from cantorifs.ifs import (IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit,
                            validate_class_a)
 from cantorifs.maps import MapSpec, affine_spec
@@ -36,6 +36,7 @@ from oracles import (
     certify_by_windows,
     enter_window,
     find_gap_by_windows,
+    grid_cells,
     induced_step_two_pass,
     locate_power_domain,
     middle_third,
@@ -60,6 +61,11 @@ def _case(J, pair, hole, ruin, bsets):
 def _word(steps) -> str:
     """The maps that undo `steps`, last step first, as `pull_back` reads them."""
     return "".join(gapfinder._undo(s.op, s.n) for s in reversed(steps))
+
+
+def _ends(windows) -> tuple[np.ndarray, np.ndarray]:
+    """The windows' lo and hi, as `_enter` and `_walk` take them."""
+    return np.array([J.lo for J in windows]), np.array([J.hi for J in windows])
 
 
 def _pulled(pair, steps, iv: Interval) -> Interval:
@@ -359,10 +365,11 @@ def test_locate_power_domain_matches_fundamental_domain(built_ctx):
 def _entered(windows, pair, mu):
     """`gapfinder._enter` of the batch, as each window's (pull-back step or
     None, start) or verdict."""
-    entries, got, _, lo, hi = gapfinder._enter(windows, pair, mu)
-    return [got[c] if c in got else (
-        None if entries[c] is None else TraceStep(*entries[c][:3], Interval(*entries[c][3:])),
-        Interval(float(lo[c]), float(hi[c]))) for c in range(len(windows))]
+    log, got, _, lo, hi = gapfinder._enter(*_ends(windows), pair, mu)
+    steps = {c: TraceStep(CASES[t], gapfinder._OPS[o], n, Interval(a, z))
+             for c, t, o, n, a, z in gapfinder._steps(log, set(range(len(windows))))}
+    return [got[c] if c in got else (steps.get(c), Interval(float(lo[c]), float(hi[c])))
+            for c in range(len(windows))]
 
 
 def _entered_one_by_one(windows, pair, mu):
@@ -424,7 +431,7 @@ def test_batched_entry_gives_a_rung_to_the_smaller_domain(built_ctx, which):
         d = fundamental_domain(pair, which, n)
         x = d.lo if which == "f" else d.hi
         with pytest.raises(DomainError) as got:
-            gapfinder._enter([Interval(x, x)], pair, mu)
+            gapfinder._enter(np.array([x]), np.array([x]), pair, mu)
         with pytest.raises(DomainError) as want:
             enter_window(Interval(x, x), pair, mu)
         assert str(got.value) == str(want.value)
@@ -447,7 +454,7 @@ def test_batched_entry_raises_the_first_windows_fault():
     assert isinstance(got[0], ClassificationError) and "could not locate" in str(got[0])
     for batch in ([lost, short_g, short_f], [lost, walked, short_f, short_g], [short_f, lost]):
         with pytest.raises(DomainError) as err:
-            gapfinder._enter(batch, pair, 2.0)
+            gapfinder._enter(*_ends(batch), pair, 2.0)
         with pytest.raises(DomainError) as one_by_one:
             _entered_one_by_one(batch, pair, 2.0)
         assert str(err.value) == str(one_by_one.value)
@@ -626,10 +633,10 @@ def test_certify_cantor_bound_respected_reads_iteration_caps(built_ctx, monkeypa
     iteration guard; any other walk verdict leaves it True."""
     enter = gapfinder._enter
 
-    def stopped(windows, p, mu):
-        entries, _, _, lo, hi = enter(windows, p, mu)
+    def stopped(w_lo, w_hi, p, mu):
+        log, _, _, lo, hi = enter(w_lo, w_hi, p, mu)
         none = np.zeros(0, dtype=np.intp)
-        return entries, {c: verdict("injected") for c in range(len(windows))}, none, lo, hi
+        return log, {c: verdict("injected") for c in range(w_lo.size)}, none, lo, hi
 
     # every window enters the walk through `_enter`, which gives its verdict
     monkeypatch.setattr(gapfinder, "_enter", stopped)
@@ -688,7 +695,7 @@ def test_walk_builds_no_interval_sets(built_ctx, monkeypatch):
     """`find_gap` over every cell of a sweep constructs no IntervalSet; the
     cover is built before counting starts."""
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
-    _, cells = grid_cells_meeting(minimal_set_cover(pair, 12, 1e-2), 1e-2)
+    _, cells = grid_cells(minimal_set_cover(pair, 12, 1e-2), 1e-2)
     ruin.rfrg  # cached on first read, before counting starts
     built = []
     plain_init = IntervalSet.__init__
@@ -702,6 +709,25 @@ def test_walk_builds_no_interval_sets(built_ctx, monkeypatch):
     monkeypatch.undo()
     assert len(cells) > 50 and reasons == {TerminalReason.HOLE, TerminalReason.RUINATION_OVERLAP}
     assert built == []
+
+
+def test_certify_reads_its_report_off_the_step_log(built_ctx, monkeypatch):
+    """The sweep at 1e-3 builds no TraceStep or GapCertificate and calls no
+    `_undo`: its pull-backs and report read the walk's step log.  It builds
+    no Interval either, as it has no failure message to write."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    sweep = lambda: certify_cantor(pair, hole, ruin, bsets, resolution=1e-3, depth=14, mu=mu)
+    want = sweep()  # caches filled
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the sweep built a trace object")
+
+    for name in ("TraceStep", "GapCertificate", "_undo"):
+        monkeypatch.setattr(gapfinder, name, refused)
+    monkeypatch.setattr(Interval, "__init__", refused)
+    got = sweep()
+    monkeypatch.undo()
+    assert got == want and got.all_certified and got.n_meeting > 900
 
 
 def _widest_checks(s: IntervalSet, rng: np.random.Generator, n: int):
@@ -811,7 +837,7 @@ def sweep_1e3(built_ctx, cloud18):
     induced step its walks made: (branch, window, n, image) of each window
     of every `_invert_ends` call."""
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
-    _, cells = grid_cells_meeting(minimal_set_cover(pair, 14, 1e-3), 1e-3)
+    _, cells = grid_cells(minimal_set_cover(pair, 14, 1e-3), 1e-3)
     steps = []
     record = gapfinder._invert_ends
 
@@ -953,19 +979,19 @@ def test_a_mixed_batch_keeps_each_windows_outcome(built_ctx):
     with a point in every fifth window's output refuses those windows, and
     some others whose output in the walk's space holds such a point."""
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
-    _, cells = grid_cells_meeting(minimal_set_cover(pair, 14, 1e-3), 1e-3)
+    _, cells = grid_cells(minimal_set_cover(pair, 14, 1e-3), 1e-3)
     marked = [find_gap_by_windows(J, pair, hole, ruin, bsets, mu, None).output.mid
               for J in cells[::5]]
     cloud = OrbitCloud(np.array(sorted(marked)))
-    walked = gapfinder._walk(pair, hole, ruin, bsets, mu, cloud, cells)
+    walked = gapfinder._walk(pair, hole, ruin, bsets, mu, cloud, *_ends(cells))
     failed = set()
-    for J, got in zip(cells, walked):
+    for c, J in enumerate(cells):
         want = _outcome(lambda: find_gap_by_windows(J, pair, hole, ruin, bsets, mu, cloud))
-        assert _outcome(lambda: gapfinder._certificate(J, got)) == want, J
+        assert _outcome(lambda: gapfinder._certificate(walked, c, J)) == want, J
         if isinstance(want, str):
             failed.add(want.split(" inside ")[1][:6])
     assert failed == {"certif", "pulled"}
-    assert len(marked) <= sum(isinstance(g, Exception) for g in walked) < len(cells)
+    assert len(marked) <= len(walked.verdicts) < len(cells)
 
 
 # -- memory ---------------------------------------------------------------------------------
@@ -1040,7 +1066,7 @@ def test_the_walks_per_window_fallbacks_give_the_same_report(built_ctx, monkeypa
 def cells_2e2(built_ctx):
     """The 50 cells of the sweep at 2e-2; cell 20, [0.4, 0.42], meets F1 ∪ G1
     and its first step is an induced F step, taken without a shrink."""
-    return grid_cells_meeting(minimal_set_cover(built_ctx["pair"], 14, 2e-2), 2e-2)[1]
+    return grid_cells(minimal_set_cover(built_ctx["pair"], 14, 2e-2), 2e-2)[1]
 
 
 def _force_step(monkeypatch, J: Interval, ends=None, error=None) -> None:
@@ -1065,12 +1091,12 @@ def _batch_outcome(built_ctx, cells, target: int, b=None) -> str:
     `find_gap_by_windows` gives it alone; returns the target's outcome."""
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     b = bsets if b is None else b
-    walked = gapfinder._walk(pair, hole, ruin, b, mu, None, cells)
-    for c, (J, got) in enumerate(zip(cells, walked)):
+    walked = gapfinder._walk(pair, hole, ruin, b, mu, None, *_ends(cells))
+    for c, J in enumerate(cells):
         if c != target:
             want = _outcome(lambda: find_gap_by_windows(J, pair, hole, ruin, b, mu, None))
-            assert _outcome(lambda: gapfinder._certificate(J, got)) == want, J
-    return _outcome(lambda: gapfinder._certificate(cells[target], walked[target]))
+            assert _outcome(lambda: gapfinder._certificate(walked, c, J)) == want, J
+    return _outcome(lambda: gapfinder._certificate(walked, target, cells[target]))
 
 
 @pytest.mark.parametrize("forced", ["own ends", "sliver", "beside F1", "no case"])
@@ -1196,7 +1222,7 @@ def test_reversed_ends_of_a_lone_window_raise_its_spec_error(built_ctx, cells_2e
 
     monkeypatch.setattr(gapfinder, "_invert_ends", reversing)
     with pytest.raises(SpecError) as err:
-        gapfinder._walk(pair, hole, ruin, bsets, mu, None, cells_2e2)
+        gapfinder._walk(pair, hole, ruin, bsets, mu, None, *_ends(cells_2e2))
     assert len(alone) == 1
     assert str(err.value) == f"interval needs lo <= hi, got [{alone[0][0]}, {alone[0][1]}]"
 
@@ -1227,11 +1253,12 @@ def test_the_lower_numbered_windows_fault_raises(built_ctx, monkeypatch):
     x = (hole.h_g.hi + pair.g1.hi) / 2.0
     b = tuple(sorted(bsets + (x,)))
     windows = [Interval(0.28, 0.3), Interval(x - 1e-4, x + 1e-4)]
-    walked = gapfinder._walk(pair, hole, ruin, b, mu, None, windows)
-    assert [w.steps[0][:2] for w in walked] == [(CaseTag.IN_F1_FREE, "F"),
-                                                (CaseTag.BOUNDARY_HIT, "shrink")]
+    walked = gapfinder._walk(pair, hole, ruin, b, mu, None, *_ends(windows))
+    traces = [gapfinder._certificate(walked, c, J).trace for c, J in enumerate(windows)]
+    assert [(t[0].tag, t[0].op) for t in traces] == [(CaseTag.IN_F1_FREE, "F"),
+                                                     (CaseTag.BOUNDARY_HIT, "shrink")]
     # each window's interval as its first G step reads it: the one recorded just before
-    g_los = [w.steps[[s[1] for s in w.steps].index("G") - 1][3] for w in walked]
+    g_los = [t[[s.op for s in t].index("G") - 1].interval.lo for t in traces]
     invert, batches = gapfinder._invert_checked, []
 
     def faulting(first, ret, n, lo, hi, chain):
@@ -1243,6 +1270,6 @@ def test_the_lower_numbered_windows_fault_raises(built_ctx, monkeypatch):
 
     monkeypatch.setattr(gapfinder, "_invert_checked", faulting)
     with pytest.raises(RangeError) as err:
-        gapfinder._walk(pair, hole, ruin, b, mu, None, windows)
+        gapfinder._walk(pair, hole, ruin, b, mu, None, *_ends(windows))
     assert [sorted(lo) for lo in batches] == [sorted(g_los)]
     assert str(err.value) == f"fault at {g_los[0]!r}"

