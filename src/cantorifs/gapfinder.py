@@ -602,7 +602,7 @@ def _walk(
     guard = np.zeros(lo.size, dtype=np.intp)
     guard[live] = np.ceil(np.log(np.maximum(p.f1.length / (hi[live] - lo[live]), 1.0))
                           / math.log(mu)) + 50
-    reason = np.full(lo.size, -1)
+    reason = np.full(lo.size, -1)  # once the window ends, its index into _REASONS
     pts = np.array(b, dtype=float)
     sites = {which: _oriented(p, which)[4] for which in "FG"}
 
