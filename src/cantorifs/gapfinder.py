@@ -436,6 +436,7 @@ def _pull_back_into(
 # ---------------------------------------------------------------------------
 
 
+#: A window's terminal reason, by the index into it that the walk holds.
 _REASONS = (TerminalReason.HOLE, TerminalReason.RUINATION_OVERLAP)
 
 
