@@ -443,7 +443,7 @@ _REASONS = (TerminalReason.HOLE, TerminalReason.RUINATION_OVERLAP)
 class _Walked(NamedTuple):
     """A batch's walk, by window number: the output ends, the terminal
     reason (an index into _REASONS, -1 for a verdict), the iteration guard
-    and the verdicts; and the step log and its `_rows`."""
+    and the verdicts; and the step log."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -451,7 +451,6 @@ class _Walked(NamedTuple):
     bound: np.ndarray
     verdicts: dict[int, Exception]
     log: list[tuple]
-    rows: tuple[np.ndarray, ...]
 
 
 def _rows(log: list[tuple]) -> tuple[np.ndarray, ...]:
@@ -700,7 +699,7 @@ def _walk(
             if t != _BESIDE:
                 trace[c] += f" {CASES[t].value}:{_OPS[o]}{m}"
         got.update((c, IterationCapError(text)) for c, text in trace.items())
-    win, op, n = rows = _rows(log)
+    win, op, n = _rows(log)
     ended = (reason >= 0).nonzero()[0]
     j = entered + (reason[win[entered:]] >= 0).nonzero()[0]  # their walk steps
     lo[ended], hi[ended], refused = _pull_back_into(
@@ -718,7 +717,7 @@ def _walk(
         if refused:
             got.update((int(k[j]), e) for j, e in refused.items())
             reason[k[list(refused)]] = -1
-    return _Walked(lo, hi, reason, guard, got, log, rows)
+    return _Walked(lo, hi, reason, guard, got, log)
 
 
 def _certificate(walked: _Walked, c: int, J: Interval) -> GapCertificate:
@@ -865,7 +864,7 @@ def certify_cantor(
                      for c, e in sorted(walked.verdicts.items()))
     ok = walked.reason >= 0
     gaps = (walked.hi - walked.lo)[ok]
-    win, op, _ = walked.rows
+    win, op, _ = _rows(walked.log)
     steps = np.bincount(win[op <= _G], minlength=lo.size)[ok]  # the F and G steps
     return CertifyReport(
         resolution=resolution, depth=depth, verification_depth=verification_depth,
