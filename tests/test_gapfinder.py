@@ -1069,18 +1069,20 @@ def cells_2e2(built_ctx):
     return grid_cells(minimal_set_cover(built_ctx["pair"], 14, 2e-2), 2e-2)[1]
 
 
-def _force_step(monkeypatch, J: Interval, ends=None, error=None) -> None:
-    """Wrap `_invert_checked` so that the induced step of the window that
-    enters it as J gives `ends` in place of its image, or the `error`."""
+def _force_step(monkeypatch, *windows: Interval, ends=None, error=None) -> None:
+    """Wrap `_invert_checked` so that the induced step of each window that
+    enters it as one of `windows` gives `ends` in place of its image (the
+    ends it entered with, for `ends="kept"`), or the `error`."""
     invert = gapfinder._invert_checked
 
     def forced(first, ret, n, lo, hi, chain):
         i_lo, i_hi, errors = invert(first, ret, n, lo, hi, chain)
-        for j in ((lo == J.lo) & (hi == J.hi)).nonzero()[0].tolist():
-            if ends is not None:
-                i_lo[j], i_hi[j] = ends
-            if error is not None:
-                errors[j] = error
+        for J in windows:
+            for j in ((lo == J.lo) & (hi == J.hi)).nonzero()[0].tolist():
+                if ends is not None:
+                    i_lo[j], i_hi[j] = (lo[j], hi[j]) if ends == "kept" else ends
+                if error is not None:
+                    errors[j] = error
         return i_lo, i_hi, errors
 
     monkeypatch.setattr(gapfinder, "_invert_checked", forced)
@@ -1160,6 +1162,29 @@ def test_a_capped_walks_trace_lists_every_step(built_ctx, cells_2e2, monkeypatch
             + " ".join([f"{shrink.tag.value}:shrink0"]
                        + [f"{step.tag.value}:{step.op}{step.n}"] * n_induced))
     assert _batch_outcome(built_ctx, windows, target, b) == want
+
+
+def test_two_capped_walks_of_one_batch_keep_their_own_traces(built_ctx, cells_2e2, monkeypatch):
+    """Cells 9 and 20 of the 2e-2 sweep take their induced F steps in the
+    same batches.  Forced to keep their ends, both run out of their guards
+    in one walk, and each verdict's trace lists its own window's steps only,
+    in the order taken, without cell 9's entry pull-back."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    cert9, cert20 = (find_gap_by_windows(cells_2e2[c], pair, hole, ruin, bsets, mu, None)
+                     for c in (9, 20))
+    (entry, shrink, step9), step20 = cert9.trace[:3], cert20.trace[0]
+    assert [(s.tag.value, s.op) for s in (entry, shrink, step9, step20)] == [
+        ("PULLBACK_FN", "invpow_f"), ("IN_F1_FREE", "shrink"), ("IN_F1_FREE", "F"),
+        ("IN_F1_FREE", "F")]
+    _force_step(monkeypatch, shrink.interval, cells_2e2[20], ends="kept")
+    walked = gapfinder._walk(pair, hole, ruin, bsets, mu, None, *_ends(cells_2e2))
+    want = [f"IterationCapError: gap walk exceeded its bound of {cert.iteration_bound} steps; "
+            "trace: " + " ".join(steps + [f"IN_F1_FREE:F{step.n}"] * cert.iteration_bound)
+            for cert, steps, step in ((cert9, ["IN_F1_FREE:shrink0"], step9),
+                                      (cert20, [], step20))]
+    assert cert9.iteration_bound != cert20.iteration_bound
+    assert [_outcome(lambda c=c: gapfinder._certificate(walked, c, cells_2e2[c]))
+            for c in (9, 20)] == want
 
 
 def test_a_window_longer_than_f1_gets_the_least_guard(built_ctx):
