@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -225,11 +225,9 @@ def _apply_step_forward(p: IFSPair, s: TraceStep, iv: Interval) -> Interval:
     return Interval(lo, hi)
 
 
-def pull_back(p: IFSPair, words: Sequence[str] | np.ndarray, lo, hi
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Pull each interval [lo[k], hi[k]] back through the maps of words[k],
-    applied in the word's order: a word in "f" and "g" (`_undo` of each
-    step, last step first), or a row of `_undo_letters`' matrix.
+def pull_back(p: IFSPair, letters: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Pull each interval [lo[k], hi[k]] back through the maps of row k of
+    `_undo_letters`' matrix, applied in the row's order.
 
     The intervals move in lockstep, one letter per pass.  A pass evaluates
     the ends of all intervals whose letter is "f" in one `eval_array` call,
@@ -238,21 +236,18 @@ def pull_back(p: IFSPair, words: Sequence[str] | np.ndarray, lo, hi
     an Interval would raise.  A few intervals (`maps._FEW`) go through `eval`
     one map at a time instead, with the same check: for one interval a pass
     costs more than its two maps."""
-    if not isinstance(words, np.ndarray):  # one byte per letter, a short word padded with 0
-        width = max([1, *map(len, words)])
-        words = np.array(words, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    if len(words) <= _FEW:
+    if len(letters) <= _FEW:
         ends = []
-        for word, a, z in zip(words.tolist(), np.ravel(lo).tolist(), np.ravel(hi).tolist()):
+        for word, a, z in zip(letters.tolist(), np.ravel(lo).tolist(), np.ravel(hi).tolist()):
             for m in [p.f if x == ord("f") else p.g for x in word if x]:
                 a, z = m.eval(a), m.eval(z)
                 if not a <= z:
                     raise SpecError(f"interval needs lo <= hi, got [{a}, {z}]")
             ends.append((a, z))
         return tuple(np.array(ends, dtype=float).reshape(-1, 2).T)
-    ends = np.empty(2 * len(words))
+    ends = np.empty(2 * len(letters))
     ends[0::2], ends[1::2] = lo, hi
-    for column in words.repeat(2, axis=0).T:
+    for column in letters.repeat(2, axis=0).T:
         for name, m in ((b"f", p.f), (b"g", p.g)):
             k = (column == ord(name)).nonzero()[0]
             if k.size:
@@ -443,39 +438,31 @@ _REASONS = (TerminalReason.HOLE, TerminalReason.RUINATION_OVERLAP)
 class _Walked(NamedTuple):
     """A batch's walk, by window number: the output ends, the terminal
     reason (an index into _REASONS, -1 for a verdict), the iteration guard
-    and the verdicts; and the step log."""
+    and the verdicts; and the step log's `_rows`."""
 
     lo: np.ndarray
     hi: np.ndarray
     reason: np.ndarray
     bound: np.ndarray
     verdicts: dict[int, Exception]
-    log: list[tuple]
+    rows: tuple[np.ndarray, ...]
+
+
+#: A batch of no rows, which gives every column of `_rows` its dtype.
+_NO_ROWS = (np.zeros(0, dtype=np.intp),) * 4 + (np.zeros(0),) * 2
 
 
 def _rows(log: list[tuple]) -> tuple[np.ndarray, ...]:
-    """The window, op and n of every step, in the order taken.
+    """The step log's columns window, case, op, n, lo and hi, a row per
+    step in the order taken.
 
-    The step log is a list of batches of rows (window, case, op, n, lo,
-    hi), one batch per stage of a round, each window at most once in a
-    batch.  A batch's op is one value for all its rows, and its case and n
-    are arrays or one value each."""
-    if not log:
-        return tuple(np.zeros(0, dtype=np.intp) for _ in range(3))
+    The step log is a list of batches of rows, one batch per stage of a
+    round, each window at most once in a batch.  A batch's window, lo and
+    hi are arrays, and its case, op and n arrays or one value each."""
+    log = [_NO_ROWS, *log]
     sizes = [len(b[0]) for b in log]
-    return (np.concatenate([b[0] for b in log]), np.repeat([b[2] for b in log], sizes),
-            np.concatenate([b[3] if isinstance(b[3], np.ndarray) else np.full(size, b[3])
-                            for b, size in zip(log, sizes)]))
-
-
-def _steps(log: list[tuple], windows):
-    """The steps of the windows in `windows`, each (window, case, op, n, lo,
-    hi), in the order taken."""
-    for batch in log:
-        wins = batch[0].tolist()
-        if not windows.isdisjoint(wins):
-            cols = [x.tolist() if isinstance(x, np.ndarray) else [x] * len(wins) for x in batch]
-            yield from (step for step in zip(*cols) if step[0] in windows)
+    return tuple(np.concatenate([x if isinstance(x, np.ndarray) else np.full(size, x)
+                                 for x, size in zip(column, sizes)]) for column in zip(*log))
 
 
 def _core_faults(lo: np.ndarray, hi: np.ndarray, p: IFSPair, mu: float) -> dict[int, DomainError]:
@@ -573,7 +560,7 @@ def _walk(
     its steps to the log, a batch per stage:
 
     * past its guard it stops with IterationCapError, its trace read off
-      the log after the rounds; shorter than 3*eps_newton, with
+      the log's `_rows` after the rounds; shorter than 3*eps_newton, with
       ClassificationError;
     * one `classify` call gives every window its case;
     * the BOUNDARY_HITs take one `_boundary_lemma` call, and each ends in
@@ -589,7 +576,7 @@ def _walk(
       A hole case ends there.
 
     The windows that end are pulled back together (`_pull_back_into`), by
-    letters read off the log (`_undo_letters`): through the walk's steps
+    letters read off the rows (`_undo_letters`): through the walk's steps
     into the start, where the cloud, if given, is checked; then, for a
     pulled-back window, through the entry step into the window, where it is
     checked again.  When several windows fault in one stage (the entry, one
@@ -693,41 +680,38 @@ def _walk(
         live = walks_on.nonzero()[0]
         rnd += 1
 
-    if capped:  # each one's trace, its entry left out
-        trace = {c: f"gap walk exceeded its bound of {guard[c]} steps; trace:" for c in capped}
-        for c, t, o, m, _, _ in _steps(log, trace.keys()):
-            if t != _BESIDE:
-                trace[c] += f" {CASES[t].value}:{_OPS[o]}{m}"
-        got.update((c, IterationCapError(text)) for c, text in trace.items())
-    win, op, n = _rows(log)
-    ended = (reason >= 0).nonzero()[0]
-    j = entered + (reason[win[entered:]] >= 0).nonzero()[0]  # their walk steps
-    lo[ended], hi[ended], refused = _pull_back_into(
-        p, _undo_letters(ended.searchsorted(win[j]), op[j], n[j], ended.size), lo[ended],
-        hi[ended], s_lo[ended], s_hi[ended], cloud, "certified output {}")
-    if refused:
-        got.update((int(ended[j]), e) for j, e in refused.items())
-        reason[ended[list(refused)]] = -1
-    if entered:
-        j = (reason[win[:entered]] >= 0).nonzero()[0]  # their entry steps, one per window
-        k = win[j]
+    rows = win, case, op, n, _, _ = _rows(log)
+    for c in capped:  # its trace, the entry left out
+        j = ((win == c) & (case != _BESIDE)).nonzero()[0]
+        trace = "".join(f" {CASES[t].value}:{_OPS[o]}{m}"
+                        for t, o, m in zip(case[j].tolist(), op[j].tolist(), n[j].tolist()))
+        got[c] = IterationCapError(
+            f"gap walk exceeded its bound of {guard[c]} steps; trace:{trace}")
+    stages = ((np.arange(lo.size), slice(entered, None), s_lo, s_hi, "certified output {}"),
+              (np.sort(win[:entered]), slice(0, entered), w_lo, w_hi, "pulled-back output"))
+    for k, steps, b_lo, b_hi, where in stages:  # k ascending, for searchsorted
+        k = k[reason[k] >= 0]
+        if not k.size:
+            continue
+        j = steps.start + (reason[win[steps]] >= 0).nonzero()[0]
         lo[k], hi[k], refused = _pull_back_into(
-            p, _undo_letters(np.arange(k.size), op[j], n[j], k.size), lo[k], hi[k],
-            w_lo[k], w_hi[k], cloud, "pulled-back output")
+            p, _undo_letters(k.searchsorted(win[j]), op[j], n[j], k.size), lo[k], hi[k],
+            b_lo[k], b_hi[k], cloud, where)
         if refused:
             got.update((int(k[j]), e) for j, e in refused.items())
             reason[k[list(refused)]] = -1
-    return _Walked(lo, hi, reason, guard, got, log)
+    return _Walked(lo, hi, reason, guard, got, rows)
 
 
 def _certificate(walked: _Walked, c: int, J: Interval) -> GapCertificate:
     """The certificate of window c's walk, J, or its verdict raised."""
     if c in walked.verdicts:
         raise walked.verdicts[c]
+    j = (walked.rows[0] == c).nonzero()[0]
     return GapCertificate(
         input=J, output=Interval(float(walked.lo[c]), float(walked.hi[c])),
         trace=tuple(TraceStep(CASES[t], _OPS[o], n, Interval(a, z))
-                    for _, t, o, n, a, z in _steps(walked.log, {c})),
+                    for t, o, n, a, z in zip(*(x[j].tolist() for x in walked.rows[1:]))),
         terminal_reason=_REASONS[walked.reason[c]], iteration_bound=int(walked.bound[c]),
     )
 
@@ -864,7 +848,7 @@ def certify_cantor(
                      for c, e in sorted(walked.verdicts.items()))
     ok = walked.reason >= 0
     gaps = (walked.hi - walked.lo)[ok]
-    win, op, _ = _rows(walked.log)
+    win, _, op, *_ = walked.rows
     steps = np.bincount(win[op <= _G], minlength=lo.size)[ok]  # the F and G steps
     return CertifyReport(
         resolution=resolution, depth=depth, verification_depth=verification_depth,

@@ -58,9 +58,14 @@ def _case(J, pair, hole, ruin, bsets):
     return CASES[classify(J.lo, J.hi, pair, hole, ruin, bsets)]
 
 
-def _word(steps) -> str:
-    """The maps that undo `steps`, last step first, as `pull_back` reads them."""
-    return "".join(gapfinder._undo(s.op, s.n) for s in reversed(steps))
+def _word(traces) -> np.ndarray:
+    """`_undo_letters`' matrix for the step lists `traces`, a row each: the
+    maps that undo a list's steps, last step first, as `pull_back` reads them."""
+    steps = [s for trace in traces for s in trace]
+    row = np.repeat(np.arange(len(traces)), [len(trace) for trace in traces])
+    op = np.array([gapfinder._OPS.index(s.op) for s in steps], dtype=np.intp)
+    return gapfinder._undo_letters(row, op, np.array([s.n for s in steps], dtype=np.intp),
+                                   len(traces))
 
 
 def _ends(windows) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +75,7 @@ def _ends(windows) -> tuple[np.ndarray, np.ndarray]:
 
 def _pulled(pair, steps, iv: Interval) -> Interval:
     """`pull_back` of one interval through `steps`."""
-    lo, hi = pull_back(pair, [_word(steps)], [iv.lo], [iv.hi])
+    lo, hi = pull_back(pair, _word([steps]), [iv.lo], [iv.hi])
     return Interval(float(lo[0]), float(hi[0]))
 
 
@@ -366,8 +371,9 @@ def _entered(windows, pair, mu):
     """`gapfinder._enter` of the batch, as each window's (pull-back step or
     None, start) or verdict."""
     log, got, _, lo, hi = gapfinder._enter(*_ends(windows), pair, mu)
+    rows = gapfinder._rows(log)
     steps = {c: TraceStep(CASES[t], gapfinder._OPS[o], n, Interval(a, z))
-             for c, t, o, n, a, z in gapfinder._steps(log, set(range(len(windows))))}
+             for c, t, o, n, a, z in zip(*(x.tolist() for x in rows))}
     return [got[c] if c in got else (steps.get(c), Interval(float(lo[c]), float(hi[c])))
             for c in range(len(windows))]
 
@@ -867,19 +873,45 @@ def test_walk_steps_match_two_passes(built_ctx, sweep_1e3):
 
 
 def test_pull_back_matches_interval_route(built_ctx, sweep_1e3):
-    """Every prefix of every trace pulls the interval recorded after it back
-    to the same floats as an Interval per map would."""
+    """Every prefix of every trace, by the letters `_undo_letters` builds for
+    it, pulls the interval recorded after it back to the same floats as an
+    Interval per map would."""
     pair = built_ctx["pair"]
     certs, _ = sweep_1e3
     prefixes = [(cert.trace[:k], s.interval) for cert in certs
                 for k, s in enumerate(cert.trace, 1)]
-    lo, hi = pull_back(pair, [_word(steps) for steps, _ in prefixes],
+    lo, hi = pull_back(pair, _word([steps for steps, _ in prefixes]),
                        [iv.lo for _, iv in prefixes], [iv.hi for _, iv in prefixes])
     for (steps, iv), a, z in zip(prefixes, lo.tolist(), hi.tolist()):
         want = pull_back_by_intervals(pair, steps, iv)
         assert (a.hex(), z.hex()) == (want.lo.hex(), want.hi.hex())
     assert {s.op for steps, _ in prefixes for s in steps} == {
         "F", "G", "shrink", "invpow_f", "invpow_g"}
+
+
+def test_rows_are_the_step_logs_columns_in_the_order_taken():
+    """`_rows` joins batches whose case and n are arrays or one value each,
+    and empty batches, into six columns of one row per step: window, case,
+    op and n of integers, lo and hi of floats.  The empty log has no rows."""
+    g, empty = gapfinder, np.zeros(0)
+    log = [(np.array([3, 1]), g._BESIDE, g._INVPOW_F, np.array([4, 2]), np.array([0.1, 0.2]),
+            np.array([0.15, 0.25])),
+           (np.zeros(0, dtype=np.intp), g._BESIDE, g._INVPOW_G, np.zeros(0, dtype=np.intp), empty,
+            empty),
+           (np.array([1]), np.array([g._HF]), g._F, 0, np.array([0.3]), np.array([0.4])),
+           (np.array([0, 3, 1]), g._HIT, g._SHRINK, 0, np.array([0.5, 0.6, 0.7]),
+            np.array([0.55, 0.65, 0.75])),
+           (np.array([3, 0]), np.array([g._W_RG, g._F1_FREE]), g._G, np.array([5, 6]),
+            np.array([0.8, 0.9]), np.array([0.85, 0.95]))]
+    want = [[3, 1, 1, 0, 3, 1, 3, 0],
+            [g._BESIDE] * 2 + [g._HF] + [g._HIT] * 3 + [g._W_RG, g._F1_FREE],
+            [g._INVPOW_F] * 2 + [g._F] + [g._SHRINK] * 3 + [g._G] * 2,
+            [4, 2, 0, 0, 0, 0, 5, 6],
+            [0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9],
+            [0.15, 0.25, 0.4, 0.55, 0.65, 0.75, 0.85, 0.95]]
+    for rows, columns in ((g._rows(log), want), (g._rows([]), [[]] * 6)):
+        assert [x.tolist() for x in rows] == columns
+        assert [x.dtype.kind for x in rows] == ["i"] * 4 + ["f"] * 2
 
 
 def test_pulled_back_windows_are_walked_by_the_core(built_ctx, cloud18, sweep_1e3):
@@ -932,7 +964,7 @@ def test_step_forward_checks_every_map():
 
 def test_pull_back_checks_every_map():
     """A map that reverses the ends raises, from inside a step, the
-    SpecError an Interval would; an unknown op is a CertificateError."""
+    SpecError an Interval would."""
     rising = SimpleNamespace(eval=lambda x: x, eval_array=lambda xs: xs)
     falling = SimpleNamespace(eval=lambda x: 1.0 - x, eval_array=lambda xs: 1.0 - xs)
     pair = IFSPair(rising, falling, Interval(0.4, 0.6))
@@ -945,12 +977,10 @@ def test_pull_back_checks_every_map():
         assert str(got.value) == str(want.value)
         # and the same with the interval among many, pulled back in arrays
         with pytest.raises(SpecError) as got:
-            pull_back(pair, [_word([TraceStep(CaseTag.IN_F1_FREE, op, n, iv)])] * 9,
+            pull_back(pair, _word([[TraceStep(CaseTag.IN_F1_FREE, op, n, iv)]] * 9),
                       [iv.lo] * 9, [iv.hi] * 9)
         assert str(got.value) == str(want.value)
     assert _pulled(pair, [TraceStep(CaseTag.IN_F1_FREE, "F", 0, iv)], iv) == iv
-    with pytest.raises(CertificateError, match="unknown op"):
-        _pulled(pair, [TraceStep(CaseTag.IN_HF, "bogus", 0, iv)], iv)
 
 
 # -- the lockstep walk against the walk of one window at a time ----------------------
