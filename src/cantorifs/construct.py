@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -593,22 +593,29 @@ def lambda_sequence(pair: IFSPair, params: AppendixParams, n: int) -> list[Inter
     `appendix_pair`, every Lambda_k endpoint with k >= 1, other than 0 and 1,
     lies strictly inside a block, where f and g are affine with positive slope.
     """
+    return list(_lambda_steps(pair, params, n))
+
+
+def _lambda_steps(pair: IFSPair, params: AppendixParams, n: int) -> Iterator[IntervalSet]:
+    """Lambda_0 ... Lambda_n of `lambda_sequence`, one at a time; only the
+    current step is kept."""
     f, g = pair.f.eval_array, pair.g.eval_array
-    seq = [IntervalSet(params.blocks)]
+    cur = IntervalSet(params.blocks)
+    yield cur
     for k in range(n):
-        cur = seq[-1]
         if 2 * cur.n_parts > ORBIT_CAP:
             raise ResourceCapError(f"Lambda_{k+1} could exceed the cap of {ORBIT_CAP} parts")
-        # one normalization of both images: the normalized form of a closed
-        # union is unique, so merging the images first gives the same floats
-        nxt = IntervalSet(los=np.concatenate([f(cur.los), g(cur.los)]),
-                          his=np.concatenate([f(cur.his), g(cur.his)]))
+        # f(Lambda_k) lies in [0, f(1)] and g(Lambda_k) in [g(0), 1], each
+        # sorted and disjoint, so `union` re-normalizes only their parts in
+        # the window where the two interleave, with the same floats
+        nxt = IntervalSet(los=f(cur.los), his=f(cur.his)).union(
+            IntervalSet(los=g(cur.los), his=g(cur.his)))
         if k < 2 and not _subset(nxt, cur, TOL.eps_newton if k == 0 else 0.0):
             raise ConstructionError(f"Lambda_{k+1} not nested in Lambda_{k}")
         if k == 0 and not _affine_on_parts(pair, nxt):
             raise ConstructionError("f or g is not affine on a part of Lambda_1")
-        seq.append(nxt)
-    return seq
+        cur = nxt
+        yield cur
 
 
 def _subset(a: IntervalSet, b: IntervalSet, slack: float) -> bool:
@@ -651,12 +658,11 @@ class MeasureBoundReport:
 def check_measure_bound(pair: IFSPair, params: AppendixParams, n_max: int) -> MeasureBoundReport:
     """Exact interval measures against the geometric bound (2*lam)^n, plus
     the per-step ratio mu(L_{n+1})/mu(L_n) <= 2*lam; no tolerances."""
-    seq = lambda_sequence(pair, params, n_max)
     two_lam = 2.0 * params.lam
     rows = []
     ok = ratio_ok = True
     prev = None
-    for n, s in enumerate(seq):
+    for n, s in enumerate(_lambda_steps(pair, params, n_max)):
         m = s.measure()
         bound = two_lam ** n
         rows.append((n, m, bound))

@@ -723,11 +723,11 @@ def find_gap_core(
     r: RuinationRegions,
     b: tuple[float, ...],
     mu: float,
-    cloud: OrbitCloud | None = None,
+    cloud: OrbitCloud | None,
 ) -> GapCertificate:
     """Run the case-driven induction for J meeting F1 ∪ G1: the rounds of
     `_walk` on J alone.  The terminal piece is pulled back through the
-    walk's steps and clipped to J; when `cloud` is given, the output is
+    walk's steps and clipped to J; unless `cloud` is None, the output is
     checked against it before returning.  The iteration guard is
     ceil(log(max(|F1| / |J|, 1)) / log(mu)) + 50, which turns
     non-termination into a diagnosable error.
@@ -752,12 +752,10 @@ def find_gap(
     cloud: OrbitCloud | None,
 ) -> GapCertificate:
     """find_gap_core, preceded when J lies beside F1 ∪ G1 by `_enter`'s
-    one-step pull-back into F1 (G1).  The walk starts from the pulled-back
-    window; its output is pulled back through the step, clipped to J and,
-    unless `cloud` is None, checked a second time.  The trace is the
-    pull-back step, then the walk's."""
-    if not any(_beside(J.lo, J.hi, p)):
-        return find_gap_core(J, p, h, r, b, mu=mu, cloud=cloud)
+    one-step pull-back into F1 (G1), which `_walk` runs itself.  The walk
+    starts from the pulled-back window; its output is pulled back through
+    the step, clipped to J and, unless `cloud` is None, checked a second
+    time.  The trace is the pull-back step, then the walk's."""
     return _certificate(_walk(p, h, r, b, mu, cloud, np.array([J.lo]), np.array([J.hi])), 0, J)
 
 

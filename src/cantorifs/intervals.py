@@ -82,8 +82,12 @@ def _normalize(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray
     run is at least its own lo, so at least the run's first lo, which is
     above every earlier hi: the running max at a run's last part is the
     run's max.  The result never shares memory with the input, which the
-    caller freezes."""
-    if los.size == 0:
+    caller freezes.
+
+    Input whose every lo exceeds the hi before it is already normalized:
+    its stable argsort and running max are the identity and every part
+    starts a run, so its copy is the output, bit for bit."""
+    if (los[1:] > his[:-1]).all():
         return los.copy(), his.copy()
     order = np.argsort(los, kind="stable")
     los, run_hi = los[order], his[order]
@@ -159,6 +163,16 @@ class IntervalSet:
         self.los = los
         self.his = his
 
+    @classmethod
+    def _of_normalized(cls, los: np.ndarray, his: np.ndarray) -> "IntervalSet":
+        """The set on `los`, `his`, which the caller built normalized and
+        holds no other reference to: frozen in place, not copied."""
+        s = object.__new__(cls)
+        los.setflags(write=False)
+        his.setflags(write=False)
+        s.los, s.his = los, his
+        return s
+
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -209,10 +223,30 @@ class IntervalSet:
     # -- set algebra -------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(
-            los=np.concatenate([self.los, other.los]),
-            his=np.concatenate([self.his, other.his]),
-        )
+        """The normalized form of `self`'s parts then `other`'s, bit for bit,
+        re-normalizing only the window where the two interleave.
+
+        Let a be the operand with the smaller first lo and b the other.  Each
+        part of a[:i] ends below b.los[0] and each of b[j:] starts above
+        a.his[-1], so with the strict gaps inside a and b every gap at the two
+        joins is strict too.  A merged stable sort thus puts a[:i] first and
+        b[j:] last as runs of one part, no run crosses a join, and the
+        running max entering the window is below all of it.  The normalized
+        form of a closed union is unique, and the window, normalized alone
+        with `self`'s parts first as in that sort, keeps its order on ties
+        (-0.0): the three slices joined are that form, float for float."""
+        if self.is_empty():
+            return other
+        if other.is_empty():
+            return self
+        a, b = (self, other) if self.los[0] <= other.los[0] else (other, self)
+        i = a.his.searchsorted(b.los[0])
+        j = b.los.searchsorted(a.his[-1], side="right")
+        order = 1 if a is self else -1
+        w_los, w_his = _normalize(np.concatenate([a.los[i:], b.los[:j]][::order]),
+                                  np.concatenate([a.his[i:], b.his[:j]][::order]))
+        return IntervalSet._of_normalized(np.concatenate([a.los[:i], w_los, b.los[j:]]),
+                                          np.concatenate([a.his[:i], w_his, b.his[j:]]))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         if self.is_empty() or other.is_empty():

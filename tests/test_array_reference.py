@@ -3,10 +3,12 @@
 `eval_array` evaluates each segment on a slice of sorted points, `orbit`
 merges sorted runs and cuts buckets where the key changes (a fixed seed's
 cloud is its last level, which on these pairs has the merge's bytes), and
-`lambda_sequence` normalizes both images at once.  The reference below is
-the form they replaced: a per-point segment gather, `np.unique` dedup after
-a stable sort (so signed zeros keep their order), and `f(Λ) ∪ g(Λ)` built from two normalized images.  Both must
-give the same bytes.
+`lambda_sequence` unions its two images, re-normalizing only where they
+interleave.  The reference below is the form they replaced: a per-point
+segment gather, `np.unique` dedup after a stable sort (so signed zeros keep
+their order), and `f(Λ) ∪ g(Λ)` from gathered images, each step also
+checked against one normalization of both raw images.  Both must give the
+same bytes.
 
 The last kernels to change are checked against their earlier bodies in
 `oracles.py`: the exponent-bucketed `measure` against `math.fsum`, the
@@ -130,7 +132,8 @@ def test_lambda_measure_and_normalize_match_earlier_bodies(eps, lam, n):
     pair = appendix_pair(params)
     seq = lambda_sequence(pair, params, n)
     for cur, nxt in zip(seq, seq[1:]):
-        # the step's raw images, as `lambda_sequence` hands them over
+        # both raw images normalized at once: the window merge of
+        # `lambda_sequence`'s union must give the same floats
         los = np.concatenate([pair.f.eval_array(cur.los), pair.g.eval_array(cur.los)])
         his = np.concatenate([pair.f.eval_array(cur.his), pair.g.eval_array(cur.his)])
         new, ref = _normalize(los, his), normalize_by_reduceat(los, his)

@@ -731,6 +731,15 @@ def test_measure_bound_report(appendix):
     assert n10[1] <= 0.34868
 
 
+def test_measure_bound_rows_are_the_sequence_measures(appendix):
+    """`check_measure_bound` measures each Lambda_n as it is built, and gets
+    the floats of measuring `lambda_sequence`'s list."""
+    pair, params = appendix
+    want = tuple((n, s.measure(), (2.0 * params.lam) ** n)
+                 for n, s in enumerate(lambda_sequence(pair, params, 16)))
+    assert check_measure_bound(pair, params, 16).rows == want
+
+
 def test_complement_certification(appendix):
     pair, params = appendix
     rep = certify_cantor_by_complement(pair, params, resolution=1e-2, depth=14)

@@ -168,7 +168,7 @@ def test_classify_rejects_degenerate(built_ctx):
 def test_core_hole_input_is_its_own_gap(built_ctx):
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     J = middle_third(hole.h_f)
-    cert = find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
+    cert = find_gap_core(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
     # already disjoint from K: the certified gap is J itself (up to the
     # inverse-evaluation roundtrip)
     assert cert.output.lo == pytest.approx(J.lo, abs=1e-12)
@@ -182,7 +182,7 @@ def test_core_overlap_input_is_its_own_gap(built_ctx):
     rfrg = ruin.r_f.intersect(ruin.r_g)
     widest = max(rfrg.parts, key=lambda p: p.length)
     J = middle_third(widest)
-    cert = find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
+    cert = find_gap_core(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
     assert cert.output == J
     assert cert.terminal_reason is TerminalReason.RUINATION_OVERLAP
 
@@ -190,14 +190,14 @@ def test_core_overlap_input_is_its_own_gap(built_ctx):
 def test_core_rejects_tiny_input(built_ctx):
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     with pytest.raises(DomainError):
-        find_gap_core(Interval(0.3, 0.3 + 1e-10), pair, hole, ruin, bsets, mu=mu)
+        find_gap_core(Interval(0.3, 0.3 + 1e-10), pair, hole, ruin, bsets, mu=mu, cloud=None)
 
 
 def test_core_walk_reaches_terminal_from_free_region(built_ctx):
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     f1 = fundamental_domain(pair, "f", 1)
     J = Interval(f1.lo + 0.013, f1.lo + 0.013 + 1e-4)
-    cert = find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
+    cert = find_gap_core(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
     assert cert.output.length > 0
     assert cert.output.lo >= J.lo - 1e-12 and cert.output.hi <= J.hi + 1e-12
     assert cert.n_steps <= cert.iteration_bound
@@ -236,7 +236,7 @@ def test_certificate_replay_lands_in_terminal_region(built_ctx):
     tested = 0
     for lo in np.linspace(f1.lo + 0.005, f1.hi - 0.02, 17):
         J = Interval(float(lo), float(lo) + 2e-4)
-        cert = find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
+        cert = find_gap_core(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
         final = replay(pair, cert)
         part = targets.part_containing(final.mid)
         assert part is not None, f"replay of {J} ended at {final} off-target"
@@ -287,7 +287,7 @@ def test_trace_growth_respects_expansion(built_ctx):
     grown = 0
     for lo in np.linspace(f1.lo + 0.004, f1.hi - 0.03, 11):
         J = Interval(float(lo), float(lo) + 1e-4)
-        cert = find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
+        cert = find_gap_core(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
         cur = None
         for step in cert.trace:
             if step.op == "shrink":
@@ -339,7 +339,7 @@ def test_window_reaching_eps_into_f1_g1_is_pulled_back(built_ctx, cloud18, side)
         find_gap(tiny, pair, hole, ruin, bsets, mu=mu, cloud=None)
     assert _case(J, pair, hole, ruin, bsets) is CaseTag.PULLBACK_FN
     with pytest.raises(DomainError):
-        find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
+        find_gap_core(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
     cert = find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=cloud18)
     first = cert.trace[0]
     assert (first.tag, first.op, first.n) == (CaseTag.PULLBACK_FN, f"invpow_{side}", 1)
@@ -472,7 +472,7 @@ def test_find_gap_identical_to_core_inside_f1(built_ctx):
     f1 = fundamental_domain(pair, "f", 1)
     J = Interval(f1.lo + 0.02, f1.lo + 0.0205)
     assert find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None) == \
-        find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
+        find_gap_core(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
 
 
 def test_pullback_right_side_g_domains(built_ctx):
@@ -495,7 +495,7 @@ def test_pullback_checks_cloud_in_walk_space(built_ctx):
     pullback = cert.trace[0]
     start = Interval(*(pair.f.inverse_eval(pair.f.inverse_eval(y))
                        for y in (pullback.interval.lo, pullback.interval.hi)))
-    walk_out = find_gap_core(start, pair, hole, ruin, bsets, mu=mu).output
+    walk_out = find_gap_core(start, pair, hole, ruin, bsets, mu=mu, cloud=None).output
     eps = TOL.eps_geom
     x = walk_out.lo + 1.5 * eps
     y = pair.f.eval(pair.f.eval(x))
@@ -536,7 +536,7 @@ def test_core_refuses_an_output_that_escapes_its_window(built_ctx, monkeypatch):
     J = Interval(0.30, 0.31)
     _escape_on_call(monkeypatch, 1)
     with pytest.raises(CertificateError) as err:
-        find_gap_core(J, pair, hole, ruin, bsets, mu=mu)
+        find_gap_core(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
     assert str(err.value) == f"pullback {ESCAPED} escaped the input {J}"
 
 
@@ -575,8 +575,8 @@ def test_hole_case_symmetry_on_precastration_pair(builder, built_report):
     b0 = boundary_sets(pair0, hole0, ruin0)
     J = middle_third(hole0.h_f)
     J_ref = Interval(1.0 - J.hi, 1.0 - J.lo)
-    c1 = find_gap_core(J, pair0, hole0, ruin0, b0, mu=2.0)
-    c2 = find_gap_core(J_ref, pair0, hole0, ruin0, b0, mu=2.0)
+    c1 = find_gap_core(J, pair0, hole0, ruin0, b0, mu=2.0, cloud=None)
+    c2 = find_gap_core(J_ref, pair0, hole0, ruin0, b0, mu=2.0, cloud=None)
     assert c2.output.lo == pytest.approx(1.0 - c1.output.hi, abs=1e-9)
     assert c2.output.hi == pytest.approx(1.0 - c1.output.lo, abs=1e-9)
 

@@ -10,6 +10,7 @@ from cantorifs.intervals import (
     Interval,
     IntervalSet,
     _exact_sum,
+    _normalize,
     from_csv,
     to_csv,
 )
@@ -85,6 +86,56 @@ def test_union_grid_oracle():
     assert got == S((0.0, 0.4))
     np.testing.assert_array_equal(
         grid_membership(got), grid_membership(a) | grid_membership(b))
+
+
+@st.composite
+def sets_sharing_ends(draw):
+    """Two sets whose parts take their ends from one small pool, so they
+    touch, nest, repeat ends and hold degenerate parts, at +-0.0 too."""
+    pool = draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0),
+                         min_size=1, max_size=6))
+
+    def one():
+        ends = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=6))
+        return IntervalSet([(min(x, y), max(x, y)) for x, y in ends])
+
+    return one(), one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets_sharing_ends())
+@example((S((0.0, 0.2), (0.5, 0.6)), S((0.2, 0.3), (0.6, 0.7))))   # touching ends
+@example((S((0.0, 0.2), (0.3, 0.9)), S((0.4, 0.5), (0.6, 0.7))))   # nested in a part
+@example((S((0.1, 0.1), (0.3, 0.3)), S((0.1, 0.2), (0.25, 0.25))))  # degenerate parts
+@example((S((-0.0, 0.0), (0.5, 0.6)), S((0.0, -0.0), (0.6, 0.6))))  # -0.0 against 0.0
+@example((S((0.0, 0.0)), S((-0.0, 0.3))))                          # tie on the first lo
+@example((S((-0.0, 0.1)), S((-1.0, -0.5), (0.0, 0.2))))             # a tie inside the window
+@example((S(), S((0.2, 0.3))))                                      # an empty operand
+@example((S(), S()))
+@example((S((0.0, 0.1), (0.2, 0.3)), S((0.4, 0.5), (0.9, 1.0))))   # disjoint: no window
+def test_union_is_one_normalization_of_both_bit_for_bit(sets):
+    """The window merge gives the bytes of normalizing `self`'s parts and
+    then `other`'s at once, in both operand orders."""
+    for a, b in (sets, sets[::-1]):
+        got = a.union(b)
+        want = IntervalSet(los=np.concatenate([a.los, b.los]), his=np.concatenate([a.his, b.his]))
+        assert (got.los.tobytes(), got.his.tobytes()) == (want.los.tobytes(), want.his.tobytes())
+        assert not got.los.flags.writeable and not got.his.flags.writeable
+
+
+def test_normalize_copies_input_that_is_already_normalized():
+    for los, his in [(np.array([]), np.array([])), (np.array([0.3]), np.array([0.3])),
+                     (np.array([-0.0, 0.2, 0.5]), np.array([0.1, 0.2, 1.0]))]:
+        out = _normalize(los, his)
+        assert (out[0].tobytes(), out[1].tobytes()) == (los.tobytes(), his.tobytes())
+        assert not np.shares_memory(out[0], los) and not np.shares_memory(out[1], his)
+        s = IntervalSet(los=los, his=his)
+        assert not s.los.flags.writeable and not s.his.flags.writeable
+        assert los.flags.writeable and his.flags.writeable
+    # one touching pair, and one -0.0 end against a 0.0 start, still merge
+    for his_1, lo_2 in [(0.2, 0.2), (-0.0, 0.0)]:
+        los, his = _normalize(np.array([0.0, lo_2, 0.5]), np.array([his_1, 0.3, 0.6]))
+        assert (los.tolist(), his.tolist()) == ([0.0, 0.5], [0.3, 0.6])
 
 
 # -- intersect ----------------------------------------------------------------
