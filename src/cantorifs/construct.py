@@ -578,7 +578,10 @@ def appendix_pair(params: AppendixParams | None = None) -> IFSPair:
 
 def lambda_sequence(pair: IFSPair, params: AppendixParams, n: int) -> list[IntervalSet]:
     """Lambda_0 = the three blocks; Lambda_{k+1} = f(Lambda_k) ∪ g(Lambda_k),
-    exact since increasing maps send parts to parts.  A step that could
+    exact since increasing maps send parts to parts.  A step writes f and
+    g of Lambda_k's los into the two halves of one buffer, and of its his
+    into another, and joins the two images in place, re-normalizing only
+    where they interleave (`IntervalSet._of_runs`).  A step that could
     make more than `ifs.ORBIT_CAP` parts (twice those of Lambda_k) is a
     ResourceCapError before it allocates.
 
@@ -599,17 +602,20 @@ def lambda_sequence(pair: IFSPair, params: AppendixParams, n: int) -> list[Inter
 def _lambda_steps(pair: IFSPair, params: AppendixParams, n: int) -> Iterator[IntervalSet]:
     """Lambda_0 ... Lambda_n of `lambda_sequence`, one at a time; only the
     current step is kept."""
-    f, g = pair.f.eval_array, pair.g.eval_array
     cur = IntervalSet(params.blocks)
     yield cur
     for k in range(n):
         if 2 * cur.n_parts > ORBIT_CAP:
             raise ResourceCapError(f"Lambda_{k+1} could exceed the cap of {ORBIT_CAP} parts")
         # f(Lambda_k) lies in [0, f(1)] and g(Lambda_k) in [g(0), 1], each
-        # sorted and disjoint, so `union` re-normalizes only their parts in
+        # sorted and disjoint, so the join re-normalizes only their parts in
         # the window where the two interleave, with the same floats
-        nxt = IntervalSet(los=f(cur.los), his=f(cur.his)).union(
-            IntervalSet(los=g(cur.los), his=g(cur.his)))
+        m = cur.n_parts
+        los, his = np.empty(2 * m), np.empty(2 * m)
+        for ends, out in ((cur.los, los), (cur.his, his)):
+            pair.f._eval_into(ends, out[:m])
+            pair.g._eval_into(ends, out[m:])
+        nxt = IntervalSet._of_runs(los, his, m)
         if k < 2 and not _subset(nxt, cur, TOL.eps_newton if k == 0 else 0.0):
             raise ConstructionError(f"Lambda_{k+1} not nested in Lambda_{k}")
         if k == 0 and not _affine_on_parts(pair, nxt):

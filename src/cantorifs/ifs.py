@@ -221,12 +221,15 @@ def _dedup_sorted(pts: np.ndarray) -> np.ndarray:
     eps_geom of its representative.  The keys of a sorted array are sorted,
     so a bucket starts wherever the key changes.  The keys stay floats: for
     x in [0, 1] they are exact integers below 2^31, so float equality is
-    integer equality (and -0.0 == 0.0)."""
+    integer equality (and -0.0 == 0.0).  The keys are freed before the
+    gather, so the result can take their memory: the peak over the input
+    is the keys and the mask, or the mask and the result."""
     keys = np.divide(pts, TOL.eps_geom)
     np.floor(keys, out=keys)
     first = np.empty(pts.size, dtype=bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    del keys
     return pts[first]
 
 
@@ -236,12 +239,13 @@ def orbit(p: IFSPair, seed: float, depth: int) -> OrbitCloud:
     ResourceCapError.
 
     Level d is the `_dedup_sorted` of the stable-sorted f(level d-1) ∪
-    g(level d-1).  When f or g maps the seed to itself bit for bit (0.0
-    under f, 1.0 under g), each level holds the earlier levels' images and
-    the cloud is the last level: cloud(d) is exactly the dedup of
-    f(cloud(d-1)) ∪ g(cloud(d-1)), which need not hold cloud(d-1) within
-    eps_geom.  Other seeds (−0.0 too: its image is +0.0) merge all levels,
-    so there cloud(d) ⊂ cloud(d+1) within eps_geom.
+    g(level d-1): f and g write their images into the two halves of one
+    fresh buffer, which is sorted in place.  When f or g maps the seed to
+    itself bit for bit (0.0 under f, 1.0 under g), each level holds the
+    earlier levels' images and the cloud is the last level: cloud(d) is
+    exactly the dedup of f(cloud(d-1)) ∪ g(cloud(d-1)), which need not hold
+    cloud(d-1) within eps_geom.  Other seeds (−0.0 too: its image is +0.0)
+    merge all levels, so there cloud(d) ⊂ cloud(d+1) within eps_geom.
     """
     if not (0.0 <= seed <= 1.0):
         raise DomainError(f"seed {seed} outside [0, 1]")
@@ -253,16 +257,19 @@ def orbit(p: IFSPair, seed: float, depth: int) -> OrbitCloud:
     level = all_pts = np.array([seed])
     fixed = False
     for d in range(depth):
-        level = np.concatenate([p.f.eval_array(level), p.g.eval_array(level)])
+        n = level.size
+        images = np.empty(2 * n)
+        p.f._eval_into(level, images[:n])
+        p.g._eval_into(level, images[n:])
+        level = images
         if d == 0:
             fixed = all_pts.tobytes() in (level[:1].tobytes(), level[1:].tobytes())
         if not fixed:
             all_pts = np.sort(np.concatenate([all_pts, level]), kind="stable")
             all_pts = _dedup_sorted(all_pts)
-        # The level is a fresh temporary: sort it in place, uncopied.  The
-        # merge, where it runs, keeps np.sort's copy: sorting it in place, or
-        # deduping the level before the merge, left perfbench's `cloud` about
-        # 5% higher in peak RSS and no faster.
+        # The merge, where it runs, keeps np.sort's copy: sorting it in
+        # place, or deduping the level before the merge, left perfbench's
+        # `cloud` about 5% higher in peak RSS and no faster.
         level.sort(kind="stable")
         level = _dedup_sorted(level)
         if max(all_pts.size, level.size) > ORBIT_CAP:

@@ -7,7 +7,8 @@ invariants hold everywhere.  Normalization never changes the set itself (parts
 separated by a positive gap stay apart, however small the gap), so the
 measure is computed exactly from the representation rather than by sampling:
 it is the correctly rounded sum of the part lengths, from exact per-exponent
-bin totals that `math.fsum` rounds once (`_exact_sum`).
+bin totals, formed a cache-sized chunk at a time, that `math.fsum` rounds
+once (`_exact_sum`).
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ class Tolerance:
 
 TOL = Tolerance(eps_geom=1e-9, eps_newton=1e-12, max_iter=100)
 
-#: Parts per `_exact_sum` pass; its bin totals are exact for up to 2^26 parts.
-_SUM_CHUNK = 1 << 26
+#: Parts per `_exact_sum` pass: few enough that a pass's lengths, exponent
+#: bins and split halves stay in cache; its bin totals are exact for up to
+#: 2^26 parts.
+_SUM_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True, order=True)
@@ -91,6 +94,7 @@ def _normalize(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return los.copy(), his.copy()
     order = np.argsort(los, kind="stable")
     los, run_hi = los[order], his[order]
+    del order  # before the mask and the results are allocated
     np.maximum.accumulate(run_hi, out=run_hi)
     # starts[i]: part i starts a run; a part ends one where the next starts
     starts = np.empty(los.size + 1, dtype=bool)
@@ -99,24 +103,27 @@ def _normalize(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return los[starts[:-1]], run_hi[starts[1:]]
 
 
-def _exact_sum(d: np.ndarray) -> float:
-    """`math.fsum(d)`, bit for bit, for d >= 0 whose total does not
-    overflow (R. Neal's small superaccumulator, arXiv:1505.05571).
+def _exact_sum(los: np.ndarray, his: np.ndarray) -> float:
+    """`math.fsum(his - los)`, bit for bit, for his >= los whose lengths
+    do not overflow in total (R. Neal's small superaccumulator,
+    arXiv:1505.05571).
 
-    Bin the lengths by binary exponent e.  In bin e every length is an
+    The lengths d are formed `_SUM_CHUNK` at a time into one buffer.  Bin
+    a chunk's lengths by binary exponent e.  In bin e every length is an
     integer multiple of one ulp u_e below 2^53 u_e.  Masking off its low
     26 mantissa bits splits it exactly into hi, a multiple of 2^26 u_e, and
     lo = d - hi < 2^26 u_e.  At most 2^26 his sum to a multiple of 2^26 u_e
     below 2^79 u_e, and as many los to a multiple of u_e below 2^52 u_e.
     Both need at most 53 significant bits and neither exceeds the total, so
     every running sum of `np.bincount` is a float and each bin total is
-    exact.  `_SUM_CHUNK` caps the parts per bincount, so this holds for
-    arrays of any size.  The bin totals add up exactly to the sum of d,
-    which `math.fsum` rounds once.
+    exact, for any chunk of at most 2^26 parts.  The bin totals of all
+    chunks add up exactly to the sum of d, which `math.fsum` rounds once.
     """
     totals: list[float] = []
-    for c in range(0, d.size, _SUM_CHUNK):
-        part = d[c:c + _SUM_CHUNK]
+    d = np.empty(min(los.size, _SUM_CHUNK))
+    for c in range(0, los.size, _SUM_CHUNK):
+        h = his[c:c + _SUM_CHUNK]
+        part = np.subtract(h, los[c:c + _SUM_CHUNK], out=d[:h.size])
         bits = part.view(np.int64)
         e = bits >> 52
         e &= 0x7FF  # -0.0 lands in bin 0
@@ -173,6 +180,45 @@ class IntervalSet:
         s.los, s.his = los, his
         return s
 
+    @classmethod
+    def _of_runs(cls, los: np.ndarray, his: np.ndarray, n: int) -> "IntervalSet":
+        """`IntervalSet(los=los, his=his)`, bit for bit, built in the
+        caller's arrays, to which it must hold no other reference: the first
+        n parts and the rest are two runs laid end to end, and where each
+        run is normalized (lo <= hi, and every lo above the hi before it)
+        only the window where they interleave is normalized again.
+
+        Let a be the first run and b the second.  Each part of a[:i] ends
+        below b's first lo, so below every lo of b, and each part of b[j:]
+        starts above a's last hi.  With the strict gaps inside a and b, a
+        stable sort of all the parts thus puts a[:i] first and b[j:] last as
+        runs of one part, no run crosses a join, and the running max
+        entering the window a[i:] b[:j] is below all of it.  The normalized
+        form of a closed union is unique, and the window, normalized alone
+        with a's parts first as in that sort, keeps its order on ties
+        (-0.0): a[:i], the window and b[j:] joined are that form, float for
+        float.  They lie in that order already, so the window is normalized
+        where it lies, the tail shifts down onto its end and the set is a
+        view of the arrays.  When b starts first, i is 0 and the window
+        holds b's head too.  Input that is not two such runs is normalized
+        whole."""
+        apart = los[1:] > his[:-1]
+        apart[n - 1:n] = True  # the join, if there is one
+        if not ((los <= his).all() and apart.all()):
+            return cls(los=los, his=his)
+        del apart
+        if n == 0 or n == los.size:
+            return cls._of_normalized(los, his)
+        i = his[:n].searchsorted(los[n])
+        j = n + los[n:].searchsorted(his[n - 1], side="right")
+        w_lo, w_hi = _normalize(los[i:j], his[i:j])
+        k = i + w_lo.size
+        end = k + los.size - j
+        for x, w in ((los, w_lo), (his, w_hi)):
+            x[i:k] = w
+            x[k:end] = x[j:]
+        return cls._of_normalized(los[:end], his[:end])
+
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -188,8 +234,8 @@ class IntervalSet:
 
     def measure(self) -> float:
         """Lebesgue measure of the normalized representation: the correctly
-        rounded sum of the part lengths, `_exact_sum(his - los)`."""
-        return _exact_sum(self.his - self.los)
+        rounded sum of the part lengths, `_exact_sum(los, his)`."""
+        return _exact_sum(self.los, self.his)
 
     def span(self) -> Interval:
         if self.is_empty():
@@ -223,30 +269,16 @@ class IntervalSet:
     # -- set algebra -------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        """The normalized form of `self`'s parts then `other`'s, bit for bit,
-        re-normalizing only the window where the two interleave.
-
-        Let a be the operand with the smaller first lo and b the other.  Each
-        part of a[:i] ends below b.los[0] and each of b[j:] starts above
-        a.his[-1], so with the strict gaps inside a and b every gap at the two
-        joins is strict too.  A merged stable sort thus puts a[:i] first and
-        b[j:] last as runs of one part, no run crosses a join, and the
-        running max entering the window is below all of it.  The normalized
-        form of a closed union is unique, and the window, normalized alone
-        with `self`'s parts first as in that sort, keeps its order on ties
-        (-0.0): the three slices joined are that form, float for float."""
+        """The normalized form of `self`'s parts then `other`'s, bit for bit:
+        `_of_runs` on the two laid end to end, `self`'s first, which
+        re-normalizes only the window where they interleave, with `self`'s
+        parts first on ties (-0.0)."""
         if self.is_empty():
             return other
         if other.is_empty():
             return self
-        a, b = (self, other) if self.los[0] <= other.los[0] else (other, self)
-        i = a.his.searchsorted(b.los[0])
-        j = b.los.searchsorted(a.his[-1], side="right")
-        order = 1 if a is self else -1
-        w_los, w_his = _normalize(np.concatenate([a.los[i:], b.los[:j]][::order]),
-                                  np.concatenate([a.his[i:], b.his[:j]][::order]))
-        return IntervalSet._of_normalized(np.concatenate([a.los[:i], w_los, b.los[j:]]),
-                                          np.concatenate([a.his[:i], w_his, b.his[j:]]))
+        return IntervalSet._of_runs(np.concatenate([self.los, other.los]),
+                                    np.concatenate([self.his, other.his]), self.n_parts)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         if self.is_empty() or other.is_empty():

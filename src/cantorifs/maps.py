@@ -256,16 +256,26 @@ class MapSpec:
         clamped only if one lies outside [0, 1].  Unsorted input is sorted
         once and scattered back.  A few points go through `eval` itself."""
         xs = np.asarray(xs, dtype=float)
-        if xs.size <= _FEW:
-            return np.array([self.eval(x) for x in xs.ravel().tolist()], dtype=float).reshape(xs.shape)
-        lo, hi = xs.min(), xs.max()
-        if not (-TOL.eps_newton <= lo and hi <= 1.0 + TOL.eps_newton):  # NaN fails too
-            raise DomainError("array evaluation outside [0, 1]")
-        xc = np.clip(xs, 0.0, 1.0).ravel() if lo < 0.0 or hi > 1.0 else xs.ravel()
-        order = np.argsort(xc, kind="stable") if np.any(xc[1:] < xc[:-1]) else None
+        out = np.empty(xs.shape)
+        self._eval_into(xs.ravel(), out.reshape(-1))
+        return out
+
+    def _eval_into(self, xc: np.ndarray, out: np.ndarray) -> None:
+        """`eval_array` of the 1-D float array `xc`, written into `out`, a
+        1-D float array of the same size that does not overlap `xc`."""
+        if xc.size <= _FEW:
+            out[:] = [self.eval(x) for x in xc.tolist()]
+            return
+        # A NaN fails the order test and sorts last, so the ends of the
+        # sorted points bound them all, NaN too.
+        order = None if (xc[1:] >= xc[:-1]).all() else np.argsort(xc, kind="stable")
         if order is not None:
             xc = xc[order]
-        out = np.empty_like(xc)
+        lo, hi = xc[0], xc[-1]
+        if not (-TOL.eps_newton <= lo and hi <= 1.0 + TOL.eps_newton):
+            raise DomainError("array evaluation outside [0, 1]")
+        if lo < 0.0 or hi > 1.0:
+            xc = np.clip(xc, 0.0, 1.0)
         cuts = np.searchsorted(xc, self._bp_tuple[1:], side="right").tolist()
         for s, a, b in zip(self.segments, [0, *cuts], [*cuts, xc.size]):
             if a < b:
@@ -282,7 +292,6 @@ class MapSpec:
                 y += c0
         if order is not None:
             out[order] = out.copy()
-        return out.reshape(xs.shape)
 
     # -- inversion -----------------------------------------------------------
 

@@ -9,6 +9,7 @@ benchmark run.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
@@ -26,6 +27,19 @@ from cantorifs.ifs import (ORBIT_CAP, IFSPair, OrbitCloud, _dedup_sorted, fundam
                            minimal_set_cover, orbit)
 from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
 from cantorifs.maps import MapSpec, Segment, iterate_interval
+
+
+# -- memory ----------------------------------------------------------------------
+
+
+def traced_peak(fn) -> int:
+    """fn's peak of traced memory, in bytes, over what it started with."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # -- class A ---------------------------------------------------------------------

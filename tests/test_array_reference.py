@@ -11,9 +11,12 @@ checked against one normalization of both raw images.  Both must give the
 same bytes.
 
 The last kernels to change are checked against their earlier bodies in
-`oracles.py`: the exponent-bucketed `measure` against `math.fsum`, the
-run-end max of `_normalize` against `np.maximum.reduceat`, and the float
-dedup keys against int64 keys."""
+`oracles.py`: the exponent-bucketed `measure`, its lengths formed a chunk
+at a time, against `math.fsum`, the run-end max of `_normalize` against
+`np.maximum.reduceat`, and the float dedup keys against int64 keys.  The
+tracemalloc peaks of `_dedup_sorted`, `orbit` and `check_measure_bound`
+pin that each builds its large arrays once and frees its temporaries
+before its results."""
 
 import math
 
@@ -21,11 +24,13 @@ import numpy as np
 import pytest
 
 from cantorifs import intervals
-from cantorifs.construct import AppendixParams, appendix_pair, lambda_sequence
+from cantorifs.construct import AppendixParams, appendix_pair, check_measure_bound, lambda_sequence
 from cantorifs.intervals import TOL, IntervalSet, _exact_sum, _normalize
 from cantorifs.ifs import _dedup_sorted, orbit
+from cantorifs.maps import _FEW
 
-from oracles import dedup_by_int_keys, measure_by_fsum, normalize_by_reduceat, orbit_by_sorted_copies
+from oracles import (dedup_by_int_keys, measure_by_fsum, normalize_by_reduceat,
+                     orbit_by_sorted_copies, traced_peak)
 
 
 def gather_eval_array(m, xs):
@@ -125,6 +130,22 @@ def test_eval_array_matches_gather_on_any_order(built_pair, appendix):
             assert m.eval_array(a).tobytes() == gather_eval_array(m, a).tobytes()
 
 
+def test_eval_into_a_slice_is_eval_array(built_pair, appendix):
+    """The routine `eval_array` calls fills exactly the slice it is given,
+    with `eval_array`'s fresh bytes: for a few points, unsorted points and
+    the flattened points of 2-D input."""
+    rng = np.random.default_rng(20261020)
+    xs = rng.uniform(0.0, 1.0, 64)
+    cases = [np.sort(xs[:k]) for k in (0, 1, _FEW)] + [xs[:_FEW][::-1], xs, np.sort(xs),
+                                                        xs.reshape(8, 8), np.array([-0.0, 1.0])]
+    for m in (built_pair.f, built_pair.g, appendix[0].f, appendix[0].g):
+        for x in cases:
+            buf = np.full(x.size + 4, np.nan)
+            m._eval_into(x.ravel(), buf[2:-2])
+            assert buf[2:-2].tobytes() == m.eval_array(x).ravel().tobytes()
+            assert np.isnan(buf[:2]).all() and np.isnan(buf[-2:]).all()
+
+
 @pytest.mark.parametrize("eps,lam,n", [(0.01, 0.45, 20), (1 / 30, 0.45, 20),
                                        (0.05, 0.2, 18), (0.1, 0.3, 18)])
 def test_lambda_measure_and_normalize_match_earlier_bodies(eps, lam, n):
@@ -192,7 +213,7 @@ def test_exact_sum_of_many_lengths_with_every_mantissa_bit(length):
     # 2^20 copies in one bin: a plain float sum rounds, the bins do not
     d = np.full(2 ** 20, length)
     assert (d.view(np.int64) & ((1 << 52) - 1) == (1 << 52) - 1).all()
-    assert _exact_sum(d).hex() == math.fsum(d.tolist()).hex()
+    assert _exact_sum(np.zeros_like(d), d).hex() == math.fsum(d.tolist()).hex()
 
 
 def test_exact_sum_is_exact_across_chunks(monkeypatch):
@@ -204,7 +225,24 @@ def test_exact_sum_is_exact_across_chunks(monkeypatch):
     for s in sets:
         assert s.measure().hex() == measure_by_fsum(s).hex()
     d = np.full(10, np.nextafter(1.0, 0.0))
-    assert _exact_sum(d).hex() == math.fsum(d.tolist()).hex()
+    assert _exact_sum(np.zeros_like(d), d).hex() == math.fsum(d.tolist()).hex()
+
+
+@pytest.mark.parametrize("k, off", [(1, -1), (1, 0), (1, 1), (2, -1), (2, 1), (3, 1)])
+def test_exact_sum_of_lengths_at_chunk_multiples(k, off):
+    """Lengths formed one chunk at a time, over every part: a part on
+    either side of each chunk end, over 60 binary exponents."""
+    n = k * intervals._SUM_CHUNK + off
+    rng = np.random.default_rng(n)
+    los = rng.uniform(0.0, 0.5, n)
+    his = los + np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-62, -1, n))
+    assert _exact_sum(los, his).hex() == math.fsum((his - los).tolist()).hex()
+
+
+def test_lambda_20_measure_is_fsum_of_its_lengths():
+    s = lambda_sequence(appendix_pair(), AppendixParams(), 20)[-1]
+    assert s.n_parts > 16 * intervals._SUM_CHUNK
+    assert s.measure().hex() == math.fsum((s.his - s.los).tolist()).hex()
 
 
 def test_dedup_float_keys_match_int_keys():
@@ -234,3 +272,31 @@ def test_orbit_dedup_matches_int_keys_per_level(built_pair, seed):
         assert all_pts.tobytes() == dedup_by_int_keys(merged).tobytes()
         level = dedup_by_int_keys(np.sort(level, kind="stable"))
     assert orbit(built_pair, seed, 12).points.tobytes() == all_pts.tobytes()
+
+
+# -- memory: each large array allocated once, each temporary freed before the next ----------
+
+
+def test_dedup_peak_is_its_mask_and_result(built_pair):
+    """The float keys are freed before the gather: on a sorted depth-16
+    level the peak over the input is 1.125 times its bytes, not 2.125."""
+    level = orbit(built_pair, 0.0, 16).points
+    assert traced_peak(lambda: _dedup_sorted(level)) < 1.5 * level.nbytes
+
+
+def test_orbit_peak_is_one_level_buffer(built_pair):
+    """f and g write a level into the halves of one buffer, sorted in
+    place: 2.126 times the depth-18 cloud's bytes, where a concatenated
+    copy of the two images read 3.126."""
+    cloud = orbit(built_pair, 0.0, 18)
+    assert traced_peak(lambda: orbit(built_pair, 0.0, 18)) < 2.5 * cloud.points.nbytes
+
+
+def test_measure_bound_peak_is_one_step_buffer():
+    """Each Λ step is built in one pair of buffers and measured a chunk at
+    a time: 2.245 times Λ_18's bytes, where images wrapped, copied and
+    joined anew read 2.861."""
+    pair, params = appendix_pair(), AppendixParams()
+    last = lambda_sequence(pair, params, 18)[-1]
+    peak = traced_peak(lambda: check_measure_bound(pair, params, 18))
+    assert peak < 2.4 * (last.los.nbytes + last.his.nbytes)

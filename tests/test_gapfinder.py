@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +40,7 @@ from oracles import (
     locate_power_domain,
     middle_third,
     pull_back_by_intervals,
+    traced_peak,
     verify_hole_disjoint,
     widest_piece_by_intersection,
 )
@@ -1027,22 +1027,12 @@ def test_a_mixed_batch_keeps_each_windows_outcome(built_ctx):
 # -- memory ---------------------------------------------------------------------------------
 
 
-def _peak(fn) -> int:
-    """fn's peak of traced memory, in bytes, over what it started with."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_find_gap_walks_in_little_memory(built_ctx):
     """One window's walk, on the windows of the gap_a and gap_b artifacts."""
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     for J in (Interval(0.30, 0.31), Interval(0.41, 0.4101)):
         find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None)  # caches filled
-        assert _peak(lambda: find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None)) < 2 ** 18
+        assert traced_peak(lambda: find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None)) < 2 ** 18
 
 
 def test_certify_peak_is_its_verification_orbit(built_ctx):
@@ -1053,7 +1043,7 @@ def test_certify_peak_is_its_verification_orbit(built_ctx):
     sweep = lambda: certify_cantor(pair, hole, ruin, bsets, resolution=1e-3, depth=14, mu=mu,
                                    verification_depth=18)
     sweep()  # caches filled
-    assert _peak(sweep) <= _peak(lambda: orbit(pair, 0.0, 18)) + 2 ** 20
+    assert traced_peak(sweep) <= traced_peak(lambda: orbit(pair, 0.0, 18)) + 2 ** 20
 
 
 @pytest.mark.parametrize("forced", ["chain", "reversed", "range"])

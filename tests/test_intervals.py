@@ -88,6 +88,17 @@ def test_union_grid_oracle():
         grid_membership(got), grid_membership(a) | grid_membership(b))
 
 
+def _join_is_one_normalization(los, his, n):
+    """`_of_runs` on copies of two runs laid end to end gives the bytes of
+    `_normalize` on both, frozen; return the set and its buffers."""
+    want = _normalize(los, his)
+    buf = los.copy(), his.copy()
+    got = IntervalSet._of_runs(*buf, n)
+    assert (got.los.tobytes(), got.his.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+    assert not got.los.flags.writeable and not got.his.flags.writeable
+    return got, buf
+
+
 @st.composite
 def sets_sharing_ends(draw):
     """Two sets whose parts take their ends from one small pool, so they
@@ -113,14 +124,67 @@ def sets_sharing_ends(draw):
 @example((S(), S((0.2, 0.3))))                                      # an empty operand
 @example((S(), S()))
 @example((S((0.0, 0.1), (0.2, 0.3)), S((0.4, 0.5), (0.9, 1.0))))   # disjoint: no window
+@example((S((0.0, 0.2), (0.5, 0.6)), S((0.1, 0.3), (0.9, 1.0))))   # a window at the start
+@example((S((0.0, 0.2), (0.5, 1.0)), S((0.3, 0.4), (0.6, 0.7))))   # a window at the end
 def test_union_is_one_normalization_of_both_bit_for_bit(sets):
     """The window merge gives the bytes of normalizing `self`'s parts and
-    then `other`'s at once, in both operand orders."""
+    then `other`'s at once, in both operand orders; so does the join it
+    runs, called on the two laid end to end (empty halves too), in the
+    buffers it is given."""
     for a, b in (sets, sets[::-1]):
         got = a.union(b)
         want = IntervalSet(los=np.concatenate([a.los, b.los]), his=np.concatenate([a.his, b.his]))
         assert (got.los.tobytes(), got.his.tobytes()) == (want.los.tobytes(), want.his.tobytes())
         assert not got.los.flags.writeable and not got.his.flags.writeable
+        got, buf = _join_is_one_normalization(np.concatenate([a.los, b.los]),
+                                              np.concatenate([a.his, b.his]), a.n_parts)
+        if got.n_parts:
+            assert np.shares_memory(got.los, buf[0]) and np.shares_memory(got.his, buf[1])
+
+
+def _grid_run(rng, size):
+    """A normalized run on a coarse grid, so that two runs share ends;
+    a run that starts at 0 starts at -0.0 half the time."""
+    ends = np.sort(rng.choice(np.arange(400) / 400.0, 2 * size, replace=False))
+    los, his = ends[0::2].copy(), ends[1::2].copy()
+    if los.size and los[0] == 0.0 and rng.random() < 0.5:
+        los[0] = -0.0
+    return los, his
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_join_of_random_runs_and_non_runs(seed):
+    """Runs of up to 150 parts on one grid, then the same with one half
+    not a run: a part split in two that touch, a part repeated, or the
+    half reversed, which the join normalizes whole."""
+    rng = np.random.default_rng(20261020 + seed)
+    (l1, h1), (l2, h2) = (_grid_run(rng, int(rng.integers(0, 150))) for _ in range(2))
+    n = l1.size
+    _join_is_one_normalization(np.concatenate([l1, l2]), np.concatenate([h1, h2]), n)
+    if n:
+        k = int(rng.integers(0, n))
+        mid = 0.5 * (l1[k] + h1[k])
+        broken = [(np.insert(l1, k + 1, mid), np.insert(h1, k, mid)),
+                  (np.insert(l1, k, l1[k]), np.insert(h1, k, h1[k])), (l1[::-1], h1[::-1])]
+        for bl, bh in broken:
+            _join_is_one_normalization(np.concatenate([bl, l2]), np.concatenate([bh, h2]), bl.size)
+            _join_is_one_normalization(np.concatenate([l2, bl]), np.concatenate([h2, bh]), l2.size)
+
+
+def test_join_merges_touching_parts_in_the_head_or_tail():
+    """Halves that are not runs where no window reaches: parts touching in
+    the first run's head, then in the second run's tail."""
+    for los, his, n in [([0.0, 0.1, 0.5], [0.1, 0.2, 0.6], 2),
+                        ([0.0, 0.2, 0.3], [0.1, 0.3, 0.4], 1)]:
+        got, _ = _join_is_one_normalization(np.array(los), np.array(his), n)
+        assert got.n_parts == 2
+
+
+def test_join_rejects_a_bad_part_as_construction_does():
+    los, his = np.array([0.1, 0.5, 0.2]), np.array([0.2, 0.4, 0.3])
+    for bad in (his, np.array([0.2, np.nan, 0.3])):
+        with pytest.raises(SpecError, match="bad part"):
+            IntervalSet._of_runs(los.copy(), bad.copy(), 2)
 
 
 def test_normalize_copies_input_that_is_already_normalized():
@@ -187,7 +251,7 @@ def test_exact_sum_is_fsum_over_many_exponents():
     rng.shuffle(d)
     assert np.unique(np.frexp(d)[1]).size > 40 and np.signbit(d).sum() == 1
     before = d.tobytes()
-    assert _exact_sum(d).hex() == math.fsum(d.tolist()).hex()
+    assert _exact_sum(np.zeros_like(d), d).hex() == math.fsum(d.tolist()).hex()
     assert d.tobytes() == before
 
 
