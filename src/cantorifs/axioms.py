@@ -254,11 +254,10 @@ def _first_bound(first: MapSpec, chain: float, lo: float, hi: float) -> float:
     return _down(chain / first.max_deriv(*_padded(ya, yb)))
 
 
-def expansion_cells(
-    p: IFSPair, which: Literal["F", "G"], hole: Interval
-) -> tuple[list[EeCell], EeCell | None]:
-    """The cells of one induced map's domain minus the hole's interior, and
-    its accumulation cell (None when that is not enclosed).
+def expansion_cells(p: IFSPair, h: HolePair) -> tuple[tuple[list[EeCell], EeCell | None], ...]:
+    """For the branches F and G in turn, the cells of the induced map's
+    domain minus its hole's interior (h_f for F, h_g for G), and its
+    accumulation cell (None when that is not enclosed).
 
     With q_k = ret^k(base) (ret = g, base 0 for F; ret = f, base 1 for G),
     the site s_j = first(q_j) and the domains D_k = [q_k, q_{k+1}] (ret's
@@ -271,39 +270,61 @@ def expansion_cells(
     Every interval is padded outward by eps_newton and every quotient is
     rounded down: float arithmetic, not interval arithmetic.
 
+    The D_k of each branch are one slice of ret's cached ladder, and f and
+    g each bound those of both branches in one `max_deriv_array` call: f is
+    F's first map and G's return map, and g the other way round.
+
     The accumulation cell runs from the last site to f(1) (g(0) for G) and
-    holds every cell j >= J.  From k = J on, the first k with max ret' <= 1
-    on [q_k, fixed point] ends it: no later factor can lower the prefix
-    product.  If no such k comes within max_iter steps the cell is not
-    enclosed.
+    holds every cell j >= J (`_accumulation_cell`).
     """
+    branches = (("F", "g", h.h_f), ("G", "f", h.h_g))
+    sites, ends = [], []
+    for which, ret_name, _ in branches:
+        sites.append(induced_discontinuities(p, which, _oriented(p, which)[2]))
+        n = len(sites[-1])  # the cells j = 1..n need D_1..D_n
+        fundamental_domain(p, ret_name, n)  # grows the ladder to rung n + 1
+        rungs = np.array(p._ladders[ret_name][1:n + 2])
+        ends.append((rungs[:-1], rungs[1:]))
+    los = np.concatenate([np.minimum(a, b) for a, b in ends]) - TOL.eps_newton
+    his = np.concatenate([np.maximum(a, b) for a, b in ends]) + TOL.eps_newton
+    f_max, g_max = (m.max_deriv_array(los, his).tolist() for m in (p.f, p.g))
+    n_f = len(sites[0])
+    maxima = ((f_max[:n_f], g_max[:n_f]), (g_max[n_f:], f_max[n_f:]))
+
+    out = []
+    for (which, _, hole), s, (first_max, ret_max) in zip(branches, sites, maxima):
+        first, _, dom, _, _ = _oriented(p, which)
+        # edges[0] is the domain's far end and edges[j] = s_{j+1}, so cell j
+        # lies between edges[j-1] and edges[j], which rise for F and fall for
+        # G.  Under So every site is strictly inside the domain, so none is
+        # missing from the front of the list.
+        edges = [dom.lo, *s] if which == "F" else [dom.hi, *s[::-1]]
+        spans = zip(edges, edges[1:]) if which == "F" else zip(edges[1:], edges)
+        cells: list[EeCell] = []
+        chain = 1.0  # prefix product of 1/max ret'(D_k) over 1 <= k < j
+        for n, ((lo, hi), top_first, top_ret) in enumerate(zip(spans, first_max, ret_max)):
+            if hi <= hole.lo or lo >= hole.hi:  # cell j = n + 1
+                bound = (_first_bound(first, chain, lo, hi) if n == 0
+                         else _down(chain / top_first))
+                cells.append(EeCell(lo, hi, n, chain, bound))
+            else:
+                for a, b in ((lo, hole.lo), (hole.hi, hi)):
+                    if a < b:
+                        cells.append(EeCell(a, b, n, chain, _first_bound(first, chain, a, b)))
+            chain = _down(chain / top_ret)
+        out.append((cells, _accumulation_cell(p, which, edges, chain)))
+    return tuple(out)
+
+
+def _accumulation_cell(p: IFSPair, which: Literal["F", "G"], edges: list[float],
+                       chain: float) -> EeCell | None:
+    """The cell from the last site to f(1) (g(0) for G), which holds every
+    cell j >= J = len(edges), given the prefix product `chain` over k < J.
+    From k = J on, the first k with max ret' <= 1 on [q_k, fixed point]
+    ends it: no later factor can lower the prefix product.  If no such k
+    comes within max_iter steps the cell is not enclosed."""
     first, ret, dom, _, _ = _oriented(p, which)
-    sites = induced_discontinuities(p, which, dom)
-    if which == "F":
-        fixed, acc_end, edges = 1.0, dom.hi, [dom.lo, *sites]
-    else:
-        fixed, acc_end, edges = 0.0, dom.lo, [dom.hi, *sites[::-1]]
-    # edges[0] is the domain's far end and edges[j] = s_{j+1}, so cell j lies
-    # between edges[j-1] and edges[j].  Under So every site is strictly
-    # inside the domain, so none is missing from the front of the list.
-    ret_name: Literal["f", "g"] = "g" if which == "F" else "f"
-
-    cells: list[EeCell] = []
-    chain = 1.0  # prefix product of 1/max ret'(D_k) over 1 <= k < j
-    for j in range(1, len(edges)):
-        lo, hi = sorted((edges[j - 1], edges[j]))
-        d = fundamental_domain(p, ret_name, j)
-        d_j = _padded(d.lo, d.hi)
-        if hi <= hole.lo or lo >= hole.hi:
-            bound = (_first_bound(first, chain, lo, hi) if j == 1
-                     else _down(chain / first.max_deriv(*d_j)))
-            cells.append(EeCell(lo, hi, j - 1, chain, bound))
-        else:
-            for a, b in ((lo, hole.lo), (hole.hi, hi)):
-                if a < b:
-                    cells.append(EeCell(a, b, j - 1, chain, _first_bound(first, chain, a, b)))
-        chain = _down(chain / ret.max_deriv(*d_j))
-
+    ret_name, fixed, acc_end = ("g", 1.0, dom.hi) if which == "F" else ("f", 0.0, dom.lo)
     big_j = len(edges)
     lo, hi = sorted((edges[-1], acc_end))
     bound, low = math.inf, chain
@@ -313,11 +334,11 @@ def expansion_cells(
         rest = _padded(d.lo if which == "F" else d.hi, fixed)  # q_k to the fixed point
         if ret.max_deriv(*rest) <= 1.0:
             bound = min(bound, _down(chain / first.max_deriv(*rest)))
-            return cells, EeCell(lo, hi, big_j - 1, low, bound)
+            return EeCell(lo, hi, big_j - 1, low, bound)
         bound = min(bound, _down(chain / first.max_deriv(*d_k)))
         chain = _down(chain / ret.max_deriv(*d_k))
         low = min(low, chain)
-    return cells, None
+    return None
 
 
 def _bisect(first: MapSpec, cell: EeCell, mu_target: float) -> tuple[list[EeCell], bool]:
@@ -352,8 +373,7 @@ def check_ee(p: IFSPair, h: HolePair, mu_target: float) -> ExpansionReport:
     """
     pieces: list[tuple[EeCell, str]] = []
     tails: list[tuple[EeCell, str]] = []
-    for which, hole in (("F", h.h_f), ("G", h.h_g)):
-        cells, tail = expansion_cells(p, which, hole)
+    for which, (cells, tail) in zip("FG", expansion_cells(p, h)):
         pieces += [(c, which) for c in cells]
         if tail is not None:
             tails.append((tail, which))

@@ -52,6 +52,17 @@ def _load_pair(path: str) -> IFSPair | None:
     return result.as_pair()
 
 
+def _bad_seed(args: argparse.Namespace) -> bool:
+    """Whether the hole seed breaks 0 <= --seed-lo <= --seed-hi <= 1, after
+    saying so on stderr: a usage error, found before the pair file is read.
+    A seed of one point passes here and fails as a verdict."""
+    if 0.0 <= args.seed_lo <= args.seed_hi <= 1.0:
+        return False
+    print(f"{args.command}: need 0 <= --seed-lo <= --seed-hi <= 1, "
+          f"got {args.seed_lo}, {args.seed_hi}", file=sys.stderr)
+    return True
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -91,6 +102,8 @@ def _validate(args: argparse.Namespace) -> tuple[str, IFSPair | None, AxiomRepor
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if _bad_seed(args):
+        return 2
     out, _, report = _validate(args)
     _emit(args, "validate_report.txt", out)
     return 0 if report is not None and report.ok else 1
@@ -141,6 +154,8 @@ def cmd_gaps(args: argparse.Namespace) -> int:
         if not 0.0 <= args.lo < args.hi <= 1.0:
             print(f"gaps: need 0 <= --lo < --hi <= 1, got {args.lo}, {args.hi}", file=sys.stderr)
             return 2
+    if _bad_seed(args):
+        return 2
     # Certificates hold only for pairs with all four properties.
     out, pair, ax = _validate(args)
     if ax is None or not ax.ok:
@@ -185,6 +200,8 @@ def cmd_appendix(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    if _bad_seed(args):
+        return 2
     pair = _load_pair(args.pair_file)
     if pair is None:
         return 1

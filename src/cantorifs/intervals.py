@@ -283,16 +283,17 @@ class IntervalSet:
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         if self.is_empty() or other.is_empty():
             return IntervalSet([])
-        # Two-pointer sweep over sorted disjoint parts.
+        # Two-pointer sweep over sorted disjoint parts, read as floats once.
+        a_lo, a_hi, b_lo, b_hi = (x.tolist() for x in (self.los, self.his, other.los, other.his))
         out_lo, out_hi = [], []
         i = j = 0
-        while i < self.los.size and j < other.los.size:
-            lo = max(self.los[i], other.los[j])
-            hi = min(self.his[i], other.his[j])
+        while i < len(a_lo) and j < len(b_lo):
+            lo = max(a_lo[i], b_lo[j])
+            hi = min(a_hi[i], b_hi[j])
             if lo <= hi:
                 out_lo.append(lo)
                 out_hi.append(hi)
-            if self.his[i] < other.his[j]:
+            if a_hi[i] < b_hi[j]:
                 i += 1
             else:
                 j += 1

@@ -27,8 +27,9 @@ C1_DERIV_TOL = 1e-6
 
 #: The library's one small-batch threshold: up to this many points, `eval_array`
 #: and `inverse_array` call the scalar method per point, where numpy's cost per
-#: call outweighs its speed, and `gapfinder.pull_back` maps up to this many
-#: intervals through `eval`.  The gap walk's other batches go through the two.
+#: call outweighs its speed; up to this many intervals, `max_deriv_array` calls
+#: `max_deriv` per interval and `gapfinder.pull_back` maps them through `eval`.
+#: The gap walk's other batches go through the first two.
 _FEW = 8
 
 
@@ -359,10 +360,14 @@ class MapSpec:
 
     def max_deriv(self, lo: float, hi: float) -> float:
         """The maximum of m' over [lo, hi], exact up to the rounding of the
-        quadratic's evaluation.  Each point is charged to the segment that
-        `deriv` uses there, (x_lo of its own, x_lo of the next]; the first
-        and last segments' polynomials extend past 0 and 1, so an interval
-        padded outward there is covered rather than clamped."""
+        quadratic's evaluation: the greatest of its values at the ends, at
+        each interior breakpoint (read with both adjacent polynomials) and
+        at each vertex strictly inside.  Each point is charged to the
+        segment that `deriv` uses there, (x_lo of its own, x_lo of the
+        next]; the first and last segments' polynomials extend past 0 and
+        1, so an interval padded outward there is covered rather than
+        clamped.  `max_deriv_array` gives the same floats for many
+        intervals."""
         segs, bps = self.segments, self._bp_tuple
         j = self._seg_index(lo)
         a, best = lo, -math.inf
@@ -375,6 +380,50 @@ class MapSpec:
             best = max(best, cubic_extremes(d, a - s.x_lo, bps[j + 1] - s.x_lo)[1][0])
             j += 1
             a = bps[j]
+
+    @cached_property
+    def _deriv_columns(self) -> np.ndarray:
+        """Rows x_lo, width, a0, a1, a2 and vertex of every segment, for m'
+        as the quadratic a0 + a1 t + a2 t^2 in t = x - x_lo (a0 = c1,
+        a1 = 2c2, a2 = 3c3), whose vertex t is where `cubic_extremes` finds
+        one and NaN where not."""
+        cols = []
+        for s in self.segments:
+            _, c1, c2, c3 = s.coeffs
+            a1, a2 = 2.0 * c2, 3.0 * c3
+            # cubic_extremes' discriminant and root, with its a3 = 0.0
+            vertex = -a1 / (2.0 * a2) if a2 * a2 - 3.0 * a1 * 0.0 > 0.0 else math.nan
+            cols.append((s.x_lo, s.width, c1, a1, a2, vertex))
+        return np.array(cols).T.copy()
+
+    def max_deriv_array(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        """`max_deriv(los[i], his[i])` for every i, bit for bit.  Each
+        interval is cut into one piece per segment it meets, by the scalar
+        rule: its ends go to the segments `deriv` uses there and every
+        breakpoint between them ends one piece and starts the next (t = 0
+        and t = the segment's width).  A piece's quadratic is read at its
+        two ends and at its vertex when that lies strictly inside, compared
+        in t as `cubic_extremes` does; (a2 t + a1) t + a0 is
+        `cubic_extremes`' Horner run with a3 = 0.0, whose zero terms add
+        nothing since a0 = c1 > 0.  The pieces' maxima are joined per
+        interval.  A few intervals go through `max_deriv` itself."""
+        los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+        if los.size <= _FEW:
+            return np.array([self.max_deriv(a, b) for a, b in zip(los.tolist(), his.tolist())],
+                            dtype=float)
+        bp, width, a0, a1, a2, vertex = self._deriv_columns
+        first = np.maximum(bp.searchsorted(los) - 1, 0)
+        last = np.maximum(bp.searchsorted(his) - 1, first)
+        ends = np.cumsum(last - first + 1)
+        starts = np.append(0, ends[:-1])
+        seg = np.arange(ends[-1]) + np.repeat(first - starts, last - first + 1)
+        t_a, t_b = np.zeros(seg.size), width[seg]
+        t_a[starts], t_b[ends - 1] = los - bp[first], his - bp[last]
+        a0, a1, a2, t_v = a0[seg], a1[seg], a2[seg], vertex[seg]
+        top = np.maximum((a2 * t_a + a1) * t_a + a0, (a2 * t_b + a1) * t_b + a0)
+        inside = (t_a < t_v) & (t_v < t_b)  # NaN fails
+        np.maximum(top, (a2 * t_v + a1) * t_v + a0, out=top, where=inside)
+        return np.maximum.reduceat(top, starts)
 
     # -- structure helpers -----------------------------------------------------
 

@@ -16,8 +16,8 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from cantorifs.axioms import (HolePair, RuinationRegions, _inverse_orbit, _oriented,
-                              induced_discontinuities)
+from cantorifs.axioms import (EeCell, ExpansionReport, HolePair, RuinationRegions, _inverse_orbit,
+                              _oriented, induced_discontinuities)
 from cantorifs.construct import AppendixParams, ClassCBuilder, epsilon_family_specs, lambda_sequence
 from cantorifs.errors import (CertificateError, ClassificationError, DomainError, IterationCapError,
                               RangeError, SpecError)
@@ -408,6 +408,108 @@ def ruination_gridscan(
         his=xs[idx[ends]] + cell / 2,
     )
 
+
+
+# -- eventual expansion, one cell at a time ----------------------------------------
+# The per-cell enclosure as it was before the Ee cells were bounded on arrays:
+# each domain D_j from `fundamental_domain` and each maximum from the scalar
+# `MapSpec.max_deriv`, with its own copies of the rounding and bisection rules.
+
+
+def _ee_down(x: float) -> float:
+    return math.nextafter(x, 0.0)
+
+
+def _ee_padded(a: float, b: float) -> tuple[float, float]:
+    return min(a, b) - TOL.eps_newton, max(a, b) + TOL.eps_newton
+
+
+def _ee_first_bound(first: MapSpec, chain: float, lo: float, hi: float) -> float:
+    ya, yb = first.inverse_eval(lo), first.inverse_eval(hi)
+    return _ee_down(chain / first.max_deriv(*_ee_padded(ya, yb)))
+
+
+def ee_cells_by_domain(
+    p: IFSPair, which: Literal["F", "G"], hole: Interval
+) -> tuple[list[EeCell], EeCell | None]:
+    """One branch's cells and accumulation cell of `axioms.expansion_cells`,
+    one scalar `max_deriv` per map per domain."""
+    first, ret, dom, _, _ = _oriented(p, which)
+    sites = induced_discontinuities(p, which, dom)
+    if which == "F":
+        fixed, acc_end, edges = 1.0, dom.hi, [dom.lo, *sites]
+    else:
+        fixed, acc_end, edges = 0.0, dom.lo, [dom.hi, *sites[::-1]]
+    ret_name: Literal["f", "g"] = "g" if which == "F" else "f"
+    cells: list[EeCell] = []
+    chain = 1.0
+    for j in range(1, len(edges)):
+        lo, hi = sorted((edges[j - 1], edges[j]))
+        d = fundamental_domain(p, ret_name, j)
+        d_j = _ee_padded(d.lo, d.hi)
+        if hi <= hole.lo or lo >= hole.hi:
+            bound = (_ee_first_bound(first, chain, lo, hi) if j == 1
+                     else _ee_down(chain / first.max_deriv(*d_j)))
+            cells.append(EeCell(lo, hi, j - 1, chain, bound))
+        else:
+            for a, b in ((lo, hole.lo), (hole.hi, hi)):
+                if a < b:
+                    cells.append(EeCell(a, b, j - 1, chain, _ee_first_bound(first, chain, a, b)))
+        chain = _ee_down(chain / ret.max_deriv(*d_j))
+    big_j = len(edges)
+    lo, hi = sorted((edges[-1], acc_end))
+    bound, low = math.inf, chain
+    for k in range(big_j, big_j + TOL.max_iter):
+        d = fundamental_domain(p, ret_name, k)
+        d_k = _ee_padded(d.lo, d.hi)
+        rest = _ee_padded(d.lo if which == "F" else d.hi, fixed)
+        if ret.max_deriv(*rest) <= 1.0:
+            bound = min(bound, _ee_down(chain / first.max_deriv(*rest)))
+            return cells, EeCell(lo, hi, big_j - 1, low, bound)
+        bound = min(bound, _ee_down(chain / first.max_deriv(*d_k)))
+        chain = _ee_down(chain / ret.max_deriv(*d_k))
+        low = min(low, chain)
+    return cells, None
+
+
+def _ee_bisect(first: MapSpec, cell: EeCell, mu_target: float) -> tuple[list[EeCell], bool]:
+    stack, done = [cell], []
+    while stack:
+        c = stack.pop()
+        if c.bound > mu_target:
+            done.append(c)
+        elif c.hi - c.lo <= TOL.eps_geom:
+            return done + stack + [c], True
+        else:
+            m = c.mid
+            halves = [EeCell(a, b, c.n, c.chain, _ee_first_bound(first, c.chain, a, b))
+                      for a, b in ((c.lo, m), (m, c.hi))]
+            stack.extend(sorted(halves, key=lambda h: h.bound, reverse=True))
+    return done, False
+
+
+def check_ee_by_domain(p: IFSPair, h: HolePair, mu_target: float) -> ExpansionReport:
+    """`axioms.check_ee` over the cells of `ee_cells_by_domain`."""
+    pieces: list[tuple[EeCell, str]] = []
+    tails: list[tuple[EeCell, str]] = []
+    for which, hole in (("F", h.h_f), ("G", h.h_g)):
+        cells, tail = ee_cells_by_domain(p, which, hole)
+        pieces += [(c, which) for c in cells]
+        if tail is not None:
+            tails.append((tail, which))
+    cover: list[tuple[EeCell, str]] = []
+    failed = False
+    for cell, which in sorted(pieces, key=lambda cw: cw[0].bound):
+        if failed or cell.bound > mu_target:
+            cover.append((cell, which))
+            continue
+        subs, failed = _ee_bisect(_oriented(p, which)[0], cell, mu_target)
+        cover += [(c, which) for c in subs]
+    cover += tails
+    worst, branch = min(cover, key=lambda cw: cw[0].bound)
+    enclosed = len(tails) == 2
+    return ExpansionReport(worst.bound > mu_target > 1.0 and enclosed, worst.bound, mu_target,
+                           len(cover), worst.mid, branch, enclosed)
 
 # -- hole avoidance ----------------------------------------------------------------
 

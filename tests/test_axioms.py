@@ -44,8 +44,10 @@ from cantorifs.gapfinder import _invert_checked, certify_cantor
 from oracles import (
     apply_word,
     ca_clearance,
+    check_ee_by_domain,
     check_so_containment_form,
     dilate,
+    ee_cells_by_domain,
     induced_discontinuities_by_scan,
     induced_map,
     induced_n_by_chain,
@@ -519,9 +521,7 @@ def test_induced_map_domain_error(built_ctx):
     lambda p, h: _walk_step(p, "H", Interval(0.3, 0.31)),
     lambda p, h: induced_deriv(p, "H", 0.3),
     lambda p, h: induced_discontinuities(p, "H", Interval(0.0, 1.0)),
-    lambda p, h: axioms.expansion_cells(p, "H", h.h_f),
-], ids=["induced_n", "induced_step", "induced_deriv", "induced_discontinuities",
-        "expansion_cells"])
+], ids=["induced_n", "induced_step", "induced_deriv", "induced_discontinuities"])
 def test_induced_maps_refuse_a_bad_branch(built_ctx, call):
     with pytest.raises(DomainError) as err:
         call(built_ctx["pair"], built_ctx["hole"])
@@ -572,7 +572,7 @@ def test_ee_cell_bounds_below_induced_deriv(built_ctx, which):
     pair, hole = built_ctx["pair"], built_ctx["hole"]
     h = hole.h_f if which == "F" else hole.h_g
     dom = pair.f1 if which == "F" else pair.g1
-    cells, tail = axioms.expansion_cells(pair, which, h)
+    cells, tail = axioms.expansion_cells(pair, hole)["FG".index(which)]
     assert tail is not None
     assert sum(c.lo == h.hi or c.hi == h.lo for c in cells) == 2  # next to the hole
     assert any(pair.overlap.contains_interval(Interval(c.lo, c.hi)) for c in cells)  # in W
@@ -594,9 +594,9 @@ def test_bisect_passes_when_both_halves_clear_the_target(built_ctx):
     by those halves, and no failing piece is reported."""
     pair, hole = built_ctx["pair"], built_ctx["hole"]
     found = []
-    for which, h in (("F", hole.h_f), ("G", hole.h_g)):
+    for which, (cells, _) in zip("FG", axioms.expansion_cells(pair, hole)):
         first = axioms._oriented(pair, which)[0]
-        for c in axioms.expansion_cells(pair, which, h)[0]:
+        for c in cells:
             halves = [axioms.EeCell(a, b, c.n, c.chain, axioms._first_bound(first, c.chain, a, b))
                       for a, b in ((c.lo, c.mid), (c.mid, c.hi))]
             if min(half.bound for half in halves) > c.bound:
@@ -615,14 +615,40 @@ def test_ee_tail_needs_return_map_below_one(d_fixed, enclosed):
     # g's last segment ends at its fixed point 1 with derivative d_fixed, and
     # f is its mirror image: at d_fixed = 1 no k has max g' <= 1 on the
     # padded [g^k(0), 1], so neither accumulation cell is enclosed
+    rep = check_ee(*_tail_pair(d_fixed), mu_target=1.01)
+    assert rep.tails_enclosed is enclosed
+    assert rep.ok is enclosed
+    assert rep.mu > 1.01
+
+
+def _tail_pair(d_fixed):
+    """The pair of `test_ee_tail_needs_return_map_below_one` and its hole."""
     g = MapSpec((Segment(0.0, 0.5, Affine(0.5, 0.45)),
                  Segment(0.5, 1.0, CubicHermite(0.7, 1.0, 0.5, d_fixed))))
     pair = validate_class_a(symmetry_conjugate(g), g).as_pair()
     h_f = Interval(0.38, 0.39)
-    rep = check_ee(pair, HolePair(h_f, pair.g.image_of(h_f), 0.0), mu_target=1.01)
-    assert rep.tails_enclosed is enclosed
-    assert rep.ok is enclosed
-    assert rep.mu > 1.01
+    return pair, HolePair(h_f, pair.g.image_of(h_f), 0.0)
+
+
+@pytest.mark.parametrize("case", ["built", "eps", "tail 0.9", "tail 1.0"])
+def test_ee_matches_the_per_cell_oracle_bit_for_bit(built_ctx, eps_pair, case):
+    """Every cell float of both branches and every report field equal the
+    per-cell loop's (`fundamental_domain` per domain, scalar `max_deriv`),
+    on targets that pass, fail and force bisection of many cells."""
+    if case == "built":
+        pair, hole = built_ctx["pair"], built_ctx["hole"]
+    elif case == "eps":
+        pair, hole = eps_pair, find_hole(eps_pair, ConstructionParams().j_p)
+    else:
+        pair, hole = _tail_pair(float(case.split()[1]))
+    expect = (ee_cells_by_domain(pair, "F", hole.h_f), ee_cells_by_domain(pair, "G", hole.h_g))
+    assert repr(axioms.expansion_cells(pair, hole)) == repr(expect)
+    samples = set()
+    for mu_target in (1.01, 1.5, 1.9, 2.0, 2.5, 50.0):
+        rep = check_ee(pair, hole, mu_target)
+        assert repr(rep) == repr(check_ee_by_domain(pair, hole, mu_target))
+        samples.add(rep.samples)
+    assert len(samples) > 1  # some target bisects
 
 
 # -- ruination regions ---------------------------------------------------------------

@@ -278,10 +278,7 @@ def test_symmetric_pair_expands_equally_on_both_branches(builder, built_report):
     broke the tie on F."""
     pair = builder.pair_at(built_report.alpha0).as_pair()
     hole = find_hole(pair, builder.params.j_p)
-    least = []
-    for which, h in (("F", hole.h_f), ("G", hole.h_g)):
-        cells, tail = expansion_cells(pair, which, h)
-        least.append(min(c.bound for c in [*cells, tail]))
+    least = [min(c.bound for c in [*cells, tail]) for cells, tail in expansion_cells(pair, hole)]
     assert least[0] == least[1]
 
 

@@ -509,6 +509,27 @@ def test_max_deriv_bounds_a_dense_grid(real_maps):
             assert grid <= top <= grid * (1.0 + 1e-3)
 
 
+
+def test_max_deriv_array_is_max_deriv_bit_for_bit(real_maps):
+    """Every interval, lo == hi included, between two of 200 ends: 0, 1 and
+    the breakpoints, each with the floats beside it, ends padded past 0 and
+    1, and uniform draws; shuffled, and in batches of up to _FEW + 1, which
+    cover the scalar fallback and the smallest array batch."""
+    total = 0
+    for m in real_maps:
+        ends = sorted({*_with_neighbours([0.0, 1.0, *m.breakpoints()]),
+                       -TOL.eps_newton, 1.0 + TOL.eps_newton, -1e-3, 1.0 + 1e-3})
+        ends = np.sort([*ends, *RNG.uniform(0.0, 1.0, 200 - len(ends))])
+        i, j = np.triu_indices(ends.size)
+        order = RNG.permutation(i.size)
+        los, his = ends[i[order]], ends[j[order]]
+        scalar = np.array([m.max_deriv(a, b) for a, b in zip(los.tolist(), his.tolist())])
+        assert _bits(m.max_deriv_array(los, his)) == _bits(scalar)
+        for k in range(maps._FEW + 2):
+            assert _bits(m.max_deriv_array(los[:k], his[:k])) == _bits(scalar[:k])
+        total += los.size
+    assert total >= 80_000
+
 # -- affine conjugation ----------------------------------------------------------------
 
 

@@ -465,6 +465,27 @@ def test_cli_missing_file_is_usage_error(tmp_path):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("command", ["validate", "gaps", "plot"])
+@pytest.mark.parametrize("lo, hi", [("0.4", "0.3"), ("-3", "5"), ("-0.1", "0.2"), ("0.9", "1.5")])
+def test_cli_bad_hole_seed_is_a_usage_error_before_the_pair_is_read(tmp_path, capsys, command,
+                                                                     lo, hi):
+    """A reversed seed once loaded the pair and ran class A before its
+    SpecError exited 2, and one outside [0, 1] exited on a DomainError; the
+    pair file here does not exist, so only the usage check can answer."""
+    window = ["--lo", "0.3", "--hi", "0.31"] if command == "gaps" else []
+    assert main([command, str(tmp_path / "nope.json"), *window, "--seed-lo", lo, "--seed-hi", hi,
+                 "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: ") and err.count("\n") == 1
+    assert "--seed-lo" in err and "--seed-hi" in err
+
+
+def test_cli_one_point_hole_seed_is_a_verdict(pair_file, tmp_path, capsys):
+    assert main(["validate", pair_file, "--seed-lo", "0.3", "--seed-hi", "0.3",
+                 "--output-dir", str(tmp_path)]) == 1
+    assert "hole_error: " in (tmp_path / "validate_report.txt").read_text(encoding="utf-8")
+
 def _segment_without_x_lo(pair_file: str) -> str:
     doc = json.loads(Path(pair_file).read_text(encoding="utf-8"))
     del doc["g"]["segments"][1]["x_lo"]
