@@ -411,9 +411,9 @@ def ruination_gridscan(
 
 
 # -- eventual expansion, one cell at a time ----------------------------------------
-# The per-cell enclosure as it was before the Ee cells were bounded on arrays:
-# each domain D_j from `fundamental_domain` and each maximum from the scalar
-# `MapSpec.max_deriv`, with its own copies of the rounding and bisection rules.
+# The per-cell enclosure by the scalar route: each domain D_j from
+# `fundamental_domain` and each maximum from the scalar `MapSpec.max_deriv`,
+# with its own copies of the rounding and bisection rules.
 
 
 def _ee_down(x: float) -> float:
