@@ -27,8 +27,8 @@ C1_DERIV_TOL = 1e-6
 
 #: The library's one small-batch threshold: up to this many points, `eval_array`
 #: and `inverse_array` call the scalar method per point, where numpy's cost per
-#: call outweighs its speed; up to this many intervals, `max_deriv_array` calls
-#: `max_deriv` per interval and `gapfinder.pull_back` maps them through `eval`.
+#: call outweighs its speed; up to this many intervals, `gapfinder.pull_back`
+#: maps them through `eval`.
 #: The gap walk's other batches go through the first two.
 _FEW = 8
 
@@ -406,11 +406,10 @@ class MapSpec:
         in t as `cubic_extremes` does; (a2 t + a1) t + a0 is
         `cubic_extremes`' Horner run with a3 = 0.0, whose zero terms add
         nothing since a0 = c1 > 0.  The pieces' maxima are joined per
-        interval.  A few intervals go through `max_deriv` itself."""
+        interval."""
         los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
-        if los.size <= _FEW:
-            return np.array([self.max_deriv(a, b) for a, b in zip(los.tolist(), his.tolist())],
-                            dtype=float)
+        if los.size == 0:
+            return np.empty(0)
         bp, width, a0, a1, a2, vertex = self._deriv_columns
         first = np.maximum(bp.searchsorted(los) - 1, 0)
         last = np.maximum(bp.searchsorted(his) - 1, first)

@@ -513,8 +513,8 @@ def test_max_deriv_bounds_a_dense_grid(real_maps):
 def test_max_deriv_array_is_max_deriv_bit_for_bit(real_maps):
     """Every interval, lo == hi included, between two of 200 ends: 0, 1 and
     the breakpoints, each with the floats beside it, ends padded past 0 and
-    1, and uniform draws; shuffled, and in batches of up to _FEW + 1, which
-    cover the scalar fallback and the smallest array batch."""
+    1, and uniform draws; shuffled, whole and in every batch of 0 to
+    _FEW + 1 intervals."""
     total = 0
     for m in real_maps:
         ends = sorted({*_with_neighbours([0.0, 1.0, *m.breakpoints()]),
