@@ -101,14 +101,13 @@ def base_pair() -> tuple[MapSpec, MapSpec]:
     return f, g
 
 
-def _chain(x0: float, y0: float, pieces: list[tuple[str, float, float, float]]) -> list[Segment]:
+def _chain(x: float, y: float, pieces: list[tuple[str, float, float, float]]) -> list[Segment]:
     """Build abutting segments from (kind, width, d_lo, d_hi) descriptions.
 
     Affine pieces use d_lo as the slope; Hermite pieces get the
     linear-derivative rise, so every piece is monotone by construction.
     """
     segs: list[Segment] = []
-    x, y = x0, y0
     for kind, width, d_lo, d_hi in pieces:
         x1 = x + width
         if kind == "affine":
@@ -117,7 +116,7 @@ def _chain(x0: float, y0: float, pieces: list[tuple[str, float, float, float]]) 
         else:
             seg = hermite_linear_deriv(x, x1, y, d_lo, d_hi)
             segs.append(seg)
-            y = seg.y_hi
+            y = seg.kind.y_hi
         x = x1
     return segs
 
@@ -365,8 +364,8 @@ def build_gamma(ruin: RuinationRegions, w: Interval) -> MapSpec:
     # rises land it at (1 - xi, 1 - xi) up to rounding
     segs.append(Segment(end.x_hi, 1.0, Affine(1.0, 0.0)))
     gamma = MapSpec(tuple(segs), label="gamma")
-    if abs(end.y_hi - (1.0 - xi)) > TOL.eps_geom:
-        raise ConstructionError(f"gamma rise bookkeeping off by {end.y_hi - (1 - xi):.3g}")
+    if abs(end.kind.y_hi - (1.0 - xi)) > TOL.eps_geom:
+        raise ConstructionError(f"gamma rise bookkeeping off by {end.kind.y_hi - (1 - xi):.3g}")
     return gamma
 
 

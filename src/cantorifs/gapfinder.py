@@ -324,8 +324,9 @@ def _boundary_lemma(p: IFSPair, h: HolePair, r: RuinationRegions, lo: np.ndarray
     for piece, corner, m in ((3, p.f1.lo, p.f), (4, p.g1.hi, p.g)):
         c = k[(lo[k] < corner) & (corner < hi[k])] if k.size else k
         if c.size:
-            b_lo, b_hi = m.inverse_array(np.stack([np.maximum(lo[c], m.y0),
-                                                   np.minimum(hi[c], m.y1)], 1)).T
+            y_lo, y_hi = m._image
+            b_lo, b_hi = m.inverse_array(np.stack([np.maximum(lo[c], y_lo),
+                                                   np.minimum(hi[c], y_hi)], 1)).T
             if not (b_lo <= b_hi).all():
                 j = int(np.argmin(b_lo <= b_hi))
                 raise SpecError(f"interval needs lo <= hi, got [{b_lo[j]}, {b_hi[j]}]")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError, SpecError
 from .intervals import TOL, Interval, IntervalSet, Tolerance
-from .maps import MapSpec, Segment, _reflected_segments, cubic_extremes
+from .maps import MapSpec, _reflected_rows, cubic_extremes
 
 #: Hard cap on deduplicated orbit size.
 ORBIT_CAP = 10_000_000
@@ -137,24 +137,24 @@ class ValidationResult:
         return "\n".join(lines) + "\n"
 
 
-def _below_diagonal(segs: tuple[Segment, ...]) -> float | None:
+def _below_diagonal(rows: tuple[tuple, ...]) -> float | None:
     """Where the cubic y - m(y) is least on the first segment of m, from 0,
-    whose least is below eps_geom, or None.  On the segment at the fixed point
-    0, c0 is dropped and t divided out while the constant term is exactly 0."""
-    for s in segs:
-        c0, c1, c2, c3 = s.coeffs
-        p = (0.0 if s.x_lo == 0.0 else s.x_lo - c0, 1.0 - c1, -c2, -c3)
-        while s.x_lo == 0.0 and p[0] == 0.0 and any(p):
+    whose least is below eps_geom, or None; m is given by its table rows.
+    On the segment at the fixed point 0, c0 is dropped and t divided out
+    while the constant term is exactly 0."""
+    for x_lo, width, c0, c1, c2, c3, _, _, _, _, _, _, _, _ in rows:
+        p = (0.0 if x_lo == 0.0 else x_lo - c0, 1.0 - c1, -c2, -c3)
+        while x_lo == 0.0 and p[0] == 0.0 and any(p):
             p = (*p[1:], 0.0)
-        (least, t), _ = cubic_extremes(p, 0.0, s.width)
+        (least, t), _ = cubic_extremes(p, 0.0, width)
         if least < TOL.eps_geom:
-            return s.x_lo + t
+            return x_lo + t
     return None
 
 
 def validate_class_a(f: MapSpec, g: MapSpec) -> ValidationResult:
-    """Check the class-A bullets in order, "f(x) < x < g(x)" on the segments
-    of f and of g reflected about the diagonal; violations are data."""
+    """Check the class-A bullets in order, "f(x) < x < g(x)" on the table
+    rows of f and of g reflected about the diagonal; violations are data."""
     eps = TOL.eps_geom
     violations: list[Violation] = []
 
@@ -164,10 +164,10 @@ def validate_class_a(f: MapSpec, g: MapSpec) -> ValidationResult:
         violations.append(Violation("g(1) = 1", 1.0, f"g(1) = {g.eval(1.0):.3g}"))
 
     if not violations:
-        x = _below_diagonal(f.segments)
+        x = _below_diagonal(f._rows)
         if x is not None:
             violations.append(Violation("f(x) < x", x, f"x - f(x) = {x - f.eval(x):.3g}"))
-        y = _below_diagonal(_reflected_segments(g))
+        y = _below_diagonal(_reflected_rows(g))
         if y is not None:
             x = 1.0 - y
             violations.append(Violation("x < g(x)", x, f"g(x) - x = {g.eval(x) - x:.3g}"))

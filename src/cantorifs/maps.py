@@ -5,6 +5,13 @@ or cubic Hermite (endpoint values and derivatives in local coordinates).
 Affine pieces reproduce the base pair and the epsilon-family exactly; Hermite
 pieces realize the C1 bump modifications and connector joins with
 controllable endpoint derivatives.
+
+A `MapSpec` builds one read-only table of segment facts with the map, a
+`_row` per segment: its scalar methods read the tuple rows and its array
+methods the numpy columns of the same floats.  Class A reads the rows of g
+reflected about the diagonal, made by `_row` from g's kind data.
+`Segment`, `Affine` and `CubicHermite` remain the pair-file and builder
+types.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -77,14 +85,7 @@ class Segment:
     @cached_property
     def coeffs(self) -> tuple[float, float, float, float]:
         """Cubic coefficients c0..c3 in t = x - x_lo (affine has c2 = c3 = 0)."""
-        k = self.kind
-        if isinstance(k, Affine):
-            return (k.slope * self.x_lo + k.intercept, k.slope, 0.0, 0.0)
-        h = self.width
-        delta = (k.y_hi - k.y_lo) / h
-        c2 = (3.0 * delta - 2.0 * k.d_lo - k.d_hi) / h
-        c3 = (k.d_lo + k.d_hi - 2.0 * delta) / (h * h)
-        return (k.y_lo, k.d_lo, c2, c3)
+        return _coeffs(self.x_lo, self.x_hi, self.kind)
 
     def value_at(self, x: float) -> float:
         c0, c1, c2, c3 = self.coeffs
@@ -130,14 +131,39 @@ class Segment:
             raise IterationCapError(f"inverse_eval stalled at y={y}")
         return x
 
-    @cached_property
-    def y_lo(self) -> float:
-        return self.value_at(self.x_lo)
 
-    @cached_property
-    def y_hi(self) -> float:
-        k = self.kind
-        return k.y_hi if isinstance(k, CubicHermite) else k.slope * self.x_hi + k.intercept
+def _coeffs(x_lo: float, x_hi: float, k: Affine | CubicHermite) -> tuple[float, float, float, float]:
+    """c0..c3 in t = x - x_lo of the piece of kind k on [x_lo, x_hi]."""
+    if isinstance(k, Affine):
+        return (k.slope * x_lo + k.intercept, k.slope, 0.0, 0.0)
+    h = x_hi - x_lo
+    delta = (k.y_hi - k.y_lo) / h
+    c2 = (3.0 * delta - 2.0 * k.d_lo - k.d_hi) / h
+    c3 = (k.d_lo + k.d_hi - 2.0 * delta) / (h * h)
+    return (k.y_lo, k.d_lo, c2, c3)
+
+
+def _row(x_lo: float, x_hi: float, k: Affine | CubicHermite) -> tuple:
+    """The table row of the piece of kind k on [x_lo, x_hi]:
+
+        (x_lo, width, c0, c1, c2, c3, a1, a2, vertex,
+         y_lo, y_hi, flat, affine, intercept)
+
+    m' is the quadratic c1 + a1 t + a2 t^2 (a1 = 2c2, a2 = 3c3), whose
+    vertex t is where `cubic_extremes` finds one and NaN where not.  y_lo is
+    `Segment.value_at(x_lo)`, y_hi the kind's value at x_hi.  `flat` is
+    c2 == c3 == 0, which `_eval_into`'s multiply-add needs; `affine` picks
+    `inverse_eval`'s quotient (y - intercept) / c1 and is False, with a NaN
+    intercept, on a Hermite piece even when it is flat."""
+    c0, c1, c2, c3 = _coeffs(x_lo, x_hi, k)
+    a1, a2 = 2.0 * c2, 3.0 * c3
+    # cubic_extremes' discriminant and root, with its a3 = 0.0
+    vertex = -a1 / (2.0 * a2) if a2 * a2 - 3.0 * a1 * 0.0 > 0.0 else math.nan
+    affine = isinstance(k, Affine)
+    y_lo = ((c3 * 0.0 + c2) * 0.0 + c1) * 0.0 + c0  # value_at's Horner at t = 0
+    y_hi = k.slope * x_hi + k.intercept if affine else k.y_hi
+    return (x_lo, x_hi - x_lo, c0, c1, c2, c3, a1, a2, vertex, y_lo, y_hi,
+            c2 == c3 == 0.0, affine, k.intercept if affine else math.nan)
 
 
 def cubic_extremes(a: tuple[float, ...], t_a: float, t_b: float) -> tuple[tuple[float, float], ...]:
@@ -170,7 +196,17 @@ class MapSpec:
     """Strictly increasing piecewise map covering [0, 1] without gaps: each
     segment starts at the float where the previous one ends, from 0.0 to
     1.0.  Values and derivatives at a join round, and are checked to
-    `TOL.eps_geom` and `C1_DERIV_TOL`."""
+    `TOL.eps_geom` and `C1_DERIV_TOL`.
+
+    Every method reads one table of segment facts, built with the map in
+    the pass that checks the joins and never changed.  Its row view
+    `_rows[j]` is segment j's `_row`, which the scalar paths unpack; its
+    column view `_cols` holds the same floats as read-only numpy arrays,
+    one per row field (the flags as 0.0 and 1.0), which the array paths
+    read.  `_x_cuts` and `_y_cuts` are the x_lo and y_lo columns past
+    segment 0 as tuples: `bisect_left` on them gives the segment index
+    itself, the left segment at a breakpoint or a break value.  `_image` is
+    the first segment's y_lo and the last one's y_hi."""
 
     segments: tuple[Segment, ...]
     label: str = ""
@@ -183,49 +219,30 @@ class MapSpec:
         if segs[0].x_lo != 0.0 or segs[-1].x_hi != 1.0:
             raise SpecError(f"segments must cover [0, 1] exactly, got "
                             f"[{segs[0].x_lo!r}, {segs[-1].x_hi!r}]")
+        rows = tuple(_row(s.x_lo, s.x_hi, s.kind) for s in segs)
+        cols = tuple(zip(*rows))
+        x_lo, _, _, _, _, _, _, _, _, y_lo, y_hi, _, _, _ = cols
+        # Written as `not (... <= tol)` so that NaN fails too.
         for i, (a, b) in enumerate(zip(segs, segs[1:])):
             if a.x_hi != b.x_lo:
                 raise SpecError(f"segments {i} and {i + 1} must join exactly: "
                                 f"x_hi {a.x_hi!r} vs x_lo {b.x_lo!r}")
-            if abs(a.y_hi - b.y_lo) > TOL.eps_geom:
-                raise SpecError(f"value jump {a.y_hi - b.y_lo:.3g} at x={b.x_lo}")
+            if not (abs(y_hi[i] - y_lo[i + 1]) <= TOL.eps_geom):
+                raise SpecError(f"value jump {y_hi[i] - y_lo[i + 1]:.3g} at x={b.x_lo}")
             dl, dr = a.deriv_at(a.x_hi), b.deriv_at(b.x_lo)
-            if abs(dl - dr) > C1_DERIV_TOL * max(1.0, abs(dl), abs(dr)):
+            if not (abs(dl - dr) <= C1_DERIV_TOL * max(1.0, abs(dl), abs(dr))):
                 raise SpecError(f"derivative jump {dl:.6g} vs {dr:.6g} at x={b.x_lo}")
-
-    # -- cached lookup tables ----------------------------------------------
-    # The scalar path bisects the tuples and `eval_array` searches its
-    # points for the breakpoint tuple: both cut at the same floats.
-
-    @cached_property
-    def _bp_tuple(self) -> tuple[float, ...]:
-        return tuple(s.x_lo for s in self.segments)
-
-    @cached_property
-    def _break_y_tuple(self) -> tuple[float, ...]:
-        return tuple(s.y_lo for s in self.segments) + (self.segments[-1].y_hi,)
-
-    @cached_property
-    def _eval_rows(self) -> tuple[tuple[float, float, float, float, float], ...]:
-        """Row k is (x_lo, c0, c1, c2, c3) of segment max(k - 1, 0), the one
-        `_seg_index` picks where bisect_left returns k: no index clamp."""
-        segs = self.segments
-        return tuple((s.x_lo, *s.coeffs) for s in (segs[0], *segs))
-
-    @cached_property
-    def _inverse_rows(self) -> tuple[tuple[float | None, float | None, Segment | None], ...]:
-        """Row k is (intercept, slope, None) of an affine segment or (None,
-        None, segment) of a Hermite one, for segment min(max(k - 1, 0), n - 1),
-        the one the break-value bisect_left picks at k: no index clamp."""
-        segs = self.segments
-        return tuple((s.kind.intercept, s.kind.slope, None) if isinstance(s.kind, Affine)
-                     else (None, None, s) for s in (segs[0], *segs, segs[-1]))
+        table = np.array(cols, dtype=float)
+        table.setflags(write=False)
+        for name, view in (("_rows", rows), ("_cols", tuple(table)), ("_x_cuts", x_lo[1:]),
+                           ("_y_cuts", y_lo[1:]), ("_image", (y_lo[0], y_hi[-1]))):
+            object.__setattr__(self, name, view)
 
     def _seg_index(self, x: float) -> int:
         # bisect_left is searchsorted(side="left"): the LEFT segment at an
-        # internal breakpoint.  It returns at most len(segments), so only the
-        # lower clamp is needed.
-        return max(bisect_left(self._bp_tuple, x) - 1, 0)
+        # internal breakpoint, the first one at or below 0, the last at or
+        # above 1.
+        return bisect_left(self._x_cuts, x)
 
     # -- scalar evaluation ---------------------------------------------------
 
@@ -236,21 +253,25 @@ class MapSpec:
 
     def eval(self, x: float) -> float:
         """`Segment.value_at` of the segment `_seg_index` picks, op for op,
-        read off `_eval_rows`."""
+        read off its row."""
         x = self._check_domain(x)
-        x_lo, c0, c1, c2, c3 = self._eval_rows[bisect_left(self._bp_tuple, x)]
+        x_lo, _, c0, c1, c2, c3, _, _, _, _, _, _, _, _ = self._rows[bisect_left(self._x_cuts, x)]
         t = x - x_lo
         return ((c3 * t + c2) * t + c1) * t + c0
 
     def deriv(self, x: float) -> float:
+        """`Segment.deriv_at` of the segment `_seg_index` picks, op for op:
+        (3c3 t + 2c2) t + c1 is (a2 t + a1) t + c1."""
         x = self._check_domain(x)
-        return self.segments[self._seg_index(x)].deriv_at(x)
+        x_lo, _, _, c1, _, _, a1, a2, _, _, _, _, _, _ = self._rows[bisect_left(self._x_cuts, x)]
+        t = x - x_lo
+        return (a2 * t + a1) * t + c1
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         """`eval` at every point, bit for bit.  The points, sorted, are cut
         at the breakpoints by the scalar rule (a point belongs to the segment
         with x_lo of its own < x <= x_lo of the next), and each segment runs
-        Horner on its slice, in place.  An affine one (c2 = c3 = 0) runs
+        Horner on its slice, in place.  A flat one (c2 = c3 = 0) runs
         t*c1 + c0: for finite t, Horner's ((0*t + 0)*t + c1)*t + c0 reaches
         exactly c1 first, so the floats are the same, from a multiply and an
         add, each correctly rounded and increasing in t (c1 > 0).  Points are
@@ -277,12 +298,12 @@ class MapSpec:
             raise DomainError("array evaluation outside [0, 1]")
         if lo < 0.0 or hi > 1.0:
             xc = np.clip(xc, 0.0, 1.0)
-        cuts = np.searchsorted(xc, self._bp_tuple[1:], side="right").tolist()
-        for s, a, b in zip(self.segments, [0, *cuts], [*cuts, xc.size]):
+        cuts = np.searchsorted(xc, self._cols[0][1:], side="right").tolist()
+        for row, a, b in zip(self._rows, [0, *cuts], [*cuts, xc.size]):
             if a < b:
-                c0, c1, c2, c3 = s.coeffs
-                y = np.subtract(xc[a:b], s.x_lo, out=out[a:b])
-                if c2 == c3 == 0.0:
+                x_lo, _, c0, c1, c2, c3, _, _, _, _, _, flat, _, _ = row
+                y = np.subtract(xc[a:b], x_lo, out=out[a:b])
+                if flat:
                     y *= c1
                 else:  # Horner in place, on one copy of t
                     t = y.copy()
@@ -296,66 +317,48 @@ class MapSpec:
 
     # -- inversion -----------------------------------------------------------
 
-    @cached_property
-    def y0(self) -> float:
-        return self.segments[0].y_lo
-
-    @cached_property
-    def y1(self) -> float:
-        return self.segments[-1].y_hi
-
     def inverse_eval(self, y: float) -> float:
         """The unique x with eval(x) = y: the segment whose image holds y
         (the left one at a break value) solves it.  An affine segment's row
-        in `_inverse_rows` gives `Segment.inverse_at`'s quotient op for op;
-        a Hermite one calls it."""
-        y0, y1 = self.y0, self.y1
-        if not (y0 - TOL.eps_newton <= y <= y1 + TOL.eps_newton):  # NaN fails too
-            raise RangeError(f"y={y} outside image [{y0}, {y1}]")
-        if y < y0:
-            y = y0
-        elif y > y1:
-            y = y1
-        intercept, slope, hermite = self._inverse_rows[bisect_left(self._break_y_tuple, y)]
-        if hermite is None:
+        gives `Segment.inverse_at`'s quotient op for op (its c1 is the
+        slope); a Hermite one calls it."""
+        y_lo, y_hi = self._image
+        if not (y_lo - TOL.eps_newton <= y <= y_hi + TOL.eps_newton):  # NaN fails too
+            raise RangeError(f"y={y} outside image [{y_lo}, {y_hi}]")
+        if y < y_lo:
+            y = y_lo
+        elif y > y_hi:
+            y = y_hi
+        j = bisect_left(self._y_cuts, y)
+        _, _, _, slope, _, _, _, _, _, _, _, _, affine, intercept = self._rows[j]
+        if affine:
             return (y - intercept) / slope
-        return hermite.inverse_at(y)
-
-    @cached_property
-    def _inverse_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The break values and `_inverse_rows` as arrays: (break values,
-        intercepts, slopes, Hermite-row mask); a Hermite row's intercept
-        and slope are NaN."""
-        rows = self._inverse_rows
-        herm = np.array([s is not None for _, _, s in rows])
-        icpt = np.array([math.nan if s else c for c, _, s in rows], dtype=float)
-        slope = np.array([math.nan if s else m for _, m, s in rows], dtype=float)
-        return np.array(self._break_y_tuple), icpt, slope, herm
+        return self.segments[j].inverse_at(y)
 
     def inverse_array(self, ys: np.ndarray) -> np.ndarray:
         """`inverse_eval` at every point, bit for bit: the same range check
         (the first point outside raises its RangeError), the same clamps
-        by comparison, which keep -0.0, the same row by `searchsorted`, which
-        is `bisect_left`, and an affine row's `(y - intercept) / slope` as
-        element-wise IEEE operations.  A Hermite row calls
-        `Segment.inverse_at` point by point, and a few points go through
-        `inverse_eval` itself."""
+        by comparison, which keep -0.0, the same segment by `searchsorted`,
+        which is `bisect_left`, and an affine row's `(y - intercept) / slope`
+        as element-wise IEEE operations (a Hermite row's intercept is NaN).
+        A Hermite row calls `Segment.inverse_at` point by point, and a few
+        points go through `inverse_eval` itself."""
         ys = np.asarray(ys, dtype=float)
         if ys.size <= _FEW:
             return np.array([self.inverse_eval(y) for y in ys.ravel().tolist()],
                             dtype=float).reshape(ys.shape)
         y = ys.ravel()
-        y0, y1 = self.y0, self.y1
-        inside = (y0 - TOL.eps_newton <= y) & (y <= y1 + TOL.eps_newton)  # NaN fails too
+        y_lo, y_hi = self._image
+        inside = (y_lo - TOL.eps_newton <= y) & (y <= y_hi + TOL.eps_newton)  # NaN fails too
         if not inside.all():
             bad = float(y[np.argmin(inside)])
-            raise RangeError(f"y={bad} outside image [{y0}, {y1}]")
-        y = np.where(y < y0, y0, np.where(y > y1, y1, y))
-        breaks, icpt, slope, herm = self._inverse_columns
-        k = np.searchsorted(breaks, y, side="left")
-        x = (y - icpt[k]) / slope[k]
-        for j in np.flatnonzero(herm[k]).tolist():
-            x[j] = self._inverse_rows[k[j]][2].inverse_at(float(y[j]))
+            raise RangeError(f"y={bad} outside image [{y_lo}, {y_hi}]")
+        y = np.where(y < y_lo, y_lo, np.where(y > y_hi, y_hi, y))
+        _, _, _, slope, _, _, _, _, _, breaks, _, _, affine, intercept = self._cols
+        k = np.searchsorted(breaks[1:], y, side="left")
+        x = (y - intercept[k]) / slope[k]
+        for j in np.flatnonzero(affine[k] == 0.0).tolist():
+            x[j] = self.segments[k[j]].inverse_at(float(y[j]))
         return x.reshape(ys.shape)
 
     def max_deriv(self, lo: float, hi: float) -> float:
@@ -366,35 +369,23 @@ class MapSpec:
         segment that `deriv` uses there, (x_lo of its own, x_lo of the
         next]; the first and last segments' polynomials extend past 0 and
         1, so an interval padded outward there is covered rather than
-        clamped.  `max_deriv_array` gives the same floats for many
-        intervals."""
-        segs, bps = self.segments, self._bp_tuple
-        j = self._seg_index(lo)
-        a, best = lo, -math.inf
+        clamped.  These are `cubic_extremes`' values with a3 = 0.0: its
+        Horner run ((0 t + a2) t + a1) t + c1 adds only zeros to
+        (a2 t + a1) t + c1 at finite t, since c1 > 0.  `max_deriv_array`
+        gives the same floats for many intervals."""
+        rows, cuts = self._rows, self._x_cuts
+        j = bisect_left(cuts, lo)
+        t_a, best = lo - rows[j][0], -math.inf
         while True:
-            s = segs[j]
-            _, c1, c2, c3 = s.coeffs
-            d = (c1, 2.0 * c2, 3.0 * c3, 0.0)
-            if j == len(segs) - 1 or hi <= bps[j + 1]:
-                return max(best, cubic_extremes(d, a - s.x_lo, hi - s.x_lo)[1][0])
-            best = max(best, cubic_extremes(d, a - s.x_lo, bps[j + 1] - s.x_lo)[1][0])
-            j += 1
-            a = bps[j]
-
-    @cached_property
-    def _deriv_columns(self) -> np.ndarray:
-        """Rows x_lo, width, a0, a1, a2 and vertex of every segment, for m'
-        as the quadratic a0 + a1 t + a2 t^2 in t = x - x_lo (a0 = c1,
-        a1 = 2c2, a2 = 3c3), whose vertex t is where `cubic_extremes` finds
-        one and NaN where not."""
-        cols = []
-        for s in self.segments:
-            _, c1, c2, c3 = s.coeffs
-            a1, a2 = 2.0 * c2, 3.0 * c3
-            # cubic_extremes' discriminant and root, with its a3 = 0.0
-            vertex = -a1 / (2.0 * a2) if a2 * a2 - 3.0 * a1 * 0.0 > 0.0 else math.nan
-            cols.append((s.x_lo, s.width, c1, a1, a2, vertex))
-        return np.array(cols).T.copy()
+            x_lo, width, _, c1, _, _, a1, a2, t_v, _, _, _, _, _ = rows[j]
+            last = j == len(cuts) or hi <= cuts[j]
+            t_b = hi - x_lo if last else width
+            best = max(best, (a2 * t_a + a1) * t_a + c1, (a2 * t_b + a1) * t_b + c1)
+            if t_a < t_v < t_b:  # NaN, where there is no vertex, fails
+                best = max(best, (a2 * t_v + a1) * t_v + c1)
+            if last:
+                return best
+            j, t_a = j + 1, 0.0
 
     def max_deriv_array(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """`max_deriv(los[i], his[i])` for every i, bit for bit.  Each
@@ -402,17 +393,15 @@ class MapSpec:
         rule: its ends go to the segments `deriv` uses there and every
         breakpoint between them ends one piece and starts the next (t = 0
         and t = the segment's width).  A piece's quadratic is read at its
-        two ends and at its vertex when that lies strictly inside, compared
-        in t as `cubic_extremes` does; (a2 t + a1) t + a0 is
-        `cubic_extremes`' Horner run with a3 = 0.0, whose zero terms add
-        nothing since a0 = c1 > 0.  The pieces' maxima are joined per
-        interval."""
+        two ends and at its vertex when that lies strictly inside.  The
+        pieces' maxima are joined per interval."""
         los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
         if los.size == 0:
             return np.empty(0)
-        bp, width, a0, a1, a2, vertex = self._deriv_columns
-        first = np.maximum(bp.searchsorted(los) - 1, 0)
-        last = np.maximum(bp.searchsorted(his) - 1, first)
+        bp, width, _, a0, _, _, a1, a2, vertex, _, _, _, _, _ = self._cols
+        cuts = bp[1:]
+        first = cuts.searchsorted(los)
+        last = np.maximum(cuts.searchsorted(his), first)
         ends = np.cumsum(last - first + 1)
         starts = np.append(0, ends[:-1])
         seg = np.arange(ends[-1]) + np.repeat(first - starts, last - first + 1)
@@ -427,7 +416,7 @@ class MapSpec:
     # -- structure helpers -----------------------------------------------------
 
     def breakpoints(self) -> list[float]:
-        return [s.x_lo for s in self.segments[1:]]
+        return list(self._x_cuts)
 
     def image_of(self, iv: Interval) -> Interval:
         return Interval(self.eval(iv.lo), self.eval(iv.hi))
@@ -458,17 +447,25 @@ def iterate_interval(m: MapSpec, n: int, iv: Interval) -> Interval:
 # -- diagonal symmetry ---------------------------------------------------------
 
 
+def _reflected_pieces(m: MapSpec) -> Iterator[tuple[float, float, Affine | CubicHermite]]:
+    """x_lo, x_hi and kind of each segment of x -> 1 - m(1 - x), reflected
+    about the diagonal."""
+    for s in reversed(m.segments):
+        k = s.kind
+        yield (1.0 - s.x_hi, 1.0 - s.x_lo,
+               Affine(k.slope, 1.0 - k.slope - k.intercept) if isinstance(k, Affine)
+               else CubicHermite(1.0 - k.y_hi, 1.0 - k.y_lo, k.d_hi, k.d_lo))
+
+
 def _reflected_segments(m: MapSpec) -> tuple[Segment, ...]:
     """The segments of x -> 1 - m(1 - x), reflected about the diagonal."""
-    out: list[Segment] = []
-    for s in reversed(m.segments):
-        x_lo, x_hi = 1.0 - s.x_hi, 1.0 - s.x_lo
-        k = s.kind
-        if isinstance(k, Affine):
-            out.append(Segment(x_lo, x_hi, Affine(k.slope, 1.0 - k.slope - k.intercept)))
-        else:
-            out.append(Segment(x_lo, x_hi, CubicHermite(1.0 - k.y_hi, 1.0 - k.y_lo, k.d_hi, k.d_lo)))
-    return tuple(out)
+    return tuple(Segment(*piece) for piece in _reflected_pieces(m))
+
+
+def _reflected_rows(m: MapSpec) -> tuple[tuple, ...]:
+    """The table rows of `_reflected_segments(m)`, built from m's kind data
+    without a `Segment`."""
+    return tuple(_row(*piece) for piece in _reflected_pieces(m))
 
 
 def symmetry_conjugate(m: MapSpec) -> MapSpec:
@@ -527,8 +524,8 @@ def spec_to_dict(m: MapSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> MapSpec:
-    """The map `spec_to_dict` wrote; a missing or mistyped field is a
-    SpecError that names it and its segment."""
+    """The map `spec_to_dict` wrote; a missing, mistyped or non-finite
+    field is a SpecError that names it and its segment."""
     segs = d.get("segments") if isinstance(d, dict) else None
     if not isinstance(segs, list):
         raise SpecError("a map needs a 'segments' list")
@@ -542,6 +539,8 @@ def spec_from_dict(d: dict) -> MapSpec:
         for name, v in zip(names, vals):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise SpecError(f"segment {i}: field {name!r} must be a number, got {v!r}")
+            if not (-math.inf < v < math.inf):  # NaN fails too
+                raise SpecError(f"segment {i}: field {name!r} must be finite, got {v!r}")
         x_lo, x_hi, *k = vals
         out.append(Segment(x_lo, x_hi, Affine(*k) if kind == "affine" else CubicHermite(*k)))
     return MapSpec(tuple(out), label=d.get("label", ""))
@@ -554,8 +553,8 @@ def pair_to_json(f: MapSpec, g: MapSpec) -> str:
 
 
 def pair_from_json(text: str) -> tuple[MapSpec, MapSpec]:
-    """The pair in a pair file; malformed JSON or a missing or mistyped
-    field is a SpecError that names it."""
+    """The pair in a pair file; malformed JSON or a missing, mistyped or
+    non-finite field is a SpecError that names it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

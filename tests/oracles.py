@@ -26,7 +26,7 @@ from cantorifs.gapfinder import (
 from cantorifs.ifs import (ORBIT_CAP, IFSPair, OrbitCloud, _dedup_sorted, fundamental_domain,
                            minimal_set_cover, orbit)
 from cantorifs.intervals import TOL, Interval, IntervalSet, grid_cells_meeting
-from cantorifs.maps import MapSpec, Segment, iterate_interval
+from cantorifs.maps import Affine, MapSpec, Segment, iterate_interval
 
 
 # -- memory ----------------------------------------------------------------------
@@ -193,22 +193,37 @@ def apply_word(f: MapSpec, g: MapSpec, w: str, x: float) -> float:
     return x
 
 
+def segment_ends(s: Segment) -> tuple[float, float]:
+    """s at x_lo by `Segment.value_at`, and at x_hi by its kind: a Hermite
+    one's y_hi, an affine one's slope * x_hi + intercept."""
+    k = s.kind
+    return s.value_at(s.x_lo), k.slope * s.x_hi + k.intercept if isinstance(k, Affine) else k.y_hi
+
+
+def break_values(m: MapSpec) -> list[float]:
+    """The y_lo of every segment of m and the y_hi of the last, read from
+    `m.segments`: the ends of its image are the first and the last."""
+    return [segment_ends(s)[0] for s in m.segments] + [segment_ends(m.segments[-1])[1]]
+
+
 def eval_by_segment(m: MapSpec, x: float) -> float:
     """`MapSpec.eval` as the picked segment's own `Segment.value_at`, with
     the clamp written as min/max: the route its row table shortcuts."""
     if not (-TOL.eps_newton <= x <= 1.0 + TOL.eps_newton):
         raise DomainError(f"x={x} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
-    return m.segments[m._seg_index(x)].value_at(x)
+    j = max(bisect_left([s.x_lo for s in m.segments], x) - 1, 0)
+    return m.segments[j].value_at(x)
 
 
 def inverse_by_segment(m: MapSpec, y: float) -> float:
     """`MapSpec.inverse_eval` as the picked segment's own
     `Segment.inverse_at`, with clamps written as min/max."""
-    if not (m.y0 - TOL.eps_newton <= y <= m.y1 + TOL.eps_newton):
-        raise RangeError(f"y={y} outside image [{m.y0}, {m.y1}]")
-    y = min(max(y, m.y0), m.y1)
-    j = min(max(bisect_left(m._break_y_tuple, y) - 1, 0), len(m.segments) - 1)
+    ys = break_values(m)
+    if not (ys[0] - TOL.eps_newton <= y <= ys[-1] + TOL.eps_newton):
+        raise RangeError(f"y={y} outside image [{ys[0]}, {ys[-1]}]")
+    y = min(max(y, ys[0]), ys[-1])
+    j = min(max(bisect_left(ys, y) - 1, 0), len(m.segments) - 1)
     return m.segments[j].inverse_at(y)
 
 
@@ -665,7 +680,8 @@ def _boundary_lemma(p: IFSPair, h: HolePair, r: RuinationRegions,
     for corner, m, op in ((p.f1.lo, p.f, "invpow_f"), (p.g1.hi, p.g, "invpow_g")):
         if cur.lo < corner < cur.hi:
             # the corner lies strictly inside both cur and m's range
-            in_range = cur.intersection(Interval(m.y0, m.y1))
+            ys = break_values(m)
+            in_range = cur.intersection(Interval(ys[0], ys[-1]))
             pulled = Interval(m.inverse_eval(in_range.lo), m.inverse_eval(in_range.hi))
             u = _middle_third(widest_piece_by_intersection(pulled, r.rfrg))
             if u is not None:

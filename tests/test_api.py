@@ -9,6 +9,7 @@ every option has a caller in src/ or perfbench/ that sets it."""
 import ast
 import re
 import dataclasses
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -20,6 +21,7 @@ import cantorifs
 from cantorifs.gapfinder import certify_cantor, find_gap, find_gap_core
 from cantorifs.ifs import IFSPair
 from cantorifs.intervals import TOL
+from cantorifs.maps import MapSpec
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -171,6 +173,13 @@ def test_no_unread_fields():
             "IntervalSet.los"} <= fields
     read = _attributes_read()
     assert sorted(f for f in fields if f.rpartition(".")[2] not in read) == []
+
+
+def test_map_keeps_one_table():
+    """`MapSpec` builds its one table of segment facts with the map, so it
+    has no lazily filled cache beside it."""
+    assert [name for name, member in vars(MapSpec).items()
+            if isinstance(member, functools.cached_property)] == []
 
 
 def test_gap_walk_has_no_default_mu():

@@ -37,7 +37,7 @@ def gather_eval_array(m, xs):
     """Each point looks up its segment and gathers that segment's row of
     the (n, 4) coefficient table."""
     xc = np.clip(np.asarray(xs, dtype=float), 0.0, 1.0)
-    bps = np.array(m._bp_tuple)
+    bps = np.array([s.x_lo for s in m.segments])
     i = np.clip(np.searchsorted(bps, xc, side="left") - 1, 0, len(m.segments) - 1)
     c = np.array([s.coeffs for s in m.segments])[i]
     t = xc - bps[i]

@@ -823,8 +823,9 @@ def test_batched_boundary_lemma_matches_the_scalar_lemma(built_ctx):
     assert [_lemma_by_window(lemma, j) for j in range(len(windows))] == [
         scalar_boundary_lemma(pair, h, r, J) for J in windows]
 
-    flip = SimpleNamespace(y0=0.0, y1=1.0, inverse_eval=lambda y: 1.0 - y,
-                           inverse_array=lambda ys: 1.0 - ys)
+    # image [0, 1]: the library reads `_image`, the oracle the segments
+    flip = SimpleNamespace(_image=(0.0, 1.0), segments=affine_spec(1.0, 0.0).segments,
+                           inverse_eval=lambda y: 1.0 - y, inverse_array=lambda ys: 1.0 - ys)
     reversing = SimpleNamespace(f1=pair.f1, g1=pair.g1, f=flip, g=flip)
     for batch, fault in (([0, 6], 6), ([7, 6], 6)):
         with pytest.raises(SpecError) as want:

@@ -128,6 +128,23 @@ def test_segment_least_never_exceeds_a_dense_scan(built_pair, appendix, n17_pair
                 assert least <= diagonal_gap_scan(s)
 
 
+def test_class_a_builds_no_segment(built_pair, monkeypatch):
+    """Class A reads g reflected about the diagonal as table rows made from
+    g's kind data: on fresh maps it builds no `Segment`, so it runs no
+    monotonicity check and fills no coefficient cache."""
+    f, g = MapSpec(built_pair.f.segments), MapSpec(built_pair.g.segments)
+    built = []
+    post_init = Segment.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Segment, "__post_init__", counted)
+    assert validate_class_a(f, g).ok
+    assert built == []
+
+
 def test_as_pair_raises_on_failure():
     f, g = base_pair()
     with pytest.raises(SpecError):

@@ -28,7 +28,7 @@ from cantorifs.construct import base_pair, lambda_sequence
 from cantorifs.ifs import orbit, validate_class_a
 from cantorifs.intervals import TOL
 
-from oracles import apply_word, eval_by_segment, inverse_by_segment
+from oracles import apply_word, break_values, eval_by_segment, inverse_by_segment, segment_ends
 
 RNG = np.random.default_rng(20260810)
 
@@ -38,7 +38,7 @@ def bumpy():
     """A two-kind spec exercising Hermite segments."""
     seg1 = Segment(0.0, 0.4, Affine(0.5, 0.0))
     seg2 = hermite_linear_deriv(0.4, 0.7, 0.2, 0.5, 2.0)
-    y = seg2.y_hi
+    y = seg2.kind.y_hi
     seg3 = Segment(0.7, 1.0, Affine(2.0, y - 2.0 * 0.7))
     return MapSpec((seg1, seg2, seg3), label="bumpy")
 
@@ -114,15 +114,16 @@ def test_inverse_roundtrip_grid(bumpy):
 
 def test_inverse_range_error(bumpy):
     with pytest.raises(RangeError):
-        bumpy.inverse_eval(bumpy.y1 + 0.1)
+        bumpy.inverse_eval(break_values(bumpy)[-1] + 0.1)
 
 
 @pytest.mark.parametrize("at", [0, 5, 11])
 def test_inverse_array_raises_the_range_error_of_its_point_outside(bumpy, at):
     """More than `maps._FEW` points, one of them outside the image: the
     array path raises the RangeError that `inverse_eval` raises there."""
-    for bad in (bumpy.y0 - 0.1, bumpy.y1 + 2.0 * TOL.eps_newton, math.nan):
-        ys = np.linspace(bumpy.y0, bumpy.y1, maps._FEW + 4)
+    y0, *_, y1 = break_values(bumpy)
+    for bad in (y0 - 0.1, y1 + 2.0 * TOL.eps_newton, math.nan):
+        ys = np.linspace(y0, y1, maps._FEW + 4)
         ys[at] = bad
         with pytest.raises(RangeError) as want:
             bumpy.inverse_eval(bad)
@@ -132,7 +133,8 @@ def test_inverse_array_raises_the_range_error_of_its_point_outside(bumpy, at):
 
 
 def test_inverse_array_matches_scalar(bumpy):
-    ys = RNG.uniform(bumpy.y0, bumpy.y1, 200)
+    y0, *_, y1 = break_values(bumpy)
+    ys = RNG.uniform(y0, y1, 200)
     xs = bumpy.inverse_array(ys)
     for x, y in zip(xs, ys):
         assert x == bumpy.inverse_eval(float(y))
@@ -174,7 +176,8 @@ def test_scalar_eval_deriv_match_array_path_bitwise(real_maps):
         assert out.shape == grid.shape
         assert _bits(m.eval(float(x)) for x in grid.ravel()) == _bits(out.ravel())
         # deriv has no array form: take the segment the array path picks
-        i = np.clip(np.searchsorted(m._bp_tuple, xs, side="left") - 1, 0, len(m.segments) - 1)
+        bps = [s.x_lo for s in m.segments]
+        i = np.clip(np.searchsorted(bps, xs, side="left") - 1, 0, len(m.segments) - 1)
         assert _bits(m.deriv(x) for x in xs) == _bits(
             m.segments[k].deriv_at(x) for k, x in zip(i, xs))
 
@@ -189,9 +192,10 @@ def test_scalar_lookup_takes_left_segment_at_breakpoint(real_maps):
 
 def test_inverse_lookup_matches_searchsorted_rule(real_maps):
     for m in real_maps:
-        ys = [y for y in _with_neighbours(m._break_y_tuple) if m.y0 <= y <= m.y1]
+        breaks = break_values(m)
+        ys = [y for y in _with_neighbours(breaks) if breaks[0] <= y <= breaks[-1]]
         # the numpy lookup the scalar path used before `bisect`
-        j = np.clip(np.searchsorted(m._break_y_tuple, ys, side="left") - 1, 0, len(m.segments) - 1)
+        j = np.clip(np.searchsorted(breaks, ys, side="left") - 1, 0, len(m.segments) - 1)
         assert _bits(m.inverse_eval(y) for y in ys) == _bits(
             m.segments[k].inverse_at(y) for k, y in zip(j, ys))
 
@@ -203,8 +207,10 @@ def test_inverse_array_is_inverse_eval_bitwise(real_maps, bumpy):
     signed_zero_checked = False
     for m in [*real_maps, bumpy, maps.symmetry_conjugate(bumpy)]:
         # -0.0 is added after the neighbours: a set keeps one of 0.0, -0.0
-        ys = _with_neighbours([*m._break_y_tuple, 0.0, 1.0, m.y0 - half, m.y1 + half]) + [-0.0]
-        ys = [y for y in ys if m.y0 - TOL.eps_newton <= y <= m.y1 + TOL.eps_newton]
+        breaks = break_values(m)
+        y0, y1 = breaks[0], breaks[-1]
+        ys = _with_neighbours([*breaks, 0.0, 1.0, y0 - half, y1 + half]) + [-0.0]
+        ys = [y for y in ys if y0 - TOL.eps_newton <= y <= y1 + TOL.eps_newton]
         signed_zero_checked |= "-0x0.0p+0" in _bits(ys)
         want = {y.hex(): m.inverse_eval(y).hex() for y in ys}
         for name, a in _orders(ys).items():
@@ -243,18 +249,62 @@ def test_scalar_kernels_match_segment_oracles_bitwise(real_maps, bumpy):
         got = [_outcome(m.eval, x) for x in xs]
         assert got == [_outcome(lambda x: eval_by_segment(m, x), x) for x in xs]
         assert got.count("DomainError") == 5
-        ys = _with_neighbours([*m._break_y_tuple, m.y0 - half, m.y1 + half])
-        ys += [-0.0, m.y0 - over, m.y1 + over, *bad]
+        breaks = break_values(m)
+        y0, y1 = breaks[0], breaks[-1]
+        ys = _with_neighbours([*breaks, y0 - half, y1 + half])
+        ys += [-0.0, y0 - over, y1 + over, *bad]
         got = [_outcome(m.inverse_eval, y) for y in ys]
         assert got == [_outcome(lambda y: inverse_by_segment(m, y), y) for y in ys]
         assert got.count("RangeError") >= 5
 
 
-def test_segment_constants_are_computed_once(real_maps):
-    for m in real_maps:
-        for s in m.segments:
-            assert s.coeffs is s.coeffs
-            assert s.y_lo is s.y_lo and s.y_hi is s.y_hi
+def _row_bits(row) -> list[str]:
+    return _bits(float(v) for v in row)
+
+
+def test_table_holds_the_per_segment_formulas_bitwise(edge_maps, bumpy):
+    """Each row holds its segment's own floats: x_lo, `width`, `coeffs`,
+    the derivative quadratic `deriv_at` runs, the vertex `cubic_extremes`
+    finds (NaN where it finds none), `value_at(x_lo)`, the kind's y_hi and
+    the two flags, which differ on a flat Hermite segment.  The columns,
+    the bisect keys and the image ends are the same floats."""
+    flat_hermite = 0
+    for name, m in {**edge_maps, "bumpy": bumpy}.items():
+        assert len(m._rows) == len(m.segments), name
+        for row, s in zip(m._rows, m.segments):
+            x_lo, width, c0, c1, c2, c3, a1, a2, vertex, y_lo, y_hi, flat, affine, icpt = row
+            assert _bits([x_lo, width, c0, c1, c2, c3]) == _bits([s.x_lo, s.width, *s.coeffs])
+            assert _bits([a1, a2]) == _bits([2.0 * c2, 3.0 * c3]), name
+            for x in (s.x_lo, 0.5 * (s.x_lo + s.x_hi), s.x_hi):
+                t = x - x_lo
+                assert ((a2 * t + a1) * t + c1).hex() == s.deriv_at(x).hex(), name
+            # cubic_extremes' root of a1 + 2 a2 t where its discriminant is positive
+            assert _bits([vertex]) == _bits([-a1 / (2.0 * a2) if a2 * a2 > 0.0 else math.nan])
+            assert math.isnan(vertex) or abs(a1 + 2.0 * a2 * vertex) <= 1e-9 * abs(a1), name
+            assert _bits([y_lo, y_hi]) == _bits(segment_ends(s)), name
+            assert flat is (s.coeffs[2:] == (0.0, 0.0)), name
+            assert affine is isinstance(s.kind, Affine), name
+            assert _bits([icpt]) == _bits([s.kind.intercept if affine else math.nan]), name
+            flat_hermite += flat and not affine
+        assert [_bits(col) for col in m._cols] == [_bits(map(float, f)) for f in zip(*m._rows)]
+        assert not any(col.flags.writeable for col in m._cols), name
+        breaks = break_values(m)
+        assert m._x_cuts == tuple(s.x_lo for s in m.segments[1:]), name
+        assert _bits(m._y_cuts) == _bits(breaks[1:-1]), name
+        assert _bits(m._image) == _bits([breaks[0], breaks[-1]]), name
+    assert flat_hermite == 2
+
+
+def test_reflected_rows_are_the_reflected_segments_rows(edge_maps, bumpy):
+    """Class A's reflected rows, built from kind data alone, are the table
+    of the map `_reflected_segments` gives, and its rows are those
+    segments' x_lo, width and `coeffs`."""
+    for name, m in {**edge_maps, "bumpy": bumpy}.items():
+        segs = maps._reflected_segments(m)
+        rows = maps._reflected_rows(m)
+        assert [_row_bits(r[:6]) for r in rows] == [
+            _bits([s.x_lo, s.width, *s.coeffs]) for s in segs], name
+        assert [_row_bits(r) for r in rows] == [_row_bits(r) for r in MapSpec(segs)._rows], name
 
 
 def test_scalar_path_makes_no_numpy_call(built_pair, monkeypatch):
@@ -303,9 +353,9 @@ def _constant_slope_spec(d: float) -> MapSpec:
     """Slope d throughout: affine on [0, 0.4], `hermite_linear_deriv` with
     d_lo == d_hi on [0.4, 0.7] and [0.7, 0.85], affine on [0.85, 1]."""
     a = Segment(0.0, 0.4, Affine(d, 0.0))
-    h1 = hermite_linear_deriv(0.4, 0.7, a.y_hi, d, d)
-    h2 = hermite_linear_deriv(0.7, 0.85, h1.y_hi, d, d)
-    return MapSpec((a, h1, h2, Segment(0.85, 1.0, Affine(d, h2.y_hi - d * 0.85))))
+    h1 = hermite_linear_deriv(0.4, 0.7, segment_ends(a)[1], d, d)
+    h2 = hermite_linear_deriv(0.7, 0.85, h1.kind.y_hi, d, d)
+    return MapSpec((a, h1, h2, Segment(0.85, 1.0, Affine(d, h2.kind.y_hi - d * 0.85))))
 
 
 @pytest.fixture(scope="module")
@@ -395,7 +445,7 @@ def test_symmetry_involution(bumpy):
     back = symmetry_conjugate(symmetry_conjugate(bumpy))
     for a, b in zip(back.segments, bumpy.segments):
         assert a.x_lo == pytest.approx(b.x_lo, abs=1e-15)
-        assert a.y_lo == pytest.approx(b.y_lo, abs=1e-12)
+        assert a.value_at(a.x_lo) == pytest.approx(b.value_at(b.x_lo), abs=1e-12)
 
 
 def test_symmetry_identity():
@@ -451,6 +501,13 @@ def test_rejects_value_jump():
     with pytest.raises(SpecError):
         MapSpec((Segment(0.0, 0.5, Affine(0.5, 0.0)),
                  Segment(0.5, 1.0, Affine(0.5, 0.3))))
+
+
+def test_rejects_a_nan_value_at_a_join():
+    """The value check is written so that NaN fails it."""
+    with pytest.raises(SpecError, match="value jump nan at x=0.5"):
+        MapSpec((Segment(0.0, 0.5, Affine(0.5, 0.0)),
+                 Segment(0.5, 1.0, Affine(0.5, math.nan))))
 
 
 def test_rejects_derivative_jump():

@@ -523,6 +523,25 @@ def test_cli_malformed_input_is_a_usage_error(pair_file, tmp_path, capsys, comma
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind, field", [("affine", "intercept"), ("cubic_hermite", "d_hi")])
+def test_cli_non_finite_field_is_a_usage_error(pair_file, tmp_path, capsys, value, kind, field):
+    """NaN, Infinity or -Infinity in a pair file's field exits 2 naming the
+    field and its segment.  A NaN intercept on f's last segment once passed
+    the join checks and exited 1 with a class-A verdict on f(1) = nan."""
+    doc = json.loads(Path(pair_file).read_text(encoding="utf-8"))
+    segs = doc["f"]["segments"]
+    i = max(j for j, sd in enumerate(segs) if sd["kind"] == kind)
+    segs[i][field] = value
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # NaN, Infinity, -Infinity
+    assert main(["validate", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"SpecError: segment {i}: field {field!r} must be finite, got {value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_validate_refuses_an_inexact_join(pair_file, tmp_path, capsys):
     """f's segment at the bump's right edge moved 2 ulps past the bump's
     end, as in pair files written before joins were exact: refused."""
