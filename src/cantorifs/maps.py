@@ -374,18 +374,17 @@ class MapSpec:
         (a2 t + a1) t + c1 at finite t, since c1 > 0.  `max_deriv_array`
         gives the same floats for many intervals."""
         rows, cuts = self._rows, self._x_cuts
-        j = bisect_left(cuts, lo)
-        t_a, best = lo - rows[j][0], -math.inf
+        j, a, best = bisect_left(cuts, lo), lo, -math.inf
         while True:
             x_lo, width, _, c1, _, _, a1, a2, t_v, _, _, _, _, _ = rows[j]
             last = j == len(cuts) or hi <= cuts[j]
-            t_b = hi - x_lo if last else width
+            t_a, t_b = a - x_lo, hi - x_lo if last else width
             best = max(best, (a2 * t_a + a1) * t_a + c1, (a2 * t_b + a1) * t_b + c1)
             if t_a < t_v < t_b:  # NaN, where there is no vertex, fails
                 best = max(best, (a2 * t_v + a1) * t_v + c1)
             if last:
                 return best
-            j, t_a = j + 1, 0.0
+            j, a = j + 1, cuts[j]
 
     def max_deriv_array(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """`max_deriv(los[i], his[i])` for every i, bit for bit.  Each
