@@ -7,17 +7,15 @@ pieces realize the C1 bump modifications and connector joins with
 controllable endpoint derivatives.
 
 A `MapSpec` builds one read-only table of segment facts with the map, a
-`_row` per segment: its scalar methods read the tuple rows and its array
-methods the numpy columns of the same floats.  Class A reads the rows of g
-reflected about the diagonal, made by `_row` from g's kind data.
-`Segment`, `Affine` and `CubicHermite` remain the pair-file and builder
-types.
+`_row` per segment: scalar methods read its tuple rows, array methods its
+numpy columns of the same floats, and class A `_reflected_rows`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -538,7 +536,8 @@ def spec_from_dict(d: dict) -> MapSpec:
         for name, v in zip(names, vals):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise SpecError(f"segment {i}: field {name!r} must be a number, got {v!r}")
-            if not (-math.inf < v < math.inf):  # NaN fails too
+            # NaN, the infinities and ints past the float range fail
+            if not (-sys.float_info.max <= v <= sys.float_info.max):
                 raise SpecError(f"segment {i}: field {name!r} must be finite, got {v!r}")
         x_lo, x_hi, *k = vals
         out.append(Segment(x_lo, x_hi, Affine(*k) if kind == "affine" else CubicHermite(*k)))

@@ -523,12 +523,14 @@ def test_cli_malformed_input_is_a_usage_error(pair_file, tmp_path, capsys, comma
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -10 ** 400],
+                         ids=["nan", "inf", "-inf", "int-past-float"])
 @pytest.mark.parametrize("kind, field", [("affine", "intercept"), ("cubic_hermite", "d_hi")])
 def test_cli_non_finite_field_is_a_usage_error(pair_file, tmp_path, capsys, value, kind, field):
-    """NaN, Infinity or -Infinity in a pair file's field exits 2 naming the
-    field and its segment.  A NaN intercept on f's last segment once passed
-    the join checks and exited 1 with a class-A verdict on f(1) = nan."""
+    """NaN, Infinity, -Infinity or an integer past the float range in a pair
+    file's field exits 2 naming the field and its segment.  A NaN intercept
+    on f's last segment once passed the join checks and exited 1 with a
+    class-A verdict on f(1) = nan, and the integer raised an OverflowError."""
     doc = json.loads(Path(pair_file).read_text(encoding="utf-8"))
     segs = doc["f"]["segments"]
     i = max(j for j, sd in enumerate(segs) if sd["kind"] == kind)
