@@ -101,13 +101,14 @@ def base_pair() -> tuple[MapSpec, MapSpec]:
     return f, g
 
 
-def _chain(x: float, y: float, pieces: list[tuple[str, float, float, float]]) -> list[Segment]:
+def _chain(x0: float, y0: float, pieces: list[tuple[str, float, float, float]]) -> list[Segment]:
     """Build abutting segments from (kind, width, d_lo, d_hi) descriptions.
 
     Affine pieces use d_lo as the slope; Hermite pieces get the
     linear-derivative rise, so every piece is monotone by construction.
     """
     segs: list[Segment] = []
+    x, y = x0, y0
     for kind, width, d_lo, d_hi in pieces:
         x1 = x + width
         if kind == "affine":
