@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -222,12 +222,12 @@ class ExpansionReport:
                 f"ee_tails_enclosed: {self.tails_enclosed}\n")
 
 
-@dataclass(frozen=True)
-class EeCell:
+class EeCell(NamedTuple):
     """A closed piece [lo, hi] of an induced map's domain on which n(x) = n,
     with `bound` <= the induced derivative at every point of it.  `chain`
     bounds the return-map factors of the derivative from below, so a
-    sub-cell's bound needs only the first map's pulled-back interval."""
+    sub-cell's bound needs only the first map's pulled-back interval.  A
+    tuple, since `check_ee` makes dozens per call."""
 
     lo: float
     hi: float

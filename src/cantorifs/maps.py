@@ -18,7 +18,6 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -57,6 +56,9 @@ class CubicHermite:
 
 @dataclass(frozen=True)
 class Segment:
+    """A piece of a map as a pair file and the builders give it, checked
+    when made; its arithmetic is its `MapSpec`'s table row (`_row`)."""
+
     x_lo: float
     x_hi: float
     kind: Affine | CubicHermite
@@ -72,62 +74,13 @@ class Segment:
         else:
             if not (k.d_lo > 0 and k.d_hi > 0) or not (k.y_lo < k.y_hi):
                 raise SpecError("hermite segment needs d_lo, d_hi > 0 and y_lo < y_hi")
-            _, c1, c2, c3 = self.coeffs
+            _, c1, c2, c3 = _coeffs(self.x_lo, self.x_hi, k)
             if not (cubic_extremes((c1, 2.0 * c2, 3.0 * c3, 0.0), 0.0, self.width)[0][0] > 0):
                 raise SpecError("hermite segment is not strictly increasing")
 
     @property
     def width(self) -> float:
         return self.x_hi - self.x_lo
-
-    @cached_property
-    def coeffs(self) -> tuple[float, float, float, float]:
-        """Cubic coefficients c0..c3 in t = x - x_lo (affine has c2 = c3 = 0)."""
-        return _coeffs(self.x_lo, self.x_hi, self.kind)
-
-    def value_at(self, x: float) -> float:
-        c0, c1, c2, c3 = self.coeffs
-        t = x - self.x_lo
-        return ((c3 * t + c2) * t + c1) * t + c0
-
-    def deriv_at(self, x: float) -> float:
-        c0, c1, c2, c3 = self.coeffs
-        t = x - self.x_lo
-        return (3.0 * c3 * t + 2.0 * c2) * t + c1
-
-    def inverse_at(self, y: float) -> float:
-        """The x with value_at(x) = y: exact for an affine piece, Newton with
-        a bisection safeguard for a Hermite one.  Iterates past eps_newton
-        down to machine precision when cheap, so inverse errors do not
-        accumulate along long inverse-word compositions."""
-        k = self.kind
-        if isinstance(k, Affine):
-            return (y - k.intercept) / k.slope
-        a, b = self.x_lo, self.x_hi
-        x = 0.5 * (a + b)
-        for _ in range(TOL.max_iter):
-            fx = self.value_at(x) - y
-            if fx == 0.0:
-                return x
-            if fx > 0:
-                b = x
-            else:
-                a = x
-            dfx = self.deriv_at(x)
-            step = fx / dfx if dfx > 0 else math.inf
-            # converged: residual within target and the Newton correction is
-            # at rounding scale; returning *this* x, never a fallback point
-            if abs(fx) <= TOL.eps_newton and abs(step) <= 4.0 * math.ulp(x):
-                return x
-            x_new = x - step
-            if not (a < x_new < b):
-                x_new = 0.5 * (a + b)
-            if x_new == x:
-                return x
-            x = x_new
-        if abs(self.value_at(x) - y) > TOL.eps_newton:
-            raise IterationCapError(f"inverse_eval stalled at y={y}")
-        return x
 
 
 def _coeffs(x_lo: float, x_hi: float, k: Affine | CubicHermite) -> tuple[float, float, float, float]:
@@ -149,8 +102,8 @@ def _row(x_lo: float, x_hi: float, k: Affine | CubicHermite) -> tuple:
 
     m' is the quadratic c1 + a1 t + a2 t^2 (a1 = 2c2, a2 = 3c3), whose
     vertex t is where `cubic_extremes` finds one and NaN where not.  y_lo is
-    `Segment.value_at(x_lo)`, y_hi the kind's value at x_hi.  `flat` is
-    c2 == c3 == 0, which `_eval_into`'s multiply-add needs; `affine` picks
+    the cubic's Horner run at t = 0, y_hi the kind's value at x_hi.  `flat`
+    is c2 == c3 == 0, which `_eval_into`'s multiply-add needs; `affine` picks
     `inverse_eval`'s quotient (y - intercept) / c1 and is False, with a NaN
     intercept, on a Hermite piece even when it is flat."""
     c0, c1, c2, c3 = _coeffs(x_lo, x_hi, k)
@@ -158,10 +111,46 @@ def _row(x_lo: float, x_hi: float, k: Affine | CubicHermite) -> tuple:
     # cubic_extremes' discriminant and root, with its a3 = 0.0
     vertex = -a1 / (2.0 * a2) if a2 * a2 - 3.0 * a1 * 0.0 > 0.0 else math.nan
     affine = isinstance(k, Affine)
-    y_lo = ((c3 * 0.0 + c2) * 0.0 + c1) * 0.0 + c0  # value_at's Horner at t = 0
+    y_lo = ((c3 * 0.0 + c2) * 0.0 + c1) * 0.0 + c0  # `MapSpec.eval`'s Horner at t = 0
     y_hi = k.slope * x_hi + k.intercept if affine else k.y_hi
     return (x_lo, x_hi - x_lo, c0, c1, c2, c3, a1, a2, vertex, y_lo, y_hi,
             c2 == c3 == 0.0, affine, k.intercept if affine else math.nan)
+
+
+def _hermite_inverse(row: tuple, x_hi: float, y: float) -> float:
+    """The x in [x_lo, x_hi] where the cubic of a Hermite `_row` takes the
+    value y: Newton on ((c3 t + c2) t + c1) t + c0 - y with the derivative
+    (a2 t + a1) t + c1, t = x - x_lo, and a bisection safeguard.  Iterates
+    past eps_newton down to machine precision when cheap, so inverse
+    errors do not accumulate along long inverse-word compositions."""
+    x_lo, _, c0, c1, c2, c3, a1, a2, _, _, _, _, _, _ = row
+    a, b = x_lo, x_hi
+    x = 0.5 * (a + b)
+    for _ in range(TOL.max_iter):
+        t = x - x_lo
+        fx = ((c3 * t + c2) * t + c1) * t + c0 - y
+        if fx == 0.0:
+            return x
+        if fx > 0:
+            b = x
+        else:
+            a = x
+        dfx = (a2 * t + a1) * t + c1
+        step = fx / dfx if dfx > 0 else math.inf
+        # converged: residual within target and the Newton correction is
+        # at rounding scale; returning *this* x, never a fallback point
+        if abs(fx) <= TOL.eps_newton and abs(step) <= 4.0 * math.ulp(x):
+            return x
+        x_new = x - step
+        if not (a < x_new < b):
+            x_new = 0.5 * (a + b)
+        if x_new == x:
+            return x
+        x = x_new
+    t = x - x_lo
+    if abs(((c3 * t + c2) * t + c1) * t + c0 - y) > TOL.eps_newton:
+        raise IterationCapError(f"inverse_eval stalled at y={y}")
+    return x
 
 
 def cubic_extremes(a: tuple[float, ...], t_a: float, t_b: float) -> tuple[tuple[float, float], ...]:
@@ -219,7 +208,7 @@ class MapSpec:
                             f"[{segs[0].x_lo!r}, {segs[-1].x_hi!r}]")
         rows = tuple(_row(s.x_lo, s.x_hi, s.kind) for s in segs)
         cols = tuple(zip(*rows))
-        x_lo, _, _, _, _, _, _, _, _, y_lo, y_hi, _, _, _ = cols
+        x_lo, width, _, c1, _, _, a1, a2, _, y_lo, y_hi, _, _, _ = cols
         # Written as `not (... <= tol)` so that NaN fails too.
         for i, (a, b) in enumerate(zip(segs, segs[1:])):
             if a.x_hi != b.x_lo:
@@ -227,7 +216,10 @@ class MapSpec:
                                 f"x_hi {a.x_hi!r} vs x_lo {b.x_lo!r}")
             if not (abs(y_hi[i] - y_lo[i + 1]) <= TOL.eps_geom):
                 raise SpecError(f"value jump {y_hi[i] - y_lo[i + 1]:.3g} at x={b.x_lo}")
-            dl, dr = a.deriv_at(a.x_hi), b.deriv_at(b.x_lo)
+            # m' of each side at the join: t = width on the left, 0 on the right
+            t, j = width[i], i + 1
+            dl = (a2[i] * t + a1[i]) * t + c1[i]
+            dr = (a2[j] * 0.0 + a1[j]) * 0.0 + c1[j]
             if not (abs(dl - dr) <= C1_DERIV_TOL * max(1.0, abs(dl), abs(dr))):
                 raise SpecError(f"derivative jump {dl:.6g} vs {dr:.6g} at x={b.x_lo}")
         table = np.array(cols, dtype=float)
@@ -250,16 +242,16 @@ class MapSpec:
         return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
     def eval(self, x: float) -> float:
-        """`Segment.value_at` of the segment `_seg_index` picks, op for op,
-        read off its row."""
+        """((c3 t + c2) t + c1) t + c0, t = x - x_lo, on the row of the
+        segment `_seg_index` picks."""
         x = self._check_domain(x)
         x_lo, _, c0, c1, c2, c3, _, _, _, _, _, _, _, _ = self._rows[bisect_left(self._x_cuts, x)]
         t = x - x_lo
         return ((c3 * t + c2) * t + c1) * t + c0
 
     def deriv(self, x: float) -> float:
-        """`Segment.deriv_at` of the segment `_seg_index` picks, op for op:
-        (3c3 t + 2c2) t + c1 is (a2 t + a1) t + c1."""
+        """(a2 t + a1) t + c1, t = x - x_lo, on the row of the segment
+        `_seg_index` picks: the cubic's (3c3 t + 2c2) t + c1, op for op."""
         x = self._check_domain(x)
         x_lo, _, _, c1, _, _, a1, a2, _, _, _, _, _, _ = self._rows[bisect_left(self._x_cuts, x)]
         t = x - x_lo
@@ -317,9 +309,9 @@ class MapSpec:
 
     def inverse_eval(self, y: float) -> float:
         """The unique x with eval(x) = y: the segment whose image holds y
-        (the left one at a break value) solves it.  An affine segment's row
-        gives `Segment.inverse_at`'s quotient op for op (its c1 is the
-        slope); a Hermite one calls it."""
+        (the left one at a break value) solves it.  An affine row gives the
+        quotient (y - intercept) / c1 (its c1 is the slope); a Hermite row
+        goes to `_hermite_inverse`."""
         y_lo, y_hi = self._image
         if not (y_lo - TOL.eps_newton <= y <= y_hi + TOL.eps_newton):  # NaN fails too
             raise RangeError(f"y={y} outside image [{y_lo}, {y_hi}]")
@@ -328,10 +320,11 @@ class MapSpec:
         elif y > y_hi:
             y = y_hi
         j = bisect_left(self._y_cuts, y)
-        _, _, _, slope, _, _, _, _, _, _, _, _, affine, intercept = self._rows[j]
+        row = self._rows[j]
+        _, _, _, slope, _, _, _, _, _, _, _, _, affine, intercept = row
         if affine:
             return (y - intercept) / slope
-        return self.segments[j].inverse_at(y)
+        return _hermite_inverse(row, self.segments[j].x_hi, y)
 
     def inverse_array(self, ys: np.ndarray) -> np.ndarray:
         """`inverse_eval` at every point, bit for bit: the same range check
@@ -339,8 +332,8 @@ class MapSpec:
         by comparison, which keep -0.0, the same segment by `searchsorted`,
         which is `bisect_left`, and an affine row's `(y - intercept) / slope`
         as element-wise IEEE operations (a Hermite row's intercept is NaN).
-        A Hermite row calls `Segment.inverse_at` point by point, and a few
-        points go through `inverse_eval` itself."""
+        A Hermite row's points go to `_hermite_inverse` one by one, and a
+        few points go through `inverse_eval` itself."""
         ys = np.asarray(ys, dtype=float)
         if ys.size <= _FEW:
             return np.array([self.inverse_eval(y) for y in ys.ravel().tolist()],
@@ -355,8 +348,9 @@ class MapSpec:
         _, _, _, slope, _, _, _, _, _, breaks, _, _, affine, intercept = self._cols
         k = np.searchsorted(breaks[1:], y, side="left")
         x = (y - intercept[k]) / slope[k]
+        rows, segs = self._rows, self.segments
         for j in np.flatnonzero(affine[k] == 0.0).tolist():
-            x[j] = self.segments[k[j]].inverse_at(float(y[j]))
+            x[j] = _hermite_inverse(rows[k[j]], segs[k[j]].x_hi, float(y[j]))
         return x.reshape(ys.shape)
 
     def max_deriv(self, lo: float, hi: float) -> float:

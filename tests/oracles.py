@@ -47,8 +47,8 @@ def traced_peak(fn) -> int:
 
 def diagonal_gap_scan(s: Segment, n: int = 20_001) -> float:
     """The least of y - s(y) at n evenly spaced points of the segment, each
-    s(y) by `Segment.value_at`'s Horner run on arrays."""
-    c0, c1, c2, c3 = s.coeffs
+    s(y) by `segment_value`'s Horner run on arrays."""
+    c0, c1, c2, c3 = segment_coeffs(s)
     ys = np.linspace(s.x_lo, s.x_hi, n)
     t = ys - s.x_lo
     return float(np.min(ys - (((c3 * t + c2) * t + c1) * t + c0)))
@@ -193,11 +193,73 @@ def apply_word(f: MapSpec, g: MapSpec, w: str, x: float) -> float:
     return x
 
 
+def segment_coeffs(s: Segment) -> tuple[float, float, float, float]:
+    """c0..c3 of s in t = x - x_lo, from its kind alone: an affine piece's
+    value at x_lo and slope with c2 = c3 = 0, a Hermite piece's cubic
+    through its end values and slopes."""
+    k = s.kind
+    if isinstance(k, Affine):
+        return (k.slope * s.x_lo + k.intercept, k.slope, 0.0, 0.0)
+    h = s.x_hi - s.x_lo
+    delta = (k.y_hi - k.y_lo) / h
+    return (k.y_lo, k.d_lo, (3.0 * delta - 2.0 * k.d_lo - k.d_hi) / h,
+            (k.d_lo + k.d_hi - 2.0 * delta) / (h * h))
+
+
+def segment_value(s: Segment, x: float) -> float:
+    """s at x: Horner's run ((c3 t + c2) t + c1) t + c0, t = x - x_lo."""
+    c0, c1, c2, c3 = segment_coeffs(s)
+    t = x - s.x_lo
+    return ((c3 * t + c2) * t + c1) * t + c0
+
+
+def segment_deriv(s: Segment, x: float) -> float:
+    """s' at x: (3c3 t + 2c2) t + c1, t = x - x_lo."""
+    _, c1, c2, c3 = segment_coeffs(s)
+    t = x - s.x_lo
+    return (3.0 * c3 * t + 2.0 * c2) * t + c1
+
+
+def segment_inverse(s: Segment, y: float) -> float:
+    """The x with segment_value(s, x) = y: the quotient (y - intercept) /
+    slope for an affine piece; for a Hermite one, Newton on
+    `segment_value` and `segment_deriv` from the midpoint, kept inside the
+    shrinking bracket by bisection, to a residual within eps_newton and a
+    step within 4 ulp, an exact zero or a fixed point."""
+    k = s.kind
+    if isinstance(k, Affine):
+        return (y - k.intercept) / k.slope
+    a, b = s.x_lo, s.x_hi
+    x = 0.5 * (a + b)
+    for _ in range(TOL.max_iter):
+        fx = segment_value(s, x) - y
+        if fx == 0.0:
+            return x
+        if fx > 0:
+            b = x
+        else:
+            a = x
+        dfx = segment_deriv(s, x)
+        step = fx / dfx if dfx > 0 else math.inf
+        if abs(fx) <= TOL.eps_newton and abs(step) <= 4.0 * math.ulp(x):
+            return x
+        x_new = x - step
+        if not (a < x_new < b):
+            x_new = 0.5 * (a + b)
+        if x_new == x:
+            return x
+        x = x_new
+    if abs(segment_value(s, x) - y) > TOL.eps_newton:
+        raise IterationCapError(f"inverse_eval stalled at y={y}")
+    return x
+
+
 def segment_ends(s: Segment) -> tuple[float, float]:
-    """s at x_lo by `Segment.value_at`, and at x_hi by its kind: a Hermite
+    """s at x_lo by `segment_value`, and at x_hi by its kind: a Hermite
     one's y_hi, an affine one's slope * x_hi + intercept."""
     k = s.kind
-    return s.value_at(s.x_lo), k.slope * s.x_hi + k.intercept if isinstance(k, Affine) else k.y_hi
+    y_hi = k.slope * s.x_hi + k.intercept if isinstance(k, Affine) else k.y_hi
+    return segment_value(s, s.x_lo), y_hi
 
 
 def break_values(m: MapSpec) -> list[float]:
@@ -207,24 +269,24 @@ def break_values(m: MapSpec) -> list[float]:
 
 
 def eval_by_segment(m: MapSpec, x: float) -> float:
-    """`MapSpec.eval` as the picked segment's own `Segment.value_at`, with
+    """`MapSpec.eval` as the picked segment's own `segment_value`, with
     the clamp written as min/max: the route its row table shortcuts."""
     if not (-TOL.eps_newton <= x <= 1.0 + TOL.eps_newton):
         raise DomainError(f"x={x} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     j = max(bisect_left([s.x_lo for s in m.segments], x) - 1, 0)
-    return m.segments[j].value_at(x)
+    return segment_value(m.segments[j], x)
 
 
 def inverse_by_segment(m: MapSpec, y: float) -> float:
     """`MapSpec.inverse_eval` as the picked segment's own
-    `Segment.inverse_at`, with clamps written as min/max."""
+    `segment_inverse`, with clamps written as min/max."""
     ys = break_values(m)
     if not (ys[0] - TOL.eps_newton <= y <= ys[-1] + TOL.eps_newton):
         raise RangeError(f"y={y} outside image [{ys[0]}, {ys[-1]}]")
     y = min(max(y, ys[0]), ys[-1])
     j = min(max(bisect_left(ys, y) - 1, 0), len(m.segments) - 1)
-    return m.segments[j].inverse_at(y)
+    return segment_inverse(m.segments[j], y)
 
 
 # -- construction ------------------------------------------------------------------

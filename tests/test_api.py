@@ -21,7 +21,7 @@ import cantorifs
 from cantorifs.gapfinder import certify_cantor, find_gap, find_gap_core
 from cantorifs.ifs import IFSPair
 from cantorifs.intervals import TOL
-from cantorifs.maps import MapSpec
+from cantorifs.maps import MapSpec, Segment
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -80,8 +80,9 @@ def _unread_parameters(fn) -> list[str]:
 
 
 def _declared_fields() -> set[str]:
-    """`Class.name` for every dataclass field and every `self.name` that
-    `__init__` assigns, over the classes written in a cantorifs module."""
+    """`Class.name` for every dataclass or NamedTuple field and every
+    `self.name` that `__init__` assigns, over the classes written in a
+    cantorifs module."""
     out = set()
     for info in pkgutil.iter_modules(cantorifs.__path__):
         module = importlib.import_module(f"cantorifs.{info.name}")
@@ -89,7 +90,7 @@ def _declared_fields() -> set[str]:
             if not inspect.isclass(cls) or cls.__module__ != module.__name__:
                 continue
             names = ({f.name for f in dataclasses.fields(cls)}
-                     if dataclasses.is_dataclass(cls) else set())
+                     if dataclasses.is_dataclass(cls) else set(getattr(cls, "_fields", ())))
             init = vars(cls).get("__init__")  # dataclass-made ones have no source
             if (inspect.isfunction(init)
                     and init.__code__.co_filename == inspect.getfile(module)):
@@ -170,16 +171,41 @@ def test_no_unread_parameters():
 def test_no_unread_fields():
     fields = _declared_fields()
     assert {"HolePair.h_f", "OrbitCloud.points", "ClassCBuilder.hole_ref",
-            "IntervalSet.los"} <= fields
+            "IntervalSet.los", "EeCell.chain", "_Walked.verdicts"} <= fields
     read = _attributes_read()
     assert sorted(f for f in fields if f.rpartition(".")[2] not in read) == []
 
 
 def test_map_keeps_one_table():
-    """`MapSpec` builds its one table of segment facts with the map, so it
-    has no lazily filled cache beside it."""
-    assert [name for name, member in vars(MapSpec).items()
+    """`MapSpec` builds its one table of segment facts with the map, so no
+    class in `maps`, `Segment` included, keeps a lazily filled cache beside
+    it."""
+    classes = [cls for cls in vars(cantorifs.maps).values()
+               if inspect.isclass(cls) and cls.__module__ == "cantorifs.maps"]
+    assert {MapSpec, Segment} <= set(classes)
+    assert [f"{cls.__name__}.{name}" for cls in classes for name, member in vars(cls).items()
             if isinstance(member, functools.cached_property)] == []
+
+
+def test_no_unused_imports():
+    """Each name a top-level import binds in a src/ module other than
+    `__init__.py` (which re-exports) is read in that module; `from
+    __future__` binds none."""
+    unused = []
+    for path in sorted((REPO / "src" / "cantorifs").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                 and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # `import a.b` binds `a`
+                bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+                unused += [f"{path.stem}.{name}" for name in bound if name not in reads]
+    assert unused == []
 
 
 def test_gap_walk_has_no_default_mu():

@@ -30,7 +30,7 @@ from cantorifs.ifs import _dedup_sorted, orbit
 from cantorifs.maps import _FEW
 
 from oracles import (dedup_by_int_keys, measure_by_fsum, normalize_by_reduceat,
-                     orbit_by_sorted_copies, traced_peak)
+                     orbit_by_sorted_copies, segment_coeffs, traced_peak)
 
 
 def gather_eval_array(m, xs):
@@ -39,7 +39,7 @@ def gather_eval_array(m, xs):
     xc = np.clip(np.asarray(xs, dtype=float), 0.0, 1.0)
     bps = np.array([s.x_lo for s in m.segments])
     i = np.clip(np.searchsorted(bps, xc, side="left") - 1, 0, len(m.segments) - 1)
-    c = np.array([s.coeffs for s in m.segments])[i]
+    c = np.array([segment_coeffs(s) for s in m.segments])[i]
     t = xc - bps[i]
     return ((c[..., 3] * t + c[..., 2]) * t + c[..., 1]) * t + c[..., 0]
 

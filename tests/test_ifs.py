@@ -30,7 +30,8 @@ from cantorifs.construct import (
     epsilon_family_specs,
 )
 
-from oracles import diagonal_gap_scan, dilate, hausdorff_distance, min_distance, orbit_bruteforce
+from oracles import (diagonal_gap_scan, dilate, hausdorff_distance, min_distance, orbit_bruteforce,
+                     segment_coeffs)
 
 
 # -- class-A validation -------------------------------------------------------
@@ -122,7 +123,7 @@ def test_segment_least_never_exceeds_a_dense_scan(built_pair, appendix, n17_pair
     for pair in (built_pair, appendix[0], n17_pair):
         for segs in (pair.f.segments, _reflected_segments(pair.g)):
             for s in segs[1:]:
-                c0, c1, c2, c3 = s.coeffs
+                c0, c1, c2, c3 = segment_coeffs(s)
                 (least, t), _ = cubic_extremes((s.x_lo - c0, 1.0 - c1, -c2, -c3), 0.0, s.width)
                 assert 0.0 <= t <= s.width
                 assert least <= diagonal_gap_scan(s)
@@ -131,7 +132,7 @@ def test_segment_least_never_exceeds_a_dense_scan(built_pair, appendix, n17_pair
 def test_class_a_builds_no_segment(built_pair, monkeypatch):
     """Class A reads g reflected about the diagonal as table rows made from
     g's kind data: on fresh maps it builds no `Segment`, so it runs no
-    monotonicity check and fills no coefficient cache."""
+    monotonicity check."""
     f, g = MapSpec(built_pair.f.segments), MapSpec(built_pair.g.segments)
     built = []
     post_init = Segment.__post_init__

@@ -28,7 +28,8 @@ from cantorifs.construct import base_pair, lambda_sequence
 from cantorifs.ifs import orbit, validate_class_a
 from cantorifs.intervals import TOL
 
-from oracles import apply_word, break_values, eval_by_segment, inverse_by_segment, segment_ends
+from oracles import (apply_word, break_values, eval_by_segment, inverse_by_segment, segment_coeffs,
+                     segment_deriv, segment_ends, segment_inverse, segment_value)
 
 RNG = np.random.default_rng(20260810)
 
@@ -70,7 +71,7 @@ def test_eval_array_matches_scalar(bumpy):
 def test_breakpoint_left_value_convention(bumpy):
     # at a breakpoint both sides agree within tolerance; the left segment wins
     x = 0.4
-    left = bumpy.segments[0].value_at(x)
+    left = segment_value(bumpy.segments[0], x)
     assert bumpy.eval(x) == left
 
 
@@ -179,7 +180,7 @@ def test_scalar_eval_deriv_match_array_path_bitwise(real_maps):
         bps = [s.x_lo for s in m.segments]
         i = np.clip(np.searchsorted(bps, xs, side="left") - 1, 0, len(m.segments) - 1)
         assert _bits(m.deriv(x) for x in xs) == _bits(
-            m.segments[k].deriv_at(x) for k, x in zip(i, xs))
+            segment_deriv(m.segments[k], x) for k, x in zip(i, xs))
 
 
 def test_scalar_lookup_takes_left_segment_at_breakpoint(real_maps):
@@ -187,7 +188,7 @@ def test_scalar_lookup_takes_left_segment_at_breakpoint(real_maps):
         for k in range(1, len(m.segments)):
             b = m.segments[k].x_lo
             assert m._seg_index(b) == k - 1
-            assert m.deriv(b) == m.segments[k - 1].deriv_at(b)
+            assert m.deriv(b) == segment_deriv(m.segments[k - 1], b)
 
 
 def test_inverse_lookup_matches_searchsorted_rule(real_maps):
@@ -197,7 +198,7 @@ def test_inverse_lookup_matches_searchsorted_rule(real_maps):
         # the numpy lookup the scalar path used before `bisect`
         j = np.clip(np.searchsorted(breaks, ys, side="left") - 1, 0, len(m.segments) - 1)
         assert _bits(m.inverse_eval(y) for y in ys) == _bits(
-            m.segments[k].inverse_at(y) for k, y in zip(j, ys))
+            segment_inverse(m.segments[k], y) for k, y in zip(j, ys))
 
 
 def test_inverse_array_is_inverse_eval_bitwise(real_maps, bumpy):
@@ -234,10 +235,11 @@ def _outcome(fn, v) -> str:
 
 
 def test_scalar_kernels_match_segment_oracles_bitwise(real_maps, bumpy):
-    """`eval` and `inverse_eval` read their row tables; the oracles take the
-    picked segment's `value_at`/`inverse_at`.  Checked at every breakpoint
-    and break value, their neighbours, the ends, -0.0, overshoots within and
-    beyond eps_newton, and NaN; an error must have the oracle's type."""
+    """`eval` and `inverse_eval` read their row tables; the oracles take
+    the picked segment's `segment_value`/`segment_inverse`.  Checked at
+    every breakpoint and break value, their neighbours, the ends, -0.0,
+    overshoots within and beyond eps_newton, and NaN; an error must have
+    the oracle's type."""
     half, over = 0.5 * TOL.eps_newton, 2.0 * TOL.eps_newton
     bad = [math.nan, math.inf, -math.inf]
     checked = [*real_maps, bumpy, maps.symmetry_conjugate(bumpy)]
@@ -263,9 +265,10 @@ def _row_bits(row) -> list[str]:
 
 
 def test_table_holds_the_per_segment_formulas_bitwise(edge_maps, bumpy):
-    """Each row holds its segment's own floats: x_lo, `width`, `coeffs`,
-    the derivative quadratic `deriv_at` runs, the vertex `cubic_extremes`
-    finds (NaN where it finds none), `value_at(x_lo)`, the kind's y_hi and
+    """Each row holds its segment's own floats: x_lo, `width`,
+    `segment_coeffs`, the derivative quadratic `segment_deriv` runs, the
+    vertex `cubic_extremes` finds (NaN where it finds none),
+    `segment_value` at x_lo, the kind's y_hi and
     the two flags, which differ on a flat Hermite segment.  The columns,
     the bisect keys and the image ends are the same floats."""
     flat_hermite = 0
@@ -273,16 +276,17 @@ def test_table_holds_the_per_segment_formulas_bitwise(edge_maps, bumpy):
         assert len(m._rows) == len(m.segments), name
         for row, s in zip(m._rows, m.segments):
             x_lo, width, c0, c1, c2, c3, a1, a2, vertex, y_lo, y_hi, flat, affine, icpt = row
-            assert _bits([x_lo, width, c0, c1, c2, c3]) == _bits([s.x_lo, s.width, *s.coeffs])
+            assert _bits([x_lo, width, c0, c1, c2, c3]) == _bits(
+                [s.x_lo, s.width, *segment_coeffs(s)])
             assert _bits([a1, a2]) == _bits([2.0 * c2, 3.0 * c3]), name
             for x in (s.x_lo, 0.5 * (s.x_lo + s.x_hi), s.x_hi):
                 t = x - x_lo
-                assert ((a2 * t + a1) * t + c1).hex() == s.deriv_at(x).hex(), name
+                assert ((a2 * t + a1) * t + c1).hex() == segment_deriv(s, x).hex(), name
             # cubic_extremes' root of a1 + 2 a2 t where its discriminant is positive
             assert _bits([vertex]) == _bits([-a1 / (2.0 * a2) if a2 * a2 > 0.0 else math.nan])
             assert math.isnan(vertex) or abs(a1 + 2.0 * a2 * vertex) <= 1e-9 * abs(a1), name
             assert _bits([y_lo, y_hi]) == _bits(segment_ends(s)), name
-            assert flat is (s.coeffs[2:] == (0.0, 0.0)), name
+            assert flat is (segment_coeffs(s)[2:] == (0.0, 0.0)), name
             assert affine is isinstance(s.kind, Affine), name
             assert _bits([icpt]) == _bits([s.kind.intercept if affine else math.nan]), name
             flat_hermite += flat and not affine
@@ -298,12 +302,12 @@ def test_table_holds_the_per_segment_formulas_bitwise(edge_maps, bumpy):
 def test_reflected_rows_are_the_reflected_segments_rows(edge_maps, bumpy):
     """Class A's reflected rows, built from kind data alone, are the table
     of the map `_reflected_segments` gives, and its rows are those
-    segments' x_lo, width and `coeffs`."""
+    segments' x_lo, width and `segment_coeffs`."""
     for name, m in {**edge_maps, "bumpy": bumpy}.items():
         segs = maps._reflected_segments(m)
         rows = maps._reflected_rows(m)
         assert [_row_bits(r[:6]) for r in rows] == [
-            _bits([s.x_lo, s.width, *s.coeffs]) for s in segs], name
+            _bits([s.x_lo, s.width, *segment_coeffs(s)]) for s in segs], name
         assert [_row_bits(r) for r in rows] == [_row_bits(r) for r in MapSpec(segs)._rows], name
 
 
@@ -364,8 +368,8 @@ def edge_maps(built_pair, appendix, valid_affine):
     linear-derivative Hermite segments: at slope 0.5 their cubic terms
     round to c2 = c3 = 0 (the multiply-add), at 0.7 they do not (Horner)."""
     flat, bent = _constant_slope_spec(0.5), _constant_slope_spec(0.7)
-    assert all(s.coeffs[2:] == (0.0, 0.0) for s in flat.segments)
-    assert all(s.coeffs[2:] != (0.0, 0.0) for s in bent.segments[1:3])
+    assert all(segment_coeffs(s)[2:] == (0.0, 0.0) for s in flat.segments)
+    assert all(segment_coeffs(s)[2:] != (0.0, 0.0) for s in bent.segments[1:3])
     app = appendix[0]
     return {"built f": built_pair.f, "built g": built_pair.g, "appendix f": app.f,
             "appendix g": app.g, "affine f": valid_affine.f, "affine g": valid_affine.g,
@@ -445,7 +449,7 @@ def test_symmetry_involution(bumpy):
     back = symmetry_conjugate(symmetry_conjugate(bumpy))
     for a, b in zip(back.segments, bumpy.segments):
         assert a.x_lo == pytest.approx(b.x_lo, abs=1e-15)
-        assert a.value_at(a.x_lo) == pytest.approx(b.value_at(b.x_lo), abs=1e-12)
+        assert segment_value(a, a.x_lo) == pytest.approx(segment_value(b, b.x_lo), abs=1e-12)
 
 
 def test_symmetry_identity():
@@ -595,8 +599,8 @@ def test_conjugate_segment_matches_composition():
     a1, b1, a2, b2 = 3.0, 0.05, 0.5, 0.2
     out = conjugate_segment(seg, a1, b1, a2, b2)
     for x in np.linspace(out.x_lo, out.x_hi, 50):
-        expect = a2 * seg.value_at(a1 * x + b1) + b2
-        assert out.value_at(float(x)) == pytest.approx(expect, abs=1e-14)
+        expect = a2 * segment_value(seg, a1 * x + b1) + b2
+        assert segment_value(out, float(x)) == pytest.approx(expect, abs=1e-14)
 
 
 # -- serialization ----------------------------------------------------------------------
