@@ -35,7 +35,7 @@ from .errors import (
     NoContractionError,
 )
 from .intervals import TOL, Interval, IntervalSet, _inside
-from .ifs import IFSPair, fundamental_domain
+from .ifs import IFSPair
 from .maps import MapSpec
 
 #: The `find_hole` failures that are verdicts on the pair, reported as data;
@@ -89,28 +89,28 @@ def find_hole(p: IFSPair, seed: Interval) -> HolePair:
     why the construction needs the expanding inner bump).  Validates the
     hole-pair containments before returning.
     """
-    t_of = lambda iv: p.f.image_of(p.g.image_of(iv))
-    first = t_of(seed)
+    t_of = lambda lo, hi: p.f.image_ends(*p.g.image_ends(lo, hi))
+    first = Interval(*t_of(seed.lo, seed.hi))
     if not seed.contains_interval(first, margin=TOL.eps_geom):
         raise NoContractionError(
             f"f(g(seed)) = {first} is not inside int({seed})")
 
-    cur = seed
-    for _ in range(200):
-        nxt = t_of(cur)
-        if abs(nxt.lo - cur.lo) < TOL.eps_newton and abs(nxt.hi - cur.hi) < TOL.eps_newton:
-            cur = nxt
+    # `first` is the limit's step 1.  It lies eps_geom > eps_newton inside
+    # the seed, so that step never meets the stop rule: start from it.
+    lo, hi = first.lo, first.hi
+    for _ in range(199):
+        (a, b), (lo, hi) = (lo, hi), t_of(lo, hi)
+        if abs(lo - a) < TOL.eps_newton and abs(hi - b) < TOL.eps_newton:
             break
-        cur = nxt
     else:
         raise IterationCapError(
-            f"hole limit from {seed} did not converge in 200 steps; last {cur}")
+            f"hole limit from {seed} did not converge in 200 steps; last {Interval(lo, hi)}")
 
-    if cur.length < 10.0 * TOL.eps_geom:
+    h_f = Interval(lo, hi)
+    if h_f.length < 10.0 * TOL.eps_geom:
         raise DegenerateHoleError(
-            f"hole limit {cur} has length {cur.length:.3g} < {10 * TOL.eps_geom:.3g}")
+            f"hole limit {h_f} has length {h_f.length:.3g} < {10 * TOL.eps_geom:.3g}")
 
-    h_f = cur
     h_g = p.g.image_of(h_f)
     back = p.f.image_of(h_g)
     residual = max(abs(back.lo - h_f.lo), abs(back.hi - h_f.hi))
@@ -282,8 +282,7 @@ def expansion_cells(p: IFSPair, h: HolePair) -> tuple[tuple[list[EeCell], EeCell
     for which, ret_name, _ in branches:
         sites.append(induced_discontinuities(p, which, _oriented(p, which)[2]))
         n = len(sites[-1])  # the cells j = 1..n need D_1..D_n
-        fundamental_domain(p, ret_name, n)  # grows the ladder to rung n + 1
-        rungs = np.array(p._ladders[ret_name][1:n + 2])
+        rungs = np.array(p.ladder(ret_name, n + 1)[1:n + 2])
         ends.append((rungs[:-1], rungs[1:]))
     los = np.concatenate([np.minimum(a, b) for a, b in ends]) - TOL.eps_newton
     his = np.concatenate([np.maximum(a, b) for a, b in ends]) + TOL.eps_newton
@@ -329,9 +328,9 @@ def _accumulation_cell(p: IFSPair, which: Literal["F", "G"], edges: list[float],
     lo, hi = sorted((edges[-1], acc_end))
     bound, low = math.inf, chain
     for k in range(big_j, big_j + TOL.max_iter):
-        d = fundamental_domain(p, ret_name, k)
-        d_k = _padded(d.lo, d.hi)
-        rest = _padded(d.lo if which == "F" else d.hi, fixed)  # q_k to the fixed point
+        q_k, q_next = p.ladder(ret_name, k + 1)[k:k + 2]
+        d_k = _padded(q_k, q_next)
+        rest = _padded(q_k, fixed)  # q_k to the fixed point
         if ret.max_deriv(*rest) <= 1.0:
             bound = min(bound, _down(chain / first.max_deriv(*rest)))
             return EeCell(lo, hi, big_j - 1, low, bound)
@@ -414,9 +413,10 @@ class RuinationRegions:
         return self.r_f.intersect(self.r_g)
 
 
-def ruination_parts(p: IFSPair, h: HolePair, which: Literal["f", "g"]) -> list[Interval]:
-    """The parts of one ruination family, Q_n = f(g^n(h_g)) for the
-    f-family and P_n = g(f^n(h_f)) for the g-family; part n is at index n.
+def ruination_parts(p: IFSPair, h: HolePair, which: Literal["f", "g"]) -> tuple[list, list]:
+    """The ends (los, his) of the parts of one ruination family,
+    Q_n = f(g^n(h_g)) for the f-family and P_n = g(f^n(h_f)) for the
+    g-family; part n is at index n.
 
     Monotone maps send intervals to intervals, so each part is exact up to
     evaluation rounding.  Keeps parts n = 0..10,000 and stops before the
@@ -424,21 +424,22 @@ def ruination_parts(p: IFSPair, h: HolePair, which: Literal["f", "g"]) -> list[I
     many parts.
     """
     outer, inner, cur = (p.f, p.g, h.h_g) if which == "f" else (p.g, p.f, h.h_f)
-    parts: list[Interval] = []
+    lo, hi = cur.lo, cur.hi
+    los, his = [], []
     for _ in range(10_001):
-        part = outer.image_of(cur)
-        if part.length < TOL.eps_geom:
+        a, b = outer.image_ends(lo, hi)
+        if b - a < TOL.eps_geom:
             break
-        parts.append(part)
-        cur = inner.image_of(cur)
-    return parts
+        los.append(a)
+        his.append(b)
+        lo, hi = inner.image_ends(lo, hi)
+    return los, his
 
 
 def ruination_regions(p: IFSPair, h: HolePair) -> RuinationRegions:
-    return RuinationRegions(
-        r_f=IntervalSet(ruination_parts(p, h, "f")),
-        r_g=IntervalSet(ruination_parts(p, h, "g")),
-    )
+    (f_los, f_his), (g_los, g_his) = (ruination_parts(p, h, w) for w in ("f", "g"))
+    return RuinationRegions(r_f=IntervalSet(los=f_los, his=f_his),
+                            r_g=IntervalSet(los=g_los, his=g_his))
 
 
 # ---------------------------------------------------------------------------

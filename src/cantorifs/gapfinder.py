@@ -42,7 +42,7 @@ import numpy as np
 from .errors import (CertificateError, ClassificationError, DomainError, IterationCapError,
                      RangeError, ResourceCapError, SpecError)
 from .intervals import TOL, Interval, IntervalSet, _inside, grid_cells_meeting
-from .ifs import ORBIT_CAP, IFSPair, OrbitCloud, fundamental_domain, minimal_set_cover, orbit
+from .ifs import ORBIT_CAP, IFSPair, OrbitCloud, minimal_set_cover, orbit
 from .axioms import HolePair, RuinationRegions, _inverse_orbit, _oriented, _site_counts, induced_n
 from .maps import _FEW, MapSpec
 
@@ -481,10 +481,10 @@ def _power_domains(p: IFSPair, which: Literal["f", "g"], mid: np.ndarray):
     domain holds it, so a tie goes to the smaller N, and N = -1 where no
     N < 5000 does.  The ladder f^n(1) falls (g^n(0) rises), so after it is
     grown past every midpoint one searchsorted reads N off it."""
-    xs, s = p._ladders[which], (-1.0 if which == "f" else 1.0)
+    xs, s = p.ladder(which, 3), (-1.0 if which == "f" else 1.0)
     far = float((s * mid).max())
-    while len(xs) < 4 or (len(xs) < 5001 and s * xs[-1] < far):
-        fundamental_domain(p, which, len(xs) - 1)
+    while len(xs) < 5001 and s * xs[-1] < far:
+        p.ladder(which, len(xs))
     ladder = np.array([*xs, math.nan])  # a NaN rung sorts last and holds no midpoint
     j = 3 + (s * ladder[3:]).searchsorted(s * mid)  # the first rung N + 1 at or past mid
     d_lo, d_hi = (ladder[j], ladder[j - 1]) if which == "f" else (ladder[j - 1], ladder[j])

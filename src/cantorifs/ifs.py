@@ -35,11 +35,11 @@ class IFSPair:
     the checked entry point and fills `overlap` consistently.  Direct
     construction is allowed for toys and negative controls.
 
-    The geometry fixed by the pair (the ladders f^n(1) and g^n(0) that
-    `fundamental_domain` reads, F1, G1, their parts outside W and the jump
-    sites of the induced maps) is computed on first use and cached on the
-    instance; it stays lazy because parameter searches build many throwaway
-    pairs that never read it.
+    The geometry fixed by the pair (the ladders f^n(1) and g^n(0), which
+    every reader of a rung reads through `ladder`, F1, G1, their parts
+    outside W and the jump sites of the induced maps) is computed on first
+    use and cached on the instance; it stays lazy because parameter searches
+    build many throwaway pairs that never read it.
     """
 
     f: MapSpec
@@ -55,9 +55,16 @@ class IFSPair:
 
     @cached_property
     def _ladders(self) -> dict[str, list[float]]:
-        """f^n(1) and g^n(0) for n = 0, 1, ..., grown on demand by
-        `fundamental_domain`."""
+        """f^n(1) and g^n(0) for n = 0, 1, ..., grown only by `ladder`."""
         return {"f": [1.0], "g": [0.0]}
+
+    def ladder(self, which: Literal["f", "g"], n: int) -> list[float]:
+        """The cached rungs f^k(1) (g^k(0) for which = "g"), k = 0, 1, ...,
+        grown by one scalar `eval` per new rung to hold at least rung n."""
+        m, xs = (self.f if which == "f" else self.g), self._ladders[which]
+        while len(xs) <= n:
+            xs.append(m.eval(xs[-1]))
+        return xs
 
     @cached_property
     def f1(self) -> Interval:
@@ -92,13 +99,12 @@ class IFSPair:
         return self._jump_sites(self.g, "f")
 
     def _jump_sites(self, first: MapSpec, ret: Literal["f", "g"]) -> np.ndarray:
-        # The sites first(g^j(0)) = first(G_j.lo) (first(F_j.hi) for ret = f)
-        # accumulate at the image under `first` of ret's fixed point; stop
-        # once consecutive ones agree to eps_newton, or after 200.
+        # The sites first(g^j(0)) (first(f^j(1)) for ret = f) accumulate at
+        # the image under `first` of ret's fixed point; stop once consecutive
+        # ones agree to eps_newton, or after 200.
         sites: list[float] = []
         for j in range(2, 202):
-            d = fundamental_domain(self, ret, j)
-            sites.append(first.eval(d.lo if ret == "g" else d.hi))
+            sites.append(first.eval(self.ladder(ret, j)[j]))
             if len(sites) > 1 and abs(sites[-1] - sites[-2]) < TOL.eps_newton:
                 break
         out = np.array(sorted(sites))
@@ -184,15 +190,13 @@ def validate_class_a(f: MapSpec, g: MapSpec) -> ValidationResult:
 
 
 def fundamental_domain(p: IFSPair, which: Literal["f", "g"], n: int) -> Interval:
-    """F_n = [f^(n+1)(1), f^n(1)] or G_n = [g^n(0), g^(n+1)(0)], read from
-    the pair's ladder, which grows by one evaluation per new iterate."""
+    """F_n = [f^(n+1)(1), f^n(1)] or G_n = [g^n(0), g^(n+1)(0)] as an
+    `Interval`, read from the pair's `ladder`."""
     if n < 0:
         raise DomainError("fundamental_domain needs n >= 0")
     if which not in ("f", "g"):
         raise DomainError(f"which must be 'f' or 'g', got {which!r}")
-    m, xs = (p.f if which == "f" else p.g), p._ladders[which]
-    while len(xs) <= n + 1:
-        xs.append(m.eval(xs[-1]))
+    xs = p.ladder(which, n + 1)
     return Interval(xs[n + 1], xs[n]) if which == "f" else Interval(xs[n], xs[n + 1])
 
 

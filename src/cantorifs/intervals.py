@@ -44,6 +44,13 @@ TOL = Tolerance(eps_geom=1e-9, eps_newton=1e-12, max_iter=100)
 _SUM_CHUNK = 1 << 15
 
 
+def _ordered(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi), or the `SpecError` an `Interval` on them raises."""
+    if not (lo <= hi):
+        raise SpecError(f"interval needs lo <= hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
 @dataclass(frozen=True, order=True)
 class Interval:
     """Closed interval [lo, hi] ⊂ [0, 1]; degenerate (lo == hi) allowed."""
@@ -52,8 +59,7 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (self.lo <= self.hi):
-            raise SpecError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
+        _ordered(self.lo, self.hi)
 
     @property
     def length(self) -> float:

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, IterationCapError, RangeError, SpecError
-from .intervals import TOL, Interval
+from .intervals import TOL, Interval, _ordered
 
 #: Accepted derivative mismatch at internal breakpoints ("C1 within
 #: tolerance"): constructed joins are exact in exact arithmetic, this absorbs
@@ -411,6 +411,10 @@ class MapSpec:
 
     def image_of(self, iv: Interval) -> Interval:
         return Interval(self.eval(iv.lo), self.eval(iv.hi))
+
+    def image_ends(self, lo: float, hi: float) -> tuple[float, float]:
+        """The ends of `image_of` [lo, hi] as floats, with its lo <= hi check."""
+        return _ordered(self.eval(lo), self.eval(hi))
 
 
 def identity_spec() -> MapSpec:

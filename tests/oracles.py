@@ -442,6 +442,20 @@ def pull_back_by_intervals(p: IFSPair, steps: Sequence[TraceStep], iv: Interval)
     return iv
 
 
+def hole_chain(p: IFSPair, seed: Interval) -> list[Interval]:
+    """The nested images seed, f(g(seed)), f(g(f(g(seed)))), ... as
+    `image_of` chains, up to the first whose ends both moved less than
+    eps_newton, or 200 steps: the hole limit is the last one when it
+    converged."""
+    chain = [seed]
+    while len(chain) <= 200:
+        prev, nxt = chain[-1], p.f.image_of(p.g.image_of(chain[-1]))
+        chain.append(nxt)
+        if abs(nxt.lo - prev.lo) < TOL.eps_newton and abs(nxt.hi - prev.hi) < TOL.eps_newton:
+            break
+    return chain
+
+
 def ruination_family(p: IFSPair, h: HolePair, which: Literal["f", "g"]) -> Iterator[Interval]:
     """The parts of one ruination family in order n = 0, 1, 2, ...:
     Q_n = f(g^n(h_g)) for the f-family, P_n = g(f^n(h_f)) for the g-family.

@@ -248,6 +248,30 @@ def test_one_branch_table():
     assert in_src == site_reads(source(functions["cantorifs.axioms._oriented"]))
 
 
+def test_one_ladder_routine():
+    """Only `IFSPair.ladder` reads the cached rungs f^n(1) and g^n(0), so
+    only it grows them, and only F1 and G1 are built by the `Interval` view
+    `fundamental_domain`: every other reader of a rung takes its float from
+    the ladder."""
+    def reads(tree: ast.AST) -> int:
+        return sum(isinstance(n, ast.Attribute) and n.attr == "_ladders" for n in ast.walk(tree))
+
+    def calls(tree: ast.AST) -> int:
+        return sum(isinstance(n, ast.Call) and "fundamental_domain" in (
+            getattr(n.func, "id", None), getattr(n.func, "attr", None)) for n in ast.walk(tree))
+
+    trees = {name: ast.parse(textwrap.dedent(inspect.getsource(fn)))
+             for name, fn in _package_functions().items()}
+    assert sorted(name for name, tree in trees.items() if reads(tree)) == [
+        "cantorifs.ifs.IFSPair.ladder"]
+    assert sorted(name for name, tree in trees.items() if calls(tree)) == [
+        "cantorifs.ifs.IFSPair.f1", "cantorifs.ifs.IFSPair.g1"]
+    # and none outside a function body
+    modules = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in (REPO / "src" / "cantorifs").glob("*.py")]
+    assert (sum(map(reads, modules)), sum(map(calls, modules))) == (1, 2)
+
+
 def _loads(tree: ast.AST) -> Counter:
     """Each name read in `tree`, as a Name or as an Attribute, with its count."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)

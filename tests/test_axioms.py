@@ -48,6 +48,7 @@ from oracles import (
     check_so_containment_form,
     dilate,
     ee_cells_by_domain,
+    hole_chain,
     induced_discontinuities_by_scan,
     induced_map,
     induced_n_by_chain,
@@ -165,6 +166,64 @@ def test_hole_limit_must_converge(built_ctx, monkeypatch):
     monkeypatch.setattr(axioms, "find_hole", stalled)
     rep = run_axiom_checks(built_ctx["pair"], Interval(0.33, 0.34), 1.01)
     assert rep.hole_error == "stalled" and not rep.ok
+
+
+def _bits(iv: Interval) -> tuple[str, str]:
+    return iv.lo.hex(), iv.hi.hex()
+
+
+@pytest.mark.parametrize("case", ["built", "eps", "degenerate", "no contraction", "slow"])
+def test_hole_limit_is_the_image_of_chain_bit_for_bit(built, eps_pair, valid_affine, case):
+    """`find_hole` iterates f∘g on the two end floats; its limit is the
+    last interval of the `image_of` chain bit for bit, and a hole failure
+    names the chain's interval where it stopped: on the built and ε pairs
+    and on the pairs of the hole tests above."""
+    pair, seed = {
+        "built": lambda: (built[0], built[2].params.j_p),
+        "eps": lambda: (eps_pair, ConstructionParams().j_p),
+        "degenerate": lambda: (IFSPair.of(MapSpec((Segment(0.0, 1.0, Affine(0.5, 0.0875)),)),
+                                          MapSpec((Segment(0.0, 1.0, Affine(0.5, 0.35)),))),
+                               Interval(0.3, 0.4)),
+        "no contraction": lambda: (valid_affine, Interval(0.5, 0.6)),
+        "slow": lambda: (IFSPair.of(affine_spec(0.95, 0.0), affine_spec(0.95, 0.05)),
+                         Interval(0.4, 0.6)),
+    }[case]()
+    chain = hole_chain(pair, seed)
+    if case in ("built", "eps"):
+        hole = find_hole(pair, seed)
+        assert len(chain) < 201 and _bits(hole.h_f) == _bits(chain[-1])
+        assert _bits(hole.h_g) == _bits(pair.g.image_of(chain[-1]))
+        if case == "built":
+            assert _bits(built[1].hole.h_f) == _bits(hole.h_f)
+        return
+    with pytest.raises(axioms.HOLE_VERDICTS) as err:
+        find_hole(pair, seed)
+    stop = {"degenerate": f"hole limit {chain[-1]} has length",
+            "no contraction": f"f(g(seed)) = {chain[1]} is not inside",
+            "slow": f"did not converge in 200 steps; last {chain[-1]}"}[case]
+    assert stop in str(err.value)
+    assert (len(chain) == 201) is (case == "slow")
+
+
+def test_axiom_checks_build_few_intervals(built, monkeypatch):
+    """The hole limit and the ruination families carry their ends as
+    floats, and the ladder readers read rungs, not fundamental domains: on
+    maps rebuilt from the built pair's segments, `run_axiom_checks` builds
+    F1, G1, their parts outside W, f(g(seed)), h_f, h_g and f(h_g), and no
+    `Interval` per step."""
+    f, g = MapSpec(built[0].f.segments), MapSpec(built[0].g.segments)
+    pair, seed = validate_class_a(f, g).as_pair(), built[2].params.j_p
+    made = []
+    post_init = Interval.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counted)
+    rep = run_axiom_checks(pair, seed, built[1].axioms.ee.mu_target)
+    assert rep.ok
+    assert len(made) <= 8
 
 
 # -- induced maps --------------------------------------------------------------------
@@ -654,12 +713,22 @@ def test_ee_matches_the_per_cell_oracle_bit_for_bit(built_ctx, eps_pair, case):
 # -- ruination regions ---------------------------------------------------------------
 
 
+def _parts(pair, hole, fam) -> list[Interval]:
+    """The parts whose ends `ruination_parts` returns, each end equal bit
+    for bit to `oracles.ruination_family`'s."""
+    los, his = ruination_parts(pair, hole, fam)
+    parts = [Interval(lo, hi) for lo, hi in zip(los, his, strict=True)]
+    expect = islice(ruination_family(pair, hole, fam), len(parts))
+    assert [_bits(part) for part in parts] == [_bits(part) for part in expect]
+    return parts
+
+
 def test_ruination_midpoints_map_into_hole(built_ctx):
     pair, hole, ruin = built_ctx["pair"], built_ctx["hole"], built_ctx["ruin"]
-    for n, part in enumerate(ruination_parts(pair, hole, "f")[:12]):
+    for n, part in enumerate(_parts(pair, hole, "f")[:12]):
         y = induced_map(pair, "F", part.mid)
         assert hole.h_g.contains(y, 1e-9), f"Q_{n} midpoint escapes h_g"
-    for n, part in enumerate(ruination_parts(pair, hole, "g")[:8]):
+    for n, part in enumerate(_parts(pair, hole, "g")[:8]):
         y = induced_map(pair, "G", part.mid)
         assert hole.h_f.contains(y, 1e-9), f"P_{n} midpoint escapes h_f"
 
@@ -667,11 +736,11 @@ def test_ruination_midpoints_map_into_hole(built_ctx):
 def test_ruination_parts_accumulate(built_ctx):
     pair, hole = built_ctx["pair"], built_ctx["hole"]
     f1_hi = pair.f.eval(1.0)
-    mids = [p.mid for p in ruination_parts(pair, hole, "f")]
+    mids = [p.mid for p in _parts(pair, hole, "f")]
     assert all(a < b for a, b in zip(mids, mids[1:]))  # increase toward f(1)
     assert f1_hi - mids[-1] < f1_hi - mids[0]
     g0 = pair.g.eval(0.0)
-    mids_g = [p.mid for p in ruination_parts(pair, hole, "g")]
+    mids_g = [p.mid for p in _parts(pair, hole, "g")]
     assert all(a > b for a, b in zip(mids_g, mids_g[1:]))  # decrease toward g(0)
 
 
@@ -687,13 +756,14 @@ def test_ruination_matches_gridscan(built_ctx):
 
 
 def test_ruination_index_bookkeeping(built_ctx):
-    """Part n of a family sits at index n: Q_0 = f(h_g), P_0 = g(h_f), and
-    the list is the family's first parts in order."""
+    """Part n of a family sits at index n: Q_0 = f(h_g), P_0 = g(h_f); the
+    ends are the family's first parts' in order, bit for bit (`_parts`),
+    up to the first part shorter than eps_geom."""
     pair, hole = built_ctx["pair"], built_ctx["hole"]
     for fam, first in (("f", pair.f.image_of(hole.h_g)), ("g", pair.g.image_of(hole.h_f))):
-        parts = ruination_parts(pair, hole, fam)
-        assert parts[0] == first
-        assert parts == list(islice(ruination_family(pair, hole, fam), len(parts)))
+        parts = _parts(pair, hole, fam)
+        assert _bits(parts[0]) == _bits(first)
+        assert next(islice(ruination_family(pair, hole, fam), len(parts), None)).length < TOL.eps_geom
 
 
 # -- castration --------------------------------------------------------------------------
