@@ -37,8 +37,8 @@ from .construct import (
 )
 from .plot import plot_pair, plot_strip
 
-#: Default hole seed for pair files produced by the default construction.
-DEFAULT_SEED = Interval(1.0 / 3.0 - 0.005, 1.0 / 3.0 + 0.005)
+#: Default hole seed for pair files produced by the default construction: its J_p.
+DEFAULT_SEED = ConstructionParams().j_p
 
 
 def _load_pair(path: str) -> IFSPair | None:
@@ -298,10 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("construct", help="build a certified pair")
-    p.add_argument("--jp-width", type=_finite_float, default=0.01)
-    p.add_argument("--bump-strength", type=_finite_float, default=4.0)
-    p.add_argument("--k", type=_finite_float, default=0.005)
-    p.add_argument("--n-target", type=int, default=10)
+    p.add_argument("--jp-width", type=_finite_float, default=ConstructionParams.jp_width)
+    p.add_argument("--bump-strength", type=_finite_float, default=ConstructionParams.bump_strength)
+    p.add_argument("--k", type=_finite_float, default=ConstructionParams.k)
+    p.add_argument("--n-target", type=int, default=ConstructionParams.n_target)
     p.add_argument("--mu-target", type=_mu_target, default=1.01)
     common(p)
     p.set_defaults(func=cmd_construct)
@@ -336,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gaps)
 
     p = sub.add_parser("appendix", help="the measure-bound example")
-    p.add_argument("--eps", type=_finite_float, default=0.01)
-    p.add_argument("--lam", type=_finite_float, default=0.45)
+    p.add_argument("--eps", type=_finite_float, default=AppendixParams.eps)
+    p.add_argument("--lam", type=_finite_float, default=AppendixParams.lam)
     p.add_argument("--n-max", type=_count, default=20)
     common(p)
     p.set_defaults(func=cmd_appendix)

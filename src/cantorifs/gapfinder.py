@@ -40,8 +40,8 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .errors import (CertificateError, ClassificationError, DomainError, IterationCapError,
-                     RangeError, ResourceCapError, SpecError)
-from .intervals import TOL, Interval, IntervalSet, _inside, grid_cells_meeting
+                     RangeError, ResourceCapError)
+from .intervals import TOL, Interval, IntervalSet, _disorder, _inside, _ordered, grid_cells_meeting
 from .ifs import ORBIT_CAP, IFSPair, OrbitCloud, minimal_set_cover, orbit
 from .axioms import HolePair, RuinationRegions, _inverse_orbit, _oriented, _site_counts, induced_n
 from .maps import _FEW, MapSpec
@@ -184,19 +184,10 @@ _LETTERS = np.array([[ord(m or "\0") for m in maps] for maps in _UNDO.values()],
 _PER_N = (_LETTERS > 0).astype(np.intp)
 
 
-def _undo(op: str, n: int) -> str:
-    """The maps that undo one step, as a word in "f" and "g" in the order
-    they apply."""
-    if op not in _UNDO:
-        raise CertificateError(f"unknown op {op!r}")
-    repeated, once = _UNDO[op]
-    return repeated * n + once
-
-
 def _undo_letters(row: np.ndarray, op: np.ndarray, n: np.ndarray, size: int) -> np.ndarray:
     """The letter matrix, `size` rows, of the words that undo the steps
     (op, n), given in the order taken, step k in row row[k]: a row is its
-    steps' `_undo` words, last step first, padded with 0."""
+    steps' `_UNDO` words, last step first, padded with 0."""
     k = row.size - 1 - row[::-1].argsort(kind="stable")  # by row, each row's steps last first
     row, op = row[k], op[k]
     counts = _PER_N[op]
@@ -208,20 +199,21 @@ def _undo_letters(row: np.ndarray, op: np.ndarray, n: np.ndarray, size: int) -> 
 
 
 def _apply_step_forward(p: IFSPair, s: TraceStep, iv: Interval) -> Interval:
-    """Carry `iv` forward through one step: the maps that undo it (`_undo`)
-    are inverted, last first, on the two end floats, with the lo <= hi
-    check of `pull_back`; a shrink step clips to its window."""
+    """Carry `iv` forward through one step: the maps that undo it (`_UNDO`)
+    are inverted, last first, on the two end floats, each pair checked by
+    `_ordered`; a shrink step clips to its window."""
     if s.op == "shrink":
         inter = iv.intersection(s.interval)
         if inter is None:
             raise CertificateError("replay left the recorded shrink window")
         return inter
+    if s.op not in _UNDO:
+        raise CertificateError(f"unknown op {s.op!r}")
+    repeated, once = _UNDO[s.op]
     lo, hi = iv.lo, iv.hi
-    for name in reversed(_undo(s.op, s.n)):
+    for name in reversed(repeated * s.n + once):
         m = p.f if name == "f" else p.g
-        lo, hi = m.inverse_eval(lo), m.inverse_eval(hi)
-        if not lo <= hi:
-            raise SpecError(f"interval needs lo <= hi, got [{lo}, {hi}]")
+        lo, hi = _ordered(m.inverse_eval(lo), m.inverse_eval(hi))
     return Interval(lo, hi)
 
 
@@ -231,18 +223,15 @@ def pull_back(p: IFSPair, letters: np.ndarray, lo, hi) -> tuple[np.ndarray, np.n
 
     The intervals move in lockstep, one letter per pass.  A pass evaluates
     the ends of all intervals whose letter is "f" in one `eval_array` call,
-    which is `eval` bit for bit, and those whose letter is "g" in another.
-    After every pass each interval is checked lo <= hi, with the SpecError
-    an Interval would raise.  A few intervals (`maps._FEW`) go through `eval`
-    one map at a time instead, with the same check: for one interval a pass
-    costs more than its two maps."""
+    which is `eval` bit for bit, and those whose letter is "g" in another,
+    and then checks lo <= hi (`_disorder`).  A few intervals (`maps._FEW`)
+    go through `eval` one map at a time instead, each step checked by
+    `_ordered`: for one interval a pass costs more than its two maps."""
     if len(letters) <= _FEW:
         ends = []
         for word, a, z in zip(letters.tolist(), np.ravel(lo).tolist(), np.ravel(hi).tolist()):
             for m in [p.f if x == ord("f") else p.g for x in word if x]:
-                a, z = m.eval(a), m.eval(z)
-                if not a <= z:
-                    raise SpecError(f"interval needs lo <= hi, got [{a}, {z}]")
+                a, z = _ordered(m.eval(a), m.eval(z))
             ends.append((a, z))
         return tuple(np.array(ends, dtype=float).reshape(-1, 2).T)
     ends = np.empty(2 * len(letters))
@@ -252,10 +241,8 @@ def pull_back(p: IFSPair, letters: np.ndarray, lo, hi) -> tuple[np.ndarray, np.n
             k = (column == ord(name)).nonzero()[0]
             if k.size:
                 ends[k] = m.eval_array(ends[k])
-        bad = (~(ends[0::2] <= ends[1::2])).nonzero()[0]
-        if bad.size:
-            j = 2 * int(bad[0])
-            raise SpecError(f"interval needs lo <= hi, got [{ends[j]}, {ends[j + 1]}]")
+        if (e := _disorder(ends[0::2], ends[1::2])) is not None:
+            raise e
     return ends[0::2], ends[1::2]
 
 
@@ -304,7 +291,7 @@ def _boundary_lemma(p: IFSPair, h: HolePair, r: RuinationRegions, lo: np.ndarray
     windows no earlier one took: the window ∩ h_f, ∩ h_g, its widest piece
     in r_f ∩ r_g (`_widest_pieces`) and, for a window holding f^2(1) (then
     g^2(0)), that of its pull-back by f (g), which holds f(1) (g(0)).
-    Reversed pull-back ends raise Interval's SpecError, f's corner first.
+    Reversed pull-back ends raise their `_disorder`, f's corner first.
     Returns (the piece taken, -1 to split; the thirds; the pull-back)."""
     took = np.full(lo.size, -1)
     out = np.full((4, lo.size), math.nan)  # the thirds' lo and hi, the pull-back's lo and hi
@@ -327,9 +314,8 @@ def _boundary_lemma(p: IFSPair, h: HolePair, r: RuinationRegions, lo: np.ndarray
             y_lo, y_hi = m._image
             b_lo, b_hi = m.inverse_array(np.stack([np.maximum(lo[c], y_lo),
                                                    np.minimum(hi[c], y_hi)], 1)).T
-            if not (b_lo <= b_hi).all():
-                j = int(np.argmin(b_lo <= b_hi))
-                raise SpecError(f"interval needs lo <= hi, got [{b_lo[j]}, {b_hi[j]}]")
+            if (e := _disorder(b_lo, b_hi)) is not None:
+                raise e
             out[2, c], out[3, c] = b_lo, b_hi
             keep(piece, c, *_widest_pieces(b_lo, b_hi, r.rfrg))
             k = k[took[k] < 0]
@@ -373,10 +359,10 @@ def _invert_checked(first: MapSpec, ret: MapSpec, n: np.ndarray, lo: np.ndarray,
     """`_invert_ends` of the batch: the ends, and each window's error by
     position.  When an inversion fails or some ends come out reversed, each
     window runs alone: one whose inversion fails runs `chain(j)` first, whose
-    error wins, and reversed ends get the SpecError an Interval raises."""
+    error wins, and reversed ends get their `_disorder`, held, not raised."""
     try:
         i_lo, i_hi = _invert_ends(first, ret, n, lo, hi)
-        if (i_lo <= i_hi).all():
+        if _disorder(i_lo, i_hi) is None:
             return i_lo, i_hi, {}
     except (RangeError, IterationCapError):
         i_lo, i_hi = np.empty_like(lo), np.empty_like(hi)
@@ -391,8 +377,8 @@ def _invert_checked(first: MapSpec, ret: MapSpec, n: np.ndarray, lo: np.ndarray,
                 raise
         except (RangeError, IterationCapError, DomainError) as e:
             errors[j] = e
-        if j not in errors and not i_lo[j] <= i_hi[j]:
-            errors[j] = SpecError(f"interval needs lo <= hi, got [{i_lo[j]}, {i_hi[j]}]")
+        if j not in errors and (e := _disorder(i_lo[j], i_hi[j])) is not None:
+            errors[j] = e
     return i_lo, i_hi, errors
 
 
@@ -466,13 +452,14 @@ def _rows(log: list[tuple]) -> tuple[np.ndarray, ...]:
                                  for x, size in zip(column, sizes)]) for column in zip(*log))
 
 
-def _core_faults(lo: np.ndarray, hi: np.ndarray, p: IFSPair, mu: float) -> dict[int, DomainError]:
-    """By position, the fault of each window the walk cannot start from."""
-    short, (left, right) = hi - lo < 10.0 * TOL.eps_geom, _beside(lo, hi, p)
+def _core_faults(lo: np.ndarray, hi: np.ndarray, beside: bool, mu: float) -> dict[int, DomainError]:
+    """By position, the fault of each window the walk cannot start from:
+    short, else beside F1 ∪ G1 as its caller found, else mu <= 1."""
+    short = hi - lo < 10.0 * TOL.eps_geom
     return {k: DomainError(f"input {J} shorter than 10*eps_geom" if short[k] else
-                           f"{J} does not meet F1 ∪ G1; use find_gap" if left[k] or right[k]
+                           f"{J} does not meet F1 ∪ G1; use find_gap" if beside
                            else "find_gap_core needs mu > 1")
-            for k in (short | left | right | (mu <= 1.0)).nonzero()[0].tolist()
+            for k in (short | beside | (mu <= 1.0)).nonzero()[0].tolist()
             for J in [Interval(float(lo[k]), float(hi[k]))]}
 
 
@@ -500,8 +487,8 @@ def _enter(w_lo: np.ndarray, w_hi: np.ndarray, p: IFSPair, mu: float):
     rows are these PULLBACK_FN steps, each recording the window before the
     pull-back.  Each of up to 200 passes reads the domain of every window
     still unfitted (`live`) off the ladder (`_power_domains`) and keeps its
-    `_largest_pieces` between the domain's ends.  Every start must pass
-    `_core_faults`; the lowest-numbered window's fault raises."""
+    `_largest_pieces` between the domain's ends.  Every start, none beside
+    F1 ∪ G1 now, must pass `_core_faults`; the lowest-numbered fault raises."""
     lo, hi = np.array(w_lo, dtype=float), np.array(w_hi, dtype=float)
     a, z, n = lo.copy(), hi.copy(), np.zeros(lo.size, dtype=np.intp)
     log, got, faults = [], {}, {}
@@ -539,7 +526,7 @@ def _enter(w_lo: np.ndarray, w_hi: np.ndarray, p: IFSPair, mu: float):
     stopped = np.zeros(lo.size, dtype=bool)
     stopped[[*got, *faults]] = True
     live = (~stopped).nonzero()[0]
-    faults.update((int(live[j]), e) for j, e in _core_faults(lo[live], hi[live], p, mu).items())
+    faults.update((int(live[j]), e) for j, e in _core_faults(lo[live], hi[live], False, mu).items())
     if faults:
         raise faults[min(faults)]
     return log, got, live, lo, hi
@@ -567,7 +554,7 @@ def _walk(
     * the BOUNDARY_HITs take one `_boundary_lemma` call, and each ends in
       the piece it takes or is cut at its hits (all in F1 ∪ G1) and walks
       on with its largest piece inside F1 ∪ G1;
-    * IN_W_OVERLAP ends at once; PULLBACK_FN and no case are verdicts;
+    * IN_W_OVERLAP ends at once; each case after it in CASES is a verdict;
     * the other cases take one step of their induced branch, whose sites
       are read once per walk: outside a hole the window shrinks to its
       largest piece between the jump sites, n is read at its midpoint off
@@ -625,17 +612,14 @@ def _walk(
                 lo[k], hi[k] = c_lo, c_hi
                 log.append((k, _HIT, _SHRINK, 0, c_lo, c_hi))
                 walks_on[k] = True
-        stops, over = code >= _W_OVERLAP, []
-        for c, case in zip(live[stops].tolist(), code[stops].tolist()):
-            if case == _W_OVERLAP:
-                over.append(c)
-            else:
-                why = "left F1 ∪ G1 mid-walk" if case == _BESIDE else CASES[case]
-                got[c] = ClassificationError(f"{Interval(float(lo[c]), float(hi[c]))} {why}")
-        if over:
-            k = np.array(over)
+        k = live[code == _W_OVERLAP]
+        if k.size:
             log.append((k, _W_OVERLAP, _SHRINK, 0, lo[k], hi[k]))
             reason[k] = 1
+        stops = code > _W_OVERLAP
+        for c, case in zip(live[stops].tolist(), code[stops].tolist()):
+            why = "left F1 ∪ G1 mid-walk" if case == _BESIDE else CASES[case]
+            got[c] = ClassificationError(f"{Interval(float(lo[c]), float(hi[c]))} {why}")
 
         branch = code // 3  # 0 for F's cases, 1 for G's
         for which, hole, op in (("F", _HF, _F), ("G", _HG, _G)):
@@ -734,7 +718,7 @@ def find_gap_core(
     non-termination into a diagnosable error.
     """
     if any(_beside(J.lo, J.hi, p)):  # refused, not pulled back; `_enter` checks the rest
-        raise _core_faults(np.array([J.lo]), np.array([J.hi]), p, mu)[0]
+        raise _core_faults(np.array([J.lo]), np.array([J.hi]), True, mu)[0]
     return _certificate(_walk(p, h, r, b, mu, cloud, np.array([J.lo]), np.array([J.hi])), 0, J)
 
 

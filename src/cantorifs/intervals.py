@@ -44,10 +44,19 @@ TOL = Tolerance(eps_geom=1e-9, eps_newton=1e-12, max_iter=100)
 _SUM_CHUNK = 1 << 15
 
 
+def _disorder(lo, hi) -> SpecError | None:
+    """The `SpecError` an `Interval` on lo, hi raises, for 1-D arrays on their
+    first pair reversed or NaN; None when every pair is ordered."""
+    bad = (~(np.asarray(lo) <= hi)).reshape(-1).nonzero()[0]
+    if bad.size and np.ndim(lo):
+        lo, hi = lo[bad[0]], hi[bad[0]]
+    return SpecError(f"interval needs lo <= hi, got [{lo}, {hi}]") if bad.size else None
+
+
 def _ordered(lo: float, hi: float) -> tuple[float, float]:
-    """(lo, hi), or the `SpecError` an `Interval` on them raises."""
+    """(lo, hi), or their `_disorder` raised; a bare comparison when ordered."""
     if not (lo <= hi):
-        raise SpecError(f"interval needs lo <= hi, got [{lo}, {hi}]")
+        raise _disorder(lo, hi)
     return lo, hi
 
 

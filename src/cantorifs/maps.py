@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -434,8 +435,11 @@ def iterate(m: MapSpec, n: int, x: float) -> float:
 
 
 def iterate_interval(m: MapSpec, n: int, iv: Interval) -> Interval:
+    """m^n(iv) by `image_of`, stopping at an image that is its argument bit for bit."""
     for _ in range(n):
-        iv = m.image_of(iv)
+        last, iv = iv, m.image_of(iv)
+        if struct.pack("2d", iv.lo, iv.hi) == struct.pack("2d", last.lo, last.hi):
+            break
     return iv
 
 

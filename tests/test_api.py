@@ -155,6 +155,23 @@ def test_no_except_turns_a_fault_into_a_verdict():
     assert found == ["cli.main"]
 
 
+def test_one_builder_of_the_order_error():
+    """Only `intervals._disorder` writes the text of the SpecError for
+    reversed ends: every other lo <= hi check in src/ (`Interval`, the map
+    steps, the gap walk's carries) raises or holds the error it builds."""
+    found = []
+    for path in sorted((REPO / "src" / "cantorifs").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # ast.walk is breadth-first: the innermost function wins
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((n, fn.name) for n in ast.walk(fn))
+        found += [f"{path.stem}.{owner.get(n, '<module>')}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                  and "interval needs lo <= hi" in n.value]
+    assert found == ["intervals._disorder"]
+
+
 def test_tol_is_not_a_pair_field():
     assert "tol" not in {f.name for f in dataclasses.fields(IFSPair)}
 

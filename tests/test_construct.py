@@ -238,6 +238,21 @@ def test_c_parameter_membership_margin(builder):
     assert target.lo + target.length / 10 <= x <= target.hi - target.length / 10
 
 
+def test_iterate_interval_is_the_image_loop(builder):
+    """Stopping at an image that is its argument bit for bit changes no
+    result: for every n up to 200, past the step (about 54) where g0's
+    image of the hole becomes [1, 1], each map's n-th image is that of an
+    explicit `image_of` loop, bit for bit."""
+    h = builder.hole_ref.h_f
+    for m in (builder.f0, builder.g0):
+        iv = h
+        for n in range(201):
+            got = iterate_interval(m, n, h)
+            assert (got.lo.hex(), got.hi.hex()) == (iv.lo.hex(), iv.hi.hex()), n
+            iv = m.image_of(iv)
+    assert iterate_interval(builder.g0, 200, h) == Interval(1.0, 1.0)
+
+
 def test_c_parameter_bracket_verified(builder):
     with pytest.raises(BracketError):
         builder.find_c_parameter(2)  # no finite eps reaches the target

@@ -718,9 +718,10 @@ def test_walk_builds_no_interval_sets(built_ctx, monkeypatch):
 
 
 def test_certify_reads_its_report_off_the_step_log(built_ctx, monkeypatch):
-    """The sweep at 1e-3 builds no TraceStep or GapCertificate and calls no
-    `_undo`: its pull-backs and report read the walk's step log.  It builds
-    no Interval either, as it has no failure message to write."""
+    """The sweep at 1e-3 builds no TraceStep or GapCertificate and never
+    replays a step (`_apply_step_forward`): its pull-backs and report read
+    the walk's step log.  It builds no Interval either, as it has no
+    failure message to write."""
     pair, hole, ruin, bsets, mu = _ctx(built_ctx)
     sweep = lambda: certify_cantor(pair, hole, ruin, bsets, resolution=1e-3, depth=14, mu=mu)
     want = sweep()  # caches filled
@@ -728,7 +729,7 @@ def test_certify_reads_its_report_off_the_step_log(built_ctx, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the sweep built a trace object")
 
-    for name in ("TraceStep", "GapCertificate", "_undo"):
+    for name in ("TraceStep", "GapCertificate", "_apply_step_forward"):
         monkeypatch.setattr(gapfinder, name, refused)
     monkeypatch.setattr(Interval, "__init__", refused)
     got = sweep()
@@ -1088,6 +1089,26 @@ def cells_2e2(built_ctx):
     """The 50 cells of the sweep at 2e-2; cell 20, [0.4, 0.42], meets F1 ∪ G1
     and its first step is an induced F step, taken without a shrink."""
     return grid_cells(minimal_set_cover(built_ctx["pair"], 14, 2e-2), 2e-2)[1]
+
+
+def test_a_lone_window_is_tested_beside_f1_g1_once(built_ctx, cells_2e2, monkeypatch):
+    """A window in F1 ∪ G1 is tested beside it (`_beside`) once at entry
+    and once per round by `classify`; `find_gap_core` tests its J once
+    before that.  `_core_faults` takes its caller's verdict."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    beside, classify_, calls = gapfinder._beside, gapfinder.classify, []
+    monkeypatch.setattr(gapfinder, "_beside", lambda *a: calls.append("b") or beside(*a))
+    monkeypatch.setattr(gapfinder, "classify", lambda *a: calls.append("r") or classify_(*a))
+    rounds = []
+    for J in cells_2e2:
+        if any(beside(J.lo, J.hi, pair)):
+            continue
+        for walk, extra in ((find_gap, 1), (find_gap_core, 2)):
+            calls.clear()
+            walk(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
+            assert calls.count("b") == calls.count("r") + extra, J
+        rounds.append(calls.count("r"))
+    assert len(rounds) > 20 and max(rounds) > 2
 
 
 def _force_step(monkeypatch, *windows: Interval, ends=None, error=None) -> None:

@@ -16,7 +16,7 @@ from cantorifs.construct import (
 )
 from cantorifs.ifs import minimal_set_cover
 from cantorifs.intervals import from_csv, to_csv
-from cantorifs.maps import affine_spec, pair_to_json
+from cantorifs.maps import MapSpec, affine_spec, pair_to_json
 from cantorifs.plot import plot_pair, plot_strip
 
 
@@ -596,6 +596,28 @@ def test_cli_construct_refusal_is_one_error_line(tmp_path, capsys, argv, message
     err = capsys.readouterr().err
     assert err.startswith("error: ConstructionError: ") and message in err
     assert err.count("\n") == 1
+    assert not (out / "pair.json").exists()
+
+
+def test_cli_construct_refuses_a_huge_n_target_after_few_images(tmp_path, capsys,
+                                                                monkeypatch):
+    """g0's images of the hole reach [1, 1] bit for bit after about 54
+    steps, so n_target = 10^9 is refused with n_target = 10^5's
+    BracketError after at most a few hundred interval images, not 10^9 of
+    them (about 24 minutes)."""
+    image_of, calls = MapSpec.image_of, []
+
+    def counted(self, iv):
+        calls.append(iv)
+        if len(calls) > 1000:
+            raise AssertionError("construct iterated past the hole image's fixed point")
+        return image_of(self, iv)
+
+    monkeypatch.setattr(MapSpec, "image_of", counted)
+    out = tmp_path / "out"
+    assert main(["construct", "--n-target", "1000000000", "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: BracketError: x = 1.0 is not reached for a "
+                                       "finite eps >= 1e-09 (eps = 0.0)\n")
     assert not (out / "pair.json").exists()
 
 
