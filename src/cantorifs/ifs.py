@@ -243,21 +243,26 @@ def orbit(p: IFSPair, seed: float, depth: int) -> OrbitCloud:
     ResourceCapError.
 
     Level d is the `_dedup_sorted` of the stable-sorted f(level d-1) ∪
-    g(level d-1): f and g write their images into the two halves of one
-    fresh buffer, which is sorted in place.  When f or g maps the seed to
-    itself bit for bit (0.0 under f, 1.0 under g), each level holds the
-    earlier levels' images and the cloud is the last level: cloud(d) is
-    exactly the dedup of f(cloud(d-1)) ∪ g(cloud(d-1)), which need not hold
-    cloud(d-1) within eps_geom.  Other seeds (−0.0 too: its image is +0.0)
-    merge all levels, so there cloud(d) ⊂ cloud(d+1) within eps_geom.
+    g(level d-1).  When f or g maps the seed to itself bit for bit (0.0
+    under f, 1.0 under g), each level holds the earlier levels' images and
+    the cloud is the last level: cloud(d) is exactly the dedup of
+    f(cloud(d-1)) ∪ g(cloud(d-1)), which need not hold cloud(d-1) within
+    eps_geom.  Other seeds (−0.0 too: its image is +0.0) merge all levels,
+    so there cloud(d) ⊂ cloud(d+1) within eps_geom.
+
+    f and g write a level's images a and b into the halves of one buffer,
+    and only [i, j) is stable-sorted in place, i = a.searchsorted(b[0]) and
+    j = n + b.searchsorted(a[-1], "right"), or all of it where float
+    evaluation (a Horner run, a join) put a or b out of order.  With both
+    in order, a[:i] is below every b and b[j-n:] above every a, so a stable
+    sort of the buffer, on values then positions (-0.0 and 0.0 tie), keeps
+    them in place and orders the window as its own stable sort does.
     """
     if not (0.0 <= seed <= 1.0):
         raise DomainError(f"seed {seed} outside [0, 1]")
     if depth < 0:
         raise DomainError("depth must be >= 0")
 
-    # f and g are increasing, so f(level) and g(level) of a sorted level are
-    # sorted runs, which a stable sort (timsort) merges in linear time.
     level = all_pts = np.array([seed])
     fixed = False
     for d in range(depth):
@@ -274,7 +279,11 @@ def orbit(p: IFSPair, seed: float, depth: int) -> OrbitCloud:
         # The merge, where it runs, keeps np.sort's copy: sorting it in
         # place, or deduping the level before the merge, left perfbench's
         # `cloud` about 5% higher in peak RSS and no faster.
-        level.sort(kind="stable")
+        a, b = level[:n], level[n:]
+        i, j = 0, 2 * n
+        if (a[1:] >= a[:-1]).all() and (b[1:] >= b[:-1]).all():
+            i, j = a.searchsorted(b[0]), n + b.searchsorted(a[-1], side="right")
+        level[i:j].sort(kind="stable")
         level = _dedup_sorted(level)
         if max(all_pts.size, level.size) > ORBIT_CAP:
             raise ResourceCapError(f"orbit exceeds cap of {ORBIT_CAP} points")

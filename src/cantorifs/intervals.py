@@ -6,9 +6,9 @@ normalized eagerly: parts sorted, touching/overlapping parts merged, so the
 invariants hold everywhere.  Normalization never changes the set itself (parts
 separated by a positive gap stay apart, however small the gap), so the
 measure is computed exactly from the representation rather than by sampling:
-it is the correctly rounded sum of the part lengths, from exact per-exponent
-bin totals, formed a cache-sized chunk at a time, that `math.fsum` rounds
-once (`_exact_sum`).
+it is the correctly rounded sum of the part lengths, split a cache-sized
+chunk at a time by error-free extraction into rounds with exact sums, which
+`math.fsum` rounds once (`_exact_sum`).
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ class Tolerance:
 
 TOL = Tolerance(eps_geom=1e-9, eps_newton=1e-12, max_iter=100)
 
-#: Parts per `_exact_sum` pass: few enough that a pass's lengths, exponent
-#: bins and split halves stay in cache; its bin totals are exact for up to
-#: 2^26 parts.
+#: Parts per `_exact_sum` chunk: few enough that a chunk's lengths and its
+#: extracted part stay in cache.  Its bit length s sets each extraction
+#: round's grid, on which fewer than 2^s lengths sum exactly.
 _SUM_CHUNK = 1 << 15
 
 
@@ -119,34 +119,35 @@ def _normalize(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _exact_sum(los: np.ndarray, his: np.ndarray) -> float:
-    """`math.fsum(his - los)`, bit for bit, for his >= los whose lengths
-    do not overflow in total (R. Neal's small superaccumulator,
-    arXiv:1505.05571).
+    """`math.fsum(his - los)`, bit for bit, for parts of [0, 1], and NaN
+    for an infinite or NaN length, by error-free extraction (S. M. Rump,
+    T. Ogita, S. Oishi, "Accurate floating-point summation part I: faithful
+    rounding", SIAM J. Sci. Comput. 31(1), 2008).
 
-    The lengths d are formed `_SUM_CHUNK` at a time into one buffer.  Bin
-    a chunk's lengths by binary exponent e.  In bin e every length is an
-    integer multiple of one ulp u_e below 2^53 u_e.  Masking off its low
-    26 mantissa bits splits it exactly into hi, a multiple of 2^26 u_e, and
-    lo = d - hi < 2^26 u_e.  At most 2^26 his sum to a multiple of 2^26 u_e
-    below 2^79 u_e, and as many los to a multiple of u_e below 2^52 u_e.
-    Both need at most 53 significant bits and neither exceeds the total, so
-    every running sum of `np.bincount` is a float and each bin total is
-    exact, for any chunk of at most 2^26 parts.  The bin totals of all
-    chunks add up exactly to the sum of d, which `math.fsum` rounds once.
-    """
-    totals: list[float] = []
-    d = np.empty(min(los.size, _SUM_CHUNK))
+    The lengths d are formed `_SUM_CHUNK` at a time, fewer than 2^s with
+    s = _SUM_CHUNK.bit_length().  A round takes max|d| < 2^e and
+    σ = 1.5 * 2^(e+s).  d + σ stays in σ's binade, spaced u = 2^(e+s-52)
+    (2^-1074 if σ is subnormal), so q = (d + σ) - σ is d rounded to a
+    multiple of u, |q| <= 2^e, and r = d - q is exact (Fast2Sum: |d| <= σ).
+    Any sum of a chunk's q is a multiple of u below 2^(e+s) <= 2^52 u, so a
+    float: `q.sum()` is exact in any order.  The next round takes r, with
+    max|r| <= u/2, until u is 2^-1074, where q is d and r is 0 (all zeros
+    take no round).  So the round sums add up exactly to the sum of the
+    lengths, which `math.fsum` rounds once."""
+    sums: list[float] = []
+    r, q = np.empty((2, min(los.size, _SUM_CHUNK)))
     for c in range(0, los.size, _SUM_CHUNK):
         h = his[c:c + _SUM_CHUNK]
-        part = np.subtract(h, los[c:c + _SUM_CHUNK], out=d[:h.size])
-        bits = part.view(np.int64)
-        e = bits >> 52
-        e &= 0x7FF  # -0.0 lands in bin 0
-        e -= e.min()  # a bin only for the exponents present
-        hi = (bits & ~0x3FFFFFF).view(np.float64)
-        totals += np.bincount(e, hi).tolist()
-        totals += np.bincount(e, np.subtract(part, hi, out=hi)).tolist()
-    return math.fsum(totals)
+        rc, qc = np.subtract(h, los[c:c + _SUM_CHUNK], out=r[:h.size]), q[:h.size]
+        while top := max(rc.max(), -rc.min()):  # NaN if any length is
+            if not top < math.inf:
+                return math.nan
+            sigma = math.ldexp(1.5, math.frexp(top)[1] + _SUM_CHUNK.bit_length())
+            np.add(rc, sigma, out=qc)
+            qc -= sigma
+            sums.append(float(qc.sum()))
+            rc -= qc
+    return math.fsum(sums)
 
 
 class IntervalSet:

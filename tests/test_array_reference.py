@@ -1,22 +1,22 @@
 """The vectorized path against its earlier form, kept here as the reference.
 
 `eval_array` evaluates each segment on a slice of sorted points, `orbit`
-merges sorted runs and cuts buckets where the key changes (a fixed seed's
-cloud is its last level, which on these pairs has the merge's bytes), and
-`lambda_sequence` unions its two images, re-normalizing only where they
-interleave.  The reference below is the form they replaced: a per-point
-segment gather, `np.unique` dedup after a stable sort (so signed zeros keep
-their order), and `f(Λ) ∪ g(Λ)` from gathered images, each step also
-checked against one normalization of both raw images.  Both must give the
-same bytes.
+sorts each level only where f's and g's images interleave and cuts buckets
+where the key changes (a fixed seed's cloud is its last level, which on
+these pairs has the merge's bytes), and `lambda_sequence` unions its two
+images, re-normalizing only where they interleave.  The reference below is
+the form they replaced: a per-point segment gather, `np.unique` dedup after
+a stable sort (so signed zeros keep their order), and `f(Λ) ∪ g(Λ)` from
+gathered images, each step also checked against one normalization of both
+raw images.  Both must give the same bytes.
 
 The last kernels to change are checked against their earlier bodies in
-`oracles.py`: the exponent-bucketed `measure`, its lengths formed a chunk
+`oracles.py`: the measure by extraction rounds, its lengths formed a chunk
 at a time, against `math.fsum`, the run-end max of `_normalize` against
 `np.maximum.reduceat`, and the float dedup keys against int64 keys.  The
-tracemalloc peaks of `_dedup_sorted`, `orbit` and `check_measure_bound`
-pin that each builds its large arrays once and frees its temporaries
-before its results."""
+tracemalloc peaks of `_dedup_sorted`, `orbit`, `_exact_sum` and
+`check_measure_bound` pin that each builds its large arrays once and frees
+its temporaries before its results."""
 
 import math
 
@@ -27,7 +27,7 @@ from cantorifs import intervals
 from cantorifs.construct import AppendixParams, appendix_pair, check_measure_bound, lambda_sequence
 from cantorifs.intervals import TOL, IntervalSet, _exact_sum, _normalize
 from cantorifs.ifs import _dedup_sorted, orbit
-from cantorifs.maps import _FEW
+from cantorifs.maps import _FEW, MapSpec
 
 from oracles import (dedup_by_int_keys, measure_by_fsum, normalize_by_reduceat,
                      orbit_by_sorted_copies, segment_coeffs, traced_peak)
@@ -102,15 +102,41 @@ def test_fixed_seed_cloud_is_the_dedup_of_its_images(appendix, seed):
         prev = got
 
 
-@pytest.mark.parametrize("which", ["built_pair", "valid_affine"])
-@pytest.mark.parametrize("seed", [0.0, -0.0, 1.0, 0.37])
-def test_orbit_sorts_levels_in_place_to_the_same_bytes(request, which, seed):
-    """Sorting each level in place gives the bytes of sorting a copy, -0.0
+_SORTED_COPY_CASES = [pytest.param(which, seed, 16, id=f"{seed}-{which}")
+                      for which in ("built_pair", "valid_affine", "appendix")
+                      for seed in (0.0, -0.0, 1.0, 0.37)]
+# The `cloud` workload's own orbits.
+_SORTED_COPY_CASES += [pytest.param("built_pair", seed, 20, id=f"{seed}-built_pair-20")
+                       for seed in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("which, seed, depth", _SORTED_COPY_CASES)
+def test_orbit_sorts_levels_in_place_to_the_same_bytes(request, which, seed, depth):
+    """Sorting only the window of each level where f's and g's images
+    interleave gives the bytes of sorting a copy of the whole level, -0.0
     included."""
     p = request.getfixturevalue(which)
-    want = orbit_by_sorted_copies(p, seed, 16)
-    assert orbit(p, seed, 16).points.tobytes() == want.tobytes()
+    p = p[0] if which == "appendix" else p
+    want = orbit_by_sorted_copies(p, seed, depth)
+    assert orbit(p, seed, depth).points.tobytes() == want.tobytes()
     assert np.signbit(want[0]) == np.signbit(seed)
+
+
+def test_orbit_sorts_a_level_whole_when_a_run_is_out_of_order(monkeypatch, valid_affine):
+    """Float evaluation of an increasing map can step down an ulp.  Where
+    f's images come out with two of them swapped, the window proof does not
+    hold and the level is sorted whole, as a copy would be: seed 0.0, whose
+    cloud is its last level, shows the level's order."""
+    eval_into = MapSpec._eval_into
+
+    def swapped(self, xc, out):
+        eval_into(self, xc, out)
+        if self is valid_affine.f and out.size > 2:
+            out[1:3] = out[2:0:-1].copy()
+
+    monkeypatch.setattr(MapSpec, "_eval_into", swapped)
+    want = orbit_by_sorted_copies(valid_affine, 0.0, 12)
+    assert orbit(valid_affine, 0.0, 12).points.tobytes() == want.tobytes()
 
 
 def test_lambda_sequence_matches_reference_bytes(appendix):
@@ -210,7 +236,7 @@ def test_random_sets_match_earlier_bodies(seed):
 
 @pytest.mark.parametrize("length", [np.nextafter(1.0, 0.0), np.nextafter(2.0 ** -1022, 0.0)])
 def test_exact_sum_of_many_lengths_with_every_mantissa_bit(length):
-    # 2^20 copies in one bin: a plain float sum rounds, the bins do not
+    # 2^20 copies of one length: a plain float sum rounds, the extraction rounds do not
     d = np.full(2 ** 20, length)
     assert (d.view(np.int64) & ((1 << 52) - 1) == (1 << 52) - 1).all()
     assert _exact_sum(np.zeros_like(d), d).hex() == math.fsum(d.tolist()).hex()
@@ -237,6 +263,40 @@ def test_exact_sum_of_lengths_at_chunk_multiples(k, off):
     los = rng.uniform(0.0, 0.5, n)
     his = los + np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-62, -1, n))
     assert _exact_sum(los, his).hex() == math.fsum((his - los).tolist()).hex()
+
+
+def test_exact_sum_takes_as_many_rounds_as_the_lengths_need():
+    """Each extraction round reaches 52 - s bits or more below the last:
+    1 - 2^-53 beside 2^-80 (1 + 2^-52) beside a subnormal takes four
+    rounds, and the sum 1 + 2^-53 + 2^-1074, a tie without its third
+    round's subnormal, rounds up only with it."""
+    four = np.array([1.0 - 2.0 ** -53, 2.0 ** -80 * (1.0 + 2.0 ** -52), 3 * 2.0 ** -1074])
+    tie = np.array([1.0, 2.0 ** -53, 2.0 ** -1074])
+    assert math.fsum(tie.tolist()) == 1.0 + 2.0 ** -52 != math.fsum(tie[:2].tolist())
+    for d in (four, tie):
+        assert _exact_sum(np.zeros_like(d), d).hex() == math.fsum(d.tolist()).hex()
+
+
+def test_exact_sum_of_subnormal_and_zero_chunks():
+    """A chunk whose largest length is subnormal, chunks of 0.0 and of
+    -0.0 lengths, and no lengths at all sum as `math.fsum` does."""
+    rng = np.random.default_rng(5)
+    sub = np.ldexp(rng.integers(1, 1 << 52, 1000).astype(float), -1074)
+    assert sub.max() < 2.0 ** -1022
+    cases = [(np.zeros_like(sub), sub)]
+    zeros, neg = np.zeros(intervals._SUM_CHUNK), np.full(intervals._SUM_CHUNK, -0.0)
+    cases += [(zeros, zeros), (zeros, neg), (np.concatenate([zeros, zeros]), np.concatenate([neg, zeros]))]
+    cases += [(np.zeros(0), np.zeros(0))]
+    for los, his in cases:
+        assert _exact_sum(los, his).hex() == math.fsum((his - los).tolist()).hex()
+    assert IntervalSet([]).measure().hex() == math.fsum([]).hex()
+
+
+@pytest.mark.parametrize("parts", [[(0.5, math.inf)], [(-math.inf, 0.2)],
+                                   [(0.0, 0.1), (0.2, 0.3), (0.4, 0.5), (0.6, math.inf)]])
+def test_measure_of_an_infinite_part_is_nan(monkeypatch, parts):
+    monkeypatch.setattr(intervals, "_SUM_CHUNK", 3)  # the last case's infinity in chunk 2
+    assert math.isnan(IntervalSet(parts).measure())
 
 
 def test_lambda_20_measure_is_fsum_of_its_lengths():
@@ -290,6 +350,14 @@ def test_orbit_peak_is_one_level_buffer(built_pair):
     copy of the two images read 3.126."""
     cloud = orbit(built_pair, 0.0, 18)
     assert traced_peak(lambda: orbit(built_pair, 0.0, 18)) < 2.5 * cloud.points.nbytes
+
+
+def test_exact_sum_peak_is_its_two_chunk_buffers():
+    """The lengths and their extracted part live in one chunk buffer each;
+    every other step of a round writes into them."""
+    s = lambda_sequence(appendix_pair(), AppendixParams(), 20)[-1]
+    buffers = 2 * intervals._SUM_CHUNK * s.los.itemsize
+    assert traced_peak(lambda: _exact_sum(s.los, s.his)) < buffers + 8192
 
 
 def test_measure_bound_peak_is_one_step_buffer():
