@@ -515,14 +515,13 @@ def boundary_sets(p: IFSPair, h: HolePair, r: RuinationRegions) -> tuple[float, 
     """b_f ∪ b_g, sorted and without repeats, where
     b_f = boundary(h_f ∪ (r_f ∩ r_g)) ∪ boundary(F1), symmetric for g.
 
-    Assembled from normalized part endpoints of the truncated sets; every
-    reported point is an endpoint of a part of the operand sets.
+    Assembled from normalized part endpoints of the truncated sets, each
+    hole a one-part set; every reported point is an endpoint of a part of
+    the operand sets.
     """
-    def bdry(base: Interval) -> list[float]:
-        s = IntervalSet([base]).union(r.rfrg)
-        return [float(v) for v in np.concatenate([s.los, s.his])]
-
-    return tuple(sorted(set(bdry(h.h_f) + bdry(h.h_g) + [p.f1.lo, p.f1.hi, p.g1.lo, p.g1.hi])))
+    ends = [x for hole in (h.h_f, h.h_g) for s in [IntervalSet._of_normalized(
+        np.array([hole.lo]), np.array([hole.hi])).union(r.rfrg)] for x in (s.los, s.his)]
+    return tuple(np.unique(np.concatenate([*ends, [p.f1.lo, p.f1.hi, p.g1.lo, p.g1.hi]])).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import CantorIFSError
 from .intervals import Interval, from_csv, to_csv
 from .maps import pair_from_json, pair_to_json
-from .ifs import IFSPair, minimal_set_cover, orbit, validate_class_a
+from .ifs import IFSPair, ValidationResult, minimal_set_cover, orbit, validate_class_a
 from .axioms import (
     HOLE_VERDICTS,
     AxiomReport,
@@ -73,18 +73,24 @@ def _config_echo(args: argparse.Namespace) -> str:
     return "".join(f"config_{k}: {getattr(args, k)}\n" for k in keys)
 
 
-def _validate(args: argparse.Namespace) -> tuple[str, IFSPair | None, AxiomReport | None]:
-    """Class membership, then So/Ho/Ee/Ca: the `validate_report.txt` text,
-    the pair, and the axiom report (both None when class A fails)."""
+def _validate(args: argparse.Namespace) -> tuple[ValidationResult, AxiomReport | None]:
+    """Class membership, then So/Ho/Ee/Ca: the class-A result and, when
+    class A holds, the axiom report on its pair."""
     text = Path(args.pair_file).read_text(encoding="utf-8")
-    f, g = pair_from_json(text)
-    result = validate_class_a(f, g)
-    out = _config_echo(args) + result.to_text()
+    result = validate_class_a(*pair_from_json(text))
     if not result.ok:
-        return out, None, None
-    pair = result.as_pair()
+        return result, None
     seed = Interval(args.seed_lo, args.seed_hi)
-    report = run_axiom_checks(pair, seed, mu_target=args.mu_target)
+    return result, run_axiom_checks(result.as_pair(), seed, mu_target=args.mu_target)
+
+
+def _validate_report(args: argparse.Namespace, result: ValidationResult,
+                     report: AxiomReport | None) -> str:
+    """The `validate_report.txt` text of `_validate`'s result and report;
+    `gaps` writes it only when the pair fails."""
+    out = _config_echo(args) + result.to_text()
+    if report is None:
+        return out
     if report.so:
         out += report.so.to_text()
     if report.hole_error:
@@ -98,14 +104,14 @@ def _validate(args: argparse.Namespace) -> tuple[str, IFSPair | None, AxiomRepor
         out += report.ca.to_text()
     out += f"corner_derivs_below_one: {report.corner_derivs_below_one}\n"
     out += f"all_axioms: {'ok' if report.ok else 'FAILED'}\n"
-    return out, pair, report
+    return out
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     if _bad_seed(args):
         return 2
-    out, _, report = _validate(args)
-    _emit(args, "validate_report.txt", out)
+    result, report = _validate(args)
+    _emit(args, "validate_report.txt", _validate_report(args, result, report))
     return 0 if report is not None and report.ok else 1
 
 
@@ -157,11 +163,11 @@ def cmd_gaps(args: argparse.Namespace) -> int:
     if _bad_seed(args):
         return 2
     # Certificates hold only for pairs with all four properties.
-    out, pair, ax = _validate(args)
+    result, ax = _validate(args)
     if ax is None or not ax.ok:
-        _emit(args, "validate_report.txt", out)
+        _emit(args, "validate_report.txt", _validate_report(args, result, ax))
         return 1
-    hole, ruin, mu = ax.hole, ax.ruin, ax.ee.mu
+    pair, hole, ruin, mu = result.pair, ax.hole, ax.ruin, ax.ee.mu
     bsets = boundary_sets(pair, hole, ruin)
     if args.certify:
         report = certify_cantor(pair, hole, ruin, bsets, args.resolution, args.depth,

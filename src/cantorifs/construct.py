@@ -609,12 +609,13 @@ def _lambda_steps(pair: IFSPair, params: AppendixParams, n: int) -> Iterator[Int
             raise ResourceCapError(f"Lambda_{k+1} could exceed the cap of {ORBIT_CAP} parts")
         # f(Lambda_k) lies in [0, f(1)] and g(Lambda_k) in [g(0), 1], each
         # sorted and disjoint, so the join re-normalizes only their parts in
-        # the window where the two interleave, with the same floats
+        # the window where the two interleave, with the same floats; a
+        # set's los and his are sorted and NaN-free (`_eval_sorted`)
         m = cur.n_parts
         los, his = np.empty(2 * m), np.empty(2 * m)
         for ends, out in ((cur.los, los), (cur.his, his)):
-            pair.f._eval_into(ends, out[:m])
-            pair.g._eval_into(ends, out[m:])
+            pair.f._eval_sorted(ends, out[:m])
+            pair.g._eval_sorted(ends, out[m:])
         nxt = IntervalSet._of_runs(los, his, m)
         if k < 2 and not _subset(nxt, cur, TOL.eps_newton if k == 0 else 0.0):
             raise ConstructionError(f"Lambda_{k+1} not nested in Lambda_{k}")

@@ -70,9 +70,8 @@ class TerminalReason(str, Enum):
     RUINATION_OVERLAP = "RUINATION_OVERLAP"
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One operation of the walk.
+class TraceStep(NamedTuple):
+    """One operation of the walk; a tuple, since a certificate makes one per step.
 
     op encodes the applied forward map: "F"/"G" are the induced maps with the
     realized inverse count n; "invpow_f"/"invpow_g" are n-fold inverse
@@ -121,15 +120,31 @@ _FIRST_CASE = np.array([_HIT, _BESIDE, _HF, _HG, _W_OVERLAP, _W_RF, _W_RG, _NO_R
                         _F1_FREE, _G1_FREE, _NO_CASE])
 
 
-def _in_part(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, s: IntervalSet) -> np.ndarray:
-    """Each window lies in the part of s holding its midpoint, widened by
-    eps_geom.  Only the last part with lo <= mid can hold it."""
-    if s.is_empty():
-        return np.zeros(mid.shape, dtype=bool)
-    i = s.los.searchsorted(mid, side="right") - 1
-    k = np.maximum(i, 0)
-    eps = TOL.eps_geom
-    return (i >= 0) & (mid <= s.his[k]) & (s.los[k] - eps <= lo) & (hi <= s.his[k] + eps)
+class CaseRegions(NamedTuple):
+    """What `classify` reads, built once per walk (`case_regions`): the
+    pair; the ends of W, h_f, h_g, F1 free and G1 free, widened by
+    eps_geom; the boundary points; and the parts of r_f ∩ r_g, r_f and r_g:
+    each set's los (`starts`), and in `parts` the columns lo - eps_geom,
+    hi and hi + eps_geom, set s's part i in column first[s] + 1 + i, each
+    set's parts followed by a column at +inf, which holds no point."""
+
+    p: IFSPair
+    ends: np.ndarray
+    pts: np.ndarray
+    starts: tuple[np.ndarray, ...]
+    first: tuple[int, ...]
+    parts: np.ndarray
+
+
+def case_regions(p: IFSPair, h: HolePair, r: RuinationRegions, b) -> CaseRegions:
+    """The `CaseRegions` of a walk, `b` its sorted boundary points."""
+    eps, sets = TOL.eps_geom, (r.rfrg, r.r_f, r.r_g)
+    ends = [(iv.lo - eps, iv.hi + eps) for iv in (p.overlap, h.h_f, h.h_g, p.f1_free, p.g1_free)]
+    los, his = (np.concatenate([x for s in sets for x in (getattr(s, e), [math.inf])])
+                for e in ("los", "his"))
+    n0, n1 = sets[0].n_parts, sets[1].n_parts
+    return CaseRegions(p, np.array(ends).T, np.array(b, dtype=float), tuple(s.los for s in sets),
+                       (-1, n0, n0 + n1 + 1), np.array([los - eps, his, his + eps]))
 
 
 def _beside(lo, hi, p: IFSPair):
@@ -140,10 +155,9 @@ def _beside(lo, hi, p: IFSPair):
     return (hi <= p.f1.lo + eps) & (mid <= p.f1.lo), (lo >= p.g1.hi - eps) & (mid >= p.g1.hi)
 
 
-def classify(lo, hi, p: IFSPair, h: HolePair, r: RuinationRegions, b) -> np.ndarray:
+def classify(lo, hi, c: CaseRegions) -> np.ndarray:
     """The case of each window [lo, hi] of positive length, as an index
-    into CASES (one numpy integer for floats); `b` holds the sorted
-    boundary points.
+    into CASES (one numpy integer for floats), read off `c`.
 
     The first that applies: BOUNDARY_HIT when a boundary point lies in it
     as `_inside` reads them; PULLBACK_FN when `_beside` places it
@@ -152,18 +166,19 @@ def classify(lo, hi, p: IFSPair, h: HolePair, r: RuinationRegions, b) -> np.ndar
     else no case.  Each containment is widened by eps_geom.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if not (hi - lo > 0).all():  # NaN fails too
+    positive = hi - lo > 0  # NaN fails too; once checked, the row that always applies
+    if np.count_nonzero(positive) < positive.size:
         raise DomainError("classify needs positive length")
-    eps, mid = TOL.eps_geom, 0.5 * (lo + hi)
-    regions = (p.overlap, h.h_f, h.h_g, p.f1_free, p.g1_free)
-    ends = np.array([[iv.lo - eps for iv in regions], [iv.hi + eps for iv in regions]])
-    in_w, in_hf, in_hg, in_f1, in_g1 = ((ends[0] <= lo[..., None]) & (hi[..., None] <= ends[1])).T
-    parts = ([in_w & _in_part(lo, hi, mid, s) for s in (r.rfrg, r.r_f, r.r_g)] if in_w.any()
-             else [in_w] * 3)
-    left, right = _beside(lo, hi, p)
-    a, z = _inside(np.asarray(b, dtype=float), lo, hi, eps)
-    rows = np.array([a < z, left | right, in_hf, in_hg, *parts, in_w, in_f1, in_g1,
-                     np.ones(lo.shape, dtype=bool)])
+    mid, (w_lo, w_hi) = 0.5 * (lo + hi), c.ends
+    in_w, in_hf, in_hg, in_f1, in_g1 = ((w_lo <= lo[..., None]) & (hi[..., None] <= w_hi)).T
+    parts = [in_w] * 3
+    if np.count_nonzero(in_w):
+        i = np.array([x.searchsorted(mid, side="right") + f for x, f in zip(c.starts, c.first)])
+        part_lo, top, part_hi = c.parts[:, i]
+        parts = in_w & (mid <= top) & (part_lo <= lo) & (hi <= part_hi)
+    left, right = _beside(lo, hi, c.p)
+    a, z = _inside(c.pts, lo, hi, TOL.eps_geom)
+    rows = np.array([a < z, left | right, in_hf, in_hg, *parts, in_w, in_f1, in_g1, positive])
     return _FIRST_CASE[rows.argmax(axis=0)]
 
 
@@ -396,14 +411,13 @@ def _pull_back_into(
     c_lo = np.where(w_lo > o_lo, w_lo, o_lo)
     c_hi = np.where(w_hi < o_hi, w_hi, o_hi)
     escaped = ~(c_hi - c_lo > 0)
-    refused = {k: CertificateError(f"pullback {Interval(o_lo[k], o_hi[k])} escaped the input "
-                                   f"{Interval(w_lo[k], w_hi[k])}")
-               for k in escaped.nonzero()[0].tolist()}
-    at_fixed = ~escaped & ((c_lo <= 0.0) | (c_hi >= 1.0))
-    for k in at_fixed.nonzero()[0].tolist():
-        refused[k] = CertificateError(
-            f"{where.format(Interval(c_lo[k], c_hi[k]))} reaches the fixed point 0 or 1")
-    escaped |= at_fixed
+    refused = {k: CertificateError(
+        f"pullback {Interval(o_lo[k], o_hi[k])} escaped the input {Interval(w_lo[k], w_hi[k])}"
+        if escaped[k] else
+        f"{where.format(Interval(c_lo[k], c_hi[k]))} reaches the fixed point 0 or 1")
+        for k in (escaped | (c_lo <= 0.0) | (c_hi >= 1.0)).nonzero()[0].tolist()}
+    if refused:
+        escaped[list(refused)] = True
     if cloud is not None:
         a, z = _inside(cloud.points, c_lo, c_hi, TOL.eps_geom)
         bad = z - a  # the orbit points strictly inside, where positive
@@ -523,9 +537,8 @@ def _enter(w_lo: np.ndarray, w_hi: np.ndarray, p: IFSPair, mu: float):
         log.append((k, _BESIDE, op, n[k] - 1, a[k], z[k]))
         for j, e in errors.items():
             (got if isinstance(e, WALK_VERDICTS) else faults)[int(k[j])] = e
-    stopped = np.zeros(lo.size, dtype=bool)
-    stopped[[*got, *faults]] = True
-    live = (~stopped).nonzero()[0]
+    stopped = [*got, *faults]
+    live = np.setdiff1d(np.arange(lo.size), stopped) if stopped else np.arange(lo.size)
     faults.update((int(live[j]), e) for j, e in _core_faults(lo[live], hi[live], False, mu).items())
     if faults:
         raise faults[min(faults)]
@@ -543,9 +556,10 @@ def _walk(
     ceil(log(max(|F1| / |start|, 1)) / log(mu)) + 50, since eventual
     expansion guarantees finiteness but gives no bound.  Each window's
     ends, guard and terminal reason are held by its number, and `live`
-    lists the windows still walking, in ascending order.  Each round moves
-    every live window one step, writes its ends back in place and appends
-    its steps to the log, a batch per stage:
+    lists the windows still walking, in ascending order.  What the rounds
+    read of the pair (`case_regions`, the jump sites) is built once.  Each
+    round moves every live window one step, writes its ends back in place
+    and appends its steps to the log, a batch per stage:
 
     * past its guard it stops with IterationCapError, its trace read off
       the log's `_rows` after the rounds; shorter than 3*eps_newton, with
@@ -555,21 +569,21 @@ def _walk(
       the piece it takes or is cut at its hits (all in F1 ∪ G1) and walks
       on with its largest piece inside F1 ∪ G1;
     * IN_W_OVERLAP ends at once; each case after it in CASES is a verdict;
-    * the other cases take one step of their induced branch, whose sites
-      are read once per walk: outside a hole the window shrinks to its
-      largest piece between the jump sites, n is read at its midpoint off
-      the sites (`_site_counts`, or `induced_n`'s chain), and both ends are
-      inverted n + 1 times (`_invert_checked`; one window at a time after a
-      failure, each running its midpoint's chain first, as in two passes).
-      A hole case ends there.
+    * the other cases take one step of their induced branch: outside a
+      hole the window shrinks to its largest piece between the jump sites,
+      n is read at its midpoint off the sites (`_site_counts`, or
+      `induced_n`'s chain), and both ends are inverted n + 1 times
+      (`_invert_checked`; one window at a time after a failure, each
+      running its midpoint's chain first, as in two passes).  A hole case
+      ends there.
 
     The windows that end are pulled back together (`_pull_back_into`), by
-    letters read off the rows (`_undo_letters`): through the walk's steps
-    into the start, where the cloud, if given, is checked; then, for a
-    pulled-back window, through the entry step into the window, where it is
-    checked again.  When several windows fault in one stage (the entry, one
-    branch's inversions, one corner of the boundary lemma or one
-    pull-back), the lowest-numbered one's fault raises.
+    one letter matrix read off the rows (`_undo_letters`): through the
+    walk's steps into the start, where the cloud, if given, is checked;
+    then, for a pulled-back window, through the entry step into the
+    window, where it is checked again.  When several windows fault in one
+    stage (the entry, one branch's inversions, one corner of the boundary
+    lemma or one pull-back), the lowest-numbered one's fault raises.
     """
     log, got, live, s_lo, s_hi = _enter(w_lo, w_hi, p, mu)
     entered = sum(len(batch[0]) for batch in log)  # the log's first rows are the entry steps
@@ -578,23 +592,28 @@ def _walk(
     guard[live] = np.ceil(np.log(np.maximum(p.f1.length / (hi[live] - lo[live]), 1.0))
                           / math.log(mu)) + 50
     reason = np.full(lo.size, -1)  # once the window ends, its index into _REASONS
-    pts = np.array(b, dtype=float)
+    regions = case_regions(p, h, r, b)
+    pts = regions.pts
     sites = {which: _oriented(p, which)[4] for which in "FG"}
 
     rnd, capped = 0, []
     while live.size:
-        out = (guard[live] <= rnd) | (hi[live] - lo[live] < 3.0 * TOL.eps_newton)
-        for c in live[out].tolist():
-            if guard[c] <= rnd:
-                capped.append(c)
-            else:
-                got[c] = ClassificationError(
-                    f"interval collapsed to {Interval(float(lo[c]), float(hi[c]))} during walk")
-        live = live[~out]
-        code = classify(lo[live], hi[live], p, h, r, pts)
+        l_lo, l_hi = lo[live], hi[live]
+        out = (guard[live] <= rnd) | (l_hi - l_lo < 3.0 * TOL.eps_newton)
+        if np.count_nonzero(out):
+            for c in live[out].tolist():
+                if guard[c] <= rnd:
+                    capped.append(c)
+                else:
+                    got[c] = ClassificationError(
+                        f"interval collapsed to {Interval(float(lo[c]), float(hi[c]))} during walk")
+            live, l_lo, l_hi = live[~out], l_lo[~out], l_hi[~out]
+        code = classify(l_lo, l_hi, regions)
         walks_on = np.zeros(lo.size, dtype=bool)
+        # windows by code // 3: F's cases, G's, BOUNDARY_HIT to PULLBACK_FN, no case
+        sizes = np.bincount(branch := code // 3, minlength=4).tolist()
 
-        k = live[code == _HIT]
+        k = live[code == _HIT] if sizes[2] else live[:0]
         if k.size:
             took, t_lo, t_hi, b_lo, b_hi = _boundary_lemma(p, h, r, lo[k], hi[k])
             for piece, op in ((3, _INVPOW_F), (4, _INVPOW_G)):  # a pull-back by f or g
@@ -612,31 +631,28 @@ def _walk(
                 lo[k], hi[k] = c_lo, c_hi
                 log.append((k, _HIT, _SHRINK, 0, c_lo, c_hi))
                 walks_on[k] = True
-        k = live[code == _W_OVERLAP]
-        if k.size:
-            log.append((k, _W_OVERLAP, _SHRINK, 0, lo[k], hi[k]))
-            reason[k] = 1
-        stops = code > _W_OVERLAP
-        for c, case in zip(live[stops].tolist(), code[stops].tolist()):
-            why = "left F1 ∪ G1 mid-walk" if case == _BESIDE else CASES[case]
-            got[c] = ClassificationError(f"{Interval(float(lo[c]), float(hi[c]))} {why}")
+        if sizes[2] + sizes[3]:
+            k = live[code == _W_OVERLAP]
+            if k.size:
+                log.append((k, _W_OVERLAP, _SHRINK, 0, lo[k], hi[k]))
+                reason[k] = 1
+            stops = code > _W_OVERLAP
+            for c, case in zip(live[stops].tolist(), code[stops].tolist()):
+                why = "left F1 ∪ G1 mid-walk" if case == _BESIDE else CASES[case]
+                got[c] = ClassificationError(f"{Interval(float(lo[c]), float(hi[c]))} {why}")
 
-        branch = code // 3  # 0 for F's cases, 1 for G's
-        for which, hole, op in (("F", _HF, _F), ("G", _HG, _G)):
-            on = branch == hole // 3
-            k = live[on]
-            if not k.size:
+        for which, hole, op, size in (("F", _HF, _F, sizes[0]), ("G", _HG, _G, sizes[1])):
+            if not size:
                 continue
-            codes = code[on]
-            a, z = _inside(sites[which], lo[k], hi[k], TOL.eps_newton)
+            on = branch == hole // 3
+            k, codes, k_lo, k_hi = live[on], code[on], l_lo[on], l_hi[on]
+            a, z = _inside(sites[which], k_lo, k_hi, TOL.eps_newton)
             cut = (codes != hole) & (a < z)
-            cs = k[cut]
-            if cs.size:
-                c_lo, c_hi = _largest_pieces(lo[cs], hi[cs], sites[which], a[cut], z[cut])
-                lo[cs], hi[cs] = c_lo, c_hi
-                log.append((cs, codes[cut], _SHRINK, 0, c_lo, c_hi))
+            if np.count_nonzero(cut):
+                c_lo, c_hi = _largest_pieces(k_lo[cut], k_hi[cut], sites[which], a[cut], z[cut])
+                k_lo[cut], k_hi[cut] = c_lo, c_hi
+                log.append((k[cut], codes[cut], _SHRINK, 0, c_lo, c_hi))
             # n at the midpoint off the sites, or from its chain where they cannot decide
-            k_lo, k_hi = lo[k], hi[k]
             mid, failed = 0.5 * (k_lo + k_hi), {}
             n = _site_counts(p, which, sites[which], mid)
             for j in (n < 0).nonzero()[0].tolist():
@@ -660,7 +676,7 @@ def _walk(
             log.append((k, codes, op, n, i_lo, i_hi))
             at_hole = codes == hole
             reason[k[at_hole]] = 0
-            walks_on[k[~at_hole]] = True
+            walks_on[k] = ~at_hole
 
         live = walks_on.nonzero()[0]
         rnd += 1
@@ -672,16 +688,19 @@ def _walk(
                         for t, o, m in zip(case[j].tolist(), op[j].tolist(), n[j].tolist()))
         got[c] = IterationCapError(
             f"gap walk exceeded its bound of {guard[c]} steps; trace:{trace}")
-    stages = ((np.arange(lo.size), slice(entered, None), s_lo, s_hi, "certified output {}"),
-              (np.sort(win[:entered]), slice(0, entered), w_lo, w_hi, "pulled-back output"))
-    for k, steps, b_lo, b_hi, where in stages:  # k ascending, for searchsorted
+    # One letter matrix: row i holds the walk's steps of ends[i], row m + i its entry step
+    ends = (reason >= 0).nonzero()[0]
+    j = (reason[win] >= 0).nonzero()[0]
+    m = ends.size
+    letters = _undo_letters(ends.searchsorted(win[j]) + m * (j < entered), op[j], n[j], 2 * m)
+    stages = ((ends, 0, s_lo, s_hi, "certified output {}"),
+              (np.sort(win[:entered]), m, w_lo, w_hi, "pulled-back output"))
+    for k, row, b_lo, b_hi, where in stages:  # k ascending, for searchsorted
         k = k[reason[k] >= 0]
         if not k.size:
             continue
-        j = steps.start + (reason[win[steps]] >= 0).nonzero()[0]
         lo[k], hi[k], refused = _pull_back_into(
-            p, _undo_letters(k.searchsorted(win[j]), op[j], n[j], k.size), lo[k], hi[k],
-            b_lo[k], b_hi[k], cloud, where)
+            p, letters[row + ends.searchsorted(k)], lo[k], hi[k], b_lo[k], b_hi[k], cloud, where)
         if refused:
             got.update((int(k[j]), e) for j, e in refused.items())
             reason[k[list(refused)]] = -1

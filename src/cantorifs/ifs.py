@@ -250,7 +250,8 @@ def orbit(p: IFSPair, seed: float, depth: int) -> OrbitCloud:
     eps_geom.  Other seeds (−0.0 too: its image is +0.0) merge all levels,
     so there cloud(d) ⊂ cloud(d+1) within eps_geom.
 
-    f and g write a level's images a and b into the halves of one buffer,
+    f and g evaluate a level, sorted and NaN-free, with no order test
+    (`MapSpec._eval_sorted`) into the halves a and b of one buffer,
     and only [i, j) is stable-sorted in place, i = a.searchsorted(b[0]) and
     j = n + b.searchsorted(a[-1], "right"), or all of it where float
     evaluation (a Horner run, a join) put a or b out of order.  With both
@@ -268,8 +269,8 @@ def orbit(p: IFSPair, seed: float, depth: int) -> OrbitCloud:
     for d in range(depth):
         n = level.size
         images = np.empty(2 * n)
-        p.f._eval_into(level, images[:n])
-        p.g._eval_into(level, images[n:])
+        p.f._eval_sorted(level, images[:n])
+        p.g._eval_sorted(level, images[n:])
         level = images
         if d == 0:
             fixed = all_pts.tobytes() in (level[:1].tobytes(), level[1:].tobytes())

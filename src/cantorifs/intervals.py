@@ -47,10 +47,13 @@ _SUM_CHUNK = 1 << 15
 def _disorder(lo, hi) -> SpecError | None:
     """The `SpecError` an `Interval` on lo, hi raises, for 1-D arrays on their
     first pair reversed or NaN; None when every pair is ordered."""
-    bad = (~(np.asarray(lo) <= hi)).reshape(-1).nonzero()[0]
-    if bad.size and np.ndim(lo):
-        lo, hi = lo[bad[0]], hi[bad[0]]
-    return SpecError(f"interval needs lo <= hi, got [{lo}, {hi}]") if bad.size else None
+    ordered = np.asarray(lo) <= hi
+    if np.count_nonzero(ordered) == ordered.size:
+        return None
+    if np.ndim(lo):
+        k = int(ordered.argmin())  # the first pair reversed or NaN
+        lo, hi = lo[k], hi[k]
+    return SpecError(f"interval needs lo <= hi, got [{lo}, {hi}]")
 
 
 def _ordered(lo: float, hi: float) -> tuple[float, float]:
@@ -104,11 +107,13 @@ def _normalize(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     Input whose every lo exceeds the hi before it is already normalized:
     its stable argsort and running max are the identity and every part
-    starts a run, so its copy is the output, bit for bit."""
+    starts a run, so its copy is the output, bit for bit.  Input already
+    sorted by lo is in its stable argsort's order (ties, ±0.0 too, stay
+    put), so it is not sorted again."""
     if (los[1:] > his[:-1]).all():
         return los.copy(), his.copy()
-    order = np.argsort(los, kind="stable")
-    los, run_hi = los[order], his[order]
+    order = None if (los[1:] >= los[:-1]).all() else np.argsort(los, kind="stable")
+    los, run_hi = (los, his.copy()) if order is None else (los[order], his[order])
     del order  # before the mask and the results are allocated
     np.maximum.accumulate(run_hi, out=run_hi)
     # starts[i]: part i starts a run; a part ends one where the next starts

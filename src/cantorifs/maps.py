@@ -19,7 +19,7 @@ import struct
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,16 +37,15 @@ C1_DERIV_TOL = 1e-6
 #: maps them through `eval`.
 #: The gap walk's other batches go through the first two.
 _FEW = 8
+_X_MIN, _X_MAX = -TOL.eps_newton, 1.0 + TOL.eps_newton  # points here are clamped, not refused
 
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(NamedTuple):
     slope: float
     intercept: float
 
 
-@dataclass(frozen=True)
-class CubicHermite:
+class CubicHermite(NamedTuple):
     """Hermite data on [x_lo, x_hi]: values y_lo, y_hi; derivatives d_lo, d_hi."""
 
     y_lo: float
@@ -238,7 +237,7 @@ class MapSpec:
     # -- scalar evaluation ---------------------------------------------------
 
     def _check_domain(self, x: float) -> float:
-        if not (-TOL.eps_newton <= x <= 1.0 + TOL.eps_newton):  # NaN fails too
+        if not (_X_MIN <= x <= _X_MAX):  # NaN fails too
             raise DomainError(f"x={x} outside [0, 1]")
         return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
@@ -282,10 +281,14 @@ class MapSpec:
         # A NaN fails the order test and sorts last, so the ends of the
         # sorted points bound them all, NaN too.
         order = None if (xc[1:] >= xc[:-1]).all() else np.argsort(xc, kind="stable")
+        self._eval_sorted(xc if order is None else xc[order], out)
         if order is not None:
-            xc = xc[order]
+            out[order] = out.copy()
+
+    def _eval_sorted(self, xc: np.ndarray, out: np.ndarray) -> None:
+        """`_eval_into` of at least one point, ascending and none NaN."""
         lo, hi = xc[0], xc[-1]
-        if not (-TOL.eps_newton <= lo and hi <= 1.0 + TOL.eps_newton):
+        if not (_X_MIN <= lo and hi <= _X_MAX):
             raise DomainError("array evaluation outside [0, 1]")
         if lo < 0.0 or hi > 1.0:
             xc = np.clip(xc, 0.0, 1.0)
@@ -303,8 +306,6 @@ class MapSpec:
                         y += c
                         y *= t
                 y += c0
-        if order is not None:
-            out[order] = out.copy()
 
     # -- inversion -----------------------------------------------------------
 
@@ -528,7 +529,7 @@ def spec_from_dict(d: dict) -> MapSpec:
     segs = d.get("segments") if isinstance(d, dict) else None
     if not isinstance(segs, list):
         raise SpecError("a map needs a 'segments' list")
-    out = []
+    out, top = [], sys.float_info.max
     for i, sd in enumerate(segs):
         kind = sd.get("kind") if isinstance(sd, dict) else None
         if kind not in _KIND_FIELDS:
@@ -539,7 +540,7 @@ def spec_from_dict(d: dict) -> MapSpec:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise SpecError(f"segment {i}: field {name!r} must be a number, got {v!r}")
             # NaN, the infinities and ints past the float range fail
-            if not (-sys.float_info.max <= v <= sys.float_info.max):
+            if not (-top <= v <= top):
                 raise SpecError(f"segment {i}: field {name!r} must be finite, got {v!r}")
         x_lo, x_hi, *k = vals
         out.append(Segment(x_lo, x_hi, Affine(*k) if kind == "affine" else CubicHermite(*k)))

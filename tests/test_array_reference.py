@@ -127,14 +127,14 @@ def test_orbit_sorts_a_level_whole_when_a_run_is_out_of_order(monkeypatch, valid
     f's images come out with two of them swapped, the window proof does not
     hold and the level is sorted whole, as a copy would be: seed 0.0, whose
     cloud is its last level, shows the level's order."""
-    eval_into = MapSpec._eval_into
+    eval_sorted = MapSpec._eval_sorted
 
     def swapped(self, xc, out):
-        eval_into(self, xc, out)
+        eval_sorted(self, xc, out)
         if self is valid_affine.f and out.size > 2:
             out[1:3] = out[2:0:-1].copy()
 
-    monkeypatch.setattr(MapSpec, "_eval_into", swapped)
+    monkeypatch.setattr(MapSpec, "_eval_sorted", swapped)
     want = orbit_by_sorted_copies(valid_affine, 0.0, 12)
     assert orbit(valid_affine, 0.0, 12).points.tobytes() == want.tobytes()
 
@@ -214,6 +214,30 @@ def _disjoint_parts(rng, n):
     his = np.concatenate([k * 1e-300 + tiny, big_lo + rng.uniform(0.0, 3e-7, n), [-0.0]])
     order = rng.permutation(los.size)
     return los[order], his[order]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parts_sorted_by_lo_are_normalized_without_a_sort(seed, monkeypatch, built_pair):
+    """Overlapping parts already in lo order, ties and -0.0 against 0.0
+    among them, and the radius-1e-3 parts of an orbit cover give
+    `normalize_by_reduceat`'s bytes without an argsort."""
+    rng = np.random.default_rng(20261022 + seed)
+    los, his = _overlapping_parts(rng, int(rng.integers(2, 3000)))
+    los[rng.random(los.size) < 0.05] = -0.0
+    his = np.maximum(his, los)
+    order = np.argsort(los, kind="stable")
+    los, his = los[order], his[order]
+    assert (los[1:] <= his[:-1]).any() and np.signbit(los).any() and (los == 0.0).sum() > 1
+    pts = orbit(built_pair, 0.0, 14).points
+    cases = [(los, his), (np.maximum(pts - 1e-3, 0.0), np.minimum(pts + 1e-3, 1.0))]
+    refs = [normalize_by_reduceat(a, z) for a, z in cases]
+    argsort, calls = np.argsort, []
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(a) or argsort(*a, **k))
+    for (a, z), ref in zip(cases, refs):
+        new = _normalize(a, z)
+        assert new[0].tobytes() == ref[0].tobytes() and new[1].tobytes() == ref[1].tobytes()
+        assert new[0].size < a.size
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -20,6 +20,7 @@ from cantorifs.gapfinder import (
     TraceStep,
     _power_domains,
     _widest_pieces,
+    case_regions,
     certify_cantor,
     classify,
     find_gap,
@@ -33,6 +34,7 @@ from oracles import (
     _boundary_hits,
     _boundary_lemma as scalar_boundary_lemma,
     certify_by_windows,
+    classify_window,
     enter_window,
     find_gap_by_windows,
     grid_cells,
@@ -55,7 +57,7 @@ def _ctx(built_ctx):
 
 def _case(J, pair, hole, ruin, bsets):
     """`classify` of the one window J, as its entry of CASES."""
-    return CASES[classify(J.lo, J.hi, pair, hole, ruin, bsets)]
+    return CASES[classify(J.lo, J.hi, case_regions(pair, hole, ruin, bsets))]
 
 
 def _word(traces) -> np.ndarray:
@@ -156,10 +158,33 @@ def test_classify_w_exclusive_sides(built_ctx):
     assert found[CaseTag.IN_W_RG] > 0
 
 
+def test_classify_reads_w_parts_as_the_scalar_predicates(built_ctx):
+    """A batch of windows at and around every part end of r_f ∩ r_g, r_f
+    and r_g inside W gets the cases of the scalar predicates
+    (`oracles.classify_window`), also with r_f ∩ r_g empty."""
+    pair, hole, ruin, bsets, _ = _ctx(built_ctx)
+    w = pair.overlap
+    ends = np.concatenate([x for s in (ruin.rfrg, ruin.r_f, ruin.r_g) for x in (s.los, s.his)])
+    windows = [Interval(e + a, e + z) for e in ends[(w.lo < ends) & (ends < w.hi)].tolist()
+               for a, z in ((-3e-9, 3e-9), (-1e-6, -5e-10), (5e-10, 1e-6), (-1e-4, 1e-4))]
+    lo, hi = _ends(windows)
+    seen = set()
+    for r in (ruin, SimpleNamespace(rfrg=IntervalSet(), r_f=ruin.r_f, r_g=ruin.r_g)):
+        want = []
+        for J in windows:
+            try:
+                want.append(classify_window(J, pair, hole, r, bsets))
+            except ClassificationError as e:
+                want.append(next(c for c in CASES if isinstance(c, str) and str(e).endswith(c)))
+        assert [CASES[c] for c in classify(lo, hi, case_regions(pair, hole, r, bsets))] == want
+        seen |= set(want)
+    assert {CaseTag.IN_W_OVERLAP, CaseTag.IN_W_RF, CaseTag.IN_W_RG} <= seen
+
+
 def test_classify_rejects_degenerate(built_ctx):
     pair, hole, ruin, bsets, _ = _ctx(built_ctx)
     with pytest.raises(DomainError):
-        classify(0.3, 0.3, pair, hole, ruin, bsets)
+        classify(0.3, 0.3, case_regions(pair, hole, ruin, bsets))
 
 
 # -- core terminal cases -------------------------------------------------------------
@@ -1089,6 +1114,53 @@ def cells_2e2(built_ctx):
     """The 50 cells of the sweep at 2e-2; cell 20, [0.4, 0.42], meets F1 ∪ G1
     and its first step is an induced F step, taken without a shrink."""
     return grid_cells(minimal_set_cover(built_ctx["pair"], 14, 2e-2), 2e-2)[1]
+
+
+def test_a_lone_window_builds_its_letter_matrix_once(built_ctx, monkeypatch):
+    """`find_gap` reads the words that undo a window's steps off one letter
+    matrix, for a window pulled back at entry too: one `_undo_letters`
+    call per walk."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    letters, calls = gapfinder._undo_letters, []
+    monkeypatch.setattr(gapfinder, "_undo_letters", lambda *a: calls.append(a) or letters(*a))
+    tags = []
+    for J in (Interval(0.001, 0.0012), Interval(0.30, 0.31), Interval(0.99, 0.9901)):
+        calls.clear()
+        tags.append(find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None).trace[0].tag)
+        assert len(calls) == 1, J
+    assert tags.count(CaseTag.PULLBACK_FN) == 2
+
+
+def test_the_case_regions_are_built_once_per_walk(built_ctx, monkeypatch):
+    """What `classify` reads of the pair, its holes, its ruination regions
+    and its boundary points is built once per walk, not once per round."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    regions, classify_, calls = gapfinder.case_regions, gapfinder.classify, []
+    monkeypatch.setattr(gapfinder, "case_regions", lambda *a: calls.append("b") or regions(*a))
+    monkeypatch.setattr(gapfinder, "classify", lambda *a: calls.append("r") or classify_(*a))
+    for J in (Interval(0.30, 0.31), Interval(0.001, 0.0012)):
+        calls.clear()
+        find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None)
+        assert calls.count("r") >= 3 and calls.count("b") == 1 and calls[0] == "b", J
+
+
+def test_find_gap_matches_the_window_oracle_on_gap_query_draws(built_ctx):
+    """300 windows drawn as the benchmark's gap_query draws them (width
+    log-uniform in [1e-4, 1e-2], position uniform, a fixed seed), walked
+    with no cloud: `find_gap` gives each the certificate that
+    `oracles.find_gap_by_windows` gives (input, output, trace, terminal
+    reason and bound), or a verdict of the same type and text."""
+    pair, hole, ruin, bsets, mu = _ctx(built_ctx)
+    rng = np.random.default_rng(20261022)
+    certified = 0
+    for u_width, u_pos in rng.random((300, 2)).tolist():
+        width = 10.0 ** (-4.0 + 2.0 * u_width)
+        lo = u_pos * (1.0 - width)
+        J = Interval(lo, lo + width)
+        got = _outcome(lambda: find_gap(J, pair, hole, ruin, bsets, mu=mu, cloud=None))
+        assert got == _outcome(lambda: find_gap_by_windows(J, pair, hole, ruin, bsets, mu, None)), J
+        certified += not isinstance(got, str)
+    assert certified > 250
 
 
 def test_a_lone_window_is_tested_beside_f1_g1_once(built_ctx, cells_2e2, monkeypatch):
