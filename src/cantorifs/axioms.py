@@ -519,9 +519,11 @@ def boundary_sets(p: IFSPair, h: HolePair, r: RuinationRegions) -> tuple[float, 
     hole a one-part set; every reported point is an endpoint of a part of
     the operand sets.
     """
-    ends = [x for hole in (h.h_f, h.h_g) for s in [IntervalSet._of_normalized(
-        np.array([hole.lo]), np.array([hole.hi])).union(r.rfrg)] for x in (s.los, s.his)]
-    return tuple(np.unique(np.concatenate([*ends, [p.f1.lo, p.f1.hi, p.g1.lo, p.g1.hi]])).tolist())
+    ends = [np.array([p.f1.lo, p.f1.hi, p.g1.lo, p.g1.hi])]
+    for hole in (h.h_f, h.h_g):  # a one-part set is normalized as it stands
+        s = IntervalSet._of_normalized(np.array([hole.lo]), np.array([hole.hi])).union(r.rfrg)
+        ends += [s.los, s.his]
+    return tuple(np.unique(np.concatenate(ends)).tolist())
 
 
 # ---------------------------------------------------------------------------
