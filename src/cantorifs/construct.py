@@ -580,8 +580,10 @@ def lambda_sequence(pair: IFSPair, params: AppendixParams, n: int) -> list[Inter
     """Lambda_0 = the three blocks; Lambda_{k+1} = f(Lambda_k) ∪ g(Lambda_k),
     exact since increasing maps send parts to parts.  A step writes f and
     g of Lambda_k's los into the two halves of one buffer, and of its his
-    into another, and joins the two images in place, re-normalizing only
-    where they interleave (`IntervalSet._of_runs`).  A step that could
+    into another, and joins the two images in place: only the window where
+    they interleave is joined, its lo's and hi's each sorted where they lie
+    and read off as parts, with no sorting permutation
+    (`IntervalSet._of_runs`).  A step that could
     make more than `ifs.ORBIT_CAP` parts (twice those of Lambda_k) is a
     ResourceCapError before it allocates.
 
@@ -608,8 +610,8 @@ def _lambda_steps(pair: IFSPair, params: AppendixParams, n: int) -> Iterator[Int
         if 2 * cur.n_parts > ORBIT_CAP:
             raise ResourceCapError(f"Lambda_{k+1} could exceed the cap of {ORBIT_CAP} parts")
         # f(Lambda_k) lies in [0, f(1)] and g(Lambda_k) in [g(0), 1], each
-        # sorted and disjoint, so the join re-normalizes only their parts in
-        # the window where the two interleave, with the same floats; a
+        # sorted and disjoint, so the join sorts and joins only their parts
+        # in the window where the two interleave, with the same floats; a
         # set's los and his are sorted and NaN-free (`_eval_sorted`)
         m = cur.n_parts
         los, his = np.empty(2 * m), np.empty(2 * m)

@@ -95,32 +95,51 @@ class Interval:
         return f"[{self.lo:.12g}, {self.hi:.12g}]"
 
 
-def _normalize(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the parts by lo and merge each run of touching or overlapping
-    parts; needs hi >= lo on every part.
+def _join(los: np.ndarray, his: np.ndarray, hi_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized parts of `los`, `his` (hi >= lo on every part, and
+    hi_min at most their least hi), which it sorts in place, each alone.
 
-    A new run starts where lo exceeds the running max of hi.  Every hi of a
-    run is at least its own lo, so at least the run's first lo, which is
-    above every earlier hi: the running max at a run's last part is the
-    run's max.  The result never shares memory with the input, which the
-    caller freezes.
+    Let L and H be the sorted lo's and hi's.  A point x lies in no part
+    iff as many parts end below x as start at or below it, since a part
+    ending below x starts below it.  So x in [L[0], H[-1]] lies in none
+    iff some k has H[k] < x < L[k+1]: the set is [L[0], H[-1]] less the
+    gaps (H[k], L[k+1]) where L[k+1] > H[k], and a part starts at each
+    such L[k+1] and ends at the H[k] before it.  The normalized form of a
+    closed union is unique, so these are the floats that sorting the
+    parts by lo and merging them give, up to the sign of a zero end.
 
-    Input whose every lo exceeds the hi before it is already normalized:
-    its stable argsort and running max are the identity and every part
-    starts a run, so its copy is the output, bit for bit.  Input already
-    sorted by lo is in its stable argsort's order (ties, ±0.0 too, stay
-    put), so it is not sorted again."""
-    if (los[1:] > his[:-1]).all():
-        return los.copy(), his.copy()
-    order = None if (los[1:] >= los[:-1]).all() else np.argsort(los, kind="stable")
-    los, run_hi = (los, his.copy()) if order is None else (los[order], his[order])
-    del order  # before the mask and the results are allocated
-    np.maximum.accumulate(run_hi, out=run_hi)
+    Ends at ±0.0 follow one rule.  A part's lo is its run's first lo in
+    stable order (input order on ties), as a stable sort of the lo's puts
+    it.  A part whose hi is zero takes the sign of the zero hi that comes
+    last in stable lo order: that of the largest lo, latest in input order
+    on ties.  Every part with a zero hi holds 0, so all lie in one part.
+    That sign is read before the sorts, and only when hi_min <= 0, as a
+    zero hi needs; it is written over the sorted hi's zeros, of which only
+    the last can end a part."""
+    if hi_min <= 0:
+        z = np.flatnonzero(his == 0)
+        zero = his[z[los[z] == los[z].max()][-1]] if z.size else 0.0
+    los.sort(kind="stable")
+    his.sort(kind="stable")
+    if hi_min <= 0:
+        his[his.searchsorted(0.0):his.searchsorted(0.0, side="right")] = zero
     # starts[i]: part i starts a run; a part ends one where the next starts
     starts = np.empty(los.size + 1, dtype=bool)
     starts[0] = starts[-1] = True
-    np.greater(los[1:], run_hi[:-1], out=starts[1:-1])
-    return los[starts[:-1]], run_hi[starts[1:]]
+    np.greater(los[1:], his[:-1], out=starts[1:-1])
+    return los[starts[:-1]], his[starts[1:]]
+
+
+def _normalize(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parts sorted by lo, each run of touching or overlapping parts
+    merged (`_join` on copies, with its ±0.0 rule); needs hi >= lo on
+    every part.  The result never shares memory with the input, which the
+    caller freezes.  Input whose every lo exceeds the hi before it is
+    already normalized: its copy is the output, bit for bit."""
+    los, his = los.copy(), his.copy()
+    if (los[1:] > his[:-1]).all():
+        return los, his
+    return _join(los, his, his.min())
 
 
 def _exact_sum(los: np.ndarray, his: np.ndarray) -> float:
@@ -211,18 +230,18 @@ class IntervalSet:
 
         Let a be the first run and b the second.  Each part of a[:i] ends
         below b's first lo, so below every lo of b, and each part of b[j:]
-        starts above a's last hi.  With the strict gaps inside a and b, a
-        stable sort of all the parts thus puts a[:i] first and b[j:] last as
-        runs of one part, no run crosses a join, and the running max
-        entering the window a[i:] b[:j] is below all of it.  The normalized
-        form of a closed union is unique, and the window, normalized alone
-        with a's parts first as in that sort, keeps its order on ties
-        (-0.0): a[:i], the window and b[j:] joined are that form, float for
-        float.  They lie in that order already, so the window is normalized
-        where it lies, the tail shifts down onto its end and the set is a
-        view of the arrays.  When b starts first, i is 0 and the window
-        holds b's head too.  Input that is not two such runs is normalized
-        whole."""
+        starts above a's last hi.  With the strict gaps inside a and b,
+        each of those parts is a part of the union alone, and the window
+        a[i:] b[:j] is the rest of it, laid a's parts first as a stable sort
+        of all the parts puts them on ties (-0.0): so `_join` on the window
+        gives its parts with the floats of a whole normalization, ±0.0 ends
+        too, and a[:i], the window and b[j:] joined are that form.  The
+        window's two runs are each sorted, so `_join` sorts the window's
+        lo's and hi's where they lie, each by merging two runs, and
+        min(a[i].hi, b[0].hi) is at most its least hi; the tail shifts
+        down onto the joined window and the set is a view of the arrays.
+        When b starts first, i is 0 and the window holds b's head too.
+        Input that is not two such runs is normalized whole."""
         apart = los[1:] > his[:-1]
         apart[n - 1:n] = True  # the join, if there is one
         if not ((los <= his).all() and apart.all()):
@@ -232,7 +251,7 @@ class IntervalSet:
             return cls._of_normalized(los, his)
         i = his[:n].searchsorted(los[n])
         j = n + los[n:].searchsorted(his[n - 1], side="right")
-        w_lo, w_hi = _normalize(los[i:j], his[i:j])
+        w_lo, w_hi = _join(los[i:j], his[i:j], min(his[i], his[n]))
         k = i + w_lo.size
         end = k + los.size - j
         for x, w in ((los, w_lo), (his, w_hi)):
@@ -291,9 +310,11 @@ class IntervalSet:
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         """The normalized form of `self`'s parts then `other`'s, bit for bit:
-        `_of_runs` on the two laid end to end, `self`'s first, which
-        re-normalizes only the window where they interleave, with `self`'s
-        parts first on ties (-0.0)."""
+        `_of_runs` on the two laid end to end, `self`'s first, which joins
+        only the window where they interleave, sorting its lo's and hi's
+        each alone.  On ±0.0 ends `_join`'s rule holds with `self`'s parts
+        first on ties: a part keeps the first of its tied lo's, and a part
+        ending at zero takes the sign of the zero hi last in lo order."""
         if self.is_empty():
             return other
         if other.is_empty():

@@ -126,6 +126,8 @@ def sets_sharing_ends(draw):
 @example((S((0.0, 0.1), (0.2, 0.3)), S((0.4, 0.5), (0.9, 1.0))))   # disjoint: no window
 @example((S((0.0, 0.2), (0.5, 0.6)), S((0.1, 0.3), (0.9, 1.0))))   # a window at the start
 @example((S((0.0, 0.2), (0.5, 1.0)), S((0.3, 0.4), (0.6, 0.7))))   # a window at the end
+@example((S((-0.0, -0.0)), S((-1.0, 0.0))))                         # zero hi's, last in lo order
+@example((S((-0.5, 0.0)), S((-1.0, -0.0), (0.25, 0.5))))            # ... not last in input order
 def test_union_is_one_normalization_of_both_bit_for_bit(sets):
     """The window merge gives the bytes of normalizing `self`'s parts and
     then `other`'s at once, in both operand orders; so does the join it
@@ -144,11 +146,16 @@ def test_union_is_one_normalization_of_both_bit_for_bit(sets):
 
 def _grid_run(rng, size):
     """A normalized run on a coarse grid, so that two runs share ends;
-    a run that starts at 0 starts at -0.0 half the time."""
+    a run that starts at 0 starts at -0.0 half the time, and half of
+    the others start with a part [-x, ±0.0], x 0 or on the grid."""
     ends = np.sort(rng.choice(np.arange(400) / 400.0, 2 * size, replace=False))
     los, his = ends[0::2].copy(), ends[1::2].copy()
-    if los.size and los[0] == 0.0 and rng.random() < 0.5:
-        los[0] = -0.0
+    if los.size and los[0] == 0.0:
+        if rng.random() < 0.5:
+            los[0] = -0.0
+    elif rng.random() < 0.5:
+        los = np.insert(los, 0, -float(rng.integers(0, 3)) / 400.0)
+        his = np.insert(his, 0, rng.choice([-0.0, 0.0]))
     return los, his
 
 
@@ -169,6 +176,20 @@ def test_join_of_random_runs_and_non_runs(seed):
         for bl, bh in broken:
             _join_is_one_normalization(np.concatenate([bl, l2]), np.concatenate([bh, h2]), bl.size)
             _join_is_one_normalization(np.concatenate([l2, bl]), np.concatenate([h2, bh]), l2.size)
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (S((-0.0, -0.0)), S((-1.0, 0.0)), [(-1.0, -0.0)]),
+    (S((-0.5, 0.0)), S((-1.0, -0.0), (0.25, 0.5)), [(-1.0, 0.0), (0.25, 0.5)]),
+])
+def test_zero_end_takes_the_sign_of_the_last_zero_hi_in_lo_order(a, b, want):
+    """A part that ends at zero takes the sign of the zero hi whose part
+    comes last in stable lo order, whichever operand holds it and in
+    either operand order; a part's lo is its first in that order."""
+    for x, y in ((a, b), (b, a)):
+        got = x.union(y)
+        assert (got.los.tobytes(), got.his.tobytes()) == (
+            np.array([p[0] for p in want]).tobytes(), np.array([p[1] for p in want]).tobytes())
 
 
 def test_join_merges_touching_parts_in_the_head_or_tail():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cantorifs import maps
+from cantorifs import intervals, maps
 from cantorifs.errors import DomainError, RangeError, SpecError
 from cantorifs.maps import (
     Affine,
@@ -26,7 +26,7 @@ from cantorifs.maps import (
 )
 from cantorifs.construct import base_pair, lambda_sequence
 from cantorifs.ifs import orbit, validate_class_a
-from cantorifs.intervals import TOL
+from cantorifs.intervals import TOL, IntervalSet
 
 from oracles import (apply_word, break_values, eval_by_segment, inverse_by_segment, segment_coeffs,
                      segment_deriv, segment_ends, segment_inverse, segment_value)
@@ -321,23 +321,31 @@ def test_scalar_path_makes_no_numpy_call(built_pair, monkeypatch):
 
 def test_sorted_callers_never_argsort(built_pair, appendix, monkeypatch):
     """The product feeds `eval_array` non-decreasing input (orbit levels,
-    Λ endpoints, grids), so its sort-and-scatter branch stays cold."""
+    Λ endpoints, grids), so its sort-and-scatter branch stays cold; and
+    interval sets, their unions and each Λ step are joined from their
+    ends sorted in place, with no sorting permutation."""
     class NoArgsort:
         def __getattr__(self, name):
             if name == "argsort":
-                raise AssertionError("eval_array sorted its input")
+                raise AssertionError("argsort called")
             return getattr(np, name)
 
     f = MapSpec(built_pair.f.segments)  # fresh lookup tables
     xs = np.linspace(0.0, 1.0, 1001)
     monkeypatch.setattr(maps, "np", NoArgsort())
+    monkeypatch.setattr(intervals, "np", NoArgsort())
     assert _bits(f.eval_array(xs)) == _bits(f.eval(float(x)) for x in xs)
     orbit(built_pair, 0.0, 12)
     orbit(built_pair, 1.0, 12)
     lambda_sequence(*appendix, 12)
     symmetry_residual(built_pair.f, built_pair.g)
     validate_class_a(built_pair.f, built_pair.g)
-    with pytest.raises(AssertionError, match="sorted its input"):
+    # unsorted, nested and touching parts, and two sets that interleave
+    s = IntervalSet(los=np.array([0.5, 0.1, 0.55, -0.0, 0.12, 0.4]),
+                    his=np.array([0.8, 0.4, 0.6, 0.0, 0.2, 0.45]))
+    t = IntervalSet([(0.0, 0.05), (0.42, 0.5), (0.7, 0.9)])
+    assert s.union(t) == IntervalSet([(-0.0, 0.05), (0.1, 0.9)])
+    with pytest.raises(AssertionError, match="argsort called"):
         f.eval_array(xs[::-1])
 
 
