@@ -581,11 +581,10 @@ def lambda_sequence(pair: IFSPair, params: AppendixParams, n: int) -> list[Inter
     exact since increasing maps send parts to parts.  A step writes f and
     g of Lambda_k's los into the two halves of one buffer, and of its his
     into another, and joins the two images in place: only the window where
-    they interleave is joined, its lo's and hi's each sorted where they lie
-    and read off as parts, with no sorting permutation
-    (`IntervalSet._of_runs`).  A step that could
-    make more than `ifs.ORBIT_CAP` parts (twice those of Lambda_k) is a
-    ResourceCapError before it allocates.
+    they interleave is joined, from its lo's and hi's each sorted where
+    they lie, with no sorting permutation (`IntervalSet._of_runs`).  A
+    step that could make more than `ifs.ORBIT_CAP` parts (twice those of
+    Lambda_k) is a ResourceCapError before it allocates.
 
     Nestedness is checked on the first two steps and holds for the rest by
     induction: A ⊂ B implies f(A) ⊂ f(B) for increasing f.  In floats the
